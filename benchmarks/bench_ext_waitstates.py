@@ -15,11 +15,12 @@ from conftest import emit
 
 from repro.analysis.experiments import ext_waitstate_accuracy
 from repro.analysis.reports import ascii_table
+from repro.options import RunOptions
 
 
 def test_waitstate_accuracy(benchmark):
     result = benchmark.pedantic(
-        ext_waitstate_accuracy, kwargs=dict(seed=11), rounds=1, iterations=1
+        ext_waitstate_accuracy, kwargs=dict(options=RunOptions(seed=11)), rounds=1, iterations=1
     )
 
     rows = [("ground truth (global clock)", f"{result.truth_total * 1e3:.3f}", "-", "-")]

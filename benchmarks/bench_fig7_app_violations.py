@@ -21,6 +21,7 @@ from conftest import emit
 
 from repro.analysis.experiments import fig7_app_violations
 from repro.analysis.reports import ascii_table
+from repro.options import RunOptions
 
 RESULTS = {}
 
@@ -34,7 +35,7 @@ POP_SCALE = float(os.environ.get("REPRO_FIG7_SCALE", "0.1"))
 def test_fig7_app(benchmark, app, scale):
     result = benchmark.pedantic(
         fig7_app_violations,
-        kwargs=dict(app=app, seed=1, runs=3, nprocs=32, scale=scale),
+        kwargs=dict(app=app, options=RunOptions(seed=1), runs=3, nprocs=32, scale=scale),
         rounds=1,
         iterations=1,
     )

@@ -15,6 +15,7 @@ from conftest import emit
 
 from repro.analysis.experiments import fig8_openmp_violations
 from repro.analysis.reports import ascii_table
+from repro.options import RunOptions
 
 PAPER_ANY = {4: 83.0, 8: None, 12: "very few", 16: 0.0}
 
@@ -22,7 +23,7 @@ PAPER_ANY = {4: 83.0, 8: None, 12: "very few", 16: 0.0}
 def test_fig8_openmp_violations(benchmark):
     result = benchmark.pedantic(
         fig8_openmp_violations,
-        kwargs=dict(threads=(4, 8, 12, 16), seed=2, runs=5, regions=200),
+        kwargs=dict(threads=(4, 8, 12, 16), options=RunOptions(seed=2), runs=5, regions=200),
         rounds=1,
         iterations=1,
     )

@@ -26,6 +26,7 @@ from conftest import emit, record_metric
 
 from repro.analysis.experiments import _fig7_one_run, fig7_app_violations
 from repro.analysis.runner import run_grid
+from repro.options import RunOptions
 from repro.sync.violations import resolve_lmin, violations_by_pair
 from repro.tracing.trace import MessageTable
 
@@ -98,11 +99,11 @@ FIG7_GRID = [
 
 def test_runner_scaling(benchmark):
     t0 = time.perf_counter()
-    serial = run_grid(_fig7_one_run, FIG7_GRID, jobs=None)
+    serial = run_grid(_fig7_one_run, FIG7_GRID)
     serial_s = time.perf_counter() - t0
 
     def parallel_run():
-        return run_grid(_fig7_one_run, FIG7_GRID, jobs=4)
+        return run_grid(_fig7_one_run, FIG7_GRID, options=RunOptions(jobs=4))
 
     parallel = benchmark.pedantic(parallel_run, rounds=1, iterations=1)
     parallel_s = benchmark.stats["mean"]
@@ -159,14 +160,15 @@ def test_work_stealing_sweep(benchmark):
     from repro.telemetry import TelemetryRecorder
 
     t0 = time.perf_counter()
-    serial = run_grid(synthetic_sweep_job, SWEEP_GRID, jobs=None)
+    serial = run_grid(synthetic_sweep_job, SWEEP_GRID)
     serial_s = time.perf_counter() - t0
 
     recorder = TelemetryRecorder()
 
     def stolen_run():
         return run_grid(
-            synthetic_sweep_job, SWEEP_GRID, jobs=4, telemetry=recorder
+            synthetic_sweep_job, SWEEP_GRID, options=RunOptions(jobs=4),
+            telemetry=recorder,
         )
 
     stolen = benchmark.pedantic(stolen_run, rounds=1, iterations=1)
@@ -209,14 +211,15 @@ def test_runner_cache_warm_rerun(benchmark, tmp_path):
     cache = ResultCache(tmp_path / "cache")
     t0 = time.perf_counter()
     cold = fig7_app_violations(
-        app="smg2000", seed=2, runs=3, nprocs=8, scale=0.2, cache=cache
+        app="smg2000", runs=3, nprocs=8, scale=0.2,
+        options=RunOptions(seed=2, cache=cache),
     )
     cold_s = time.perf_counter() - t0
 
     def warm():
         return fig7_app_violations(
-            app="smg2000", seed=2, runs=3, nprocs=8, scale=0.2,
-            cache=ResultCache(tmp_path / "cache"),
+            app="smg2000", runs=3, nprocs=8, scale=0.2,
+            options=RunOptions(seed=2, cache=ResultCache(tmp_path / "cache")),
         )
 
     result = benchmark.pedantic(warm, rounds=1, iterations=1)

@@ -1,13 +1,14 @@
-"""Out-of-core streaming CLC vs the in-memory kernel (~2M events).
+"""Out-of-core streaming CLC and the in-memory kernel (~2M events).
 
 Not a paper figure — this bench tracks the tentpole promise of the
 sharded trace store: the streaming CLC must stay bit-identical to the
 in-memory corrector (asserted here on every run, and fuzzed by the
 ``streaming`` verify campaign) while holding at most ~one shard per
-rank resident.  Both paths are timed on the same synthetic 2-rank
-trace so ``check_regression.py`` catches either kernel losing its
-throughput, and ``streaming_vs_inmemory`` (a ``speedup_*``-style
-ratio) catches the streaming path falling behind the in-memory one.
+rank resident.  Both paths are timed warm (one untimed pass first) on
+the same synthetic 2-rank trace and recorded as two separate
+``*_events_per_second`` rates, so ``check_regression.py`` catches
+either kernel losing its throughput.  Their ratio is deliberately not
+gated: it falls whenever the in-memory side alone gets faster.
 """
 
 import tempfile
@@ -73,6 +74,9 @@ def test_streaming_clc_throughput(benchmark):
     trace = synthetic_trace()
     total = trace.total_events()
 
+    # The compiled schedule caches on the Trace object: warm up on one
+    # copy, time a fresh one.
+    ControlledLogicalClock().correct(synthetic_trace())
     t0 = time.perf_counter()
     ref = ControlledLogicalClock().correct(trace)
     inmemory_s = time.perf_counter() - t0
@@ -90,7 +94,7 @@ def test_streaming_clc_throughput(benchmark):
                 shards, Path(tmp) / f"out{next(out_seq)}", telemetry=recorder
             )
 
-        result = benchmark.pedantic(run, rounds=1, iterations=1)
+        result = benchmark.pedantic(run, rounds=1, iterations=1, warmup_rounds=1)
         streaming_s = benchmark.stats["mean"]
         streaming_rate = total / streaming_s
         peak = int(recorder.gauges["sync.clc.peak_resident_events"])
@@ -103,13 +107,12 @@ def test_streaming_clc_throughput(benchmark):
             )
         assert result.jumps == ref.jumps
         assert peak <= 2 * SHARD_EVENTS
-        assert streaming_rate >= 0.5 * inmemory_rate
 
     emit("")
     emit(
         f"streaming CLC: {total} events, {result.jumps} jumps, "
         f"shard={SHARD_EVENTS} -> peak resident {peak} events "
-        f"({peak / total * 100:.1f} % of trace)"
+        f"({peak / total * 100:.1f} % of trace); both warm"
     )
     emit(
         f"  streaming  {streaming_s:8.3f} s  {streaming_rate / 1e3:7.0f}k events/s"
@@ -124,5 +127,4 @@ def test_streaming_clc_throughput(benchmark):
         peak_resident_events=peak,
         streaming_events_per_second=streaming_rate,
         inmemory_events_per_second=inmemory_rate,
-        speedup_streaming_vs_inmemory=streaming_rate / inmemory_rate,
     )

@@ -17,6 +17,7 @@ from conftest import emit
 
 from repro.analysis.experiments import table2_latencies
 from repro.analysis.reports import ascii_table, ci_cell
+from repro.options import RunOptions
 
 PAPER = {
     "Inter node message latency": (4.29, 9.80e-4),
@@ -28,7 +29,7 @@ PAPER = {
 
 def test_table2_latencies(benchmark):
     result = benchmark.pedantic(
-        table2_latencies, kwargs=dict(seed=0, repeats=1000, coll_repeats=200),
+        table2_latencies, kwargs=dict(options=RunOptions(seed=0), repeats=1000, coll_repeats=200),
         rounds=1, iterations=1,
     )
     rows = []

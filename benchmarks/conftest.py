@@ -69,7 +69,7 @@ def pytest_sessionfinish(session, exitstatus):
     if bench_session is not None:
         for bench in getattr(bench_session, "benchmarks", []):
             stats = getattr(bench, "stats", None)
-            if stats is None:  # bench errored or was skipped
+            if stats is None or not stats.data:  # bench errored or was skipped
                 continue
             entries[bench.name] = {
                 "group": getattr(bench, "group", None),

@@ -50,7 +50,11 @@ the pipeline of :mod:`repro.core.pipeline`.
 cached per trace); :meth:`ControlledLogicalClock.correct_reference` and
 :func:`naive_shift_correct_reference` keep the original event-by-event
 scalar formulation and serve as the bit-for-bit equivalence oracle in
-the test suite.
+the test suite.  Backward amortization has one implementation,
+:func:`amortize_segment`: every path above and the streaming CLC of
+:mod:`repro.sync.streaming` (one call per shard, boundary carries)
+run it, and its cost follows the events inside the amortization
+windows rather than ``jumps x events``.
 """
 
 from __future__ import annotations
@@ -223,20 +227,22 @@ class ControlledLogicalClock:
         if tele.enabled:
             tele.count("sync.clc.events", orig_flat.size)
             tele.count("sync.clc.jumps", njumps)
-            # The in-memory kernel holds every event at once; the gauge
-            # makes the memory model comparable with the streaming path.
+            # The forward pass and the send caps hold every event at
+            # once (only the backward amortization is windowed); the
+            # gauge makes the memory model comparable with the
+            # streaming path, which reports true shard residency.
             tele.gauge_max("sync.clc.peak_resident_events", orig_flat.size)
 
         window = self.amortization_window
         if window is None:
-            window = self._auto_window(jumps)
+            window = self._auto_window(max_jump)
         if window > 0:
             with tele.span("sync.clc.amortize", window=window):
                 caps = schedule.split(send_caps_kernel(schedule, corr_flat, edge_lmin))
                 for rank in trace.ranks:
                     if jumps[rank]:
                         corrected[rank] = _amortize_backward(
-                            corrected[rank], jumps[rank], window, caps.get(rank)
+                            corrected[rank], jumps[rank], window, caps.get(rank), tele
                         )
 
         return compute_clc_stats(
@@ -298,7 +304,7 @@ class ControlledLogicalClock:
         # ---- backward amortization -----------------------------------
         window = self.amortization_window
         if window is None:
-            window = self._auto_window(jumps)
+            window = self._auto_window(max_jump)
         if window > 0:
             send_caps = self._send_caps_reference(trace, deps, corrected, lmin_fn)
             for rank in trace.ranks:
@@ -319,14 +325,10 @@ class ControlledLogicalClock:
 
     # ------------------------------------------------------------------
     @staticmethod
-    def _auto_window(jumps: "dict[int, list[tuple[int, float]]]") -> float:
-        biggest = 0.0
-        for items in jumps.values():
-            for _, jump in items:
-                biggest = max(biggest, jump)
-        # Span the jump over a region much wider than the jump itself so
-        # local interval lengths change only slightly.
-        return 50.0 * biggest if biggest > 0 else 0.0
+    def _auto_window(max_jump: float) -> float:
+        # Span the largest jump over a region much wider than the jump
+        # itself so local interval lengths change only slightly.
+        return 50.0 * max_jump if max_jump > 0 else 0.0
 
     @staticmethod
     def _send_caps_reference(trace, deps, corrected, lmin_fn) -> dict[int, np.ndarray]:
@@ -414,82 +416,177 @@ def naive_shift_correct_reference(trace: Trace, lmin: LminSpec = 0.0) -> ClcResu
     )
 
 
-def _amortize_backward(
-    times: np.ndarray,
-    jump_list: list[tuple[int, float]],
-    window: float,
-    caps: Optional[np.ndarray],
-) -> np.ndarray:
-    """Pre-spread each jump linearly over the preceding window.
+def ramp_cuts(js: np.ndarray, ts: np.ndarray, window: float) -> np.ndarray:
+    """Per jump, a time at or below which its ramp is provably ``<= 0``.
 
-    For a jump of size ``J`` at event ``k`` (corrected time ``T``), the
-    desired advance of an earlier event at time ``t`` is
-    ``J * (1 - (T - t)/window)`` clipped to ``[0, J]``; multiple jumps
-    combine by maximum.  Caps (send constraints) and per-rank
-    monotonicity are enforced in a single reverse scan: processing
-    events right-to-left, the advance of event ``i`` may not exceed
-    ``advance(i+1) + (t(i+1) - t(i))`` (monotonicity) nor
-    ``caps[i] - t(i)`` (clock condition of its own sends).
+    One ulp below ``anchor - window``: ``t <= cut`` implies ``anchor -
+    t > window`` in exact arithmetic, hence ``(anchor - t) / window >=
+    1`` after rounding and a non-positive ramp.
+    """
+    return np.nextafter((ts - js) - window, -np.inf)
+
+
+def amortize_segment(
+    times: np.ndarray,
+    jumps: "tuple[np.ndarray, np.ndarray, np.ndarray]",
+    window: float,
+    caps: Optional[np.ndarray] = None,
+    right_carry: "Optional[tuple[float, float, float]]" = None,
+    telemetry=None,
+) -> "tuple[np.ndarray, Optional[tuple[float, float, float]]]":
+    """Backward amortization of one contiguous segment of a rank's log.
+
+    ``times`` are the segment's forward-corrected timestamps and
+    ``jumps = (ks, js, ts)`` the rank's jumps: segment-relative event
+    index (``>= times.size`` for a jump in a later segment; ``<= 0``
+    entries cannot reach the segment and are ignored), jump size, and
+    corrected time of the jump event.  For a jump of size ``J`` at
+    event ``k`` (corrected time ``T``), the desired advance of an
+    earlier event at time ``t`` is ``J * (1 - (T - J - t)/window)``
+    clipped to ``[0, J]`` — anchored at the event's *pre-jump* time, so
+    an event just before where the receive originally sat advances by
+    (almost) the full jump and events ``window`` earlier don't move at
+    all; multiple jumps combine by maximum.  Caps (send constraints)
+    and per-rank monotonicity are then enforced right-to-left: the
+    advance of event ``i`` may not exceed ``advance(i+1) + (t(i+1) -
+    t(i))`` nor ``caps[i] - t(i)``, and the summed outputs are
+    re-clamped to stay ordered.
+
+    The cost follows the windows, not ``jumps x events``:
+
+    * a ramp is ``<= 0`` wherever ``t <= anchor - window``, so each jump
+      is evaluated only on ``[lo, k)`` with ``lo`` found by bisecting
+      the running maximum of ``times`` (valid on non-monotone,
+      NTP-stepped logs) one ulp below ``anchor - window`` — a
+      conservative superset, inside which the elementwise operations,
+      the clips and the max over jumps are the same IEEE operations a
+      dense ``(jumps, events)`` matrix would perform;
+    * both reverse scans are the identity at every event whose desired
+      advance is zero (a zero stays zero, and ``out[i] > out[i+1] >=
+      t[i]`` cannot hold when ``out[i] == t[i]``), so they visit only
+      the events some ramp reaches, reading an unvisited right
+      neighbour as "did not move".
+
+    ``right_carry`` is the ``(advance, time, output)`` of the event just
+    right of the segment (``None``: the segment ends the log).  Returns
+    the amortized times — ``times`` itself when nothing moves — and the
+    same triple for the segment's first event, so a log may be
+    processed in any right-to-left split with identical results.
     """
     n = times.size
-    ks = np.array([k for k, _ in jump_list], dtype=np.int64)
-    js = np.array([jump for _, jump in jump_list], dtype=np.float64)
-    # Anchor each ramp at the event's *pre-jump* time: an event just
-    # before where the receive originally sat advances by (almost) the
-    # full jump, events `window` earlier don't move at all.  One
-    # (jumps, events) matrix evaluates every ramp at every event — the
-    # elementwise operations and the clip are exactly the per-jump
-    # formulation's, and max over jumps is exact, so the combined
-    # desired advance is bit-identical to folding jumps one at a time.
-    anchors = times[ks] - js
-    ramp = js[:, None] * (1.0 - (anchors[:, None] - times[None, :]) / window)
+    if n == 0:
+        return times, right_carry
+    t0 = float(times[0])
+    idle = (0.0, t0, t0)
+    ks, js, ts = jumps
+    reach = ks > 0
+    if not reach.all():
+        ks, js, ts = ks[reach], js[reach], ts[reach]
+    anchors = ts - js
+    lo = np.searchsorted(
+        np.maximum.accumulate(times), ramp_cuts(js, ts, window), side="right"
+    )
+    counts = np.maximum(np.minimum(ks, n) - lo, 0)
+    pairs = int(counts.sum())
+    if pairs == 0:
+        return times, idle
+
+    # Ragged (jump, event) pairs, jump-major: ``row`` names the jump,
+    # ``ev`` walks lo..hi-1 of that jump.
+    row = np.repeat(np.arange(ks.size), counts)
+    ev = np.arange(pairs) - np.repeat(np.cumsum(counts) - counts - lo, counts)
+    jr = js[row]
+    ramp = jr * (1.0 - (anchors[row] - times[ev]) / window)
     np.maximum(ramp, 0.0, out=ramp)
-    np.minimum(ramp, js[:, None], out=ramp)
-    # A jump only pre-spreads over *earlier* events of its rank.
-    for row, k in enumerate(ks.tolist()):
-        ramp[row, k:] = 0.0
-    desired = ramp.max(axis=0)
+    np.minimum(ramp, jr, out=ramp)
+    desired = np.zeros(n, dtype=np.float64)
+    np.maximum.at(desired, ev, ramp)
 
-    if not desired.any():
-        return times
+    nz = np.flatnonzero(desired)
+    tele = ensure_telemetry(telemetry)
+    if tele.enabled:
+        tele.count("sync.clc.amortize_pairs", pairs)
+        tele.count("sync.clc.amortize_scanned", nz.size)
+    if nz.size == 0:
+        return times, idle
 
-    allowed = desired
+    t_nz = times[nz]
+    allowed = desired[nz]
     if caps is not None:
-        headroom = caps - times
-        np.minimum(allowed, np.maximum(headroom, 0.0), out=allowed)
-    # Reverse monotonicity scan: advance may grow by at most the original
-    # gap to the next event (which itself might be the jump event with
-    # advance 0 — the ramp is anchored there by construction).  The scan
-    # is inherently sequential; it runs on plain lists because Python
-    # float arithmetic is the same IEEE double as numpy scalars.
-    tl = times.tolist()
+        caps_nz = caps[nz]
+        np.minimum(allowed, np.maximum(caps_nz - t_nz, 0.0), out=allowed)
+    # Right neighbour of every visited event: the next visited event
+    # when adjacent (``link``), else an event that does not move.  Past
+    # the end of the log sits an unmoved event at +inf, which limits
+    # nothing.
+    carry_al, carry_t, carry_out = (
+        right_carry if right_carry is not None else (0.0, np.inf, np.inf)
+    )
+    m = nz.size
+    last = int(nz[-1])
+    ends_segment = last == n - 1
+    nxt_t = np.append(times[nz[:-1] + 1], carry_t if ends_segment else times[last + 1])
+    link = np.append(np.diff(nz) == 1, ends_segment).tolist()
+    # The scans are inherently sequential; they run on plain lists
+    # because Python float arithmetic is the same IEEE double as numpy
+    # scalars.
+    gap = (nxt_t - t_nz).tolist()
     al = allowed.tolist()
-    for i in range(n - 2, -1, -1):
-        limit = al[i + 1] + (tl[i + 1] - tl[i])
-        if al[i] > limit:
-            al[i] = limit
-        if al[i] < 0.0:
+    nxt = carry_al
+    for i in range(m - 1, -1, -1):
+        if not link[i]:
+            nxt = 0.0
+        limit = nxt + gap[i]
+        a = al[i]
+        if a > limit:
+            a = limit
+        if a < 0.0:
             # A negative original gap (non-monotone recorded log, e.g.
             # an NTP step backwards) makes the limit negative; an
             # advance must never turn into a retreat — that would move
             # a receive below send + l_min and re-violate Eq. 1.
-            al[i] = 0.0
-    out = times + np.asarray(al, dtype=np.float64)
+            a = 0.0
+        al[i] = nxt = a
+    out_nz = t_nz + np.asarray(al, dtype=np.float64)
     if caps is not None:
-        # ``times + (caps - times)`` can round one ulp above ``caps``;
-        # clamp exactly so verifiers using strict comparison stay happy
+        # ``t + (cap - t)`` can round one ulp above ``cap``; clamp
+        # exactly so verifiers using strict comparison stay happy
         # (never below the original time, though).
-        np.minimum(out, np.maximum(caps, times), out=out)
+        np.minimum(out_nz, np.maximum(caps_nz, t_nz), out=out_nz)
     # ``t[i] + al[i]`` rounds independently per event, so an advance
     # sitting exactly on the monotonicity limit can land one ulp above
     # its successor (same for the caps clamp above).  Re-clamp on the
     # summed values; the ``>= t[i]`` guard leaves a non-monotone
     # recorded log as-is instead of dragging events backward.
-    ol = out.tolist()
-    for i in range(n - 2, -1, -1):
-        if ol[i] > ol[i + 1] >= tl[i]:
-            ol[i] = ol[i + 1]
-    return np.asarray(ol, dtype=np.float64)
+    tl = t_nz.tolist()
+    nl = nxt_t.tolist()
+    ol = out_nz.tolist()
+    nxt = carry_out
+    for i in range(m - 1, -1, -1):
+        if not link[i]:
+            nxt = nl[i]
+        o = ol[i]
+        if o > nxt >= tl[i]:
+            ol[i] = o = nxt
+        nxt = o
+    out = times.copy()
+    out[nz] = ol
+    left = (al[0], tl[0], ol[0]) if int(nz[0]) == 0 else idle
+    return out, left
+
+
+def _amortize_backward(
+    times: np.ndarray,
+    jump_list: list[tuple[int, float]],
+    window: float,
+    caps: Optional[np.ndarray],
+    telemetry=None,
+) -> np.ndarray:
+    """Amortize one rank's whole log: :func:`amortize_segment`, no carries."""
+    ks = np.array([k for k, _ in jump_list], dtype=np.int64)
+    js = np.array([jump for _, jump in jump_list], dtype=np.float64)
+    out, _ = amortize_segment(times, (ks, js, times[ks]), window, caps, None, telemetry)
+    return out
 
 
 def _lmin_callable(lmin: LminSpec):

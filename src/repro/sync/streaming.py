@@ -15,8 +15,10 @@ resident set at O(one shard per rank + carried boundary state):
   whose matching send or a collective exit whose member enters have not
   been published yet.  Send caps spill to per-shard bucket files; the
   backward amortization is a single reverse pass over each flagged
-  rank's shards with three scalar carries (the next shard's first
-  advance, timestamp, and re-clamped output).  Statistics accumulate
+  rank's shards — :func:`repro.sync.clc.amortize_segment` per shard,
+  with three scalar carries (the next shard's first advance,
+  timestamp, and re-clamped output) — that neither loads nor rewrites
+  a shard no amortization window reaches.  Statistics accumulate
   with boundary carries, and the corrected trace is written back out as
   a sharded store.
 * :func:`streaming_scan_trace` — Eq. 1 violation scan.  Point-to-point
@@ -46,7 +48,12 @@ from typing import Optional, Union
 import numpy as np
 
 from repro.errors import SynchronizationError, TraceError
-from repro.sync.clc import ClcResult, ControlledLogicalClock
+from repro.sync.clc import (
+    ClcResult,
+    ControlledLogicalClock,
+    amortize_segment,
+    ramp_cuts,
+)
 from repro.sync.collectives_map import logical_messages
 from repro.sync.violations import LminSpec, ViolationReport, scan_messages
 from repro.telemetry import ensure_telemetry
@@ -325,7 +332,7 @@ class _RankForward:
         "lo", "n_s", "origl", "corr", "gdl", "spont", "sp_ptr",
         "stops", "stop_ptr", "pubs", "pub_ptr", "cur",
         "prev_orig", "prev_corr", "finished", "jumps", "resident",
-        "fwd_paths", "tmpdir",
+        "fwd_paths", "fwd_span", "tmpdir",
     )
 
     def __init__(self, rank, recs, reader, gamma, tmpdir, resident) -> None:
@@ -342,6 +349,7 @@ class _RankForward:
         self.prev_corr = 0.0
         self.jumps: list[tuple[int, float, float]] = []  # (local idx, jump, value)
         self.fwd_paths: list[Path] = []
+        self.fwd_span: list[tuple[float, float]] = []  # per shard: (first, max) forward time
 
     # -- shard management ------------------------------------------------
     def load_next(self, publish, exit_deps) -> None:
@@ -397,8 +405,10 @@ class _RankForward:
 
     def flush_shard(self) -> None:
         path = self.tmpdir / f"fwd_r{self.rank}_s{self.si}.npy"
-        np.save(path, np.asarray(self.corr[1:], dtype=np.float64))
+        fwd = np.asarray(self.corr[1:], dtype=np.float64)
+        np.save(path, fwd)
         self.fwd_paths.append(path)
+        self.fwd_span.append((float(fwd[0]), float(fwd.max())))
         self.prev_orig = self.origl[self.n_s]
         self.prev_corr = self.corr[self.n_s]
         self.resident.release(self.n_s)
@@ -628,69 +638,40 @@ def _forward_pass(
 # ----------------------------------------------------------------------
 # Streaming backward amortization
 # ----------------------------------------------------------------------
-def _backward_pass(st: _RankForward, window: float, caps: _CapsSpill, resident) -> None:
+def _backward_pass(st: _RankForward, window: float, caps: _CapsSpill, resident, tele) -> None:
     """Single reverse pass over one rank's forward temp files.
 
-    Reproduces ``_amortize_backward`` exactly: the desired-advance ramps
-    fold per shard (rows whose jump lies at or below the shard are
-    all-zero and skipped), and the two reverse scalar scans cross shard
-    boundaries through three carried values.  The early all-zero-desired
-    return of the in-memory code is skipped — with ``desired`` all zero
-    every subsequent step is the identity under ``==`` comparison.
+    One :func:`repro.sync.clc.amortize_segment` call per shard, the
+    ``(advance, time, output)`` of each shard's first event carried to
+    its left neighbour — bit-identical to amortizing the whole log as
+    one segment.  A shard whose largest forward time lies at or below
+    every later jump's ramp cut is reached by no window: it stays on
+    disk untouched and hands on the carry of an event that did not move.
     """
-    jumps = st.jumps
-    recs = st.recs
-    al_carry: Optional[tuple[float, float]] = None  # (al[first], t[first]) of later shard
-    ol_carry: Optional[float] = None  # re-clamped out[first] of later shard
-    for si in range(len(recs) - 1, -1, -1):
-        rec = recs[si]
+    ks = np.array([k for k, _, _ in st.jumps], dtype=np.int64)
+    js = np.array([j for _, j, _ in st.jumps], dtype=np.float64)
+    vs = np.array([v for _, _, v in st.jumps], dtype=np.float64)
+    cuts = ramp_cuts(js, vs, window)
+    carry = None
+    for si in range(len(st.recs) - 1, -1, -1):
+        rec = st.recs[si]
         lo, n_s = rec.start, rec.events
+        first, top = st.fwd_span[si]
+        later = ks > lo
+        if not later.any() or top <= cuts[later].min():
+            carry = (0.0, first, first)
+            continue
         times = np.load(st.fwd_paths[si])
         resident.load(n_s)
-        desired = np.zeros(n_s, dtype=np.float64)
-        for k, j, v in jumps:
-            if k <= lo:
-                continue
-            anchor = v - j
-            ramp = j * (1.0 - (anchor - times) / window)
-            np.maximum(ramp, 0.0, out=ramp)
-            np.minimum(ramp, j, out=ramp)
-            if k < lo + n_s:
-                ramp[k - lo:] = 0.0
-            np.maximum(desired, ramp, out=desired)
-        allowed = desired
         caps_shard = np.full(n_s, np.inf, dtype=np.float64)
         idx, vals = caps.load(st.rank, si)
         if idx.size:
             np.minimum.at(caps_shard, idx - lo, vals)
-        headroom = caps_shard - times
-        np.minimum(allowed, np.maximum(headroom, 0.0), out=allowed)
-        tl = times.tolist()
-        al = allowed.tolist()
-        if al_carry is not None:
-            limit = al_carry[0] + (al_carry[1] - tl[n_s - 1])
-            if al[n_s - 1] > limit:
-                al[n_s - 1] = limit
-            if al[n_s - 1] < 0.0:
-                al[n_s - 1] = 0.0
-        for i in range(n_s - 2, -1, -1):
-            limit = al[i + 1] + (tl[i + 1] - tl[i])
-            if al[i] > limit:
-                al[i] = limit
-            if al[i] < 0.0:
-                al[i] = 0.0
-        out = times + np.asarray(al, dtype=np.float64)
-        np.minimum(out, np.maximum(caps_shard, times), out=out)
-        ol = out.tolist()
-        if ol_carry is not None:
-            if ol[n_s - 1] > ol_carry >= tl[n_s - 1]:
-                ol[n_s - 1] = ol_carry
-        for i in range(n_s - 2, -1, -1):
-            if ol[i] > ol[i + 1] >= tl[i]:
-                ol[i] = ol[i + 1]
-        al_carry = (al[0], tl[0])
-        ol_carry = ol[0]
-        np.save(st.fwd_paths[si], np.asarray(ol, dtype=np.float64))
+        out, carry = amortize_segment(
+            times, (ks - lo, js, vs), window, caps_shard, carry, tele
+        )
+        if out is not times:
+            np.save(st.fwd_paths[si], out)
         resident.release(n_s)
 
 
@@ -750,12 +731,12 @@ def streaming_clc_correct(
 
         window = amortization_window
         if window is None:
-            window = 50.0 * max_jump if max_jump > 0 else 0.0
+            window = ControlledLogicalClock._auto_window(max_jump)
         if window > 0:
             with tele.span("sync.stream.amortize", window=window):
                 for rank in chunked.ranks:
                     if states[rank].jumps:
-                        _backward_pass(states[rank], window, caps, resident)
+                        _backward_pass(states[rank], window, caps, resident, tele)
 
         # Finalize: statistics with boundary carries + sharded output.
         corrected_events = 0

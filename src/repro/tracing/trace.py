@@ -118,6 +118,46 @@ class CollectiveTable:
     def __init__(self, records: list[CollectiveRecord]) -> None:
         self.records = records
 
+    def with_timestamps(self, timestamps: dict[int, np.ndarray]) -> "CollectiveTable":
+        """The same instances with enter/exit times re-read from ``timestamps``.
+
+        Instance, op, root, member ranks and event indices do not depend
+        on timestamps, so a trace that differs only in its timestamps
+        gets its table from one gather per rank instead of a second
+        walk over every collective event.
+        """
+        if not self.records:
+            return CollectiveTable([])
+        ranks = np.concatenate([rec.ranks for rec in self.records])
+        enter_idx = np.concatenate([rec.enter_idx for rec in self.records])
+        exit_idx = np.concatenate([rec.exit_idx for rec in self.records])
+        enter_ts = np.empty(ranks.size, dtype=np.float64)
+        exit_ts = np.empty(ranks.size, dtype=np.float64)
+        order = np.argsort(ranks, kind="stable")
+        members, starts = np.unique(ranks[order], return_index=True)
+        for rank, sel in zip(members.tolist(), np.split(order, starts[1:])):
+            ts = timestamps[rank]
+            enter_ts[sel] = ts[enter_idx[sel]]
+            exit_ts[sel] = ts[exit_idx[sel]]
+        records = []
+        pos = 0
+        for rec in self.records:
+            end = pos + rec.ranks.size
+            records.append(
+                CollectiveRecord(
+                    instance=rec.instance,
+                    op=rec.op,
+                    root=rec.root,
+                    ranks=rec.ranks,
+                    enter_ts=enter_ts[pos:end],
+                    exit_ts=exit_ts[pos:end],
+                    enter_idx=rec.enter_idx,
+                    exit_idx=rec.exit_idx,
+                )
+            )
+            pos = end
+        return CollectiveTable(records)
+
     def __len__(self) -> int:
         return len(self.records)
 
@@ -149,6 +189,9 @@ class Trace:
         self.meta: dict[str, Any] = dict(meta or {})
         self._messages: Optional[MessageTable] = None
         self._collectives: Optional[CollectiveTable] = None
+        #: Table of a trace with this one's event structure (set by
+        #: ``with_timestamps``); only its timestamps are stale.
+        self._collective_structure: Optional[CollectiveTable] = None
         self._schedules: dict[bool, Any] = {}
 
     # ------------------------------------------------------------------
@@ -355,7 +398,13 @@ class Trace:
     def collectives(self, refresh: bool = False) -> CollectiveTable:
         """Collective instances with per-rank enter/exit times (cached)."""
         if self._collectives is None or refresh:
-            self._collectives = self._extract_collectives()
+            structure = None if refresh else self.__dict__.get("_collective_structure")
+            if structure is None:
+                self._collectives = self._extract_collectives()
+            else:
+                self._collectives = structure.with_timestamps(
+                    {rank: log.timestamps for rank, log in self.logs.items()}
+                )
         return self._collectives
 
     def _extract_collectives(self) -> CollectiveTable:
@@ -453,6 +502,12 @@ class Trace:
         # Timestamp replacement preserves event structure, so compiled
         # happened-before schedules stay valid for the corrected trace.
         out._schedules = dict(self.__dict__.get("_schedules", {}))
+        # ... and so does the collective instance/index structure.
+        out._collective_structure = (
+            self._collectives
+            if self._collectives is not None
+            else self.__dict__.get("_collective_structure")
+        )
         return out
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

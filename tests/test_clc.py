@@ -9,9 +9,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import SynchronizationError
-from repro.sync.clc import ControlledLogicalClock
+from repro.sync.clc import ControlledLogicalClock, amortize_segment
 from repro.sync.collectives_map import logical_messages
 from repro.sync.violations import scan_collectives, scan_messages
+from repro.telemetry import TelemetryRecorder
 from repro.tracing.events import CollectiveOp, EventLog, EventType
 from repro.tracing.trace import Trace
 
@@ -202,6 +203,142 @@ class TestBackwardAmortization:
         )
         rep = scan_messages(result.trace.messages(), lmin=lmin)
         assert rep.violated == 0
+
+
+def dense_amortize(times, ks, js, window, caps):
+    """The former ``(jumps, events)`` matrix formulation, kept as oracle.
+
+    Every ramp is evaluated at every event of the log and both reverse
+    scans visit every event; :func:`amortize_segment` must reproduce it
+    bit for bit while touching only the events inside the windows.
+    """
+    n = times.size
+    anchors = times[ks] - js
+    ramp = js[:, None] * (1.0 - (anchors[:, None] - times[None, :]) / window)
+    np.maximum(ramp, 0.0, out=ramp)
+    np.minimum(ramp, js[:, None], out=ramp)
+    for row, k in enumerate(ks.tolist()):
+        ramp[row, k:] = 0.0
+    allowed = ramp.max(axis=0)
+    if not allowed.any():
+        return times
+    if caps is not None:
+        np.minimum(allowed, np.maximum(caps - times, 0.0), out=allowed)
+    tl = times.tolist()
+    al = allowed.tolist()
+    for i in range(n - 2, -1, -1):
+        limit = al[i + 1] + (tl[i + 1] - tl[i])
+        if al[i] > limit:
+            al[i] = limit
+        if al[i] < 0.0:
+            al[i] = 0.0
+    out = times + np.asarray(al, dtype=np.float64)
+    if caps is not None:
+        np.minimum(out, np.maximum(caps, times), out=out)
+    ol = out.tolist()
+    for i in range(n - 2, -1, -1):
+        if ol[i] > ol[i + 1] >= tl[i]:
+            ol[i] = ol[i + 1]
+    return np.asarray(ol, dtype=np.float64)
+
+
+@st.composite
+def amortization_cases(draw):
+    """``(times, ks, js, window, caps)`` of one rank after a forward pass.
+
+    Small pools make the interesting coincidences likely: zero gaps,
+    NTP back-steps (non-monotone logs), jumps at index 0/1 and at the
+    same event, repeated jump sizes, windows from narrower than one gap
+    to wider than the log (overlapping and nested ramps), and send caps
+    below, at and above the event they bound.
+    """
+    n = draw(st.integers(1, 40))
+    gap = st.sampled_from([0.0, 1e-9, 1e-3, 0.25, 1.0])
+    times = np.cumsum(draw(st.lists(gap, min_size=n, max_size=n)))
+    for at in draw(st.lists(st.integers(0, n - 1), max_size=2)):
+        times[at:] -= draw(st.sampled_from([1e-3, 0.6, 3.0]))
+    nj = draw(st.integers(1, 5))
+    index = st.integers(0, n - 1) | st.sampled_from([0, min(1, n - 1)])
+    ks = np.array(draw(st.lists(index, min_size=nj, max_size=nj)), dtype=np.int64)
+    size = st.sampled_from([1e-9, 0.3, 0.3, 2.0, 7.5])
+    js = np.array(draw(st.lists(size, min_size=nj, max_size=nj)))
+    window = draw(st.sampled_from([1e-9, 0.1, 1.0, 5.0, 1e3]))
+    caps = None
+    if draw(st.booleans()):
+        slack = st.sampled_from([-0.1, 0.0, 1e-9, 0.05, 1.0, np.inf])
+        caps = times + np.array(draw(st.lists(slack, min_size=n, max_size=n)))
+    return times, ks, js, window, caps
+
+
+class TestAmortizeSegment:
+    @examples(300)
+    @given(case=amortization_cases())
+    def test_matches_dense_bit_for_bit(self, case):
+        times, ks, js, window, caps = case
+        want = dense_amortize(times, ks, js, window, caps)
+        got, _ = amortize_segment(times, (ks, js, times[ks]), window, caps)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "times, ks, js, window",
+        [
+            # Event 1 is reached by no ramp and sits between two that
+            # are: event 0's advance is limited by the gap to its
+            # unmoved neighbour, not by event 2's advance.
+            ([0.0, 1.0, 2.0, 3.0], [1, 3], [2.0, 0.3], 1.0),
+            # 0.07 + (0.9 - 0.07) rounds one ulp above 0.9: the summed
+            # output is re-clamped against the unmoved neighbour's time.
+            ([0.07, 0.9, 1.5], [1], [5.0], 100.0),
+            # Nested windows, same jump size twice, jump at index 0.
+            ([0.0, 0.5, 1.0, 1.5, 2.0, 2.5], [0, 3, 5, 5], [1.0, 0.4, 0.4, 3.0], 2.0),
+            # Back-step inside the window of a later jump.
+            ([0.0, 1.0, 2.0, 0.5, 1.5, 2.5], [5], [4.0], 3.0),
+        ],
+    )
+    def test_pinned_cases_match_dense(self, times, ks, js, window):
+        times = np.array(times)
+        ks = np.array(ks)
+        js = np.array(js)
+        want = dense_amortize(times, ks, js, window, None)
+        got, _ = amortize_segment(times, (ks, js, times[ks]), window)
+        assert (want != times).any()
+        assert got.tobytes() == want.tobytes()
+
+    @examples(300)
+    @given(case=amortization_cases(), data=st.data())
+    def test_any_split_with_carries_equals_one_segment(self, case, data):
+        times, ks, js, window, caps = case
+        n = times.size
+        whole, _ = amortize_segment(times, (ks, js, times[ks]), window, caps)
+        cuts = data.draw(st.lists(st.integers(0, n), max_size=4))
+        bounds = sorted({0, n, *cuts})
+        parts, carry = [], None
+        for a, b in reversed(list(zip(bounds[:-1], bounds[1:]))):
+            out, carry = amortize_segment(
+                times[a:b], (ks - a, js, times[ks]), window,
+                None if caps is None else caps[a:b], carry,
+            )
+            parts.append(out)
+        assert np.concatenate(parts[::-1]).tobytes() == whole.tobytes()
+
+    def test_cost_follows_the_window(self):
+        """One jump with a 5-event window at the end of a 10k-event log
+        evaluates and scans those events only, and returns the input
+        itself when no ramp reaches anything."""
+        times = np.arange(10_000, dtype=np.float64)
+        ks = np.array([9_999])
+        js = np.array([0.5])
+        rec = TelemetryRecorder()
+        out, _ = amortize_segment(times, (ks, js, times[ks]), 5.0, telemetry=rec)
+        want = dense_amortize(times, ks, js, 5.0, None)
+        assert out.tobytes() == want.tobytes()
+        assert np.flatnonzero(out != times).tolist() == [9_994, 9_995, 9_996, 9_997, 9_998]
+        assert rec.counters["sync.clc.amortize_pairs"] <= 6
+        assert rec.counters["sync.clc.amortize_scanned"] == 5
+        head = times[:100]
+        same, carry = amortize_segment(head, (ks, js, times[ks]), 5.0)
+        assert same is head
+        assert carry == (0.0, 0.0, 0.0)
 
 
 class TestClcProperty:

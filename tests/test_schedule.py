@@ -258,7 +258,7 @@ class TestSatellites:
         assert hints["rng"] is np.random.Generator
 
     def test_auto_window_signature(self):
-        # _auto_window dropped its unused trace/lmin_fn parameters.
-        jumps = {0: [(3, 2.0)], 1: [(1, 0.5)]}
-        assert ControlledLogicalClock._auto_window(jumps) == 100.0
-        assert ControlledLogicalClock._auto_window({0: []}) == 0.0
+        # _auto_window takes the forward pass's max_jump directly (it
+        # used to re-derive it from the per-rank jump lists).
+        assert ControlledLogicalClock._auto_window(2.0) == 100.0
+        assert ControlledLogicalClock._auto_window(0.0) == 0.0

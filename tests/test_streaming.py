@@ -10,6 +10,8 @@ that misaligns with every rank length, and one larger than the trace.
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,9 @@ from repro.options import RunOptions
 from repro.sync.clc import ControlledLogicalClock
 from repro.sync.streaming import streaming_clc_correct, streaming_scan_trace
 from repro.sync.violations import scan_trace
+from repro.tracing.events import EventLog, EventType
 from repro.tracing.store import ChunkedTrace, write_sharded_trace
+from repro.tracing.trace import Trace
 from repro.verify.oracles import assert_streamed_matches_inmemory
 from repro.workloads import build_workload
 
@@ -133,3 +137,53 @@ class TestCliSharded:
         ])
         assert rc == 2
         assert "exactly one" in capsys.readouterr().err
+
+
+class TestBackwardPassLocality:
+    def test_unreached_shards_are_not_rewritten(self, tmp_path, monkeypatch):
+        """Three reversed receives in 2 x 4096 events: the backward pass
+        rewrites only the forward temp files an amortization window
+        reaches, and the result is still the in-memory one."""
+        n, every, shard = 4096, 16, 256
+        idx = np.arange(n // every) * every + every // 2
+        bad = idx[[40, 120, 200]]
+
+        def log(rank):
+            ts = np.arange(n, dtype=np.float64) * 1e-6
+            et = np.zeros(n, dtype=np.int32)
+            et[1::2] = int(EventType.EXIT)
+            a = np.zeros(n, dtype=np.int64)
+            d = np.full(n, -1, dtype=np.int64)
+            if rank == 0:
+                et[idx] = int(EventType.SEND)
+                a[idx] = 1
+            else:
+                ts += 5e-7
+                et[idx] = int(EventType.RECV)
+                ts[bad] -= 0.9e-6
+            d[idx] = np.arange(idx.size)
+            zeros = np.zeros(n, dtype=np.int64)
+            return EventLog.from_arrays(ts, et, a, zeros, zeros, d)
+
+        trace = Trace({0: log(0), 1: log(1)})
+        shards = write_sharded_trace(trace, tmp_path / "s", shard_events=shard)
+
+        saves: dict[str, int] = {}
+        real_save = np.save
+
+        def counting_save(path, arr):
+            saves[Path(path).name] = saves.get(Path(path).name, 0) + 1
+            real_save(path, arr)
+
+        monkeypatch.setattr(np, "save", counting_save)
+        result = streaming_clc_correct(shards, tmp_path / "out")
+        monkeypatch.undo()
+
+        ref = ControlledLogicalClock().correct(trace)
+        got = result.trace.materialize()
+        for rank in trace.ranks:
+            assert got.logs[rank].timestamps.tobytes() == ref.trace.logs[rank].timestamps.tobytes()
+        assert result.jumps == ref.jumps == 3
+        assert len(saves) == 2 * (n // shard)  # one forward file per shard
+        rewritten = {name for name, count in saves.items() if count > 1}
+        assert rewritten == {f"fwd_r1_s{int(k) // shard}.npy" for k in bad}

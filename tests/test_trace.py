@@ -170,3 +170,24 @@ class TestWithTimestamps:
         new = t.with_timestamps({1: t.logs[1].timestamps + 100.0})
         msgs = new.messages()
         assert (msgs.recv_ts > 100.0).all()
+
+    def test_collective_structure_is_carried_not_rescanned(self, monkeypatch):
+        """A scanned trace hands its collective instance/index structure
+        to its corrected copies (and theirs): only the enter/exit times
+        are re-read, and ``refresh=True`` still rebuilds from the log."""
+        base = TestCollectives().make_collective_trace()
+        shifted = {r: base.logs[r].timestamps * 2.0 + r for r in (0, 2)}
+        want = base.with_timestamps(shifted).collectives()
+        base.collectives()
+        derived = base.with_timestamps(shifted)
+        again = derived.with_timestamps({})  # structure passes through unscanned copies
+        monkeypatch.setattr(Trace, "_extract_collectives", None)
+        for table in (derived.collectives(), again.collectives()):
+            assert len(table) == len(want)
+            for got, ref in zip(table, want):
+                assert (got.instance, got.op, got.root) == (ref.instance, ref.op, ref.root)
+                for field in ("ranks", "enter_ts", "exit_ts", "enter_idx", "exit_idx"):
+                    a, b = getattr(got, field), getattr(ref, field)
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        with pytest.raises(TypeError):  # refresh goes back to the log
+            derived.collectives(refresh=True)
