@@ -39,7 +39,7 @@ def test_table2_latencies(benchmark):
             (
                 stats.label,
                 ci_cell(stats.summary),
-                f"{stats.std_of_mean * 1e6:.2e}",
+                f"{stats.summary.std_of_mean * 1e6:.2e}",
                 f"{paper_mean:.2f}",
                 f"{paper_std:.2e}",
                 f"n={stats.summary.n}",
@@ -56,10 +56,10 @@ def test_table2_latencies(benchmark):
     )
 
     by = result.by_label()
-    node = by["Inter node message latency"].mean
-    chip = by["Inter chip message latency"].mean
-    core = by["Inter core message latency"].mean
-    coll = by["Inter node collective latency"].mean
+    node = by["Inter node message latency"].summary.mean
+    chip = by["Inter chip message latency"].summary.mean
+    core = by["Inter core message latency"].summary.mean
+    coll = by["Inter node collective latency"].summary.mean
     # Shape: strict ordering and collective >> message, as in the paper.
     assert node > chip > core
     assert coll > 2 * node

@@ -22,7 +22,7 @@ import sys
 from repro.analysis.experiments import _grid_for
 from repro.cluster import scheduler_default, xeon_cluster
 from repro.cluster.jitter import OsJitterModel
-from repro.core.pipeline import SyncPipeline
+from repro.core.correct import correct_trace
 from repro.mpi import MpiWorld
 from repro.rng import RngFabric
 from repro.sync.violations import lmin_matrix_from_trace
@@ -64,7 +64,7 @@ def main(scale: float = 0.1, nprocs: int = 32, seed: int = 3) -> None:
     )
 
     lmin = lmin_matrix_from_trace(trace, preset.latency)
-    report = SyncPipeline(interpolation="linear", apply_clc=True).run(run, lmin=0.0)
+    report = correct_trace(run, interpolation="linear", clc=True, lmin=0.0)
     print("reversed-message scan by stage (l_min = 0, Fig. 7's metric):")
     print(report.summary())
 

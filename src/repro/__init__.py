@@ -21,9 +21,9 @@ Quick start
 >>> report.stage("clc").total_violated
 0
 
-Or skip the session machinery entirely — :func:`correct_trace` is the
-one-call facade over the whole correction chain (the same code path the
-CLI and the :mod:`repro.service` HTTP service execute)::
+``synchronize`` forwards to :func:`correct_trace`, the one correction
+entry point (the same code path the CLI and the :mod:`repro.service`
+HTTP service execute), which also works without a session::
 
     from repro import correct_trace
     result = correct_trace("run.npz", interpolation="linear", clc=True)
@@ -37,7 +37,6 @@ table and figure in the paper.
 
 from repro.core.api import TracingSession
 from repro.core.correct import CorrectionResult, correct_trace
-from repro.core.pipeline import PipelineReport, SyncPipeline
 from repro.errors import ReproError
 from repro.mpi.runtime import RunResult
 from repro.options import RunOptions
@@ -45,14 +44,12 @@ from repro.service.client import ServiceClient
 from repro.stats import SampleSummary, StoppingRule
 from repro.telemetry import TelemetryRecorder
 
-__version__ = "1.8.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "CorrectionResult",
     "TracingSession",
     "ServiceClient",
-    "SyncPipeline",
-    "PipelineReport",
     "ReproError",
     "RunOptions",
     "RunResult",

@@ -25,7 +25,6 @@ from repro.analysis.latency import (
     measure_latency,
 )
 from repro.analysis.runner import derive_seed, run_grid
-from repro.cache import ResultCache
 from repro.cluster.jitter import OsJitterModel
 from repro.cluster.machines import (
     ClusterPreset,
@@ -39,21 +38,19 @@ from repro.cluster.pinning import (
     inter_chip,
     inter_core,
     inter_node,
-    scheduler_default,
 )
+from repro.core.api import TracingSession
+from repro.core.correct import correct_trace
 from repro.errors import ConfigurationError
 from repro.mpi.runtime import MpiWorld
 from repro.openmp.team import OmpTeamConfig, run_parallel_for_benchmark
-from repro.options import _UNSET, RunOptions, resolve_options
-from repro.rng import RngFabric
+from repro.options import RunOptions
 from repro.stats import DEFAULT_LEVEL, SampleSummary, StoppingRule, summarize
 from repro.sync.clc import ControlledLogicalClock
 from repro.sync.interpolation import align_offsets, linear_interpolation
 from repro.sync.violations import (
     PompRegionReport,
     lmin_matrix_from_trace,
-    scan_collectives,
-    scan_messages,
     scan_pomp,
 )
 from repro.tracing.events import EventType
@@ -144,12 +141,8 @@ def _table2_row(
 
 
 def table2_latencies(
-    seed: int = _UNSET,
     repeats: int = 1000,
     coll_repeats: int = 200,
-    jobs: int | None = _UNSET,
-    cache: ResultCache | None = _UNSET,
-    engine: str = _UNSET,
     *,
     runs: int = 1,
     level: float = DEFAULT_LEVEL,
@@ -167,14 +160,9 @@ def table2_latencies(
     :class:`~repro.stats.SampleSummary` (CI at ``level``, repetition
     counts); ``runs`` pools that many independent simulations per row,
     and ``options.stopping`` instead adds runs per row until the rule's
-    relative CI-width target is met (see ``docs/methodology.md``).  The
-    ``seed`` / ``jobs`` / ``cache`` / ``engine`` keywords are deprecated
-    shims.
+    relative CI-width target is met (see ``docs/methodology.md``).
     """
-    options = resolve_options(
-        options, caller="table2_latencies",
-        seed=seed, jobs=jobs, cache=cache, engine=engine,
-    )
+    options = options or RunOptions()
     seed = options.resolved_seed(0)
     row = dict(seed=seed, repeats=repeats, engine=options.engine, runs=runs,
                level=level, stopping=options.stopping)
@@ -329,11 +317,8 @@ def fig4_timer_deviation(
 
 def fig4_all_panels(
     panels: tuple[str, ...] = ("a", "b", "c"),
-    seed: int = _UNSET,
     nprocs: int = 4,
     probe_interval: float = 5.0,
-    jobs: int | None = _UNSET,
-    cache: ResultCache | None = _UNSET,
     *,
     runs: int = 1,
     level: float = DEFAULT_LEVEL,
@@ -350,12 +335,9 @@ def fig4_all_panels(
     :class:`~repro.stats.SampleSummary` of the peak aligned residual
     (CI at ``level``) to each returned
     :class:`DeviationResult.residual_summary`; the series shown remain
-    those of run 0.  The ``seed`` / ``jobs`` / ``cache`` keywords are
-    deprecated shims for ``options``.
+    those of run 0.
     """
-    options = resolve_options(
-        options, caller="fig4_all_panels", seed=seed, jobs=jobs, cache=cache
-    )
+    options = options or RunOptions()
     base = options.resolved_seed(0)
     grid = [
         dict(panel=p,
@@ -501,9 +483,6 @@ def _fig7_one_run(
     engine: str = "reference",
 ) -> Fig7RunStats:
     """One traced application run of Fig. 7 — a :func:`run_grid` job."""
-    preset = xeon_cluster()
-    fabric = RngFabric(rep_seed)
-    pin = scheduler_default(preset.machine, nprocs, fabric.generator("placement"))
     if app == "pop":
         cfg = _pop_config(scale, nprocs)
         worker = pop_worker(cfg, seed=rep_seed)
@@ -512,24 +491,17 @@ def _fig7_one_run(
         cfg = _smg_config(scale)
         worker = smg2000_worker(cfg, seed=rep_seed)
         duration_hint = cfg.pre_sleep + cfg.post_sleep + 240.0
-    world = MpiWorld(
-        preset,
-        pin,
-        timer=timer,
-        seed=rep_seed,
+    session = TracingSession(
+        "xeon", nprocs, "scheduler", timer,
         duration_hint=duration_hint,
         jitter=OsJitterModel(rate=10.0, mean_delay=5e-6),
+        options=RunOptions(seed=rep_seed, engine=engine),
     )
-    run = world.run(
-        worker, tracing=True, tracing_initially=False,
-        options=RunOptions(engine=engine),
-    )
-    corr = linear_interpolation(run.init_offsets, run.final_offsets)
-    trace = corr.apply(run.trace)
-    p2p = scan_messages(trace.messages(strict=False), lmin=0.0)
-    coll, logical = scan_collectives(trace, lmin=0.0)
-    checked = p2p.checked + coll.checked
-    violated = p2p.violated + coll.violated
+    run = session.trace(worker, tracing_initially=False)
+    result = correct_trace(run, interpolation="linear", clc=False)  # l_min = 0
+    trace = result.trace
+    checked = result.stage("linear").total_checked
+    violated = result.stage("linear").total_violated
     total_events = trace.total_events()
     msg_events = trace.event_counts()
     transfer = (
@@ -548,14 +520,10 @@ def _fig7_one_run(
 
 def fig7_app_violations(
     app: str = "pop",
-    seed: int = _UNSET,
     runs: int = 3,
     nprocs: int = 32,
     scale: float = 0.1,
     timer: str = "tsc",
-    jobs: int | None = _UNSET,
-    cache: ResultCache | None = _UNSET,
-    engine: str = _UNSET,
     *,
     options: RunOptions | None = None,
     telemetry=None,
@@ -571,18 +539,13 @@ def fig7_app_violations(
     The repetitions are independent simulations with explicit per-rep
     seeds, so they fan out over ``options.jobs`` worker processes with
     results identical to a serial run; ``options.cache`` memoizes
-    finished repetitions.  ``engine="batch"`` selects the vectorized
+    finished repetitions.  ``options.engine="batch"`` selects the vectorized
     trace generator — bit-identical by contract, and invisible to cache
     keys, so a cached figure regenerates from either engine's entries.
-    The ``seed`` / ``jobs`` / ``cache`` / ``engine`` keywords are
-    deprecated shims for ``options``.
     """
     if app not in ("pop", "smg2000"):
         raise ConfigurationError(f"unknown app {app!r} (use 'pop' or 'smg2000')")
-    options = resolve_options(
-        options, caller="fig7_app_violations",
-        seed=seed, jobs=jobs, cache=cache, engine=engine,
-    )
+    options = options or RunOptions()
     seed = options.resolved_seed(0)
     grid = [
         dict(
@@ -637,11 +600,8 @@ def _fig8_one_run(nthreads: int, run_seed: int, regions: int) -> PompRegionRepor
 
 def fig8_openmp_violations(
     threads: tuple[int, ...] = (4, 8, 12, 16),
-    seed: int = _UNSET,
     runs: int = 3,
     regions: int = 200,
-    jobs: int | None = _UNSET,
-    cache: ResultCache | None = _UNSET,
     *,
     options: RunOptions | None = None,
     telemetry=None,
@@ -651,12 +611,9 @@ def fig8_openmp_violations(
     No offset alignment or interpolation is applied (paper's setup);
     numbers are averaged over ``runs`` seeds like the paper's three
     measurements.  The (thread count x repetition) grid fans out over
-    ``options.jobs`` workers deterministically.  The ``seed`` / ``jobs``
-    / ``cache`` keywords are deprecated shims for ``options``.
+    ``options.jobs`` workers deterministically.
     """
-    options = resolve_options(
-        options, caller="fig8_openmp_violations", seed=seed, jobs=jobs, cache=cache
-    )
+    options = options or RunOptions()
     seed = options.resolved_seed(1)
     grid = [
         dict(nthreads=n, run_seed=seed + rep, regions=regions)
@@ -800,7 +757,6 @@ def _waitstate_job(
     the raw / linearly interpolated / CLC-corrected analyses.
     """
     from repro.analysis.waitstates import late_sender
-    from repro.sync.violations import lmin_matrix_from_trace
 
     preset = xeon_cluster()
     world = MpiWorld(
@@ -825,12 +781,9 @@ def _waitstate_job(
 
 
 def ext_waitstate_accuracy(
-    seed: int = _UNSET,
     nprocs: int = 6,
     steps: int = 60,
     timer: str = "mpi_wtime",
-    jobs: int | None = _UNSET,
-    cache: ResultCache | None = _UNSET,
     *,
     options: RunOptions | None = None,
     telemetry=None,
@@ -839,13 +792,9 @@ def ext_waitstate_accuracy(
     ground truth vs. raw / interpolated / CLC-corrected timestamps.
 
     The ground-truth and measured simulations are independent worlds
-    with the same seed, so they run as two :func:`run_grid` jobs.  The
-    ``seed`` / ``jobs`` / ``cache`` keywords are deprecated shims for
-    ``options``.
+    with the same seed, so they run as two :func:`run_grid` jobs.
     """
-    options = resolve_options(
-        options, caller="ext_waitstate_accuracy", seed=seed, jobs=jobs, cache=cache
-    )
+    options = options or RunOptions()
     seed = options.resolved_seed(11)
     grid = [
         dict(mode="truth", timer=timer, seed=seed, nprocs=nprocs, steps=steps),

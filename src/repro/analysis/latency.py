@@ -14,12 +14,6 @@ Note that these are *measured through the simulated clocks*, exactly
 like the paper's numbers: the reported mean includes clock read
 overheads and send/receive software overheads on top of the wire floor,
 and the spread reflects network jitter, OS noise and timer quantization.
-
-Migration note (1.7): :class:`LatencyStats` now stores ``label``,
-``floor`` and a ``summary``; the former ``mean`` / ``std`` /
-``std_of_mean`` / ``samples`` fields remain available as read-only
-properties delegating to the summary, so existing consumers keep
-working unchanged.
 """
 
 from __future__ import annotations
@@ -41,49 +35,16 @@ __all__ = ["LatencyStats", "measure_latency", "measure_collective_latency"]
 
 @dataclass(frozen=True)
 class LatencyStats:
-    """Summary of one latency measurement with its uncertainty."""
+    """One latency measurement; the numbers (seconds) and their
+    uncertainty are on ``summary`` (``.mean``, ``.median``, ``.std``,
+    ``.std_of_mean``, ``.n``, ``.runs``, ``.ci_lower`` / ``.ci_upper``)."""
 
     label: str
     floor: float  # the model's l_min for this placement
     summary: SampleSummary
 
-    @property
-    def mean(self) -> float:  # seconds
-        return self.summary.mean
-
-    @property
-    def median(self) -> float:  # seconds
-        return self.summary.median
-
-    @property
-    def std(self) -> float:  # seconds (std dev of individual samples)
-        return self.summary.std
-
-    @property
-    def std_of_mean(self) -> float:  # seconds (std dev of the mean estimate)
-        return self.summary.std_of_mean
-
-    @property
-    def samples(self) -> int:
-        return self.summary.n
-
-    @property
-    def runs(self) -> int:
-        return self.summary.runs
-
-    @property
-    def ci(self) -> tuple[float, float]:
-        return self.summary.ci_lower, self.summary.ci_upper
-
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"{self.label}: {self.summary.describe(unit_scale=1e6, unit='us')}"
-
-
-def _stats(label: str, samples: np.ndarray, floor: float,
-           level: float = DEFAULT_LEVEL) -> LatencyStats:
-    """Summarize one run's samples (kept for single-run callers)."""
-    return LatencyStats(label=label, floor=floor,
-                        summary=summarize(samples, level=level))
 
 
 def _measure(

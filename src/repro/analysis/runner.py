@@ -49,7 +49,7 @@ from typing import Any, Callable, Iterable, Optional, Sequence
 
 from repro.cache import ResultCache
 from repro.errors import ConfigurationError
-from repro.options import _UNSET, RunOptions, resolve_options
+from repro.options import RunOptions
 from repro.rng import stable_hash32
 
 __all__ = ["run_grid", "derive_seed", "resolve_jobs", "seed_grid"]
@@ -176,8 +176,6 @@ def run_grid(
     func: Callable[..., Any],
     grid: Sequence[dict[str, Any]],
     *,
-    jobs: Optional[int] = _UNSET,
-    cache: Optional[ResultCache] = _UNSET,
     on_result: Optional[Callable[[int, Any], None]] = None,
     options: Optional[RunOptions] = None,
     telemetry=None,
@@ -192,22 +190,19 @@ def run_grid(
     grid:
         Sequence of keyword-argument dicts, one per job.  Results come
         back as a list aligned with this sequence.
-    jobs:
-        Deprecated — pass ``options=RunOptions(jobs=...)``.
-        ``None``/``1`` runs in-process (serial); ``N > 1`` fans out over
-        a process pool of ``N`` workers; ``0`` uses every core.
-    cache:
-        Deprecated — pass ``options=RunOptions(cache=...)``.
-        Optional :class:`ResultCache`.  Hits skip execution entirely;
-        misses are stored after computing (both in the parent and, for
-        crash resilience, by the worker that produced them).
     on_result:
         Optional callback ``(index, result)`` invoked as each job
         finishes (completion order, not grid order) — for progress
         reporting.
     options:
         A :class:`repro.options.RunOptions`; ``jobs``, ``cache``, and
-        ``telemetry`` are consulted here.
+        ``telemetry`` are consulted here.  ``jobs=None``/``1`` runs
+        in-process (serial); ``N > 1`` fans out over a process pool of
+        ``N`` workers (:func:`resolve_jobs` maps the CLI's ``--jobs 0``
+        to every core).  With a ``cache``
+        (:class:`ResultCache`), hits skip execution entirely; misses are
+        stored after computing (both in the parent and, for crash
+        resilience, by the worker that produced them).
     telemetry:
         A :class:`repro.telemetry.TelemetryRecorder`; overrides
         ``options.telemetry`` when both are given.  The recorder is also
@@ -228,7 +223,7 @@ def run_grid(
         ``jobs`` value (and any ``batch_size``): work stealing reorders
         *execution*, never results.
     """
-    options = resolve_options(options, caller="run_grid", jobs=jobs, cache=cache)
+    options = options or RunOptions()
     tele = telemetry if telemetry is not None else options.telemetry_or_null
     jobs, cache = options.jobs, options.cache
     if batch_size is not None and batch_size < 1:

@@ -70,8 +70,9 @@ import argparse
 import sys
 
 from repro.analysis.timeline import render_message_arrows, render_timeline
+from repro.cluster.pinning import PLACEMENTS
 from repro.core.api import PLATFORMS
-from repro.core.correct import correct_trace, scan_source
+from repro.core.correct import INTERPOLATIONS, correct_trace, scan_source
 from repro.errors import ReproError
 from repro.options import ENGINES, RunOptions
 from repro.sync.violations import scan_messages
@@ -93,6 +94,47 @@ def _add_telemetry_arg(sub) -> None:
     )
 
 
+#: ``simulate_workload`` arguments that ``simulate`` and ``submit`` read
+#: from the flags of the same name, and likewise for ``correct_trace``.
+_WORKLOAD_KNOBS = ("nprocs", "scale", "seed", "platform", "placement", "timer")
+_CORRECTION_KNOBS = ("interpolation", "clc", "gamma", "lmin")
+
+
+def _picked(args, names) -> dict:
+    return {name: getattr(args, name) for name in names}
+
+
+def _add_workload_args(sub, order, *, workload, helps) -> None:
+    """``--workload`` and the knobs of its simulation (the arguments of
+    :func:`repro.workloads.simulate_workload`), added in ``order`` so
+    each subcommand keeps its ``--help`` layout."""
+    flags = {
+        "workload": dict(choices=sorted(WORKLOADS), default=workload),
+        "platform": dict(choices=sorted(PLATFORMS), default="xeon"),
+        "nprocs": dict(type=int, default=8),
+        "timer": dict(default=None),
+        "seed": dict(type=int, default=0),
+        "scale": dict(type=float, default=0.02),
+        "placement": dict(choices=PLACEMENTS, default="scheduler"),
+        "engine": dict(choices=ENGINES, default="reference"),
+    }
+    for name in order:
+        sub.add_argument(f"--{name}", help=helps.get(name), **flags[name])
+
+
+def _add_correction_args(sub, *, helps) -> None:
+    """The :func:`correct_trace` knobs a trace file can carry
+    (``piecewise`` needs a live run's periodic measurement sets)."""
+    sub.add_argument(
+        "--interpolation",
+        choices=[m for m in INTERPOLATIONS if m != "piecewise"],
+        default="linear", help=helps.get("interpolation"),
+    )
+    sub.add_argument("--clc", action="store_true", help=helps.get("clc"))
+    sub.add_argument("--gamma", type=float, default=0.99)
+    sub.add_argument("--lmin", type=float, default=0.0)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -101,18 +143,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sim = sub.add_parser("simulate", help="run a workload and write its trace")
-    sim.add_argument("--workload", choices=sorted(WORKLOADS), default="sparse")
-    sim.add_argument("--platform", choices=sorted(PLATFORMS), default="xeon")
-    sim.add_argument("--nprocs", type=int, default=8)
-    sim.add_argument("--timer", default=None, help="timer technology (default: platform's)")
-    sim.add_argument("--seed", type=int, default=0)
-    sim.add_argument("--scale", type=float, default=0.02, help="workload scale knob")
-    sim.add_argument("--placement", choices=["spread", "scheduler"], default="scheduler")
-    sim.add_argument(
-        "--engine", choices=list(ENGINES), default="reference",
-        help="simulation path: the discrete-event engine, or the "
-        "vectorized batch fast path (bit-identical; falls back to the "
-        "engine when the workload's structure is dynamic)",
+    _add_workload_args(
+        sim,
+        ("workload", "platform", "nprocs", "timer", "seed", "scale", "placement", "engine"),
+        workload="sparse",
+        helps={
+            "timer": "timer technology (default: platform's)",
+            "scale": "workload scale knob",
+            "engine": "simulation path: the discrete-event engine, or the "
+            "vectorized batch fast path (bit-identical; falls back to the "
+            "engine when the workload's structure is dynamic)",
+        },
     )
     _add_telemetry_arg(sim)
     sim.add_argument("-o", "--output", default=None, help=".npz or .jsonl trace path")
@@ -136,17 +177,12 @@ def build_parser() -> argparse.ArgumentParser:
         "-o", "--output", required=True,
         help="corrected trace path (a directory for shard-directory input)",
     )
-    sync.add_argument(
-        "--interpolation",
-        choices=["none", "align", "linear", "hull", "regression", "minmax", "exchange"],
-        default="linear",
-        help="measurement-based (align/linear) or trace-only "
-             "(hull/regression/minmax = error estimation; exchange = "
-             "collective midpoints) correction",
-    )
-    sync.add_argument("--clc", action="store_true", help="apply the controlled logical clock")
-    sync.add_argument("--gamma", type=float, default=0.99)
-    sync.add_argument("--lmin", type=float, default=0.0)
+    _add_correction_args(sync, helps={
+        "interpolation": "measurement-based (align/linear) or trace-only "
+        "(hull/regression/minmax = error estimation; exchange = "
+        "collective midpoints) correction",
+        "clc": "apply the controlled logical clock",
+    })
     _add_telemetry_arg(sync)
 
     rep = sub.add_parser("report", help="summarize a trace or a telemetry export")
@@ -274,25 +310,13 @@ def build_parser() -> argparse.ArgumentParser:
         "trace", nargs="?", default=None,
         help="trace file to upload inline (.npz or .jsonl)",
     )
-    sbm.add_argument(
-        "--workload", choices=sorted(WORKLOADS), default=None,
-        help="simulate a built-in workload server-side instead of uploading",
+    _add_workload_args(
+        sbm,
+        ("workload", "nprocs", "scale", "seed", "platform", "placement", "timer", "engine"),
+        workload=None,
+        helps={"workload": "simulate a built-in workload server-side instead of uploading"},
     )
-    sbm.add_argument("--nprocs", type=int, default=8)
-    sbm.add_argument("--scale", type=float, default=0.02)
-    sbm.add_argument("--seed", type=int, default=0)
-    sbm.add_argument("--platform", choices=sorted(PLATFORMS), default="xeon")
-    sbm.add_argument("--placement", choices=["spread", "scheduler"], default="scheduler")
-    sbm.add_argument("--timer", default=None)
-    sbm.add_argument("--engine", choices=list(ENGINES), default="reference")
-    sbm.add_argument(
-        "--interpolation",
-        choices=["none", "align", "linear", "hull", "regression", "minmax", "exchange"],
-        default="linear",
-    )
-    sbm.add_argument("--clc", action="store_true")
-    sbm.add_argument("--gamma", type=float, default=0.99)
-    sbm.add_argument("--lmin", type=float, default=0.0)
+    _add_correction_args(sbm, helps={})
     sbm.add_argument(
         "--wait", action="store_true", help="block until the job is terminal"
     )
@@ -353,12 +377,7 @@ def _cmd_simulate(args) -> int:
     recorder = _telemetry_for(args)
     run = simulate_workload(
         args.workload,
-        nprocs=args.nprocs,
-        scale=args.scale,
-        seed=args.seed,
-        platform=args.platform,
-        placement=args.placement,
-        timer=args.timer,
+        **_picked(args, _WORKLOAD_KNOBS),
         options=RunOptions(
             engine=args.engine, telemetry=recorder,
             trace_dir=args.trace_out, shard_events=args.shard_events,
@@ -418,10 +437,7 @@ def _cmd_sync(args) -> int:
     recorder = _telemetry_for(args)
     result = correct_trace(
         args.trace,
-        interpolation=args.interpolation,
-        clc=args.clc,
-        gamma=args.gamma,
-        lmin=args.lmin,
+        **_picked(args, _CORRECTION_KNOBS),
         scan=False,
         output=args.output,
         telemetry=recorder,
@@ -749,22 +765,12 @@ def _cmd_submit(args) -> int:
               file=sys.stderr)
         return 2
     client = _client_for(args)
-    knobs = {
-        "interpolation": args.interpolation,
-        "clc": args.clc,
-        "gamma": args.gamma,
-        "lmin": args.lmin,
-    }
+    knobs = _picked(args, _CORRECTION_KNOBS)
     if args.workload is not None:
         body = {
             "workload": {
                 "name": args.workload,
-                "nprocs": args.nprocs,
-                "scale": args.scale,
-                "seed": args.seed,
-                "platform": args.platform,
-                "placement": args.placement,
-                "timer": args.timer,
+                **_picked(args, _WORKLOAD_KNOBS),
                 "engine": args.engine,
             },
             **knobs,

@@ -16,8 +16,20 @@ import numpy as np
 
 from repro.cluster.topology import DistanceClass, Location, Machine, distance_class
 from repro.errors import ConfigurationError
+from repro.rng import RngFabric
 
-__all__ = ["Pinning", "inter_node", "inter_chip", "inter_core", "scheduler_default"]
+__all__ = [
+    "PLACEMENTS",
+    "Pinning",
+    "inter_node",
+    "inter_chip",
+    "inter_core",
+    "resolve_placement",
+    "scheduler_default",
+]
+
+#: Placement names :func:`resolve_placement` accepts.
+PLACEMENTS = ("spread", "scheduler")
 
 
 @dataclass(frozen=True)
@@ -132,3 +144,24 @@ def scheduler_default(
         remaining -= take
         node += 1
     return Pinning(machine, tuple(locs), label="scheduler-default")
+
+
+def resolve_placement(
+    placement: str | Pinning, machine: Machine, nprocs: int, seed: int
+) -> Pinning:
+    """The :class:`Pinning` a placement name stands for (a
+    :class:`Pinning` passes through).
+
+    ``"scheduler"`` always shuffles with the ``"placement"`` stream of
+    ``RngFabric(seed)``, so the session, ``repro simulate`` and the
+    service pin the same arguments identically.
+    """
+    if isinstance(placement, Pinning):
+        return placement
+    if placement == "spread":
+        return inter_node(machine, nprocs)
+    if placement == "scheduler":
+        return scheduler_default(machine, nprocs, RngFabric(seed).generator("placement"))
+    raise ConfigurationError(
+        f"unknown placement {placement!r} (use 'spread', 'scheduler', or a Pinning)"
+    )

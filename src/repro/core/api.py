@@ -13,9 +13,9 @@ synchronization behind a handful of calls::
     report = session.synchronize(run)
     print(report.summary())
 
-Everything the façade does is also reachable through the underlying
-objects (:class:`~repro.mpi.runtime.MpiWorld`,
-:class:`~repro.core.pipeline.SyncPipeline`), which the session exposes.
+Everything the façade does is also reachable through what it wraps: the
+:class:`~repro.mpi.runtime.MpiWorld` it exposes as ``session.world``
+and :func:`~repro.core.correct.correct_trace`.
 """
 
 from __future__ import annotations
@@ -32,13 +32,11 @@ from repro.cluster.machines import (
     powerpc_cluster,
     xeon_cluster,
 )
-from repro.cluster.pinning import Pinning, inter_node, scheduler_default
-from repro.core.pipeline import PipelineReport, SyncPipeline
+from repro.cluster.pinning import Pinning, resolve_placement
+from repro.core.correct import CorrectionResult, correct_trace
 from repro.errors import ConfigurationError
 from repro.mpi.runtime import MpiWorld, RunResult
-from repro.options import _UNSET, RunOptions, resolve_options
-from repro.rng import RngFabric
-from repro.sync.violations import lmin_matrix_from_trace
+from repro.options import RunOptions
 
 __all__ = ["TracingSession", "PLATFORMS"]
 
@@ -67,16 +65,14 @@ class TracingSession:
         an explicit :class:`Pinning`.
     timer:
         Timer technology; ``None`` uses the platform's paper default.
-    seed:
-        Deprecated — pass ``options=RunOptions(seed=...)``.  Root seed
-        for all randomness.
     duration_hint:
         Upper bound on the run's true-time length, seconds.
     jitter:
         OS-noise model; defaults to a modest compute-node profile.
     options:
-        A :class:`repro.options.RunOptions`; ``seed``, ``engine``, and
-        ``telemetry`` configure every :meth:`trace` run of the session.
+        A :class:`repro.options.RunOptions`; ``seed`` (the root seed for
+        all randomness, default 0), ``engine``, and ``telemetry``
+        configure every :meth:`trace` run of the session.
     telemetry:
         A :class:`repro.telemetry.TelemetryRecorder`; overrides
         ``options.telemetry`` when both are given.
@@ -88,14 +84,13 @@ class TracingSession:
         nprocs: int = 4,
         placement: str | Pinning = "spread",
         timer: Optional[str] = None,
-        seed: int = _UNSET,
         duration_hint: float = 3700.0,
         jitter: Optional[OsJitterModel] = None,
         *,
         options: Optional[RunOptions] = None,
         telemetry=None,
     ) -> None:
-        options = resolve_options(options, caller="TracingSession", seed=seed)
+        options = options or RunOptions()
         if telemetry is not None:
             options = options.replace(telemetry=telemetry)
         self.options = options
@@ -108,18 +103,7 @@ class TracingSession:
             platform = PLATFORMS[platform]()
         self.preset = platform
         self.seed = seed
-        if isinstance(placement, Pinning):
-            pin = placement
-        elif placement == "spread":
-            pin = inter_node(self.preset.machine, nprocs)
-        elif placement == "scheduler":
-            pin = scheduler_default(
-                self.preset.machine, nprocs, RngFabric(seed).generator("placement")
-            )
-        else:
-            raise ConfigurationError(
-                f"unknown placement {placement!r} (use 'spread', 'scheduler', or a Pinning)"
-            )
+        pin = resolve_placement(placement, self.preset.machine, nprocs, seed)
         self.world = MpiWorld(
             self.preset,
             pin,
@@ -138,15 +122,12 @@ class TracingSession:
         """Run ``worker`` under tracing with offset measurements.
 
         The session's :class:`~repro.options.RunOptions` (engine,
-        telemetry) apply unless ``run_kwargs`` overrides ``options=``
-        (or the deprecated ``engine=``, which then warns in
-        ``world.run``).
+        telemetry) apply unless ``run_kwargs`` overrides ``options=``.
         """
-        if "engine" not in run_kwargs:
-            run_kwargs.setdefault("options", self.options)
+        run_kwargs.setdefault("options", self.options)
         return self.world.run(worker, tracing=True, measure_offsets=True, **run_kwargs)
 
-    def lmin_matrix(self, trace=None) -> np.ndarray:
+    def lmin_matrix(self) -> np.ndarray:
         """Pairwise minimum-latency floors for the session's placement."""
         n = self.pinning.nranks
         mat = np.zeros((n, n))
@@ -156,19 +137,11 @@ class TracingSession:
                     mat[i, j] = self.world.min_latency(i, j)
         return mat
 
-    def synchronize(
-        self,
-        run: RunResult,
-        interpolation: str = "linear",
-        apply_clc: bool = True,
-        **pipeline_kwargs,
-    ) -> PipelineReport:
-        """Correct and verify a traced run with the standard pipeline."""
-        pipeline_kwargs.setdefault("telemetry", self.options.telemetry)
-        pipeline = SyncPipeline(
-            interpolation=interpolation, apply_clc=apply_clc, **pipeline_kwargs
-        )
-        return pipeline.run(run, lmin=self.lmin_matrix())
+    def synchronize(self, run: RunResult, **correct_kwargs) -> CorrectionResult:
+        """Correct and verify a traced run: :func:`correct_trace` with the
+        session's latency floors and telemetry."""
+        correct_kwargs.setdefault("telemetry", self.options.telemetry)
+        return correct_trace(run, lmin=self.lmin_matrix(), **correct_kwargs)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

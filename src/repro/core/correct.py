@@ -1,7 +1,14 @@
-"""The one-call correction facade: :func:`correct_trace`.
+"""The one correction entry point: :func:`correct_trace`.
 
-Every way this package corrects a trace — the ``repro sync`` CLI, the
-:class:`~repro.core.pipeline.SyncPipeline` behind
+Chains the paper's correction stages over one trace: linear offset
+interpolation (Eq. 3) from the init/finalize offset measurements (or
+alignment only, a trace-only estimate, or nothing), then the controlled
+logical clock for the violations interpolation cannot remove (Section
+V), with a clock-condition scan between stages — after the CLC the trace
+is violation-free by construction, and the stage reports quantify what
+each stage achieved.
+
+Every way this package corrects a trace — the ``repro sync`` CLI,
 ``TracingSession.synchronize``, the trace-correction service workers of
 :mod:`repro.service`, and direct Python callers — goes through this one
 function, so the contract "interpolation then CLC, scans between
@@ -68,7 +75,7 @@ __all__ = [
 #: Modes that derive the correction from the trace itself (no explicit
 #: offset measurements needed): Duda-family error estimation over a
 #: spanning tree, and Babaoglu/Drummond exchange midpoints.
-TRACE_ONLY_MODES = ("regression", "hull", "minmax", "exchange")
+TRACE_ONLY_MODES = ("hull", "regression", "minmax", "exchange")
 
 #: Every interpolation mode :func:`correct_trace` accepts.
 INTERPOLATIONS = ("none", "align", "linear", "piecewise") + TRACE_ONLY_MODES
@@ -118,8 +125,7 @@ class CorrectionResult:
     sources, a :class:`~repro.tracing.store.ChunkedTrace` over the
     ``output`` directory for streamed ones.  ``stages`` holds the
     violation scans in order (``raw``, the interpolation mode, ``clc``)
-    when scanning was requested; ``report_before`` / ``report_after``
-    are its ends.
+    when scanning was requested.
     """
 
     trace: object
@@ -131,14 +137,6 @@ class CorrectionResult:
     streamed: bool = False
     output: Optional[Path] = None
     timings: dict[str, float] = field(default_factory=dict)
-
-    @property
-    def report_before(self) -> Optional[StageReport]:
-        return self.stages[0] if self.stages else None
-
-    @property
-    def report_after(self) -> Optional[StageReport]:
-        return self.stages[-1] if self.stages else None
 
     def stage(self, name: str) -> StageReport:
         for s in self.stages:
@@ -249,16 +247,8 @@ def scan_source(source, lmin: LminSpec = 0.0) -> dict[str, ViolationReport]:
 
 def _scan_stage(stage: str, trace, lmin: LminSpec, telemetry) -> StageReport:
     with telemetry.span("sync.scan", stage=stage):
-        if _is_chunked(trace):
-            from repro.sync.streaming import streaming_scan_trace
-
-            reports = streaming_scan_trace(trace, lmin=lmin)
-            return StageReport(
-                stage=stage, p2p=reports["p2p"], collective=reports["collective"]
-            )
-        p2p = scan_messages(trace.messages(strict=False), lmin)
-        coll, _ = scan_collectives(trace, lmin)
-    return StageReport(stage=stage, p2p=p2p, collective=coll)
+        reports = scan_source(trace, lmin)
+    return StageReport(stage=stage, p2p=reports["p2p"], collective=reports["collective"])
 
 
 # ----------------------------------------------------------------------
@@ -377,7 +367,11 @@ def correct_trace(
 def _build_correction(
     trace: Trace, run: Optional[RunResult], interpolation: str, lmin: LminSpec
 ) -> ClockCorrection:
-    """The interpolation stage's correction, from run or trace metadata."""
+    """The interpolation stage's correction, from run or trace metadata.
+
+    The measurement-based modes read only ``trace.meta``, so the
+    streaming path passes its :class:`ChunkedTrace` here too.
+    """
     if interpolation == "none":
         return identity_correction()
     if interpolation in ("regression", "hull", "minmax"):
@@ -473,20 +467,7 @@ def _correct_streaming(
 
     correction = None
     if interpolation != "none":
-        init = measurements_from_meta(chunked.meta, "init_offsets")
-        final = measurements_from_meta(chunked.meta, "final_offsets")
-        if init is None:
-            raise SynchronizationError(
-                "trace has no offset measurements in metadata"
-            )
-        if interpolation == "align":
-            correction = align_offsets(init)
-        else:
-            if final is None:
-                raise SynchronizationError(
-                    "trace has no final offsets; use interpolation='align'"
-                )
-            correction = linear_interpolation(init, final)
+        correction = _build_correction(chunked, None, interpolation, lmin)
 
     source = chunked
     clc_result = None

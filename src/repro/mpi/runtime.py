@@ -25,7 +25,7 @@ from repro.cluster.machines import ClusterPreset
 from repro.cluster.pinning import Pinning
 from repro.errors import ConfigurationError
 from repro.mpi.comm import MpiContext
-from repro.options import _UNSET, RunOptions, resolve_options
+from repro.options import RunOptions
 from repro.rng import RngFabric
 from repro.sim.engine import Engine, Transport
 from repro.sync.offset import OffsetMeasurement, measurement_protocol
@@ -159,7 +159,6 @@ class MpiWorld:
         sync_repeats: int = 10,
         tracing_initially: bool = True,
         until: Optional[float] = None,
-        engine: str = _UNSET,
         *,
         options: Optional[RunOptions] = None,
         telemetry=None,
@@ -183,19 +182,17 @@ class MpiWorld:
             ``ctx.set_tracing`` (partial tracing).
         until:
             Optional true-time cap for the event loop.
-        engine:
-            Deprecated — pass ``options=RunOptions(engine=...)``.
-            ``"reference"`` runs the discrete-event engine; ``"batch"``
-            tries the vectorized fast path of :mod:`repro.sim.batch`
-            and falls back to the reference engine whenever
-            bit-identity cannot be guaranteed.  Both produce identical
-            results; check ``RunResult.engine`` for the path actually
-            taken and ``RunResult.fallback_reason`` for why a fallback
-            happened.
         options:
-            A :class:`repro.options.RunOptions`; only ``engine`` and
-            ``telemetry`` are consulted here (seeding is fixed at world
-            construction).
+            A :class:`repro.options.RunOptions`; only ``engine``,
+            ``telemetry`` and ``trace_dir``/``shard_events`` are
+            consulted here (seeding is fixed at world construction).
+            ``engine="reference"`` runs the discrete-event engine;
+            ``"batch"`` tries the vectorized fast path of
+            :mod:`repro.sim.batch` and falls back to the reference
+            engine whenever bit-identity cannot be guaranteed.  Both
+            produce identical results; check ``RunResult.engine`` for
+            the path actually taken and ``RunResult.fallback_reason``
+            for why a fallback happened.
         telemetry:
             A :class:`repro.telemetry.TelemetryRecorder`; overrides
             ``options.telemetry`` when both are given.
@@ -208,7 +205,7 @@ class MpiWorld:
             its directory.  ``options.trace_dir`` / ``shard_events``
             construct one implicitly.
         """
-        options = resolve_options(options, caller="MpiWorld.run", engine=engine)
+        options = options or RunOptions()
         tele = telemetry if telemetry is not None else options.telemetry_or_null
         if trace_sink is None and options.trace_dir is not None:
             from repro.tracing.store import DEFAULT_SHARD_EVENTS, ShardedTraceWriter

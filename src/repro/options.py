@@ -1,26 +1,18 @@
 """Unified run configuration: the frozen :class:`RunOptions` dataclass.
 
-Historically every entry point grew its own scattered kwargs —
-``TracingSession(seed=...)``, ``run_grid(jobs=..., cache=...)``,
-``table2_latencies(seed=..., jobs=..., cache=..., engine=...)`` — and
-new concerns (telemetry) would have meant touching every signature
-again.  ``RunOptions`` is now the one way to configure a run:
+``RunOptions`` is the one way to configure a run; every entry point
+(``TracingSession``, ``MpiWorld.run``, ``run_grid``, the experiment
+drivers, ``correct_trace``) takes it as ``options=``, so a new concern
+is one new field here rather than a keyword on every signature:
 
 >>> from repro import RunOptions, TracingSession
 >>> opts = RunOptions(engine="batch", seed=7)
 >>> session = TracingSession(nprocs=4, options=opts)
-
-The old kwargs still work but emit :class:`DeprecationWarning` and
-forward into an equivalent ``RunOptions`` (see :func:`resolve_options`).
-Passing both ``options=`` and a deprecated kwarg is a
-:class:`~repro.errors.ConfigurationError` — there must be exactly one
-source of truth.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from dataclasses import dataclass
 from typing import Any, Optional
 
@@ -28,22 +20,10 @@ from repro.errors import ConfigurationError
 from repro.stats import StoppingRule
 from repro.telemetry import NULL_TELEMETRY
 
-__all__ = ["ENGINES", "RunOptions", "resolve_options"]
+__all__ = ["ENGINES", "RunOptions"]
 
 #: Engines accepted by ``RunOptions.engine`` / ``world.run``.
 ENGINES = ("reference", "batch")
-
-
-class _Unset:
-    """Sentinel distinguishing 'kwarg not supplied' from explicit None."""
-
-    __slots__ = ()
-
-    def __repr__(self):
-        return "<unset>"
-
-
-_UNSET = _Unset()
 
 
 @dataclass(frozen=True)
@@ -131,27 +111,3 @@ class RunOptions:
         """The seed to use, falling back to the caller's historical default."""
         return default if self.seed is None else self.seed
 
-
-def resolve_options(options: Optional[RunOptions], *, caller: str, **legacy) -> RunOptions:
-    """Fold deprecated per-call kwargs into a single :class:`RunOptions`.
-
-    ``legacy`` maps option-field names to the values the caller received;
-    the :data:`_UNSET` sentinel marks "not supplied".  Supplying any
-    legacy kwarg emits one :class:`DeprecationWarning` naming the fields;
-    supplying both ``options=`` and a legacy kwarg raises.
-    """
-    supplied = {k: v for k, v in legacy.items() if v is not _UNSET}
-    if supplied:
-        if options is not None:
-            raise ConfigurationError(
-                f"{caller}: pass options=RunOptions(...) or the deprecated "
-                f"keyword(s) {', '.join(sorted(supplied))}, not both"
-            )
-        warnings.warn(
-            f"{caller}: the {', '.join(sorted(supplied))} keyword(s) are deprecated; "
-            f"pass options=repro.RunOptions(...) instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        return RunOptions(**supplied)
-    return options if options is not None else RunOptions()

@@ -153,6 +153,7 @@ class WorkloadSpec:
     engine: str = "reference"
 
     def validate(self) -> None:
+        from repro.cluster.pinning import PLACEMENTS
         from repro.options import ENGINES
         from repro.workloads import WORKLOADS
 
@@ -171,7 +172,7 @@ class WorkloadSpec:
                 "bad_config",
                 f"unknown engine {self.engine!r}; expected one of {', '.join(ENGINES)}",
             )
-        if self.placement not in ("spread", "scheduler"):
+        if self.placement not in PLACEMENTS:
             raise ServiceError(
                 "bad_config",
                 f"unknown placement {self.placement!r} (use 'spread' or 'scheduler')",

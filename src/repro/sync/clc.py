@@ -43,7 +43,7 @@ at or above their send constraints after the forward pass, and the
 backward pass only ever moves events *up* while respecting the send
 caps.  The accuracy of the result still depends on the input timestamps
 (Section V), which is why it should run after linear interpolation —
-the pipeline of :mod:`repro.core.pipeline`.
+the chain of :func:`repro.core.correct.correct_trace`.
 
 **Implementation note.**  The default entry points run on the trace's
 :class:`repro.sync.schedule.CompiledSchedule` (array-native kernels,

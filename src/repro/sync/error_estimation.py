@@ -35,11 +35,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Literal
 
-import networkx as nx
 import numpy as np
-from scipy.optimize import linprog
-from scipy.stats import linregress
 
+# scipy and networkx are imported inside the functions that use them:
+# ``repro.sync`` imports this module in every process, and the three
+# imports cost ~1 s and ~75 MiB that only these optional modes need.
 from repro.errors import SynchronizationError
 from repro.sync.interpolation import ClockCorrection
 from repro.sync.violations import LminSpec, resolve_lmin
@@ -124,6 +124,8 @@ def _fit_line(t: np.ndarray, d: np.ndarray) -> tuple[float, float]:
         return float(d[0]), 0.0
     if np.allclose(t, t[0]):
         return float(d.mean()), 0.0
+    from scipy.stats import linregress
+
     res = linregress(t, d)
     return float(res.intercept), float(res.slope)
 
@@ -161,6 +163,8 @@ def _hull_line(t_fwd, d_fwd, t_rev, d_rev) -> tuple[float, float]:
     a_ub[n_up:, 1] = -tr
     a_ub[n_up:, 2] = 1.0
     b_ub[n_up:] = d_rev
+    from scipy.optimize import linprog
+
     result = linprog(
         c=[0.0, 0.0, -1.0],
         A_ub=a_ub,
@@ -245,6 +249,8 @@ def synchronize_by_spanning_tree(
         messages = _concat_tables(messages, logical)
     if len(messages) == 0:
         raise SynchronizationError("trace has no messages to estimate offsets from")
+
+    import networkx as nx
 
     graph = nx.Graph()
     graph.add_nodes_from(trace.ranks)

@@ -58,6 +58,7 @@ caches one per ``include_collectives`` flavor
 
 from __future__ import annotations
 
+import gc
 from bisect import bisect_right
 from collections import deque
 from typing import TYPE_CHECKING
@@ -124,8 +125,19 @@ class CompiledSchedule:
     @classmethod
     def from_trace(cls, trace: "Trace", include_collectives: bool = True) -> "CompiledSchedule":
         """Compile the standard message/collective happened-before relation."""
-        deps = build_dependencies(trace, include_collectives=include_collectives)
-        return cls.from_dependencies(trace, deps)
+        # The dependency table is a tuple and a list per message, acyclic
+        # and dead on return.  Left on, the cyclic collector promotes them
+        # and runs a full collection mid-compile whenever the process holds
+        # few long-lived objects (0.1 s per 91k-event trace), so compile
+        # time would depend on what else the process has imported.
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            deps = build_dependencies(trace, include_collectives=include_collectives)
+            return cls.from_dependencies(trace, deps)
+        finally:
+            if collecting:
+                gc.enable()
 
     @classmethod
     def from_dependencies(

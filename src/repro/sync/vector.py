@@ -19,12 +19,16 @@ the equivalence-test oracle.
 
 from __future__ import annotations
 
-import networkx as nx
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from repro.sync.order import build_dependencies, replay_schedule
 from repro.sync.schedule import vector_kernel
 from repro.tracing.trace import Trace
+
+if TYPE_CHECKING:  # imported in happened_before_graph only (start-up cost)
+    import networkx as nx
 
 __all__ = [
     "vector_clocks",
@@ -84,6 +88,8 @@ def happened_before_graph(trace: Trace, include_collectives: bool = True) -> "nx
     visualization; it materializes every event as a node, so keep it
     away from million-event traces.
     """
+    import networkx as nx
+
     g = nx.DiGraph()
     for rank in trace.ranks:
         length = len(trace.logs[rank])

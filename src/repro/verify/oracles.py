@@ -32,6 +32,7 @@ import numpy as np
 from repro.clocks.base import Clock
 from repro.clocks.drift import ConstantDrift
 from repro.openmp.correction import pomp_clc, pomp_dependencies
+from repro.options import RunOptions
 from repro.sync.clc import (
     ClcResult,
     ControlledLogicalClock,
@@ -661,8 +662,8 @@ def _run_grid_identity(case: TraceCase) -> None:
 
     p = case.spec.params
     grid = [{"seed": int(s), "n": int(p["n"])} for s in p["seeds"]]
-    serial = run_grid(grid_probe_job, grid, jobs=None)
-    parallel = run_grid(grid_probe_job, grid, jobs=2)
+    serial = run_grid(grid_probe_job, grid)
+    parallel = run_grid(grid_probe_job, grid, options=RunOptions(jobs=2))
     _require(serial == parallel,
              "parallel run_grid results differ from the serial run")
 
@@ -680,10 +681,10 @@ def _grid_identity_under_work_stealing(case: TraceCase) -> None:
 
     p = case.spec.params
     grid = [{"seed": int(s), "n": int(p["n"])} for s in p["seeds"]]
-    serial = run_grid(grid_probe_job, grid, jobs=None)
+    serial = run_grid(grid_probe_job, grid)
     recorder = TelemetryRecorder()
     stolen = run_grid(
-        grid_probe_job, grid, jobs=int(p.get("jobs", 2)),
+        grid_probe_job, grid, options=RunOptions(jobs=int(p.get("jobs", 2))),
         batch_size=int(p.get("batch_size", 1)), telemetry=recorder,
     )
     _require(serial == stolen,
@@ -887,8 +888,6 @@ def assert_batch_matches_engine(params: dict) -> str:
     far as the engine did).  Returns the path the batch run actually
     took (``"batch"``, or ``"reference"`` after a fallback).
     """
-    from repro.options import RunOptions
-
     kwargs = dict(
         tracing=bool(params.get("tracing", True)),
         measure_offsets=bool(params.get("measure_offsets", True)),
@@ -959,7 +958,6 @@ def assert_telemetry_inert(params: dict, engine=None) -> None:
     recorder actually captured something, so a silently disconnected
     instrumentation layer cannot pass as "inert".
     """
-    from repro.options import RunOptions
     from repro.telemetry import TelemetryRecorder
 
     chosen = engine or params.get("engine")

@@ -174,11 +174,11 @@ def simulate_workload(
 ):
     """Run a built-in workload exactly the way ``repro simulate`` does.
 
-    One shared construction — platform preset, placement, OS-jitter
-    model, seeding — so every consumer (the CLI, the correction
-    service of :mod:`repro.service`, scripts) produces bit-identical
-    traces for the same arguments.  Returns the
-    :class:`~repro.mpi.runtime.RunResult`.
+    One shared construction — a :class:`~repro.core.api.TracingSession`
+    with the workload's duration hint and the CLI's OS-jitter model — so
+    every consumer (the CLI, the correction service of
+    :mod:`repro.service`, scripts) produces bit-identical traces for the
+    same arguments.  Returns the :class:`~repro.mpi.runtime.RunResult`.
 
     ``placement`` is ``"spread"`` (one process per node) or
     ``"scheduler"`` (packed, the CLI default); ``options`` is a
@@ -186,39 +186,14 @@ def simulate_workload(
     and out-of-core spilling.
     """
     from repro.cluster.jitter import OsJitterModel
-    from repro.cluster.pinning import inter_node, scheduler_default
-    from repro.core.api import PLATFORMS
-    from repro.mpi.runtime import MpiWorld
+    from repro.core.api import TracingSession
     from repro.options import RunOptions
-    from repro.rng import RngFabric
-
-    if platform not in PLATFORMS:
-        raise ConfigurationError(
-            f"unknown platform {platform!r}; options: {sorted(PLATFORMS)}"
-        )
-    preset = PLATFORMS[platform]()
-    if placement == "spread":
-        pinning = inter_node(preset.machine, nprocs)
-    elif placement == "scheduler":
-        pinning = scheduler_default(
-            preset.machine, nprocs, RngFabric(seed).generator("placement")
-        )
-    else:
-        raise ConfigurationError(
-            f"unknown placement {placement!r} (use 'spread' or 'scheduler')"
-        )
 
     built = build_workload(name, nprocs, scale, seed)
-    world = MpiWorld(
-        preset,
-        pinning,
-        timer=timer,
-        seed=seed,
+    session = TracingSession(
+        platform, nprocs, placement, timer,
         duration_hint=built.duration_hint,
         jitter=OsJitterModel(rate=10.0, mean_delay=5e-6),
+        options=(options or RunOptions()).replace(seed=seed),
     )
-    return world.run(
-        built.worker,
-        tracing_initially=built.tracing_initially,
-        options=options if options is not None else RunOptions(),
-    )
+    return session.trace(built.worker, tracing_initially=built.tracing_initially)

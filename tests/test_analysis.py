@@ -29,23 +29,24 @@ class TestMeasureLatency:
 
     def test_means_above_floors(self, rows):
         for stats in rows.values():
-            assert stats.mean >= stats.floor
+            assert stats.summary.mean >= stats.floor
 
     def test_means_near_paper_values(self, rows):
         # Floors are the Table II values; software overheads add < 1 us.
-        assert rows["node"].mean == pytest.approx(4.29 * USEC, abs=1.2 * USEC)
-        assert rows["chip"].mean == pytest.approx(0.86 * USEC, abs=0.8 * USEC)
-        assert rows["core"].mean == pytest.approx(0.47 * USEC, abs=0.8 * USEC)
+        assert rows["node"].summary.mean == pytest.approx(4.29 * USEC, abs=1.2 * USEC)
+        assert rows["chip"].summary.mean == pytest.approx(0.86 * USEC, abs=0.8 * USEC)
+        assert rows["core"].summary.mean == pytest.approx(0.47 * USEC, abs=0.8 * USEC)
 
     def test_ordering(self, rows):
-        assert rows["node"].mean > rows["chip"].mean > rows["core"].mean
+        assert (rows["node"].summary.mean > rows["chip"].summary.mean
+                > rows["core"].summary.mean)
 
     def test_std_small_relative_to_mean(self, rows):
         for stats in rows.values():
-            assert stats.std_of_mean < 0.1 * stats.mean
+            assert stats.summary.std_of_mean < 0.1 * stats.summary.mean
 
     def test_sample_count(self, rows):
-        assert rows["node"].samples == 300
+        assert rows["node"].summary.n == 300
 
 
 class TestCollectiveLatency:
@@ -56,8 +57,8 @@ class TestCollectiveLatency:
             preset, inter_node(preset.machine, 4), repeats=100, seed=1
         )
         # Table II: 12.86 us vs 4.29 us — collective costs ~2-4x a message.
-        assert coll.mean > 1.5 * msg.mean
-        assert coll.mean < 8 * msg.mean
+        assert coll.summary.mean > 1.5 * msg.summary.mean
+        assert coll.summary.mean < 8 * msg.summary.mean
 
 
 class TestMeasureDeviation:

@@ -1,6 +1,6 @@
 """The ``correct_trace`` facade: one code path, every source kind.
 
-The facade's contract is that the CLI, the pipeline, the service
+The facade's contract is that the CLI, the session, the service
 workers, and direct callers all produce bit-identical corrections for
 the same input.  These tests pin that down via the canonical ``.jsonl``
 encoding, which is byte-stable (unlike ``.npz``).
@@ -17,7 +17,6 @@ from repro.core.correct import (
     correct_trace,
     scan_source,
 )
-from repro.core.pipeline import SyncPipeline
 from repro.errors import SynchronizationError, TraceFormatError
 from repro.tracing.store import ChunkedTrace, write_sharded_trace
 from repro.tracing.trace import Trace
@@ -124,11 +123,6 @@ class TestStreamingGuards:
 
 
 class TestSingleCodePath:
-    def test_pipeline_is_the_facade(self, run, reference_jsonl):
-        report = SyncPipeline(interpolation="linear", apply_clc=True).run(run)
-        assert trace_to_jsonl(report.trace) == reference_jsonl
-        assert [s.stage for s in report.stages] == ["raw", "linear", "clc"]
-
     def test_scan_source_matches_raw_stage(self, run):
         reports = scan_source(run)
         raw = correct_trace(run).stage("raw")

@@ -37,10 +37,10 @@ class TestTable2:
 
     def test_paper_ordering(self, result):
         by = result.by_label()
-        node = by["Inter node message latency"].mean
-        chip = by["Inter chip message latency"].mean
-        core = by["Inter core message latency"].mean
-        coll = by["Inter node collective latency"].mean
+        node = by["Inter node message latency"].summary.mean
+        chip = by["Inter chip message latency"].summary.mean
+        core = by["Inter core message latency"].summary.mean
+        coll = by["Inter node collective latency"].summary.mean
         assert node > chip > core
         assert coll > 2 * node  # Table II: 12.86 vs 4.29
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.cluster import inter_node, xeon_cluster
-from repro.core.pipeline import SyncPipeline
+from repro.core.correct import correct_trace
 from repro.errors import SynchronizationError
 from repro.mpi import MpiWorld
 from repro.workloads import SparseConfig, sparse_worker
@@ -65,7 +65,7 @@ class TestPeriodicMeasurement:
 class TestPiecewisePipeline:
     def test_pipeline_mode(self):
         run = run_with_periodic(every=2, rounds=20, timer="mpi_wtime", seed=5)
-        report = SyncPipeline(interpolation="piecewise", apply_clc=False).run(run)
+        report = correct_trace(run, interpolation="piecewise", clc=False)
         assert [s.stage for s in report.stages] == ["raw", "piecewise"]
         assert report.stage("piecewise").total_violated <= report.stage("raw").total_violated
 
@@ -78,7 +78,7 @@ class TestPiecewisePipeline:
             sparse_worker(SparseConfig(rounds=4), seed=1), measure_offsets=False
         )
         with pytest.raises(SynchronizationError):
-            SyncPipeline(interpolation="piecewise").run(run)
+            correct_trace(run, interpolation="piecewise")
 
     def test_piecewise_beats_linear_on_bent_drift(self):
         """The point of [17]: with non-constant drift between the run's

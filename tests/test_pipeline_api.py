@@ -1,4 +1,4 @@
-"""Tests for the high-level API (repro.core.pipeline / api)."""
+"""Tests for the high-level API (repro.core.api / correct)."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import pytest
 
 from repro.options import RunOptions
 
-from repro import PipelineReport, SyncPipeline, TracingSession
+from repro import TracingSession, correct_trace
 from repro.cluster.pinning import inter_core
 from repro.cluster.machines import xeon_cluster
 from repro.errors import ConfigurationError, SynchronizationError
@@ -78,33 +78,33 @@ class TestSyncPipeline:
         assert raw >= lin >= clc == 0
 
     def test_align_mode(self, session, run):
-        report = session.synchronize(run, interpolation="align", apply_clc=False)
+        report = session.synchronize(run, interpolation="align", clc=False)
         assert [s.stage for s in report.stages] == ["raw", "align"]
         assert report.clc is None
 
     def test_none_mode(self, session, run):
-        report = session.synchronize(run, interpolation="none", apply_clc=False)
+        report = session.synchronize(run, interpolation="none", clc=False)
         raw = report.stage("raw")
         none_stage = report.stage("none")
         assert none_stage.total_violated == raw.total_violated
 
-    def test_invalid_mode(self):
+    def test_invalid_mode(self, run):
         with pytest.raises(SynchronizationError):
-            SyncPipeline(interpolation="quadratic")
+            correct_trace(run, interpolation="quadratic")
 
     def test_requires_trace(self, session):
         from repro.mpi.runtime import RunResult
 
         empty = RunResult(trace=None, init_offsets=None, final_offsets=None)
         with pytest.raises(SynchronizationError):
-            SyncPipeline().run(empty)
+            correct_trace(empty)
 
     def test_requires_measurements_for_linear(self, session):
         run2 = session.world.run(
             sparse_worker(SparseConfig(rounds=3), seed=1), measure_offsets=False
         )
         with pytest.raises(SynchronizationError):
-            SyncPipeline(interpolation="linear").run(run2)
+            correct_trace(run2, interpolation="linear")
 
     def test_summary_text(self, session, run):
         report = session.synchronize(run)

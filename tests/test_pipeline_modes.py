@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.pipeline import SyncPipeline
+from repro.core.correct import correct_trace
 from repro.cluster import inter_node, xeon_cluster
 from repro.errors import SynchronizationError
 from repro.mpi import MpiWorld
@@ -39,29 +39,25 @@ def drifting_run():
 @pytest.mark.parametrize("mode", ["hull", "minmax", "exchange"])
 class TestTraceOnlyModes:
     def test_mode_reduces_violations(self, drifting_run, mode):
-        report = SyncPipeline(interpolation=mode, apply_clc=False).run(drifting_run)
+        report = correct_trace(drifting_run, interpolation=mode, clc=False)
         raw = report.stage("raw").total_violated
         corrected = report.stage(mode).total_violated
         assert raw > 0
         assert corrected < raw
 
     def test_mode_plus_clc_is_clean(self, drifting_run, mode):
-        report = SyncPipeline(interpolation=mode, apply_clc=True).run(
-            drifting_run, lmin=1e-7
-        )
+        report = correct_trace(drifting_run, interpolation=mode, clc=True, lmin=1e-7)
         assert report.stage("clc").total_violated == 0
 
 
 class TestModeValidation:
     def test_regression_mode_accepted(self, drifting_run):
-        report = SyncPipeline(interpolation="regression", apply_clc=False).run(
-            drifting_run
-        )
+        report = correct_trace(drifting_run, interpolation="regression", clc=False)
         assert report.stage("regression") is not None
 
-    def test_unknown_mode_rejected(self):
+    def test_unknown_mode_rejected(self, drifting_run):
         with pytest.raises(SynchronizationError):
-            SyncPipeline(interpolation="astrology")
+            correct_trace(drifting_run, interpolation="astrology")
 
     def test_trace_only_modes_need_no_measurements(self, drifting_run):
         """Strip the measurements: trace-only modes still work."""
@@ -70,7 +66,7 @@ class TestModeValidation:
         bare = RunResult(
             trace=drifting_run.trace, init_offsets=None, final_offsets=None
         )
-        report = SyncPipeline(interpolation="exchange", apply_clc=False).run(bare)
+        report = correct_trace(bare, interpolation="exchange", clc=False)
         assert report.stage("exchange") is not None
         with pytest.raises(SynchronizationError):
-            SyncPipeline(interpolation="linear").run(bare)
+            correct_trace(bare, interpolation="linear")

@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import inter_node, scheduler_default, xeon_cluster
-from repro.core.pipeline import SyncPipeline
+from repro.core.correct import correct_trace
 from repro.mpi import MpiWorld
 from repro.sync.clc import naive_shift_correct
 from repro.sync.replay import replay_correct
@@ -91,7 +91,7 @@ class TestCorrectionInvariants:
             for j in range(4):
                 if i != j:
                     lmin[i, j] = world.min_latency(i, j)
-        report = SyncPipeline().run(run, lmin=lmin)
+        report = correct_trace(run, lmin=lmin)
         final = report.stages[-1]
         assert final.total_violated == 0
         # Stage sequence never increases violations.

@@ -1,14 +1,14 @@
-"""The public API surface: exports, RunOptions, and deprecation shims.
+"""The public API surface: exports, RunOptions, and start-up imports.
 
-This module is run in CI with ``-W error::DeprecationWarning``, so any
-deprecated usage that slips into the package itself (not just into user
-code) fails loudly.  The export snapshot below is deliberate friction:
-adding or removing a top-level name is an API decision and must update
-this list in the same change.
+The export snapshot below is deliberate friction: adding or removing a
+top-level name is an API decision and must update this list in the same
+change.
 """
 
 from __future__ import annotations
 
+import subprocess
+import sys
 import warnings
 
 import pytest
@@ -18,19 +18,16 @@ from repro import RunOptions, RunResult, TelemetryRecorder, TracingSession
 from repro.cluster import inter_node, xeon_cluster
 from repro.errors import ConfigurationError
 from repro.mpi import MpiWorld
-from repro.options import resolve_options
 
 #: The one and only list of top-level exports.  Update deliberately.
 EXPECTED_EXPORTS = [
     "CorrectionResult",
-    "PipelineReport",
     "ReproError",
     "RunOptions",
     "RunResult",
     "SampleSummary",
     "ServiceClient",
     "StoppingRule",
-    "SyncPipeline",
     "TelemetryRecorder",
     "TracingSession",
     "__version__",
@@ -105,38 +102,11 @@ class TestRunOptions:
         recorder = TelemetryRecorder()
         assert RunOptions(telemetry=recorder).telemetry_or_null is recorder
 
-
-class TestDeprecationShims:
-    def test_legacy_engine_kwarg_warns_and_works(self):
-        with pytest.warns(DeprecationWarning, match="engine"):
-            run = _world().run(_worker, engine="reference")
-        assert isinstance(run, RunResult)
-
     def test_options_path_is_silent(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             run = _world().run(_worker, options=RunOptions(engine="reference"))
         assert isinstance(run, RunResult)
-
-    def test_options_plus_legacy_conflict(self):
-        with pytest.raises(ConfigurationError):
-            resolve_options(RunOptions(), caller="test", engine="batch")
-
-    def test_resolve_names_the_caller(self):
-        with pytest.warns(DeprecationWarning, match="somewhere"):
-            resolve_options(None, caller="somewhere", seed=1)
-
-    def test_legacy_run_grid_jobs_warns(self):
-        from repro.analysis.runner import run_grid
-
-        with pytest.warns(DeprecationWarning, match="run_grid"):
-            out = run_grid(_square, [dict(x=2), dict(x=3)], jobs=None)
-        assert out == [4, 9]
-
-    def test_legacy_session_seed_warns(self):
-        with pytest.warns(DeprecationWarning, match="TracingSession"):
-            session = TracingSession(nprocs=2, duration_hint=10.0, seed=5)
-        assert session.seed == 5
 
     def test_session_options_path_is_silent(self):
         with warnings.catch_warnings():
@@ -148,12 +118,14 @@ class TestDeprecationShims:
         assert session.seed == 5
         assert run.results == {0: 0, 1: 1}
 
-    def test_legacy_experiment_kwargs_warn(self):
-        from repro.analysis.experiments import table2_latencies
 
-        with pytest.warns(DeprecationWarning, match="table2_latencies"):
-            table2_latencies(seed=0, repeats=5, coll_repeats=5)
-
-
-def _square(x):
-    return x * x
+class TestStartup:
+    def test_cli_import_loads_no_optional_dependency(self):
+        """scipy/networkx serve three optional modes; importing them at
+        start-up costs every ``repro`` process ~1 s and ~75 MiB."""
+        code = (
+            "import sys, repro.cli; "
+            "bad = {'scipy', 'networkx'} & {m.split('.')[0] for m in sys.modules}; "
+            "sys.exit(bool(bad))"
+        )
+        assert subprocess.run([sys.executable, "-c", code]).returncode == 0

@@ -78,7 +78,7 @@ class TestRunGrid:
 
 
 class TestDeterminism:
-    """run_grid(jobs=4) must be bit-for-bit identical to serial."""
+    """run_grid with jobs=4 must be bit-for-bit identical to serial."""
 
     def test_fig7_grid_parallel_equals_serial(self):
         kwargs = dict(app="smg2000", runs=2, nprocs=4, scale=0.2)
