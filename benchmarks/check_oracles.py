@@ -83,11 +83,32 @@ def mutant_forced_gamma():
         yield
 
 
+@contextmanager
+def mutant_dropped_sender():
+    """M5: the shared collective expansion loses one sender of every
+    N-to-N instance — kernel, scalar oracles, scans and streaming all
+    read the same pairs, so only the independent flavor rule notices."""
+    import repro.sync.collectives_map as cmap
+    from repro.tracing.events import CollectiveFlavor
+
+    real = cmap.member_pairs
+
+    def dropped(flavor, n, root_pos):
+        receivers, senders = real(flavor, n, root_pos)
+        if flavor is CollectiveFlavor.N_TO_N:
+            receivers, senders = receivers[:-1], senders[:-1]
+        return receivers, senders
+
+    with mock.patch.object(cmap, "member_pairs", dropped):
+        yield
+
+
 MUTANTS = [
     ("zero-lmin", mutant_zero_lmin),
     ("uncapped-sends", mutant_uncapped_sends),
     ("naive-floor", mutant_naive_floor),
     ("forced-gamma", mutant_forced_gamma),
+    ("dropped-sender", mutant_dropped_sender),
 ]
 
 

@@ -68,7 +68,7 @@ from repro.errors import SynchronizationError
 from repro.sync.order import build_dependencies, replay_schedule
 from repro.telemetry import ensure_telemetry
 from repro.sync.schedule import CompiledSchedule, clc_forward, send_caps_kernel
-from repro.sync.violations import LminSpec
+from repro.sync.violations import LminSpec, pair_lmin
 from repro.tracing.trace import Trace
 
 __all__ = [
@@ -106,6 +106,59 @@ class ClcResult:
 
 #: Denominator floor for the relative interval-distortion metric.
 _DISTORTION_FLOOR = 1.0e-6
+#: Shifts at or below this many seconds do not count as a moved event.
+_MOVED_THRESHOLD = 1e-15
+
+
+class ClcStats:
+    """Before/after statistics of a correction, one contiguous segment at a time.
+
+    Feed every rank's log in order — whole (in memory) or shard by
+    shard (streaming, ``continues=True`` from a rank's second segment
+    on, so the interval across the boundary is counted too).
+    """
+
+    def __init__(self) -> None:
+        self.corrected_events = 0
+        self.max_shift = 0.0
+        self.interval_distortion = 0.0
+        self.max_interval_growth = 0.0
+        self._last: Optional[tuple[float, float]] = None
+
+    def add(self, original: np.ndarray, corrected: np.ndarray, continues: bool = False) -> None:
+        if not continues:
+            self._last = None
+        if not original.size:
+            return
+        shift = corrected - original
+        self.corrected_events += int(np.count_nonzero(shift > _MOVED_THRESHOLD))
+        self.max_shift = max(self.max_shift, float(shift.max()))
+        if self._last is not None:  # the interval across the segment boundary
+            self._intervals(
+                np.append(self._last[0], original[0]), np.append(self._last[1], corrected[0])
+            )
+        self._last = (original[-1], corrected[-1])
+        self._intervals(original, corrected)
+
+    def _intervals(self, original: np.ndarray, corrected: np.ndarray) -> None:
+        if original.size > 1:
+            d_orig = np.diff(original)
+            change = np.abs(np.diff(corrected) - d_orig)
+            self.max_interval_growth = max(self.max_interval_growth, float(change.max()))
+            rel = change / np.maximum(d_orig, _DISTORTION_FLOOR)
+            self.interval_distortion = max(self.interval_distortion, float(rel.max()))
+
+    def result(self, trace, total_events: int, jumps: int, max_jump: float) -> ClcResult:
+        return ClcResult(
+            trace=trace,
+            corrected_events=self.corrected_events,
+            total_events=total_events,
+            jumps=jumps,
+            max_jump=max_jump,
+            max_shift=self.max_shift,
+            interval_distortion=self.interval_distortion,
+            max_interval_growth=self.max_interval_growth,
+        )
 
 
 def compute_clc_stats(
@@ -117,35 +170,12 @@ def compute_clc_stats(
     meta: dict,
 ) -> ClcResult:
     """Assemble a :class:`ClcResult` from before/after timestamp arrays."""
-    corrected_events = 0
-    max_shift = 0.0
-    distortion = 0.0
-    growth = 0.0
+    stats = ClcStats()
     for rank in trace.ranks:
-        shift = corrected[rank] - original[rank]
-        corrected_events += int(np.count_nonzero(shift > 1e-15))
-        if shift.size:
-            max_shift = max(max_shift, float(shift.max()))
-        if original[rank].size > 1:
-            d_orig = np.diff(original[rank])
-            d_corr = np.diff(corrected[rank])
-            change = np.abs(d_corr - d_orig)
-            if change.size:
-                growth = max(growth, float(change.max()))
-                rel = change / np.maximum(d_orig, _DISTORTION_FLOOR)
-                distortion = max(distortion, float(rel.max()))
+        stats.add(original[rank], corrected[rank])
     out = trace.with_timestamps(corrected)
     out.meta["clc"] = meta
-    return ClcResult(
-        trace=out,
-        corrected_events=corrected_events,
-        total_events=trace.total_events(),
-        jumps=jumps_count,
-        max_jump=max_jump,
-        max_shift=max_shift,
-        interval_distortion=distortion,
-        max_interval_growth=growth,
-    )
+    return stats.result(out, trace.total_events(), jumps_count, max_jump)
 
 
 class ControlledLogicalClock:
@@ -269,7 +299,7 @@ class ControlledLogicalClock:
         lmin: LminSpec = 0.0,
     ) -> ClcResult:
         """Scalar formulation of :meth:`correct_with_dependencies` (oracle)."""
-        lmin_fn = _lmin_callable(lmin)
+        lmin_fn = pair_lmin(lmin)
 
         original = {rank: trace.logs[rank].timestamps for rank in trace.ranks}
         corrected = {rank: original[rank].copy() for rank in trace.ranks}
@@ -385,7 +415,7 @@ def naive_shift_correct(trace: Trace, lmin: LminSpec = 0.0) -> ClcResult:
 def naive_shift_correct_reference(trace: Trace, lmin: LminSpec = 0.0) -> ClcResult:
     """Scalar formulation of :func:`naive_shift_correct` (oracle)."""
     deps = build_dependencies(trace, include_collectives=True)
-    lmin_fn = _lmin_callable(lmin)
+    lmin_fn = pair_lmin(lmin)
     original = {rank: trace.logs[rank].timestamps for rank in trace.ranks}
     corrected = {rank: original[rank].copy() for rank in trace.ranks}
     njumps = 0
@@ -587,12 +617,3 @@ def _amortize_backward(
     js = np.array([jump for _, jump in jump_list], dtype=np.float64)
     out, _ = amortize_segment(times, (ks, js, times[ks]), window, caps, None, telemetry)
     return out
-
-
-def _lmin_callable(lmin: LminSpec):
-    if callable(lmin):
-        return lmin
-    if isinstance(lmin, np.ndarray):
-        return lambda s, d: float(lmin[s, d])
-    value = float(lmin)
-    return lambda s, d: value

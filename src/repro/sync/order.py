@@ -3,16 +3,20 @@
 Logical-clock algorithms (Lamport, vector, CLC) process events in an
 order consistent with the happened-before relation: a rank's events in
 log order, and every receive after its matching send.  This module
-extracts those dependencies once — sparsely, since only receives and
-collective exits have remote predecessors — and provides a Kahn
-topological schedule shared by all three algorithms.
+builds that relation — sparse, since only receives and collective exits
+have remote predecessors — as one edge table:
 
-Dependency kinds:
+* ``RECV`` event -> its matching ``SEND`` event (the columns of
+  :meth:`Trace.messages <repro.tracing.trace.Trace.messages>`);
+* ``COLL_EXIT`` event -> the ``COLL_ENTER`` of every member whose
+  flavor constrains it (:func:`repro.sync.collectives_map.collective_pairs`,
+  which owns that rule).
 
-* ``RECV`` event -> its matching ``SEND`` event;
-* ``COLL_EXIT`` event -> the ``COLL_ENTER`` of every *other* member of
-  the instance whose flavor constrains it (root only for 1-to-N, all
-  for N-to-N, see :mod:`repro.sync.collectives_map`).
+:func:`dependency_edges` is the builder.  Its consumers:
+:class:`repro.sync.schedule.CompiledSchedule` compiles the arrays
+directly; :func:`build_dependencies` is their dict view, iterated by the
+scalar oracles (:func:`replay_schedule`, the ``*_reference`` clocks and
+correctors) and the starting point of explicit constraint sets (POMP).
 """
 
 from __future__ import annotations
@@ -23,52 +27,45 @@ from typing import Iterator
 import numpy as np
 
 from repro.errors import SynchronizationError
-from repro.tracing.events import COLLECTIVE_FLAVORS, CollectiveFlavor, EventType
+from repro.sync.collectives_map import collective_pairs
 from repro.tracing.trace import Trace
 
-__all__ = ["EventRef", "build_dependencies", "replay_schedule"]
+__all__ = ["EventRef", "dependency_edges", "build_dependencies", "replay_schedule"]
 
 EventRef = tuple[int, int]  # (rank, index into that rank's log)
+
+
+def dependency_edges(
+    trace: Trace, include_collectives: bool = True
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The remote happened-before relation as ``(dst_rank, dst_idx, src_rank, src_idx)``.
+
+    One entry per edge: matched messages in message-table order, then
+    the collective pairs instance by instance (receiver ascending, then
+    sender ascending).  Every dependent's edges are contiguous.
+    """
+    messages = trace.messages(strict=False)
+    edges = [(messages.dst, messages.recv_idx, messages.src, messages.send_idx)]
+    if include_collectives:
+        table = trace.collectives()
+        receivers, senders = collective_pairs(table)
+        edges.append((
+            table.ranks[receivers], table.exit_idx[receivers],
+            table.ranks[senders], table.enter_idx[senders],
+        ))
+    return tuple(np.concatenate(column) for column in zip(*edges))
 
 
 def build_dependencies(
     trace: Trace, include_collectives: bool = True
 ) -> dict[EventRef, list[EventRef]]:
-    """Sparse map from an event to its remote happened-before predecessors."""
+    """:func:`dependency_edges` as a sparse map from an event to its remote predecessors."""
     deps: dict[EventRef, list[EventRef]] = {}
-
-    messages = trace.messages(strict=False)
-    for k in range(len(messages)):
-        ref = (int(messages.dst[k]), int(messages.recv_idx[k]))
-        deps.setdefault(ref, []).append((int(messages.src[k]), int(messages.send_idx[k])))
-
-    if include_collectives:
-        for rec in trace.collectives():
-            flavor = COLLECTIVE_FLAVORS[rec.op]
-            ranks = rec.ranks
-            n = ranks.size
-            if n < 2:
-                continue
-            root_pos = (
-                int(np.nonzero(ranks == rec.root)[0][0])
-                if flavor is not CollectiveFlavor.N_TO_N
-                else -1
-            )
-            for i in range(n):
-                if flavor is CollectiveFlavor.ONE_TO_N:
-                    senders = [root_pos] if i != root_pos else []
-                elif flavor is CollectiveFlavor.N_TO_ONE:
-                    senders = [j for j in range(n) if j != i] if i == root_pos else []
-                elif flavor is CollectiveFlavor.PREFIX:
-                    senders = list(range(i))  # lower ranks only (MPI_Scan)
-                else:
-                    senders = [j for j in range(n) if j != i]
-                if not senders:
-                    continue
-                ref = (int(ranks[i]), int(rec.exit_idx[i]))
-                deps.setdefault(ref, []).extend(
-                    (int(ranks[j]), int(rec.enter_idx[j])) for j in senders
-                )
+    dst_rank, dst_idx, src_rank, src_idx = (
+        column.tolist() for column in dependency_edges(trace, include_collectives)
+    )
+    for ref, source in zip(zip(dst_rank, dst_idx), zip(src_rank, src_idx)):
+        deps.setdefault(ref, []).append(source)
     return deps
 
 

@@ -3,8 +3,8 @@
 Every logical-clock algorithm in this package — Lamport and vector
 clocks, the controlled logical clock, the naive Lamport shift, and the
 replay decomposition — consumes the same two ingredients: the sparse
-remote-dependency relation of :func:`repro.sync.order.build_dependencies`
-and a happened-before-consistent processing order.  Deriving both
+remote-dependency relation of :func:`repro.sync.order.dependency_edges`
+and a happened-before-consistent processing order.  Deriving the order
 per call through Python dicts keyed on ``(rank, idx)`` tuples dominated
 the cost of trace correction (the `replay_schedule` Kahn generator plus
 one dict lookup per event).
@@ -58,7 +58,6 @@ caches one per ``include_collectives`` flavor
 
 from __future__ import annotations
 
-import gc
 from bisect import bisect_right
 from collections import deque
 from typing import TYPE_CHECKING
@@ -66,7 +65,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.errors import SynchronizationError
-from repro.sync.order import EventRef, build_dependencies
+from repro.sync.order import EventRef, dependency_edges
 from repro.sync.violations import LminSpec, resolve_lmin
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (trace imports us lazily)
@@ -125,94 +124,82 @@ class CompiledSchedule:
     @classmethod
     def from_trace(cls, trace: "Trace", include_collectives: bool = True) -> "CompiledSchedule":
         """Compile the standard message/collective happened-before relation."""
-        # The dependency table is a tuple and a list per message, acyclic
-        # and dead on return.  Left on, the cyclic collector promotes them
-        # and runs a full collection mid-compile whenever the process holds
-        # few long-lived objects (0.1 s per 91k-event trace), so compile
-        # time would depend on what else the process has imported.
-        collecting = gc.isenabled()
-        gc.disable()
-        try:
-            deps = build_dependencies(trace, include_collectives=include_collectives)
-            return cls.from_dependencies(trace, deps)
-        finally:
-            if collecting:
-                gc.enable()
+        return cls(trace, dependency_edges(trace, include_collectives))
 
     @classmethod
     def from_dependencies(
         cls, trace: "Trace", deps: dict[EventRef, list[EventRef]]
     ) -> "CompiledSchedule":
-        """Compile an explicit constraint set (the POMP extension point)."""
-        ranks = trace.ranks
-        lengths = np.array([len(trace.logs[r]) for r in ranks], dtype=np.int64)
-        return cls(ranks, lengths, deps)
+        """Compile an explicit constraint set (the POMP extension point).
+
+        Every target and source must be an event of the trace; the first
+        that is not, reading each target and then its sources in dict
+        order, raises ``SynchronizationError``.
+        """
+        fanin = np.fromiter(map(len, deps.values()), dtype=np.int64, count=len(deps))
+        refs = np.array(
+            [ref for target, sources in deps.items() for ref in (target, *sources)], dtype=np.int64
+        ).reshape(-1, 2)
+        is_target = np.zeros(len(refs), dtype=bool)
+        is_target[np.cumsum(fanin + 1) - fanin - 1] = True
+        rank, idx = refs[:, 0], refs[:, 1]
+        known = np.array(trace.ranks, dtype=np.int64)
+        # Position ``len(known)``, above every rank, gets a pad of length zero.
+        lengths = np.array([len(trace.logs[r]) for r in trace.ranks] + [0], dtype=np.int64)
+        pos = np.searchsorted(known, rank)
+        missing = (np.append(known, -1)[pos] != rank) | (idx < 0) | (idx >= lengths[pos])
+        bad = np.flatnonzero(missing)
+        if bad.size:
+            what = "target" if is_target[bad[0]] else "source"
+            raise SynchronizationError(
+                f"dependency {what} ({rank[bad[0]]}, {idx[bad[0]]}) is not an event of the trace"
+            )
+        targets, sources = np.repeat(refs[is_target], fanin, axis=0), refs[~is_target]
+        return cls(trace, (targets[:, 0], targets[:, 1], sources[:, 0], sources[:, 1]))
 
     def __init__(
         self,
-        ranks: list[int],
-        lengths: np.ndarray,
-        deps: dict[EventRef, list[EventRef]],
+        trace: "Trace",
+        edges: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
     ) -> None:
-        self.ranks = list(ranks)
+        """``edges`` is ``(dst_rank, dst_idx, src_rank, src_idx)``, one entry per edge,
+        each naming an event of ``trace`` (:meth:`from_dependencies` checks a dict's)."""
+        self.ranks = trace.ranks
         nr = len(self.ranks)
-        rank_pos = {rank: i for i, rank in enumerate(self.ranks)}
-        self.lengths = np.asarray(lengths, dtype=np.int64)
+        self.lengths = np.array([len(trace.logs[r]) for r in self.ranks], dtype=np.int64)
         offsets = np.zeros(nr + 1, dtype=np.int64)
         np.cumsum(self.lengths, out=offsets[1:])
         self.offsets = offsets
         n = int(offsets[-1])
         self.n_events = n
 
-        # ---- edge arrays, in deps-dict order ---------------------------
-        dst_list: list[int] = []
-        src_list: list[int] = []
-        for (rank, idx), sources in deps.items():
-            pos = rank_pos.get(rank)
-            if pos is None or not 0 <= idx < self.lengths[pos]:
-                raise SynchronizationError(
-                    f"dependency target ({rank}, {idx}) is not an event of the trace"
-                )
-            dgid = int(offsets[pos]) + int(idx)
-            for src_rank, src_idx in sources:
-                spos = rank_pos.get(src_rank)
-                if spos is None or not 0 <= src_idx < self.lengths[spos]:
-                    raise SynchronizationError(
-                        f"dependency source ({src_rank}, {src_idx}) is not an event of the trace"
-                    )
-                dst_list.append(dgid)
-                src_list.append(int(offsets[spos]) + int(src_idx))
-        e_dst = np.array(dst_list, dtype=np.int64)
-        e_src = np.array(src_list, dtype=np.int64)
-        ne = e_dst.size
+        # ---- edge arrays, in the order given ---------------------------
+        dst_rank, dst_idx, src_rank, src_idx = edges
+        e_dst = self._gids(dst_rank, dst_idx)
+        e_src = self._gids(src_rank, src_idx)
         self.e_dst = e_dst
         self.e_src = e_src
-        self.n_edges = ne
-
-        ranks_arr = np.array(self.ranks, dtype=np.int64)
-        self.edge_src_rank = ranks_arr[self._rank_pos_of(e_src)] if ne else e_src.copy()
-        self.edge_dst_rank = ranks_arr[self._rank_pos_of(e_dst)] if ne else e_dst.copy()
+        self.n_edges = e_dst.size
+        self.edge_src_rank = src_rank
+        self.edge_dst_rank = dst_rank
 
         # ---- forward CSR (dependent -> sources) ------------------------
-        counts = np.bincount(e_dst, minlength=n) if ne else np.zeros(n, dtype=np.int64)
+        counts = np.bincount(e_dst, minlength=n)
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(counts, out=indptr[1:])
         self.indptr = indptr
-        f_order = np.argsort(e_dst, kind="stable") if ne else e_dst.copy()
-        self.f_edge_ids = f_order
-        self.indices = e_src[f_order] if ne else e_src.copy()
+        self.f_edge_ids = np.argsort(e_dst, kind="stable")
+        self.indices = e_src[self.f_edge_ids]
 
         # ---- reverse (unblocks) CSR (source -> dependents) -------------
-        rcounts = np.bincount(e_src, minlength=n) if ne else np.zeros(n, dtype=np.int64)
         rev_indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(rcounts, out=rev_indptr[1:])
+        np.cumsum(np.bincount(e_src, minlength=n), out=rev_indptr[1:])
         self.rev_indptr = rev_indptr
-        r_order = np.argsort(e_src, kind="stable") if ne else e_src.copy()
-        self.rev_edge_ids = r_order
-        self.rev_targets = e_dst[r_order] if ne else e_dst.copy()
+        self.rev_edge_ids = np.argsort(e_src, kind="stable")
+        self.rev_targets = e_dst[self.rev_edge_ids]
 
         # ---- per-rank dependency-bearing event positions ---------------
-        dep_gids = np.unique(e_dst) if ne else e_dst.copy()
+        dep_gids = np.unique(e_dst)
         self.dep_pos_by_rank = [
             dep_gids[(dep_gids >= offsets[i]) & (dep_gids < offsets[i + 1])] - offsets[i]
             for i in range(nr)
@@ -222,6 +209,10 @@ class CompiledSchedule:
         self._compile_steps(counts)
         self._hot = None
         self._topo = None
+
+    def _gids(self, ranks: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        """Global ids of the ``(rank, local index)`` events."""
+        return self.offsets[np.searchsorted(np.array(self.ranks, dtype=np.int64), ranks)] + idx
 
     def _rank_pos_of(self, gids: np.ndarray) -> np.ndarray:
         """Rank position (index into ``self.ranks``) of each gid."""
@@ -375,12 +366,13 @@ class CompiledSchedule:
         return list(zip(ranks_arr[pos].tolist(), locals_.tolist()))
 
     def edge_lmin(self, lmin: LminSpec) -> np.ndarray:
-        """Per-edge minimum-latency floor, in edge (deps-dict) order.
+        """Per-edge minimum-latency floor, in edge order.
 
         Reuses :func:`repro.sync.violations.resolve_lmin`, so callables
         are evaluated once per unique rank pair and matrices are indexed
         by actual rank ids — float-identical to the scalar
-        ``_lmin_callable`` path of the reference implementation.
+        :func:`repro.sync.violations.pair_lmin` of the reference
+        implementation.
         """
         if self.n_edges == 0:
             return np.zeros(0, dtype=np.float64)

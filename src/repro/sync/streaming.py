@@ -19,13 +19,19 @@ resident set at O(one shard per rank + carried boundary state):
   with three scalar carries (the next shard's first advance,
   timestamp, and re-clamped output) — that neither loads nor rewrites
   a shard no amortization window reaches.  Statistics accumulate
-  with boundary carries, and the corrected trace is written back out as
-  a sharded store.
+  shard by shard in the in-memory path's :class:`repro.sync.clc.ClcStats`,
+  and the corrected trace is written back out as a sharded store.
 * :func:`streaming_scan_trace` — Eq. 1 violation scan.  Point-to-point
   matching streams with the same id/FIFO semantics as
   :meth:`Trace.messages(strict=False) <repro.tracing.trace.Trace.messages>`
   (unmatched ends dropped); collective instances accumulate and are
   expanded through the in-memory logical-message mapping.
+
+Nothing about collectives is decided here: enters and exits are paired
+by :func:`repro.tracing.trace.pair_collectives` (fed one shard's
+collective rows at a time) and who constrains whom comes from
+:func:`repro.sync.collectives_map.collective_pairs` — this module only
+re-keys those pairs for its publish/block state machine.
 * :func:`streaming_apply_correction` — per-shard offset interpolation.
 
 Boundary-state requirements: every receive's matching send must come
@@ -42,29 +48,26 @@ from __future__ import annotations
 import tempfile
 from bisect import bisect_left, bisect_right
 from collections import deque
+from dataclasses import replace
 from pathlib import Path
 from typing import Optional, Union
 
 import numpy as np
 
-from repro.errors import SynchronizationError, TraceError
+from repro.errors import SynchronizationError
 from repro.sync.clc import (
     ClcResult,
+    ClcStats,
     ControlledLogicalClock,
     amortize_segment,
     ramp_cuts,
 )
-from repro.sync.collectives_map import logical_messages
-from repro.sync.violations import LminSpec, ViolationReport, scan_messages
+from repro.sync.collectives_map import collective_pairs, logical_messages
+from repro.sync.violations import LminSpec, ViolationReport, pair_lmin, scan_messages
 from repro.telemetry import ensure_telemetry
-from repro.tracing.events import (
-    COLLECTIVE_FLAVORS,
-    CollectiveFlavor,
-    CollectiveOp,
-    EventType,
-)
+from repro.tracing.events import EventType
 from repro.tracing.store import ChunkedTrace, ShardedTraceReader, ShardedTraceWriter
-from repro.tracing.trace import CollectiveRecord, CollectiveTable
+from repro.tracing.trace import CollectiveTable, collective_rows, pair_collectives
 
 __all__ = [
     "streaming_clc_correct",
@@ -83,25 +86,6 @@ _CAPS_DTYPE = np.dtype([("i", "<i8"), ("v", "<f8")])
 _CAPS_BUFFER = 4096
 
 
-def _pair_lmin(lmin: LminSpec):
-    """Scalar ``l_min(src, dst)`` with per-pair memoization of callables."""
-    if callable(lmin):
-        cache: dict[tuple[int, int], float] = {}
-
-        def fn(s: int, d: int) -> float:
-            key = (s, d)
-            v = cache.get(key)
-            if v is None:
-                v = cache[key] = float(lmin(s, d))
-            return v
-
-        return fn
-    if isinstance(lmin, np.ndarray):
-        return lambda s, d: float(lmin[s, d])
-    value = float(lmin)
-    return lambda s, d: value
-
-
 def _source_is_chunked(source) -> ChunkedTrace:
     if isinstance(source, ChunkedTrace):
         return source
@@ -112,29 +96,20 @@ def _source_is_chunked(source) -> ChunkedTrace:
 
 def _id_mode(reader: ShardedTraceReader) -> bool:
     """Ground-truth match ids available?  (Same rule as ``Trace``.)"""
-    for rank in reader.ranks:
-        for rec in reader.rank_shards(rank):
-            if rec.neg_send_ids:
-                return False
-    return True
+    return not any(rec.neg_send_ids for rank in reader.ranks for rec in reader.rank_shards(rank))
 
 
 class _Resident:
     """Peak-resident-events accounting shared by all streaming passes."""
 
-    __slots__ = ("tele", "cur", "peak", "shards_read")
+    __slots__ = ("tele", "cur")
 
     def __init__(self, tele) -> None:
         self.tele = tele
         self.cur = 0
-        self.peak = 0
-        self.shards_read = 0
 
     def load(self, events: int) -> None:
         self.cur += events
-        self.shards_read += 1
-        if self.cur > self.peak:
-            self.peak = self.cur
         if self.tele.enabled:
             self.tele.count("sync.stream.shards_read")
             self.tele.gauge_max("sync.clc.peak_resident_events", self.cur)
@@ -146,121 +121,43 @@ class _Resident:
 # ----------------------------------------------------------------------
 # Collective pre-scan
 # ----------------------------------------------------------------------
-def _accumulate_collectives(chunked: ChunkedTrace, resident: Optional[_Resident] = None):
-    """One streaming pass collecting per-rank collective enter/exit info.
-
-    Replicates ``Trace._extract_collectives`` exactly: for each rank all
-    ``COLL_ENTER`` records land in a last-wins dict first, then exits
-    pop in log order — including its duplicate-enter overwrite and
-    error semantics.  Returns ``{inst: {rank: [enter_ts, exit_ts,
-    enter_idx, exit_idx, op, root]}}``.
-    """
-    enters: dict[int, dict[int, tuple[int, float]]] = {}
-    exits: dict[int, list[tuple[int, float, int, int, int]]] = {}
+def _accumulate_collectives(chunked: ChunkedTrace, resident: _Resident) -> CollectiveTable:
+    """One streaming pass pairing every rank's collective enters and exits."""
+    rows: dict[int, list] = {}
     for rank in chunked.ranks:
-        enters[rank] = {}
-        exits[rank] = []
-        for rec, cols in chunked.iter_shards(rank):
-            ts, et, a, b, _, d = cols
-            if resident is not None:
-                resident.load(rec.events)
-            sel = np.nonzero(et == _CENT)[0]
-            for i in sel:
-                enters[rank][int(d[i])] = (rec.start + int(i), float(ts[i]))
-            sel = np.nonzero(et == _CEXIT)[0]
-            for i in sel:
-                exits[rank].append(
-                    (rec.start + int(i), float(ts[i]), int(d[i]), int(a[i]), int(b[i]))
-                )
-            if resident is not None:
-                resident.release(rec.events)
-    per_instance: dict[int, dict[int, list]] = {}
-    for rank in chunked.ranks:
-        open_by_instance = dict(enters[rank])
-        for idx, ts_val, inst, op, root in exits[rank]:
-            if inst not in open_by_instance:
-                raise TraceError(
-                    f"rank {rank}: COLL_EXIT for instance {inst} without COLL_ENTER"
-                )
-            e_idx, e_ts = open_by_instance.pop(inst)
-            entry = per_instance.setdefault(inst, {})
-            entry[rank] = [e_ts, ts_val, e_idx, idx, op, root]
-        if open_by_instance:
-            raise TraceError(
-                f"rank {rank}: unclosed collective instances {sorted(open_by_instance)}"
-            )
-    return per_instance
+        rows[rank] = []
+        for rec, (ts, et, a, b, _, d) in chunked.iter_shards(rank):
+            resident.load(rec.events)
+            rows[rank].append(collective_rows(rec.start, ts, et, a, b, d))
+            resident.release(rec.events)
+    return pair_collectives(rows)
 
 
-def _collective_table(per_instance) -> CollectiveTable:
-    """Assemble a :class:`CollectiveTable` exactly as the in-memory path."""
-    records = []
-    for inst in sorted(per_instance):
-        members = per_instance[inst]
-        ranks = np.array(sorted(members), dtype=np.int64)
-        records.append(
-            CollectiveRecord(
-                instance=inst,
-                op=CollectiveOp(members[int(ranks[0])][4]),
-                root=members[int(ranks[0])][5],
-                ranks=ranks,
-                enter_ts=np.array([members[r][0] for r in ranks], dtype=np.float64),
-                exit_ts=np.array([members[r][1] for r in ranks], dtype=np.float64),
-                enter_idx=np.array([members[r][2] for r in ranks], dtype=np.int64),
-                exit_idx=np.array([members[r][3] for r in ranks], dtype=np.int64),
-            )
-        )
-    return CollectiveTable(records)
-
-
-def _collective_deps(per_instance):
-    """Flavor-expanded collective dependencies for the streaming forward.
+def _collective_deps(table: CollectiveTable):
+    """The collective pairs, keyed the way the streaming forward pass reads them.
 
     Returns ``(publish, exit_deps, consumers)``:
 
     * ``publish[rank]`` — ``{local enter idx: instance}`` for enters some
       other rank's exit depends on;
     * ``exit_deps[rank]`` — ``{local exit idx: [(member rank, instance),
-      ...]}`` in the same sender order as ``build_dependencies``;
+      ...]}`` in :func:`repro.sync.order.dependency_edges` order;
     * ``consumers[(instance, rank)]`` — number of exits reading that
       publication (for cleanup).
     """
     publish: dict[int, dict[int, int]] = {}
     exit_deps: dict[int, dict[int, list[tuple[int, int]]]] = {}
     consumers: dict[tuple[int, int], int] = {}
-    for inst in sorted(per_instance):
-        members = per_instance[inst]
-        ranks = sorted(members)
-        n = len(ranks)
-        if n < 2:
-            continue
-        op = CollectiveOp(members[ranks[0]][4])
-        root = members[ranks[0]][5]
-        flavor = COLLECTIVE_FLAVORS[op]
-        root_pos = -1
-        if flavor is not CollectiveFlavor.N_TO_N:
-            for j, r in enumerate(ranks):
-                if r == root:
-                    root_pos = j
-                    break
-        for i in range(n):
-            if flavor is CollectiveFlavor.ONE_TO_N:
-                senders = [root_pos] if i != root_pos else []
-            elif flavor is CollectiveFlavor.N_TO_ONE:
-                senders = [j for j in range(n) if j != i] if i == root_pos else []
-            elif flavor is CollectiveFlavor.PREFIX:
-                senders = list(range(i))
-            else:
-                senders = [j for j in range(n) if j != i]
-            if not senders:
-                continue
-            rank_i = ranks[i]
-            deps = [(ranks[j], inst) for j in senders]
-            exit_deps.setdefault(rank_i, {})[members[rank_i][3]] = deps
-            for j in senders:
-                rank_j = ranks[j]
-                publish.setdefault(rank_j, {})[members[rank_j][2]] = inst
-                consumers[(inst, rank_j)] = consumers.get((inst, rank_j), 0) + 1
+    receivers, senders = collective_pairs(table)
+    instance = np.repeat(table.instance, np.diff(table.starts))[receivers]
+    for inst, dst, exit_idx, src, enter_idx in zip(
+        instance.tolist(),
+        table.ranks[receivers].tolist(), table.exit_idx[receivers].tolist(),
+        table.ranks[senders].tolist(), table.enter_idx[senders].tolist(),
+    ):
+        exit_deps.setdefault(dst, {}).setdefault(exit_idx, []).append((src, inst))
+        publish.setdefault(src, {})[enter_idx] = inst
+        consumers[(inst, src)] = consumers.get((inst, src), 0) + 1
     return publish, exit_deps, consumers
 
 
@@ -287,27 +184,18 @@ class _CapsSpill:
             self._flush(key)
 
     def _flush(self, key: tuple[int, int]) -> None:
-        buf = self.buffers.get(key)
-        if not buf:
-            return
-        arr = np.array(buf, dtype=_CAPS_DTYPE)
+        buf = self.buffers[key]
         with self._path(*key).open("ab") as fh:
-            fh.write(arr.tobytes())
+            fh.write(np.array(buf, dtype=_CAPS_DTYPE).tobytes())
         buf.clear()
 
     def load(self, rank: int, ordinal: int) -> tuple[np.ndarray, np.ndarray]:
-        key = (rank, ordinal)
-        parts = []
         path = self._path(rank, ordinal)
-        if path.exists():
-            parts.append(np.frombuffer(path.read_bytes(), dtype=_CAPS_DTYPE))
-        buf = self.buffers.get(key)
-        if buf:
-            parts.append(np.array(buf, dtype=_CAPS_DTYPE))
-        if not parts:
-            empty = np.empty(0, dtype=_CAPS_DTYPE)
-            return empty["i"], empty["v"]
-        arr = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        spilled = path.read_bytes() if path.exists() else b""
+        arr = np.concatenate([
+            np.frombuffer(spilled, dtype=_CAPS_DTYPE),
+            np.array(self.buffers.get((rank, ordinal), []), dtype=_CAPS_DTYPE),
+        ])
         return arr["i"].astype(np.int64, copy=False), arr["v"].astype(np.float64, copy=False)
 
 
@@ -365,16 +253,9 @@ class _RankForward:
         self.n_s = n
         self.origl = [self.prev_orig] + ts.tolist()
         self.corr = [self.prev_corr] + ts.tolist()
-        gd = np.empty(n, dtype=np.float64)
-        if n:
-            gd[0] = self.gamma * (ts[0] - self.prev_orig)
-            if n > 1:
-                gd[1:] = self.gamma * (ts[1:] - ts[:-1])
+        prev = np.append(self.prev_orig, ts)[:-1]  # each event's predecessor, across the boundary
+        gd = self.gamma * (ts - prev)
         self.gdl = [0.0] + gd.tolist()
-        prev = np.empty(n, dtype=np.float64)
-        if n:
-            prev[0] = self.prev_orig
-            prev[1:] = ts[:-1]
         mask = (prev + gd) > ts
         if self.lo == 0 and n:
             mask[0] = False
@@ -488,13 +369,13 @@ def _forward_pass(
                     pending_sends[int(cols[5][i])] = (value, st.rank, gidx)
                 else:
                     key = (st.rank, int(cols[2][i]), int(cols[3][i]))
-                    fifo_sends.setdefault(key, deque()).append((value, gidx))
+                    fifo_sends.setdefault(key, deque()).append((value, st.rank, gidx))
             else:
                 coll_pubs[(my_pub[gidx], st.rank)] = (value, gidx)
         st.pub_ptr = k
 
     def resolve_recv(st: _RankForward, i: int):
-        """The receive's dependency edge, ``None`` for no dep, or 'block'."""
+        """The receive's edge ``(corr, rank, idx)``, ``None`` for no dep, or 'block'."""
         cols = st.cols
         if id_mode:
             mid = int(cols[5][i])
@@ -510,7 +391,7 @@ def _forward_pass(
         key = (int(cols[2][i]), st.rank, int(cols[3][i]))
         q = fifo_sends.get(key)
         if q:
-            return q.popleft() + (key[0],)  # (corr, idx, src)
+            return q.popleft()
         src = key[0]
         if src not in states or states[src].finished:
             return None
@@ -555,14 +436,7 @@ def _forward_pass(
                 if edge == "block":
                     publish_upto(st)
                     return progress
-                if edge is None:
-                    edges = []
-                else:
-                    if id_mode:
-                        s_corr, s_rank, s_idx = edge
-                    else:
-                        s_corr, s_idx, s_rank = edge
-                    edges = [(s_corr, s_rank, s_idx)]
+                edges = [] if edge is None else [edge]
             else:
                 needed = my_exits[gidx]
                 edges = []
@@ -704,7 +578,7 @@ def streaming_clc_correct(
     reader = chunked.reader
     tele = ensure_telemetry(telemetry)
     resident = _Resident(tele)
-    lmin_fn = _pair_lmin(lmin)
+    lmin_fn = pair_lmin(lmin)
     id_mode = _id_mode(reader)
     out_dir = Path(out_dir)
 
@@ -712,8 +586,9 @@ def streaming_clc_correct(
         tmpdir = Path(tmp)
         with tele.span("sync.stream.prescan"):
             if include_collectives:
-                per_instance = _accumulate_collectives(chunked, resident)
-                publish, exit_deps, consumers = _collective_deps(per_instance)
+                publish, exit_deps, consumers = _collective_deps(
+                    _accumulate_collectives(chunked, resident)
+                )
             else:
                 publish, exit_deps, consumers = {}, {}, {}
         shard_starts = {
@@ -738,11 +613,8 @@ def streaming_clc_correct(
                     if states[rank].jumps:
                         _backward_pass(states[rank], window, caps, resident, tele)
 
-        # Finalize: statistics with boundary carries + sharded output.
-        corrected_events = 0
-        max_shift = 0.0
-        distortion = 0.0
-        growth = 0.0
+        # Finalize: statistics + sharded output.
+        stats = ClcStats()
         out_meta = dict(chunked.meta)
         out_meta["clc"] = {"gamma": gamma, "window": window, "jumps": njumps}
         writer = ShardedTraceWriter(
@@ -754,30 +626,10 @@ def streaming_clc_correct(
             for rank in chunked.ranks:
                 writer.register_rank(rank)
                 st = states[rank]
-                prev_orig_last = prev_corr_last = None
                 for si, (rec, cols) in enumerate(chunked.iter_shards(rank)):
                     resident.load(rec.events)
-                    orig = np.asarray(cols[0], dtype=np.float64)
                     corr = np.load(st.fwd_paths[si])
-                    shift = corr - orig
-                    corrected_events += int(np.count_nonzero(shift > 1e-15))
-                    if shift.size:
-                        max_shift = max(max_shift, float(shift.max()))
-                    if prev_orig_last is not None and rec.events:
-                        d_o = orig[0] - prev_orig_last
-                        d_c = corr[0] - prev_corr_last
-                        change = abs(d_c - d_o)
-                        growth = max(growth, float(change))
-                        distortion = max(distortion, float(change / max(d_o, 1.0e-6)))
-                    if rec.events > 1:
-                        d_orig = np.diff(orig)
-                        change = np.abs(np.diff(corr) - d_orig)
-                        growth = max(growth, float(change.max()))
-                        rel = change / np.maximum(d_orig, 1.0e-6)
-                        distortion = max(distortion, float(rel.max()))
-                    if rec.events:
-                        prev_orig_last = orig[-1]
-                        prev_corr_last = corr[-1]
+                    stats.add(np.asarray(cols[0], dtype=np.float64), corr, continues=si > 0)
                     writer.append_batch(
                         rank, corr, cols[1], cols[2], cols[3], cols[4], cols[5]
                     )
@@ -786,16 +638,8 @@ def streaming_clc_correct(
         if tele.enabled:
             tele.count("sync.stream.shards_written", writer._seq)
 
-    out = ChunkedTrace(ShardedTraceReader(out_dir))
-    return ClcResult(
-        trace=out,
-        corrected_events=corrected_events,
-        total_events=chunked.total_events(),
-        jumps=njumps,
-        max_jump=max_jump,
-        max_shift=max_shift,
-        interval_distortion=distortion,
-        max_interval_growth=growth,
+    return stats.result(
+        ChunkedTrace(ShardedTraceReader(out_dir)), chunked.total_events(), njumps, max_jump
     )
 
 
@@ -819,7 +663,7 @@ def streaming_scan_trace(
     reader = chunked.reader
     tele = ensure_telemetry(telemetry)
     resident = _Resident(tele)
-    lmin_fn = _pair_lmin(lmin)
+    lmin_fn = pair_lmin(lmin)
     id_mode = _id_mode(reader)
     ranks = chunked.ranks
 
@@ -831,8 +675,7 @@ def streaming_scan_trace(
     unmatched: dict[int, list[int]] = {r: [] for r in ranks}
     violators: list[tuple[int, int]] = []  # (dst rank, recv ordinal in rank)
     worst = 0.0
-    enters: dict[int, dict[int, tuple[int, float]]] = {r: {} for r in ranks}
-    exits: dict[int, list[tuple[int, float, int, int, int]]] = {r: [] for r in ranks}
+    coll_rows: dict[int, list] = {r: [] for r in ranks}
 
     def emit(sts: float, src: int, rts: float, dst: int, r_ord: int) -> None:
         nonlocal worst
@@ -852,11 +695,10 @@ def streaming_scan_trace(
                 rec = per_rank[rank][si]
                 ts, et, a, b, _, d = reader.load_shard(rec)
                 resident.load(rec.events)
+                if include_collectives:
+                    coll_rows[rank].append(collective_rows(rec.start, ts, et, a, b, d))
                 et_arr = np.asarray(et)
-                msg_pos = np.nonzero(
-                    (et_arr == _SEND) | (et_arr == _RECV)
-                    | (et_arr == _CENT) | (et_arr == _CEXIT)
-                )[0]
+                msg_pos = np.nonzero((et_arr == _SEND) | (et_arr == _RECV))[0]
                 r_ord = recv_seen[rank]
                 for i in msg_pos:
                     code = int(et_arr[i])
@@ -877,7 +719,7 @@ def streaming_scan_trace(
                                 emit(t_i, rank, rts, key[1], ro)
                             else:
                                 fifo_sends.setdefault(key, deque()).append(t_i)
-                    elif code == _RECV:
+                    else:
                         t_i = float(ts[i])
                         if id_mode:
                             mid = int(d[i])
@@ -898,15 +740,6 @@ def streaming_scan_trace(
                             else:
                                 fifo_parked.setdefault(key, deque()).append((t_i, r_ord))
                         r_ord += 1
-                    elif code == _CENT:
-                        if include_collectives:
-                            enters[rank][int(d[i])] = (rec.start + int(i), float(ts[i]))
-                    else:
-                        if include_collectives:
-                            exits[rank].append(
-                                (rec.start + int(i), float(ts[i]), int(d[i]),
-                                 int(a[i]), int(b[i]))
-                            )
                 recv_seen[rank] = r_ord
                 resident.release(rec.events)
 
@@ -935,25 +768,8 @@ def streaming_scan_trace(
     )
     out = {"p2p": p2p}
     if include_collectives:
-        per_instance: dict[int, dict[int, list]] = {}
-        for rank in ranks:
-            open_by_instance = dict(enters[rank])
-            for idx, ts_val, inst, op, root in exits[rank]:
-                if inst not in open_by_instance:
-                    raise TraceError(
-                        f"rank {rank}: COLL_EXIT for instance {inst} without COLL_ENTER"
-                    )
-                e_idx, e_ts = open_by_instance.pop(inst)
-                per_instance.setdefault(inst, {})[rank] = [e_ts, ts_val, e_idx, idx, op, root]
-            if open_by_instance:
-                raise TraceError(
-                    f"rank {rank}: unclosed collective instances {sorted(open_by_instance)}"
-                )
-        logical = logical_messages(_collective_table(per_instance))
-        report = scan_messages(logical, lmin)
-        out["collective"] = ViolationReport(
-            "collective", report.checked, report.violated, report.indices, report.worst
-        )
+        logical = logical_messages(pair_collectives(coll_rows))
+        out["collective"] = replace(scan_messages(logical, lmin), kind="collective")
     return out
 
 

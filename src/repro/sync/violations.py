@@ -19,7 +19,8 @@ Fig. 7's front row), a scalar, a per-rank-pair matrix, or a callable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -32,6 +33,7 @@ from repro.tracing.trace import MessageTable, Trace
 __all__ = [
     "LminSpec",
     "resolve_lmin",
+    "pair_lmin",
     "ViolationReport",
     "PompRegionReport",
     "scan_messages",
@@ -78,6 +80,20 @@ def resolve_lmin(lmin: LminSpec, src: np.ndarray, dst: np.ndarray) -> np.ndarray
             raise ConfigurationError("l_min matrix must be 2-D (nranks x nranks)")
         return lmin[src, dst].astype(np.float64)
     return np.full(src.shape, float(lmin))
+
+
+def pair_lmin(lmin: LminSpec) -> Callable[[int, int], float]:
+    """Scalar ``l_min(src, dst)`` for the event-by-event passes.
+
+    The scalar counterpart of :func:`resolve_lmin`: a callable or matrix
+    spec is read once per rank pair and remembered.
+    """
+    if callable(lmin):
+        return lru_cache(maxsize=None)(lambda s, d: float(lmin(s, d)))
+    if isinstance(lmin, np.ndarray):
+        return lru_cache(maxsize=None)(lambda s, d: float(lmin[s, d]))
+    value = float(lmin)
+    return lambda s, d: value
 
 
 def lmin_matrix_from_trace(trace: Trace, latency_model) -> np.ndarray:
@@ -157,11 +173,7 @@ def scan_collectives(trace: Trace, lmin: LminSpec = 0.0) -> tuple[ViolationRepor
     (callers often need both, e.g. Fig. 7 counts logical messages too).
     """
     logical = logical_messages(trace.collectives())
-    report = scan_messages(logical, lmin)
-    return (
-        ViolationReport("collective", report.checked, report.violated, report.indices, report.worst),
-        logical,
-    )
+    return replace(scan_messages(logical, lmin), kind="collective"), logical
 
 
 def scan_trace(

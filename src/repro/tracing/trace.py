@@ -111,12 +111,31 @@ class CollectiveRecord:
 
 
 class CollectiveTable:
-    """All collective instances of a trace, grouped by instance id."""
+    """All collective instances of a trace, as columns.
 
-    __slots__ = ("records",)
+    Instances are stored ascending by instance id with their members
+    ascending by rank: ``instance``/``op``/``root`` hold one value per
+    instance, ``ranks``/``enter_ts``/``exit_ts``/``enter_idx``/
+    ``exit_idx`` one per member, and instance ``k``'s members occupy
+    ``starts[k]:starts[k + 1]`` of the member columns.  Iteration and
+    indexing yield :class:`CollectiveRecord` row views.
+    """
 
-    def __init__(self, records: list[CollectiveRecord]) -> None:
-        self.records = records
+    __slots__ = (
+        "instance", "op", "root", "starts",
+        "ranks", "enter_ts", "exit_ts", "enter_idx", "exit_idx",
+    )
+
+    def __init__(self, instance, op, root, starts, ranks, enter_ts, exit_ts, enter_idx, exit_idx):
+        self.instance = np.asarray(instance, dtype=np.int64)
+        self.op = np.asarray(op, dtype=np.int64)
+        self.root = np.asarray(root, dtype=np.int64)
+        self.starts = np.asarray(starts, dtype=np.int64)
+        self.ranks = np.asarray(ranks, dtype=np.int64)
+        self.enter_ts = np.asarray(enter_ts, dtype=np.float64)
+        self.exit_ts = np.asarray(exit_ts, dtype=np.float64)
+        self.enter_idx = np.asarray(enter_idx, dtype=np.int64)
+        self.exit_idx = np.asarray(exit_idx, dtype=np.int64)
 
     def with_timestamps(self, timestamps: dict[int, np.ndarray]) -> "CollectiveTable":
         """The same instances with enter/exit times re-read from ``timestamps``.
@@ -126,46 +145,102 @@ class CollectiveTable:
         gets its table from one gather per rank instead of a second
         walk over every collective event.
         """
-        if not self.records:
-            return CollectiveTable([])
-        ranks = np.concatenate([rec.ranks for rec in self.records])
-        enter_idx = np.concatenate([rec.enter_idx for rec in self.records])
-        exit_idx = np.concatenate([rec.exit_idx for rec in self.records])
-        enter_ts = np.empty(ranks.size, dtype=np.float64)
-        exit_ts = np.empty(ranks.size, dtype=np.float64)
-        order = np.argsort(ranks, kind="stable")
-        members, starts = np.unique(ranks[order], return_index=True)
+        enter_ts = np.empty(self.ranks.size, dtype=np.float64)
+        exit_ts = np.empty(self.ranks.size, dtype=np.float64)
+        order = np.argsort(self.ranks, kind="stable")
+        members, starts = np.unique(self.ranks[order], return_index=True)
         for rank, sel in zip(members.tolist(), np.split(order, starts[1:])):
             ts = timestamps[rank]
-            enter_ts[sel] = ts[enter_idx[sel]]
-            exit_ts[sel] = ts[exit_idx[sel]]
-        records = []
-        pos = 0
-        for rec in self.records:
-            end = pos + rec.ranks.size
-            records.append(
-                CollectiveRecord(
-                    instance=rec.instance,
-                    op=rec.op,
-                    root=rec.root,
-                    ranks=rec.ranks,
-                    enter_ts=enter_ts[pos:end],
-                    exit_ts=exit_ts[pos:end],
-                    enter_idx=rec.enter_idx,
-                    exit_idx=rec.exit_idx,
-                )
-            )
-            pos = end
-        return CollectiveTable(records)
+            enter_ts[sel] = ts[self.enter_idx[sel]]
+            exit_ts[sel] = ts[self.exit_idx[sel]]
+        return CollectiveTable(
+            self.instance, self.op, self.root, self.starts,
+            self.ranks, enter_ts, exit_ts, self.enter_idx, self.exit_idx,
+        )
 
     def __len__(self) -> int:
-        return len(self.records)
+        return self.instance.size
 
     def __iter__(self) -> Iterator[CollectiveRecord]:
-        return iter(self.records)
+        return (self[k] for k in range(len(self)))
 
-    def __getitem__(self, i: int) -> CollectiveRecord:
-        return self.records[i]
+    def __getitem__(self, k: int) -> CollectiveRecord:
+        k = range(len(self))[k]  # negative indices, IndexError past the end
+        lo, hi = self.starts[k], self.starts[k + 1]
+        return CollectiveRecord(
+            instance=int(self.instance[k]),
+            op=CollectiveOp(int(self.op[k])),
+            root=int(self.root[k]),
+            ranks=self.ranks[lo:hi],
+            enter_ts=self.enter_ts[lo:hi],
+            exit_ts=self.exit_ts[lo:hi],
+            enter_idx=self.enter_idx[lo:hi],
+            exit_idx=self.exit_idx[lo:hi],
+        )
+
+
+_COLL_ENTER = int(EventType.COLL_ENTER)
+_COLL_EXIT = int(EventType.COLL_EXIT)
+
+
+def collective_rows(start: int, ts, etypes, a, b, d) -> tuple[np.ndarray, ...]:
+    """The collective enter/exit events of one log slice, as columns.
+
+    ``start`` is the log index of the slice's first event.  Returns
+    ``(is_exit, log index, timestamp, instance, op, root)`` — what
+    :func:`pair_collectives` needs of a log, small enough to keep while
+    the shards of an out-of-core trace stream by.
+    """
+    ts, etypes, a, b, d = map(np.asarray, (ts, etypes, a, b, d))
+    sel = np.flatnonzero((etypes == _COLL_ENTER) | (etypes == _COLL_EXIT))
+    return etypes[sel] == _COLL_EXIT, sel + start, ts[sel], d[sel], a[sel], b[sel]
+
+
+def pair_collectives(rows: dict[int, list[tuple[np.ndarray, ...]]]) -> CollectiveTable:
+    """Pair every rank's collective enters and exits into instances.
+
+    ``rows[rank]`` lists the :func:`collective_rows` of that rank's log
+    slices in log order (one slice for an in-memory log, one per shard
+    of a streamed one).  Per rank, every ``COLL_ENTER`` is seen before
+    any exit and a repeated instance id keeps its *last* enter; exits
+    then claim their instance's enter in log order.  An instance's op
+    and root are those recorded by its lowest member rank.
+    """
+    # Per rank: (instance, rank, enter_ts, exit_ts, enter_idx, exit_idx, op, root).
+    members = [(np.empty(0, dtype=np.int64),) * 8]
+    for rank in sorted(rows):
+        if not rows[rank]:
+            continue
+        is_exit, idx, ts, inst, op, root = (np.concatenate(c) for c in zip(*rows[rank]))
+        enters = np.flatnonzero(~is_exit)
+        exits = np.flatnonzero(is_exit)
+        open_by_instance = dict(zip(inst[enters].tolist(), enters.tolist()))
+        claimed = []
+        for i in inst[exits].tolist():
+            if i not in open_by_instance:
+                raise TraceError(f"rank {rank}: COLL_EXIT for instance {i} without COLL_ENTER")
+            claimed.append(open_by_instance.pop(i))
+        if open_by_instance:
+            raise TraceError(
+                f"rank {rank}: unclosed collective instances {sorted(open_by_instance)}"
+            )
+        claimed = np.array(claimed, dtype=np.int64)
+        members.append((
+            inst[exits], np.full(exits.size, rank), ts[claimed], ts[exits],
+            idx[claimed], idx[exits], op[exits], root[exits],
+        ))
+    inst, ranks, enter_ts, exit_ts, enter_idx, exit_idx, op, root = (
+        np.concatenate(c) for c in zip(*members)
+    )
+    # Ranks were visited ascending, so a stable sort on the instance id
+    # leaves every instance's members ascending by rank.
+    order = np.argsort(inst, kind="stable")
+    instance, starts = np.unique(inst[order], return_index=True)
+    first = order[starts]
+    return CollectiveTable(
+        instance, op[first], root[first], np.append(starts, inst.size),
+        ranks[order], enter_ts[order], exit_ts[order], enter_idx[order], exit_idx[order],
+    )
 
 
 class Trace:
@@ -400,68 +475,15 @@ class Trace:
         if self._collectives is None or refresh:
             structure = None if refresh else self.__dict__.get("_collective_structure")
             if structure is None:
-                self._collectives = self._extract_collectives()
+                self._collectives = pair_collectives({
+                    rank: [collective_rows(0, log.timestamps, log.etypes, log.a, log.b, log.d)]
+                    for rank, log in self.logs.items()
+                })
             else:
                 self._collectives = structure.with_timestamps(
                     {rank: log.timestamps for rank, log in self.logs.items()}
                 )
         return self._collectives
-
-    def _extract_collectives(self) -> CollectiveTable:
-        # instance -> {rank: (enter_ts, exit_ts, enter_idx, exit_idx, op, root)}
-        per_instance: dict[int, dict[int, list]] = {}
-        for rank in self.ranks:
-            log = self.logs[rank]
-            ts = log.timestamps
-            enters = log.select(EventType.COLL_ENTER)
-            exits = log.select(EventType.COLL_EXIT)
-            open_by_instance: dict[int, int] = {}
-            for i in enters:
-                inst = int(log.d[i])
-                open_by_instance[inst] = int(i)
-            for i in exits:
-                inst = int(log.d[i])
-                if inst not in open_by_instance:
-                    raise TraceError(
-                        f"rank {rank}: COLL_EXIT for instance {inst} without COLL_ENTER"
-                    )
-                e_idx = open_by_instance.pop(inst)
-                entry = per_instance.setdefault(inst, {})
-                entry[rank] = [
-                    float(ts[e_idx]),
-                    float(ts[i]),
-                    e_idx,
-                    int(i),
-                    int(log.a[i]),
-                    int(log.b[i]),
-                ]
-            if open_by_instance:
-                raise TraceError(
-                    f"rank {rank}: unclosed collective instances {sorted(open_by_instance)}"
-                )
-        records = []
-        for inst in sorted(per_instance):
-            members = per_instance[inst]
-            ranks = np.array(sorted(members), dtype=np.int64)
-            enter_ts = np.array([members[r][0] for r in ranks], dtype=np.float64)
-            exit_ts = np.array([members[r][1] for r in ranks], dtype=np.float64)
-            enter_idx = np.array([members[r][2] for r in ranks], dtype=np.int64)
-            exit_idx = np.array([members[r][3] for r in ranks], dtype=np.int64)
-            op = CollectiveOp(members[int(ranks[0])][4])
-            root = members[int(ranks[0])][5]
-            records.append(
-                CollectiveRecord(
-                    instance=inst,
-                    op=op,
-                    root=root,
-                    ranks=ranks,
-                    enter_ts=enter_ts,
-                    exit_ts=exit_ts,
-                    enter_idx=enter_idx,
-                    exit_idx=exit_idx,
-                )
-            )
-        return CollectiveTable(records)
 
     # ------------------------------------------------------------------
     def slice(self, t0: float, t1: float) -> "Trace":

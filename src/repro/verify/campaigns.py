@@ -58,6 +58,8 @@ _TRACE_CORE = (
     "kernel_reference_identity",
     "trace_roundtrip",
 )
+# Probes are seeded by position: new ones go last so older ones keep theirs.
+_EDGES = (("adversarial", "collective_edges_match_reference"),)
 
 CAMPAIGNS: dict[str, Campaign] = {}
 
@@ -70,13 +72,15 @@ def _campaign(name: str, description: str, probes: tuple[Probe, ...],
 _campaign(
     "smoke",
     "quick cross-section: one probe per invariant family",
-    _cross("adversarial", _TRACE_CORE) + (("quantization", "clock_quantization"),),
+    _cross("adversarial", _TRACE_CORE) + (("quantization", "clock_quantization"),)
+    + _EDGES,
 )
 _campaign(
     "clc",
     "deep CLC invariants: condition, ordering, idempotence, kernels",
     _cross("adversarial", _TRACE_CORE + ("correction_idempotence",))
-    + _cross("mixed", ("custom_dependency_identity",)),
+    + _cross("mixed", ("custom_dependency_identity",))
+    + _EDGES,
 )
 _campaign(
     "interpolation",
@@ -146,7 +150,8 @@ _campaign(
     "probes used by benchmarks/check_oracles.py to catch injected mutants",
     _cross("p2p", ("clock_condition_post_clc", "kernel_reference_identity"))
     + _cross("mixed", ("kernel_reference_identity",))
-    + (("quantization", "clock_quantization"),),
+    + (("quantization", "clock_quantization"),)
+    + (("collectives", "collective_edges_match_reference"),),
 )
 _campaign(
     "full",

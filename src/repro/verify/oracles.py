@@ -42,10 +42,11 @@ from repro.sync.clc import (
 from repro.sync.interpolation import ClockCorrection, linear_interpolation
 from repro.sync.lamport import lamport_clocks, lamport_clocks_reference
 from repro.sync.offset import OffsetMeasurement
-from repro.sync.order import build_dependencies, replay_schedule
+from repro.sync.order import build_dependencies, dependency_edges, replay_schedule
 from repro.sync.replay import replay_correct
 from repro.sync.vector import vector_clocks, vector_clocks_reference
 from repro.sync.violations import scan_collectives, scan_messages, scan_pomp, scan_trace
+from repro.tracing.events import COLLECTIVE_FLAVORS, CollectiveFlavor
 from repro.tracing.reader import read_trace, read_trace_dir
 from repro.tracing.trace import Trace
 from repro.tracing.writer import write_trace, write_trace_dir
@@ -66,6 +67,8 @@ __all__ = [
     "assert_scalar_matches_vector",
     "assert_batch_matches_engine",
     "assert_streamed_matches_inmemory",
+    "collective_pairs_reference",
+    "dependency_edges_reference",
 ]
 
 
@@ -314,6 +317,77 @@ def _kernel_reference_identity(case: TraceCase) -> None:
     assert_logical_clocks_match_reference(trace)
     assert_topo_matches_replay(trace)
     assert_replay_matches_direct(trace, lmin)
+
+
+def collective_pairs_reference(rec) -> list[tuple[int, list[int]]]:
+    """Scalar flavor rule: ``(receiver position, sender positions)`` per
+    constrained member of one collective instance.
+
+    The ``senders`` branches ``build_dependencies`` had before
+    :mod:`repro.sync.collectives_map` owned the expansion, kept so the
+    shared expansion is checked against a second spelling of the rule.
+    """
+    flavor = COLLECTIVE_FLAVORS[rec.op]
+    n = rec.ranks.size
+    if n < 2:
+        return []
+    root_pos = (
+        int(np.nonzero(rec.ranks == rec.root)[0][0])
+        if flavor is not CollectiveFlavor.N_TO_N
+        else -1
+    )
+    out = []
+    for i in range(n):
+        if flavor is CollectiveFlavor.ONE_TO_N:
+            senders = [root_pos] if i != root_pos else []
+        elif flavor is CollectiveFlavor.N_TO_ONE:
+            senders = [j for j in range(n) if j != i] if i == root_pos else []
+        elif flavor is CollectiveFlavor.PREFIX:
+            senders = list(range(i))  # lower ranks only (MPI_Scan)
+        else:
+            senders = [j for j in range(n) if j != i]
+        if senders:
+            out.append((i, senders))
+    return out
+
+
+def dependency_edges_reference(trace: Trace, include_collectives: bool = True) -> list[tuple]:
+    """Event-by-event ``(dst_rank, dst_idx, src_rank, src_idx)`` edges —
+    the pre-edge-table ``build_dependencies`` loops, flattened."""
+    messages = trace.messages(strict=False)
+    edges = [
+        (int(messages.dst[k]), int(messages.recv_idx[k]),
+         int(messages.src[k]), int(messages.send_idx[k]))
+        for k in range(len(messages))
+    ]
+    if include_collectives:
+        for rec in trace.collectives():
+            for i, senders in collective_pairs_reference(rec):
+                edges.extend(
+                    (int(rec.ranks[i]), int(rec.exit_idx[i]),
+                     int(rec.ranks[j]), int(rec.enter_idx[j]))
+                    for j in senders
+                )
+    return edges
+
+
+@oracle(
+    "collective_edges_match_reference",
+    "The happened-before edge table (messages + the shared collective "
+    "expansion) equals the scalar flavor rule's edges, one for one and "
+    "in order, with and without collectives.",
+    {"trace"},
+)
+def _collective_edges_match_reference(case: TraceCase) -> None:
+    for include_collectives in (True, False):
+        want = dependency_edges_reference(case.trace, include_collectives)
+        columns = dependency_edges(case.trace, include_collectives)
+        got = list(zip(*(column.tolist() for column in columns)))
+        _require(
+            got == want,
+            f"dependency_edges(include_collectives={include_collectives}) diverges "
+            f"from the scalar flavor rule ({len(got)} vs {len(want)} edges)",
+        )
 
 
 @oracle(

@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import SynchronizationError
-from repro.sync.clc import ControlledLogicalClock, amortize_segment
+from repro.sync.clc import ClcStats, ControlledLogicalClock, amortize_segment
 from repro.sync.collectives_map import logical_messages
 from repro.sync.violations import scan_collectives, scan_messages
 from repro.telemetry import TelemetryRecorder
@@ -339,6 +339,31 @@ class TestAmortizeSegment:
         same, carry = amortize_segment(head, (ks, js, times[ks]), 5.0)
         assert same is head
         assert carry == (0.0, 0.0, 0.0)
+
+
+class TestClcStats:
+    @given(
+        st.lists(st.floats(0.0, 1e-3), min_size=1, max_size=40),
+        st.lists(st.floats(0.0, 1e-4), min_size=40, max_size=40),
+        st.lists(st.integers(0, 40), max_size=6),
+    )
+    def test_any_split_into_segments_is_the_whole_rank(self, gaps, shifts, cuts):
+        """Fed shard by shard (empty shards included) the accumulator
+        reports what it reports for the whole log — the interval across
+        every boundary is counted once — and a new rank starts afresh."""
+        original = np.cumsum(gaps)
+        corrected = original + np.asarray(shifts[: original.size])
+        other = (np.array([0.0, 5.0]), np.array([4.0, 5.0]))
+        whole, pieces = ClcStats(), ClcStats()
+        for stats in (whole, pieces):
+            stats.add(*other)
+        whole.add(original, corrected)
+        bounds = [0, *sorted(min(c, original.size) for c in cuts), original.size]
+        for k, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+            pieces.add(original[lo:hi], corrected[lo:hi], continues=k > 0)
+        for field in ("corrected_events", "max_shift", "interval_distortion",
+                      "max_interval_growth"):
+            assert getattr(pieces, field) == getattr(whole, field), field
 
 
 class TestClcProperty:

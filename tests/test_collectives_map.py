@@ -4,10 +4,21 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from conftest import examples
 from repro.sync.collectives_map import logical_messages
-from repro.tracing.events import CollectiveOp, EventLog, EventType
-from repro.tracing.trace import Trace
+from repro.sync.order import build_dependencies, dependency_edges
+from repro.tracing.events import (
+    COLLECTIVE_FLAVORS,
+    CollectiveFlavor,
+    CollectiveOp,
+    EventLog,
+    EventType,
+)
+from repro.tracing.trace import MessageTable, Trace
+from repro.verify.oracles import dependency_edges_reference
 
 
 def collective_trace(op, root, enter, exit_):
@@ -113,3 +124,136 @@ class TestEdgeCases:
         recv_ev = trace.logs[m.dst][m.recv_idx]
         assert send_ev.etype == EventType.COLL_ENTER
         assert recv_ev.etype == EventType.COLL_EXIT
+
+
+# ----------------------------------------------------------------------
+# The shared expansion against the scalar loops it replaced
+# ----------------------------------------------------------------------
+def logical_messages_reference(collectives) -> MessageTable:
+    """The per-member loop ``logical_messages`` was before the shared
+    expansion, kept as the oracle.  One word differs: the N-to-N sort is
+    ``kind="stable"``, which *defines* the tie rule (the default sort's
+    order among equal enters depends on the CPU's SIMD dispatch)."""
+    src_l, dst_l, sts_l, rts_l, sidx_l, ridx_l = ([] for _ in range(6))
+
+    def emit(rec, j, i):
+        src_l.append(int(rec.ranks[j]))
+        dst_l.append(int(rec.ranks[i]))
+        sts_l.append(float(rec.enter_ts[j]))
+        rts_l.append(float(rec.exit_ts[i]))
+        sidx_l.append(int(rec.enter_idx[j]))
+        ridx_l.append(int(rec.exit_idx[i]))
+
+    for rec in collectives:
+        flavor = COLLECTIVE_FLAVORS[rec.op]
+        n = rec.ranks.size
+        if n < 2:
+            continue
+        enter = rec.enter_ts
+        if flavor is CollectiveFlavor.ONE_TO_N:
+            pos = int(np.nonzero(rec.ranks == rec.root)[0][0])
+            for i in range(n):
+                if i != pos:
+                    emit(rec, pos, i)
+        elif flavor is CollectiveFlavor.N_TO_ONE:
+            pos = int(np.nonzero(rec.ranks == rec.root)[0][0])
+            for i in range(n):
+                if i != pos:
+                    emit(rec, i, pos)
+        elif flavor is CollectiveFlavor.PREFIX:
+            best = 0
+            for i in range(1, n):
+                if enter[i - 1] > enter[best]:
+                    best = i - 1
+                emit(rec, best, i)
+        else:  # N_TO_N
+            order = np.argsort(enter, kind="stable")
+            top, second = int(order[-1]), int(order[-2])
+            for i in range(n):
+                emit(rec, second if i == top else top, i)
+
+    if not src_l:
+        return MessageTable.empty()
+    zeros = np.zeros(len(src_l), dtype=np.int64)
+    return MessageTable(
+        np.array(src_l), np.array(dst_l), zeros, zeros,
+        np.array(sts_l), np.array(rts_l), np.array(sidx_l), np.array(ridx_l),
+    )
+
+
+def assert_tables_equal(got: MessageTable, want: MessageTable) -> None:
+    for column in MessageTable.__slots__:
+        a, b = getattr(got, column), getattr(want, column)
+        assert a.dtype == b.dtype and a.tolist() == b.tolist(), column
+
+
+@st.composite
+def structured_traces(draw):
+    """Sub-communicator collectives of every flavor over up to 20 ranks,
+    tie-prone timestamps, and point-to-point traffic with dropped ends."""
+    nranks = draw(st.integers(1, 20))
+    with_ids = draw(st.booleans())
+    stamp = st.sampled_from([0.0, 1.0, 2.0])  # three values: ties everywhere
+    logs = {rank: EventLog() for rank in range(nranks)}
+    items = draw(st.lists(st.sampled_from(["collective", "message"]), max_size=8))
+    for k, item in enumerate(items):
+        if item == "collective":
+            members = draw(st.lists(st.integers(0, nranks - 1), min_size=1,
+                                    max_size=nranks, unique=True))
+            op = int(draw(st.sampled_from(sorted(CollectiveOp, key=int))))
+            root = draw(st.sampled_from(members))
+            for rank in members:
+                logs[rank].append(draw(stamp), EventType.COLL_ENTER, op, root, len(members), k)
+            for rank in members:
+                logs[rank].append(draw(stamp), EventType.COLL_EXIT, op, root, len(members), k)
+        else:
+            src, dst = draw(st.integers(0, nranks - 1)), draw(st.integers(0, nranks - 1))
+            tag = draw(st.integers(0, 1))
+            kept = draw(st.sampled_from(["both", "both", "send", "recv"]))
+            mid = k if with_ids else -1
+            if kept != "recv":
+                logs[src].append(draw(stamp), EventType.SEND, dst, tag, 8, mid)
+            if kept != "send":
+                logs[dst].append(draw(stamp), EventType.RECV, src, tag, 8, mid)
+    return Trace(logs)
+
+
+class TestAgainstScalarReferences:
+    @examples(200)
+    @given(structured_traces(), st.booleans())
+    def test_edges_and_logical_messages_match(self, trace, include_collectives):
+        want = dependency_edges_reference(trace, include_collectives)
+        columns = dependency_edges(trace, include_collectives)
+        assert all(column.dtype == np.int64 for column in columns)
+        assert list(zip(*(column.tolist() for column in columns))) == want
+        as_dict: dict = {}
+        for *ref, src_rank, src_idx in want:
+            as_dict.setdefault(tuple(ref), []).append((src_rank, src_idx))
+        assert list(build_dependencies(trace, include_collectives).items()) == (
+            list(as_dict.items())
+        )
+        table = trace.collectives()
+        assert_tables_equal(logical_messages(table), logical_messages_reference(table))
+
+    @pytest.mark.parametrize("n", [2, 3, 16, 17, 64])
+    def test_tie_rule(self, n):
+        """N-to-N: among equally late enters the highest member position
+        binds (runner-up likewise); prefix: the lowest."""
+        for late in ([n - 1], [0], list(range(n)), [0, n // 2], [n // 2, n - 1]):
+            enter = [5.0 if i in late else 1.0 for i in range(n)]
+            barrier = collective_trace(CollectiveOp.BARRIER, 0, enter, [9.0] * n).collectives()
+            got = logical_messages(barrier)
+            others = [[j for j in range(n) if j != i] for i in range(n)]
+            want = [
+                max(js, key=lambda j: (enter[j], j)) for js in others
+            ]
+            assert got.dst.tolist() == list(range(n))
+            assert got.src.tolist() == want
+            assert_tables_equal(got, logical_messages_reference(barrier))
+
+            scan = collective_trace(CollectiveOp.SCAN, 0, enter, [9.0] * n).collectives()
+            got = logical_messages(scan)
+            assert got.src.tolist() == [
+                max(range(i), key=lambda j: (enter[j], -j)) for i in range(1, n)
+            ]
+            assert_tables_equal(got, logical_messages_reference(scan))

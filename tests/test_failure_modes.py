@@ -85,6 +85,54 @@ class TestTruncatedTraces:
         assert result.jumps == 1
 
 
+class TestForeignCollectiveRoot:
+    """A rooted collective whose root is not among its members (a
+    sliced, foreign or uploaded trace) is one ``TraceError`` naming the
+    instance on every path — not an ``IndexError`` in memory and a
+    silently wrong root when streaming."""
+
+    @staticmethod
+    def trace(op):
+        logs = {}
+        for rank in (0, 1, 2):
+            log = EventLog()
+            log.append(1.0 + rank, EventType.COLL_ENTER, int(op), 7, 3, 4)
+            log.append(5.0 + rank, EventType.COLL_EXIT, int(op), 7, 3, 4)
+            logs[rank] = log
+        return Trace(logs)
+
+    @pytest.mark.parametrize("op", ["BCAST", "SCATTER", "REDUCE", "GATHER", "SCAN"])
+    def test_all_four_paths_raise_the_same_trace_error(self, op, tmp_path):
+        from repro.sync.clc import ControlledLogicalClock
+        from repro.sync.streaming import streaming_clc_correct, streaming_scan_trace
+        from repro.sync.violations import scan_collectives
+        from repro.tracing.events import CollectiveOp
+        from repro.tracing.store import write_sharded_trace
+
+        trace = self.trace(CollectiveOp[op])
+        shards = tmp_path / "shards"
+        write_sharded_trace(trace, shards, shard_events=1)
+        message = rf"instance 4 \({op}\): root 7 is not among its members"
+        for attempt in (
+            lambda: scan_collectives(trace),
+            lambda: ControlledLogicalClock().correct(trace),
+            lambda: streaming_scan_trace(shards),
+            lambda: streaming_clc_correct(shards, tmp_path / "out"),
+        ):
+            with pytest.raises(TraceError, match=message):
+                attempt()
+
+    def test_unrooted_and_single_member_instances_ignore_the_root(self):
+        from repro.sync.clc import ControlledLogicalClock
+        from repro.tracing.events import CollectiveOp
+
+        assert ControlledLogicalClock().correct(self.trace(CollectiveOp.BARRIER)).jumps == 0
+        log = EventLog()
+        log.append(1.0, EventType.COLL_ENTER, int(CollectiveOp.BCAST), 7, 1, 0)
+        log.append(2.0, EventType.COLL_EXIT, int(CollectiveOp.BCAST), 7, 1, 0)
+        assert ControlledLogicalClock().correct(Trace({0: log})).jumps == 0
+
+
 class TestDeadlocks:
     def test_cyclic_blocking_receives(self):
         from repro.cluster import inter_node, xeon_cluster

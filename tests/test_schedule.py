@@ -13,6 +13,7 @@ them over its own trace generator.
 
 from __future__ import annotations
 
+import re
 import typing
 
 import numpy as np
@@ -134,6 +135,28 @@ class TestCompilation:
         trace = Trace({0: log})
         with pytest.raises(SynchronizationError, match="not an event"):
             CompiledSchedule.from_dependencies(trace, {(0, 0): [(0, 5)]})
+
+    @pytest.mark.parametrize(
+        "deps, named",
+        [
+            ({(99, 0): []}, "target (99, 0)"),  # checked without any source
+            ({(0, 0): [(2, 1)], (1, 0): []}, "target (1, 0)"),  # rank between known ranks
+            ({(0, -1): [(2, 0)]}, "target (0, -1)"),
+            ({(0, 0): [(3, 0)]}, "source (3, 0)"),  # rank above every known rank
+            # the first offender in dict order is the one named
+            ({(0, 0): [(2, 5)], (99, 0): []}, "source (2, 5)"),
+            ({(99, 0): [], (0, 0): [(2, 5)]}, "target (99, 0)"),
+            ({(0, 1): [(2, 5)], (7, 0): [(0, 0)]}, "source (2, 5)"),
+            ({(7, 0): [(2, 5)]}, "target (7, 0)"),
+        ],
+    )
+    def test_first_bad_dependency_is_named(self, deps, named):
+        logs = {0: EventLog(), 2: EventLog()}
+        for log in logs.values():
+            log.append(1.0, EventType.ENTER, 1, 0, 0, 0)
+            log.append(2.0, EventType.EXIT, 1, 0, 0, 0)
+        with pytest.raises(SynchronizationError, match=re.escape(f"dependency {named} is not")):
+            CompiledSchedule.from_dependencies(Trace(logs), deps)
 
     def test_trace_caches_schedule(self):
         trace = random_trace(0)

@@ -303,6 +303,34 @@ class TestFailures:
             manager.fetch(job.id)
         assert err.value.code == "sync_failed"
 
+    def test_foreign_collective_root_fails_once(self, tmp_path):
+        """An uploaded trace whose bcast root is not a member is a
+        deterministic trace error: failed after one attempt, not retried
+        ``max_attempts`` times and parked dead."""
+        from repro.service.application import execute_correction
+        from repro.tracing.events import CollectiveOp, EventLog, EventType
+        from repro.tracing.trace import Trace
+        from repro.tracing.writer import trace_to_jsonl
+
+        logs = {}
+        for rank in (0, 1):
+            log = EventLog()
+            log.append(1.0, EventType.COLL_ENTER, int(CollectiveOp.BCAST), 5, 2, 0)
+            log.append(2.0, EventType.COLL_EXIT, int(CollectiveOp.BCAST), 5, 2, 0)
+            logs[rank] = log
+        request = CorrectionRequest(
+            trace_inline=trace_to_jsonl(Trace(logs)), interpolation="none"
+        )
+        manager = _Manager(tmp_path / "work", executor=execute_correction, max_attempts=3)
+        job = manager.submit(request)
+        manager.step()
+        assert job.state is JobState.FAILED
+        assert job.error_code == "bad_trace"
+        assert job.attempts == 1 and len(manager.queue) == 0
+        assert "root 5 is not among its members" in (
+            manager.store.read_manifest(job.id)["error"]["message"]
+        )
+
     def test_crash_retries_then_dead_letters(self, tmp_path):
         def executor(request, job_dir):
             raise RuntimeError("segfault cosplay")

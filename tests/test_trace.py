@@ -7,6 +7,7 @@ import pytest
 
 from repro.errors import MatchingError, TraceError
 from repro.tracing.events import CollectiveOp, EventLog, EventType
+from repro.tracing import trace as trace_module
 from repro.tracing.trace import Trace
 
 
@@ -145,14 +146,47 @@ class TestCollectives:
     def test_unclosed_collective_rejected(self):
         log = EventLog()
         log.append(1.0, EventType.COLL_ENTER, int(CollectiveOp.BARRIER), 0, 2, 0)
-        with pytest.raises(TraceError):
+        with pytest.raises(TraceError, match=r"rank 0: unclosed collective instances \[0\]"):
             Trace({0: log}).collectives()
 
     def test_exit_without_enter_rejected(self):
         log = EventLog()
         log.append(1.0, EventType.COLL_EXIT, int(CollectiveOp.BARRIER), 0, 2, 0)
-        with pytest.raises(TraceError):
+        with pytest.raises(
+            TraceError, match="rank 0: COLL_EXIT for instance 0 without COLL_ENTER"
+        ):
             Trace({0: log}).collectives()
+
+    def test_pairing_is_the_same_for_a_log_and_for_its_slices(self):
+        """A repeated instance id keeps its last enter — even one logged
+        after the exit — and feeding the log slice by slice (as the
+        streaming passes do) pairs exactly like feeding it whole."""
+        barrier = int(CollectiveOp.BARRIER)
+        log = EventLog()
+        log.append(1.0, EventType.COLL_ENTER, barrier, 0, 1, 7)
+        log.append(2.0, EventType.COLL_ENTER, barrier, 0, 1, 3)
+        log.append(3.0, EventType.COLL_EXIT, barrier, 0, 1, 7)
+        log.append(4.0, EventType.COLL_ENTER, barrier, 0, 1, 7)
+        log.append(5.0, EventType.COLL_EXIT, barrier, 0, 1, 3)
+        cols = (log.timestamps, log.etypes, log.a, log.b, log.d)
+        whole = trace_module.pair_collectives(
+            {0: [trace_module.collective_rows(0, *cols)]}
+        )
+        sliced = trace_module.pair_collectives({0: [
+            trace_module.collective_rows(lo, *(c[lo:hi] for c in cols))
+            for lo, hi in ((0, 2), (2, 2), (2, 5))
+        ]})
+        for table in (whole, sliced, Trace({0: log}).collectives()):
+            assert table.instance.tolist() == [3, 7]
+            assert table.enter_idx.tolist() == [1, 3]
+            assert table.exit_idx.tolist() == [4, 2]
+            assert table.enter_ts.tolist() == [2.0, 4.0]
+        twice = EventLog()
+        twice.append(1.0, EventType.COLL_ENTER, barrier, 0, 1, 7)
+        twice.append(2.0, EventType.COLL_EXIT, barrier, 0, 1, 7)
+        twice.append(3.0, EventType.COLL_EXIT, barrier, 0, 1, 7)
+        with pytest.raises(TraceError, match="instance 7 without COLL_ENTER"):
+            Trace({0: twice}).collectives()
 
 
 class TestWithTimestamps:
@@ -181,7 +215,7 @@ class TestWithTimestamps:
         base.collectives()
         derived = base.with_timestamps(shifted)
         again = derived.with_timestamps({})  # structure passes through unscanned copies
-        monkeypatch.setattr(Trace, "_extract_collectives", None)
+        monkeypatch.setattr(trace_module, "pair_collectives", None)
         for table in (derived.collectives(), again.collectives()):
             assert len(table) == len(want)
             for got, ref in zip(table, want):

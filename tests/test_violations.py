@@ -8,6 +8,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.sync.violations import (
     lmin_matrix_from_trace,
+    pair_lmin,
     resolve_lmin,
     scan_collectives,
     scan_messages,
@@ -76,6 +77,31 @@ class TestResolveLmin:
         out = resolve_lmin(lambda s, d: 1.0, np.array([], dtype=np.int64),
                            np.array([], dtype=np.int64))
         assert out.shape == (0,)
+
+
+class TestPairLmin:
+    """The scalar resolver of the event-by-event passes (scalar CLC
+    oracles, streaming) agrees with ``resolve_lmin`` for every spec."""
+
+    def test_matches_resolve_lmin(self):
+        mat = np.array([[0.0, 1.5e-6], [2.5e-6, 0.0]])
+        src, dst = np.array([0, 1, 0]), np.array([1, 0, 1])
+        for spec in (3e-6, mat, lambda s, d: mat[s, d]):
+            fn = pair_lmin(spec)
+            got = [fn(int(s), int(d)) for s, d in zip(src, dst)]
+            assert all(type(v) is float for v in got)
+            assert got == resolve_lmin(spec, src, dst).tolist()
+
+    def test_callable_called_once_per_pair(self):
+        calls = []
+
+        def lmin(s, d):
+            calls.append((s, d))
+            return 1e-6
+
+        fn = pair_lmin(lmin)
+        assert [fn(0, 1), fn(0, 1), fn(2, 3), fn(0, 1)] == [1e-6] * 4
+        assert calls == [(0, 1), (2, 3)]
 
 
 class TestScanMessages:
