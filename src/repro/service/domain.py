@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import hashlib
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -260,6 +261,12 @@ class CorrectionRequest:
             self.workload.validate()
 
     # ------------------------------------------------------------------
+    @functools.cached_property
+    def _inline(self) -> dict:
+        """The inline payload's hash and size, once per request object, not per poll."""
+        data = self.trace_inline.encode("utf-8")
+        return {"sha256": hashlib.sha256(data).hexdigest(), "bytes": len(data)}
+
     def digest(self) -> str:
         """Content digest: the dedup and result-cache key.
 
@@ -280,9 +287,7 @@ class CorrectionRequest:
             "lmin": self.lmin,
         }
         if self.trace_inline is not None:
-            cfg["trace_sha256"] = hashlib.sha256(
-                self.trace_inline.encode("utf-8")
-            ).hexdigest()
+            cfg["trace_sha256"] = self._inline["sha256"]
         elif self.trace_path is not None:
             cfg["trace_sha256"] = _hash_file(self.trace_path)
         elif self.trace_dir is not None:
@@ -313,12 +318,7 @@ class CorrectionRequest:
         """`to_json` with inline payloads elided (manifest/status bodies)."""
         out = self.to_json()
         if "trace_inline" in out:
-            out["trace_inline"] = {
-                "sha256": hashlib.sha256(
-                    self.trace_inline.encode("utf-8")
-                ).hexdigest(),
-                "bytes": len(self.trace_inline.encode("utf-8")),
-            }
+            out["trace_inline"] = dict(self._inline)
         return out
 
     @classmethod

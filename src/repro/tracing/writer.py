@@ -87,23 +87,19 @@ def trace_to_jsonl(trace: Trace) -> str:
     ]
     for rank in trace.ranks:
         log = trace.logs[rank]
-        ts, et = log.timestamps, log.etypes
-        a, b, c, d = log.a, log.b, log.c, log.d
-        for i in range(len(log)):
-            lines.append(
-                json.dumps(
-                    {
-                        "kind": "event",
-                        "rank": rank,
-                        "ts": float(ts[i]),
-                        "type": EventType(int(et[i])).name,
-                        "a": int(a[i]),
-                        "b": int(b[i]),
-                        "c": int(c[i]),
-                        "d": int(d[i]),
-                    }
-                )
+        # json.dumps' own encoders, a column at a time: float.__repr__ (finite), int.__str__.
+        stamps = log.timestamps.tolist()
+        texts = list(map(float.__repr__, stamps))
+        for i in np.flatnonzero(~np.isfinite(log.timestamps)).tolist():
+            texts[i] = json.dumps(stamps[i])
+        names = {code: EventType(code).name for code in np.unique(log.etypes).tolist()}
+        head = f'{{"kind": "event", "rank": {json.dumps(rank)}, "ts": '
+        lines.extend(
+            f'{head}{ts}, "type": "{names[et]}", "a": {a}, "b": {b}, "c": {c}, "d": {d}}}'
+            for ts, et, a, b, c, d in zip(
+                texts, *(col.tolist() for col in (log.etypes, log.a, log.b, log.c, log.d))
             )
+        )
     return "\n".join(lines) + "\n"
 
 

@@ -9,6 +9,7 @@ retry, dead letter — is deterministic.
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
@@ -330,6 +331,45 @@ class TestFailures:
         assert "root 5 is not among its members" in (
             manager.store.read_manifest(job.id)["error"]["message"]
         )
+
+    @pytest.mark.parametrize(
+        "bad_event, names",
+        [
+            ('{"kind": "event", "rank": 0, "type": "EXIT", "a": 0, "b": 0, "c": 0, "d": 0}', "'ts'"),
+            ('{"kind": "event", "rank": 0, "ts": "abc", "type": "EXIT", "a": 0, "b": 0, "c": 0, "d": 0}', "'ts'"),
+            ('{"kind": "event", "rank": 0, "ts": 2.0, "type": [], "a": 0, "b": 0, "c": 0, "d": 0}', "event type"),
+            ('{"kind": "event", "rank": 0, "ts": 2.0, "type": "EXIT", "a": 99999999999999999999999, "b": 0, "c": 0, "d": 0}', "'a'"),
+            ("[1, 2]", "record kind"),
+        ],
+        ids=["no-ts", "ts-string", "type-list", "a-overflow", "not-an-object"],
+    )
+    def test_malformed_record_fails_once_on_live_workers(self, tmp_path, bad_event, names):
+        """A client's bad payload is the client's error (``bad_trace``,
+        first attempt), not three worker crashes and a dead letter."""
+        payload = (
+            '{"kind": "header", "version": 1, "ranks": [0], "meta": {}}\n'
+            '{"kind": "event", "rank": 0, "ts": 1.0, "type": "ENTER", "a": 0, "b": 0, "c": 0, "d": 0}\n'
+            + bad_event + "\n"
+        )
+        manager = JobManager(tmp_path / "work", workers=2, max_attempts=3)
+        manager.start()
+        try:
+            job = manager.submit(CorrectionRequest(trace_inline=payload))
+            deadline = time.monotonic() + 30
+            while not job.terminal and time.monotonic() < deadline:
+                time.sleep(0.01)
+        finally:
+            manager.stop()
+        assert job.state is JobState.FAILED
+        assert job.error_code == "bad_trace" and job.attempts == 1
+        assert "<inline trace>:3: " in job.error_message and names in job.error_message
+        assert manager.telemetry.counter("service.jobs.failed") == 1
+        assert manager.telemetry.counter("service.jobs.retried") == 0
+        assert manager.telemetry.counter("service.jobs.dead") == 0
+        assert manager.store.read_manifest(job.id)["error"]["code"] == "bad_trace"
+        with pytest.raises(ServiceError) as err:
+            manager.fetch(job.id)
+        assert err.value.http_status == 400
 
     def test_crash_retries_then_dead_letters(self, tmp_path):
         def executor(request, job_dir):

@@ -103,6 +103,40 @@ class TestEndToEnd:
         assert set(job["request"]["trace_inline"]) == {"sha256", "bytes"}
         assert client.fetch_trace(job["id"]).endswith("\n")
 
+    def test_inline_payload_is_hashed_once_per_request(
+        self, server, client, local_run, monkeypatch
+    ):
+        """Status bodies, the job list and the manifest all describe the
+        payload by sha256; none of them may hash 0.1 MB again to do so."""
+        import repro.service.domain as domain
+
+        payload = trace_to_jsonl(local_run.trace).replace('"meta": {', '"meta": {"once": 1, ', 1)
+        hashed = []
+
+        class CountingHashlib:
+            @staticmethod
+            def sha256(data=b""):
+                hashed.append(len(data))
+                return hashlib.sha256(data)
+
+        monkeypatch.setattr(domain, "hashlib", CountingHashlib)
+        job = client.submit_trace(payload)
+        for _ in range(5):
+            status = client.status(job["id"])
+        done = client.wait(job["id"])
+        listed = [j for j in client.jobs() if j["id"] == job["id"]]
+        fetched = client.fetch_trace(job["id"])
+
+        assert hashed == [len(payload.encode("utf-8"))]  # was >= 9 of them
+        want = {"sha256": hashlib.sha256(payload.encode("utf-8")).hexdigest(),
+                "bytes": len(payload.encode("utf-8"))}
+        assert job["request"]["trace_inline"] == want
+        assert status["request"]["trace_inline"] == want
+        assert listed[0]["request"]["trace_inline"] == want
+        manifest = server.manager.store.read_manifest(job["id"])
+        assert manifest["request"]["trace_inline"] == want
+        assert done["state"] == "done" and fetched.endswith("\n")
+
     def test_sharded_job_stays_on_the_server(self, client, local_run, tmp_path):
         src = write_sharded_trace(local_run.trace, tmp_path / "shards", 16)
         job = client.submit({"trace_dir": str(src), "interpolation": "linear"})
