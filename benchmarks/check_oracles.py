@@ -103,12 +103,29 @@ def mutant_dropped_sender():
         yield
 
 
+@contextmanager
+def mutant_early_wake():
+    """M6: the cursor walk takes every source as done one event early —
+    a dependent may run before the event it waits for, so the compiled
+    order is no valid replay order and kernels read uncorrected sources."""
+    import repro.sync.schedule as schedule_mod
+
+    real = schedule_mod.cursor_walk
+
+    def early(**hot):
+        return real(**{**hot, "src": [s - 1 for s in hot["src"]]})
+
+    with mock.patch.object(schedule_mod, "cursor_walk", early):
+        yield
+
+
 MUTANTS = [
     ("zero-lmin", mutant_zero_lmin),
     ("uncapped-sends", mutant_uncapped_sends),
     ("naive-floor", mutant_naive_floor),
     ("forced-gamma", mutant_forced_gamma),
     ("dropped-sender", mutant_dropped_sender),
+    ("early-wake", mutant_early_wake),
 ]
 
 

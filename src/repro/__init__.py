@@ -44,7 +44,7 @@ from repro.service.client import ServiceClient
 from repro.stats import SampleSummary, StoppingRule
 from repro.telemetry import TelemetryRecorder
 
-__version__ = "2.0.1"
+__version__ = "2.0.2"
 
 __all__ = [
     "CorrectionResult",

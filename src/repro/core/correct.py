@@ -12,7 +12,10 @@ Every way this package corrects a trace — the ``repro sync`` CLI,
 ``TracingSession.synchronize``, the trace-correction service workers of
 :mod:`repro.service`, and direct Python callers — goes through this one
 function, so the contract "interpolation then CLC, scans between
-stages, bit-identical everywhere" is enforced in exactly one place::
+stages, bit-identical everywhere" is enforced in exactly one place —
+one stage sequence (raw scan, interpolate, scan, CLC, scan) for every
+source kind, each stage dispatching on whether the trace is in memory
+or sharded::
 
     from repro import correct_trace
     result = correct_trace("run.npz", interpolation="linear", clc=True)
@@ -36,8 +39,10 @@ Sources it accepts:
 from __future__ import annotations
 
 import time
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from pathlib import Path
+from tempfile import TemporaryDirectory
 from typing import Optional, Union
 
 from repro.errors import SynchronizationError, TraceFormatError
@@ -307,50 +312,43 @@ def correct_trace(
     tele = ensure_telemetry(telemetry)
 
     trace, run = _normalize_source(source)
-    if _is_chunked(trace):
-        return _correct_streaming(
-            trace,
-            interpolation=interpolation,
-            clc=clc,
-            gamma=gamma,
-            lmin=lmin,
-            scan=scan,
-            output=output,
-            telemetry=tele,
-        )
+    streamed = _is_chunked(trace)
+    if streamed:
+        _check_streamable(interpolation, clc, lmin, output)
+        output = Path(output)
 
     timings: dict[str, float] = {}
-    with tele.span("sync.pipeline", interpolation=interpolation, clc=clc):
+    correction = clc_result = None
+    with ExitStack() as scratch, tele.span("sync.pipeline", interpolation=interpolation, clc=clc):
         stages = [_scan_stage("raw", trace, lmin, tele)] if scan else []
 
-        start = time.perf_counter()
-        with tele.span("sync.interpolate", mode=interpolation):
-            correction = _build_correction(trace, run, interpolation, lmin)
-            trace = correction.apply(trace)
-        timings["interpolate"] = time.perf_counter() - start
-        if scan:
-            stages.append(_scan_stage(interpolation, trace, lmin, tele))
+        # Identity over a sharded trace would only copy its shards.
+        if not streamed or interpolation != "none":
+            start = time.perf_counter()
+            with tele.span("sync.interpolate", mode=interpolation):
+                correction = _build_correction(trace, run, interpolation, lmin)
+                dest = output
+                if streamed and clc:  # an intermediate store, gone once the CLC has read it
+                    tmp = scratch.enter_context(TemporaryDirectory(prefix="repro-correct-"))
+                    dest = Path(tmp) / "interp"
+                trace = _apply_stage(correction, trace, dest, tele)
+            timings["interpolate"] = time.perf_counter() - start
+            if scan:
+                stages.append(_scan_stage(interpolation, trace, lmin, tele))
 
-        clc_result = None
         if clc:
             start = time.perf_counter()
             with tele.span("sync.clc", gamma=gamma):
-                corrector = ControlledLogicalClock(
-                    gamma=gamma,
-                    amortization_window=amortization_window,
-                    telemetry=tele,
-                )
-                clc_result = corrector.correct(trace, lmin=lmin)
+                clc_result = _clc_stage(trace, gamma, amortization_window, lmin, output, tele)
             trace = clc_result.trace
             timings["clc"] = time.perf_counter() - start
             if scan:
                 stages.append(_scan_stage("clc", trace, lmin, tele))
 
-    out_path = None
-    if output is not None:
+    if output is not None and not streamed:
         from repro.tracing.writer import write_trace
 
-        out_path = write_trace(trace, output)
+        output = write_trace(trace, output)
 
     return CorrectionResult(
         trace=trace,
@@ -359,9 +357,59 @@ def correct_trace(
         clc=clc_result,
         interpolation=interpolation,
         applied_clc=clc,
-        output=out_path,
+        streamed=streamed,
+        output=output,
         timings=timings,
     )
+
+
+def _check_streamable(interpolation: str, clc: bool, lmin, output) -> None:
+    """What a sharded source asks of the other arguments (it is never materialized)."""
+    if interpolation not in STREAMING_INTERPOLATIONS:
+        raise SynchronizationError(
+            f"interpolation {interpolation!r} needs the whole trace in "
+            "memory; sharded trace directories support "
+            f"{', '.join(STREAMING_INTERPOLATIONS)} (materialize the trace "
+            "first for the others)"
+        )
+    if interpolation == "none" and not clc:
+        raise SynchronizationError(
+            "nothing to apply to a sharded trace: interpolation 'none' "
+            "without clc (use scan_source for a scan-only pass)"
+        )
+    if output is None:
+        raise SynchronizationError(
+            "correcting a sharded trace requires output= (the streamed "
+            "result is written shard by shard, never materialized)"
+        )
+    if not isinstance(lmin, (int, float)):
+        raise SynchronizationError(
+            "streaming correction takes a scalar lmin floor"
+        )
+
+
+def _apply_stage(correction: ClockCorrection, trace, dest, telemetry):
+    """The interpolation stage: in memory, or shard by shard into the store ``dest``."""
+    if _is_chunked(trace):
+        from repro.sync.streaming import streaming_apply_correction
+
+        return streaming_apply_correction(correction, trace, dest, telemetry=telemetry)
+    return correction.apply(trace)
+
+
+def _clc_stage(trace, gamma, amortization_window, lmin, output, telemetry) -> ClcResult:
+    """The CLC stage: the in-memory kernels, or the streaming ones writing ``output``."""
+    if _is_chunked(trace):
+        from repro.sync.streaming import streaming_clc_correct
+
+        return streaming_clc_correct(
+            trace, output, gamma=gamma, amortization_window=amortization_window,
+            lmin=lmin, telemetry=telemetry,
+        )
+    corrector = ControlledLogicalClock(
+        gamma=gamma, amortization_window=amortization_window, telemetry=telemetry
+    )
+    return corrector.correct(trace, lmin=lmin)
 
 
 def _build_correction(
@@ -417,89 +465,3 @@ def _build_correction(
             "finalize; use interpolation='align' for init-only traces"
         )
     return linear_interpolation(init, final)
-
-
-def _correct_streaming(
-    chunked,
-    *,
-    interpolation: str,
-    clc: bool,
-    gamma: float,
-    lmin,
-    scan: bool,
-    output,
-    telemetry,
-) -> CorrectionResult:
-    """Bounded-memory correction of a sharded trace into ``output``."""
-    import tempfile
-
-    from repro.sync.streaming import (
-        streaming_apply_correction,
-        streaming_clc_correct,
-    )
-    from repro.tracing.store import ChunkedTrace
-
-    if interpolation not in STREAMING_INTERPOLATIONS:
-        raise SynchronizationError(
-            f"interpolation {interpolation!r} needs the whole trace in "
-            "memory; sharded trace directories support "
-            f"{', '.join(STREAMING_INTERPOLATIONS)} (materialize the trace "
-            "first for the others)"
-        )
-    if interpolation == "none" and not clc:
-        raise SynchronizationError(
-            "nothing to apply to a sharded trace: interpolation 'none' "
-            "without clc (use scan_source for a scan-only pass)"
-        )
-    if output is None:
-        raise SynchronizationError(
-            "correcting a sharded trace requires output= (the streamed "
-            "result is written shard by shard, never materialized)"
-        )
-    if not isinstance(lmin, (int, float)):
-        raise SynchronizationError(
-            "streaming correction takes a scalar lmin floor"
-        )
-    output = Path(output)
-
-    timings: dict[str, float] = {}
-    stages = [_scan_stage("raw", chunked, lmin, telemetry)] if scan else []
-
-    correction = None
-    if interpolation != "none":
-        correction = _build_correction(chunked, None, interpolation, lmin)
-
-    source = chunked
-    clc_result = None
-    with tempfile.TemporaryDirectory(prefix="repro-correct-") as tmp:
-        if correction is not None:
-            start = time.perf_counter()
-            dest = f"{tmp}/interp" if clc else output
-            source = streaming_apply_correction(
-                correction, source, dest, telemetry=telemetry
-            )
-            timings["interpolate"] = time.perf_counter() - start
-            if scan:
-                stages.append(_scan_stage(interpolation, source, lmin, telemetry))
-        if clc:
-            start = time.perf_counter()
-            clc_result = streaming_clc_correct(
-                source, output, gamma=gamma, lmin=lmin, telemetry=telemetry
-            )
-            timings["clc"] = time.perf_counter() - start
-
-    corrected = ChunkedTrace(output)
-    if clc and scan:
-        stages.append(_scan_stage("clc", corrected, lmin, telemetry))
-
-    return CorrectionResult(
-        trace=corrected,
-        stages=stages,
-        correction=correction,
-        clc=clc_result,
-        interpolation=interpolation,
-        applied_clc=clc,
-        streamed=True,
-        output=output,
-        timings=timings,
-    )

@@ -47,10 +47,13 @@ the chain of :func:`repro.core.correct.correct_trace`.
 
 **Implementation note.**  The default entry points run on the trace's
 :class:`repro.sync.schedule.CompiledSchedule` (array-native kernels,
-cached per trace); :meth:`ControlledLogicalClock.correct_reference` and
+cached per trace); the forward pass's per-rank arithmetic is
+:func:`repro.sync.schedule.forward_recurrence`, which the streaming CLC
+drives too.  :meth:`ControlledLogicalClock.correct_reference` and
 :func:`naive_shift_correct_reference` keep the original event-by-event
-scalar formulation and serve as the bit-for-bit equivalence oracle in
-the test suite.  Backward amortization has one implementation,
+scalar formulation — the only other spelling of the follow rule — and
+serve as the bit-for-bit equivalence oracle in the test suite.
+Backward amortization has one implementation,
 :func:`amortize_segment`: every path above and the streaming CLC of
 :mod:`repro.sync.streaming` (one call per shard, boundary carries)
 run it, and its cost follows the events inside the amortization

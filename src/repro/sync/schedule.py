@@ -4,33 +4,33 @@ Every logical-clock algorithm in this package — Lamport and vector
 clocks, the controlled logical clock, the naive Lamport shift, and the
 replay decomposition — consumes the same two ingredients: the sparse
 remote-dependency relation of :func:`repro.sync.order.dependency_edges`
-and a happened-before-consistent processing order.  Deriving the order
-per call through Python dicts keyed on ``(rank, idx)`` tuples dominated
-the cost of trace correction (the `replay_schedule` Kahn generator plus
-one dict lookup per event).
+and a happened-before-consistent processing order.
 
-:class:`CompiledSchedule` performs that derivation **once** and stores
-the result as flat numpy arrays:
+:class:`CompiledSchedule` derives both **once** and stores them as flat
+numpy arrays:
 
 * **global event ids** — rank ``ranks[i]``'s events occupy the gid range
-  ``[offsets[i], offsets[i+1])``; every per-event array below is indexed
-  by gid;
-* **CSR dependency arrays** — ``indptr``/``indices`` give, per event,
-  the gids of its remote happened-before predecessors (non-empty only
-  for receives, collective exits, and custom constraints such as POMP);
-  per-edge source/destination *rank ids* support vectorized ``l_min``
-  resolution via :func:`repro.sync.violations.resolve_lmin`;
-* **reverse (unblocks) CSR** — ``rev_indptr``/``rev_targets`` invert the
-  relation (per source, the dependents it unblocks); the send-cap
-  computation of the CLC backward pass is a single segmented
-  ``np.minimum.reduceat`` over it;
-* **a topological execution plan** — ``steps`` is a sequence of
-  contiguous per-rank spans ``[start_gid, stop_gid)`` whose sequential
-  execution respects every dependency, mirroring ``replay_schedule``'s
-  Kahn traversal (same rank queue, same tie-breaking) but computed once;
-  within a span only the *dependency-bearing* events need Python-level
-  attention, which is what lets the kernels below run their per-event
-  recurrences over jump events instead of all events.
+  ``[offsets[i], offsets[i+1])``;
+* **the edge table** — ``e_dst``/``e_src`` (gids) and
+  ``edge_dst_rank``/``edge_src_rank`` (rank ids, for vectorized ``l_min``
+  resolution via :func:`repro.sync.violations.resolve_lmin`), one entry
+  per edge in the order given; the send caps of the CLC backward pass
+  are one scatter-min over it;
+* **a compact forward CSR** — ``dep_gids`` lists the dependency-bearing
+  events (receives, collective exits, custom constraints such as POMP)
+  ascending by gid, ``dep_indptr`` delimits their sources in
+  ``dep_src`` (gids; ``dep_edge_ids`` names the edge-table row behind
+  each slot, sources in the order given), and rank ``i``'s dependents
+  are the contiguous range ``rank_deps[i]:rank_deps[i+1]``.  Nothing is
+  indexed by event: a million dependency-free events cost nothing here;
+* **an execution plan** — ``steps`` is a sequence of per-rank spans
+  ``(rank position, start gid, stop gid, first dependent, stop
+  dependent)`` whose sequential execution respects every dependency.
+  :func:`cursor_walk` finds it the way the streaming CLC orders itself
+  (:mod:`repro.sync.streaming`): each rank advances until a source is
+  not yet done, sleeps on that source, and is woken when it is.  The
+  forward pass is deterministic dataflow, so *any* valid order yields
+  the same bits; this one is not ``replay_schedule``'s.
 
 The kernels (:func:`clc_forward`, :func:`send_caps_kernel`,
 :func:`lamport_kernel`, :func:`vector_kernel`, :func:`bsp_rounds`) are
@@ -41,8 +41,9 @@ remain in :mod:`repro.sync.clc`, :mod:`repro.sync.lamport`, and
 * integer kernels (Lamport, vector) use closed forms that are exact in
   int64 arithmetic;
 * the float CLC recurrence ``LC'[i] = max(LC[i], LC'[i-1] + γ·δ[i])``
-  is only evaluated — with exactly the reference's operation order —
-  where it can deviate from the identity ``LC'[i] = LC[i]``: after a
+  lives in :func:`forward_recurrence`, shared with the streaming CLC,
+  and is only evaluated — with exactly the reference's operation order
+  — where it can deviate from the identity ``LC'[i] = LC[i]``: after a
   remote-constrained jump (until the γ-glide decays back onto the
   original timeline) and at the rare positions where
   ``LC[i-1] + γ·δ[i] > LC[i]`` holds spontaneously through rounding
@@ -58,9 +59,10 @@ caches one per ``include_collectives`` flavor
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left
 from collections import deque
-from typing import TYPE_CHECKING
+from heapq import heappop, heappush
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
@@ -73,6 +75,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (trace imports us laz
 
 __all__ = [
     "CompiledSchedule",
+    "cursor_walk",
+    "forward_recurrence",
     "clc_forward",
     "send_caps_kernel",
     "lamport_kernel",
@@ -81,6 +85,65 @@ __all__ = [
 ]
 
 _NEG_INF = float("-inf")
+
+
+def cursor_walk(
+    offsets: Sequence[int],
+    rank_deps: Sequence[int],
+    dep_gids: Sequence[int],
+    dep_indptr: Sequence[int],
+    src: Sequence[int],
+    src_pos: Sequence[int],
+) -> tuple[list[tuple[int, int, int, int, int]], list[int], int]:
+    """A happened-before-consistent execution plan, by structure alone.
+
+    Arguments are the list mirrors of a :class:`CompiledSchedule`'s
+    compact CSR (``src_pos`` is the rank position of each ``src`` gid).
+    Every rank keeps a cursor; a visit moves it over dependency-free
+    events and over each dependent whose sources all lie behind their
+    own rank's cursor, and ends at the first source that does not.  The
+    rank then sleeps in that source rank's heap, keyed by the awaited
+    gid, is woken only once the cursor there has passed it, and resumes
+    its source scan behind the edge it slept on: every edge is checked
+    once, a sleep costs ``O(log ranks)``, nothing is polled.
+
+    Returns ``(steps, cursors, checks)``: the visits that moved a cursor
+    as ``(rank position, start gid, stop gid, first dependent, stop
+    dependent)``, each rank's final cursor (short of ``offsets[i + 1]``
+    where a cycle left it asleep), and the number of edge checks made.
+    """
+    nr = len(offsets) - 1
+    done = list(offsets[:nr])  # per rank: every gid below has been scheduled
+    dep = list(rank_deps[:nr])  # per rank: its next dependent
+    edge = [dep_indptr[d] for d in dep]  # per rank: the next source to check
+    asleep: list[list[tuple[int, int]]] = [[] for _ in range(nr)]
+    ready = deque(range(nr))
+    steps = []
+    checks = 0
+    while ready:
+        rp = ready.popleft()
+        start, first, resumed = done[rp], dep[rp], edge[rp]
+        d, e, d_stop = first, resumed, rank_deps[rp + 1]
+        while d < d_stop:
+            done[rp] = dep_gids[d]  # all before the dependent runs; a same-rank source may be there
+            stop = dep_indptr[d + 1]
+            while e < stop and src[e] < done[src_pos[e]]:
+                e += 1
+            if e < stop:
+                heappush(asleep[src_pos[e]], (src[e], rp))
+                e += 1
+                break
+            d += 1
+        else:
+            done[rp] = offsets[rp + 1]
+        checks += e - resumed
+        dep[rp], edge[rp] = d, e
+        if done[rp] > start:
+            steps.append((rp, start, done[rp], first, d))
+            sleepers = asleep[rp]
+            while sleepers and sleepers[0][0] < done[rp]:
+                ready.append(heappop(sleepers)[1])
+    return steps, done, checks
 
 
 class CompiledSchedule:
@@ -102,19 +165,13 @@ class CompiledSchedule:
         "e_dst",
         "edge_src_rank",
         "edge_dst_rank",
-        "indptr",
-        "indices",
-        "f_edge_ids",
-        "rev_indptr",
-        "rev_targets",
-        "rev_edge_ids",
+        "dep_gids",
+        "dep_indptr",
+        "dep_edge_ids",
+        "dep_src",
+        "rank_deps",
         "steps",
-        "exec_dep_gids",
-        "exec_dep_indptr",
-        "exec_edge_ids",
-        "exec_edge_src",
-        "dep_pos_by_rank",
-        "_hot",
+        "hot",
         "_topo",
     )
 
@@ -165,191 +222,60 @@ class CompiledSchedule:
         """``edges`` is ``(dst_rank, dst_idx, src_rank, src_idx)``, one entry per edge,
         each naming an event of ``trace`` (:meth:`from_dependencies` checks a dict's)."""
         self.ranks = trace.ranks
-        nr = len(self.ranks)
         self.lengths = np.array([len(trace.logs[r]) for r in self.ranks], dtype=np.int64)
-        offsets = np.zeros(nr + 1, dtype=np.int64)
+        offsets = np.zeros(len(self.ranks) + 1, dtype=np.int64)
         np.cumsum(self.lengths, out=offsets[1:])
         self.offsets = offsets
-        n = int(offsets[-1])
-        self.n_events = n
+        self.n_events = int(offsets[-1])
 
-        # ---- edge arrays, in the order given ---------------------------
+        # ---- edge table, in the order given ----------------------------
         dst_rank, dst_idx, src_rank, src_idx = edges
-        e_dst = self._gids(dst_rank, dst_idx)
-        e_src = self._gids(src_rank, src_idx)
-        self.e_dst = e_dst
-        self.e_src = e_src
+        rank_ids = np.array(self.ranks, dtype=np.int64)
+        src_pos = np.searchsorted(rank_ids, src_rank)
+        self.e_dst = e_dst = offsets[np.searchsorted(rank_ids, dst_rank)] + dst_idx
+        self.e_src = offsets[src_pos] + src_idx
         self.n_edges = e_dst.size
         self.edge_src_rank = src_rank
         self.edge_dst_rank = dst_rank
 
-        # ---- forward CSR (dependent -> sources) ------------------------
-        counts = np.bincount(e_dst, minlength=n)
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        self.indptr = indptr
-        self.f_edge_ids = np.argsort(e_dst, kind="stable")
-        self.indices = e_src[self.f_edge_ids]
+        # ---- compact forward CSR (dependent -> sources) ----------------
+        self.dep_edge_ids = by_dst = np.argsort(e_dst, kind="stable")
+        dst_sorted = e_dst[by_dst]
+        first = np.flatnonzero(np.diff(dst_sorted, prepend=-1))
+        self.dep_gids = dst_sorted[first]
+        self.dep_indptr = np.append(first, self.n_edges)
+        self.dep_src = self.e_src[by_dst]
+        self.rank_deps = np.searchsorted(self.dep_gids, offsets)
 
-        # ---- reverse (unblocks) CSR (source -> dependents) -------------
-        rev_indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(e_src, minlength=n), out=rev_indptr[1:])
-        self.rev_indptr = rev_indptr
-        self.rev_edge_ids = np.argsort(e_src, kind="stable")
-        self.rev_targets = e_dst[self.rev_edge_ids]
-
-        # ---- per-rank dependency-bearing event positions ---------------
-        dep_gids = np.unique(e_dst)
-        self.dep_pos_by_rank = [
-            dep_gids[(dep_gids >= offsets[i]) & (dep_gids < offsets[i + 1])] - offsets[i]
-            for i in range(nr)
-        ]
-
-        # ---- Kahn traversal -> execution plan --------------------------
-        self._compile_steps(counts)
-        self._hot = None
-        self._topo = None
-
-    def _gids(self, ranks: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        """Global ids of the ``(rank, local index)`` events."""
-        return self.offsets[np.searchsorted(np.array(self.ranks, dtype=np.int64), ranks)] + idx
-
-    def _rank_pos_of(self, gids: np.ndarray) -> np.ndarray:
-        """Rank position (index into ``self.ranks``) of each gid."""
-        return np.searchsorted(self.offsets, gids, side="right") - 1
-
-    def _compile_steps(self, pending_counts: np.ndarray) -> None:
-        """Kahn traversal mirroring ``replay_schedule``'s rank queue.
-
-        Emits contiguous per-rank spans instead of single events; only
-        dependency sources and dependency-bearing events get
-        Python-level attention, so compilation is O(events) numpy +
-        O(edges) Python.
-        """
-        nr = len(self.ranks)
-        offsets = self.offsets.tolist()
-        lengths = self.lengths.tolist()
-        pending = pending_counts.tolist()
-        rev_indptr = self.rev_indptr.tolist()
-        rev_targets = self.rev_targets.tolist()
-        rev_t_pos = (
-            self._rank_pos_of(self.rev_targets).tolist() if self.n_edges else []
-        )
-        indptr = self.indptr
-        f_edge_ids = self.f_edge_ids
-
-        dep_lists = [arr.tolist() for arr in self.dep_pos_by_rank]
-        src_gids = np.unique(self.e_src) if self.n_edges else self.e_src
-        src_lists: list[list[int]] = [[] for _ in range(nr)]
-        for pos, gid in zip(self._rank_pos_of(src_gids).tolist(), src_gids.tolist()):
-            src_lists[pos].append(gid - offsets[pos])
-
-        cursor = [0] * nr
-        dep_ptr = [0] * nr
-        src_ptr = [0] * nr
-        ready: deque[int] = deque(rp for rp in range(nr) if lengths[rp] > 0)
-        in_ready = [lengths[rp] > 0 for rp in range(nr)]
-
-        steps: list[tuple[int, int, int, int, int]] = []
-        exec_dep: list[int] = []
-        exec_edge_parts: list[np.ndarray] = []
-        exec_edge_counts: list[int] = []
-        emitted = 0
-
-        def unblock(rp: int, hi_local: int) -> None:
-            """Process the unblock edges of rank ``rp``'s events below ``hi_local``."""
-            sl = src_lists[rp]
-            i = src_ptr[rp]
-            nsl = len(sl)
-            while i < nsl and sl[i] < hi_local:
-                g = offsets[rp] + sl[i]
-                for e in range(rev_indptr[g], rev_indptr[g + 1]):
-                    t = rev_targets[e]
-                    pending[t] -= 1
-                    if pending[t] == 0:
-                        trp = rev_t_pos[e]
-                        if cursor[trp] == t - offsets[trp] and not in_ready[trp]:
-                            ready.append(trp)
-                            in_ready[trp] = True
-                i += 1
-            src_ptr[rp] = i
-
-        while ready:
-            rp = ready.popleft()
-            in_ready[rp] = False
-            start = cursor[rp]
-            dep_lo = len(exec_dep)
-            dl = dep_lists[rp]
-            ndl = len(dl)
-            while True:
-                dp = dep_ptr[rp]
-                nxt = dl[dp] if dp < ndl else lengths[rp]
-                if nxt > cursor[rp]:  # dependency-free stretch
-                    emitted += nxt - cursor[rp]
-                    cursor[rp] = nxt
-                    unblock(rp, nxt)
-                if dp >= ndl:
-                    break
-                g = offsets[rp] + nxt
-                if pending[g] != 0:
-                    break  # blocked on a remote predecessor
-                exec_dep.append(g)
-                lo, hi = int(indptr[g]), int(indptr[g + 1])
-                exec_edge_parts.append(f_edge_ids[lo:hi])
-                exec_edge_counts.append(hi - lo)
-                dep_ptr[rp] = dp + 1
-                cursor[rp] = nxt + 1
-                emitted += 1
-                unblock(rp, nxt + 1)
-            if cursor[rp] > start:
-                steps.append(
-                    (rp, offsets[rp] + start, offsets[rp] + cursor[rp], dep_lo, len(exec_dep))
-                )
-
-        if emitted != self.n_events:
+        # ---- cursor walk -> execution plan -----------------------------
+        #: Python-list mirrors of the arrays the walk and the kernels read
+        #: scalar-wise: exactly :func:`cursor_walk`'s arguments.
+        self.hot = {
+            "offsets": offsets.tolist(),
+            "rank_deps": self.rank_deps.tolist(),
+            "dep_gids": self.dep_gids.tolist(),
+            "dep_indptr": self.dep_indptr.tolist(),
+            "src": self.dep_src.tolist(),
+            "src_pos": src_pos[by_dst].tolist(),
+        }
+        self.steps, cursors, _ = cursor_walk(**self.hot)
+        scheduled = sum(cursors) - int(offsets[:-1].sum())
+        if scheduled != self.n_events:
             raise SynchronizationError(
-                f"replay schedule incomplete ({emitted}/{self.n_events} events); "
+                f"replay schedule incomplete ({scheduled}/{self.n_events} events); "
                 "the trace's happened-before graph has a cycle or dangling dependency"
             )
-
-        self.steps = np.array(steps, dtype=np.int64).reshape(len(steps), 5)
-        self.exec_dep_gids = np.array(exec_dep, dtype=np.int64)
-        exec_dep_indptr = np.zeros(len(exec_dep) + 1, dtype=np.int64)
-        np.cumsum(np.array(exec_edge_counts, dtype=np.int64), out=exec_dep_indptr[1:])
-        self.exec_dep_indptr = exec_dep_indptr
-        self.exec_edge_ids = (
-            np.concatenate(exec_edge_parts)
-            if exec_edge_parts
-            else np.zeros(0, dtype=np.int64)
-        )
-        self.exec_edge_src = (
-            self.e_src[self.exec_edge_ids] if self.n_edges else np.zeros(0, dtype=np.int64)
-        )
+        self._topo = None
 
     # ------------------------------------------------------------------
     # Views and helpers
     # ------------------------------------------------------------------
-    @property
-    def hot(self) -> dict:
-        """Python-list mirrors of the arrays read scalar-wise in kernels."""
-        if self._hot is None:
-            self._hot = {
-                "offsets": self.offsets.tolist(),
-                "steps": [tuple(row) for row in self.steps.tolist()],
-                "dep_gids": self.exec_dep_gids.tolist(),
-                "dep_indptr": self.exec_dep_indptr.tolist(),
-                "edge_src": self.exec_edge_src.tolist(),
-                "dep_pos": self._rank_pos_of(self.exec_dep_gids).tolist()
-                if self.exec_dep_gids.size
-                else [],
-                "edge_src_pos": self._rank_pos_of(self.exec_edge_src).tolist()
-                if self.exec_edge_src.size
-                else [],
-            }
-        return self._hot
+    def _rank_pos_of(self, gids: np.ndarray) -> np.ndarray:
+        """Rank position (index into ``self.ranks``) of each gid."""
+        return np.searchsorted(self.offsets, gids, side="right") - 1
 
     def topo_gids(self) -> np.ndarray:
-        """Every event's gid in compiled (replay) order."""
+        """Every event's gid in compiled order."""
         if self._topo is None:
             parts = [np.arange(a, b, dtype=np.int64) for _, a, b, _, _ in self.steps]
             self._topo = (
@@ -392,38 +318,82 @@ class CompiledSchedule:
 
 
 # ----------------------------------------------------------------------
+# The forward recurrence
+# ----------------------------------------------------------------------
+def forward_recurrence(
+    orig: np.ndarray, gamma: float | None, heads: Sequence[int]
+) -> tuple[list[float], list[int], Callable[[int, int, int], int], Callable[[int, float], float]]:
+    """The per-rank arithmetic of the forward pass, over one array of log windows.
+
+    ``orig`` holds the original timestamps of one or more contiguous
+    windows of per-rank logs; ``heads`` are the positions with no local
+    predecessor in ``orig`` (position 0 always is one).  ``gamma`` is the
+    CLC's control factor, ``None`` for the naive shift, whose followers
+    are only clamped for monotonicity: that is ``γ·δ = -0.0``, the one
+    addend that changes no float, the sign of a zero included.
+
+    Returns ``(corr, spont, stretch, land)``.  ``corr`` starts as a copy
+    of ``orig`` and is corrected in place — a caller whose window
+    continues a log stores the carried predecessor in the slot before it.
+    ``spont`` lists, ascending, the positions where the follow rule
+    binds although the predecessor did not move — ``LC[i-1] + γ·δ[i] >
+    LC[i]`` through rounding (CLC) or a locally unsorted log (naive
+    shift) — found in one vectorized pass, which is what licenses
+    skipping every other dependency-free event.
+
+    ``stretch(cur, stop, k)`` corrects the dependency-free events
+    ``[cur, stop)``: the glide tail continuing from ``cur - 1`` and one
+    tail from every spontaneous position, ``k`` being the caller's
+    cursor into ``spont`` for this log (the new cursor is returned).
+    Splitting a stretch anywhere is bit-identical to running it whole.
+    ``land(p, floor)`` corrects the dependency-bearing event ``p``
+    given the largest ``LC'(source) + l_min`` over its sources and
+    returns the jump size, ``0.0`` when the remote constraint did not
+    bind.
+    """
+    origl = orig.tolist()
+    corr = list(origl)  # the same float objects until corrected
+    gd = np.full(orig.size, -0.0)
+    if gamma is not None:
+        gd[1:] = gamma * (orig[1:] - orig[:-1])
+    gd[:1] = gd[heads] = _NEG_INF  # no predecessor: the follow rule never binds
+    gdl = gd.tolist()
+    spont = (np.flatnonzero(orig[:-1] + gd[1:] > orig[1:]) + 1).tolist()
+    nsp = len(spont)
+
+    def tail(i: int, stop: int) -> int:
+        """Apply the follow rule from ``i`` for as long as it binds."""
+        while i < stop:
+            follow = corr[i - 1] + gdl[i]
+            if follow > origl[i]:
+                corr[i] = follow
+                i += 1
+            else:
+                break
+        return i
+
+    def stretch(cur: int, stop: int, k: int) -> int:
+        cur = tail(cur, stop)
+        while k < nsp and spont[k] < stop:
+            if spont[k] >= cur:
+                cur = tail(spont[k], stop)
+            k += 1
+        return k
+
+    def land(p: int, floor: float) -> float:
+        tail(p, p + 1)
+        value = corr[p]
+        if floor > value:
+            corr[p] = floor
+            return floor - value
+        return 0.0
+
+    return corr, spont, stretch, land
+
+
+# ----------------------------------------------------------------------
 # Kernels
 # ----------------------------------------------------------------------
-def _spont_positions(
-    schedule: CompiledSchedule, orig_flat: np.ndarray, gd: np.ndarray | None
-) -> list[list[int]]:
-    """Per-rank positions where the local recurrence binds spontaneously.
-
-    For the CLC, position ``i`` can deviate from the identity even in
-    steady state (``LC'[i-1] == LC[i-1]``) when rounding makes
-    ``LC[i-1] + γ·δ[i] > LC[i]``; for the naive shift the condition is a
-    locally unsorted log (``LC[i-1] > LC[i]``).  One vectorized pass
-    finds them all, which is what licenses skipping every other
-    non-dependency event.
-    """
-    n = orig_flat.size
-    nr = len(schedule.ranks)
-    if n < 2:
-        return [[] for _ in range(nr)]
-    mask = np.zeros(n, dtype=bool)
-    if gd is None:
-        mask[1:] = orig_flat[:-1] > orig_flat[1:]
-    else:
-        mask[1:] = (orig_flat[:-1] + gd[1:]) > orig_flat[1:]
-    starts = schedule.offsets[:-1]
-    mask[starts[starts < n]] = False  # first event of a rank has no predecessor
-    positions = np.nonzero(mask)[0]
-    bounds = np.searchsorted(positions, schedule.offsets)
-    return [
-        positions[bounds[i] : bounds[i + 1]].tolist() for i in range(nr)
-    ]
-
-
 def clc_forward(
     schedule: CompiledSchedule,
     orig_flat: np.ndarray,
@@ -436,112 +406,43 @@ def clc_forward(
     mapping each rank to its ``(local index, jump size)`` list —
     bit-identical to the scalar reference loop.
     """
-    n = orig_flat.size
     jumps: dict[int, list[tuple[int, float]]] = {rank: [] for rank in schedule.ranks}
-    if n == 0:
-        return orig_flat.copy(), jumps, 0, 0.0
-
-    if gamma is None:
-        gd_arr = None
-        gdl = None
-    else:
-        gd_arr = np.zeros(n, dtype=np.float64)
-        if n > 1:
-            gd_arr[1:] = gamma * (orig_flat[1:] - orig_flat[:-1])
-        gdl = gd_arr.tolist()
-
-    spont = _spont_positions(schedule, orig_flat, gd_arr)
-    spont_ptr = [0] * len(spont)
-
     hot = schedule.hot
     offsets = hot["offsets"]
     dep_gids = hot["dep_gids"]
     dep_indptr = hot["dep_indptr"]
-    edge_src = hot["edge_src"]
-    exec_elmin = (
-        edge_lmin[schedule.exec_edge_ids].tolist() if schedule.n_edges else []
-    )
+    src = hot["src"]
+    elmin = edge_lmin[schedule.dep_edge_ids].tolist()
 
-    origl = orig_flat.tolist()
-    corr = list(origl)
-    ranks = schedule.ranks
+    corr, spont, stretch, land = forward_recurrence(
+        orig_flat, gamma, schedule.offsets[:-1][schedule.lengths > 0]
+    )
+    spont_ptr = [bisect_left(spont, start) for start in offsets]
     njumps = 0
     max_jump = 0.0
-
-    if gamma is None:
-
-        def run_tail(i: int, stop: int) -> int:
-            while i < stop:
-                follow = corr[i - 1]
-                if follow > origl[i]:
-                    corr[i] = follow
-                    i += 1
-                else:
-                    break
-            return i
-
-    else:
-
-        def run_tail(i: int, stop: int) -> int:
-            while i < stop:
-                follow = corr[i - 1] + gdl[i]
-                if follow > origl[i]:
-                    corr[i] = follow
-                    i += 1
-                else:
-                    break
-            return i
-
-    def do_stretch(cur: int, stop: int, rk_start: int, rp: int) -> None:
-        if cur >= stop:
-            return
-        if cur > rk_start and corr[cur - 1] > origl[cur - 1]:
-            cur = run_tail(cur, stop)
-        sp = spont[rp]
-        k = spont_ptr[rp]
-        nsp = len(sp)
-        while k < nsp and sp[k] < stop:
-            s = sp[k]
-            k += 1
-            if s < cur:
-                continue
-            corr[s] = corr[s - 1] + gdl[s] if gdl is not None else corr[s - 1]
-            cur = run_tail(s + 1, stop)
-        spont_ptr[rp] = k
-
-    # Steps visit dep events 0..D-1 in ascending order, so one running
-    # pointer walks the exec edge arrays without per-event indptr reads.
-    eptr = 0
-    for rp, a, b, dep_lo, dep_hi in hot["steps"]:
+    for rp, a, b, dep_lo, dep_hi in schedule.steps:
         rk_start = offsets[rp]
-        jlist = jumps[ranks[rp]]
-        cur = a
+        jlist = jumps[schedule.ranks[rp]]
+        k = spont_ptr[rp]
+        e = dep_indptr[dep_lo]
         for di in range(dep_lo, dep_hi):
             p = dep_gids[di]
-            if p > cur:
-                do_stretch(cur, p, rk_start, rp)
-            value = origl[p]
-            if p > rk_start:
-                follow = corr[p - 1] + gdl[p] if gdl is not None else corr[p - 1]
-                if follow > value:
-                    value = follow
+            k = stretch(a, p, k)
             remote_floor = _NEG_INF
             estop = dep_indptr[di + 1]
-            while eptr < estop:
-                floor = corr[edge_src[eptr]] + exec_elmin[eptr]
+            while e < estop:
+                floor = corr[src[e]] + elmin[e]
                 if floor > remote_floor:
                     remote_floor = floor
-                eptr += 1
-            if remote_floor > value:
-                jump = remote_floor - value
-                value = remote_floor
+                e += 1
+            jump = land(p, remote_floor)
+            if jump:
                 jlist.append((p - rk_start, jump))
                 njumps += 1
                 if jump > max_jump:
                     max_jump = jump
-            corr[p] = value
-            cur = p + 1
-        do_stretch(cur, b, rk_start, rp)
+            a = p + 1
+        spont_ptr[rp] = stretch(a, b, k)
 
     return np.asarray(corr, dtype=np.float64), jumps, njumps, max_jump
 
@@ -551,26 +452,21 @@ def send_caps_kernel(
 ) -> np.ndarray:
     """Per-event upper bound ``min(partner receive - l_min)`` (flat).
 
-    One segmented scatter-min over the reverse CSR replaces the scalar
-    reference's per-edge dict loop; ``min`` is exact, so the caps are
-    bit-identical.
+    One scatter-min over the edge table replaces the scalar reference's
+    per-edge dict loop; ``min`` is exact, so the caps are bit-identical.
     """
     caps = np.full(schedule.n_events, np.inf, dtype=np.float64)
-    if schedule.n_edges:
-        recv = corrected_flat[schedule.rev_targets]
-        lm = edge_lmin[schedule.rev_edge_ids]
-        vals = recv - lm
-        # Round-to-nearest can land ``recv - l_min`` above the true
-        # bound; an event later advanced to that cap would sit one ulp
-        # past ``recv - l_min`` and break the clock condition under
-        # exact comparison.  Nudge down until ``cap + l_min <= recv``.
-        bad = vals + lm > recv
-        while bad.any():
-            vals[bad] = np.nextafter(vals[bad], -np.inf)
-            bad = vals + lm > recv
-        degrees = np.diff(schedule.rev_indptr)
-        sources = np.nonzero(degrees > 0)[0]
-        caps[sources] = np.minimum.reduceat(vals, schedule.rev_indptr[sources])
+    recv = corrected_flat[schedule.e_dst]
+    vals = recv - edge_lmin
+    # Round-to-nearest can land ``recv - l_min`` above the true bound; an
+    # event later advanced to that cap would sit one ulp past ``recv -
+    # l_min`` and break the clock condition under exact comparison.
+    # Nudge down until ``cap + l_min <= recv``.
+    bad = vals + edge_lmin > recv
+    while bad.any():
+        vals[bad] = np.nextafter(vals[bad], -np.inf)
+        bad = vals + edge_lmin > recv
+    np.minimum.at(caps, schedule.e_src, vals)
     return caps
 
 
@@ -585,46 +481,36 @@ def lamport_kernel(schedule: CompiledSchedule) -> dict[int, np.ndarray]:
     """
     hot = schedule.hot
     offsets = hot["offsets"]
+    rank_deps = hot["rank_deps"]
     dep_gids = hot["dep_gids"]
     dep_indptr = hot["dep_indptr"]
-    edge_src = hot["edge_src"]
-    dep_pos = hot["dep_pos"]
-    edge_src_pos = hot["edge_src_pos"]
+    # A source's running maximum is that of the last dependent of its
+    # rank at or before it: slot ``excess[last]``, or the spare last
+    # slot (never written, 1) when its rank has none that early.
+    src_pos = schedule._rank_pos_of(schedule.dep_src)
+    src_local = (schedule.dep_src - schedule.offsets[src_pos]).tolist()
+    last = np.searchsorted(schedule.dep_gids, schedule.dep_src, side="right") - 1
+    last = np.where(last >= schedule.rank_deps[src_pos], last, -1).tolist()
+    excess = [1] * (len(dep_gids) + 1)
 
-    nr = len(schedule.ranks)
-    cur_m = [1] * nr
-    base_pos: list[list[int]] = [[] for _ in range(nr)]
-    base_val: list[list[int]] = [[] for _ in range(nr)]
-
-    for di in range(len(dep_gids)):
-        rp = dep_pos[di]
-        pl = dep_gids[di] - offsets[rp]
-        value = pl + cur_m[rp] if pl > 0 else 1
-        for e in range(dep_indptr[di], dep_indptr[di + 1]):
-            srp = edge_src_pos[e]
-            sl = edge_src[e] - offsets[srp]
-            bp = base_pos[srp]
-            k = bisect_right(bp, sl)
-            m_src = base_val[srp][k - 1] if k else 1
-            dep_value = sl + m_src + 1
-            if dep_value > value:
-                value = dep_value
-        cand = value - pl
-        if cand > cur_m[rp]:
-            cur_m[rp] = cand
-        base_pos[rp].append(pl)
-        base_val[rp].append(cur_m[rp])
+    for rp, _, _, dep_lo, dep_hi in schedule.steps:
+        cur = excess[dep_lo - 1] if dep_lo > rank_deps[rp] else 1
+        for di in range(dep_lo, dep_hi):
+            pl = dep_gids[di] - offsets[rp]
+            value = pl + cur
+            for e in range(dep_indptr[di], dep_indptr[di + 1]):
+                dep_value = src_local[e] + excess[last[e]] + 1
+                if dep_value > value:
+                    value = dep_value
+            excess[di] = cur = max(cur, value - pl)
 
     out: dict[int, np.ndarray] = {}
     for rp, rank in enumerate(schedule.ranks):
-        n_r = int(schedule.lengths[rp])
-        m_arr = np.ones(n_r, dtype=np.int64)
-        if base_pos[rp]:
-            m_arr[np.array(base_pos[rp], dtype=np.int64)] = np.array(
-                base_val[rp], dtype=np.int64
-            )
-            np.maximum.accumulate(m_arr, out=m_arr)
-        out[rank] = np.arange(n_r, dtype=np.int64) + m_arr if n_r else m_arr
+        m_arr = np.ones(offsets[rp + 1] - offsets[rp], dtype=np.int64)
+        lo, hi = rank_deps[rp], rank_deps[rp + 1]
+        m_arr[schedule.dep_gids[lo:hi] - offsets[rp]] = excess[lo:hi]
+        np.maximum.accumulate(m_arr, out=m_arr)
+        out[rank] = np.arange(m_arr.size, dtype=np.int64) + m_arr
     return out
 
 
@@ -640,42 +526,29 @@ def vector_kernel(schedule: CompiledSchedule) -> dict[int, np.ndarray]:
     offsets = hot["offsets"]
     dep_gids = hot["dep_gids"]
     dep_indptr = hot["dep_indptr"]
-    edge_src = hot["edge_src"]
-    edge_src_pos = hot["edge_src_pos"]
-
-    mats = [
-        np.zeros((int(schedule.lengths[rp]), nr), dtype=np.int64) for rp in range(nr)
-    ]
+    src = hot["src"]
+    vectors = np.zeros((schedule.n_events, nr), dtype=np.int64)  # by gid
+    zero = np.zeros(nr, dtype=np.int64)
 
     def fill_stretch(rp: int, cur: int, stop: int) -> None:
-        if cur >= stop:
-            return
-        arr = mats[rp]
-        carry = arr[cur - 1] if cur > 0 else np.zeros(nr, dtype=np.int64)
-        arr[cur:stop] = carry
-        arr[cur:stop, rp] = carry[rp] + np.arange(1, stop - cur + 1, dtype=np.int64)
+        if cur < stop:
+            carry = vectors[cur - 1] if cur > offsets[rp] else zero
+            vectors[cur:stop] = carry
+            vectors[cur:stop, rp] = carry[rp] + np.arange(1, stop - cur + 1, dtype=np.int64)
 
-    for rp, a, b, dep_lo, dep_hi in hot["steps"]:
-        rk_start = offsets[rp]
-        cur = a - rk_start
-        stop = b - rk_start
-        arr = mats[rp]
+    for rp, a, b, dep_lo, dep_hi in schedule.steps:
         for di in range(dep_lo, dep_hi):
-            pl = dep_gids[di] - rk_start
-            fill_stretch(rp, cur, pl)
-            vec = (
-                arr[pl - 1].copy() if pl > 0 else np.zeros(nr, dtype=np.int64)
-            )
+            p = dep_gids[di]
+            fill_stretch(rp, a, p)
+            vec = (vectors[p - 1] if p > offsets[rp] else zero).copy()
             for e in range(dep_indptr[di], dep_indptr[di + 1]):
-                srp = edge_src_pos[e]
-                sl = edge_src[e] - offsets[srp]
-                np.maximum(vec, mats[srp][sl], out=vec)
+                np.maximum(vec, vectors[src[e]], out=vec)
             vec[rp] += 1
-            arr[pl] = vec
-            cur = pl + 1
-        fill_stretch(rp, cur, stop)
+            vectors[p] = vec
+            a = p + 1
+        fill_stretch(rp, a, b)
 
-    return {rank: mats[rp] for rp, rank in enumerate(schedule.ranks)}
+    return schedule.split(vectors)
 
 
 def bsp_rounds(schedule: CompiledSchedule) -> tuple[int, int]:
@@ -687,61 +560,41 @@ def bsp_rounds(schedule: CompiledSchedule) -> tuple[int, int]:
     event-by-event reference loop exactly because dependency-free
     events never block.
     """
+    hot = schedule.hot
+    offsets = hot["offsets"]
+    rank_deps = hot["rank_deps"]
+    dep_gids = hot["dep_gids"]
+    dep_indptr = hot["dep_indptr"]
+    src = hot["src"]
+    src_pos = hot["src_pos"]
     nr = len(schedule.ranks)
-    offsets = schedule.offsets.tolist()
-    lengths = schedule.lengths.tolist()
-    total = schedule.n_events
-    indptr = schedule.indptr
-    f_src = schedule.indices.tolist()
-    f_src_pos = (
-        schedule._rank_pos_of(schedule.indices).tolist() if schedule.n_edges else []
-    )
-    indptr_l = indptr.tolist()
-    dep_lists = [arr.tolist() for arr in schedule.dep_pos_by_rank]
 
-    produced = [0] * nr
-    ptr = [0] * nr
+    produced = offsets[:nr]  # per rank: every gid below has been produced
+    ptr = rank_deps[:nr]
     rounds = 0
     done = 0
     max_queue = 0
-    while done < total:
+    while done < schedule.n_events:
         rounds += 1
         snapshot = list(produced)
-        progressed = 0
         for rp in range(nr):
-            idx = produced[rp]
-            dl = dep_lists[rp]
             k = ptr[rp]
-            ndl = len(dl)
-            while True:
-                if k >= ndl:
-                    idx = lengths[rp]
-                    break
-                q = dl[k]
-                g = offsets[rp] + q
-                available = True
-                for e in range(indptr_l[g], indptr_l[g + 1]):
-                    srp = f_src_pos[e]
-                    sl = f_src[e] - offsets[srp]
-                    if srp == rp:
-                        if not sl < q:
-                            available = False
-                            break
-                    elif not sl < snapshot[srp]:
-                        available = False
-                        break
-                if not available:
-                    idx = q
+            k_stop = rank_deps[rp + 1]
+            while k < k_stop:
+                # A same-rank source only has to precede the dependent;
+                # a remote one must have been produced in an earlier round.
+                q = dep_gids[k]
+                if any(
+                    src[e] >= (q if src_pos[e] == rp else snapshot[src_pos[e]])
+                    for e in range(dep_indptr[k], dep_indptr[k + 1])
+                ):
                     break
                 k += 1
-                idx = q + 1
             ptr[rp] = k
-            progressed += idx - produced[rp]
-            produced[rp] = idx
-        done += progressed
-        in_flight = sum(produced[i] - snapshot[i] for i in range(nr))
-        if in_flight > max_queue:
-            max_queue = in_flight
-        if progressed == 0:
+            produced[rp] = dep_gids[k] if k < k_stop else offsets[rp + 1]
+        in_flight = sum(produced) - sum(snapshot)
+        if in_flight == 0:
             raise RuntimeError("replay stalled; trace dependency graph has a cycle")
+        done += in_flight
+        max_queue = max(max_queue, in_flight)
     return rounds, max_queue

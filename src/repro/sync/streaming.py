@@ -8,12 +8,20 @@ functions here reproduce them **bit-identically** over a
 resident set at O(one shard per rank + carried boundary state):
 
 * :func:`streaming_clc_correct` — the controlled logical clock.  The
-  forward pass runs each rank's scalar recurrence (exactly the
-  reference/kernel formulation, including the gamma-compressed
-  follow-up rule and spontaneous-stretch positions) shard by shard,
-  round-robin across ranks; a rank blocks when it reaches a receive
-  whose matching send or a collective exit whose member enters have not
-  been published yet.  Send caps spill to per-shard bucket files; the
+  forward pass is the in-memory kernel's, in the same shape: the
+  arithmetic is :func:`repro.sync.schedule.forward_recurrence` (follow
+  rule, glide tail, spontaneous positions, jump test — written there
+  only), run one resident shard at a time with the carried predecessor
+  in the slot before it, and the order is found the way
+  :func:`repro.sync.schedule.cursor_walk` finds it: a rank advances
+  until it reaches a receive whose matching send, or a collective exit
+  whose member enters, have not been published yet (ranks are visited
+  round-robin here; a blocked rank costs a visit one lookup, not a
+  shard).  What this module
+  adds is what streaming needs — shard residency, publish/block by
+  match id or FIFO channel (sources are not known by ``(rank, idx)``
+  before their shard was read), caps spill, carries.  Send caps spill
+  to per-shard bucket files; the
   backward amortization is a single reverse pass over each flagged
   rank's shards — :func:`repro.sync.clc.amortize_segment` per shard,
   with three scalar carries (the next shard's first advance,
@@ -63,6 +71,7 @@ from repro.sync.clc import (
     ramp_cuts,
 )
 from repro.sync.collectives_map import collective_pairs, logical_messages
+from repro.sync.schedule import forward_recurrence
 from repro.sync.violations import LminSpec, ViolationReport, pair_lmin, scan_messages
 from repro.telemetry import ensure_telemetry
 from repro.tracing.events import EventType
@@ -203,21 +212,21 @@ class _CapsSpill:
 # Streaming forward pass
 # ----------------------------------------------------------------------
 class _RankForward:
-    """One rank's scalar CLC recurrence, advanced shard by shard.
+    """One rank's forward pass, advanced shard by shard.
 
-    The per-shard working lists carry a one-slot prefix holding the
+    The arithmetic is :func:`repro.sync.schedule.forward_recurrence`,
+    run over one shard at a time with a one-slot prefix holding the
     previous shard's last original/corrected value, so the recurrence
-    indexes ``corr[q - 1]`` uniformly across shard boundaries.  The
-    stretch/spontaneous-position logic is the kernel's ``do_stretch`` /
-    ``run_tail`` verbatim; splitting a stretch at a shard or publication
-    boundary is bit-identical because the resume condition
-    (``corr[prev] > orig[prev]``) recovers exactly the kernel's running
-    tail state.
+    reads ``corr[q - 1]`` uniformly across shard boundaries (splitting
+    a stretch at a shard or publication boundary changes no bit).  What
+    is kept here is what streaming needs: which shard is resident, where
+    the cursor stands in it, the events to stop at or publish, and the
+    carries.
     """
 
     __slots__ = (
-        "rank", "recs", "reader", "gamma", "si", "rec", "cols",
-        "lo", "n_s", "origl", "corr", "gdl", "spont", "sp_ptr",
+        "rank", "recs", "reader", "gamma", "si", "cols",
+        "lo", "n_s", "corr", "stretch", "land", "sp_ptr",
         "stops", "stop_ptr", "pubs", "pub_ptr", "cur",
         "prev_orig", "prev_corr", "finished", "jumps", "resident",
         "fwd_paths", "fwd_span", "tmpdir",
@@ -243,23 +252,18 @@ class _RankForward:
     def load_next(self, publish, exit_deps) -> None:
         self.si += 1
         rec = self.recs[self.si]
-        self.rec = rec
-        cols = self.reader.load_shard(rec)
-        self.cols = cols
+        cols = self.cols = self.reader.load_shard(rec)
         self.resident.load(rec.events)
-        ts = np.asarray(cols[0], dtype=np.float64)
-        n = rec.events
         self.lo = rec.start
-        self.n_s = n
-        self.origl = [self.prev_orig] + ts.tolist()
-        self.corr = [self.prev_corr] + ts.tolist()
-        prev = np.append(self.prev_orig, ts)[:-1]  # each event's predecessor, across the boundary
-        gd = self.gamma * (ts - prev)
-        self.gdl = [0.0] + gd.tolist()
-        mask = (prev + gd) > ts
-        if self.lo == 0 and n:
-            mask[0] = False
-        self.spont = (np.nonzero(mask)[0] + 1).tolist()
+        self.n_s = rec.events
+        # List index ``i + 1`` is the shard's event ``i``; the log's very
+        # first event has no predecessor for the follow rule to read.
+        self.corr, _, self.stretch, self.land = forward_recurrence(
+            np.append(self.prev_orig, np.asarray(cols[0], dtype=np.float64)),
+            self.gamma,
+            heads=[1] if self.lo == 0 and rec.events else [],
+        )
+        self.corr[0] = self.prev_corr
         self.sp_ptr = 0
         et = cols[1]
         my_pub = publish.get(self.rank, {})
@@ -284,53 +288,24 @@ class _RankForward:
         self.pub_ptr = 0
         self.cur = 1
 
+    def stretch_to(self, stop: int) -> None:
+        """Run the dependency-free events up to list index ``stop``."""
+        self.sp_ptr = self.stretch(self.cur, stop, self.sp_ptr)
+        self.cur = stop
+
     def flush_shard(self) -> None:
         path = self.tmpdir / f"fwd_r{self.rank}_s{self.si}.npy"
         fwd = np.asarray(self.corr[1:], dtype=np.float64)
         np.save(path, fwd)
         self.fwd_paths.append(path)
         self.fwd_span.append((float(fwd[0]), float(fwd.max())))
-        self.prev_orig = self.origl[self.n_s]
+        self.prev_orig = float(self.cols[0][-1])
         self.prev_corr = self.corr[self.n_s]
         self.resident.release(self.n_s)
         self.cols = None
-        self.origl = self.corr = self.gdl = None
+        self.corr = self.stretch = self.land = None
         if self.si + 1 >= len(self.recs):
             self.finished = True
-
-    # -- the kernel's stretch logic, on shifted per-shard lists ---------
-    def _run_tail(self, i: int, stop: int) -> int:
-        corr = self.corr
-        origl = self.origl
-        gdl = self.gdl
-        while i < stop:
-            follow = corr[i - 1] + gdl[i]
-            if follow > origl[i]:
-                corr[i] = follow
-                i += 1
-            else:
-                break
-        return i
-
-    def _do_stretch(self, cur: int, stop: int) -> None:
-        if cur >= stop:
-            return
-        corr = self.corr
-        origl = self.origl
-        if (self.lo + cur - 1) > 0 and corr[cur - 1] > origl[cur - 1]:
-            cur = self._run_tail(cur, stop)
-        sp = self.spont
-        k = self.sp_ptr
-        nsp = len(sp)
-        gdl = self.gdl
-        while k < nsp and sp[k] < stop:
-            s = sp[k]
-            k += 1
-            if s < cur:
-                continue
-            corr[s] = corr[s - 1] + gdl[s]
-            cur = self._run_tail(s + 1, stop)
-        self.sp_ptr = k
 
 
 def _forward_pass(
@@ -414,8 +389,7 @@ def _forward_pass(
             while st.stop_ptr < len(st.stops) and st.stops[st.stop_ptr][0] < st.cur:
                 st.stop_ptr += 1
             if st.stop_ptr >= len(st.stops):
-                st._do_stretch(st.cur, st.n_s + 1)
-                st.cur = st.n_s + 1
+                st.stretch_to(st.n_s + 1)
                 publish_upto(st)
                 progress = True
                 continue
@@ -426,8 +400,7 @@ def _forward_pass(
             # passes over BEFORE resolving the stop's own dependency —
             # a peer may be blocked waiting for exactly those values.
             if st.cur < q:
-                st._do_stretch(st.cur, q)
-                st.cur = q
+                st.stretch_to(q)
                 publish_upto(st)
                 progress = True
             # Gather this event's dependency edges (or block).
@@ -455,12 +428,7 @@ def _forward_pass(
                     consumers[key] -= 1
                     if consumers[key] == 0:
                         del coll_pubs[key]
-            # The kernel's dependency-event update.
-            value = st.origl[q]
-            if gidx > 0:
-                follow = st.corr[q - 1] + st.gdl[q]
-                if follow > value:
-                    value = follow
+            # The dependency-event update, under the largest remote floor.
             remote_floor = -np.inf
             lms = []
             for s_corr, s_rank, s_idx in edges:
@@ -469,14 +437,13 @@ def _forward_pass(
                 floor = s_corr + lm
                 if floor > remote_floor:
                     remote_floor = floor
-            if remote_floor > value:
-                jump = remote_floor - value
-                value = remote_floor
+            jump = st.land(q, remote_floor)
+            value = st.corr[q]
+            if jump:
                 st.jumps.append((gidx, jump, value))
                 njumps += 1
                 if jump > max_jump:
                     max_jump = jump
-            st.corr[q] = value
             st.cur = q + 1
             st.stop_ptr += 1
             # Send caps for every consumed edge (reference nudge loop).

@@ -31,6 +31,16 @@ from repro.tracing.events import CollectiveOp, EventLog, EventType
 __all__ = ["Trace", "MessageRecord", "MessageTable", "CollectiveRecord", "CollectiveTable"]
 
 
+def _gather(timestamps: dict[int, np.ndarray], ranks: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """``timestamps[ranks[i]][idx[i]]`` for every ``i``, one gather per distinct rank."""
+    out = np.empty(ranks.size, dtype=np.float64)
+    order = np.argsort(ranks, kind="stable")
+    members, starts = np.unique(ranks[order], return_index=True)
+    for rank, sel in zip(members.tolist(), np.split(order, starts[1:])):
+        out[sel] = timestamps[rank][idx[sel]]
+    return out
+
+
 @dataclass(frozen=True)
 class MessageRecord:
     """Row view of one matched message."""
@@ -69,6 +79,20 @@ class MessageTable:
         self.recv_ts = np.asarray(recv_ts, dtype=np.float64)
         self.send_idx = np.asarray(send_idx, dtype=np.int64)
         self.recv_idx = np.asarray(recv_idx, dtype=np.int64)
+
+    def with_timestamps(self, timestamps: dict[int, np.ndarray]) -> "MessageTable":
+        """The same matches with send/receive times re-read from ``timestamps``.
+
+        Who matched whom does not depend on timestamps, so a trace that
+        differs only in its timestamps gets its table from two gathers
+        instead of a second matching pass.
+        """
+        return MessageTable(
+            self.src, self.dst, self.tag, self.nbytes,
+            _gather(timestamps, self.src, self.send_idx),
+            _gather(timestamps, self.dst, self.recv_idx),
+            self.send_idx, self.recv_idx,
+        )
 
     def __len__(self) -> int:
         return self.src.size
@@ -142,20 +166,14 @@ class CollectiveTable:
 
         Instance, op, root, member ranks and event indices do not depend
         on timestamps, so a trace that differs only in its timestamps
-        gets its table from one gather per rank instead of a second
-        walk over every collective event.
+        gets its table from two gathers instead of a second walk over
+        every collective event.
         """
-        enter_ts = np.empty(self.ranks.size, dtype=np.float64)
-        exit_ts = np.empty(self.ranks.size, dtype=np.float64)
-        order = np.argsort(self.ranks, kind="stable")
-        members, starts = np.unique(self.ranks[order], return_index=True)
-        for rank, sel in zip(members.tolist(), np.split(order, starts[1:])):
-            ts = timestamps[rank]
-            enter_ts[sel] = ts[self.enter_idx[sel]]
-            exit_ts[sel] = ts[self.exit_idx[sel]]
         return CollectiveTable(
-            self.instance, self.op, self.root, self.starts,
-            self.ranks, enter_ts, exit_ts, self.enter_idx, self.exit_idx,
+            self.instance, self.op, self.root, self.starts, self.ranks,
+            _gather(timestamps, self.ranks, self.enter_idx),
+            _gather(timestamps, self.ranks, self.exit_idx),
+            self.enter_idx, self.exit_idx,
         )
 
     def __len__(self) -> int:
@@ -262,11 +280,12 @@ class Trace:
             raise TraceError("a trace needs at least one rank")
         self.logs = {rank: log.freeze() for rank, log in logs.items()}
         self.meta: dict[str, Any] = dict(meta or {})
-        self._messages: Optional[MessageTable] = None
-        self._collectives: Optional[CollectiveTable] = None
-        #: Table of a trace with this one's event structure (set by
-        #: ``with_timestamps``); only its timestamps are stale.
-        self._collective_structure: Optional[CollectiveTable] = None
+        #: Structure derived from the events, by kind: the message tables
+        #: (strict and not) and the collective table, see ``_derived``.
+        self._tables: dict[str, Any] = {}
+        #: The same of a trace with this one's event structure (set by
+        #: ``with_timestamps``); only their timestamps are stale.
+        self._inherited: dict[str, Any] = {}
         self._schedules: dict[bool, Any] = {}
 
     # ------------------------------------------------------------------
@@ -290,16 +309,34 @@ class Trace:
         schedule serves every timestamp correction of this trace; CLC,
         naive-shift, Lamport, vector, and replay all share it.
         """
-        # ``setdefault`` on ``__dict__``: traces unpickled from caches
-        # written by older versions lack the attribute.
-        cache = self.__dict__.setdefault("_schedules", {})
-        schedule = cache.get(include_collectives)
+        schedule = self._schedules.get(include_collectives)
         if schedule is None:
             from repro.sync.schedule import CompiledSchedule  # import cycle: sync -> tracing
 
             schedule = CompiledSchedule.from_trace(self, include_collectives)
-            cache[include_collectives] = schedule
+            self._schedules[include_collectives] = schedule
         return schedule
+
+    def _derived(self, kind: str, build, refresh: bool):
+        """One rule for the tables derived from the events.
+
+        A table is built once per event structure: asked again it comes
+        from the cache, and a trace made by :meth:`with_timestamps` gets
+        it from its parent's with a timestamp re-gather (matching and
+        pairing never read timestamps).  ``refresh`` rebuilds from the
+        events.
+        """
+        table = None if refresh else self._tables.get(kind)
+        if table is None:
+            stale = None if refresh else self._inherited.get(kind)
+            if stale is None:
+                table = build()
+            else:
+                table = stale.with_timestamps(
+                    {rank: log.timestamps for rank, log in self.logs.items()}
+                )
+            self._tables[kind] = table
+        return table
 
     def event_counts(self) -> dict[EventType, int]:
         """Number of events per type across all ranks."""
@@ -331,12 +368,9 @@ class Trace:
         falls outside the trace — are silently dropped instead of raising
         :class:`MatchingError`.
         """
-        if self._messages is None or refresh or not strict:
-            table = self._match_messages(strict)
-            if strict:
-                self._messages = table
-            return table
-        return self._messages
+        return self._derived(
+            "messages" if strict else "matched", lambda: self._match_messages(strict), refresh
+        )
 
     def _match_messages(self, strict: bool = True) -> MessageTable:
         have_ids = True
@@ -472,18 +506,14 @@ class Trace:
     # ------------------------------------------------------------------
     def collectives(self, refresh: bool = False) -> CollectiveTable:
         """Collective instances with per-rank enter/exit times (cached)."""
-        if self._collectives is None or refresh:
-            structure = None if refresh else self.__dict__.get("_collective_structure")
-            if structure is None:
-                self._collectives = pair_collectives({
-                    rank: [collective_rows(0, log.timestamps, log.etypes, log.a, log.b, log.d)]
-                    for rank, log in self.logs.items()
-                })
-            else:
-                self._collectives = structure.with_timestamps(
-                    {rank: log.timestamps for rank, log in self.logs.items()}
-                )
-        return self._collectives
+        return self._derived(
+            "collectives",
+            lambda: pair_collectives({
+                rank: [collective_rows(0, log.timestamps, log.etypes, log.a, log.b, log.d)]
+                for rank, log in self.logs.items()
+            }),
+            refresh,
+        )
 
     # ------------------------------------------------------------------
     def slice(self, t0: float, t1: float) -> "Trace":
@@ -522,14 +552,10 @@ class Trace:
         }
         out = Trace(logs, meta=dict(self.meta))
         # Timestamp replacement preserves event structure, so compiled
-        # happened-before schedules stay valid for the corrected trace.
-        out._schedules = dict(self.__dict__.get("_schedules", {}))
-        # ... and so does the collective instance/index structure.
-        out._collective_structure = (
-            self._collectives
-            if self._collectives is not None
-            else self.__dict__.get("_collective_structure")
-        )
+        # happened-before schedules stay valid for the corrected trace,
+        # and its derived tables are this one's but for their timestamps.
+        out._schedules = dict(self._schedules)
+        out._inherited = {**self._inherited, **self._tables}
         return out
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

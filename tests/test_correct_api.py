@@ -8,6 +8,9 @@ encoding, which is byte-stable (unlike ``.npz``).
 
 from __future__ import annotations
 
+import dataclasses
+
+import numpy as np
 import pytest
 
 from repro.core.correct import (
@@ -18,6 +21,7 @@ from repro.core.correct import (
     scan_source,
 )
 from repro.errors import SynchronizationError, TraceFormatError
+from repro.tracing.events import EventLog
 from repro.tracing.store import ChunkedTrace, write_sharded_trace
 from repro.tracing.trace import Trace
 from repro.tracing.writer import trace_to_jsonl, write_trace
@@ -135,3 +139,37 @@ class TestSingleCodePath:
         inmemory = scan_source(run.trace)
         assert sharded["p2p"].violated == inmemory["p2p"].violated
         assert sharded["collective"].violated == inmemory["collective"].violated
+
+    @pytest.mark.parametrize("window", [None, 0.0, 1e-4])
+    def test_sharded_dir_honours_amortization_window(self, tmp_path, window):
+        # Two ranks, every 16th event a message, every 10th message's
+        # receive pulled back before its send: the auto window, no
+        # window and a fixed one each move a different set of events.
+        n = 2000
+        idx = np.arange(n // 16) * 16 + 8
+        zeros = np.zeros(n, dtype=np.int64)
+        logs = {}
+        for rank in (0, 1):
+            ts = np.arange(n) * 1e-6 + rank * 5e-7
+            etypes, a, d = zeros.copy(), zeros.copy(), zeros - 1
+            etypes[idx], a[idx], d[idx] = 2 + rank, 1 - rank, np.arange(idx.size)  # SEND / RECV
+            if rank:
+                ts[idx[::10]] -= 0.9e-6
+            logs[rank] = EventLog.from_arrays(ts, etypes, a, zeros, zeros, d)
+        trace = Trace(logs)
+        knobs = dict(interpolation="none", amortization_window=window)
+        inmemory = correct_trace(trace, **knobs)
+        src = write_sharded_trace(trace, tmp_path / "s", shard_events=256)
+        streamed = correct_trace(src, output=tmp_path / "o", **knobs)
+        assert inmemory.clc.jumps == len(idx[::10])
+        moved = {w: correct_trace(trace, interpolation="none", amortization_window=w).clc.corrected_events
+                 for w in (None, 0.0, 1e-4)}
+        assert len(set(moved.values())) == 3
+        got = streamed.trace.materialize()
+        for rank in trace.ranks:
+            np.testing.assert_array_equal(
+                got.logs[rank].timestamps, inmemory.trace.logs[rank].timestamps
+            )
+        stats = lambda result: dataclasses.replace(result.clc, trace=None)  # noqa: E731
+        assert stats(streamed) == stats(inmemory)
+        assert streamed.trace.meta["clc"] == inmemory.trace.meta["clc"]

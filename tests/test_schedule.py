@@ -1,8 +1,10 @@
 """Tests for compiled happened-before schedules (repro.sync.schedule).
 
-Two obligations: the compiled topological order must match the
-dict-based ``replay_schedule`` exactly, and every array kernel must be
-**bit-for-bit** identical to its ``*_reference`` scalar oracle —
+Two obligations: the compiled order must be one a replay may take
+(every event once, after its local predecessor and after every source
+— it is the cursor walk's order, not ``replay_schedule``'s), and every
+array kernel must be **bit-for-bit** identical to its ``*_reference``
+scalar oracle —
 checked here on randomized synthetic traces mixing messages with all
 four collective flavors (N-to-N, 1-to-N, N-to-1, prefix) under clock
 offsets large enough to force violations and jumps.  The equivalence
@@ -18,15 +20,19 @@ import typing
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.errors import SynchronizationError
+from repro.sync import schedule as schedule_module
 from repro.sync.clc import ControlledLogicalClock
 from repro.sync.order import build_dependencies
-from repro.sync.schedule import CompiledSchedule, bsp_rounds
+from repro.sync.schedule import CompiledSchedule, bsp_rounds, cursor_walk
 from repro.sync.replay import replay_correct
 from repro.tracing.events import CollectiveOp, EventLog, EventType
 from repro.tracing.trace import Trace
 from repro.verify.oracles import (
+    OracleViolation,
     assert_clc_matches_reference,
     assert_dependency_clc_matches_reference,
     assert_logical_clocks_match_reference,
@@ -107,18 +113,23 @@ class TestCompilation:
         schedule = CompiledSchedule.from_dependencies(trace, deps)
         offsets = {r: int(schedule.offsets[i]) for i, r in enumerate(schedule.ranks)}
         n_edges = 0
+        dependents = schedule.dep_gids.tolist()
+        assert dependents == sorted(offsets[rank] + idx for rank, idx in deps)
         for (rank, idx), sources in deps.items():
-            gid = offsets[rank] + idx
-            lo, hi = int(schedule.indptr[gid]), int(schedule.indptr[gid + 1])
-            got = schedule.indices[lo:hi].tolist()
+            k = dependents.index(offsets[rank] + idx)
+            lo, hi = int(schedule.dep_indptr[k]), int(schedule.dep_indptr[k + 1])
+            got = schedule.dep_src[lo:hi].tolist()
             want = [offsets[sr] + si for sr, si in sources]
             assert got == want  # per-dependent source order is preserved
+            # ... and every CSR slot names its row of the edge table.
+            assert schedule.e_src[schedule.dep_edge_ids[lo:hi]].tolist() == want
             n_edges += len(sources)
         assert schedule.n_edges == n_edges
-        # Reverse CSR inverts the relation edge-for-edge.
-        assert np.array_equal(
-            np.sort(schedule.rev_targets), np.sort(schedule.e_dst)
-        )
+        # A rank's dependents are one contiguous range of the CSR.
+        for i in range(len(schedule.ranks)):
+            lo, hi = schedule.rank_deps[i], schedule.rank_deps[i + 1]
+            mine = schedule.dep_gids[lo:hi]
+            assert np.all((mine >= schedule.offsets[i]) & (mine < schedule.offsets[i + 1]))
 
     def test_cycle_raises(self):
         log0, log1 = EventLog(), EventLog()
@@ -178,6 +189,137 @@ class TestCompilation:
         trace = Trace({0: log, 1: EventLog().freeze()})
         schedule = trace.compiled_schedule(True)
         assert schedule.topo_refs() == [(0, 0)]
+
+
+def _early_wake(**hot):
+    """The walk with every source taken as done one event early."""
+    return cursor_walk(**{**hot, "src": [s - 1 for s in hot["src"]]})
+
+
+def _trace_of(events: dict[int, list[tuple]]) -> Trace:
+    """``{rank: [(etype, a, b, c, d), ...]}`` -> a trace, one event per microsecond."""
+    logs = {}
+    for rank, rows in events.items():
+        cols = np.array(rows, dtype=np.int64).reshape(len(rows), 5)
+        ts = 1e-6 * np.arange(len(rows), dtype=np.float64)
+        logs[rank] = EventLog.from_arrays(ts, cols[:, 0], cols[:, 1], cols[:, 2], cols[:, 3], cols[:, 4])
+    return Trace(logs)
+
+
+@st.composite
+def walk_cases(draw):
+    """A trace and a dependency dict for the walk to order.
+
+    Messages and all four collective flavors over sub-communicators,
+    ranks that recorded nothing in between, and — through the dict —
+    constraints whose source lies earlier on the dependent's own rank.
+    Events are drawn in one global order, sources first, so the
+    relation is acyclic.
+    """
+    active = draw(st.integers(2, 5))
+    # Active rank ``i`` gets id ``2 i``; some odd ids in between stay empty.
+    empty = draw(st.sets(st.integers(0, active - 1), max_size=2))
+    events: dict[int, list[tuple]] = {2 * i: [] for i in range(active)}
+    events.update({2 * i + 1: [] for i in empty})
+    pair = st.permutations(range(active)).map(lambda p: (2 * p[0], 2 * p[1]))
+    members = st.sets(st.integers(0, active - 1), min_size=2).map(lambda m: sorted(2 * i for i in m))
+    ops = st.one_of(
+        st.tuples(st.just("local"), st.integers(0, active - 1)),
+        st.tuples(st.just("message"), pair),
+        st.tuples(st.just("collective"), st.sampled_from(_COLLECTIVE_MIX), members, st.integers(0, 9)),
+    )
+    for k, op in enumerate(draw(st.lists(ops, max_size=20))):
+        if op[0] == "local":
+            events[2 * op[1]].append((EventType.ENTER, 1, 0, 0, 0))
+        elif op[0] == "message":
+            src, dst = op[1]
+            events[src].append((EventType.SEND, dst, 0, 64, k))
+            events[dst].append((EventType.RECV, src, 0, 64, k))
+        else:
+            _, coll, ranks, pick = op
+            root = ranks[pick % len(ranks)]
+            for etype in (EventType.COLL_ENTER, EventType.COLL_EXIT):
+                for rank in ranks:
+                    events[rank].append((etype, int(coll), root, len(ranks), k))
+    trace = _trace_of(events)
+    deps = build_dependencies(trace)
+    for rank, lo, hi in draw(st.lists(st.tuples(st.sampled_from(sorted(events)),
+                                                st.integers(0, 40), st.integers(0, 40)), max_size=4)):
+        n = len(events[rank])
+        if n >= 2 and lo % n != hi % n:
+            lo, hi = sorted((lo % n, hi % n))
+            deps.setdefault((rank, hi), []).append((rank, lo))
+    return trace, deps
+
+
+class TestCursorWalk:
+    @given(walk_cases())
+    def test_order_is_valid(self, case):
+        trace, deps = case
+        assert_topo_matches_replay(trace)  # the standard relation
+        assert_topo_matches_replay(trace, deps)  # ... plus same-rank sources
+        schedule = CompiledSchedule.from_dependencies(trace, deps)
+        _, _, checks = cursor_walk(**schedule.hot)
+        assert checks == schedule.n_edges
+
+    @given(walk_cases(), st.integers(0, 10_000))
+    def test_cycle_raises_incomplete(self, case, pick):
+        trace, deps = case
+        edges = [(dst, src) for dst, sources in deps.items() for src in sources]
+        if not edges:
+            return
+        dst, src = edges[pick % len(edges)]
+        deps.setdefault(src, []).append(dst)  # the source now waits for its dependent
+        with pytest.raises(SynchronizationError, match="incomplete"):
+            CompiledSchedule.from_dependencies(trace, deps)
+
+    def test_early_wake_is_caught(self, monkeypatch):
+        # benchmarks/check_oracles.py's sixth mutant: rank 1 may take its
+        # receive (source: rank 2's first event, "done" one event early)
+        # before rank 2 has run at all.
+        trace = _trace_of({
+            0: [(EventType.RECV, 1, 0, 64, 0)],
+            1: [(EventType.RECV, 2, 0, 64, 1), (EventType.SEND, 0, 0, 64, 0)],
+            2: [(EventType.SEND, 1, 0, 64, 1)],
+        })
+        assert_topo_matches_replay(trace)
+        monkeypatch.setattr(schedule_module, "cursor_walk", _early_wake)
+        with pytest.raises(OracleViolation, match="before its source"):
+            assert_topo_matches_replay(fresh := Trace(dict(trace.logs)))
+        assert fresh.compiled_schedule(True).topo_refs()[0] == (1, 0)
+
+    def test_n_to_n_checks_every_edge_once(self):
+        # 256 ranks, three barriers: every exit waits for 255 enters.
+        n = 256
+        rows = [(etype, int(CollectiveOp.BARRIER), 0, n, k)
+                for k in range(3) for etype in (EventType.COLL_ENTER, EventType.COLL_EXIT)]
+        schedule = _trace_of({rank: rows for rank in range(n)}).compiled_schedule(True)
+        assert schedule.n_edges == 3 * n * (n - 1)
+        steps, _, checks = cursor_walk(**schedule.hot)
+        assert checks <= schedule.n_edges + len(steps)
+        assert len(steps) <= 4 * n  # a rank is visited once per barrier, and once to finish
+
+    def test_waiting_ranks_are_not_polled(self):
+        # Ranks 2..255 wait for rank 0, which first plays 200 rounds of
+        # ping-pong with rank 1: a walk that re-examined blocked ranks
+        # on every visit would make ~100k checks for these ~650 edges.
+        n, rounds = 256, 200
+        events: dict[int, list[tuple]] = {rank: [] for rank in range(n)}
+        for k in range(rounds):
+            events[0].append((EventType.SEND, 1, 0, 64, 2 * k))
+            events[1].append((EventType.RECV, 0, 0, 64, 2 * k))
+            events[1].append((EventType.SEND, 0, 0, 64, 2 * k + 1))
+            events[0].append((EventType.RECV, 1, 0, 64, 2 * k + 1))
+        for rank in range(2, n):
+            events[0].append((EventType.SEND, rank, 0, 64, 2 * rounds + rank))
+            events[rank].append((EventType.RECV, 0, 0, 64, 2 * rounds + rank))
+        trace = _trace_of(events)
+        assert_topo_matches_replay(trace)
+        schedule = trace.compiled_schedule(True)
+        assert schedule.n_edges == 2 * rounds + n - 2
+        steps, _, checks = cursor_walk(**schedule.hot)
+        assert checks <= schedule.n_edges + len(steps)
+        assert len(steps) <= 2 * rounds + n
 
 
 class TestClcEquivalence:

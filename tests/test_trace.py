@@ -8,7 +8,7 @@ import pytest
 from repro.errors import MatchingError, TraceError
 from repro.tracing.events import CollectiveOp, EventLog, EventType
 from repro.tracing import trace as trace_module
-from repro.tracing.trace import Trace
+from repro.tracing.trace import MessageTable, Trace
 
 
 def two_rank_trace(with_ids=True, recv_before_send=False):
@@ -225,3 +225,41 @@ class TestWithTimestamps:
                     assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
         with pytest.raises(TypeError):  # refresh goes back to the log
             derived.collectives(refresh=True)
+
+    @pytest.mark.parametrize("strict", [True, False])
+    def test_matching_is_carried_not_repeated(self, monkeypatch, strict):
+        """Messages are matched once per event structure: asked again the
+        table comes from the cache, a corrected copy (and its copies)
+        re-reads only the send/receive times, ``refresh=True`` rematches."""
+        base = two_rank_trace()
+        shifted = {r: base.logs[r].timestamps * 2.0 + r for r in base.ranks}
+        want = base.with_timestamps(shifted).messages(strict=strict)
+        first = base.messages(strict=strict)
+        calls = []
+        real = Trace._match_messages
+        monkeypatch.setattr(
+            Trace, "_match_messages", lambda self, strict=True: calls.append(strict) or real(self, strict)
+        )
+        assert base.messages(strict=strict) is first
+        derived = base.with_timestamps(shifted)
+        again = derived.with_timestamps({})
+        for table in (derived.messages(strict=strict), again.messages(strict=strict)):
+            for field in MessageTable.__slots__:
+                a, b = getattr(table, field), getattr(want, field)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert calls == []
+        assert derived.messages(strict=strict, refresh=True) is not derived.messages(strict=not strict)
+        assert calls == [strict, not strict]
+
+    def test_one_correction_matches_messages_once(self, monkeypatch):
+        from repro.core.correct import correct_trace
+
+        calls = []
+        real = Trace._match_messages
+        monkeypatch.setattr(
+            Trace, "_match_messages", lambda self, strict=True: calls.append(strict) or real(self, strict)
+        )
+        base = two_rank_trace()
+        result = correct_trace(base, interpolation="none", clc=True)
+        assert [s.stage for s in result.stages] == ["raw", "none", "clc"]
+        assert calls == [False]  # three scans and the edge table share one matching pass
