@@ -2,7 +2,8 @@
 
 Injects a handful of hand-written mutants — each a realistic way the
 synchronization stack could silently break — and asserts the
-``mutation`` fuzz campaign catches every one, shrinks the failure, and
+fuzz campaign named beside it (``mutation``, or ``streaming`` for the
+out-of-core sweeps) catches every one, shrinks the failure, and
 serializes it to a corpus entry.  A mutant that survives means an
 oracle has gone blind; exit code 1.
 
@@ -119,13 +120,48 @@ def mutant_early_wake():
         yield
 
 
+@contextmanager
+def mutant_stale_pending():
+    """M7: the streamed pre-scan's join forgets the sends it carried over
+    a shard boundary — a receive in a later shard than its send goes
+    unmatched and drops out of the verdict."""
+    import repro.sync.streaming as streaming
+
+    real = streaming._MessageJoin.feed
+
+    def forgetful(self, sends, recvs):
+        real(self, sends, recvs)
+        self.sends = streaming._rows(self.sends, slice(0))
+
+    with mock.patch.object(streaming._MessageJoin, "feed", forgetful):
+        yield
+
+
+@contextmanager
+def mutant_raw_verdict():
+    """M8: the fused pre-scan reports the interpolated stage from the raw
+    stamps — the corrected trace is right, the stage report is not."""
+    from repro.sync.streaming import ShardSweeps
+
+    real = ShardSweeps._stamps
+
+    def raw_twice(self, rank, raw):
+        return [raw] * len(real(self, rank, raw))
+
+    with mock.patch.object(ShardSweeps, "_stamps", raw_twice):
+        yield
+
+
+#: (name, mutant, campaign that must catch it)
 MUTANTS = [
-    ("zero-lmin", mutant_zero_lmin),
-    ("uncapped-sends", mutant_uncapped_sends),
-    ("naive-floor", mutant_naive_floor),
-    ("forced-gamma", mutant_forced_gamma),
-    ("dropped-sender", mutant_dropped_sender),
-    ("early-wake", mutant_early_wake),
+    ("zero-lmin", mutant_zero_lmin, "mutation"),
+    ("uncapped-sends", mutant_uncapped_sends, "mutation"),
+    ("naive-floor", mutant_naive_floor, "mutation"),
+    ("forced-gamma", mutant_forced_gamma, "mutation"),
+    ("dropped-sender", mutant_dropped_sender, "mutation"),
+    ("early-wake", mutant_early_wake, "mutation"),
+    ("stale-pending", mutant_stale_pending, "streaming"),
+    ("raw-verdict", mutant_raw_verdict, "streaming"),
 ]
 
 
@@ -139,11 +175,11 @@ def main(argv: list[str] | None = None) -> int:
     from repro.verify import run_campaign
 
     survived = []
-    for name, mutant in MUTANTS:
+    for name, mutant, campaign in MUTANTS:
         with tempfile.TemporaryDirectory() as tmp:
             with mutant():
                 result = run_campaign(
-                    "mutation",
+                    campaign,
                     max_examples=args.max_examples,
                     corpus_dir=tmp,
                     seed=args.seed,

@@ -14,8 +14,9 @@ Every way this package corrects a trace — the ``repro sync`` CLI,
 function, so the contract "interpolation then CLC, scans between
 stages, bit-identical everywhere" is enforced in exactly one place —
 one stage sequence (raw scan, interpolate, scan, CLC, scan) for every
-source kind, each stage dispatching on whether the trace is in memory
-or sharded::
+source kind: stage by stage over a trace in memory, as three fused
+sweeps of the store over a sharded one (``_correct_sharded``; a stage
+is not a sweep — interpolation is an elementwise map)::
 
     from repro import correct_trace
     result = correct_trace("run.npz", interpolation="linear", clc=True)
@@ -31,18 +32,17 @@ Sources it accepts:
 * a path to a ``.npz`` / ``.jsonl`` trace file;
 * a sharded trace directory (or
   :class:`~repro.tracing.store.ChunkedTrace`), corrected out-of-core by
-  the bounded-memory kernels of :mod:`repro.sync.streaming` — this path
-  requires ``output`` and supports the streaming-safe interpolation
-  modes (``none`` / ``align`` / ``linear``).
+  the bounded-memory sweeps of :mod:`repro.sync.streaming` — this path
+  requires ``output`` (never the source directory itself) and supports
+  the streaming-safe interpolation modes (``none`` / ``align`` /
+  ``linear``).
 """
 
 from __future__ import annotations
 
 import time
-from contextlib import ExitStack
 from dataclasses import dataclass, field
 from pathlib import Path
-from tempfile import TemporaryDirectory
 from typing import Optional, Union
 
 from repro.errors import SynchronizationError, TraceFormatError
@@ -312,40 +312,38 @@ def correct_trace(
     tele = ensure_telemetry(telemetry)
 
     trace, run = _normalize_source(source)
-    streamed = _is_chunked(trace)
-    if streamed:
-        _check_streamable(interpolation, clc, lmin, output)
-        output = Path(output)
+    if _is_chunked(trace):
+        _check_streamable(trace, interpolation, clc, lmin, output)
+        return _correct_sharded(
+            trace, interpolation, clc, gamma, lmin, amortization_window, scan, Path(output), tele
+        )
 
     timings: dict[str, float] = {}
-    correction = clc_result = None
-    with ExitStack() as scratch, tele.span("sync.pipeline", interpolation=interpolation, clc=clc):
+    clc_result = None
+    with tele.span("sync.pipeline", interpolation=interpolation, clc=clc):
         stages = [_scan_stage("raw", trace, lmin, tele)] if scan else []
 
-        # Identity over a sharded trace would only copy its shards.
-        if not streamed or interpolation != "none":
-            start = time.perf_counter()
-            with tele.span("sync.interpolate", mode=interpolation):
-                correction = _build_correction(trace, run, interpolation, lmin)
-                dest = output
-                if streamed and clc:  # an intermediate store, gone once the CLC has read it
-                    tmp = scratch.enter_context(TemporaryDirectory(prefix="repro-correct-"))
-                    dest = Path(tmp) / "interp"
-                trace = _apply_stage(correction, trace, dest, tele)
-            timings["interpolate"] = time.perf_counter() - start
-            if scan:
-                stages.append(_scan_stage(interpolation, trace, lmin, tele))
+        start = time.perf_counter()
+        with tele.span("sync.interpolate", mode=interpolation):
+            correction = _build_correction(trace, run, interpolation, lmin)
+            trace = correction.apply(trace)
+        timings["interpolate"] = time.perf_counter() - start
+        if scan:
+            stages.append(_scan_stage(interpolation, trace, lmin, tele))
 
         if clc:
             start = time.perf_counter()
             with tele.span("sync.clc", gamma=gamma):
-                clc_result = _clc_stage(trace, gamma, amortization_window, lmin, output, tele)
+                corrector = ControlledLogicalClock(
+                    gamma=gamma, amortization_window=amortization_window, telemetry=tele
+                )
+                clc_result = corrector.correct(trace, lmin=lmin)
             trace = clc_result.trace
             timings["clc"] = time.perf_counter() - start
             if scan:
                 stages.append(_scan_stage("clc", trace, lmin, tele))
 
-    if output is not None and not streamed:
+    if output is not None:
         from repro.tracing.writer import write_trace
 
         output = write_trace(trace, output)
@@ -357,13 +355,74 @@ def correct_trace(
         clc=clc_result,
         interpolation=interpolation,
         applied_clc=clc,
-        streamed=streamed,
         output=output,
         timings=timings,
     )
 
 
-def _check_streamable(interpolation: str, clc: bool, lmin, output) -> None:
+def _correct_sharded(
+    chunked, interpolation, clc, gamma, lmin, amortization_window, scan, output: Path, tele
+) -> CorrectionResult:
+    """The same stage sequence over a sharded source, its sweeps fused.
+
+    Interpolation is a per-rank elementwise map, so nothing forces a
+    store sweep (let alone an intermediate store) per stage: one
+    :class:`repro.sync.streaming.ShardSweeps` evaluates it on each shard
+    it holds.  The pre-scan yields the ``raw`` and the interpolated
+    verdict from one read, the CLC reads the input twice more (forward
+    sweep, output written once), and the ``clc`` verdict is a scan of
+    what was written.
+    """
+    from repro.sync.streaming import ShardSweeps, streaming_scan_trace
+
+    timings: dict[str, float] = {}
+    correction = clc_result = None
+    stages: list[StageReport] = []
+    with tele.span("sync.pipeline", interpolation=interpolation, clc=clc):
+        # Identity over a sharded trace would only copy its shards.
+        if interpolation != "none":
+            start = time.perf_counter()
+            with tele.span("sync.interpolate", mode=interpolation):
+                correction = _build_correction(chunked, None, interpolation, lmin)
+            timings["interpolate"] = time.perf_counter() - start
+        sweeps = ShardSweeps(chunked, correction, lmin, telemetry=tele)
+        if scan:
+            with tele.span("sync.scan", stage="raw"):
+                reports = sweeps.prescan()
+            stages = [
+                StageReport(stage=name, **verdict)
+                for name, verdict in zip(("raw", interpolation), reports)
+            ]
+
+        if clc:
+            start = time.perf_counter()
+            with tele.span("sync.clc", gamma=gamma):
+                clc_result = sweeps.clc(output, gamma, amortization_window)
+            trace = clc_result.trace
+            timings["clc"] = time.perf_counter() - start
+            if scan:
+                with tele.span("sync.scan", stage="clc"):
+                    verdict = streaming_scan_trace(trace, lmin=lmin, telemetry=tele)
+                stages.append(StageReport(stage="clc", **verdict))
+        else:
+            start = time.perf_counter()
+            trace = sweeps.apply(output)
+            timings["interpolate"] += time.perf_counter() - start
+
+    return CorrectionResult(
+        trace=trace,
+        stages=stages,
+        correction=correction,
+        clc=clc_result,
+        interpolation=interpolation,
+        applied_clc=clc,
+        streamed=True,
+        output=output,
+        timings=timings,
+    )
+
+
+def _check_streamable(chunked, interpolation: str, clc: bool, lmin, output) -> None:
     """What a sharded source asks of the other arguments (it is never materialized)."""
     if interpolation not in STREAMING_INTERPOLATIONS:
         raise SynchronizationError(
@@ -386,30 +445,12 @@ def _check_streamable(interpolation: str, clc: bool, lmin, output) -> None:
         raise SynchronizationError(
             "streaming correction takes a scalar lmin floor"
         )
-
-
-def _apply_stage(correction: ClockCorrection, trace, dest, telemetry):
-    """The interpolation stage: in memory, or shard by shard into the store ``dest``."""
-    if _is_chunked(trace):
-        from repro.sync.streaming import streaming_apply_correction
-
-        return streaming_apply_correction(correction, trace, dest, telemetry=telemetry)
-    return correction.apply(trace)
-
-
-def _clc_stage(trace, gamma, amortization_window, lmin, output, telemetry) -> ClcResult:
-    """The CLC stage: the in-memory kernels, or the streaming ones writing ``output``."""
-    if _is_chunked(trace):
-        from repro.sync.streaming import streaming_clc_correct
-
-        return streaming_clc_correct(
-            trace, output, gamma=gamma, amortization_window=amortization_window,
-            lmin=lmin, telemetry=telemetry,
+    if Path(output).resolve() == chunked.reader.directory.resolve():
+        raise SynchronizationError(
+            f"output {str(output)!r} is the source directory: a streamed "
+            "correction reads the source shards while it writes the result, "
+            "and would overwrite the only copy of the raw trace"
         )
-    corrector = ControlledLogicalClock(
-        gamma=gamma, amortization_window=amortization_window, telemetry=telemetry
-    )
-    return corrector.correct(trace, lmin=lmin)
 
 
 def _build_correction(

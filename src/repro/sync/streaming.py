@@ -1,46 +1,64 @@
-"""Bounded-memory streaming CLC and violation scans over sharded traces.
+"""Bounded-memory streaming correction and violation scans over sharded traces.
 
 The in-memory kernels of :mod:`repro.sync.clc` and
 :mod:`repro.sync.violations` require the whole trace (and its
 :class:`~repro.sync.schedule.CompiledSchedule`) resident in RAM.  The
-functions here reproduce them **bit-identically** over a
+sweeps here reproduce them **bit-identically** over a
 :class:`~repro.tracing.store.ChunkedTrace` while keeping the peak
-resident set at O(one shard per rank + carried boundary state):
+resident set at O(one shard per rank + carried boundary state).
 
-* :func:`streaming_clc_correct` — the controlled logical clock.  The
-  forward pass is the in-memory kernel's, in the same shape: the
-  arithmetic is :func:`repro.sync.schedule.forward_recurrence` (follow
-  rule, glide tail, spontaneous positions, jump test — written there
-  only), run one resident shard at a time with the carried predecessor
-  in the slot before it, and the order is found the way
+A streamed correction is the paper's stage sequence — Eq. 1 scan, Eq. 3
+interpolation, scan, CLC, scan — run as the three sweeps of one
+:class:`ShardSweeps` (what :func:`repro.core.correct.correct_trace`
+drives for a sharded source), each reading every input shard once:
+
+* the **pre-scan** pairs collective enters and exits
+  (:func:`repro.tracing.trace.pair_collectives`, fed one shard's rows at
+  a time) and matches point-to-point messages by array joins on a match
+  key — the ground-truth id, or without ids the k-th send and receive of
+  a ``(src, dst, tag)`` FIFO channel, the semantics of
+  :meth:`Trace.messages(strict=False) <repro.tracing.trace.Trace.messages>`
+  (unmatched ends dropped).  Unmatched ends wait in pending arrays
+  carried from shard to shard, so the state is O(in-flight messages).
+  Interpolation is a per-rank elementwise map, so the verdict *after* it
+  comes from the same read: every shard's resident timestamps are run
+  through :meth:`ClockCorrection.apply_rank
+  <repro.sync.interpolation.ClockCorrection.apply_rank>` and both
+  stampings of a matched pair are checked.  No interpolated store is
+  ever written — each later sweep re-evaluates the map on the shard it
+  holds, which yields the same bits as applying it to the whole log.
+* the **forward** sweep is the in-memory kernel's forward pass in the
+  same shape: the arithmetic is
+  :func:`repro.sync.schedule.forward_recurrence` (follow rule, glide
+  tail, spontaneous positions, jump test — written there only), run one
+  resident shard at a time with the carried predecessor in the slot
+  before it, and the order is found the way
   :func:`repro.sync.schedule.cursor_walk` finds it: a rank advances
   until it reaches a receive whose matching send, or a collective exit
   whose member enters, have not been published yet (ranks are visited
-  round-robin here; a blocked rank costs a visit one lookup, not a
-  shard).  What this module
-  adds is what streaming needs — shard residency, publish/block by
-  match id or FIFO channel (sources are not known by ``(rank, idx)``
-  before their shard was read), caps spill, carries.  Send caps spill
-  to per-shard bucket files; the
-  backward amortization is a single reverse pass over each flagged
-  rank's shards — :func:`repro.sync.clc.amortize_segment` per shard,
-  with three scalar carries (the next shard's first advance,
-  timestamp, and re-clamped output) — that neither loads nor rewrites
-  a shard no amortization window reaches.  Statistics accumulate
-  shard by shard in the in-memory path's :class:`repro.sync.clc.ClcStats`,
-  and the corrected trace is written back out as a sharded store.
-* :func:`streaming_scan_trace` — Eq. 1 violation scan.  Point-to-point
-  matching streams with the same id/FIFO semantics as
-  :meth:`Trace.messages(strict=False) <repro.tracing.trace.Trace.messages>`
-  (unmatched ends dropped); collective instances accumulate and are
-  expanded through the in-memory logical-message mapping.
+  round-robin; a blocked rank costs a visit one lookup, not a shard).
+  What this module adds is what streaming needs — shard residency,
+  publish/block by match key (sources are not known by ``(rank, idx)``
+  before their shard was read), carries.  A shard's transfer positions,
+  keys and partner ranks leave numpy once, as lists; sends are published
+  a cursor move at a time and the send caps of a shard's receives are
+  nudged and spilled to per-shard bucket files in one batch.
+* the backward amortization is a single reverse pass over each flagged
+  rank's forward temp files — :func:`repro.sync.clc.amortize_segment`
+  per shard, with three scalar carries (the next shard's first advance,
+  timestamp, and re-clamped output) — that neither loads nor rewrites a
+  shard no amortization window reaches; **finalize** then writes every
+  output shard once and accumulates the in-memory path's
+  :class:`repro.sync.clc.ClcStats` shard by shard.
 
-Nothing about collectives is decided here: enters and exits are paired
-by :func:`repro.tracing.trace.pair_collectives` (fed one shard's
-collective rows at a time) and who constrains whom comes from
-:func:`repro.sync.collectives_map.collective_pairs` — this module only
-re-keys those pairs for its publish/block state machine.
-* :func:`streaming_apply_correction` — per-shard offset interpolation.
+The public functions are the one-stage cases of the same sweeps:
+:func:`streaming_scan_trace` (a pre-scan of the stamps as stored),
+:func:`streaming_clc_correct` (pre-scan for the collectives only,
+forward, backward, finalize, no interpolation) and
+:func:`streaming_apply_correction` (the interpolation alone, written
+out).  Nothing about collectives is decided here: who constrains whom
+comes from :func:`repro.sync.collectives_map.collective_pairs` — this
+module only re-keys those pairs for its publish/block state machine.
 
 Boundary-state requirements: every receive's matching send must come
 from the rank named in its source field, and match ids must be unique.
@@ -54,8 +72,7 @@ replay.  The ``streamed_matches_inmemory`` oracle in
 from __future__ import annotations
 
 import tempfile
-from bisect import bisect_left, bisect_right
-from collections import deque
+from bisect import bisect_left
 from dataclasses import replace
 from pathlib import Path
 from typing import Optional, Union
@@ -72,7 +89,13 @@ from repro.sync.clc import (
 )
 from repro.sync.collectives_map import collective_pairs, logical_messages
 from repro.sync.schedule import forward_recurrence
-from repro.sync.violations import LminSpec, ViolationReport, pair_lmin, scan_messages
+from repro.sync.violations import (
+    LminSpec,
+    ViolationReport,
+    pair_lmin,
+    resolve_lmin,
+    scan_messages,
+)
 from repro.telemetry import ensure_telemetry
 from repro.tracing.events import EventType
 from repro.tracing.store import ChunkedTrace, ShardedTraceReader, ShardedTraceWriter
@@ -93,6 +116,8 @@ _CEXIT = int(EventType.COLL_EXIT)
 _CAPS_DTYPE = np.dtype([("i", "<i8"), ("v", "<f8")])
 #: In-memory cap records buffered per bucket before hitting disk.
 _CAPS_BUFFER = 4096
+#: FIFO match keys: ``channel number << _SEQ_BITS | position in channel``.
+_SEQ_BITS = 40
 
 
 def _source_is_chunked(source) -> ChunkedTrace:
@@ -103,13 +128,8 @@ def _source_is_chunked(source) -> ChunkedTrace:
     return ChunkedTrace(ShardedTraceReader(source))
 
 
-def _id_mode(reader: ShardedTraceReader) -> bool:
-    """Ground-truth match ids available?  (Same rule as ``Trace``.)"""
-    return not any(rec.neg_send_ids for rank in reader.ranks for rec in reader.rank_shards(rank))
-
-
 class _Resident:
-    """Peak-resident-events accounting shared by all streaming passes."""
+    """Shard reads and peak resident events, counted for every sweep."""
 
     __slots__ = ("tele", "cur")
 
@@ -117,7 +137,8 @@ class _Resident:
         self.tele = tele
         self.cur = 0
 
-    def load(self, events: int) -> None:
+    def read(self, events: int) -> None:
+        """One shard-sized read that makes ``events`` more events resident."""
         self.cur += events
         if self.tele.enabled:
             self.tele.count("sync.stream.shards_read")
@@ -128,33 +149,139 @@ class _Resident:
 
 
 # ----------------------------------------------------------------------
-# Collective pre-scan
+# Message matching
 # ----------------------------------------------------------------------
-def _accumulate_collectives(chunked: ChunkedTrace, resident: _Resident) -> CollectiveTable:
-    """One streaming pass pairing every rank's collective enters and exits."""
-    rows: dict[int, list] = {}
-    for rank in chunked.ranks:
-        rows[rank] = []
-        for rec, (ts, et, a, b, _, d) in chunked.iter_shards(rank):
-            resident.load(rec.events)
-            rows[rank].append(collective_rows(rec.start, ts, et, a, b, d))
-            resident.release(rec.events)
-    return pair_collectives(rows)
+class _MatchKeys:
+    """What a send and its receive have in common, as one int64 per event.
+
+    With ground-truth match ids (the rule of ``Trace``: no send carries a
+    negative id) the key is the id, and a receive without one (negative)
+    matches nothing.  Otherwise matching is FIFO per ``(src, dst, tag)``
+    channel: the k-th send and the k-th receive of a channel share the
+    key ``channel number << _SEQ_BITS | k``, channels being numbered as
+    they are first seen and their two counts carried from shard to
+    shard.  Every sweep makes its own instance and feeds it each rank's
+    shards in log order.
+    """
+
+    def __init__(self, reader: ShardedTraceReader) -> None:
+        self.by_id = not any(
+            rec.neg_send_ids for rank in reader.ranks for rec in reader.rank_shards(rank)
+        )
+        self.channels: dict[tuple[int, int, int], list[int]] = {}  # -> [number, sends, recvs]
+
+    def of(self, rank: int, recv: bool, partner: np.ndarray, tag: np.ndarray,
+           ids: np.ndarray) -> np.ndarray:
+        """Keys of one shard's sends (or receives) of ``rank``, in log order."""
+        if self.by_id or not ids.size:
+            return ids
+        pairs, inverse, counts = np.unique(
+            np.stack([partner, tag], axis=1), axis=0, return_inverse=True, return_counts=True
+        )
+        base = []
+        for (other, t), n in zip(pairs.tolist(), counts.tolist()):
+            channel = (other, rank, t) if recv else (rank, other, t)
+            state = self.channels.setdefault(channel, [len(self.channels), 0, 0])
+            base.append((state[0] << _SEQ_BITS) + state[1 + recv])
+            state[1 + recv] += n
+        order = np.argsort(inverse.ravel(), kind="stable")
+        keys = np.empty(ids.size, dtype=np.int64)
+        keys[order] = (
+            np.repeat(np.array(base, dtype=np.int64) - (np.cumsum(counts) - counts), counts)
+            + np.arange(ids.size)
+        )
+        return keys
 
 
+def _rows(side: tuple, sel) -> tuple:
+    return tuple(col[..., sel] for col in side)
+
+
+class _MessageJoin:
+    """The pre-scan's message matcher: an array join over carried pending ends.
+
+    A *side* is ``(key, rank, ordinal, stamps)`` with one entry per
+    transfer event — ``ordinal`` the receive's position among its rank's
+    receives (unused for sends) and ``stamps`` a ``(stages, n)`` array of
+    the event's timestamp under each stage.  Ends that found no partner
+    yet stay pending, so the state is O(in-flight messages).
+    """
+
+    def __init__(self, stages: int, lmin: LminSpec) -> None:
+        ints = np.empty(0, dtype=np.int64)
+        self.sends = self.recvs = (ints, ints, ints, np.empty((stages, 0)))
+        self.lmin = lmin
+        self.violators = [[] for _ in range(stages)]  # per stage: (dst rank, ordinal) arrays
+        self.worst = [0.0] * stages
+
+    def feed(self, sends: tuple, recvs: tuple) -> None:
+        """Join one shard's transfer events in and check every new pair (Eq. 1)."""
+        sends = tuple(np.concatenate(cols, axis=-1) for cols in zip(self.sends, sends))
+        recvs = tuple(np.concatenate(cols, axis=-1) for cols in zip(self.recvs, recvs))
+        self.sends, self.recvs = sends, recvs
+        if not sends[0].size or not recvs[0].size:
+            return
+        order = np.argsort(sends[0], kind="stable")
+        keys = sends[0][order]
+        pos = np.minimum(np.searchsorted(keys, recvs[0]), keys.size - 1)
+        found = keys[pos] == recvs[0]
+        if not found.any():
+            return
+        taken = order[pos[found]]
+        (_, src, _, sent), (_, dst, ordinal, received) = _rows(sends, taken), _rows(recvs, found)
+        unsent = np.ones(keys.size, dtype=bool)
+        unsent[taken] = False
+        self.sends, self.recvs = _rows(sends, unsent), _rows(recvs, ~found)
+        floors = resolve_lmin(self.lmin, src, dst)
+        for stage, slack in enumerate(received - (sent + floors)):
+            bad = slack < 0
+            if bad.any():
+                self.violators[stage].append((dst[bad], ordinal[bad]))
+                self.worst[stage] = max(self.worst[stage], float(-slack[bad].min()))
+
+    def reports(self, ranks: list[int], recv_seen: dict[int, int]) -> list[ViolationReport]:
+        """Per stage, the report :func:`scan_messages` gives on the matched table.
+
+        The table lists matched receives by rank, then log order, so a
+        violator's row is its place among all receives minus the
+        unmatched ones before it.
+        """
+        rank_ids = np.array(ranks, dtype=np.int64)
+        before = np.cumsum([0] + [recv_seen[r] for r in ranks])
+
+        def place(rank, ordinal):
+            return before[np.searchsorted(rank_ids, rank)] + ordinal
+
+        unmatched = np.sort(place(self.recvs[1], self.recvs[2]))
+        out = []
+        for pairs, worst in zip(self.violators, self.worst):
+            where = np.empty(0, dtype=np.int64)
+            if pairs:
+                where = np.sort(place(*(np.concatenate(c) for c in zip(*pairs))))
+                where -= np.searchsorted(unmatched, where)
+            out.append(ViolationReport(
+                "p2p", int(before[-1]) - unmatched.size, where.size, where, worst
+            ))
+        return out
+
+
+# ----------------------------------------------------------------------
+# Collective dependencies
+# ----------------------------------------------------------------------
 def _collective_deps(table: CollectiveTable):
     """The collective pairs, keyed the way the streaming forward pass reads them.
 
+    A constraining enter is published under ``(instance, rank)``.
     Returns ``(publish, exit_deps, consumers)``:
 
-    * ``publish[rank]`` — ``{local enter idx: instance}`` for enters some
+    * ``publish[rank]`` — ``{local enter idx: key}`` for enters some
       other rank's exit depends on;
-    * ``exit_deps[rank]`` — ``{local exit idx: [(member rank, instance),
-      ...]}`` in :func:`repro.sync.order.dependency_edges` order;
-    * ``consumers[(instance, rank)]`` — number of exits reading that
-      publication (for cleanup).
+    * ``exit_deps[rank]`` — ``{local exit idx: [key, ...]}`` in
+      :func:`repro.sync.order.dependency_edges` order;
+    * ``consumers[key]`` — number of exits reading that publication
+      (for cleanup).
     """
-    publish: dict[int, dict[int, int]] = {}
+    publish: dict[int, dict[int, tuple[int, int]]] = {}
     exit_deps: dict[int, dict[int, list[tuple[int, int]]]] = {}
     consumers: dict[tuple[int, int], int] = {}
     receivers, senders = collective_pairs(table)
@@ -164,9 +291,10 @@ def _collective_deps(table: CollectiveTable):
         table.ranks[receivers].tolist(), table.exit_idx[receivers].tolist(),
         table.ranks[senders].tolist(), table.enter_idx[senders].tolist(),
     ):
-        exit_deps.setdefault(dst, {}).setdefault(exit_idx, []).append((src, inst))
-        publish.setdefault(src, {})[enter_idx] = inst
-        consumers[(inst, src)] = consumers.get((inst, src), 0) + 1
+        key = (inst, src)
+        exit_deps.setdefault(dst, {}).setdefault(exit_idx, []).append(key)
+        publish.setdefault(src, {})[enter_idx] = key
+        consumers[key] = consumers.get(key, 0) + 1
     return publish, exit_deps, consumers
 
 
@@ -176,35 +304,36 @@ def _collective_deps(table: CollectiveTable):
 class _CapsSpill:
     """Per-(rank, shard) bucket files of ``(event index, cap)`` records."""
 
-    def __init__(self, tmpdir: Path, shard_starts: dict[int, list[int]]) -> None:
+    def __init__(self, tmpdir: Path, shard_starts: dict[int, np.ndarray]) -> None:
         self.tmpdir = tmpdir
         self.starts = shard_starts
-        self.buffers: dict[tuple[int, int], list[tuple[int, float]]] = {}
+        self.buffers: dict[tuple[int, int], list[np.ndarray]] = {}
 
     def _path(self, rank: int, ordinal: int) -> Path:
         return self.tmpdir / f"caps_r{rank}_s{ordinal}.bin"
 
-    def add(self, rank: int, idx: int, val: float) -> None:
-        ordinal = bisect_right(self.starts[rank], idx) - 1
-        key = (rank, ordinal)
-        buf = self.buffers.setdefault(key, [])
-        buf.append((idx, val))
-        if len(buf) >= _CAPS_BUFFER:
-            self._flush(key)
-
-    def _flush(self, key: tuple[int, int]) -> None:
-        buf = self.buffers[key]
-        with self._path(*key).open("ab") as fh:
-            fh.write(np.array(buf, dtype=_CAPS_DTYPE).tobytes())
-        buf.clear()
+    def add(self, ranks: np.ndarray, idx: np.ndarray, vals: np.ndarray) -> None:
+        """Record ``vals[k]`` as a cap on event ``idx[k]`` of rank ``ranks[k]``."""
+        records = np.empty(idx.size, dtype=_CAPS_DTYPE)
+        records["i"], records["v"] = idx, vals
+        for rank in np.unique(ranks).tolist():
+            mine = records[ranks == rank]
+            ordinal = np.searchsorted(self.starts[rank], mine["i"], side="right") - 1
+            for o in np.unique(ordinal).tolist():
+                key = (rank, o)
+                buf = self.buffers.setdefault(key, [])
+                buf.append(mine[ordinal == o])
+                if sum(map(len, buf)) >= _CAPS_BUFFER:
+                    with self._path(*key).open("ab") as fh:
+                        fh.write(np.concatenate(buf).tobytes())
+                    buf.clear()
 
     def load(self, rank: int, ordinal: int) -> tuple[np.ndarray, np.ndarray]:
         path = self._path(rank, ordinal)
         spilled = path.read_bytes() if path.exists() else b""
-        arr = np.concatenate([
-            np.frombuffer(spilled, dtype=_CAPS_DTYPE),
-            np.array(self.buffers.get((rank, ordinal), []), dtype=_CAPS_DTYPE),
-        ])
+        arr = np.concatenate(
+            [np.frombuffer(spilled, dtype=_CAPS_DTYPE), *self.buffers.get((rank, ordinal), [])]
+        )
         return arr["i"].astype(np.int64, copy=False), arr["v"].astype(np.float64, copy=False)
 
 
@@ -220,27 +349,22 @@ class _RankForward:
     reads ``corr[q - 1]`` uniformly across shard boundaries (splitting
     a stretch at a shard or publication boundary changes no bit).  What
     is kept here is what streaming needs: which shard is resident, where
-    the cursor stands in it, the events to stop at or publish, and the
-    carries.
+    the cursor stands in it, the events to stop at or publish — python
+    lists, taken from the shard's columns once — the send caps its
+    receives imply, and the carries.
     """
 
     __slots__ = (
-        "rank", "recs", "reader", "gamma", "si", "cols",
-        "lo", "n_s", "corr", "stretch", "land", "sp_ptr",
-        "stops", "stop_ptr", "pubs", "pub_ptr", "cur",
-        "prev_orig", "prev_corr", "finished", "jumps", "resident",
-        "fwd_paths", "fwd_span", "tmpdir",
+        "rank", "recs", "si", "lo", "n_s", "corr", "stretch", "land", "sp_ptr",
+        "stops", "stop_ptr", "pubs", "pub_ptr", "cur", "caps",
+        "prev_orig", "prev_corr", "finished", "jumps", "fwd_paths", "fwd_span",
     )
 
-    def __init__(self, rank, recs, reader, gamma, tmpdir, resident) -> None:
+    def __init__(self, rank, recs) -> None:
         self.rank = rank
         self.recs = recs
-        self.reader = reader
-        self.gamma = gamma
-        self.tmpdir = tmpdir
-        self.resident = resident
         self.si = -1
-        self.cols = None
+        self.corr = None
         self.finished = not recs
         self.prev_orig = 0.0
         self.prev_corr = 0.0
@@ -248,232 +372,74 @@ class _RankForward:
         self.fwd_paths: list[Path] = []
         self.fwd_span: list[tuple[float, float]] = []  # per shard: (first, max) forward time
 
-    # -- shard management ------------------------------------------------
-    def load_next(self, publish, exit_deps) -> None:
+    def load_next(self, cols, gamma, keys: _MatchKeys, my_pub, my_exits) -> None:
+        """Make the next shard (its columns ``cols``, stamps as float64) resident."""
         self.si += 1
         rec = self.recs[self.si]
-        cols = self.cols = self.reader.load_shard(rec)
-        self.resident.load(rec.events)
-        self.lo = rec.start
+        ts, et, a, b, _, d = cols
+        lo = self.lo = rec.start
         self.n_s = rec.events
         # List index ``i + 1`` is the shard's event ``i``; the log's very
         # first event has no predecessor for the follow rule to read.
         self.corr, _, self.stretch, self.land = forward_recurrence(
-            np.append(self.prev_orig, np.asarray(cols[0], dtype=np.float64)),
-            self.gamma,
-            heads=[1] if self.lo == 0 and rec.events else [],
+            np.append(self.prev_orig, ts), gamma,
+            heads=[1] if lo == 0 and rec.events else [],
         )
         self.corr[0] = self.prev_corr
+        self.prev_orig = float(ts[-1])
         self.sp_ptr = 0
-        et = cols[1]
-        my_pub = publish.get(self.rank, {})
-        my_exits = exit_deps.get(self.rank, {})
-        stops = []  # (list index, code): 0 = recv, 1 = constrained coll exit
-        pubs = []   # list indices of sends and constraining enters
-        for i in np.nonzero(et == _RECV)[0]:
-            stops.append((int(i) + 1, 0))
-        for i in np.nonzero(et == _CEXIT)[0]:
-            if self.lo + int(i) in my_exits:
-                stops.append((int(i) + 1, 1))
-        for i in np.nonzero(et == _SEND)[0]:
-            pubs.append(int(i) + 1)
-        for i in np.nonzero(et == _CENT)[0]:
-            if self.lo + int(i) in my_pub:
-                pubs.append(int(i) + 1)
-        stops.sort()
-        pubs.sort()
-        self.stops = stops
+        sends, recvs = np.flatnonzero(et == _SEND), np.flatnonzero(et == _RECV)
+        enters = [i for i in np.flatnonzero(et == _CENT).tolist() if lo + i in my_pub]
+        exits = [i for i in np.flatnonzero(et == _CEXIT).tolist() if lo + i in my_exits]
+        # Where to stop: (list index, match key, source rank) of every
+        # receive, (list index, None, log index) of every constrained
+        # collective exit, and the shard's end behind them all.
+        self.stops = sorted(
+            list(zip(
+                (recvs + 1).tolist(),
+                keys.of(self.rank, True, a[recvs], b[recvs], d[recvs]).tolist(),
+                a[recvs].tolist(),
+            ))
+            + [(i + 1, None, lo + i) for i in exits]
+        )
+        self.stops.append((rec.events + 1, 0, 0))
+        # What to publish: (list index, key) of every send and every
+        # constraining enter (list indices differ, so keys never compare).
+        self.pubs = sorted(
+            list(zip(
+                (sends + 1).tolist(),
+                keys.of(self.rank, False, a[sends], b[sends], d[sends]).tolist(),
+            ))
+            + [(i + 1, my_pub[lo + i]) for i in enters]
+        )
         self.stop_ptr = 0
-        self.pubs = pubs
         self.pub_ptr = 0
         self.cur = 1
+        self.caps = ([], [], [], [])  # per consumed edge: source rank, source idx, l_min, value
 
-    def stretch_to(self, stop: int) -> None:
-        """Run the dependency-free events up to list index ``stop``."""
-        self.sp_ptr = self.stretch(self.cur, stop, self.sp_ptr)
-        self.cur = stop
-
-    def flush_shard(self) -> None:
-        path = self.tmpdir / f"fwd_r{self.rank}_s{self.si}.npy"
-        fwd = np.asarray(self.corr[1:], dtype=np.float64)
+    def flush_shard(self, tmpdir: Path, spill: _CapsSpill) -> None:
+        """Save the shard's forward times, spill its send caps, drop it."""
+        path = tmpdir / f"fwd_r{self.rank}_s{self.si}.npy"
+        fwd = np.array(self.corr, dtype=np.float64)[1:]
         np.save(path, fwd)
         self.fwd_paths.append(path)
         self.fwd_span.append((float(fwd[0]), float(fwd.max())))
-        self.prev_orig = float(self.cols[0][-1])
         self.prev_corr = self.corr[self.n_s]
-        self.resident.release(self.n_s)
-        self.cols = None
-        self.corr = self.stretch = self.land = None
+        self.corr = self.stretch = self.land = self.stops = self.pubs = None
+        ranks, idx, lmins, values = self.caps
+        if ranks:
+            # ``recv - l_min``, nudged down until ``cap + l_min <= recv``
+            # (:func:`repro.sync.schedule.send_caps_kernel`).
+            values, lmins = np.array(values), np.array(lmins)
+            vals = values - lmins
+            bad = vals + lmins > values
+            while bad.any():
+                vals[bad] = np.nextafter(vals[bad], -np.inf)
+                bad = vals + lmins > values
+            spill.add(np.array(ranks), np.array(idx), vals)
+        self.caps = None
         if self.si + 1 >= len(self.recs):
             self.finished = True
-
-
-def _forward_pass(
-    chunked, reader, gamma, lmin_fn, id_mode, publish, exit_deps,
-    consumers, caps, tmpdir, resident,
-):
-    """Round-robin streaming forward pass over every rank's shards.
-
-    Returns per-rank forward state (temp file paths, jump lists) plus
-    the global jump count and maximum jump.
-    """
-    ranks = chunked.ranks
-    states = {r: _RankForward(r, reader.rank_shards(r), reader, gamma, tmpdir, resident)
-              for r in ranks}
-    pending_sends: dict[int, tuple[float, int, int]] = {}  # mid -> (corr, rank, idx)
-    fifo_sends: dict[tuple[int, int, int], deque] = {}     # (src, dst, tag) -> deque
-    coll_pubs: dict[tuple[int, int], tuple[float, int]] = {}  # (inst, rank) -> (corr, idx)
-    njumps = 0
-    max_jump = 0.0
-
-    def publish_upto(st: _RankForward) -> None:
-        """Publish sends / constraining enters the cursor moved past."""
-        pubs = st.pubs
-        k = st.pub_ptr
-        npub = len(pubs)
-        cols = st.cols
-        my_pub = publish.get(st.rank, {})
-        while k < npub and pubs[k] < st.cur:
-            q = pubs[k]
-            k += 1
-            i = q - 1
-            value = st.corr[q]
-            gidx = st.lo + i
-            if int(cols[1][i]) == _SEND:
-                if id_mode:
-                    pending_sends[int(cols[5][i])] = (value, st.rank, gidx)
-                else:
-                    key = (st.rank, int(cols[2][i]), int(cols[3][i]))
-                    fifo_sends.setdefault(key, deque()).append((value, st.rank, gidx))
-            else:
-                coll_pubs[(my_pub[gidx], st.rank)] = (value, gidx)
-        st.pub_ptr = k
-
-    def resolve_recv(st: _RankForward, i: int):
-        """The receive's edge ``(corr, rank, idx)``, ``None`` for no dep, or 'block'."""
-        cols = st.cols
-        if id_mode:
-            mid = int(cols[5][i])
-            if mid < 0:
-                return None
-            edge = pending_sends.pop(mid, None)
-            if edge is not None:
-                return edge
-            src = int(cols[2][i])
-            if src not in states or states[src].finished:
-                return None
-            return "block"
-        key = (int(cols[2][i]), st.rank, int(cols[3][i]))
-        q = fifo_sends.get(key)
-        if q:
-            return q.popleft()
-        src = key[0]
-        if src not in states or states[src].finished:
-            return None
-        return "block"
-
-    def advance(st: _RankForward) -> bool:
-        nonlocal njumps, max_jump
-        progress = False
-        if st.cols is None:
-            if st.finished:
-                return False
-            st.load_next(publish, exit_deps)
-            progress = True
-        my_exits = exit_deps.get(st.rank, {})
-        while True:
-            if st.cur > st.n_s:
-                publish_upto(st)
-                st.flush_shard()
-                return True
-            while st.stop_ptr < len(st.stops) and st.stops[st.stop_ptr][0] < st.cur:
-                st.stop_ptr += 1
-            if st.stop_ptr >= len(st.stops):
-                st.stretch_to(st.n_s + 1)
-                publish_upto(st)
-                progress = True
-                continue
-            q, code = st.stops[st.stop_ptr]
-            i = q - 1
-            gidx = st.lo + i
-            # Stretch up to the stop and publish the sends/enters this
-            # passes over BEFORE resolving the stop's own dependency —
-            # a peer may be blocked waiting for exactly those values.
-            if st.cur < q:
-                st.stretch_to(q)
-                publish_upto(st)
-                progress = True
-            # Gather this event's dependency edges (or block).
-            if code == 0:
-                edge = resolve_recv(st, i)
-                if edge == "block":
-                    publish_upto(st)
-                    return progress
-                edges = [] if edge is None else [edge]
-            else:
-                needed = my_exits[gidx]
-                edges = []
-                blocked = False
-                for m_rank, inst in needed:
-                    pub = coll_pubs.get((inst, m_rank))
-                    if pub is None:
-                        blocked = True
-                        break
-                    edges.append((pub[0], m_rank, pub[1]))
-                if blocked:
-                    publish_upto(st)
-                    return progress
-                for m_rank, inst in needed:
-                    key = (inst, m_rank)
-                    consumers[key] -= 1
-                    if consumers[key] == 0:
-                        del coll_pubs[key]
-            # The dependency-event update, under the largest remote floor.
-            remote_floor = -np.inf
-            lms = []
-            for s_corr, s_rank, s_idx in edges:
-                lm = lmin_fn(s_rank, st.rank)
-                lms.append(lm)
-                floor = s_corr + lm
-                if floor > remote_floor:
-                    remote_floor = floor
-            jump = st.land(q, remote_floor)
-            value = st.corr[q]
-            if jump:
-                st.jumps.append((gidx, jump, value))
-                njumps += 1
-                if jump > max_jump:
-                    max_jump = jump
-            st.cur = q + 1
-            st.stop_ptr += 1
-            # Send caps for every consumed edge (reference nudge loop).
-            for (s_corr, s_rank, s_idx), lm in zip(edges, lms):
-                cap = value - lm
-                while cap + lm > value:
-                    cap = float(np.nextafter(cap, -np.inf))
-                caps.add(s_rank, s_idx, cap)
-            publish_upto(st)
-            progress = True
-
-    unfinished = set(r for r in ranks if not states[r].finished)
-    while unfinished:
-        any_progress = False
-        for rank in ranks:
-            st = states[rank]
-            if st.finished and st.cols is None:
-                unfinished.discard(rank)
-                continue
-            if advance(st):
-                any_progress = True
-            if st.finished and st.cols is None:
-                unfinished.discard(rank)
-        if unfinished and not any_progress:
-            raise SynchronizationError(
-                "streaming CLC stalled: every rank is blocked on an unpublished "
-                "dependency (dependency cycle, or a receive whose matching send "
-                "is recorded under a different source rank)"
-            )
-    return states, njumps, max_jump
 
 
 # ----------------------------------------------------------------------
@@ -503,7 +469,7 @@ def _backward_pass(st: _RankForward, window: float, caps: _CapsSpill, resident, 
             carry = (0.0, first, first)
             continue
         times = np.load(st.fwd_paths[si])
-        resident.load(n_s)
+        resident.read(n_s)
         caps_shard = np.full(n_s, np.inf, dtype=np.float64)
         idx, vals = caps.load(st.rank, si)
         if idx.size:
@@ -517,7 +483,319 @@ def _backward_pass(st: _RankForward, window: float, caps: _CapsSpill, resident, 
 
 
 # ----------------------------------------------------------------------
-# Entry point: streaming CLC
+# The sweeps of one streamed correction
+# ----------------------------------------------------------------------
+class ShardSweeps:
+    """The sweeps of one correction over one sharded source.
+
+    ``correction`` (a :class:`~repro.sync.interpolation.ClockCorrection`,
+    or ``None`` for the stamps as stored) is evaluated on every shard as
+    it becomes resident; ``lmin`` is the clock-condition floor of the
+    verdicts and the CLC's message-latency bound.
+    """
+
+    def __init__(
+        self,
+        source: Union[ChunkedTrace, ShardedTraceReader, str, Path],
+        correction=None,
+        lmin: LminSpec = 0.0,
+        include_collectives: bool = True,
+        telemetry=None,
+    ) -> None:
+        self.chunked = _source_is_chunked(source)
+        self.reader = self.chunked.reader
+        self.correction = correction
+        self.lmin = lmin
+        self.include_collectives = include_collectives
+        self.tele = ensure_telemetry(telemetry)
+        self.resident = _Resident(self.tele)
+        self.collectives: Optional[CollectiveTable] = None
+
+    # -- shard access ------------------------------------------------------
+    def _load(self, rec) -> tuple[np.ndarray, ...]:
+        """One shard's ``(ts, et, a, b, c, d)``, the stamps as stored, now resident."""
+        cols = self.reader.load_shard(rec)
+        self.resident.read(rec.events)
+        return cols
+
+    def _corrected(self, rank: int, raw: np.ndarray) -> np.ndarray:
+        """A resident shard's timestamps after the interpolation (an elementwise map)."""
+        return raw if self.correction is None else self.correction.apply_rank(rank, raw)
+
+    def _stamps(self, rank: int, raw: np.ndarray) -> list[np.ndarray]:
+        """A resident shard's timestamps under each verdict stage: stored, then corrected."""
+        return [raw] if self.correction is None else [raw, self._corrected(rank, raw)]
+
+    def _ordinal_order(self):
+        """Every ``(rank, shard record)``, first shards first (all ranks abreast)."""
+        per_rank = {r: self.reader.rank_shards(r) for r in self.chunked.ranks}
+        for si in range(max(map(len, per_rank.values()), default=0)):
+            for rank, recs in per_rank.items():
+                if si < len(recs):
+                    yield rank, recs[si]
+
+    # -- sweep 1 -----------------------------------------------------------
+    def prescan(self, verdicts: bool = True) -> list[dict[str, ViolationReport]]:
+        """Pair the collectives and, with ``verdicts``, scan every stage (Eq. 1).
+
+        Returns one ``{"p2p": ..., "collective": ...}`` per stage — the
+        stamps as stored and, with a correction, the interpolated ones —
+        each equal to :func:`repro.sync.violations.scan_trace` on the
+        materialized trace of that stage (counts, violation indices in
+        message-table order, worst magnitude).  Without ``verdicts`` only
+        the collectives are paired (no read at all if they are excluded).
+        """
+        if not verdicts and not self.include_collectives:
+            return []
+        ranks = self.chunked.ranks
+        stages = 2 if verdicts and self.correction is not None else 1
+        rows = [{r: [] for r in ranks} for _ in range(stages)]
+        keys = _MatchKeys(self.reader)
+        join = _MessageJoin(stages, self.lmin)
+        recv_seen = dict.fromkeys(ranks, 0)
+        for rank, rec in self._ordinal_order():
+            raw, et, a, b, _, d = self._load(rec)
+            stamps = self._stamps(rank, raw) if verdicts else [raw]
+            if self.include_collectives:
+                for stage, ts in enumerate(stamps):
+                    rows[stage][rank].append(collective_rows(rec.start, ts, et, a, b, d))
+            if verdicts:
+                sides = []
+                for recv, code in enumerate((_SEND, _RECV)):
+                    pos = np.flatnonzero(et == code)
+                    sides.append((
+                        keys.of(rank, bool(recv), a[pos], b[pos], d[pos]),
+                        np.full(pos.size, rank, dtype=np.int64),
+                        np.arange(pos.size) + recv_seen[rank],
+                        np.stack([ts[pos] for ts in stamps]),
+                    ))
+                recv_seen[rank] += pos.size
+                join.feed(*sides)
+            self.resident.release(rec.events)
+        tables = [pair_collectives(r) for r in rows] if self.include_collectives else []
+        if tables:
+            self.collectives = tables[0]
+        if not verdicts:
+            return []
+        out = [{"p2p": p2p} for p2p in join.reports(ranks, recv_seen)]
+        for report, table in zip(out, tables):
+            report["collective"] = replace(
+                scan_messages(logical_messages(table), self.lmin), kind="collective"
+            )
+        return out
+
+    # -- interpolation alone -------------------------------------------------
+    def apply(self, out_dir: Union[str, Path]) -> ChunkedTrace:
+        """Write the interpolated trace as a sharded store of its own."""
+        reader = self.reader
+        meta = dict(self.chunked.meta)
+        meta["correction"] = repr(self.correction)
+        writer = ShardedTraceWriter(
+            out_dir, shard_events=reader.shard_events, run_id=reader.run_id or "interp"
+        )
+        with self.tele.span("sync.stream.interpolate"), writer:
+            for rank in self.chunked.ranks:
+                writer.register_rank(rank)
+                for rec in reader.rank_shards(rank):
+                    raw, *rest = self._load(rec)
+                    writer.append_batch(rank, self._corrected(rank, raw), *rest)
+                    self.resident.release(rec.events)
+            writer.finish(meta=meta)
+        self._count_written(writer)
+        return ChunkedTrace(ShardedTraceReader(Path(out_dir)))
+
+    def _count_written(self, writer: ShardedTraceWriter) -> None:
+        if self.tele.enabled:
+            self.tele.count("sync.stream.shards_written", writer._seq)
+
+    # -- sweeps 2 and 3 --------------------------------------------------------
+    def _interpolated(self, rec) -> tuple[np.ndarray, ...]:
+        """A shard made resident, its stamps as the CLC takes them (interpolated)."""
+        raw, *rest = self._load(rec)
+        return (self._corrected(rec.rank, raw), *rest)
+
+    def clc(
+        self,
+        out_dir: Union[str, Path],
+        gamma: float = 0.99,
+        amortization_window: Optional[float] = None,
+        shard_events: Optional[int] = None,
+    ) -> ClcResult:
+        """Forward sweep, backward amortization, and the output written once."""
+        # Parameter validation shared with the in-memory corrector.
+        ControlledLogicalClock(gamma=gamma, amortization_window=amortization_window)
+        chunked, reader, tele, resident = self.chunked, self.reader, self.tele, self.resident
+        if self.include_collectives and self.collectives is None:
+            with tele.span("sync.stream.prescan"):
+                self.prescan(verdicts=False)
+        events = chunked.total_events()
+        with tempfile.TemporaryDirectory(prefix="repro-stream-") as tmp:
+            tmpdir = Path(tmp)
+            caps = _CapsSpill(tmpdir, {
+                r: np.array([rec.start for rec in reader.rank_shards(r)], dtype=np.int64)
+                for r in chunked.ranks
+            })
+            with tele.span("sync.stream.forward", events=events):
+                states, njumps, max_jump = self._forward(gamma, tmpdir, caps)
+            if tele.enabled:
+                tele.count("sync.clc.events", events)
+                tele.count("sync.clc.jumps", njumps)
+
+            window = amortization_window
+            if window is None:
+                window = ControlledLogicalClock._auto_window(max_jump)
+            if window > 0:
+                with tele.span("sync.stream.amortize", window=window):
+                    for rank in chunked.ranks:
+                        if states[rank].jumps:
+                            _backward_pass(states[rank], window, caps, resident, tele)
+
+            # Finalize: statistics + sharded output.
+            stats = ClcStats()
+            out_meta = dict(chunked.meta)
+            if self.correction is not None:
+                out_meta["correction"] = repr(self.correction)
+            out_meta["clc"] = {"gamma": gamma, "window": window, "jumps": njumps}
+            writer = ShardedTraceWriter(
+                out_dir,
+                shard_events=shard_events or reader.shard_events,
+                run_id=reader.run_id or ("clc" if self.correction is None else "interp"),
+            )
+            with tele.span("sync.stream.finalize"), writer:
+                for rank in chunked.ranks:
+                    writer.register_rank(rank)
+                    for si, rec in enumerate(reader.rank_shards(rank)):
+                        orig, *rest = self._interpolated(rec)
+                        corr = np.load(states[rank].fwd_paths[si])
+                        resident.read(0)  # the same events' corrected stamps
+                        stats.add(orig, corr, continues=si > 0)
+                        writer.append_batch(rank, corr, *rest)
+                        resident.release(rec.events)
+                writer.finish(meta=out_meta)
+            self._count_written(writer)
+
+        corrected = ChunkedTrace(ShardedTraceReader(Path(out_dir)))
+        return stats.result(corrected, events, njumps, max_jump)
+
+    def _forward(self, gamma: float, tmpdir: Path, caps: _CapsSpill):
+        """Round-robin streaming forward pass over every rank's shards.
+
+        Returns per-rank forward state (temp file paths, jump lists) plus
+        the global jump count and maximum jump.
+        """
+        ranks = self.chunked.ranks
+        publish, exit_deps, consumers = (
+            _collective_deps(self.collectives) if self.collectives is not None else ({}, {}, {})
+        )
+        states = {r: _RankForward(r, self.reader.rank_shards(r)) for r in ranks}
+        keys = _MatchKeys(self.reader)
+        lmin_fn = pair_lmin(self.lmin)
+        # Match key (a send) or ``(instance, rank)`` (a constraining
+        # enter) -> (corrected time, rank, log index), from the moment
+        # the cursor passed the event until its last reader landed.
+        published: dict = {}
+        njumps = 0
+        max_jump = 0.0
+
+        def publish_upto(st: _RankForward, cur: int) -> None:
+            """Publish the sends / constraining enters before list index ``cur``."""
+            k = st.pub_ptr
+            stop = st.pub_ptr = bisect_left(st.pubs, (cur,), k)
+            corr, rank, before = st.corr, st.rank, st.lo - 1
+            published.update(
+                (key, (corr[q], rank, before + q)) for q, key in st.pubs[k:stop]
+            )
+
+        def advance(st: _RankForward) -> bool:
+            """Run ``st`` to its shard's end or its first unpublished dependency."""
+            nonlocal njumps, max_jump
+            progress = False
+            if st.corr is None:
+                if st.finished:
+                    return False
+                st.load_next(
+                    self._interpolated(st.recs[st.si + 1]), gamma, keys,
+                    publish.get(st.rank, {}), exit_deps.get(st.rank, {}),
+                )
+                progress = True
+            rank, stops, corr, stretch, land = st.rank, st.stops, st.corr, st.stretch, st.land
+            pubs, my_exits = st.pubs, exit_deps.get(rank, {})
+            cap_rank, cap_idx, cap_lmin, cap_value = st.caps
+            cur, sp_ptr, stop_ptr = st.cur, st.sp_ptr, st.stop_ptr
+            while True:
+                q, key, at = stops[stop_ptr]  # the last one stands behind the shard's end
+                # Stretch up to the stop and publish the sends/enters this
+                # passes over BEFORE resolving the stop's own dependency —
+                # a peer may be blocked waiting for exactly those values.
+                if cur < q:
+                    sp_ptr = stretch(cur, q, sp_ptr)
+                    cur = q
+                    progress = True
+                if st.pub_ptr < len(pubs) and pubs[st.pub_ptr][0] < cur:
+                    publish_upto(st, cur)
+                if q > st.n_s:
+                    st.flush_shard(tmpdir, caps)
+                    self.resident.release(st.n_s)
+                    return True
+                # Gather this event's dependency edges (or block).
+                if key is None:  # a collective exit, log index ``at``
+                    needed = my_exits[at]
+                    edges = [published.get(k) for k in needed]
+                    if None in edges:
+                        break
+                    for k in needed:
+                        consumers[k] -= 1
+                        if consumers[k] == 0:
+                            del published[k]
+                else:  # a receive from rank ``at``
+                    edge = published.pop(key, None)
+                    if edge is not None:
+                        edges = (edge,)
+                    elif key < 0 or at not in states or states[at].finished:
+                        edges = ()  # nothing to wait for
+                    else:
+                        break
+                # The dependency-event update, under the largest remote floor.
+                remote_floor = -np.inf
+                for s_corr, s_rank, s_idx in edges:
+                    lm = lmin_fn(s_rank, rank)
+                    cap_rank.append(s_rank)
+                    cap_idx.append(s_idx)
+                    cap_lmin.append(lm)
+                    if s_corr + lm > remote_floor:
+                        remote_floor = s_corr + lm
+                jump = land(q, remote_floor)
+                value = corr[q]
+                cap_value.extend([value] * len(edges))
+                if jump:
+                    st.jumps.append((st.lo + q - 1, jump, value))
+                    njumps += 1
+                    if jump > max_jump:
+                        max_jump = jump
+                cur = q + 1
+                stop_ptr += 1
+                progress = True
+            st.cur, st.sp_ptr, st.stop_ptr = cur, sp_ptr, stop_ptr
+            return progress
+
+        unfinished = [r for r in ranks if not states[r].finished]
+        while unfinished:
+            any_progress = False
+            for rank in unfinished:
+                if advance(states[rank]):
+                    any_progress = True
+            unfinished = [r for r in unfinished if not states[r].finished]
+            if unfinished and not any_progress:
+                raise SynchronizationError(
+                    "streaming CLC stalled: every rank is blocked on an unpublished "
+                    "dependency (dependency cycle, or a receive whose matching send "
+                    "is recorded under a different source rank)"
+                )
+        return states, njumps, max_jump
+
+
+# ----------------------------------------------------------------------
+# The one-stage cases
 # ----------------------------------------------------------------------
 def streaming_clc_correct(
     source: Union[ChunkedTrace, ShardedTraceReader, str, Path],
@@ -539,80 +817,10 @@ def streaming_clc_correct(
     carries a :class:`~repro.tracing.store.ChunkedTrace` over
     ``out_dir``.
     """
-    # Parameter validation shared with the in-memory corrector.
-    ControlledLogicalClock(gamma=gamma, amortization_window=amortization_window)
-    chunked = _source_is_chunked(source)
-    reader = chunked.reader
-    tele = ensure_telemetry(telemetry)
-    resident = _Resident(tele)
-    lmin_fn = pair_lmin(lmin)
-    id_mode = _id_mode(reader)
-    out_dir = Path(out_dir)
-
-    with tempfile.TemporaryDirectory(prefix="repro-stream-") as tmp:
-        tmpdir = Path(tmp)
-        with tele.span("sync.stream.prescan"):
-            if include_collectives:
-                publish, exit_deps, consumers = _collective_deps(
-                    _accumulate_collectives(chunked, resident)
-                )
-            else:
-                publish, exit_deps, consumers = {}, {}, {}
-        shard_starts = {
-            r: [rec.start for rec in reader.rank_shards(r)] for r in chunked.ranks
-        }
-        caps = _CapsSpill(tmpdir, shard_starts)
-        with tele.span("sync.stream.forward", events=chunked.total_events()):
-            states, njumps, max_jump = _forward_pass(
-                chunked, reader, gamma, lmin_fn, id_mode, publish, exit_deps,
-                consumers, caps, tmpdir, resident,
-            )
-        if tele.enabled:
-            tele.count("sync.clc.events", chunked.total_events())
-            tele.count("sync.clc.jumps", njumps)
-
-        window = amortization_window
-        if window is None:
-            window = ControlledLogicalClock._auto_window(max_jump)
-        if window > 0:
-            with tele.span("sync.stream.amortize", window=window):
-                for rank in chunked.ranks:
-                    if states[rank].jumps:
-                        _backward_pass(states[rank], window, caps, resident, tele)
-
-        # Finalize: statistics + sharded output.
-        stats = ClcStats()
-        out_meta = dict(chunked.meta)
-        out_meta["clc"] = {"gamma": gamma, "window": window, "jumps": njumps}
-        writer = ShardedTraceWriter(
-            out_dir,
-            shard_events=shard_events or reader.shard_events,
-            run_id=reader.run_id or "clc",
-        )
-        with tele.span("sync.stream.finalize"), writer:
-            for rank in chunked.ranks:
-                writer.register_rank(rank)
-                st = states[rank]
-                for si, (rec, cols) in enumerate(chunked.iter_shards(rank)):
-                    resident.load(rec.events)
-                    corr = np.load(st.fwd_paths[si])
-                    stats.add(np.asarray(cols[0], dtype=np.float64), corr, continues=si > 0)
-                    writer.append_batch(
-                        rank, corr, cols[1], cols[2], cols[3], cols[4], cols[5]
-                    )
-                    resident.release(rec.events)
-            writer.finish(meta=out_meta)
-        if tele.enabled:
-            tele.count("sync.stream.shards_written", writer._seq)
-
-    return stats.result(
-        ChunkedTrace(ShardedTraceReader(out_dir)), chunked.total_events(), njumps, max_jump
-    )
+    sweeps = ShardSweeps(source, None, lmin, include_collectives, telemetry)
+    return sweeps.clc(out_dir, gamma, amortization_window, shard_events)
 
 
-# ----------------------------------------------------------------------
-# Streaming violation scan
-# ----------------------------------------------------------------------
 def streaming_scan_trace(
     source: Union[ChunkedTrace, ShardedTraceReader, str, Path],
     lmin: LminSpec = 0.0,
@@ -626,123 +834,11 @@ def streaming_scan_trace(
     table order, worst magnitude); unmatched transfer ends are dropped
     as with ``strict=False`` matching.
     """
-    chunked = _source_is_chunked(source)
-    reader = chunked.reader
-    tele = ensure_telemetry(telemetry)
-    resident = _Resident(tele)
-    lmin_fn = pair_lmin(lmin)
-    id_mode = _id_mode(reader)
-    ranks = chunked.ranks
-
-    pending_sends: dict[int, tuple[float, int]] = {}   # mid -> (ts, src rank)
-    pending_recvs: dict[int, tuple[float, int, int]] = {}  # mid -> (ts, rank, r_ord)
-    fifo_sends: dict[tuple[int, int, int], deque] = {}
-    fifo_parked: dict[tuple[int, int, int], deque] = {}
-    recv_seen: dict[int, int] = {r: 0 for r in ranks}
-    unmatched: dict[int, list[int]] = {r: [] for r in ranks}
-    violators: list[tuple[int, int]] = []  # (dst rank, recv ordinal in rank)
-    worst = 0.0
-    coll_rows: dict[int, list] = {r: [] for r in ranks}
-
-    def emit(sts: float, src: int, rts: float, dst: int, r_ord: int) -> None:
-        nonlocal worst
-        slack = rts - (sts + lmin_fn(src, dst))
-        if slack < 0:
-            violators.append((dst, r_ord))
-            if -slack > worst:
-                worst = -slack
-
-    per_rank = {r: reader.rank_shards(r) for r in ranks}
-    max_shards = max((len(v) for v in per_rank.values()), default=0)
-    with tele.span("sync.stream.scan", events=chunked.total_events()):
-        for si in range(max_shards):
-            for rank in ranks:
-                if si >= len(per_rank[rank]):
-                    continue
-                rec = per_rank[rank][si]
-                ts, et, a, b, _, d = reader.load_shard(rec)
-                resident.load(rec.events)
-                if include_collectives:
-                    coll_rows[rank].append(collective_rows(rec.start, ts, et, a, b, d))
-                et_arr = np.asarray(et)
-                msg_pos = np.nonzero((et_arr == _SEND) | (et_arr == _RECV))[0]
-                r_ord = recv_seen[rank]
-                for i in msg_pos:
-                    code = int(et_arr[i])
-                    if code == _SEND:
-                        t_i = float(ts[i])
-                        if id_mode:
-                            mid = int(d[i])
-                            hit = pending_recvs.pop(mid, None)
-                            if hit is not None:
-                                emit(t_i, rank, hit[0], hit[1], hit[2])
-                            else:
-                                pending_sends[mid] = (t_i, rank)
-                        else:
-                            key = (rank, int(a[i]), int(b[i]))
-                            parked = fifo_parked.get(key)
-                            if parked:
-                                rts, ro = parked.popleft()
-                                emit(t_i, rank, rts, key[1], ro)
-                            else:
-                                fifo_sends.setdefault(key, deque()).append(t_i)
-                    else:
-                        t_i = float(ts[i])
-                        if id_mode:
-                            mid = int(d[i])
-                            if mid < 0:
-                                unmatched[rank].append(r_ord)
-                            else:
-                                hit = pending_sends.pop(mid, None)
-                                if hit is not None:
-                                    emit(hit[0], hit[1], t_i, rank, r_ord)
-                                else:
-                                    pending_recvs[mid] = (t_i, rank, r_ord)
-                        else:
-                            key = (int(a[i]), rank, int(b[i]))
-                            q = fifo_sends.get(key)
-                            parked = fifo_parked.get(key)
-                            if q and not parked:
-                                emit(q.popleft(), key[0], t_i, rank, r_ord)
-                            else:
-                                fifo_parked.setdefault(key, deque()).append((t_i, r_ord))
-                        r_ord += 1
-                recv_seen[rank] = r_ord
-                resident.release(rec.events)
-
-    # Leftover pending receives are unmatched (strict=False semantics).
-    for mid, (_, rank, r_ord) in pending_recvs.items():
-        unmatched[rank].append(r_ord)
-    for key, parked in fifo_parked.items():
-        for _, r_ord in parked:
-            unmatched[key[1]].append(r_ord)
-
-    matched_per_rank = {
-        r: recv_seen[r] - len(unmatched[r]) for r in ranks
-    }
-    offsets: dict[int, int] = {}
-    total = 0
-    for r in ranks:
-        offsets[r] = total
-        total += matched_per_rank[r]
-    for r in ranks:
-        unmatched[r].sort()
-    ordinals = sorted(
-        offsets[r] + ro - bisect_left(unmatched[r], ro) for r, ro in violators
-    )
-    p2p = ViolationReport(
-        "p2p", total, len(ordinals), np.asarray(ordinals, dtype=np.int64), worst
-    )
-    out = {"p2p": p2p}
-    if include_collectives:
-        logical = logical_messages(pair_collectives(coll_rows))
-        out["collective"] = replace(scan_messages(logical, lmin), kind="collective")
-    return out
+    sweeps = ShardSweeps(source, None, lmin, include_collectives, telemetry)
+    with sweeps.tele.span("sync.stream.scan", events=sweeps.chunked.total_events()):
+        return sweeps.prescan()[0]
 
 
-# ----------------------------------------------------------------------
-# Streaming offset interpolation
-# ----------------------------------------------------------------------
 def streaming_apply_correction(
     correction,
     source: Union[ChunkedTrace, ShardedTraceReader, str, Path],
@@ -755,22 +851,4 @@ def streaming_apply_correction(
     a time — identical to ``correction.apply(trace)`` because the model
     is elementwise.  Returns a :class:`ChunkedTrace` over ``out_dir``.
     """
-    chunked = _source_is_chunked(source)
-    reader = chunked.reader
-    tele = ensure_telemetry(telemetry)
-    resident = _Resident(tele)
-    meta = dict(chunked.meta)
-    meta["correction"] = repr(correction)
-    writer = ShardedTraceWriter(
-        out_dir, shard_events=reader.shard_events, run_id=reader.run_id or "interp"
-    )
-    with tele.span("sync.stream.interpolate"), writer:
-        for rank in chunked.ranks:
-            writer.register_rank(rank)
-            for rec, cols in chunked.iter_shards(rank):
-                resident.load(rec.events)
-                new_ts = correction.apply_rank(rank, np.asarray(cols[0], dtype=np.float64))
-                writer.append_batch(rank, new_ts, cols[1], cols[2], cols[3], cols[4], cols[5])
-                resident.release(rec.events)
-        writer.finish(meta=meta)
-    return ChunkedTrace(ShardedTraceReader(Path(out_dir)))
+    return ShardSweeps(source, correction, telemetry=telemetry).apply(out_dir)

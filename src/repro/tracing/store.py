@@ -6,8 +6,9 @@ split into fixed-event-count *shards* of raw little-endian column
 files, described by an append-only JSONL manifest.  The layout mirrors
 the append-only trace-contract idiom of real tracing back-ends — every
 shard is individually addressable, partially written runs are
-detectable (no footer), and readers open columns with ``np.memmap`` so
-loading a shard never copies more than it touches::
+detectable (no footer), and readers map each shard file once and hand
+out its columns as views, so loading a shard never copies more than it
+touches::
 
     <dir>/manifest.jsonl           # header, one record per shard, footer
     <dir>/shard_000000_r0.bin      # ts|et|a|b|c|d column bytes
@@ -178,13 +179,18 @@ class ShardedTraceWriter:
             self._flush_full(rank)
 
     def append_batch(self, rank: int, timestamps, etypes, a, b, c, d) -> None:
-        """Record N events for ``rank`` from parallel column arrays."""
+        """Record N events for ``rank`` from parallel column arrays.
+
+        A batch that is exactly one shard, with nothing buffered before
+        it, is written as it stands — the case of a kernel that rewrites
+        a store shard by shard; no buffer copy, the same bytes.
+        """
         self._check_open()
         log = self._pending.get(rank)
         if log is None:
             self.register_rank(rank)
             log = self._pending[rank]
-        log.extend(
+        cols = (
             np.asarray(timestamps, dtype=np.float64),
             np.asarray(etypes, dtype=np.int8),
             np.asarray(a, dtype=np.int64),
@@ -192,6 +198,10 @@ class ShardedTraceWriter:
             np.asarray(c, dtype=np.int64),
             np.asarray(d, dtype=np.int64),
         )
+        if not len(log) and all(col.size == self.shard_events for col in cols):
+            self._write_shard(rank, cols)
+            return
+        log.extend(*cols)
         if len(log) >= self.shard_events:
             self._flush_full(rank)
 
@@ -222,11 +232,16 @@ class ShardedTraceWriter:
         ts, et, a, b, c, d = cols
         events = int(ts.size)
         name = f"shard_{self._seq:06d}_r{rank}.bin"
-        payload = b"".join(
-            np.ascontiguousarray(col).astype(dt, copy=False).tobytes()
-            for col, (_, dt) in zip(cols, _STORE_COLUMNS)
-        )
-        (self.directory / name).write_bytes(payload)
+        # Column after column straight from the arrays: hashed and
+        # written without assembling the shard's bytes a second time.
+        digest = hashlib.sha256()
+        nbytes = 0
+        with (self.directory / name).open("wb") as fh:
+            for col, (_, dt) in zip(cols, _STORE_COLUMNS):
+                column = np.ascontiguousarray(col).astype(dt, copy=False)
+                digest.update(column)
+                fh.write(column)
+                nbytes += column.nbytes
         send_mask = et == int(EventType.SEND)
         sends = int(np.count_nonzero(send_mask))
         recvs = int(np.count_nonzero(et == int(EventType.RECV)))
@@ -241,8 +256,8 @@ class ShardedTraceWriter:
                 "events": events,
                 "start": start,
                 "stop": start + events,
-                "nbytes": len(payload),
-                "sha256": hashlib.sha256(payload).hexdigest(),
+                "nbytes": nbytes,
+                "sha256": digest.hexdigest(),
                 "sends": sends,
                 "recvs": recvs,
                 "neg_send_ids": neg_ids,
@@ -458,16 +473,20 @@ class ShardedTraceReader:
 
     # ------------------------------------------------------------------
     def load_shard(self, rec: ShardRecord) -> tuple[np.ndarray, ...]:
-        """Memory-mapped ``(ts, et, a, b, c, d)`` columns of one shard."""
-        path = self.directory / rec.file
+        """Memory-mapped, read-only ``(ts, et, a, b, c, d)`` columns of one shard.
+
+        The file is mapped once and the six columns are views into that
+        one mapping, which lives as long as any of them does.
+        """
+        import mmap  # on first use: nothing at start-up needs it
+
+        with (self.directory / rec.file).open("rb") as fh:
+            mapped = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
         cols = []
         offset = 0
         for _, dt in _STORE_COLUMNS:
-            dtype = np.dtype(dt)
-            cols.append(
-                np.memmap(path, dtype=dtype, mode="r", offset=offset, shape=(rec.events,))
-            )
-            offset += dtype.itemsize * rec.events
+            cols.append(np.frombuffer(mapped, dtype=dt, count=rec.events, offset=offset))
+            offset += np.dtype(dt).itemsize * rec.events
         return tuple(cols)
 
     def verify_shard(self, rec: ShardRecord) -> None:

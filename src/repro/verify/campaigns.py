@@ -124,8 +124,9 @@ _campaign(
     "for bit, plus shard-store round-trips",
     (("streaming", "streamed_matches_inmemory"),
      ("streaming", "sharded_roundtrip")),
-    # Each example runs the CLC four times (two configs x two paths);
-    # keep the default commensurate with the batch campaign.
+    # Each example corrects its trace some eighty times (two kernel
+    # configs and the correct_trace argument grid, on both paths); keep
+    # the default commensurate with the batch campaign.
     example_cap=50,
 )
 _campaign(

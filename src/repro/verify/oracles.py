@@ -577,6 +577,119 @@ def _trace_roundtrip(case: TraceCase) -> None:
         )
 
 
+def _require_same_report(got, ref, context: str) -> None:
+    """Two :class:`ViolationReport` s agree: counts, worst magnitude, indices."""
+    for field_ in ("checked", "violated", "worst"):
+        _require(
+            getattr(ref, field_) == getattr(got, field_),
+            f"{context}.{field_}: {getattr(got, field_)!r} vs in-memory {getattr(ref, field_)!r}",
+        )
+    _require(
+        np.array_equal(ref.indices, got.indices), f"{context} violation indices differ"
+    )
+
+
+def _require_same_clc(ref: ClcResult, got: ClcResult, materialized: Trace, context: str) -> None:
+    """A streamed CLC result (its trace ``materialized``) == the in-memory one, meta included."""
+    import dataclasses
+
+    assert_traces_identical(ref, dataclasses.replace(got, trace=materialized), context=context)
+    _require(
+        materialized.meta.get("clc") == ref.trace.meta.get("clc"),
+        f"{context}: clc meta {materialized.meta.get('clc')} vs {ref.trace.meta.get('clc')}",
+    )
+
+
+def _with_offset_measurements(trace: Trace) -> Trace:
+    """``trace`` with init/finalize offset measurements in its metadata.
+
+    Measurements a run recorded are kept; a generated case gets
+    rank-dependent ones (both signs, drifting between init and finalize)
+    so that ``align`` and ``linear`` move stamps and change verdicts.
+    """
+    stamps = [log.timestamps for log in trace.logs.values() if len(log)]
+    t0 = min((float(ts.min()) for ts in stamps), default=0.0)
+    t1 = max((float(ts.max()) for ts in stamps), default=0.0) + 1.0
+    meta = dict(trace.meta)
+    meta.setdefault(
+        "init_offsets", {r: (t0, ((7 * r) % 5 - 2) * 1e-4) for r in trace.ranks}
+    )
+    meta.setdefault(
+        "final_offsets", {r: (t1, ((7 * r) % 5 - 2) * 1e-4 - r * 3e-5) for r in trace.ranks}
+    )
+    return Trace(dict(trace.logs), meta=meta)
+
+
+def _assert_streamed_correction_matches(
+    trace: Trace, shard_dir: Path, scratch: Path, gamma: float
+) -> None:
+    """``correct_trace(shard_dir)`` == ``correct_trace(trace)``, over its arguments.
+
+    The path users call, not its parts: every interpolation a sharded
+    source supports, scans on and off, the automatic, the zero and a
+    fixed amortization window, with and without a latency floor (and
+    interpolation without the CLC) — timestamps bit for bit, every
+    stage report, the CLC statistics and the ``clc`` meta record.
+    """
+    from repro.core.correct import correct_trace
+
+    grid = [
+        (mode, True, scan, window, lmin)
+        for mode in ("none", "align", "linear")
+        for scan in (True, False)
+        for window in (None, 0.0, 0.5)
+        for lmin in (0.0, 1e-6)
+    ] + [(mode, False, True, None, 0.0) for mode in ("align", "linear")]
+    for n, (mode, clc, scan, window, lmin) in enumerate(grid):
+        knobs = dict(interpolation=mode, clc=clc, scan=scan, gamma=gamma,
+                     amortization_window=window, lmin=lmin)
+        context = f"correct_trace({mode}, clc={clc}, scan={scan}, window={window}, lmin={lmin})"
+        ref = correct_trace(trace, **knobs)
+        got = correct_trace(shard_dir, output=scratch / f"corrected-{n}", **knobs)
+        materialized = got.trace.materialize()
+        _require(ref.trace.ranks == materialized.ranks, f"{context}: rank sets differ")
+        for rank in ref.trace.ranks:
+            _require(
+                ref.trace.logs[rank].timestamps.tobytes()
+                == materialized.logs[rank].timestamps.tobytes(),
+                f"{context}: rank {rank} timestamps differ",
+            )
+        # A sharded source skips the identity stage (it would only copy shards).
+        expected = [s for s in ref.stages if s.stage != "none"]
+        _require(
+            [s.stage for s in got.stages] == [s.stage for s in expected],
+            f"{context}: stages {[s.stage for s in got.stages]} vs "
+            f"in-memory {[s.stage for s in expected]}",
+        )
+        for a, b in zip(got.stages, expected):
+            _require_same_report(a.p2p, b.p2p, f"{context} {a.stage}.p2p")
+            _require_same_report(a.collective, b.collective, f"{context} {a.stage}.collective")
+        if clc:
+            _require_same_clc(ref.clc, got.clc, materialized, context)
+
+
+def _assert_streamed_kernels_match(
+    trace: Trace, shard_dir: Path, out: Path, lmin=0.0, gamma: float = 0.99, window=None
+) -> None:
+    """The streaming CLC and scan over ``shard_dir`` == the in-memory kernels on ``trace``."""
+    from repro.sync.streaming import streaming_clc_correct, streaming_scan_trace
+
+    clc = ControlledLogicalClock(gamma=gamma, amortization_window=window)
+    ref = clc.correct(trace, lmin=lmin)
+    got = streaming_clc_correct(
+        shard_dir, out, gamma=gamma, amortization_window=window, lmin=lmin
+    )
+    _require_same_clc(ref, got, got.trace.materialize(), "streaming-clc")
+    ref_scan = scan_trace(trace, lmin=lmin)
+    got_scan = streaming_scan_trace(shard_dir, lmin=lmin)
+    _require(
+        sorted(ref_scan) == sorted(got_scan),
+        f"streaming scan kinds differ: {sorted(got_scan)} vs {sorted(ref_scan)}",
+    )
+    for kind in ref_scan:
+        _require_same_report(got_scan[kind], ref_scan[kind], f"streaming scan[{kind}]")
+
+
 def assert_streamed_matches_inmemory(
     trace: Trace, shard_events: int, lmin=0.0, gamma: float = 0.99, window=None
 ) -> None:
@@ -584,71 +697,43 @@ def assert_streamed_matches_inmemory(
 
     Writes ``trace`` into a shard directory at the given grain, then
     demands the streaming CLC reproduce the in-memory correction
-    (timestamps, every statistic, the ``clc`` meta record) and the
+    (timestamps, every statistic, the ``clc`` meta record), the
     streaming violation scan reproduce :func:`scan_trace` (checked /
     violated counts, violation indices in message-table order, worst
-    magnitude).
+    magnitude), and :func:`repro.core.correct.correct_trace` over the
+    shard directory reproduce the same call over the trace.
     """
-    import dataclasses
+    _assert_streamed_matches(trace, shard_events, lmin, [(gamma, window)])
 
-    from repro.sync.streaming import streaming_clc_correct, streaming_scan_trace
+
+def _assert_streamed_matches(trace: Trace, shard_events: int, lmin, kernel_knobs) -> None:
+    """One store of ``trace``: the kernels per ``(gamma, window)``, then ``correct_trace``."""
     from repro.tracing.store import write_sharded_trace
 
+    trace = _with_offset_measurements(trace)
     with tempfile.TemporaryDirectory(prefix="repro-verify-") as td:
         src = Path(td) / "shards"
-        out = Path(td) / "clc"
         write_sharded_trace(trace, src, shard_events=shard_events)
-        clc = ControlledLogicalClock(gamma=gamma, amortization_window=window)
-        ref = clc.correct(trace, lmin=lmin)
-        got = streaming_clc_correct(
-            src, out, gamma=gamma, amortization_window=window, lmin=lmin
-        )
-        materialized = got.trace.materialize()
-        assert_traces_identical(
-            ref,
-            dataclasses.replace(got, trace=materialized),
-            context=f"streaming-clc(shard_events={shard_events})",
-        )
-        _require(
-            materialized.meta.get("clc") == ref.trace.meta.get("clc"),
-            f"streaming clc meta differs: {materialized.meta.get('clc')} "
-            f"vs {ref.trace.meta.get('clc')}",
-        )
-        ref_scan = scan_trace(trace, lmin=lmin)
-        got_scan = streaming_scan_trace(src, lmin=lmin)
-        _require(
-            sorted(ref_scan) == sorted(got_scan),
-            f"streaming scan kinds differ: {sorted(got_scan)} vs {sorted(ref_scan)}",
-        )
-        for kind in ref_scan:
-            a, b = ref_scan[kind], got_scan[kind]
-            for field_ in ("checked", "violated", "worst"):
-                _require(
-                    getattr(a, field_) == getattr(b, field_),
-                    f"streaming scan[{kind}].{field_}: "
-                    f"{getattr(b, field_)!r} vs in-memory {getattr(a, field_)!r}",
-                )
-            _require(
-                np.array_equal(a.indices, b.indices),
-                f"streaming scan[{kind}] violation indices differ",
+        for n, (gamma, window) in enumerate(kernel_knobs):
+            _assert_streamed_kernels_match(
+                trace, src, Path(td) / f"clc-{n}", lmin, gamma, window
             )
+        _assert_streamed_correction_matches(trace, src, Path(td), kernel_knobs[0][0])
 
 
 @oracle(
     "streamed_matches_inmemory",
     "The out-of-core streaming CLC and violation scan over a sharded "
-    "trace store are bit-identical to the in-memory kernels: same "
-    "corrected timestamps, statistics, violation counts and indices.",
+    "trace store, and correct_trace over it, are bit-identical to the "
+    "in-memory path: same corrected timestamps, statistics, violation "
+    "counts and indices.",
     {"trace", "streaming"},
 )
 def _streamed_matches_inmemory(case: TraceCase) -> None:
     shard_events = int(case.spec.params.get("shard_events", 2))
-    assert_streamed_matches_inmemory(case.trace, shard_events, lmin=case.lmin)
     # A fixed window exercises the backward pass even when the auto
     # window would be zero; gamma=1.0 exercises pure preservation.
-    assert_streamed_matches_inmemory(
-        case.trace, shard_events, lmin=case.lmin, gamma=1.0, window=0.5
-    )
+    _assert_streamed_matches(case.trace, shard_events, case.lmin, [(0.99, None), (1.0, 0.5)])
 
 
 @oracle(

@@ -139,33 +139,52 @@ class TestCliSharded:
         assert "exactly one" in capsys.readouterr().err
 
 
+#: 2 x 4096 events, a message every 16th; receives 40, 120 and 200 precede their sends.
+_N, _EVERY, _REVERSED = 4096, 16, (40, 120, 200)
+
+
+def _reversed_pair_trace() -> Trace:
+    """Rank 0 sends to rank 1 in lockstep; three receives are pulled before their sends."""
+    idx = np.arange(_N // _EVERY) * _EVERY + _EVERY // 2
+    bad = idx[list(_REVERSED)]
+
+    def log(rank):
+        ts = np.arange(_N, dtype=np.float64) * 1e-6
+        et = np.zeros(_N, dtype=np.int32)
+        et[1::2] = int(EventType.EXIT)
+        a = np.zeros(_N, dtype=np.int64)
+        d = np.full(_N, -1, dtype=np.int64)
+        if rank == 0:
+            et[idx] = int(EventType.SEND)
+            a[idx] = 1
+        else:
+            ts += 5e-7
+            et[idx] = int(EventType.RECV)
+            ts[bad] -= 0.9e-6
+        d[idx] = np.arange(idx.size)
+        zeros = np.zeros(_N, dtype=np.int64)
+        return EventLog.from_arrays(ts, et, a, zeros, zeros, d)
+
+    end = _N * 1e-6 + 1.0
+    meta = {
+        "init_offsets": {0: (0.0, 0.0), 1: (0.0, 2e-7)},
+        "final_offsets": {0: (end, 0.0), 1: (end, 3e-7)},
+    }
+    return Trace({0: log(0), 1: log(1)}, meta=meta)
+
+
+def _reversed_shards(shard_events: int) -> set[int]:
+    """Ordinals of rank 1's shards holding a reversed receive."""
+    return {(k * _EVERY + _EVERY // 2) // shard_events for k in _REVERSED}
+
+
 class TestBackwardPassLocality:
     def test_unreached_shards_are_not_rewritten(self, tmp_path, monkeypatch):
         """Three reversed receives in 2 x 4096 events: the backward pass
         rewrites only the forward temp files an amortization window
         reaches, and the result is still the in-memory one."""
-        n, every, shard = 4096, 16, 256
-        idx = np.arange(n // every) * every + every // 2
-        bad = idx[[40, 120, 200]]
-
-        def log(rank):
-            ts = np.arange(n, dtype=np.float64) * 1e-6
-            et = np.zeros(n, dtype=np.int32)
-            et[1::2] = int(EventType.EXIT)
-            a = np.zeros(n, dtype=np.int64)
-            d = np.full(n, -1, dtype=np.int64)
-            if rank == 0:
-                et[idx] = int(EventType.SEND)
-                a[idx] = 1
-            else:
-                ts += 5e-7
-                et[idx] = int(EventType.RECV)
-                ts[bad] -= 0.9e-6
-            d[idx] = np.arange(idx.size)
-            zeros = np.zeros(n, dtype=np.int64)
-            return EventLog.from_arrays(ts, et, a, zeros, zeros, d)
-
-        trace = Trace({0: log(0), 1: log(1)})
+        shard = 256
+        trace = _reversed_pair_trace()
         shards = write_sharded_trace(trace, tmp_path / "s", shard_events=shard)
 
         saves: dict[str, int] = {}
@@ -184,6 +203,188 @@ class TestBackwardPassLocality:
         for rank in trace.ranks:
             assert got.logs[rank].timestamps.tobytes() == ref.trace.logs[rank].timestamps.tobytes()
         assert result.jumps == ref.jumps == 3
-        assert len(saves) == 2 * (n // shard)  # one forward file per shard
+        assert len(saves) == 2 * (_N // shard)  # one forward file per shard
         rewritten = {name for name, count in saves.items() if count > 1}
-        assert rewritten == {f"fwd_r1_s{int(k) // shard}.npy" for k in bad}
+        assert rewritten == {f"fwd_r1_s{si}.npy" for si in _reversed_shards(shard)}
+
+
+class TestFusedCorrection:
+    """``correct_trace(shard_dir)``: what one streamed correction reads and writes."""
+
+    SHARD = 512  # 2 ranks x 4096 events: 8 shards a rank, 16 in the store
+
+    @pytest.fixture(scope="class")
+    def tally(self, tmp_path_factory):
+        """One traced ``correct_trace`` with every shard load, temp save and write counted."""
+        import tempfile
+
+        from repro import TelemetryRecorder, correct_trace
+        from repro.tracing.store import ShardedTraceReader, ShardedTraceWriter
+
+        root = tmp_path_factory.mktemp("fused")
+        trace = _reversed_pair_trace()
+        shards = write_sharded_trace(trace, root / "s", shard_events=self.SHARD)
+        loads: dict[tuple[str, str], int] = {}
+        writes: dict[str, int] = {}
+        saves: dict[str, int] = {}
+        temp_loads: list[str] = []
+        temp_dirs: list[str] = []
+        real = (ShardedTraceReader.load_shard, ShardedTraceWriter._write_shard,
+                np.save, np.load, tempfile.mkdtemp)
+
+        def load_shard(self, rec):
+            key = (self.directory.name, rec.file)
+            loads[key] = loads.get(key, 0) + 1
+            return real[0](self, rec)
+
+        def write_shard(self, rank, cols):
+            name = f"{self.directory.name}/{self._seq}"
+            writes[name] = writes.get(name, 0) + 1
+            return real[1](self, rank, cols)
+
+        def save(path, arr):
+            saves[Path(path).name] = saves.get(Path(path).name, 0) + 1
+            return real[2](path, arr)
+
+        def load(path, *args, **kwargs):
+            temp_loads.append(Path(path).name)
+            return real[3](path, *args, **kwargs)
+
+        def mkdtemp(*args, **kwargs):
+            made = real[4](*args, **kwargs)
+            temp_dirs.append(Path(made).name)
+            return made
+
+        recorder = TelemetryRecorder()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ShardedTraceReader, "load_shard", load_shard)
+            patch.setattr(ShardedTraceWriter, "_write_shard", write_shard)
+            patch.setattr(np, "save", save)
+            patch.setattr(np, "load", load)
+            patch.setattr(tempfile, "mkdtemp", mkdtemp)
+            result = correct_trace(
+                shards, output=root / "out", interpolation="linear", clc=True,
+                telemetry=recorder,
+            )
+        return dict(trace=trace, result=result, recorder=recorder, loads=loads,
+                    writes=writes, saves=saves, temp_loads=temp_loads, temp_dirs=temp_dirs)
+
+    def test_counters_equal_the_calls_made(self, tally):
+        """``sync.stream.shards_read`` / ``shards_written`` count every load and write."""
+        counters = tally["recorder"].counters
+        assert counters["sync.stream.shards_read"] == (
+            sum(tally["loads"].values()) + len(tally["temp_loads"])
+        )
+        assert counters["sync.stream.shards_written"] == sum(tally["writes"].values()) == 16
+        # One shard a rank at most; here rank 0 never waits, so one shard in all.
+        assert tally["recorder"].gauges["sync.clc.peak_resident_events"] == self.SHARD
+
+    def test_shard_load_budget(self, tally):
+        """Three sweeps over the input, one write and one read of the output,
+        no intermediate store; forward temps rewritten only where a window reaches."""
+        source = {k: v for k, v in tally["loads"].items() if k[0] == "s"}
+        output = {k: v for k, v in tally["loads"].items() if k[0] == "out"}
+        assert len(source) == len(output) == 16
+        assert max(source.values()) <= 3
+        assert max(output.values()) <= 1
+        assert set(tally["writes"].values()) == {1} and len(tally["writes"]) == 16
+        assert all(name.startswith("repro-stream-") for name in tally["temp_dirs"])
+        assert len(tally["saves"]) == 16  # one forward file per shard
+        rewritten = {name for name, count in tally["saves"].items() if count > 1}
+        assert rewritten == {f"fwd_r1_s{si}.npy" for si in _reversed_shards(self.SHARD)}
+
+    def test_result_is_the_inmemory_one(self, tally):
+        from repro import correct_trace
+
+        ref = correct_trace(tally["trace"], interpolation="linear", clc=True)
+        got = tally["result"]
+        materialized = got.trace.materialize()
+        for rank in ref.trace.ranks:
+            assert (materialized.logs[rank].timestamps.tobytes()
+                    == ref.trace.logs[rank].timestamps.tobytes())
+        assert [s.stage for s in got.stages] == ["raw", "linear", "clc"]
+        assert [s.total_violated for s in got.stages] == [s.total_violated for s in ref.stages]
+        assert got.clc.jumps == ref.clc.jumps == 3
+        assert sorted(got.timings) == sorted(ref.timings) == ["clc", "interpolate"]
+
+
+class TestSourceIsNeverTheOutput:
+    def _store(self, tmp_path):
+        d = write_sharded_trace(_reversed_pair_trace(), tmp_path / "d", shard_events=1024)
+        return d, {p.name: p.read_bytes() for p in d.iterdir()}
+
+    @pytest.mark.parametrize("spelling", ["same", "dotted"])
+    def test_correct_trace_refuses_and_touches_nothing(self, tmp_path, spelling):
+        from repro import correct_trace
+        from repro.errors import SynchronizationError
+
+        d, before = self._store(tmp_path)
+        output = d if spelling == "same" else d / ".." / d.name
+        with pytest.raises(SynchronizationError, match="is the source directory"):
+            correct_trace(d, output=output, interpolation="linear", clc=True)
+        assert {p.name: p.read_bytes() for p in d.iterdir()} == before
+
+    def test_cli_exits_nonzero(self, tmp_path, capsys):
+        d, before = self._store(tmp_path)
+        assert main(["sync", str(d), "--clc", "-o", str(d)]) != 0
+        assert "is the source directory" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in d.iterdir()} == before
+
+
+def _pinned_trace(strip_ids: bool = False) -> Trace:
+    """What the pre-scan's array join and the forward publish/block must get right.
+
+    At two events a shard: a receive four shards after its send and one
+    four shards *before* it (both directions of carried pending state),
+    a send never received, receives never sent (one without any id), a
+    barrier whose enter closes one shard and whose exit opens the next,
+    and a rank without events.  ``strip_ids`` erases every match id — a
+    negative send id is what switches matching to FIFO channels.
+    """
+    from repro.tracing.events import CollectiveOp
+
+    E, barrier = EventType, int(CollectiveOp.BARRIER)
+    pad = lambda t: (t, E.ENTER, 1, 0, 0, 0)  # noqa: E731
+    rows = {
+        0: [(1.00, E.SEND, 1, 0, 8, 0), pad(1.05), pad(1.10),
+            (1.15, E.COLL_ENTER, barrier, 0, 3, 0), (1.40, E.COLL_EXIT, barrier, 0, 3, 0),
+            pad(1.45), pad(1.50), pad(1.55),
+            (1.60, E.RECV, 1, 0, 8, 1), (1.90, E.SEND, 2, 0, 8, 2), pad(1.95)],
+        1: [(1.02, E.SEND, 0, 0, 8, 1), pad(1.04),
+            (1.20, E.COLL_ENTER, barrier, 0, 3, 0), (1.41, E.COLL_EXIT, barrier, 0, 3, 0),
+            pad(1.42), pad(1.43), pad(1.44), pad(1.45),
+            (1.50, E.RECV, 0, 0, 8, 0), (1.55, E.SEND, 2, 0, 8, 7),
+            (1.60, E.RECV, 0, 0, 8, 9), (1.65, E.RECV, 0, 0, 8, -1)],
+        2: [(1.01, E.COLL_ENTER, barrier, 0, 3, 0), (1.05, E.RECV, 0, 0, 8, 2),
+            (1.42, E.COLL_EXIT, barrier, 0, 3, 0), pad(1.50)],
+        3: [],
+    }
+    logs = {}
+    for rank, events in rows.items():
+        log = EventLog()
+        for t, etype, a, b, c, d in events:
+            if strip_ids and etype in (E.SEND, E.RECV):
+                d = -1
+            log.append(t, etype, a, b, c, d)
+        logs[rank] = log.freeze()
+    return Trace(logs)
+
+
+class TestPinnedJoinCases:
+    @pytest.mark.parametrize("strip_ids", [False, True], ids=["by-id", "fifo"])
+    @pytest.mark.parametrize("shard_events", [1, 2, 3])
+    def test_matches_inmemory(self, strip_ids, shard_events):
+        assert_streamed_matches_inmemory(_pinned_trace(strip_ids), shard_events, lmin=1e-6)
+
+    def test_the_cases_are_what_they_claim(self, tmp_path):
+        """The trace really has carried, dropped and straddling pieces."""
+        trace = _pinned_trace()
+        assert len(trace.messages(strict=False)) == 3  # of 4 sends and 6 receives
+        d = write_sharded_trace(trace, tmp_path / "s", shard_events=2)
+        reader = ChunkedTrace(d).reader
+        assert reader.shard_index(1, 8) - reader.shard_index(0, 0) >= 3
+        assert reader.shard_index(0, 9) - reader.shard_index(2, 1) >= 3
+        assert reader.shard_index(0, 3) + 1 == reader.shard_index(0, 4)
+        assert reader.rank_events(3) == 0
+        got = streaming_scan_trace(d)
+        assert got["p2p"].checked == 3 and got["collective"].checked == 3
