@@ -22,6 +22,12 @@ from repro.workloads import SparseConfig, sparse_worker
 
 
 def test_error_estimation_ablation(benchmark):
+    # The estimators import scipy and networkx on first use; load them
+    # here so that one-off cost does not land inside the single timed round.
+    import networkx  # noqa: F401
+    import scipy.optimize  # noqa: F401
+    import scipy.stats  # noqa: F401
+
     preset = xeon_cluster()
     world = MpiWorld(
         preset, inter_node(preset.machine, 6), timer="mpi_wtime", seed=5,

@@ -152,6 +152,22 @@ def mutant_raw_verdict():
         yield
 
 
+@contextmanager
+def mutant_unmoved_predecessor():
+    """M9: the forward recurrence's bytemap reads every predecessor as
+    unmoved — ``stretch`` drops the glide tail behind a jump and ``land``
+    applies the follow rule only at spontaneous positions, while the
+    moved events are still written out."""
+    import repro.sync.schedule as schedule_mod
+
+    class Blind(bytearray):
+        def __getitem__(self, key):
+            return 0 if isinstance(key, int) else super().__getitem__(key)
+
+    with mock.patch.object(schedule_mod, "bytearray", Blind, create=True):
+        yield
+
+
 #: (name, mutant, campaign that must catch it)
 MUTANTS = [
     ("zero-lmin", mutant_zero_lmin, "mutation"),
@@ -162,6 +178,7 @@ MUTANTS = [
     ("early-wake", mutant_early_wake, "mutation"),
     ("stale-pending", mutant_stale_pending, "streaming"),
     ("raw-verdict", mutant_raw_verdict, "streaming"),
+    ("unmoved-predecessor", mutant_unmoved_predecessor, "mutation"),
 ]
 
 

@@ -253,13 +253,14 @@ class ControlledLogicalClock:
         orig_flat = schedule.flatten(original)
 
         with tele.span("sync.clc.forward", events=orig_flat.size):
-            corr_flat, jumps, njumps, max_jump = clc_forward(
+            corr_flat, jumps, njumps, max_jump, writes = clc_forward(
                 schedule, orig_flat, edge_lmin, self.gamma
             )
         corrected = schedule.split(corr_flat)
         if tele.enabled:
             tele.count("sync.clc.events", orig_flat.size)
             tele.count("sync.clc.jumps", njumps)
+            tele.count("sync.clc.forward_writes", writes)
             # The forward pass and the send caps hold every event at
             # once (only the backward amortization is windowed); the
             # gauge makes the memory model comparable with the
@@ -402,7 +403,7 @@ def naive_shift_correct(trace: Trace, lmin: LminSpec = 0.0) -> ClcResult:
     edge_lmin = schedule.edge_lmin(lmin)
     original = {rank: trace.logs[rank].timestamps for rank in trace.ranks}
     orig_flat = schedule.flatten(original)
-    corr_flat, _jumps, njumps, max_jump = clc_forward(
+    corr_flat, _jumps, njumps, max_jump, _writes = clc_forward(
         schedule, orig_flat, edge_lmin, gamma=None
     )
     return compute_clc_stats(

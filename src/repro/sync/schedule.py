@@ -49,7 +49,11 @@ remain in :mod:`repro.sync.clc`, :mod:`repro.sync.lamport`, and
   ``LC[i-1] + γ·δ[i] > LC[i]`` holds spontaneously through rounding
   (detected by one vectorized pass).  Everywhere else the corrected
   timestamp provably equals the original bit pattern, so skipping the
-  event is exact, not approximate.
+  event is exact, not approximate.  The original stamps therefore stay
+  a numpy array: corrections live in an overlay that holds Python
+  floats only for the events the pass reads or moves, and the result
+  is the original array with the moved events scattered in — the pass
+  costs what the dependencies and the moved events cost, not the log.
 
 Schedules are structure-only (no timestamps), so a compiled schedule is
 valid for every timestamp correction of the same trace; ``Trace``
@@ -321,8 +325,14 @@ class CompiledSchedule:
 # The forward recurrence
 # ----------------------------------------------------------------------
 def forward_recurrence(
-    orig: np.ndarray, gamma: float | None, heads: Sequence[int]
-) -> tuple[list[float], list[int], Callable[[int, int, int], int], Callable[[int, float], float]]:
+    orig: np.ndarray, gamma: float | None, heads: Sequence[int], reads: Sequence[int]
+) -> tuple[
+    list,
+    list[int],
+    Callable[[int, int, int], int],
+    Callable[[int, float], float],
+    Callable[[], tuple[np.ndarray, np.ndarray]],
+]:
     """The per-rank arithmetic of the forward pass, over one array of log windows.
 
     ``orig`` holds the original timestamps of one or more contiguous
@@ -330,50 +340,74 @@ def forward_recurrence(
     predecessor in ``orig`` (position 0 always is one).  ``gamma`` is the
     CLC's control factor, ``None`` for the naive shift, whose followers
     are only clamped for monotonicity: that is ``γ·δ = -0.0``, the one
-    addend that changes no float, the sign of a zero included.
+    addend that changes no float, the sign of a zero included.  ``reads``
+    are the positions the caller reads from ``corr`` or lands on.
 
-    Returns ``(corr, spont, stretch, land)``.  ``corr`` starts as a copy
-    of ``orig`` and is corrected in place — a caller whose window
-    continues a log stores the carried predecessor in the slot before it.
+    Returns ``(corr, spont, stretch, land, settle)``.  ``corr`` is an
+    overlay: a list that holds ``None`` except at ``reads`` (filled from
+    ``orig``) and at the events the pass moved, so what the pass costs in
+    Python follows the dependencies and the moved events, not the log
+    length.  A caller whose window continues a log keeps the carried
+    predecessor in the slot before it (``orig[0]`` its original stamp)
+    and lands that slot on its corrected stamp: ``land(0, carried)``.
     ``spont`` lists, ascending, the positions where the follow rule
     binds although the predecessor did not move — ``LC[i-1] + γ·δ[i] >
     LC[i]`` through rounding (CLC) or a locally unsorted log (naive
-    shift) — found in one vectorized pass, which is what licenses
-    skipping every other dependency-free event.
+    shift) — found in one vectorized pass.  Off those positions the rule
+    binds only behind a moved event, which is what licenses skipping
+    every event whose predecessor kept its stamp.
 
     ``stretch(cur, stop, k)`` corrects the dependency-free events
-    ``[cur, stop)``: the glide tail continuing from ``cur - 1`` and one
-    tail from every spontaneous position, ``k`` being the caller's
-    cursor into ``spont`` for this log (the new cursor is returned).
-    Splitting a stretch anywhere is bit-identical to running it whole.
-    ``land(p, floor)`` corrects the dependency-bearing event ``p``
-    given the largest ``LC'(source) + l_min`` over its sources and
-    returns the jump size, ``0.0`` when the remote constraint did not
-    bind.
+    ``[cur, stop)``: the glide tail continuing from ``cur - 1`` if that
+    event moved and one tail from every spontaneous position, ``k``
+    being the caller's cursor into ``spont`` for this log (the new
+    cursor is returned).  Splitting a stretch anywhere is bit-identical
+    to running it whole.  ``land(p, floor)`` corrects the
+    dependency-bearing event ``p`` given the largest ``LC'(source) +
+    l_min`` over its sources and returns the jump size, ``0.0`` when
+    the remote constraint did not bind.  ``settle()`` returns ``(the
+    corrected stamps as an array, the moved positions)``: ``orig`` with
+    the overlay's moved events scattered in.
     """
-    origl = orig.tolist()
-    corr = list(origl)  # the same float objects until corrected
-    gd = np.full(orig.size, -0.0)
+    n = orig.size
+    gd = np.full(n, -0.0)
     if gamma is not None:
-        gd[1:] = gamma * (orig[1:] - orig[:-1])
+        np.subtract(orig[1:], orig[:-1], out=gd[1:])
+        gd[1:] *= gamma
     gd[:1] = gd[heads] = _NEG_INF  # no predecessor: the follow rule never binds
-    gdl = gd.tolist()
-    spont = (np.flatnonzero(orig[:-1] + gd[1:] > orig[1:]) + 1).tolist()
+    spont_at = np.flatnonzero(orig[:-1] + gd[1:] > orig[1:]) + 1
+    spont = spont_at.tolist()
     nsp = len(spont)
+    spont_set = set(spont)
+
+    moved = bytearray(n)  # 1 where the overlay holds a corrected stamp
+    mask = np.frombuffer(moved, dtype=np.bool_)
+    mask[reads] = True
+    mask[spont_at - 1] = True  # a spontaneous tail reads the stamp before it
+    at = np.flatnonzero(mask)
+    mask[at] = False
+    corr: list = [None] * n
+    for i, value in zip(at.tolist(), orig[at].tolist()):
+        corr[i] = value
+
+    orig_at, gd_at = memoryview(orig), memoryview(gd)
 
     def tail(i: int, stop: int) -> int:
         """Apply the follow rule from ``i`` for as long as it binds."""
+        prev = corr[i - 1]
         while i < stop:
-            follow = corr[i - 1] + gdl[i]
-            if follow > origl[i]:
-                corr[i] = follow
-                i += 1
-            else:
+            follow = prev + gd_at[i]
+            if not follow > orig_at[i]:
                 break
+            corr[i] = prev = follow
+            moved[i] = 1
+            i += 1
         return i
 
     def stretch(cur: int, stop: int, k: int) -> int:
-        cur = tail(cur, stop)
+        # ``cur - 1`` of a head is another log's event: γ·δ = -inf there.
+        if cur < stop and moved[cur - 1]:
+            cur = tail(cur, stop)
         while k < nsp and spont[k] < stop:
             if spont[k] >= cur:
                 cur = tail(spont[k], stop)
@@ -381,14 +415,27 @@ def forward_recurrence(
         return k
 
     def land(p: int, floor: float) -> float:
-        tail(p, p + 1)
-        value = corr[p]
+        value = before = corr[p]
+        if moved[p - 1] or p in spont_set:
+            follow = corr[p - 1] + gd_at[p]
+            if follow > value:
+                value = follow
+        jump = 0.0
         if floor > value:
-            corr[p] = floor
-            return floor - value
-        return 0.0
+            jump = floor - value
+            value = floor
+        if value > before:  # every correction is a strict rise
+            corr[p] = value
+            moved[p] = 1
+        return jump
 
-    return corr, spont, stretch, land
+    def settle() -> tuple[np.ndarray, np.ndarray]:
+        out = orig.copy()
+        written = np.flatnonzero(mask)
+        out[written] = np.fromiter(map(corr.__getitem__, written.tolist()), np.float64, written.size)
+        return out, written
+
+    return corr, spont, stretch, land, settle
 
 
 # ----------------------------------------------------------------------
@@ -399,14 +446,16 @@ def clc_forward(
     orig_flat: np.ndarray,
     edge_lmin: np.ndarray,
     gamma: float | None,
-) -> tuple[np.ndarray, dict[int, list[tuple[int, float]]], int, float]:
+) -> tuple[np.ndarray, dict[int, list[tuple[int, float]]], int, float, int]:
     """Forward pass of the CLC (``gamma`` set) or naive shift (``None``).
 
-    Returns ``(corrected_flat, jumps, njumps, max_jump)`` with ``jumps``
-    mapping each rank to its ``(local index, jump size)`` list —
-    bit-identical to the scalar reference loop.
+    Returns ``(corrected_flat, jumps, njumps, max_jump, writes)`` with
+    ``jumps`` mapping each rank to its ``(local index, jump size)`` list
+    — bit-identical to the scalar reference loop — and ``writes`` the
+    number of events the pass moved.
     """
-    jumps: dict[int, list[tuple[int, float]]] = {rank: [] for rank in schedule.ranks}
+    ranks = schedule.ranks
+    jumps: dict[int, list[tuple[int, float]]] = {rank: [] for rank in ranks}
     hot = schedule.hot
     offsets = hot["offsets"]
     dep_gids = hot["dep_gids"]
@@ -414,20 +463,24 @@ def clc_forward(
     src = hot["src"]
     elmin = edge_lmin[schedule.dep_edge_ids].tolist()
 
-    corr, spont, stretch, land = forward_recurrence(
-        orig_flat, gamma, schedule.offsets[:-1][schedule.lengths > 0]
+    corr, spont, stretch, land, settle = forward_recurrence(
+        orig_flat,
+        gamma,
+        schedule.offsets[:-1][schedule.lengths > 0],
+        np.concatenate([schedule.dep_src, schedule.dep_gids]),
     )
     spont_ptr = [bisect_left(spont, start) for start in offsets]
     njumps = 0
     max_jump = 0.0
     for rp, a, b, dep_lo, dep_hi in schedule.steps:
         rk_start = offsets[rp]
-        jlist = jumps[schedule.ranks[rp]]
+        jlist = jumps[ranks[rp]]
         k = spont_ptr[rp]
         e = dep_indptr[dep_lo]
         for di in range(dep_lo, dep_hi):
             p = dep_gids[di]
-            k = stretch(a, p, k)
+            if a < p:
+                k = stretch(a, p, k)
             remote_floor = _NEG_INF
             estop = dep_indptr[di + 1]
             while e < estop:
@@ -442,9 +495,10 @@ def clc_forward(
                 if jump > max_jump:
                     max_jump = jump
             a = p + 1
-        spont_ptr[rp] = stretch(a, b, k)
+        spont_ptr[rp] = stretch(a, b, k) if a < b else k
 
-    return np.asarray(corr, dtype=np.float64), jumps, njumps, max_jump
+    corrected, written = settle()
+    return corrected, jumps, njumps, max_jump, len(written)
 
 
 def send_caps_kernel(

@@ -32,7 +32,11 @@ drives for a sharded source), each reading every input shard once:
   :func:`repro.sync.schedule.forward_recurrence` (follow rule, glide
   tail, spontaneous positions, jump test — written there only), run one
   resident shard at a time with the carried predecessor in the slot
-  before it, and the order is found the way
+  before it.  The shard's stamps stay a numpy array; only the slots read
+  back (the carry, the last slot, transfer and collective positions)
+  and the events the pass moves become Python floats, and the forward
+  temp is the shard with the moved events scattered in.  The order is
+  found the way
   :func:`repro.sync.schedule.cursor_walk` finds it: a rank advances
   until it reaches a receive whose matching send, or a collective exit
   whose member enters, have not been published yet (ranks are visited
@@ -345,9 +349,10 @@ class _RankForward:
 
     The arithmetic is :func:`repro.sync.schedule.forward_recurrence`,
     run over one shard at a time with a one-slot prefix holding the
-    previous shard's last original/corrected value, so the recurrence
-    reads ``corr[q - 1]`` uniformly across shard boundaries (splitting
-    a stretch at a shard or publication boundary changes no bit).  What
+    previous shard's last original value, on which its corrected value
+    lands, so the recurrence reads ``corr[q - 1]`` uniformly across
+    shard boundaries (splitting a stretch at a shard or publication
+    boundary changes no bit).  What
     is kept here is what streaming needs: which shard is resident, where
     the cursor stands in it, the events to stop at or publish — python
     lists, taken from the shard's columns once — the send caps its
@@ -355,9 +360,9 @@ class _RankForward:
     """
 
     __slots__ = (
-        "rank", "recs", "si", "lo", "n_s", "corr", "stretch", "land", "sp_ptr",
+        "rank", "recs", "si", "lo", "n_s", "corr", "stretch", "land", "settle", "sp_ptr",
         "stops", "stop_ptr", "pubs", "pub_ptr", "cur", "caps",
-        "prev_orig", "prev_corr", "finished", "jumps", "fwd_paths", "fwd_span",
+        "prev_orig", "prev_corr", "writes", "finished", "jumps", "fwd_paths", "fwd_span",
     )
 
     def __init__(self, rank, recs) -> None:
@@ -368,6 +373,7 @@ class _RankForward:
         self.finished = not recs
         self.prev_orig = 0.0
         self.prev_corr = 0.0
+        self.writes = 0  # events this rank's forward pass moved
         self.jumps: list[tuple[int, float, float]] = []  # (local idx, jump, value)
         self.fwd_paths: list[Path] = []
         self.fwd_span: list[tuple[float, float]] = []  # per shard: (first, max) forward time
@@ -379,18 +385,23 @@ class _RankForward:
         ts, et, a, b, _, d = cols
         lo = self.lo = rec.start
         self.n_s = rec.events
-        # List index ``i + 1`` is the shard's event ``i``; the log's very
-        # first event has no predecessor for the follow rule to read.
-        self.corr, _, self.stretch, self.land = forward_recurrence(
-            np.append(self.prev_orig, ts), gamma,
-            heads=[1] if lo == 0 and rec.events else [],
-        )
-        self.corr[0] = self.prev_corr
-        self.prev_orig = float(ts[-1])
-        self.sp_ptr = 0
         sends, recvs = np.flatnonzero(et == _SEND), np.flatnonzero(et == _RECV)
         enters = [i for i in np.flatnonzero(et == _CENT).tolist() if lo + i in my_pub]
         exits = [i for i in np.flatnonzero(et == _CEXIT).tolist() if lo + i in my_exits]
+        # List index ``i + 1`` is the shard's event ``i``; the log's very
+        # first event has no predecessor for the follow rule to read.
+        # What is read back: the carried slot, the last slot (the next
+        # carry), and every event published or stopped at.
+        self.corr, _, self.stretch, self.land, self.settle = forward_recurrence(
+            np.append(self.prev_orig, ts), gamma,
+            heads=[1] if lo == 0 and rec.events else [],
+            reads=np.concatenate([
+                [0, rec.events], sends + 1, recvs + 1, np.array(enters + exits, dtype=np.int64) + 1,
+            ]),
+        )
+        self.land(0, self.prev_corr)
+        self.prev_orig = float(ts[-1])
+        self.sp_ptr = 0
         # Where to stop: (list index, match key, source rank) of every
         # receive, (list index, None, log index) of every constrained
         # collective exit, and the shard's end behind them all.
@@ -420,12 +431,14 @@ class _RankForward:
     def flush_shard(self, tmpdir: Path, spill: _CapsSpill) -> None:
         """Save the shard's forward times, spill its send caps, drop it."""
         path = tmpdir / f"fwd_r{self.rank}_s{self.si}.npy"
-        fwd = np.array(self.corr, dtype=np.float64)[1:]
+        fwd, written = self.settle()
+        fwd = fwd[1:]
+        self.writes += int(np.count_nonzero(written))  # moved positions, the carry's 0 aside
         np.save(path, fwd)
         self.fwd_paths.append(path)
         self.fwd_span.append((float(fwd[0]), float(fwd.max())))
         self.prev_corr = self.corr[self.n_s]
-        self.corr = self.stretch = self.land = self.stops = self.pubs = None
+        self.corr = self.stretch = self.land = self.settle = self.stops = self.pubs = None
         ranks, idx, lmins, values = self.caps
         if ranks:
             # ``recv - l_min``, nudged down until ``cap + l_min <= recv``
@@ -640,6 +653,7 @@ class ShardSweeps:
             if tele.enabled:
                 tele.count("sync.clc.events", events)
                 tele.count("sync.clc.jumps", njumps)
+                tele.count("sync.clc.forward_writes", sum(st.writes for st in states.values()))
 
             window = amortization_window
             if window is None:

@@ -10,13 +10,17 @@ whole log, which in turn equals the event-by-event scalar rule.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.sync.clc import ControlledLogicalClock
-from repro.sync.schedule import forward_recurrence
+from repro.sync.schedule import clc_forward, forward_recurrence
+from repro.tracing.events import EventLog, EventType
+from repro.tracing.trace import Trace
 from repro.verify.cases import CaseSpec, build_case
 
 _NEG_INF = float("-inf")
@@ -42,14 +46,20 @@ def windowed(orig, floors, gamma, cuts, pauses):
     """The recurrence over the windows ``cuts`` delimits, carrying the predecessor.
 
     ``pauses`` are extra positions where a stretch is ended and resumed
-    (a streaming publication boundary does that).
+    (a streaming publication boundary does that).  Each window reads back
+    its carried slot, its last slot and the events it lands on; every
+    position ``settle`` reports as moved must differ from ``orig`` there
+    and every other one must not.
     """
     corrected, jumps = [], []
     prev_orig = prev_corr = 0.0
     for lo, hi in zip(cuts[:-1], cuts[1:]):
         window = np.append(prev_orig, orig[lo:hi])  # list index i + 1 is event lo + i
-        corr, _, stretch, land = forward_recurrence(window, gamma, heads=[1] if lo == 0 else [])
-        corr[0] = prev_corr
+        landed = [p - lo + 1 for p in sorted(floors) if lo <= p < hi]
+        corr, _, stretch, land, settle = forward_recurrence(
+            window, gamma, heads=[1] if lo == 0 else [], reads=[0, hi - lo, *landed]
+        )
+        land(0, prev_corr)
         cur, k = 1, 0
         for p in range(lo, hi):
             if p in floors or p in pauses:
@@ -61,8 +71,11 @@ def windowed(orig, floors, gamma, cuts, pauses):
                     jumps.append((p, jump))
                 cur += 1
         stretch(cur, hi - lo + 1, k)
-        corrected.extend(corr[1:])
-        prev_orig, prev_corr = float(orig[hi - 1]), corr[-1]
+        out, written = settle()
+        differs = np.flatnonzero(out.view(np.int64) != window.view(np.int64))
+        assert written.tolist() == differs.tolist()
+        corrected.extend(out[1:].tolist())
+        prev_orig, prev_corr = float(orig[hi - 1]), corr[hi - lo]
     return corrected, jumps
 
 
@@ -92,8 +105,30 @@ def logs(draw):
     return orig, floors, [0, *inner, n], pauses
 
 
+#: Cases the property must always cover, each one a way an overlay can
+#: go wrong: ``(orig, floors, cuts, pauses), gamma``.
+#: A carried slot 0 that moved (a jump on window one's last event) while
+#: window two's first event is not a dependent: only the carry says glide.
+#: Fails if ``land`` does not mark what it moved.
+CARRIED_MOVE = ((np.array([0.0, 1e-6, 2e-6, 3e-6]), {1: 1.5e-6}, [0, 2, 4], set()), 1.0)
+#: A landing on a spontaneous position (an NTP back-step) whose
+#: predecessor did not move: the follow rule binds all the same.  Fails
+#: if ``land`` follows only behind a moved predecessor.
+SPONTANEOUS_LANDING = ((np.array([0.0, 1e-3, 0.0, 1e-6]), {2: 0.0}, [0, 4], set()), 0.99)
+#: A glide tail from a jump in window one that runs across the window
+#: edge and on through a pause in window two.  Fails if a tail marks
+#: only its first event as moved.
+TAIL_ACROSS_EDGE = (
+    (np.array([0.0, 1e-6, 2e-6, 3e-6, 4e-6, 5e-6, 6e-6]), {1: 3e-6}, [0, 3, 7], {5}),
+    0.99,
+)
+
+
 class TestAnySplit:
     @given(logs(), st.sampled_from([1.0, 0.99, None]))
+    @example(*CARRIED_MOVE)
+    @example(*SPONTANEOUS_LANDING)
+    @example(*TAIL_ACROSS_EDGE)
     def test_windows_equal_whole_log_equal_scalar_rule(self, case, gamma):
         orig, floors, cuts, pauses = case
         want = scalar_rule(orig.tolist(), floors, gamma)
@@ -102,21 +137,96 @@ class TestAnySplit:
         assert bits(whole[0]) == bits(want[0]) and whole[1] == want[1]
         assert bits(split[0]) == bits(want[0]) and split[1] == want[1]
 
+    @pytest.mark.parametrize(
+        "case",
+        [CARRIED_MOVE, SPONTANEOUS_LANDING, TAIL_ACROSS_EDGE],
+        ids=["carried-move", "spontaneous-landing", "tail-across-edge"],
+    )
+    def test_the_pinned_cases_are_what_they_claim(self, case):
+        (orig, floors, cuts, pauses), gamma = case
+        corrected, jumps = scalar_rule(orig.tolist(), floors, gamma)
+        moved = [i for i, (c, o) in enumerate(zip(corrected, orig)) if c != o]
+        if case is CARRIED_MOVE:
+            assert jumps[0][0] == cuts[1] - 1 and cuts[1] in moved and cuts[1] not in floors
+        elif case is SPONTANEOUS_LANDING:
+            assert not jumps and moved[0] == 2 and orig[2] < orig[1]
+        else:
+            assert jumps[0][0] == 1 and set(range(1, 7)) <= set(moved) and pauses == {5}
+
     def test_naive_shift_keeps_the_sign_of_zero(self):
         # The clamp copies the predecessor; it must not turn -0.0 into 0.0.
         orig = np.array([-0.0, -1.0, -2.0])
-        corr, _, stretch, _ = forward_recurrence(orig, None, heads=[0])
+        _, spont, stretch, _, settle = forward_recurrence(orig, None, heads=[0], reads=[])
+        assert spont == [1, 2]  # a locally unsorted log follows spontaneously
         stretch(0, 3, 0)
-        assert bits(corr) == bits([-0.0, -0.0, -0.0])
+        out, written = settle()
+        assert bits(out) == bits([-0.0, -0.0, -0.0]) and written.tolist() == [1, 2]
 
     def test_heads_start_a_new_log(self):
         # Two logs side by side: the second never follows the first's tail.
         orig = np.array([5.0, 5.1, 1.0, 1.1])
-        corr, spont, stretch, land = forward_recurrence(orig, 1.0, heads=[0, 2])
+        corr, spont, stretch, land, settle = forward_recurrence(orig, 1.0, heads=[0, 2], reads=[1])
         assert spont == []
+        assert corr == [None, 5.1, None, None]  # the overlay holds what is read, no more
         assert land(1, 7.0) == pytest.approx(1.9)
         stretch(2, 4, 0)
-        assert corr == [5.0, 7.0, 1.0, 1.1]
+        out, written = settle()
+        assert out.tolist() == [5.0, 7.0, 1.0, 1.1] and written.tolist() == [1]
+
+    def test_a_moved_carry_lands_on_the_slot_before_the_window(self):
+        # The previous window's last event moved from 1.0 to 1.5: the
+        # carried slot takes it through ``land`` and the glide goes on.
+        window = np.array([1.0, 2.0, 3.0])
+        corr, _, stretch, land, settle = forward_recurrence(window, 1.0, heads=[], reads=[0, 2])
+        assert land(0, 1.5) == 0.5
+        stretch(1, 3, 0)
+        out, written = settle()
+        assert out.tolist() == [1.5, 2.5, 3.5] and written.tolist() == [0, 1, 2]
+        assert corr[2] == 3.5
+
+
+def two_rank_trace(n: int, reversed_every: int = 10_000) -> Trace:
+    """Rank 0 sends to rank 1 every 16th event; every ``reversed_every``-th
+    message's receive is pulled back to precede its send."""
+    idx = np.arange(n // 16) * 16 + 8
+
+    def log(rank):
+        ts = np.arange(n, dtype=np.float64) * 1e-6
+        et = np.zeros(n, dtype=np.int32)
+        et[1::2] = int(EventType.EXIT)
+        a = np.zeros(n, dtype=np.int64)
+        d = np.full(n, -1, dtype=np.int64)
+        if rank == 0:
+            et[idx] = int(EventType.SEND)
+            a[idx] = 1
+        else:
+            ts += 5e-7
+            et[idx] = int(EventType.RECV)
+            ts[idx[::reversed_every // 16]] -= 0.9e-6
+        d[idx] = np.arange(idx.size)
+        zeros = np.zeros(n, dtype=np.int64)
+        return EventLog.from_arrays(ts, et, a, zeros, zeros, d)
+
+    return Trace({0: log(0), 1: log(1)})
+
+
+class TestMemory:
+    def test_forward_pass_peak_follows_arrays_not_floats(self):
+        # 2 x 500k events: the overlay, the bytemap and the arrays of the
+        # log are all that scale with it (the list-based pass peaked at
+        # 85.8 MiB holding a Python float per event, three times over).
+        trace = two_rank_trace(500_000)
+        schedule = trace.compiled_schedule(True)
+        orig = schedule.flatten({r: trace.logs[r].timestamps for r in trace.ranks})
+        lmin = schedule.edge_lmin(0.0)
+        tracemalloc.start()
+        try:
+            _, _, njumps, _, writes = clc_forward(schedule, orig, lmin, 0.99)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert njumps > 0 and 0 < writes < orig.size // 100
+        assert peak <= 40 * 2**20, f"clc_forward peaked at {peak / 2**20:.1f} MiB"
 
 
 class TestRecorrection:

@@ -307,6 +307,34 @@ class TestFusedCorrection:
         assert got.clc.jumps == ref.clc.jumps == 3
         assert sorted(got.timings) == sorted(ref.timings) == ["clc", "interpolate"]
 
+    def test_forward_writes_match_inmemory(self, tally):
+        """``sync.clc.forward_writes`` counts the events the forward pass moved,
+        the same number on both paths (a carried shard-edge slot is not an event)."""
+        from repro import TelemetryRecorder, correct_trace
+
+        recorder = TelemetryRecorder()
+        correct_trace(tally["trace"], interpolation="linear", clc=True, telemetry=recorder)
+        writes = recorder.counters["sync.clc.forward_writes"]
+        assert tally["recorder"].counters["sync.clc.forward_writes"] == writes > 0
+
+
+@pytest.mark.parametrize("shard_events", [1, 7])
+def test_forward_writes_count_moved_events(sim_trace, tmp_path, shard_events):
+    from repro import TelemetryRecorder
+
+    inmem, streamed = TelemetryRecorder(), TelemetryRecorder()
+    clc = ControlledLogicalClock(gamma=1.0, amortization_window=0.0, telemetry=inmem)
+    result = clc.correct(sim_trace)
+    d = write_sharded_trace(sim_trace, tmp_path / "s", shard_events=shard_events)
+    streaming_clc_correct(d, tmp_path / "out", gamma=1.0, amortization_window=0.0,
+                          telemetry=streamed)
+    moved = sum(
+        int(np.count_nonzero(result.trace.logs[r].timestamps != sim_trace.logs[r].timestamps))
+        for r in sim_trace.ranks
+    )
+    assert inmem.counters["sync.clc.forward_writes"] == moved > 0
+    assert streamed.counters["sync.clc.forward_writes"] == moved
+
 
 class TestSourceIsNeverTheOutput:
     def _store(self, tmp_path):
