@@ -32,8 +32,10 @@ def mutant_zero_lmin():
     ``recv >= send`` and corrected traces keep real violations."""
     from repro.sync.schedule import CompiledSchedule
 
+    real = CompiledSchedule.edge_lmin
+
     def edge_lmin(self, lmin):
-        return np.zeros(self.n_edges, dtype=np.float64)
+        return real(self, 0.0)
 
     with mock.patch.object(CompiledSchedule, "edge_lmin", edge_lmin):
         yield
@@ -86,9 +88,11 @@ def mutant_forced_gamma():
 
 @contextmanager
 def mutant_dropped_sender():
-    """M5: the shared collective expansion loses one sender of every
-    N-to-N instance — kernel, scalar oracles, scans and streaming all
-    read the same pairs, so only the independent flavor rule notices."""
+    """M5: the pair expansion loses one sender of every N-to-N instance —
+    the scalar oracles (``build_dependencies``) read those pairs, while
+    the kernels and the streaming CLC read N-to-N instances as blocks:
+    the independent flavor rule and the kernel-vs-reference oracle
+    notice."""
     import repro.sync.collectives_map as cmap
     from repro.tracing.events import CollectiveFlavor
 
@@ -114,7 +118,8 @@ def mutant_early_wake():
     real = schedule_mod.cursor_walk
 
     def early(**hot):
-        return real(**{**hot, "src": [s - 1 for s in hot["src"]]})
+        shifted = {key: [g - 1 for g in hot[key]] for key in ("src", "b_enter")}
+        return real(**{**hot, **shifted})
 
     with mock.patch.object(schedule_mod, "cursor_walk", early):
         yield
@@ -168,17 +173,44 @@ def mutant_unmoved_predecessor():
         yield
 
 
-#: (name, mutant, campaign that must catch it)
+@contextmanager
+def mutant_dropped_member():
+    """M10: the compiled schedule loses the last member of every N-to-N
+    and prefix block — its enter binds no exit and its exit waits for
+    nothing.  The streaming CLC and the scalar oracles keep their own
+    reading of the flavor rule, so kernel-vs-reference (CLC, Lamport,
+    vector) and streamed == in-memory all notice."""
+    import repro.sync.schedule as schedule_mod
+    from repro.sync.collectives_map import CollectiveBlocks
+
+    real = schedule_mod.collective_constraints
+
+    def dropped(table):
+        pairs, blocks = real(table)
+        keep = np.ones(blocks.members.size, dtype=bool)
+        keep[blocks.indptr[1:] - 1] = False
+        indptr = blocks.indptr - np.arange(blocks.indptr.size)
+        return pairs, CollectiveBlocks(blocks.members[keep], indptr, blocks.prefix)
+
+    with mock.patch.object(schedule_mod, "collective_constraints", dropped):
+        yield
+
+
+#: (name, mutant, oracle each campaign must catch it with)
 MUTANTS = [
-    ("zero-lmin", mutant_zero_lmin, "mutation"),
-    ("uncapped-sends", mutant_uncapped_sends, "mutation"),
-    ("naive-floor", mutant_naive_floor, "mutation"),
-    ("forced-gamma", mutant_forced_gamma, "mutation"),
-    ("dropped-sender", mutant_dropped_sender, "mutation"),
-    ("early-wake", mutant_early_wake, "mutation"),
-    ("stale-pending", mutant_stale_pending, "streaming"),
-    ("raw-verdict", mutant_raw_verdict, "streaming"),
-    ("unmoved-predecessor", mutant_unmoved_predecessor, "mutation"),
+    ("zero-lmin", mutant_zero_lmin, {"mutation": None}),
+    ("uncapped-sends", mutant_uncapped_sends, {"mutation": None}),
+    ("naive-floor", mutant_naive_floor, {"mutation": None}),
+    ("forced-gamma", mutant_forced_gamma, {"mutation": None}),
+    ("dropped-sender", mutant_dropped_sender, {"mutation": None}),
+    ("early-wake", mutant_early_wake, {"mutation": None}),
+    ("stale-pending", mutant_stale_pending, {"streaming": None}),
+    ("raw-verdict", mutant_raw_verdict, {"streaming": None}),
+    ("unmoved-predecessor", mutant_unmoved_predecessor, {"mutation": None}),
+    ("dropped-member", mutant_dropped_member, {
+        "mutation": "kernel_reference_identity",
+        "streaming": "streamed_matches_inmemory",
+    }),
 ]
 
 
@@ -192,27 +224,29 @@ def main(argv: list[str] | None = None) -> int:
     from repro.verify import run_campaign
 
     survived = []
-    for name, mutant, campaign in MUTANTS:
-        with tempfile.TemporaryDirectory() as tmp:
-            with mutant():
-                result = run_campaign(
-                    campaign,
-                    max_examples=args.max_examples,
-                    corpus_dir=tmp,
-                    seed=args.seed,
-                )
-            if result.passed:
-                survived.append(name)
-                print(f"  SURVIVED {name}: {result.summary()}")
-                continue
-            oracles = sorted({f.oracle for f in result.failures})
-            entries = sorted(p.name for p in Path(tmp).glob("*.json"))
-            if not entries:
-                survived.append(name)
-                print(f"  SURVIVED {name}: caught but nothing serialized")
-                continue
-            print(f"  caught   {name}: {', '.join(oracles)} "
-                  f"({len(entries)} corpus entries)")
+    for name, mutant, campaigns in MUTANTS:
+        for campaign, wanted in campaigns.items():
+            label = f"{name} ({campaign})" if len(campaigns) > 1 else name
+            with tempfile.TemporaryDirectory() as tmp:
+                with mutant():
+                    result = run_campaign(
+                        campaign,
+                        max_examples=args.max_examples,
+                        corpus_dir=tmp,
+                        seed=args.seed,
+                    )
+                oracles = sorted({f.oracle for f in result.failures})
+                entries = sorted(p.name for p in Path(tmp).glob("*.json"))
+                if result.passed or wanted not in {None, *oracles}:
+                    print(f"  SURVIVED {label}: {result.summary()}")
+                elif not entries:
+                    print(f"  SURVIVED {label}: caught but nothing serialized")
+                else:
+                    print(f"  caught   {label}: {', '.join(oracles)} "
+                          f"({len(entries)} corpus entries)")
+                    continue
+                if name not in survived:
+                    survived.append(name)
 
     if survived:
         print(f"mutation check FAILED: {len(survived)}/{len(MUTANTS)} "

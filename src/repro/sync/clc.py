@@ -261,6 +261,10 @@ class ControlledLogicalClock:
             tele.count("sync.clc.events", orig_flat.size)
             tele.count("sync.clc.jumps", njumps)
             tele.count("sync.clc.forward_writes", writes)
+            # What the schedule compiled to: edge rows (messages, rooted
+            # collective pairs) and N-to-N / prefix instance blocks.
+            tele.count("sync.schedule.edges", schedule.n_edges)
+            tele.count("sync.schedule.blocks", schedule.n_blocks)
             # The forward pass and the send caps hold every event at
             # once (only the backward amortization is windowed); the
             # gauge makes the memory model comparable with the

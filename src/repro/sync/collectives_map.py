@@ -27,17 +27,32 @@ so violation scans and the CLC treat logical and real messages uniformly.
 This module is the only place that knows the flavor rule.
 :func:`member_pairs` states it for one instance shape and
 :func:`collective_pairs` applies it to a whole
-:class:`~repro.tracing.trace.CollectiveTable`; the happened-before edge
-table (:func:`repro.sync.order.dependency_edges`, hence the compiled
-kernels and the scalar oracles) and the streaming CLC read those pairs.
-So does :func:`logical_messages` below for the rooted flavors; where a
-receiver has one binding sender (prefix, N-to-N) it finds it with a
-reduction over the instance's ``n`` members instead of its ``n**2`` pairs.
+:class:`~repro.tracing.trace.CollectiveTable` — the dense expansion the
+scalar oracles iterate (:func:`repro.sync.order.dependency_edges`,
+hence ``build_dependencies`` and every ``*_reference``).  The compiled
+kernels and the streaming CLC read :func:`collective_constraints`
+instead: the rooted instances as pairs, the N-to-N and prefix ones as
+**blocks** — an instance's members, nothing per pair.  A block's exit
+``i`` depends on the enters of members ``[0, n)`` (N-to-N; its own
+enter precedes it in its log, so counting it changes no order and no
+max) or ``[0, i)`` (prefix), and its floor
+``max_{j != i}(LC'(enter_j) + l_min(j, i))`` is one reduction over the
+members (:func:`repro.sync.schedule.block_floors`) instead of ``n - 1``
+edges.  The tie rule is the dense loop's: the first sender, in member
+order, among equal floors binds, and a NaN floor never does.  An
+instance one of whose members exits before it enters in its own log
+stays pairs: as an N-to-N block it would order that member's exit
+behind its own enter, and as a prefix block it would leave the last
+member's enter, which no exit reads, unpassed when the streaming CLC
+drops the block's state.  :func:`logical_messages` below reduces the same
+way for prefix and N-to-N receivers, finding each one's binding sender
+over the instance's ``n`` members instead of its ``n**2`` pairs.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -45,7 +60,13 @@ from repro.errors import TraceError
 from repro.tracing.events import COLLECTIVE_FLAVORS, CollectiveFlavor, CollectiveOp
 from repro.tracing.trace import CollectiveTable, MessageTable
 
-__all__ = ["member_pairs", "collective_pairs", "logical_messages"]
+__all__ = [
+    "member_pairs",
+    "collective_pairs",
+    "CollectiveBlocks",
+    "collective_constraints",
+    "logical_messages",
+]
 
 
 _NO_PAIRS = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
@@ -72,16 +93,22 @@ def member_pairs(flavor: CollectiveFlavor, n: int, root_pos: int) -> tuple[np.nd
     return (others, root) if flavor is CollectiveFlavor.ONE_TO_N else (root, others)
 
 
+def _flavors(collectives: CollectiveTable) -> list[CollectiveFlavor]:
+    ops = collectives.op.tolist()
+    flavor = {op: COLLECTIVE_FLAVORS[CollectiveOp(op)] for op in set(ops)}
+    return [flavor[op] for op in ops]
+
+
 def collective_pairs(
-    collectives: CollectiveTable, skip: tuple[CollectiveFlavor, ...] = ()
+    collectives: CollectiveTable, keep: Optional[np.ndarray] = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """:func:`member_pairs` of every instance, as indices into the member columns.
 
     Returns ``(receivers, senders)`` with one entry per pair, instance by
-    instance in table order (none for the ``skip`` flavors);
-    single-member instances constrain nothing.  A rooted collective
-    (every flavor but N-to-N) whose root is not among its members raises
-    :class:`TraceError`.
+    instance in table order (only the instances ``keep`` marks, when
+    given); single-member instances constrain nothing.  A rooted
+    collective (every flavor but N-to-N) whose root is not among its
+    members raises :class:`TraceError`, kept or not.
     """
     table = collectives
     sizes = np.diff(table.starts)
@@ -90,21 +117,69 @@ def collective_pairs(
     rooted = of_member[at_root]
     root_pos = np.full(len(table), -1, dtype=np.int64)
     root_pos[rooted] = at_root - table.starts[rooted]
+    keep = np.ones(len(table), dtype=bool) if keep is None else keep
     parts = [_NO_PAIRS]
-    for k, (op, n, pos, start) in enumerate(
-        zip(table.op.tolist(), sizes.tolist(), root_pos.tolist(), table.starts.tolist())
-    ):
-        op = CollectiveOp(op)
-        flavor = COLLECTIVE_FLAVORS[op]
+    columns = (sizes.tolist(), root_pos.tolist(), table.starts.tolist(), keep.tolist())
+    for k, (flavor, n, pos, start, kept) in enumerate(zip(_flavors(table), *columns)):
         if pos < 0 and n > 1 and flavor is not CollectiveFlavor.N_TO_N:
             raise TraceError(
-                f"collective instance {table.instance[k]} ({op.name}): "
+                f"collective instance {table.instance[k]} ({CollectiveOp(table.op[k]).name}): "
                 f"root {table.root[k]} is not among its members"
             )
-        if flavor not in skip:
+        if kept:
             receivers, senders = member_pairs(flavor, n, pos)
             parts.append((receivers + start, senders + start))
     return tuple(np.concatenate(column) for column in zip(*parts))
+
+
+class CollectiveBlocks(NamedTuple):
+    """The N-to-N and prefix instances of a table, member by member.
+
+    Block ``b``'s members are ``members[indptr[b]:indptr[b + 1]]``
+    (indices into the table's member columns, rank ascending) and
+    ``prefix[b]`` says whether each exit depends on the lower members'
+    enters only (MPI_Scan) or on every other member's (N-to-N).
+    """
+
+    members: np.ndarray
+    indptr: np.ndarray
+    prefix: np.ndarray
+
+    def sources(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per member slot ``s``: ``(lo, need)``, its exit depending on the
+        enters of slots ``[lo, need)`` — the whole block for N-to-N (its own
+        enter, which precedes it, included), the lower members for prefix."""
+        sizes = np.diff(self.indptr)
+        lo = np.repeat(self.indptr[:-1], sizes)
+        whole = np.repeat(self.indptr[1:], sizes)
+        return lo, np.where(np.repeat(self.prefix, sizes), np.arange(lo.size), whole)
+
+
+def collective_constraints(
+    collectives: CollectiveTable,
+) -> tuple[tuple[np.ndarray, np.ndarray], CollectiveBlocks]:
+    """The flavor rule as the kernels read it: ``((receivers, senders), blocks)``.
+
+    1-to-N and N-to-1 instances come as the pairs of
+    :func:`collective_pairs`; N-to-N and prefix instances of two or more
+    members as :class:`CollectiveBlocks` — except an instance one of
+    whose members exits before it enters, which stays pairs (see the
+    module docstring).
+    """
+    table = collectives
+    flavors = _flavors(table)
+    sizes = np.diff(table.starts)
+    prefix = np.array([f is CollectiveFlavor.PREFIX for f in flavors], dtype=bool)
+    n_to_n = np.array([f is CollectiveFlavor.N_TO_N for f in flavors], dtype=bool)
+    of_member = np.repeat(np.arange(len(table)), sizes)
+    backwards = np.zeros(len(table), dtype=bool)
+    backwards[of_member[table.exit_idx < table.enter_idx]] = True
+    is_block = (sizes > 1) & (prefix | n_to_n) & ~backwards
+    pairs = collective_pairs(table, keep=~is_block)
+    members = np.flatnonzero(is_block[of_member])
+    indptr = np.zeros(np.count_nonzero(is_block) + 1, dtype=np.int64)
+    np.cumsum(sizes[is_block], out=indptr[1:])
+    return pairs, CollectiveBlocks(members, indptr, prefix[is_block])
 
 
 def _binding_senders(
@@ -151,8 +226,9 @@ def logical_messages(collectives: CollectiveTable) -> MessageTable:
     """
     table = collectives
     reduced = (CollectiveFlavor.PREFIX, CollectiveFlavor.N_TO_N)
-    dst, src = collective_pairs(table, skip=reduced)
-    flavors = [COLLECTIVE_FLAVORS[CollectiveOp(op)] for op in table.op.tolist()]
+    flavors = _flavors(table)
+    rooted = np.array([f not in reduced for f in flavors], dtype=bool)
+    dst, src = collective_pairs(table, keep=rooted)
     several = np.diff(table.starts) > 1
     for flavor in reduced:
         of_flavor = np.array([f is flavor for f in flavors], dtype=bool)

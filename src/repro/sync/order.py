@@ -12,11 +12,17 @@ have remote predecessors — as one edge table:
   flavor constrains it (:func:`repro.sync.collectives_map.collective_pairs`,
   which owns that rule).
 
-:func:`dependency_edges` is the builder.  Its consumers:
-:class:`repro.sync.schedule.CompiledSchedule` compiles the arrays
-directly; :func:`build_dependencies` is their dict view, iterated by the
-scalar oracles (:func:`replay_schedule`, the ``*_reference`` clocks and
-correctors) and the starting point of explicit constraint sets (POMP).
+:func:`dependency_edges` is the builder of this **pair expansion**, and
+:func:`build_dependencies` its dict view, iterated by the scalar oracles
+(:func:`replay_schedule`, the ``*_reference`` clocks and correctors) and
+the starting point of explicit constraint sets (POMP,
+:meth:`CompiledSchedule.from_dependencies
+<repro.sync.schedule.CompiledSchedule.from_dependencies>`).  An N-to-N
+instance of ``n`` members is ``n·(n-1)`` edges here.  The compiled
+kernels and the streaming CLC do not read it: they take the same
+relation from :func:`repro.sync.collectives_map.collective_constraints`,
+with N-to-N and prefix instances as blocks of ``n`` members, so this
+spelling stays an independent second one for the oracles.
 """
 
 from __future__ import annotations

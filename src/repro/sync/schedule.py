@@ -3,8 +3,9 @@
 Every logical-clock algorithm in this package — Lamport and vector
 clocks, the controlled logical clock, the naive Lamport shift, and the
 replay decomposition — consumes the same two ingredients: the sparse
-remote-dependency relation of :func:`repro.sync.order.dependency_edges`
-and a happened-before-consistent processing order.
+remote-dependency relation (messages, and collectives by the flavor rule
+of :mod:`repro.sync.collectives_map`) and a happened-before-consistent
+processing order.
 
 :class:`CompiledSchedule` derives both **once** and stores them as flat
 numpy arrays:
@@ -14,13 +15,23 @@ numpy arrays:
 * **the edge table** — ``e_dst``/``e_src`` (gids) and
   ``edge_dst_rank``/``edge_src_rank`` (rank ids, for vectorized ``l_min``
   resolution via :func:`repro.sync.violations.resolve_lmin`), one entry
-  per edge in the order given; the send caps of the CLC backward pass
-  are one scatter-min over it;
+  per edge in the order given: messages and the pairs of rooted (1-to-N,
+  N-to-1) collectives;
+* **the blocks** — every N-to-N and prefix collective instance of two or
+  more members (:func:`repro.sync.collectives_map.collective_constraints`)
+  as its members' enter and exit gids, ``b_enter``/``b_exit`` (rank ids
+  in ``b_rank``), block ``b`` owning member slots
+  ``b_indptr[b]:b_indptr[b + 1]``.  Slot ``s``'s exit depends on the
+  enters of slots ``[b_lo[s], b_need[s])`` — the whole block for N-to-N
+  (the own enter precedes the exit in its log, so it changes nothing),
+  the lower members for prefix.  An instance of ``n`` members costs
+  ``n`` slots, not the ``n·(n-1)`` edges of the pair expansion;
 * **a compact forward CSR** — ``dep_gids`` lists the dependency-bearing
   events (receives, collective exits, custom constraints such as POMP)
-  ascending by gid, ``dep_indptr`` delimits their sources in
+  ascending by gid, ``dep_indptr`` delimits their edge-table sources in
   ``dep_src`` (gids; ``dep_edge_ids`` names the edge-table row behind
-  each slot, sources in the order given), and rank ``i``'s dependents
+  each slot, sources in the order given), ``dep_slot`` names a block
+  exit's member slot (``-1`` elsewhere), and rank ``i``'s dependents
   are the contiguous range ``rank_deps[i]:rank_deps[i+1]``.  Nothing is
   indexed by event: a million dependency-free events cost nothing here;
 * **an execution plan** — ``steps`` is a sequence of per-rank spans
@@ -28,9 +39,12 @@ numpy arrays:
   dependent)`` whose sequential execution respects every dependency.
   :func:`cursor_walk` finds it the way the streaming CLC orders itself
   (:mod:`repro.sync.streaming`): each rank advances until a source is
-  not yet done, sleeps on that source, and is woken when it is.  The
-  forward pass is deterministic dataflow, so *any* valid order yields
-  the same bits; this one is not ``replay_schedule``'s.
+  not yet done, sleeps on that source, and is woken when it is.  A
+  block is a barrier: a shared per-block counter of the members whose
+  enter is done is advanced by whichever exit looks first, so a block
+  costs ``O(n)`` checks however many of its exits wait.  The forward
+  pass is deterministic dataflow, so *any* valid order yields the same
+  bits; this one is not ``replay_schedule``'s.
 
 The kernels (:func:`clc_forward`, :func:`send_caps_kernel`,
 :func:`lamport_kernel`, :func:`vector_kernel`, :func:`bsp_rounds`) are
@@ -40,6 +54,16 @@ remain in :mod:`repro.sync.clc`, :mod:`repro.sync.lamport`, and
 
 * integer kernels (Lamport, vector) use closed forms that are exact in
   int64 arithmetic;
+* a block's floors are reductions over its members
+  (:func:`block_floors`): one top-2 scan gives every N-to-N exit the
+  largest ``LC'(enter_j) + l_min`` over the *other* members (one
+  members × members array op when ``l_min`` differs per pair), and a
+  prefix exit takes one column op over the lower members.  Each addition is the pair edge's own, and
+  the tie rule is the dense loop's ``if floor > remote_floor``: among
+  equal floors (``-0.0`` and ``+0.0`` included) the first sender in
+  member order binds, and a NaN floor never binds.  Send caps take the
+  mirrored ``min`` with ``np.minimum.at``'s rule (the last receiver
+  among equal caps wins, a NaN propagates);
 * the float CLC recurrence ``LC'[i] = max(LC[i], LC'[i-1] + γ·δ[i])``
   lives in :func:`forward_recurrence`, shared with the streaming CLC,
   and is only evaluated — with exactly the reference's operation order
@@ -66,11 +90,12 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import deque
 from heapq import heappop, heappush
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
 from repro.errors import SynchronizationError
+from repro.sync.collectives_map import CollectiveBlocks, collective_constraints
 from repro.sync.order import EventRef, dependency_edges
 from repro.sync.violations import LminSpec, resolve_lmin
 
@@ -79,7 +104,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (trace imports us laz
 
 __all__ = [
     "CompiledSchedule",
+    "EdgeLmin",
     "cursor_walk",
+    "block_entered",
+    "block_lmin",
+    "block_floors",
     "forward_recurrence",
     "clc_forward",
     "send_caps_kernel",
@@ -91,6 +120,30 @@ __all__ = [
 _NEG_INF = float("-inf")
 
 
+def block_entered(
+    b_lo: Sequence[int], is_entered: Callable[[int], bool]
+) -> tuple[list[int], Callable[[int, int], int]]:
+    """Per block, the count of its leading slots whose enter is done.
+
+    Returns ``(count, extend)``: ``count[lo]`` (``lo`` a block's first
+    slot) starts at ``lo``, and ``extend(lo, need)`` moves it past every
+    slot below ``need`` that ``is_entered`` accepts, up to the first it
+    refuses, and returns it — the first missing slot of ``[lo, need)``,
+    or ``need``.  Exits of one block share the count, so however many
+    of them ask, every slot is accepted once.
+    """
+    count = list(b_lo)
+
+    def extend(lo: int, need: int) -> int:
+        v = count[lo]
+        while v < need and is_entered(v):
+            v += 1
+        count[lo] = v
+        return v
+
+    return count, extend
+
+
 def cursor_walk(
     offsets: Sequence[int],
     rank_deps: Sequence[int],
@@ -98,32 +151,57 @@ def cursor_walk(
     dep_indptr: Sequence[int],
     src: Sequence[int],
     src_pos: Sequence[int],
+    dep_slot: Sequence[int],
+    b_lo: Sequence[int],
+    b_need: Sequence[int],
+    b_enter: Sequence[int],
+    b_pos: Sequence[int],
 ) -> tuple[list[tuple[int, int, int, int, int]], list[int], int]:
     """A happened-before-consistent execution plan, by structure alone.
 
     Arguments are the list mirrors of a :class:`CompiledSchedule`'s
-    compact CSR (``src_pos`` is the rank position of each ``src`` gid).
-    Every rank keeps a cursor; a visit moves it over dependency-free
-    events and over each dependent whose sources all lie behind their
-    own rank's cursor, and ends at the first source that does not.  The
-    rank then sleeps in that source rank's heap, keyed by the awaited
-    gid, is woken only once the cursor there has passed it, and resumes
-    its source scan behind the edge it slept on: every edge is checked
-    once, a sleep costs ``O(log ranks)``, nothing is polled.
+    compact CSR and blocks (``src_pos``/``b_pos`` are the rank positions
+    of the ``src``/``b_enter`` gids).  Every rank keeps a cursor; a visit
+    moves it over dependency-free events and over each dependent whose
+    sources all lie behind their own rank's cursor, and ends at the
+    first source that does not.  The rank then sleeps in that source
+    rank's heap, keyed by the awaited gid, is woken only once the cursor
+    there has passed it, and resumes its source scan behind the edge it
+    slept on: every edge is checked once, a sleep costs
+    ``O(log ranks)``, nothing is polled.  A block exit's sources are the
+    enters of slots ``[b_lo, b_need)``.  The block keeps the count of its
+    leading slots known to have entered (:func:`block_entered`); an exit that finds its range
+    incomplete parks on the block, and only the block sleeps, on its
+    first missing enter — woken, it extends the count and releases the
+    exits it now covers, so a block costs ``O(n log n)`` however its
+    exits arrive.
 
     Returns ``(steps, cursors, checks)``: the visits that moved a cursor
     as ``(rank position, start gid, stop gid, first dependent, stop
     dependent)``, each rank's final cursor (short of ``offsets[i + 1]``
-    where a cycle left it asleep), and the number of edge checks made.
+    where a cycle left it asleep), and the number of edge and block
+    member checks made.
     """
     nr = len(offsets) - 1
     done = list(offsets[:nr])  # per rank: every gid below has been scheduled
     dep = list(rank_deps[:nr])  # per rank: its next dependent
     edge = [dep_indptr[d] for d in dep]  # per rank: the next source to check
+    entered, extend = block_entered(b_lo, lambda v: b_enter[v] < done[b_pos[v]])
+    parked: dict[int, list] = {}  # watched block -> [heap of (need, rank), largest need]
+    # Keyed by the awaited gid: a rank, or ``~first slot`` for a block.
     asleep: list[list[tuple[int, int]]] = [[] for _ in range(nr)]
     ready = deque(range(nr))
+    wake, push, pop = ready.append, heappush, heappop
     steps = []
     checks = 0
+
+    def advance(lo: int, need: int) -> int:
+        nonlocal checks
+        was = entered[lo]
+        v = extend(lo, need)
+        checks += v - was + (v < need)
+        return v
+
     while ready:
         rp = ready.popleft()
         start, first, resumed = done[rp], dep[rp], edge[rp]
@@ -134,9 +212,22 @@ def cursor_walk(
             while e < stop and src[e] < done[src_pos[e]]:
                 e += 1
             if e < stop:
-                heappush(asleep[src_pos[e]], (src[e], rp))
+                push(asleep[src_pos[e]], (src[e], rp))
                 e += 1
                 break
+            s = dep_slot[d]
+            if s >= 0:
+                lo, need = b_lo[s], b_need[s]
+                if entered[lo] < need and advance(lo, need) < need:
+                    waiting = parked.get(lo)
+                    if waiting is None:
+                        waiting = parked[lo] = [[], need]
+                        v = entered[lo]
+                        push(asleep[b_pos[v]], (b_enter[v], ~lo))
+                    elif need > waiting[1]:
+                        waiting[1] = need
+                    push(waiting[0], (need, rp))
+                    break
             d += 1
         else:
             done[rp] = offsets[rp + 1]
@@ -146,8 +237,124 @@ def cursor_walk(
             steps.append((rp, start, done[rp], first, d))
             sleepers = asleep[rp]
             while sleepers and sleepers[0][0] < done[rp]:
-                ready.append(heappop(sleepers)[1])
+                who = pop(sleepers)[1]
+                if who >= 0:
+                    wake(who)
+                    continue
+                heap, bound = parked[~who]
+                v = advance(~who, bound)
+                while heap and heap[0][0] <= v:
+                    wake(pop(heap)[1])
+                if heap:
+                    push(asleep[b_pos[v]], (b_enter[v], who))
+                else:
+                    del parked[~who]
     return steps, done, checks
+
+
+class EdgeLmin(NamedTuple):
+    """A latency spec resolved against one schedule (:meth:`CompiledSchedule.edge_lmin`).
+
+    ``rows`` holds one ``l_min`` per edge-table row; ``blocks`` is the
+    spec's one value when it is a number, else :func:`block_lmin`'s
+    per-slot matrices.
+    """
+
+    rows: np.ndarray
+    blocks: Union[float, list]
+
+
+def block_lmin(lmin: LminSpec, indptr: np.ndarray, ranks: np.ndarray) -> Union[float, list]:
+    """``l_min`` between the members of every block.
+
+    A number stays one number (every pair's ``l_min``).  A matrix or a
+    callable gives, per member slot, its block's ``(n, n)`` matrix
+    ``[sender position, receiver position]`` — one
+    :func:`repro.sync.violations.resolve_lmin` call over every block, so
+    each entry is the value the pair's edge would carry.
+    """
+    if not (callable(lmin) or isinstance(lmin, np.ndarray)):
+        return float(lmin)
+    sizes = np.diff(indptr).tolist()
+    if not sizes:
+        return []
+    blocks = [ranks[lo:hi] for lo, hi in zip(indptr[:-1].tolist(), indptr[1:].tolist())]
+    flat = resolve_lmin(
+        lmin,
+        np.concatenate([np.repeat(r, r.size) for r in blocks]),
+        np.concatenate([np.tile(r, r.size) for r in blocks]),
+    )
+    cuts = np.cumsum([n * n for n in sizes])[:-1]
+    return [
+        m.reshape(n, n) for m, n in zip(np.split(flat, cuts), sizes) for _ in range(n)
+    ]
+
+
+def _first_max(sums: np.ndarray) -> np.ndarray:
+    """Per column of ``[sender, receiver]`` sums, the dense loop's floor.
+
+    The first row among the largest wins (``-0.0`` against ``+0.0``
+    included) and a NaN never does: ``argmax`` after NaN becomes
+    ``-inf``, the value a column of NaNs leaves the loop at.
+    """
+    sums = np.where(np.isnan(sums), _NEG_INF, sums)
+    return sums[sums.argmax(axis=0), np.arange(sums.shape[1])]
+
+
+def block_floors(
+    b_lo: Sequence[int],
+    b_need: Sequence[int],
+    lmin: Union[float, int, list],
+    enters: Callable[[int, int], list],
+) -> Callable[[int], float]:
+    """``floor(s)``: the largest ``LC'(enter_t) + l_min(t, s)`` over slot ``s``'s sources.
+
+    ``b_lo``/``b_need`` are a :class:`CompiledSchedule`'s block columns
+    (or the streaming CLC's, laid out alike), ``lmin`` is
+    :func:`block_lmin`'s, and ``enters(lo, hi)`` lists the corrected
+    stamps of slots ``lo..hi-1``'s enters — asked only behind
+    ``b_need[s]``, where the walk guarantees they are final.  A prefix
+    exit takes one column op over the lower members.  An N-to-N block is
+    reduced once, the first time one of its exits asks: by one members ×
+    members array op, or with one ``l_min`` by a top-2 scan (the exit of
+    the largest sender gets the runner-up).  The scan is kept because it
+    pays: with the array op alone (``l_min`` broadcast into ``sums``) the
+    ``inmem_jumpdense`` benchmark (600 sixteen-member blocks) ran at
+    0.74 M against 0.86 M events/s, median of 8 alternating launches.
+    The tie rule is the dense loop's (see the module docstring), so
+    every floor has the bits of ``max`` over the exit's pair edges.
+    """
+    out: list = [None] * len(b_lo)
+    per_pair = isinstance(lmin, list)
+
+    def floor(s: int) -> float:
+        value = out[s]
+        if value is not None:
+            return value
+        lo, need = b_lo[s], b_need[s]
+        if need <= s:  # prefix: the lower members
+            column = lmin[s][: need - lo, s - lo] if per_pair else lmin
+            sums = np.array(enters(lo, need), dtype=np.float64) + column
+            out[s] = float(_first_max(sums[:, None])[0])
+        elif per_pair:  # N-to-N: every exit of the block at once
+            sums = np.array(enters(lo, need), dtype=np.float64)[:, None] + lmin[s]
+            np.fill_diagonal(sums, _NEG_INF)
+            out[lo:need] = _first_max(sums).tolist()
+        else:
+            best = second = _NEG_INF
+            top = -1
+            for t, x in enumerate(enters(lo, need), lo):
+                v = x + lmin
+                if v > best:
+                    best, second, top = v, best, t
+                elif v > second:
+                    second = v
+            out[lo:need] = [best] * (need - lo)
+            if top >= 0:
+                out[top] = second
+        return out[s]
+
+    return floor
 
 
 class CompiledSchedule:
@@ -155,8 +362,9 @@ class CompiledSchedule:
 
     Build via :meth:`from_trace` (message + collective constraints, the
     standard relation) or :meth:`from_dependencies` (any explicit
-    constraint dict, e.g. POMP semantics).  Instances are immutable and
-    timestamp-independent; see the module docstring for the layout.
+    constraint dict, e.g. POMP semantics, compiled as edges only).
+    Instances are immutable and timestamp-independent; see the module
+    docstring for the layout.
     """
 
     __slots__ = (
@@ -169,10 +377,17 @@ class CompiledSchedule:
         "e_dst",
         "edge_src_rank",
         "edge_dst_rank",
+        "n_blocks",
+        "b_indptr",
+        "b_prefix",
+        "b_rank",
+        "b_enter",
+        "b_exit",
         "dep_gids",
         "dep_indptr",
         "dep_edge_ids",
         "dep_src",
+        "dep_slot",
         "rank_deps",
         "steps",
         "hot",
@@ -184,8 +399,24 @@ class CompiledSchedule:
     # ------------------------------------------------------------------
     @classmethod
     def from_trace(cls, trace: "Trace", include_collectives: bool = True) -> "CompiledSchedule":
-        """Compile the standard message/collective happened-before relation."""
-        return cls(trace, dependency_edges(trace, include_collectives))
+        """Compile the standard message/collective happened-before relation.
+
+        Messages and rooted collective pairs become edges, N-to-N and
+        prefix instances blocks (:func:`collective_constraints`).
+        """
+        edges = [dependency_edges(trace, include_collectives=False)]
+        blocks = None
+        if include_collectives:
+            table = trace.collectives()
+            (receivers, senders), found = collective_constraints(table)
+            edges.append((
+                table.ranks[receivers], table.exit_idx[receivers],
+                table.ranks[senders], table.enter_idx[senders],
+            ))
+            members = found.members
+            columns = (table.ranks, table.enter_idx, table.exit_idx)
+            blocks = (found, *(column[members] for column in columns))
+        return cls(trace, tuple(np.concatenate(column) for column in zip(*edges)), blocks)
 
     @classmethod
     def from_dependencies(
@@ -222,19 +453,22 @@ class CompiledSchedule:
         self,
         trace: "Trace",
         edges: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+        blocks: Optional[tuple] = None,
     ) -> None:
         """``edges`` is ``(dst_rank, dst_idx, src_rank, src_idx)``, one entry per edge,
-        each naming an event of ``trace`` (:meth:`from_dependencies` checks a dict's)."""
+        each naming an event of ``trace`` (:meth:`from_dependencies` checks a dict's);
+        ``blocks`` is ``(CollectiveBlocks, rank, enter_idx, exit_idx)``, the blocks
+        and their members' columns (:meth:`from_trace`)."""
         self.ranks = trace.ranks
         self.lengths = np.array([len(trace.logs[r]) for r in self.ranks], dtype=np.int64)
         offsets = np.zeros(len(self.ranks) + 1, dtype=np.int64)
         np.cumsum(self.lengths, out=offsets[1:])
         self.offsets = offsets
         self.n_events = int(offsets[-1])
+        rank_ids = np.array(self.ranks, dtype=np.int64)
 
         # ---- edge table, in the order given ----------------------------
         dst_rank, dst_idx, src_rank, src_idx = edges
-        rank_ids = np.array(self.ranks, dtype=np.int64)
         src_pos = np.searchsorted(rank_ids, src_rank)
         self.e_dst = e_dst = offsets[np.searchsorted(rank_ids, dst_rank)] + dst_idx
         self.e_src = offsets[src_pos] + src_idx
@@ -242,13 +476,29 @@ class CompiledSchedule:
         self.edge_src_rank = src_rank
         self.edge_dst_rank = dst_rank
 
+        # ---- blocks ----------------------------------------------------
+        if blocks is None:
+            none = np.zeros(0, dtype=np.int64)
+            blocks = (CollectiveBlocks(none, np.zeros(1, dtype=np.int64), none.astype(bool)),
+                      none, none, none)
+        found, self.b_rank, enter_idx, exit_idx = blocks
+        self.b_indptr, self.b_prefix = found.indptr, found.prefix
+        self.n_blocks = self.b_prefix.size
+        b_pos = np.searchsorted(rank_ids, self.b_rank)
+        self.b_enter = offsets[b_pos] + enter_idx
+        self.b_exit = offsets[b_pos] + exit_idx
+        b_lo, b_need = found.sources()
+        bound = np.flatnonzero(b_need > b_lo)  # a prefix block's first exit waits for nobody
+
         # ---- compact forward CSR (dependent -> sources) ----------------
         self.dep_edge_ids = by_dst = np.argsort(e_dst, kind="stable")
         dst_sorted = e_dst[by_dst]
-        first = np.flatnonzero(np.diff(dst_sorted, prepend=-1))
-        self.dep_gids = dst_sorted[first]
-        self.dep_indptr = np.append(first, self.n_edges)
+        dependents = np.sort(np.append(dst_sorted, self.b_exit[bound]), kind="stable")
+        self.dep_gids = dependents[np.flatnonzero(np.diff(dependents, prepend=-1))]
+        self.dep_indptr = np.append(np.searchsorted(dst_sorted, self.dep_gids), self.n_edges)
         self.dep_src = self.e_src[by_dst]
+        self.dep_slot = np.full(self.dep_gids.size, -1, dtype=np.int64)
+        self.dep_slot[np.searchsorted(self.dep_gids, self.b_exit[bound])] = bound
         self.rank_deps = np.searchsorted(self.dep_gids, offsets)
 
         # ---- cursor walk -> execution plan -----------------------------
@@ -261,6 +511,11 @@ class CompiledSchedule:
             "dep_indptr": self.dep_indptr.tolist(),
             "src": self.dep_src.tolist(),
             "src_pos": src_pos[by_dst].tolist(),
+            "dep_slot": self.dep_slot.tolist(),
+            "b_lo": b_lo.tolist(),
+            "b_need": b_need.tolist(),
+            "b_enter": self.b_enter.tolist(),
+            "b_pos": b_pos.tolist(),
         }
         self.steps, cursors, _ = cursor_walk(**self.hot)
         scheduled = sum(cursors) - int(offsets[:-1].sum())
@@ -295,18 +550,19 @@ class CompiledSchedule:
         locals_ = gids - self.offsets[pos]
         return list(zip(ranks_arr[pos].tolist(), locals_.tolist()))
 
-    def edge_lmin(self, lmin: LminSpec) -> np.ndarray:
-        """Per-edge minimum-latency floor, in edge order.
+    def edge_lmin(self, lmin: LminSpec) -> EdgeLmin:
+        """The minimum-latency floor of every constraint: edge rows and blocks.
 
         Reuses :func:`repro.sync.violations.resolve_lmin`, so callables
         are evaluated once per unique rank pair and matrices are indexed
         by actual rank ids — float-identical to the scalar
         :func:`repro.sync.violations.pair_lmin` of the reference
-        implementation.
+        implementation.  Blocks get :func:`block_lmin`'s form.
         """
-        if self.n_edges == 0:
-            return np.zeros(0, dtype=np.float64)
-        return resolve_lmin(lmin, self.edge_src_rank, self.edge_dst_rank)
+        rows = np.zeros(0, dtype=np.float64)
+        if self.n_edges:
+            rows = resolve_lmin(lmin, self.edge_src_rank, self.edge_dst_rank)
+        return EdgeLmin(rows, block_lmin(lmin, self.b_indptr, self.b_rank))
 
     def flatten(self, per_rank: dict[int, np.ndarray]) -> np.ndarray:
         """Concatenate per-rank arrays into one gid-indexed array."""
@@ -444,7 +700,7 @@ def forward_recurrence(
 def clc_forward(
     schedule: CompiledSchedule,
     orig_flat: np.ndarray,
-    edge_lmin: np.ndarray,
+    edge_lmin: EdgeLmin,
     gamma: float | None,
 ) -> tuple[np.ndarray, dict[int, list[tuple[int, float]]], int, float, int]:
     """Forward pass of the CLC (``gamma`` set) or naive shift (``None``).
@@ -461,13 +717,19 @@ def clc_forward(
     dep_gids = hot["dep_gids"]
     dep_indptr = hot["dep_indptr"]
     src = hot["src"]
-    elmin = edge_lmin[schedule.dep_edge_ids].tolist()
+    dep_slot = hot["dep_slot"]
+    b_enter = hot["b_enter"]
+    elmin = edge_lmin.rows[schedule.dep_edge_ids].tolist()
 
     corr, spont, stretch, land, settle = forward_recurrence(
         orig_flat,
         gamma,
         schedule.offsets[:-1][schedule.lengths > 0],
-        np.concatenate([schedule.dep_src, schedule.dep_gids]),
+        np.concatenate([schedule.dep_src, schedule.dep_gids, schedule.b_enter]),
+    )
+    block_floor = block_floors(
+        hot["b_lo"], hot["b_need"], edge_lmin.blocks,
+        lambda lo, hi: list(map(corr.__getitem__, b_enter[lo:hi])),
     )
     spont_ptr = [bisect_left(spont, start) for start in offsets]
     njumps = 0
@@ -488,6 +750,10 @@ def clc_forward(
                 if floor > remote_floor:
                     remote_floor = floor
                 e += 1
+            if dep_slot[di] >= 0:
+                floor = block_floor(dep_slot[di])
+                if floor > remote_floor:
+                    remote_floor = floor
             jump = land(p, remote_floor)
             if jump:
                 jlist.append((p - rk_start, jump))
@@ -501,26 +767,70 @@ def clc_forward(
     return corrected, jumps, njumps, max_jump, len(written)
 
 
+def nudged_caps(recv: np.ndarray, lmin) -> np.ndarray:
+    """``recv - l_min``, nudged down until ``cap + l_min <= recv`` (elementwise).
+
+    Round-to-nearest can land ``recv - l_min`` above the true bound; an
+    event later advanced to that cap would sit one ulp past ``recv -
+    l_min`` and break the clock condition under exact comparison.
+    """
+    recv, lmin = np.broadcast_arrays(recv, lmin)
+    vals = recv - lmin
+    bad = vals + lmin > recv
+    while bad.any():
+        vals[bad] = np.nextafter(vals[bad], -np.inf)
+        bad = vals + lmin > recv
+    return vals
+
+
+def _last_min(vals: np.ndarray, axis: int) -> np.ndarray:
+    """Index of ``np.minimum.at``'s survivor along ``axis``: the last of the
+    smallest, or a NaN (``argmin`` finds NaNs first)."""
+    return vals.shape[axis] - 1 - np.flip(vals, axis).argmin(axis=axis)
+
+
+def block_caps(recv: np.ndarray, lmin, prefix: bool) -> np.ndarray:
+    """Send caps of the enters of same-shaped blocks, ``(B, n)`` like ``recv``.
+
+    ``recv`` holds the exits' corrected stamps, ``lmin`` one number or
+    :func:`block_lmin`'s matrices stacked ``(B, n, n)``.  One
+    ``(B, receiver, sender)`` array op: enter ``j``'s cap is the ``min``
+    over its receivers' :func:`nudged_caps` in receiver order under
+    ``np.minimum.at``'s rule, so it has the bits of the dense scatter
+    over the pair edges; ``inf`` where no exit waits.
+    """
+    receiver, sender = np.indices((recv.shape[1],) * 2)
+    unbound = receiver <= sender if prefix else receiver == sender
+    vals = nudged_caps(recv[:, :, None], np.swapaxes(lmin, 1, 2) if np.ndim(lmin) else lmin)
+    vals = np.where(unbound, np.inf, vals)  # [block, receiver, sender]
+    return np.take_along_axis(vals, _last_min(vals, 1)[:, None, :], axis=1)[:, 0, :]
+
+
 def send_caps_kernel(
-    schedule: CompiledSchedule, corrected_flat: np.ndarray, edge_lmin: np.ndarray
+    schedule: CompiledSchedule, corrected_flat: np.ndarray, edge_lmin: EdgeLmin
 ) -> np.ndarray:
     """Per-event upper bound ``min(partner receive - l_min)`` (flat).
 
-    One scatter-min over the edge table replaces the scalar reference's
-    per-edge dict loop; ``min`` is exact, so the caps are bit-identical.
+    One scatter-min over the edge table and one :func:`block_caps` per
+    block shape replace the scalar reference's per-edge dict loop;
+    ``min`` is exact, so the caps are bit-identical.
     """
     caps = np.full(schedule.n_events, np.inf, dtype=np.float64)
-    recv = corrected_flat[schedule.e_dst]
-    vals = recv - edge_lmin
-    # Round-to-nearest can land ``recv - l_min`` above the true bound; an
-    # event later advanced to that cap would sit one ulp past ``recv -
-    # l_min`` and break the clock condition under exact comparison.
-    # Nudge down until ``cap + l_min <= recv``.
-    bad = vals + edge_lmin > recv
-    while bad.any():
-        vals[bad] = np.nextafter(vals[bad], -np.inf)
-        bad = vals + edge_lmin > recv
-    np.minimum.at(caps, schedule.e_src, vals)
+    np.minimum.at(
+        caps, schedule.e_src, nudged_caps(corrected_flat[schedule.e_dst], edge_lmin.rows)
+    )
+    indptr = schedule.b_indptr
+    sizes = np.diff(indptr)
+    for n, prefix in set(zip(sizes.tolist(), schedule.b_prefix.tolist())):
+        los = indptr[:-1][(sizes == n) & (schedule.b_prefix == prefix)]
+        slots = los[:, None] + np.arange(n)
+        lmin = edge_lmin.blocks
+        if isinstance(lmin, list):
+            lmin = np.stack([lmin[lo] for lo in los.tolist()])
+        enters = schedule.b_enter[slots]
+        caps[enters] = np.minimum(
+            caps[enters], block_caps(corrected_flat[schedule.b_exit[slots]], lmin, prefix)
+        )
     return caps
 
 
@@ -531,21 +841,32 @@ def lamport_kernel(schedule: CompiledSchedule) -> dict[int, np.ndarray]:
     ``LC[i] = i + max(1, max_{p ≤ i}(B_p - p))`` (bases ``B_p`` at
     dependency-bearing events, combined by ``np.maximum.accumulate``)
     reproduces the event-by-event recurrence exactly; the Python loop
-    runs only over dependency-bearing events.
+    runs only over dependency-bearing events, and a block's bases come
+    from :func:`block_floors` over its enters' Lamport times.
     """
     hot = schedule.hot
     offsets = hot["offsets"]
     rank_deps = hot["rank_deps"]
     dep_gids = hot["dep_gids"]
     dep_indptr = hot["dep_indptr"]
-    # A source's running maximum is that of the last dependent of its
-    # rank at or before it: slot ``excess[last]``, or the spare last
-    # slot (never written, 1) when its rank has none that early.
-    src_pos = schedule._rank_pos_of(schedule.dep_src)
-    src_local = (schedule.dep_src - schedule.offsets[src_pos]).tolist()
-    last = np.searchsorted(schedule.dep_gids, schedule.dep_src, side="right") - 1
-    last = np.where(last >= schedule.rank_deps[src_pos], last, -1).tolist()
+    dep_slot = hot["dep_slot"]
     excess = [1] * (len(dep_gids) + 1)
+
+    def rank_times(gids: np.ndarray) -> tuple[list[int], list[int]]:
+        """Per source gid: its local index, and the ``excess`` slot of the
+        last dependent of its rank at or before it (or the spare last
+        slot, never written, 1, when its rank has none that early)."""
+        pos = schedule._rank_pos_of(gids)
+        last = np.searchsorted(schedule.dep_gids, gids, side="right") - 1
+        last = np.where(last >= schedule.rank_deps[pos], last, -1)
+        return (gids - schedule.offsets[pos]).tolist(), last.tolist()
+
+    src_local, last = rank_times(schedule.dep_src)
+    b_local, b_last = rank_times(schedule.b_enter)
+    block_floor = block_floors(
+        hot["b_lo"], hot["b_need"], 1,
+        lambda lo, hi: [t + excess[k] for t, k in zip(b_local[lo:hi], b_last[lo:hi])],
+    )
 
     for rp, _, _, dep_lo, dep_hi in schedule.steps:
         cur = excess[dep_lo - 1] if dep_lo > rank_deps[rp] else 1
@@ -556,6 +877,8 @@ def lamport_kernel(schedule: CompiledSchedule) -> dict[int, np.ndarray]:
                 dep_value = src_local[e] + excess[last[e]] + 1
                 if dep_value > value:
                     value = dep_value
+            if dep_slot[di] >= 0:
+                value = max(value, int(block_floor(dep_slot[di])))
             excess[di] = cur = max(cur, value - pl)
 
     out: dict[int, np.ndarray] = {}
@@ -573,7 +896,9 @@ def vector_kernel(schedule: CompiledSchedule) -> dict[int, np.ndarray]:
 
     Dependency-free stretches are filled with one broadcast assignment
     plus an ``arange`` on the rank's own component (exact in int64);
-    the Python loop touches only dependency-bearing events.
+    the Python loop touches only dependency-bearing events, and a
+    block's enters are reduced once per distinct source range (once per
+    N-to-N block: its own enter's vector is below the exit's already).
     """
     nr = len(schedule.ranks)
     hot = schedule.hot
@@ -581,8 +906,12 @@ def vector_kernel(schedule: CompiledSchedule) -> dict[int, np.ndarray]:
     dep_gids = hot["dep_gids"]
     dep_indptr = hot["dep_indptr"]
     src = hot["src"]
+    dep_slot = hot["dep_slot"]
+    b_lo = hot["b_lo"]
+    b_need = hot["b_need"]
     vectors = np.zeros((schedule.n_events, nr), dtype=np.int64)  # by gid
     zero = np.zeros(nr, dtype=np.int64)
+    reduced: dict[tuple[int, int], np.ndarray] = {}  # source range -> max of its enters' vectors
 
     def fill_stretch(rp: int, cur: int, stop: int) -> None:
         if cur < stop:
@@ -597,6 +926,13 @@ def vector_kernel(schedule: CompiledSchedule) -> dict[int, np.ndarray]:
             vec = (vectors[p - 1] if p > offsets[rp] else zero).copy()
             for e in range(dep_indptr[di], dep_indptr[di + 1]):
                 np.maximum(vec, vectors[src[e]], out=vec)
+            s = dep_slot[di]
+            if s >= 0:
+                lo, need = b_lo[s], b_need[s]
+                top = reduced.get((lo, need))
+                if top is None:
+                    top = reduced[lo, need] = vectors[schedule.b_enter[lo:need]].max(axis=0)
+                np.maximum(vec, top, out=vec)
             vec[rp] += 1
             vectors[p] = vec
             a = p + 1
@@ -612,7 +948,10 @@ def bsp_rounds(schedule: CompiledSchedule) -> tuple[int, int]:
     advances per round until it blocks on a value produced in the same
     round — touching only dependency-bearing events.  Matches the
     event-by-event reference loop exactly because dependency-free
-    events never block.
+    events never block.  A block is examined once per round: its first
+    two members whose enter the last round had not produced decide every
+    exit (an N-to-N exit waits if one is not its own member, a prefix
+    exit if one lies below it).
     """
     hot = schedule.hot
     offsets = hot["offsets"]
@@ -621,6 +960,12 @@ def bsp_rounds(schedule: CompiledSchedule) -> tuple[int, int]:
     dep_indptr = hot["dep_indptr"]
     src = hot["src"]
     src_pos = hot["src_pos"]
+    dep_slot = hot["dep_slot"]
+    b_lo = hot["b_lo"]
+    b_need = hot["b_need"]
+    b_enter = hot["b_enter"]
+    b_pos = hot["b_pos"]
+    b_hi = np.repeat(schedule.b_indptr[1:], np.diff(schedule.b_indptr)).tolist()
     nr = len(schedule.ranks)
 
     produced = offsets[:nr]  # per rank: every gid below has been produced
@@ -631,6 +976,7 @@ def bsp_rounds(schedule: CompiledSchedule) -> tuple[int, int]:
     while done < schedule.n_events:
         rounds += 1
         snapshot = list(produced)
+        late: dict[int, list[int]] = {}  # block (first slot) -> its first two late slots
         for rp in range(nr):
             k = ptr[rp]
             k_stop = rank_deps[rp + 1]
@@ -643,6 +989,15 @@ def bsp_rounds(schedule: CompiledSchedule) -> tuple[int, int]:
                     for e in range(dep_indptr[k], dep_indptr[k + 1])
                 ):
                     break
+                s = dep_slot[k]
+                if s >= 0:
+                    lo, hi, need = b_lo[s], b_hi[s], b_need[s]
+                    gap = late.get(lo)
+                    if gap is None:
+                        gap = [t for t in range(lo, hi) if b_enter[t] >= snapshot[b_pos[t]]][:2]
+                        gap = late[lo] = gap + [hi] * (2 - len(gap))
+                    if gap[0] < need and (gap[0] != s or gap[1] < need):
+                        break
                 k += 1
             ptr[rp] = k
             produced[rp] = dep_gids[k] if k < k_stop else offsets[rp + 1]

@@ -43,7 +43,13 @@ drives for a sharded source), each reading every input shard once:
   round-robin; a blocked rank costs a visit one lookup, not a shard).
   What this module adds is what streaming needs — shard residency,
   publish/block by match key (sources are not known by ``(rank, idx)``
-  before their shard was read), carries.  A shard's transfer positions,
+  before their shard was read), carries.  An N-to-N or prefix
+  collective is one block here as in the compiled schedule: its exits
+  wait on a per-block count of published enters
+  (:func:`repro.sync.schedule.block_entered`) and take their floors
+  from :func:`repro.sync.schedule.block_floors`, and its enters' send
+  caps come from :func:`repro.sync.schedule.block_caps` once its last
+  exit has landed.  A shard's transfer positions,
   keys and partner ranks leave numpy once, as lists; sends are published
   a cursor move at a time and the send caps of a shard's receives are
   nudged and spilled to per-shard bucket files in one batch.
@@ -61,8 +67,9 @@ The public functions are the one-stage cases of the same sweeps:
 forward, backward, finalize, no interpolation) and
 :func:`streaming_apply_correction` (the interpolation alone, written
 out).  Nothing about collectives is decided here: who constrains whom
-comes from :func:`repro.sync.collectives_map.collective_pairs` — this
-module only re-keys those pairs for its publish/block state machine.
+comes from :func:`repro.sync.collectives_map.collective_constraints` —
+this module only keys its pairs and blocks for its publish/block state
+machine.
 
 Boundary-state requirements: every receive's matching send must come
 from the rank named in its source field, and match ids must be unique.
@@ -91,8 +98,15 @@ from repro.sync.clc import (
     amortize_segment,
     ramp_cuts,
 )
-from repro.sync.collectives_map import collective_pairs, logical_messages
-from repro.sync.schedule import forward_recurrence
+from repro.sync.collectives_map import collective_constraints, logical_messages
+from repro.sync.schedule import (
+    block_caps,
+    block_entered,
+    block_floors,
+    block_lmin,
+    forward_recurrence,
+    nudged_caps,
+)
 from repro.sync.violations import (
     LminSpec,
     ViolationReport,
@@ -272,34 +286,93 @@ class _MessageJoin:
 # ----------------------------------------------------------------------
 # Collective dependencies
 # ----------------------------------------------------------------------
-def _collective_deps(table: CollectiveTable):
-    """The collective pairs, keyed the way the streaming forward pass reads them.
+class _CollectiveDeps:
+    """The collective constraints, keyed the way the streaming forward pass reads them.
 
-    A constraining enter is published under ``(instance, rank)``.
-    Returns ``(publish, exit_deps, consumers)``:
+    :func:`repro.sync.collectives_map.collective_constraints` splits them
+    into rooted pairs and blocks, as for the compiled schedule.  A
+    constraining enter is published under ``(instance, rank)``:
 
     * ``publish[rank]`` — ``{local enter idx: key}`` for enters some
       other rank's exit depends on;
-    * ``exit_deps[rank]`` — ``{local exit idx: [key, ...]}`` in
-      :func:`repro.sync.order.dependency_edges` order;
-    * ``consumers[key]`` — number of exits reading that publication
-      (for cleanup).
+    * ``exits[rank]`` — ``{local exit idx: [key, ...]}`` for a rooted
+      exit (its senders, in :func:`repro.sync.order.dependency_edges`
+      order) or ``{local exit idx: slot}`` for a block exit;
+    * ``consumers[key]`` — number of rooted exits reading that
+      publication (for cleanup).
+
+    A block keeps what :class:`~repro.sync.schedule.CompiledSchedule`
+    keeps: the count of its leading slots whose enter is published
+    (:func:`repro.sync.schedule.block_entered`, one lookup per check,
+    never ``n - 1``), floors from
+    :func:`repro.sync.schedule.block_floors`, and — once its last exit
+    lands — its enters' send caps from
+    :func:`repro.sync.schedule.block_caps`, after which its publications
+    are dropped.
     """
-    publish: dict[int, dict[int, tuple[int, int]]] = {}
-    exit_deps: dict[int, dict[int, list[tuple[int, int]]]] = {}
-    consumers: dict[tuple[int, int], int] = {}
-    receivers, senders = collective_pairs(table)
-    instance = np.repeat(table.instance, np.diff(table.starts))[receivers]
-    for inst, dst, exit_idx, src, enter_idx in zip(
-        instance.tolist(),
-        table.ranks[receivers].tolist(), table.exit_idx[receivers].tolist(),
-        table.ranks[senders].tolist(), table.enter_idx[senders].tolist(),
-    ):
-        key = (inst, src)
-        exit_deps.setdefault(dst, {}).setdefault(exit_idx, []).append(key)
-        publish.setdefault(src, {})[enter_idx] = key
-        consumers[key] = consumers.get(key, 0) + 1
-    return publish, exit_deps, consumers
+
+    def __init__(self, table: CollectiveTable, lmin: LminSpec, published: dict) -> None:
+        self.publish: dict[int, dict[int, tuple[int, int]]] = {}
+        self.exits: dict[int, dict] = {}
+        self.consumers: dict[tuple[int, int], int] = {}
+        (receivers, senders), blocks = collective_constraints(table)
+        instance = np.repeat(table.instance, np.diff(table.starts))
+        for inst, dst, exit_idx, src, enter_idx in zip(
+            instance[receivers].tolist(),
+            table.ranks[receivers].tolist(), table.exit_idx[receivers].tolist(),
+            table.ranks[senders].tolist(), table.enter_idx[senders].tolist(),
+        ):
+            key = (inst, src)
+            self.exits.setdefault(dst, {}).setdefault(exit_idx, []).append(key)
+            self.publish.setdefault(src, {})[enter_idx] = key
+            self.consumers[key] = self.consumers.get(key, 0) + 1
+
+        members = blocks.members
+        self.ranks = table.ranks[members].tolist()
+        self.enter_idx = table.enter_idx[members].tolist()
+        self.keys = keys = list(zip(instance[members].tolist(), self.ranks))
+        lo, need = blocks.sources()
+        self.lo, self.need = lo.tolist(), need.tolist()
+        self.indptr, self.prefix = blocks.indptr, blocks.prefix
+        self.lmin = block_lmin(lmin, blocks.indptr, table.ranks[members])
+        self.published = published
+        self.floor = block_floors(
+            self.lo, self.need, self.lmin,
+            lambda lo, hi: [published[key][0] for key in keys[lo:hi]],
+        )
+        _, self.extend = block_entered(self.lo, lambda v: keys[v] in published)
+        self.pending: dict[int, int] = {}  # block (first slot) -> exits still to land
+        self.recv = [0.0] * len(members)  # per slot: its exit's forward stamp
+        for slot, (rank, enter_idx, exit_idx, key) in enumerate(
+            zip(self.ranks, self.enter_idx, table.exit_idx[members].tolist(), self.keys)
+        ):
+            self.publish.setdefault(rank, {})[enter_idx] = key
+            if self.need[slot] > self.lo[slot]:  # a prefix block's first exit waits for nobody
+                self.exits.setdefault(rank, {})[exit_idx] = slot
+                self.pending[self.lo[slot]] = self.pending.get(self.lo[slot], 0) + 1
+
+    def ready(self, slot: int) -> bool:
+        """Whether every enter block slot ``slot``'s exit depends on is published."""
+        need = self.need[slot]
+        return self.extend(self.lo[slot], need) >= need
+
+    def landed(self, slot: int, value: float) -> Optional[tuple[list, list, list]]:
+        """Record the exit's forward stamp; when it was its block's last,
+        ``(ranks, enter indices, caps)`` of the block's enters (``inf``
+        where no exit waits) and its publications are dropped."""
+        lo = self.lo[slot]
+        self.recv[slot] = value
+        self.pending[lo] -= 1
+        if self.pending[lo]:
+            return None
+        del self.pending[lo]
+        b = int(np.searchsorted(self.indptr, lo))
+        hi = int(self.indptr[b + 1])
+        lmin = self.lmin[lo][None] if isinstance(self.lmin, list) else self.lmin
+        caps = block_caps(np.array([self.recv[lo:hi]]), lmin, bool(self.prefix[b]))[0]
+        for key in self.keys[lo:hi]:
+            del self.published[key]
+        return self.ranks[lo:hi], self.enter_idx[lo:hi], caps.tolist()
 
 
 # ----------------------------------------------------------------------
@@ -426,7 +499,9 @@ class _RankForward:
         self.stop_ptr = 0
         self.pub_ptr = 0
         self.cur = 1
-        self.caps = ([], [], [], [])  # per consumed edge: source rank, source idx, l_min, value
+        # Per consumed edge: source rank, source idx, l_min, value; then
+        # per block enter whose block completed here: rank, idx, cap.
+        self.caps = ([], [], [], [], [], [], [])
 
     def flush_shard(self, tmpdir: Path, spill: _CapsSpill) -> None:
         """Save the shard's forward times, spill its send caps, drop it."""
@@ -439,17 +514,14 @@ class _RankForward:
         self.fwd_span.append((float(fwd[0]), float(fwd.max())))
         self.prev_corr = self.corr[self.n_s]
         self.corr = self.stretch = self.land = self.settle = self.stops = self.pubs = None
-        ranks, idx, lmins, values = self.caps
-        if ranks:
-            # ``recv - l_min``, nudged down until ``cap + l_min <= recv``
-            # (:func:`repro.sync.schedule.send_caps_kernel`).
-            values, lmins = np.array(values), np.array(lmins)
-            vals = values - lmins
-            bad = vals + lmins > values
-            while bad.any():
-                vals[bad] = np.nextafter(vals[bad], -np.inf)
-                bad = vals + lmins > values
-            spill.add(np.array(ranks), np.array(idx), vals)
+        ranks, idx, lmins, values, block_ranks, block_idx, block_caps = self.caps
+        if ranks or block_ranks:
+            vals = nudged_caps(*(np.array(c, dtype=np.float64) for c in (values, lmins)))
+            spill.add(
+                np.array(ranks + block_ranks, dtype=np.int64),
+                np.array(idx + block_idx, dtype=np.int64),
+                np.concatenate([vals, block_caps]),
+            )
         self.caps = None
         if self.si + 1 >= len(self.recs):
             self.finished = True
@@ -698,16 +770,18 @@ class ShardSweeps:
         the global jump count and maximum jump.
         """
         ranks = self.chunked.ranks
-        publish, exit_deps, consumers = (
-            _collective_deps(self.collectives) if self.collectives is not None else ({}, {}, {})
-        )
-        states = {r: _RankForward(r, self.reader.rank_shards(r)) for r in ranks}
-        keys = _MatchKeys(self.reader)
-        lmin_fn = pair_lmin(self.lmin)
         # Match key (a send) or ``(instance, rank)`` (a constraining
         # enter) -> (corrected time, rank, log index), from the moment
         # the cursor passed the event until its last reader landed.
         published: dict = {}
+        table = self.collectives
+        if table is None:
+            table = pair_collectives({})
+        coll = _CollectiveDeps(table, self.lmin, published)
+        publish, exit_deps, consumers = coll.publish, coll.exits, coll.consumers
+        states = {r: _RankForward(r, self.reader.rank_shards(r)) for r in ranks}
+        keys = _MatchKeys(self.reader)
+        lmin_fn = pair_lmin(self.lmin)
         njumps = 0
         max_jump = 0.0
 
@@ -734,7 +808,7 @@ class ShardSweeps:
                 progress = True
             rank, stops, corr, stretch, land = st.rank, st.stops, st.corr, st.stretch, st.land
             pubs, my_exits = st.pubs, exit_deps.get(rank, {})
-            cap_rank, cap_idx, cap_lmin, cap_value = st.caps
+            cap_rank, cap_idx, cap_lmin, cap_value, *block_caps = st.caps
             cur, sp_ptr, stop_ptr = st.cur, st.sp_ptr, st.stop_ptr
             while True:
                 q, key, at = stops[stop_ptr]  # the last one stands behind the shard's end
@@ -752,15 +826,21 @@ class ShardSweeps:
                     self.resident.release(st.n_s)
                     return True
                 # Gather this event's dependency edges (or block).
+                slot = -1
                 if key is None:  # a collective exit, log index ``at``
                     needed = my_exits[at]
-                    edges = [published.get(k) for k in needed]
-                    if None in edges:
-                        break
-                    for k in needed:
-                        consumers[k] -= 1
-                        if consumers[k] == 0:
-                            del published[k]
+                    if isinstance(needed, int):  # a block's
+                        if not coll.ready(needed):
+                            break
+                        slot, edges = needed, ()
+                    else:
+                        edges = [published.get(k) for k in needed]
+                        if None in edges:
+                            break
+                        for k in needed:
+                            consumers[k] -= 1
+                            if consumers[k] == 0:
+                                del published[k]
                 else:  # a receive from rank ``at``
                     edge = published.pop(key, None)
                     if edge is not None:
@@ -778,9 +858,14 @@ class ShardSweeps:
                     cap_lmin.append(lm)
                     if s_corr + lm > remote_floor:
                         remote_floor = s_corr + lm
+                if slot >= 0:
+                    remote_floor = coll.floor(slot)
                 jump = land(q, remote_floor)
                 value = corr[q]
                 cap_value.extend([value] * len(edges))
+                if slot >= 0 and (done := coll.landed(slot, value)) is not None:
+                    for column, values in zip(block_caps, done):
+                        column.extend(values)
                 if jump:
                     st.jumps.append((st.lo + q - 1, jump, value))
                     njumps += 1

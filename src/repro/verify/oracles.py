@@ -46,7 +46,13 @@ from repro.sync.order import build_dependencies, dependency_edges
 from repro.sync.replay import replay_correct
 from repro.sync.schedule import CompiledSchedule
 from repro.sync.vector import vector_clocks, vector_clocks_reference
-from repro.sync.violations import scan_collectives, scan_messages, scan_pomp, scan_trace
+from repro.sync.violations import (
+    resolve_lmin,
+    scan_collectives,
+    scan_messages,
+    scan_pomp,
+    scan_trace,
+)
 from repro.tracing.events import COLLECTIVE_FLAVORS, CollectiveFlavor
 from repro.tracing.reader import read_trace, read_trace_dir
 from repro.tracing.trace import Trace
@@ -281,9 +287,13 @@ def _happened_before_preserved(case: TraceCase) -> None:
     result = ControlledLogicalClock().correct(trace, lmin=lmin)
     corr = {r: result.trace.logs[r].timestamps for r in trace.ranks}
     flat = schedule.flatten(corr)
-    if schedule.n_edges:
-        edge_lmin = schedule.edge_lmin(lmin)
-        slack = flat[schedule.e_dst] - (flat[schedule.e_src] + edge_lmin)
+    # Every pair edge, N-to-N and prefix ones included: not the schedule's blocks.
+    dst_rank, dst_idx, src_rank, src_idx = dependency_edges(trace)
+    if dst_rank.size:
+        ranks = np.array(trace.ranks)
+        dst = schedule.offsets[np.searchsorted(ranks, dst_rank)] + dst_idx
+        src = schedule.offsets[np.searchsorted(ranks, src_rank)] + src_idx
+        slack = flat[dst] - (flat[src] + resolve_lmin(lmin, src_rank, dst_rank))
         _require(float(slack.min()) >= 0.0,
                  f"dependency edge violated after CLC by {-float(slack.min()):g}s")
     # The forward pass alone never moves an event backward on any input;

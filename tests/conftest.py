@@ -20,7 +20,10 @@ from repro.rng import RngFabric
 _BASELINE = 50
 
 settings.register_profile("ci", max_examples=25, deadline=None, derandomize=True)
-settings.register_profile("dev", max_examples=_BASELINE, deadline=None)
+# No example database: ``dev`` draws fresh examples every run, and a
+# ``.hypothesis/`` directory left by an earlier tree (or an earlier
+# failure) cannot replay itself into an unrelated failure here.
+settings.register_profile("dev", max_examples=_BASELINE, deadline=None, database=None)
 settings.register_profile("thorough", max_examples=400, deadline=None)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "dev"))
 

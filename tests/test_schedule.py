@@ -26,9 +26,19 @@ from hypothesis import strategies as st
 from repro.errors import SynchronizationError
 from repro.sync import schedule as schedule_module
 from repro.sync.clc import ControlledLogicalClock
+from repro.sync.lamport import lamport_clocks_reference
 from repro.sync.order import build_dependencies
-from repro.sync.schedule import CompiledSchedule, bsp_rounds, cursor_walk
+from repro.sync.schedule import (
+    CompiledSchedule,
+    bsp_rounds,
+    clc_forward,
+    cursor_walk,
+    lamport_kernel,
+    send_caps_kernel,
+    vector_kernel,
+)
 from repro.sync.replay import replay_correct
+from repro.sync.vector import vector_clocks_reference
 from repro.tracing.events import CollectiveOp, EventLog, EventType
 from repro.tracing.trace import Trace
 from repro.verify.oracles import (
@@ -193,7 +203,8 @@ class TestCompilation:
 
 def _early_wake(**hot):
     """The walk with every source taken as done one event early."""
-    return cursor_walk(**{**hot, "src": [s - 1 for s in hot["src"]]})
+    shifted = {key: [g - 1 for g in hot[key]] for key in ("src", "b_enter")}
+    return cursor_walk(**{**hot, **shifted})
 
 
 def _trace_of(events: dict[int, list[tuple]]) -> Trace:
@@ -289,14 +300,17 @@ class TestCursorWalk:
         assert fresh.compiled_schedule(True).topo_refs()[0] == (1, 0)
 
     def test_n_to_n_checks_every_edge_once(self):
-        # 256 ranks, three barriers: every exit waits for 255 enters.
+        # 256 ranks, three barriers: every exit waits for 255 enters, but
+        # a barrier is one block, whose enters pass a check once for all
+        # of its exits; a check fails at most once per exit and per wake
+        # of the block (each wake passes at least one enter).
         n = 256
         rows = [(etype, int(CollectiveOp.BARRIER), 0, n, k)
                 for k in range(3) for etype in (EventType.COLL_ENTER, EventType.COLL_EXIT)]
         schedule = _trace_of({rank: rows for rank in range(n)}).compiled_schedule(True)
-        assert schedule.n_edges == 3 * n * (n - 1)
+        assert (schedule.n_edges, schedule.n_blocks) == (0, 3)
         steps, _, checks = cursor_walk(**schedule.hot)
-        assert checks <= schedule.n_edges + len(steps)
+        assert checks <= 3 * (3 * n)
         assert len(steps) <= 4 * n  # a rank is visited once per barrier, and once to finish
 
     def test_waiting_ranks_are_not_polled(self):
@@ -320,6 +334,177 @@ class TestCursorWalk:
         steps, _, checks = cursor_walk(**schedule.hot)
         assert checks <= schedule.n_edges + len(steps)
         assert len(steps) <= 2 * rounds + n
+
+
+def _bits(values) -> bytes:
+    return np.ascontiguousarray(values, dtype=np.float64).tobytes()
+
+
+def assert_blocks_match_dense(trace: Trace, lmin=0.0) -> CompiledSchedule:
+    """Every kernel on ``trace``'s block schedule == on its pair expansion.
+
+    The dense side compiles ``build_dependencies`` (every N-to-N and
+    prefix pair an edge) with the same kernels, so a difference is the
+    blocks' doing.  Returns the block schedule.
+    """
+    blocks = trace.compiled_schedule(True)
+    dense = CompiledSchedule.from_dependencies(trace, build_dependencies(trace))
+    assert dense.n_blocks == 0
+    orig = blocks.flatten({r: trace.logs[r].timestamps for r in trace.ranks})
+    for gamma in (0.99, 1.0, None):
+        got = clc_forward(blocks, orig, blocks.edge_lmin(lmin), gamma)
+        want = clc_forward(dense, orig, dense.edge_lmin(lmin), gamma)
+        assert _bits(got[0]) == _bits(want[0]), gamma
+        assert got[1:] == want[1:], gamma
+        caps = send_caps_kernel(blocks, got[0], blocks.edge_lmin(lmin))
+        assert _bits(caps) == _bits(send_caps_kernel(dense, want[0], dense.edge_lmin(lmin)))
+    for kernel in (lamport_kernel, vector_kernel):
+        got, want = kernel(blocks), kernel(dense)
+        assert all(np.array_equal(got[r], want[r]) for r in trace.ranks), kernel.__name__
+    assert bsp_rounds(blocks) == bsp_rounds(dense)
+    return blocks
+
+
+def _collective_trace(op, enters, exits, rounds: int = 1) -> Trace:
+    """Rank ``i`` enters at ``enters[i]`` and exits at ``exits[i]``, ``rounds``
+    instances of ``op`` over all ranks (root 0) back to back."""
+    n = len(enters)
+    logs = {}
+    for rank, stamps in enumerate(zip(enters, exits)):
+        ts = np.array(stamps * rounds, dtype=np.float64)
+        et = np.tile([int(EventType.COLL_ENTER), int(EventType.COLL_EXIT)], rounds)
+        inst = np.repeat(np.arange(rounds), 2)
+        zeros = np.zeros(ts.size, dtype=np.int64)
+        logs[rank] = EventLog.from_arrays(ts, et, np.full(ts.size, int(op)), zeros,
+                                          np.full(ts.size, n), inst)
+    return Trace(logs)
+
+
+_STAMPS = st.sampled_from([-0.0, 0.0, 1.0, -1.0, 2.0, 1e-300, float("nan")])
+
+
+class TestBlocks:
+    """N-to-N and prefix instances as blocks: the dense expansion's bits."""
+
+    def test_pop_sized_trace_compiles_to_blocks(self):
+        trace = _collective_trace(CollectiveOp.ALLREDUCE, [0.0] * 16, [1.0] * 16, rounds=3)
+        schedule = assert_blocks_match_dense(trace)
+        assert (schedule.n_edges, schedule.n_blocks) == (0, 3)
+        assert schedule.dep_gids.size == 3 * 16  # every exit, no pair
+
+    def test_signed_zero_tie_keeps_the_lower_sender(self):
+        # l_min = -0.0 keeps each sum's sign: exit 2 sees -0.0 (rank 0)
+        # and +0.0 (rank 1) and the first binds; exit 1 sees -0.0 only.
+        trace = _collective_trace(CollectiveOp.BARRIER, [-0.0, 0.0, -5.0], [-1.0] * 3)
+        assert_blocks_match_dense(trace, lmin=-0.0)
+        got = ControlledLogicalClock(amortization_window=0.0).correct(trace, lmin=-0.0).trace
+        exits = [got.logs[r].timestamps[1] for r in trace.ranks]
+        assert exits == [0.0, 0.0, 0.0]
+        assert np.signbit(exits).tolist() == [False, True, True]
+
+    def test_signed_zero_caps_tie_keeps_the_last_receiver(self):
+        # np.minimum.at keeps the later of equal caps: enter 0 gets
+        # rank 2's +0.0, enter 2 rank 1's -0.0.
+        trace = _collective_trace(CollectiveOp.BARRIER, [-10.0] * 3, [0.0, -0.0, 0.0])
+        schedule = assert_blocks_match_dense(trace)
+        orig = schedule.flatten({r: trace.logs[r].timestamps for r in trace.ranks})
+        caps = send_caps_kernel(schedule, orig, schedule.edge_lmin(0.0))[schedule.b_enter]
+        assert caps.tolist() == [0.0] * 3
+        assert np.signbit(caps).tolist() == [False, False, True]
+
+    def test_nan_floor_never_binds(self):
+        trace = _collective_trace(CollectiveOp.BARRIER, [0.0, float("nan"), 3.0], [-1.0] * 3)
+        assert_blocks_match_dense(trace)
+        got = ControlledLogicalClock(amortization_window=0.0).correct(trace).trace
+        assert [got.logs[r].timestamps[1] for r in trace.ranks] == [3.0, 3.0, 0.0]
+
+    def test_nan_receive_poisons_caps_like_the_scatter(self):
+        trace = _collective_trace(CollectiveOp.BARRIER, [-10.0] * 3, [0.0, float("nan"), 1.0])
+        assert_blocks_match_dense(trace)
+
+    def test_own_enter_latest_takes_the_runner_up(self):
+        trace = _collective_trace(CollectiveOp.ALLREDUCE, [1.0, 2.0, 3.0], [0.5] * 3)
+        assert_blocks_match_dense(trace)
+        got = ControlledLogicalClock(amortization_window=0.0).correct(trace).trace
+        assert [got.logs[r].timestamps[1] for r in trace.ranks] == [3.0, 3.0, 2.0]
+
+    def test_single_member_instance_is_no_block(self):
+        trace = _collective_trace(CollectiveOp.BARRIER, [1.0], [0.0], rounds=2)
+        schedule = assert_blocks_match_dense(trace)
+        assert (schedule.n_blocks, schedule.dep_gids.size) == (0, 0)
+
+    def test_prefix_waits_for_lower_members_only(self):
+        trace = _collective_trace(CollectiveOp.SCAN, [4.0, 1.0, 3.0, 2.0], [5.0, 1.5, 3.5, 2.5])
+        schedule = assert_blocks_match_dense(trace)
+        assert schedule.n_blocks == 1 and schedule.b_prefix.all()
+        assert schedule.dep_gids.size == 3  # member 0's exit waits for nobody
+        got = ControlledLogicalClock(amortization_window=0.0).correct(trace).trace
+        assert [got.logs[r].timestamps[1] for r in trace.ranks] == [5.0, 4.0, 4.0, 4.0]
+
+    @pytest.mark.parametrize("op, pairs", [(CollectiveOp.BARRIER, 6), (CollectiveOp.SCAN, 3)])
+    @pytest.mark.parametrize("rank", [1, 2])
+    def test_backward_member_stays_pairs(self, op, pairs, rank):
+        # ``rank`` exits before it enters: a barrier would order its exit
+        # behind its own enter, so the instance stays pair edges; so does
+        # a scan, whose last enter no exit reads.
+        trace = _collective_trace(op, [0.0] * 3, [1.0] * 3)
+        log = trace.logs[rank]
+        swapped = EventLog.from_arrays(log.timestamps, log.etypes[::-1], log.a, log.b, log.c, log.d)
+        trace = Trace({**trace.logs, rank: swapped})
+        schedule = assert_blocks_match_dense(trace)
+        assert (schedule.n_blocks, schedule.n_edges) == (0, pairs)
+
+    @pytest.mark.parametrize("seed", SEEDS[:4])
+    def test_pair_lmin_takes_the_matrix_path(self, seed):
+        trace = random_trace(seed)
+        nr = len(trace.ranks)
+        matrix = np.random.default_rng(seed + 7).uniform(0.0, 2e-3, size=(nr, nr))
+        assert trace.compiled_schedule(True).n_blocks > 0
+        assert_blocks_match_dense(trace, lmin=matrix)
+        assert_blocks_match_dense(trace, lmin=lambda s, d: 1e-4 * (s + 2 * d) - 2e-4)
+
+    @given(
+        st.sampled_from([CollectiveOp.BARRIER, CollectiveOp.ALLREDUCE, CollectiveOp.SCAN]),
+        st.lists(st.tuples(_STAMPS, _STAMPS), min_size=1, max_size=5),
+        st.sampled_from([0.0, -0.0, 1.0, "matrix"]),
+    )
+    def test_ties_and_nans_match_dense(self, op, stamps, lmin):
+        enters, exits = zip(*stamps)
+        trace = _collective_trace(op, enters, exits, rounds=2)
+        if lmin == "matrix":
+            lmin = np.array([[-0.0, 0.0, 1.0, -1.0, 0.0][(i + j) % 5] for j in range(5)
+                             for i in range(5)]).reshape(5, 5)
+        assert_blocks_match_dense(trace, lmin=lmin)
+
+    def test_dropped_member_is_caught_by_lamport_and_vector(self, monkeypatch):
+        # benchmarks/check_oracles.py's tenth mutant, against the integer
+        # kernels alone: rank 2's enter is the only late one.
+        from repro.sync.collectives_map import CollectiveBlocks
+
+        real = schedule_module.collective_constraints
+
+        def dropped(table):
+            pairs, blocks = real(table)
+            keep = np.ones(blocks.members.size, dtype=bool)
+            keep[blocks.indptr[1:] - 1] = False
+            indptr = blocks.indptr - np.arange(blocks.indptr.size)
+            return pairs, CollectiveBlocks(blocks.members[keep], indptr, blocks.prefix)
+
+        events = {0: [], 1: [], 2: []}
+        events[2] += [(EventType.ENTER, 1, 0, 0, 0)] * 3
+        for rank in events:
+            events[rank] += [(etype, int(CollectiveOp.BARRIER), 0, 3, 0)
+                             for etype in (EventType.COLL_ENTER, EventType.COLL_EXIT)]
+        assert_logical_clocks_match_reference(_trace_of(events))
+        monkeypatch.setattr(schedule_module, "collective_constraints", dropped)
+        trace = _trace_of(events)
+        schedule = trace.compiled_schedule(True)
+        for kernel, reference in (
+            (lamport_kernel, lamport_clocks_reference),
+            (vector_kernel, vector_clocks_reference),
+        ):
+            got, want = kernel(schedule), reference(trace)
+            assert not all(np.array_equal(got[r], want[r]) for r in trace.ranks), kernel.__name__
 
 
 class TestClcEquivalence:

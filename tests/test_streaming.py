@@ -416,3 +416,39 @@ class TestPinnedJoinCases:
         assert reader.rank_events(3) == 0
         got = streaming_scan_trace(d)
         assert got["p2p"].checked == 3 and got["collective"].checked == 3
+
+
+def _backward_collective_trace(op: int) -> Trace:
+    """Two instances of ``op`` over three ranks, padded so shards split them;
+    the last rank exits the first instance before it enters it."""
+    E = EventType
+    rows = {}
+    for rank in range(3):
+        events = [(0.1 * rank, E.ENTER, 1, 0, 0, 0)]
+        for inst in range(2):
+            t = 1.0 + inst + 0.1 * rank
+            pair = [(t, E.COLL_ENTER), (t + 0.05, E.COLL_EXIT)]
+            if rank == 2 and inst == 0:
+                pair = [(t, E.COLL_EXIT), (t + 0.05, E.COLL_ENTER)]
+            events += [(ts, etype, op, 0, 3, inst) for ts, etype in pair]
+            events.append((t + 0.5, E.ENTER, 1, 0, 0, 0))
+        rows[rank] = events
+    logs = {}
+    for rank, events in rows.items():
+        log = EventLog()
+        for t, etype, a, b, c, d in events:
+            log.append(t, etype, a, b, c, d)
+        logs[rank] = log.freeze()
+    return Trace(logs)
+
+
+class TestBackwardCollective:
+    """A member exiting before it enters keeps its instance as pairs, streamed too."""
+
+    @pytest.mark.parametrize("op", ["SCAN", "BARRIER"])
+    @pytest.mark.parametrize("shard_events", [1, 2, 3, 100])
+    def test_matches_inmemory(self, op, shard_events):
+        from repro.tracing.events import CollectiveOp
+
+        trace = _backward_collective_trace(int(CollectiveOp[op]))
+        assert_streamed_matches_inmemory(trace, shard_events, lmin=1e-6)

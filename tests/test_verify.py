@@ -194,8 +194,10 @@ class TestCampaignRunner:
         # degenerates to recv >= send, which the fuzzer must notice.
         from repro.sync.schedule import CompiledSchedule
 
+        real = CompiledSchedule.edge_lmin
+
         def zero_lmin(self, lmin):
-            return np.zeros(self.n_edges, dtype=np.float64)
+            return real(self, 0.0)
 
         with mock.patch.object(CompiledSchedule, "edge_lmin", zero_lmin):
             result = run_campaign(
