@@ -2,8 +2,9 @@
 
 Injects a handful of hand-written mutants — each a realistic way the
 synchronization stack could silently break — and asserts the
-fuzz campaign named beside it (``mutation``, or ``streaming`` for the
-out-of-core sweeps) catches every one, shrinks the failure, and
+fuzz campaign named beside it (``mutation``, ``streaming`` for the
+out-of-core sweeps, ``smoke`` for message matching) catches every one,
+shrinks the failure, and
 serializes it to a corpus entry.  A mutant that survives means an
 oracle has gone blind; exit code 1.
 
@@ -196,6 +197,24 @@ def mutant_dropped_member():
         yield
 
 
+@contextmanager
+def mutant_fifo_off_by_one():
+    """M11: the shared key rule counts a FIFO channel's receives from one
+    — the k-th receive claims the (k+1)-th send.  Both the in-memory and
+    the streamed path read the same rule, so only the definition of
+    matching (``message_matching_semantics``) can notice."""
+    from repro.tracing.trace import MatchKeys
+
+    real = MatchKeys.fifo
+
+    def shifted(self, rank, recv, partner, tag):
+        keys = real(self, rank, recv, partner, tag)
+        return keys + 1 if recv else keys
+
+    with mock.patch.object(MatchKeys, "fifo", shifted):
+        yield
+
+
 #: (name, mutant, oracle each campaign must catch it with)
 MUTANTS = [
     ("zero-lmin", mutant_zero_lmin, {"mutation": None}),
@@ -211,6 +230,7 @@ MUTANTS = [
         "mutation": "kernel_reference_identity",
         "streaming": "streamed_matches_inmemory",
     }),
+    ("fifo-off-by-one", mutant_fifo_off_by_one, {"smoke": "message_matching_semantics"}),
 ]
 
 

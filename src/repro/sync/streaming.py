@@ -14,12 +14,15 @@ drives for a sharded source), each reading every input shard once:
 
 * the **pre-scan** pairs collective enters and exits
   (:func:`repro.tracing.trace.pair_collectives`, fed one shard's rows at
-  a time) and matches point-to-point messages by array joins on a match
-  key — the ground-truth id, or without ids the k-th send and receive of
-  a ``(src, dst, tag)`` FIFO channel, the semantics of
-  :meth:`Trace.messages(strict=False) <repro.tracing.trace.Trace.messages>`
-  (unmatched ends dropped).  Unmatched ends wait in pending arrays
-  carried from shard to shard, so the state is O(in-flight messages).
+  a time) and matches point-to-point messages with the one key rule and
+  join of :meth:`Trace.messages <repro.tracing.trace.Trace.messages>`
+  (:class:`~repro.tracing.trace.MatchKeys`,
+  :func:`~repro.tracing.trace.join_keys`), fed one shard at a time.
+  Ends that found no partner yet wait in pending arrays carried from
+  shard to shard, so the state is O(in-flight messages); the receives
+  still pending at the end are the unmatched ones, which the forward
+  sweep lets through without waiting (the pre-scan of a correction
+  without verdicts runs the join all the same).
   Interpolation is a per-rank elementwise map, so the verdict *after* it
   comes from the same read: every shard's resident timestamps are run
   through :meth:`ClockCorrection.apply_rank
@@ -63,7 +66,7 @@ drives for a sharded source), each reading every input shard once:
 
 The public functions are the one-stage cases of the same sweeps:
 :func:`streaming_scan_trace` (a pre-scan of the stamps as stored),
-:func:`streaming_clc_correct` (pre-scan for the collectives only,
+:func:`streaming_clc_correct` (pre-scan without verdicts,
 forward, backward, finalize, no interpolation) and
 :func:`streaming_apply_correction` (the interpolation alone, written
 out).  Nothing about collectives is decided here: who constrains whom
@@ -71,9 +74,8 @@ comes from :func:`repro.sync.collectives_map.collective_constraints` —
 this module only keys its pairs and blocks for its publish/block state
 machine.
 
-Boundary-state requirements: every receive's matching send must come
-from the rank named in its source field, and match ids must be unique.
-Simulator-written traces guarantee both.  A dependency cycle (corrupt
+Boundary-state requirement: match ids must be unique, as
+simulator-written traces guarantee.  A dependency cycle (corrupt
 trace) stalls every rank and raises
 :class:`~repro.errors.SynchronizationError`, mirroring the in-memory
 replay.  The ``streamed_matches_inmemory`` oracle in
@@ -117,7 +119,9 @@ from repro.sync.violations import (
 from repro.telemetry import ensure_telemetry
 from repro.tracing.events import EventType
 from repro.tracing.store import ChunkedTrace, ShardedTraceReader, ShardedTraceWriter
-from repro.tracing.trace import CollectiveTable, collective_rows, pair_collectives
+from repro.tracing.trace import (
+    CollectiveTable, MatchKeys, collective_rows, join_keys, pair_collectives,
+)
 
 __all__ = [
     "streaming_clc_correct",
@@ -125,8 +129,6 @@ __all__ = [
     "streaming_apply_correction",
 ]
 
-_SEND = int(EventType.SEND)
-_RECV = int(EventType.RECV)
 _CENT = int(EventType.COLL_ENTER)
 _CEXIT = int(EventType.COLL_EXIT)
 
@@ -134,8 +136,6 @@ _CEXIT = int(EventType.COLL_EXIT)
 _CAPS_DTYPE = np.dtype([("i", "<i8"), ("v", "<f8")])
 #: In-memory cap records buffered per bucket before hitting disk.
 _CAPS_BUFFER = 4096
-#: FIFO match keys: ``channel number << _SEQ_BITS | position in channel``.
-_SEQ_BITS = 40
 
 
 def _source_is_chunked(source) -> ChunkedTrace:
@@ -169,65 +169,24 @@ class _Resident:
 # ----------------------------------------------------------------------
 # Message matching
 # ----------------------------------------------------------------------
-class _MatchKeys:
-    """What a send and its receive have in common, as one int64 per event.
-
-    With ground-truth match ids (the rule of ``Trace``: no send carries a
-    negative id) the key is the id, and a receive without one (negative)
-    matches nothing.  Otherwise matching is FIFO per ``(src, dst, tag)``
-    channel: the k-th send and the k-th receive of a channel share the
-    key ``channel number << _SEQ_BITS | k``, channels being numbered as
-    they are first seen and their two counts carried from shard to
-    shard.  Every sweep makes its own instance and feeds it each rank's
-    shards in log order.
-    """
-
-    def __init__(self, reader: ShardedTraceReader) -> None:
-        self.by_id = not any(
-            rec.neg_send_ids for rank in reader.ranks for rec in reader.rank_shards(rank)
-        )
-        self.channels: dict[tuple[int, int, int], list[int]] = {}  # -> [number, sends, recvs]
-
-    def of(self, rank: int, recv: bool, partner: np.ndarray, tag: np.ndarray,
-           ids: np.ndarray) -> np.ndarray:
-        """Keys of one shard's sends (or receives) of ``rank``, in log order."""
-        if self.by_id or not ids.size:
-            return ids
-        pairs, inverse, counts = np.unique(
-            np.stack([partner, tag], axis=1), axis=0, return_inverse=True, return_counts=True
-        )
-        base = []
-        for (other, t), n in zip(pairs.tolist(), counts.tolist()):
-            channel = (other, rank, t) if recv else (rank, other, t)
-            state = self.channels.setdefault(channel, [len(self.channels), 0, 0])
-            base.append((state[0] << _SEQ_BITS) + state[1 + recv])
-            state[1 + recv] += n
-        order = np.argsort(inverse.ravel(), kind="stable")
-        keys = np.empty(ids.size, dtype=np.int64)
-        keys[order] = (
-            np.repeat(np.array(base, dtype=np.int64) - (np.cumsum(counts) - counts), counts)
-            + np.arange(ids.size)
-        )
-        return keys
-
-
 def _rows(side: tuple, sel) -> tuple:
     return tuple(col[..., sel] for col in side)
 
 
 class _MessageJoin:
-    """The pre-scan's message matcher: an array join over carried pending ends.
+    """The pre-scan's message matcher: ``join_keys`` over carried pending ends.
 
-    A *side* is ``(key, rank, ordinal, stamps)`` with one entry per
-    transfer event — ``ordinal`` the receive's position among its rank's
-    receives (unused for sends) and ``stamps`` a ``(stages, n)`` array of
-    the event's timestamp under each stage.  Ends that found no partner
-    yet stay pending, so the state is O(in-flight messages).
+    A *side* is ``(key, rank, ordinal, log index, stamps)`` with one entry
+    per transfer event — ``ordinal`` the receive's position among its
+    rank's receives (unused for sends) and ``stamps`` a ``(stages, n)``
+    array of the event's timestamp under each verdict stage (if any).
+    Ends that found no partner yet stay pending, so the state is
+    O(in-flight messages); at the end the pending receives are unmatched.
     """
 
     def __init__(self, stages: int, lmin: LminSpec) -> None:
         ints = np.empty(0, dtype=np.int64)
-        self.sends = self.recvs = (ints, ints, ints, np.empty((stages, 0)))
+        self.sends = self.recvs = (ints, ints, ints, ints, np.empty((stages, 0)))
         self.lmin = lmin
         self.violators = [[] for _ in range(stages)]  # per stage: (dst rank, ordinal) arrays
         self.worst = [0.0] * stages
@@ -236,26 +195,24 @@ class _MessageJoin:
         """Join one shard's transfer events in and check every new pair (Eq. 1)."""
         sends = tuple(np.concatenate(cols, axis=-1) for cols in zip(self.sends, sends))
         recvs = tuple(np.concatenate(cols, axis=-1) for cols in zip(self.recvs, recvs))
-        self.sends, self.recvs = sends, recvs
-        if not sends[0].size or not recvs[0].size:
-            return
-        order = np.argsort(sends[0], kind="stable")
-        keys = sends[0][order]
-        pos = np.minimum(np.searchsorted(keys, recvs[0]), keys.size - 1)
-        found = keys[pos] == recvs[0]
-        if not found.any():
-            return
-        taken = order[pos[found]]
-        (_, src, _, sent), (_, dst, ordinal, received) = _rows(sends, taken), _rows(recvs, found)
-        unsent = np.ones(keys.size, dtype=bool)
-        unsent[taken] = False
+        sent, found, unsent = join_keys(sends[0], recvs[0])
         self.sends, self.recvs = _rows(sends, unsent), _rows(recvs, ~found)
+        if not self.worst or not sent.size:
+            return
+        (_, src, *_, sent_ts), (_, dst, ordinal, _, received) = (
+            _rows(sends, sent), _rows(recvs, found)
+        )
         floors = resolve_lmin(self.lmin, src, dst)
-        for stage, slack in enumerate(received - (sent + floors)):
+        for stage, slack in enumerate(received - (sent_ts + floors)):
             bad = slack < 0
             if bad.any():
                 self.violators[stage].append((dst[bad], ordinal[bad]))
                 self.worst[stage] = max(self.worst[stage], float(-slack[bad].min()))
+
+    def unmatched(self, ranks: list[int]) -> dict[int, np.ndarray]:
+        """Per rank, the log indices of the receives no send matched."""
+        _, rank, _, idx, _ = self.recvs
+        return {r: idx[rank == r] for r in ranks}
 
     def reports(self, ranks: list[int], recv_seen: dict[int, int]) -> list[ViolationReport]:
         """Per stage, the report :func:`scan_messages` gives on the matched table.
@@ -451,14 +408,14 @@ class _RankForward:
         self.fwd_paths: list[Path] = []
         self.fwd_span: list[tuple[float, float]] = []  # per shard: (first, max) forward time
 
-    def load_next(self, cols, gamma, keys: _MatchKeys, my_pub, my_exits) -> None:
+    def load_next(self, cols, gamma, keys: MatchKeys, unmatched, my_pub, my_exits) -> None:
         """Make the next shard (its columns ``cols``, stamps as float64) resident."""
         self.si += 1
         rec = self.recs[self.si]
         ts, et, a, b, _, d = cols
         lo = self.lo = rec.start
         self.n_s = rec.events
-        sends, recvs = np.flatnonzero(et == _SEND), np.flatnonzero(et == _RECV)
+        (sends, send_keys), (recvs, recv_keys) = keys.ends(self.rank, et, a, b, d)
         enters = [i for i in np.flatnonzero(et == _CENT).tolist() if lo + i in my_pub]
         exits = [i for i in np.flatnonzero(et == _CEXIT).tolist() if lo + i in my_exits]
         # List index ``i + 1`` is the shard's event ``i``; the log's very
@@ -475,25 +432,21 @@ class _RankForward:
         self.land(0, self.prev_corr)
         self.prev_orig = float(ts[-1])
         self.sp_ptr = 0
-        # Where to stop: (list index, match key, source rank) of every
-        # receive, (list index, None, log index) of every constrained
-        # collective exit, and the shard's end behind them all.
+        # Where to stop: (list index, match key, 0) of every receive (key -1
+        # if the join left it unmatched: the log indices ``unmatched``),
+        # (list index, None, log index) of every constrained collective
+        # exit, and the shard's end behind them all.
+        if unmatched.size:
+            recv_keys[np.isin(recvs + lo, unmatched)] = -1
         self.stops = sorted(
-            list(zip(
-                (recvs + 1).tolist(),
-                keys.of(self.rank, True, a[recvs], b[recvs], d[recvs]).tolist(),
-                a[recvs].tolist(),
-            ))
+            list(zip((recvs + 1).tolist(), recv_keys.tolist(), [0] * recvs.size))
             + [(i + 1, None, lo + i) for i in exits]
         )
         self.stops.append((rec.events + 1, 0, 0))
         # What to publish: (list index, key) of every send and every
         # constraining enter (list indices differ, so keys never compare).
         self.pubs = sorted(
-            list(zip(
-                (sends + 1).tolist(),
-                keys.of(self.rank, False, a[sends], b[sends], d[sends]).tolist(),
-            ))
+            list(zip((sends + 1).tolist(), send_keys.tolist()))
             + [(i + 1, my_pub[lo + i]) for i in enters]
         )
         self.stop_ptr = 0
@@ -594,7 +547,12 @@ class ShardSweeps:
         self.include_collectives = include_collectives
         self.tele = ensure_telemetry(telemetry)
         self.resident = _Resident(self.tele)
+        self.by_id = not any(  # the rule of ``Trace.messages``: no send without an id
+            rec.neg_send_ids for r in self.chunked.ranks for rec in self.reader.rank_shards(r)
+        )
         self.collectives: Optional[CollectiveTable] = None
+        #: Per rank, the log indices of the receives no send matched (set by ``prescan``).
+        self.unmatched: Optional[dict[int, np.ndarray]] = None
 
     # -- shard access ------------------------------------------------------
     def _load(self, rec) -> tuple[np.ndarray, ...]:
@@ -621,42 +579,37 @@ class ShardSweeps:
 
     # -- sweep 1 -----------------------------------------------------------
     def prescan(self, verdicts: bool = True) -> list[dict[str, ViolationReport]]:
-        """Pair the collectives and, with ``verdicts``, scan every stage (Eq. 1).
+        """Pair the collectives, join the messages, with ``verdicts`` scan every stage (Eq. 1).
 
         Returns one ``{"p2p": ..., "collective": ...}`` per stage — the
         stamps as stored and, with a correction, the interpolated ones —
         each equal to :func:`repro.sync.violations.scan_trace` on the
         materialized trace of that stage (counts, violation indices in
-        message-table order, worst magnitude).  Without ``verdicts`` only
-        the collectives are paired (no read at all if they are excluded).
+        message-table order, worst magnitude); none without ``verdicts``.
+        Either way the read leaves what the forward pass needs: the
+        collective table and the receives the join left unmatched.
         """
-        if not verdicts and not self.include_collectives:
-            return []
         ranks = self.chunked.ranks
-        stages = 2 if verdicts and self.correction is not None else 1
-        rows = [{r: [] for r in ranks} for _ in range(stages)]
-        keys = _MatchKeys(self.reader)
+        stages = (1 if self.correction is None else 2) if verdicts else 0
+        rows = [{r: [] for r in ranks} for _ in range(max(stages, 1))]
+        keys = MatchKeys(self.by_id)
         join = _MessageJoin(stages, self.lmin)
         recv_seen = dict.fromkeys(ranks, 0)
         for rank, rec in self._ordinal_order():
             raw, et, a, b, _, d = self._load(rec)
-            stamps = self._stamps(rank, raw) if verdicts else [raw]
+            stamps = self._stamps(rank, raw) if verdicts else []
             if self.include_collectives:
-                for stage, ts in enumerate(stamps):
+                for stage, ts in enumerate(stamps or [raw]):
                     rows[stage][rank].append(collective_rows(rec.start, ts, et, a, b, d))
-            if verdicts:
-                sides = []
-                for recv, code in enumerate((_SEND, _RECV)):
-                    pos = np.flatnonzero(et == code)
-                    sides.append((
-                        keys.of(rank, bool(recv), a[pos], b[pos], d[pos]),
-                        np.full(pos.size, rank, dtype=np.int64),
-                        np.arange(pos.size) + recv_seen[rank],
-                        np.stack([ts[pos] for ts in stamps]),
-                    ))
-                recv_seen[rank] += pos.size
-                join.feed(*sides)
+            sides = [
+                (key, np.full(pos.size, rank, dtype=np.int64), np.arange(pos.size) + recv_seen[rank],
+                 pos + rec.start, np.array([ts[pos] for ts in stamps]).reshape(len(stamps), pos.size))
+                for pos, key in keys.ends(rank, et, a, b, d)
+            ]
+            recv_seen[rank] += sides[1][0].size
+            join.feed(*sides)
             self.resident.release(rec.events)
+        self.unmatched = join.unmatched(ranks)
         tables = [pair_collectives(r) for r in rows] if self.include_collectives else []
         if tables:
             self.collectives = tables[0]
@@ -710,7 +663,7 @@ class ShardSweeps:
         # Parameter validation shared with the in-memory corrector.
         ControlledLogicalClock(gamma=gamma, amortization_window=amortization_window)
         chunked, reader, tele, resident = self.chunked, self.reader, self.tele, self.resident
-        if self.include_collectives and self.collectives is None:
+        if self.unmatched is None:
             with tele.span("sync.stream.prescan"):
                 self.prescan(verdicts=False)
         events = chunked.total_events()
@@ -780,7 +733,7 @@ class ShardSweeps:
         coll = _CollectiveDeps(table, self.lmin, published)
         publish, exit_deps, consumers = coll.publish, coll.exits, coll.consumers
         states = {r: _RankForward(r, self.reader.rank_shards(r)) for r in ranks}
-        keys = _MatchKeys(self.reader)
+        keys, unmatched = MatchKeys(self.by_id), self.unmatched
         lmin_fn = pair_lmin(self.lmin)
         njumps = 0
         max_jump = 0.0
@@ -802,7 +755,7 @@ class ShardSweeps:
                 if st.finished:
                     return False
                 st.load_next(
-                    self._interpolated(st.recs[st.si + 1]), gamma, keys,
+                    self._interpolated(st.recs[st.si + 1]), gamma, keys, unmatched[st.rank],
                     publish.get(st.rank, {}), exit_deps.get(st.rank, {}),
                 )
                 progress = True
@@ -841,11 +794,11 @@ class ShardSweeps:
                             consumers[k] -= 1
                             if consumers[k] == 0:
                                 del published[k]
-                else:  # a receive from rank ``at``
+                else:  # a receive: its send's key, or -1 if the join left it unmatched
                     edge = published.pop(key, None)
                     if edge is not None:
                         edges = (edge,)
-                    elif key < 0 or at not in states or states[at].finished:
+                    elif key < 0:
                         edges = ()  # nothing to wait for
                     else:
                         break
@@ -887,8 +840,7 @@ class ShardSweeps:
             if unfinished and not any_progress:
                 raise SynchronizationError(
                     "streaming CLC stalled: every rank is blocked on an unpublished "
-                    "dependency (dependency cycle, or a receive whose matching send "
-                    "is recorded under a different source rank)"
+                    "dependency (a dependency cycle, or match ids that are not unique)"
                 )
         return states, njumps, max_jump
 

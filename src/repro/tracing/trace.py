@@ -11,17 +11,22 @@ job is to answer the questions the synchronization layer asks:
   every collective operation;
 * event statistics used by Fig. 7 (fraction of message events).
 
-Matching uses the simulator's ground-truth ``match_id`` when present
-(every record written by :mod:`repro.tracing.instrument` carries one)
-and falls back to FIFO per (src, dst, tag) matching — the algorithm real
-tools must use — when ids are absent (e.g. traces read from foreign
-files).  Both paths are tested to agree.
+Matching has one key rule and one join.  :class:`MatchKeys` gives every
+transfer event one int64 key that a send shares with its receive: the
+simulator's ground-truth ``match_id`` when every send carries one
+(every record written by :mod:`repro.tracing.instrument` does), else
+the event's position in its FIFO (src, dst, tag) channel — the
+algorithm real tools must use for traces without ids (e.g. read from
+foreign files).  :func:`join_keys` then pairs sends and receives on
+those keys.  :meth:`Trace.messages` runs it once over every rank's log;
+the streamed pre-scan (:mod:`repro.sync.streaming`) runs it shard by
+shard over the ends still pending.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Optional
+from typing import Any, Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -29,6 +34,80 @@ from repro.errors import MatchingError, TraceError
 from repro.tracing.events import CollectiveOp, EventLog, EventType
 
 __all__ = ["Trace", "MessageRecord", "MessageTable", "CollectiveRecord", "CollectiveTable"]
+
+
+#: FIFO match keys: ``channel number << _SEQ_BITS | position in channel``.
+_SEQ_BITS = 40
+_TRANSFERS = (int(EventType.SEND), int(EventType.RECV))
+
+
+class MatchKeys:
+    """What a send and its receive share, as one int64 per transfer event.
+
+    With ground-truth match ids (``by_id``: no send carries a negative
+    id) the key is the id, and a receive without one (negative) matches
+    nothing.  Otherwise matching is FIFO per ``(src, dst, tag)`` channel,
+    MPI's non-overtaking rule (a receive's source and tag as recorded,
+    wildcards resolved): the k-th send and the k-th receive of a
+    channel share the key ``channel number << _SEQ_BITS | k``, channels
+    being numbered as they are first seen and their two counts carried
+    from call to call.  Feed each rank's events in log order, a whole
+    log or one slice at a time.
+    """
+
+    def __init__(self, by_id: bool) -> None:
+        self.by_id = by_id
+        self.channels: dict[tuple[int, int, int], list[int]] = {}  # -> [number, sends, recvs]
+
+    def ends(self, rank: int, etypes, a, b, d) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """``(positions, keys)`` of the sends, then of the receives, of one
+        slice of ``rank``'s log (positions relative to the slice)."""
+        out = []
+        for recv, code in enumerate(_TRANSFERS):
+            pos = np.flatnonzero(etypes == code)
+            out.append((pos, d[pos] if self.by_id else self.fifo(rank, bool(recv), a[pos], b[pos])))
+        return tuple(out)
+
+    def fifo(self, rank: int, recv: bool, partner: np.ndarray, tag: np.ndarray) -> np.ndarray:
+        """FIFO keys of some sends (or receives) of ``rank``, in log order."""
+        if not partner.size:
+            return partner
+        pairs, inverse, counts = np.unique(
+            np.stack([partner, tag], axis=1), axis=0, return_inverse=True, return_counts=True
+        )
+        base = []
+        for (other, t), n in zip(pairs.tolist(), counts.tolist()):
+            channel = (other, rank, t) if recv else (rank, other, t)
+            state = self.channels.setdefault(channel, [len(self.channels), 0, 0])
+            base.append((state[0] << _SEQ_BITS) + state[1 + recv])
+            state[1 + recv] += n
+        order = np.argsort(inverse.ravel(), kind="stable")
+        keys = np.empty(partner.size, dtype=np.int64)
+        keys[order] = (
+            np.repeat(np.array(base, dtype=np.int64) - (np.cumsum(counts) - counts), counts)
+            + np.arange(partner.size)
+        )
+        return keys
+
+
+def join_keys(send_keys: np.ndarray, recv_keys: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The sort-join of sends and receives on their :class:`MatchKeys`.
+
+    Returns ``(sent, found, unsent)``: ``found`` marks the receives some
+    send shares its key with, ``sent`` holds that send's position for
+    each of them (in receive order), and ``unsent`` marks the sends no
+    receive claimed.
+    """
+    if not send_keys.size:
+        return send_keys, np.zeros(recv_keys.size, dtype=bool), np.empty(0, dtype=bool)
+    order = np.argsort(send_keys, kind="stable")
+    keys = send_keys[order]
+    pos = np.minimum(np.searchsorted(keys, recv_keys), keys.size - 1)
+    found = keys[pos] == recv_keys
+    sent = order[pos[found]]
+    unsent = np.ones(keys.size, dtype=bool)
+    unsent[sent] = False
+    return sent, found, unsent
 
 
 def _gather(timestamps: dict[int, np.ndarray], ranks: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -118,6 +197,17 @@ class MessageTable:
         z = np.empty(0, dtype=np.int64)
         f = np.empty(0, dtype=np.float64)
         return cls(z, z, z, z, f, f, z, z)
+
+
+class _Matched(NamedTuple):
+    """One message join: the matched table and, if it left an end
+    unmatched, the :class:`MatchingError` message ``strict`` raises."""
+
+    table: MessageTable
+    leftover: Optional[str]
+
+    def with_timestamps(self, timestamps: dict[int, np.ndarray]) -> "_Matched":
+        return _Matched(self.table.with_timestamps(timestamps), self.leftover)
 
 
 @dataclass(frozen=True)
@@ -280,8 +370,8 @@ class Trace:
             raise TraceError("a trace needs at least one rank")
         self.logs = {rank: log.freeze() for rank, log in logs.items()}
         self.meta: dict[str, Any] = dict(meta or {})
-        #: Structure derived from the events, by kind: the message tables
-        #: (strict and not) and the collective table, see ``_derived``.
+        #: Structure derived from the events, by kind: the message join
+        #: and the collective table, see ``_derived``.
         self._tables: dict[str, Any] = {}
         #: The same of a trace with this one's event structure (set by
         #: ``with_timestamps``); only their timestamps are stale.
@@ -366,140 +456,42 @@ class Trace:
         With ``strict=False``, half-matched messages — possible when only
         a window of a longer run was traced, so one end of a transfer
         falls outside the trace — are silently dropped instead of raising
-        :class:`MatchingError`.
+        :class:`MatchingError`.  Both read one cached join; ``strict``
+        only checks that it left no end unmatched.
         """
-        return self._derived(
-            "messages" if strict else "matched", lambda: self._match_messages(strict), refresh
+        matched = self._derived("messages", self._match_messages, refresh)
+        if strict and matched.leftover:
+            raise MatchingError(matched.leftover)
+        return matched.table
+
+    def _match_messages(self) -> _Matched:
+        """Key every rank's transfer events and join them once (:func:`join_keys`)."""
+        keys = MatchKeys(not any(
+            np.any(log.d[log.etypes == _TRANSFERS[0]] < 0) for log in self.logs.values()
+        ))
+        # Per side: rank, log index, key, timestamp; a receive adds its tag and byte count.
+        sides: tuple[list, list] = ([], [])
+        for rank, log in sorted(self.logs.items()):
+            for recv, (pos, key) in enumerate(keys.ends(rank, log.etypes, log.a, log.b, log.d)):
+                sides[recv].append((
+                    np.full(pos.size, rank, dtype=np.int64), pos, key, log.timestamps[pos],
+                    *((log.b[pos], log.c[pos]) if recv else ()),
+                ))
+        (s_rank, s_idx, s_key, s_ts), (r_rank, r_idx, r_key, r_ts, r_tag, r_nb) = (
+            [np.concatenate(col) for col in zip(*side)] for side in sides
         )
-
-    def _match_messages(self, strict: bool = True) -> MessageTable:
-        have_ids = True
-        for log in self.logs.values():
-            idx = log.select(EventType.SEND)
-            if idx.size and np.any(log.d[idx] < 0):
-                have_ids = False
-                break
-        if have_ids:
-            return self._match_by_id(strict)
-        return self._match_fifo(strict)
-
-    def _match_by_id(self, strict: bool) -> MessageTable:
-        """Vectorized alignment of send and receive rows on match ids.
-
-        Columns are concatenated across ranks, sorted by match id on
-        both sides, and intersected — O(m log m) with no per-message
-        Python work, which matters for million-message traces.
-        """
-        s_mid, s_rank, s_idx, s_ts = [], [], [], []
-        r_mid, r_rank, r_idx, r_ts, r_tag, r_nb = [], [], [], [], [], []
-        for rank in self.ranks:
-            log = self.logs[rank]
-            ts = log.timestamps
-            sel = log.select(EventType.SEND)
-            if sel.size:
-                s_mid.append(log.d[sel])
-                s_rank.append(np.full(sel.size, rank, dtype=np.int64))
-                s_idx.append(sel.astype(np.int64))
-                s_ts.append(ts[sel])
-            sel = log.select(EventType.RECV)
-            if sel.size:
-                r_mid.append(log.d[sel])
-                r_rank.append(np.full(sel.size, rank, dtype=np.int64))
-                r_idx.append(sel.astype(np.int64))
-                r_ts.append(ts[sel])
-                r_tag.append(log.b[sel])
-                r_nb.append(log.c[sel])
-        if not r_mid or not s_mid:
-            n_sends = sum(a.size for a in s_mid)
-            n_recvs = sum(a.size for a in r_mid)
-            if strict and (n_sends or n_recvs):
-                raise MatchingError(
-                    f"{n_sends} send(s) / {n_recvs} receive(s) cannot be matched"
-                )
-            return MessageTable.empty()
-
-        s_mid = np.concatenate(s_mid)
-        s_rank = np.concatenate(s_rank)
-        s_idx = np.concatenate(s_idx)
-        s_ts = np.concatenate(s_ts)
-        r_mid = np.concatenate(r_mid)
-        r_rank = np.concatenate(r_rank)
-        r_idx = np.concatenate(r_idx)
-        r_ts = np.concatenate(r_ts)
-        r_tag = np.concatenate(r_tag)
-        r_nb = np.concatenate(r_nb)
-
-        s_order = np.argsort(s_mid, kind="stable")
-        s_mid_sorted = s_mid[s_order]
-        # Position of each receive's id in the sorted send ids.
-        pos = np.searchsorted(s_mid_sorted, r_mid)
-        pos_clipped = np.minimum(pos, s_mid_sorted.size - 1)
-        found = (r_mid >= 0) & (s_mid_sorted[pos_clipped] == r_mid)
-        if strict:
-            if not np.all(found):
-                bad = int(np.nonzero(~found)[0][0])
-                raise MatchingError(
-                    f"receive at rank {int(r_rank[bad])} index {int(r_idx[bad])} "
-                    f"has unmatched id {int(r_mid[bad])}"
-                )
-            if int(found.sum()) != s_mid.size:
-                raise MatchingError(
-                    f"{s_mid.size - int(found.sum())} send event(s) have no matching receive"
-                )
-        if not np.any(found):
-            return MessageTable.empty()
-        take_s = s_order[pos_clipped[found]]
-        return MessageTable(
-            s_rank[take_s], r_rank[found], r_tag[found], r_nb[found],
-            s_ts[take_s], r_ts[found], s_idx[take_s], r_idx[found],
+        sent, found, unsent = join_keys(s_key, r_key)
+        table = MessageTable(
+            s_rank[sent], r_rank[found], r_tag[found], r_nb[found],
+            s_ts[sent], r_ts[found], s_idx[sent], r_idx[found],
         )
-
-    def _match_fifo(self, strict: bool) -> MessageTable:
-        """FIFO matching per (src, dst, tag) channel (tool-style fallback).
-
-        Relies on MPI non-overtaking semantics: the k-th receive on a
-        channel matches the k-th send.  Receives recorded with concrete
-        source/tag only (wildcards were resolved at record time, as real
-        tools do via ``MPI_Status``).
-        """
-        from collections import defaultdict, deque
-
-        queues: dict[tuple[int, int, int], deque] = defaultdict(deque)
-        for rank in self.ranks:
-            log = self.logs[rank]
-            for i in log.select(EventType.SEND):
-                key = (rank, int(log.a[i]), int(log.b[i]))
-                queues[key].append((int(i), float(log.timestamps[i]), int(log.c[i])))
-        src_l, dst_l, tag_l, nb_l, sts_l, rts_l, sidx_l, ridx_l = ([] for _ in range(8))
-        for rank in self.ranks:
-            log = self.logs[rank]
-            for i in log.select(EventType.RECV):
-                key = (int(log.a[i]), rank, int(log.b[i]))
-                q = queues.get(key)
-                if not q:
-                    if strict:
-                        raise MatchingError(
-                            f"receive at rank {rank} (src={key[0]}, tag={key[2]}) has no send"
-                        )
-                    continue
-                s_idx, s_ts, s_nb = q.popleft()
-                src_l.append(key[0])
-                dst_l.append(rank)
-                tag_l.append(key[2])
-                nb_l.append(s_nb)
-                sts_l.append(s_ts)
-                rts_l.append(float(log.timestamps[i]))
-                sidx_l.append(s_idx)
-                ridx_l.append(int(i))
-        leftovers = sum(len(q) for q in queues.values())
-        if strict and leftovers:
-            raise MatchingError(f"{leftovers} send event(s) have no matching receive")
-        if not src_l:
-            return MessageTable.empty()
-        return MessageTable(
-            np.array(src_l), np.array(dst_l), np.array(tag_l), np.array(nb_l),
-            np.array(sts_l), np.array(rts_l), np.array(sidx_l), np.array(ridx_l),
-        )
+        for what, left, ranks, idx in (("receive(s) have no matching send", ~found, r_rank, r_idx),
+                                       ("send(s) have no matching receive", unsent, s_rank, s_idx)):
+            if left.any():
+                k = int(np.argmax(left))
+                first = f"the first at rank {ranks[k]} index {idx[k]}"
+                return _Matched(table, f"{left.sum()} {what}, {first}")
+        return _Matched(table, None)
 
     # ------------------------------------------------------------------
     # Collective extraction

@@ -73,7 +73,7 @@ _campaign(
     "smoke",
     "quick cross-section: one probe per invariant family",
     _cross("adversarial", _TRACE_CORE) + (("quantization", "clock_quantization"),)
-    + _EDGES,
+    + _EDGES + (("adversarial", "message_matching_semantics"),),
 )
 _campaign(
     "clc",
@@ -121,9 +121,10 @@ _campaign(
 _campaign(
     "streaming",
     "out-of-core sharded-trace kernels vs the in-memory kernels, bit "
-    "for bit, plus shard-store round-trips",
+    "for bit, plus shard-store round-trips and matching semantics",
     (("streaming", "streamed_matches_inmemory"),
-     ("streaming", "sharded_roundtrip")),
+     ("streaming", "sharded_roundtrip"),
+     ("streaming", "message_matching_semantics")),
     # Each example corrects its trace some eighty times (two kernel
     # configs and the correct_trace argument grid, on both paths); keep
     # the default commensurate with the batch campaign.

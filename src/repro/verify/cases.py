@@ -45,6 +45,7 @@ __all__ = [
     "BATCH_WORKLOADS",
     "build_case",
     "clock_error",
+    "erase_match_ids",
     "grid_probe_job",
 ]
 
@@ -277,21 +278,21 @@ def _build_stream_case(spec: CaseSpec) -> TraceCase:
     return _assemble(spec, stream, profiles, float(p.get("lmin", 0.0)), tags)
 
 
+def erase_match_ids(trace: Trace) -> Trace:
+    """``trace`` with every send and receive id erased: it matches by FIFO."""
+    logs = {}
+    for rank, log in trace.logs.items():
+        transfer = (log.etypes == int(EventType.SEND)) | (log.etypes == int(EventType.RECV))
+        d = np.where(transfer, -1, log.d)
+        logs[rank] = EventLog.from_arrays(log.timestamps, log.etypes, log.a, log.b, log.c, d)
+    return Trace(logs, dict(trace.meta))
+
+
 def _build_streaming_case(spec: CaseSpec) -> TraceCase:
     """Stream-content case; optionally strips match ids (FIFO matching)."""
     case = _build_stream_case(spec)
     if spec.params.get("strip_ids"):
-        logs = {}
-        for rank, log in case.trace.logs.items():
-            d = log.d.copy()
-            message = (log.etypes == int(EventType.SEND)) | (
-                log.etypes == int(EventType.RECV)
-            )
-            d[message] = -1
-            logs[rank] = EventLog.from_arrays(
-                log.timestamps, log.etypes, log.a, log.b, log.c, d
-            )
-        case.trace = Trace(logs, dict(case.trace.meta))
+        case.trace = erase_match_ids(case.trace)
     return case
 
 

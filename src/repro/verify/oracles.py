@@ -53,11 +53,11 @@ from repro.sync.violations import (
     scan_pomp,
     scan_trace,
 )
-from repro.tracing.events import COLLECTIVE_FLAVORS, CollectiveFlavor
+from repro.tracing.events import COLLECTIVE_FLAVORS, CollectiveFlavor, EventType
 from repro.tracing.reader import read_trace, read_trace_dir
 from repro.tracing.trace import Trace
 from repro.tracing.writer import write_trace, write_trace_dir
-from repro.verify.cases import TraceCase, grid_probe_job
+from repro.verify.cases import TraceCase, erase_match_ids, grid_probe_job
 
 __all__ = [
     "Oracle",
@@ -418,6 +418,48 @@ def _collective_edges_match_reference(case: TraceCase) -> None:
             f"dependency_edges(include_collectives={include_collectives}) diverges "
             f"from the scalar flavor rule ({len(got)} vs {len(want)} edges)",
         )
+
+
+@oracle(
+    "message_matching_semantics",
+    "Trace.messages meets the definition of matching, not a second "
+    "implementation: by id every row's ends share their id and every "
+    "receive whose id some send carries is matched; with the ids erased "
+    "every row's ends sit at equal ordinals of one (src, dst, tag) "
+    "channel and each channel matches min(sends, receives).",
+    {"trace"},
+)
+def _message_matching_semantics(case: TraceCase) -> None:
+    transfers = (EventType.SEND, EventType.RECV)
+    ends = {  # (rank, log index) -> event, for every send and receive
+        (rank, i): ev for rank, log in case.trace.logs.items()
+        for i, ev in enumerate(log) if ev.etype in transfers
+    }
+    ids = {ev.d for ev in ends.values() if ev.etype is EventType.SEND}
+    if min(ids, default=0) >= 0:  # the trace matches by id
+        matched = set()
+        for row in case.trace.messages(strict=False):
+            send, recv = ends[row.src, row.send_idx], ends[row.dst, row.recv_idx]
+            _require(send.d == recv.d, f"by id: {row} joins ids {send.d} and {recv.d}")
+            matched.add((row.dst, row.recv_idx))
+        for end, ev in ends.items():
+            _require(ev.etype is EventType.SEND or ev.d not in ids or end in matched,
+                     f"by id: receive {end} of id {ev.d} is unmatched though a send carries it")
+    ordinal, counts = {}, {}  # end -> (channel, k); channel -> [sends, receives]
+    for (rank, i), ev in sorted(ends.items()):
+        recv = ev.etype is EventType.RECV
+        channel = (ev.a, rank, ev.b) if recv else (rank, ev.a, ev.b)
+        seen = counts.setdefault(channel, [0, 0])
+        ordinal[rank, i] = (channel, seen[recv])
+        seen[recv] += 1
+    matched = dict.fromkeys(counts, 0)
+    for row in erase_match_ids(case.trace).messages(strict=False):
+        send, recv = ordinal[row.src, row.send_idx], ordinal[row.dst, row.recv_idx]
+        _require(send == recv, f"fifo: {row} joins send {send} to receive {recv}")
+        matched[send[0]] += 1
+    for channel, (sends, recvs) in counts.items():
+        _require(matched[channel] == min(sends, recvs), f"fifo: channel {channel} "
+                 f"matched {matched[channel]} of {sends} send(s) and {recvs} receive(s)")
 
 
 @oracle(

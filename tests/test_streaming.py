@@ -387,11 +387,16 @@ def _pinned_trace(strip_ids: bool = False) -> Trace:
             (1.42, E.COLL_EXIT, barrier, 0, 3, 0), pad(1.50)],
         3: [],
     }
+    return _from_rows(rows, strip_ids)
+
+
+def _from_rows(rows: dict, strip_ids: bool = False) -> Trace:
+    """A trace from per-rank ``(t, etype, a, b, c, d)`` rows, transfer ids erased on request."""
     logs = {}
     for rank, events in rows.items():
         log = EventLog()
         for t, etype, a, b, c, d in events:
-            if strip_ids and etype in (E.SEND, E.RECV):
+            if strip_ids and etype in (EventType.SEND, EventType.RECV):
                 d = -1
             log.append(t, etype, a, b, c, d)
         logs[rank] = log.freeze()
@@ -433,13 +438,7 @@ def _backward_collective_trace(op: int) -> Trace:
             events += [(ts, etype, op, 0, 3, inst) for ts, etype in pair]
             events.append((t + 0.5, E.ENTER, 1, 0, 0, 0))
         rows[rank] = events
-    logs = {}
-    for rank, events in rows.items():
-        log = EventLog()
-        for t, etype, a, b, c, d in events:
-            log.append(t, etype, a, b, c, d)
-        logs[rank] = log.freeze()
-    return Trace(logs)
+    return _from_rows(rows)
 
 
 class TestBackwardCollective:
@@ -452,3 +451,21 @@ class TestBackwardCollective:
 
         trace = _backward_collective_trace(int(CollectiveOp[op]))
         assert_streamed_matches_inmemory(trace, shard_events, lmin=1e-6)
+
+
+class TestWindowedPingPong:
+    """A window cut through a ping-pong: rank 1's first receive lost its
+    send to the window's start, and rank 0 waits for rank 1's reply.  The
+    forward pass must let the unmatched receive through while its sender
+    is still blocked."""
+
+    @pytest.mark.parametrize("strip_ids", [False, True], ids=["by-id", "fifo"])
+    @pytest.mark.parametrize("shard_events", [1, 2, 100])
+    def test_streams_to_the_inmemory_result(self, strip_ids, shard_events):
+        E = EventType
+        trace = _from_rows({
+            0: [(0.5, E.ENTER, 1, 0, 0, 0), (1.5, E.RECV, 1, 0, 8, 1)],
+            1: [(1.0, E.RECV, 0, 0, 8, 0), (2.0, E.SEND, 0, 0, 8, 1)],
+        }, strip_ids)
+        assert len(trace.messages(strict=False)) == 1
+        assert_streamed_matches_inmemory(trace, shard_events)

@@ -9,6 +9,7 @@ from repro.errors import MatchingError, TraceError
 from repro.tracing.events import CollectiveOp, EventLog, EventType
 from repro.tracing import trace as trace_module
 from repro.tracing.trace import MessageTable, Trace
+from repro.verify.cases import erase_match_ids
 
 
 def two_rank_trace(with_ids=True, recv_before_send=False):
@@ -49,6 +50,25 @@ class TestBasics:
         assert t.message_event_fraction() == pytest.approx(4 / 6)
 
 
+def both_modes(trace: Trace) -> tuple[Trace, Trace]:
+    """``trace`` as it is (matched by id) and with its ids erased (FIFO)."""
+    return trace, erase_match_ids(trace)
+
+
+def half_matched_trace() -> Trace:
+    """Two sends to rank 1; the receive of the second fell outside the tracing window."""
+    log0 = EventLog()
+    log0.append(1.0, EventType.SEND, a=1, b=5, c=0, d=7)
+    log0.append(2.0, EventType.SEND, a=1, b=5, c=0, d=8)
+    log1 = EventLog()
+    log1.append(1.5, EventType.RECV, a=0, b=5, c=0, d=7)
+    return Trace({0: log0, 1: log1})
+
+
+#: Every matching rule holds with ground-truth ids and with them erased (FIFO).
+MODES = pytest.mark.parametrize("mode", [lambda t: t, erase_match_ids], ids=["by-id", "fifo"])
+
+
 class TestMatching:
     def test_match_by_id(self):
         msgs = two_rank_trace(with_ids=True).messages()
@@ -62,9 +82,8 @@ class TestMatching:
     def test_match_fifo_agrees_with_ids(self):
         by_id = two_rank_trace(with_ids=True).messages()
         fifo = two_rank_trace(with_ids=False).messages()
-        assert len(by_id) == len(fifo)
-        key = lambda m: (m.src, m.dst, m.tag, m.send_ts, m.recv_ts)
-        assert sorted(map(key, by_id)) == sorted(map(key, fifo))
+        for field in MessageTable.__slots__:
+            assert getattr(by_id, field).tobytes() == getattr(fifo, field).tobytes()
 
     def test_fifo_ordering_within_channel(self):
         # Two same-tag messages must match first-to-first.
@@ -80,41 +99,71 @@ class TestMatching:
         assert msgs.recv_ts[order[1]] == 2.4
 
     def test_unmatched_receive_strict_raises(self):
-        log0 = EventLog()  # no sends
         log1 = EventLog()
-        log1.append(1.0, EventType.RECV, a=0, b=5, c=0, d=-1)
-        trace = Trace({0: log0, 1: log1})
-        with pytest.raises(MatchingError):
-            trace.messages()
+        log1.append(1.0, EventType.RECV, a=0, b=5, c=0, d=3)
+        for trace in both_modes(Trace({0: EventLog(), 1: log1})):  # no sends
+            with pytest.raises(MatchingError, match="receive"):
+                trace.messages()
 
     def test_unmatched_send_strict_raises(self):
         log0 = EventLog()
-        log0.append(1.0, EventType.SEND, a=1, b=5, c=0, d=-1)
-        trace = Trace({0: log0, 1: EventLog()})
-        with pytest.raises(MatchingError):
-            trace.messages()
+        log0.append(1.0, EventType.SEND, a=1, b=5, c=0, d=3)
+        for trace in both_modes(Trace({0: log0, 1: EventLog()})):
+            with pytest.raises(MatchingError, match="send"):
+                trace.messages()
 
     def test_nonstrict_drops_half_matched(self):
-        log0 = EventLog()
-        log0.append(1.0, EventType.SEND, a=1, b=5, c=0, d=7)
-        log0.append(2.0, EventType.SEND, a=1, b=5, c=0, d=8)
-        log1 = EventLog()
-        log1.append(1.5, EventType.RECV, a=0, b=5, c=0, d=7)
-        # d=8's receive fell outside the tracing window.
-        trace = Trace({0: log0, 1: log1})
-        msgs = trace.messages(strict=False)
-        assert len(msgs) == 1
+        for trace in both_modes(half_matched_trace()):
+            msgs = trace.messages(strict=False)
+            assert len(msgs) == 1 and msgs.recv_ts.tolist() == [1.5]
 
     def test_violated_timestamps_still_match(self):
         # Matching is structural; reversed timestamps must not break it.
-        msgs = two_rank_trace(recv_before_send=True).messages()
-        assert len(msgs) == 2
-        assert (msgs.recv_ts < msgs.send_ts).any()
+        for trace in both_modes(two_rank_trace(recv_before_send=True)):
+            msgs = trace.messages()
+            assert len(msgs) == 2
+            assert (msgs.recv_ts < msgs.send_ts).any()
 
     def test_empty_trace_matches_empty(self):
         log = EventLog()
         log.append(1.0, EventType.ENTER, a=1)
         assert len(Trace({0: log}).messages()) == 0
+
+    @MODES
+    def test_nbytes_is_the_receives(self, mode):
+        """One rule in both modes: a row's byte count is its receive's."""
+        log0 = EventLog()
+        log0.append(1.0, EventType.SEND, a=1, b=5, c=100, d=0)
+        log1 = EventLog()
+        log1.append(1.5, EventType.RECV, a=0, b=5, c=64, d=0)
+        assert mode(Trace({0: log0, 1: log1})).messages().nbytes.tolist() == [64]
+
+    @MODES
+    def test_strict_failure_names_rank_and_index(self, mode):
+        with pytest.raises(MatchingError, match=r"1 send\(s\) .* at rank 0 index 1$"):
+            mode(half_matched_trace()).messages()
+        log1 = EventLog()
+        log1.append(0.5, EventType.ENTER, a=1)
+        log1.append(1.5, EventType.RECV, a=0, b=5, c=0, d=9)
+        with pytest.raises(MatchingError, match=r"1 receive\(s\) .* at rank 1 index 1$"):
+            mode(Trace({0: EventLog(), 1: log1})).messages()
+
+    @MODES
+    def test_strict_reads_the_nonstrict_join(self, mode, monkeypatch):
+        """``messages(strict=False)`` then ``messages()`` runs the join once."""
+        calls = []
+        real = trace_module.join_keys
+        monkeypatch.setattr(
+            trace_module, "join_keys", lambda *keys: calls.append(1) or real(*keys)
+        )
+        base = mode(two_rank_trace())
+        loose = base.messages(strict=False)
+        assert base.messages() is loose
+        half = mode(half_matched_trace())
+        assert len(half.messages(strict=False)) == 1
+        with pytest.raises(MatchingError):
+            half.messages()
+        assert calls == [1, 1]
 
 
 class TestCollectives:
@@ -230,16 +279,15 @@ class TestWithTimestamps:
     def test_matching_is_carried_not_repeated(self, monkeypatch, strict):
         """Messages are matched once per event structure: asked again the
         table comes from the cache, a corrected copy (and its copies)
-        re-reads only the send/receive times, ``refresh=True`` rematches."""
+        re-reads only the send/receive times, ``refresh=True`` rematches
+        once for both ``strict`` modes."""
         base = two_rank_trace()
         shifted = {r: base.logs[r].timestamps * 2.0 + r for r in base.ranks}
         want = base.with_timestamps(shifted).messages(strict=strict)
         first = base.messages(strict=strict)
         calls = []
         real = Trace._match_messages
-        monkeypatch.setattr(
-            Trace, "_match_messages", lambda self, strict=True: calls.append(strict) or real(self, strict)
-        )
+        monkeypatch.setattr(Trace, "_match_messages", lambda self: calls.append(1) or real(self))
         assert base.messages(strict=strict) is first
         derived = base.with_timestamps(shifted)
         again = derived.with_timestamps({})
@@ -248,18 +296,17 @@ class TestWithTimestamps:
                 a, b = getattr(table, field), getattr(want, field)
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
         assert calls == []
-        assert derived.messages(strict=strict, refresh=True) is not derived.messages(strict=not strict)
-        assert calls == [strict, not strict]
+        fresh = derived.messages(strict=strict, refresh=True)
+        assert derived.messages(strict=not strict) is fresh  # one join serves both
+        assert calls == [1]
 
     def test_one_correction_matches_messages_once(self, monkeypatch):
         from repro.core.correct import correct_trace
 
         calls = []
         real = Trace._match_messages
-        monkeypatch.setattr(
-            Trace, "_match_messages", lambda self, strict=True: calls.append(strict) or real(self, strict)
-        )
+        monkeypatch.setattr(Trace, "_match_messages", lambda self: calls.append(1) or real(self))
         base = two_rank_trace()
         result = correct_trace(base, interpolation="none", clc=True)
         assert [s.stage for s in result.stages] == ["raw", "none", "clc"]
-        assert calls == [False]  # three scans and the edge table share one matching pass
+        assert calls == [1]  # three scans and the edge table share one matching pass
