@@ -215,6 +215,19 @@ def mutant_fifo_off_by_one():
         yield
 
 
+@contextmanager
+def mutant_unpublished_move():
+    """M12: the streamed forward sweep never publishes a send it moved —
+    every receiver reads its send's input stamp, and a receive that
+    binds only behind a moved send (a relay after a jump) keeps its
+    stamp.  The in-memory path is untouched, so streamed == in-memory
+    notices."""
+    from repro.sync.streaming import _RankForward
+
+    with mock.patch.object(_RankForward, "moved_sends", lambda self, k0, k1: []):
+        yield
+
+
 #: (name, mutant, oracle each campaign must catch it with)
 MUTANTS = [
     ("zero-lmin", mutant_zero_lmin, {"mutation": None}),
@@ -231,6 +244,7 @@ MUTANTS = [
         "streaming": "streamed_matches_inmemory",
     }),
     ("fifo-off-by-one", mutant_fifo_off_by_one, {"smoke": "message_matching_semantics"}),
+    ("unpublished-move", mutant_unpublished_move, {"streaming": "streamed_matches_inmemory"}),
 ]
 
 

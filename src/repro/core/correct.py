@@ -369,7 +369,8 @@ def _correct_sharded(
     store sweep (let alone an intermediate store) per stage: one
     :class:`repro.sync.streaming.ShardSweeps` evaluates it on each shard
     it holds.  The pre-scan yields the ``raw`` and the interpolated
-    verdict from one read, the CLC reads the input twice more (forward
+    verdict from one read (and, ahead of the CLC, the source row of
+    every matched receive), the CLC reads the input twice more (forward
     sweep, output written once), and the ``clc`` verdict is a scan of
     what was written.
     """
@@ -388,7 +389,7 @@ def _correct_sharded(
         sweeps = ShardSweeps(chunked, correction, lmin, telemetry=tele)
         if scan:
             with tele.span("sync.scan", stage="raw"):
-                reports = sweeps.prescan()
+                reports = sweeps.prescan(sources=clc)
             stages = [
                 StageReport(stage=name, **verdict)
                 for name, verdict in zip(("raw", interpolation), reports)

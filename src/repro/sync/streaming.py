@@ -19,43 +19,44 @@ drives for a sharded source), each reading every input shard once:
   (:class:`~repro.tracing.trace.MatchKeys`,
   :func:`~repro.tracing.trace.join_keys`), fed one shard at a time.
   Ends that found no partner yet wait in pending arrays carried from
-  shard to shard, so the state is O(in-flight messages); the receives
-  still pending at the end are the unmatched ones, which the forward
-  sweep lets through without waiting (the pre-scan of a correction
-  without verdicts runs the join all the same).
-  Interpolation is a per-rank elementwise map, so the verdict *after* it
-  comes from the same read: every shard's resident timestamps are run
-  through :meth:`ClockCorrection.apply_rank
+  shard to shard, so the state is O(in-flight messages).  Ahead of a
+  CLC the join also writes one *source row* per matched receive —
+  ``(receive log index, send rank, send log index, send stamp at the
+  CLC's input stage)`` — into the spill bucket of the receive's shard;
+  a receive no send matched gets no row and is a plain event to the
+  forward sweep.  Interpolation is a per-rank elementwise map, so the
+  verdict *after* it comes from the same read: every shard's resident
+  timestamps are run through :meth:`ClockCorrection.apply_rank
   <repro.sync.interpolation.ClockCorrection.apply_rank>` and both
   stampings of a matched pair are checked.  No interpolated store is
   ever written — each later sweep re-evaluates the map on the shard it
-  holds, which yields the same bits as applying it to the whole log.
+  holds (or on the sends it reads), which yields the same bits as
+  applying it to the whole log.
 * the **forward** sweep is the in-memory kernel's forward pass in the
   same shape: the arithmetic is
   :func:`repro.sync.schedule.forward_recurrence` (follow rule, glide
   tail, spontaneous positions, jump test — written there only), run one
   resident shard at a time with the carried predecessor in the slot
-  before it.  The shard's stamps stay a numpy array; only the slots read
-  back (the carry, the last slot, transfer and collective positions)
-  and the events the pass moves become Python floats, and the forward
-  temp is the shard with the moved events scattered in.  The order is
-  found the way
-  :func:`repro.sync.schedule.cursor_walk` finds it: a rank advances
-  until it reaches a receive whose matching send, or a collective exit
-  whose member enters, have not been published yet (ranks are visited
-  round-robin; a blocked rank costs a visit one lookup, not a shard).
-  What this module adds is what streaming needs — shard residency,
-  publish/block by match key (sources are not known by ``(rank, idx)``
-  before their shard was read), carries.  An N-to-N or prefix
-  collective is one block here as in the compiled schedule: its exits
-  wait on a per-block count of published enters
-  (:func:`repro.sync.schedule.block_entered`) and take their floors
-  from :func:`repro.sync.schedule.block_floors`, and its enters' send
-  caps come from :func:`repro.sync.schedule.block_caps` once its last
-  exit has landed.  A shard's transfer positions,
-  keys and partner ranks leave numpy once, as lists; sends are published
-  a cursor move at a time and the send caps of a shard's receives are
-  nudged and spilled to per-shard bucket files in one batch.
+  before it.  Every source is named by ``(rank, log index)``, and every
+  rank keeps a *cursor*, the log index below which its forward stamps
+  are final — the order :func:`repro.sync.schedule.cursor_walk` finds.
+  A visit (ranks are visited round-robin) finds with windowed array
+  comparisons over the resident shard's source rows the receives whose
+  send lies behind its rank's cursor, runs up to the first that does
+  not, and lands only the receives that can bind: those whose floor on
+  the input stamps binds, and those whose send moved — a send is
+  *published* (held until its receive lands) only if the forward pass
+  moved it.  Every other receive is a plain event (see
+  :meth:`ShardSweeps._forward` for why that is exact).  An N-to-N or
+  prefix collective is one block here as in the compiled schedule: its
+  exits wait on member cursors through
+  :func:`repro.sync.schedule.block_entered`, take their floors from
+  :func:`repro.sync.schedule.block_floors` over the enter stamps
+  recorded as the cursors passed them, and its enters' send caps come
+  from :func:`repro.sync.schedule.block_caps` once its last exit has
+  landed.  A shard's send caps are one
+  :func:`repro.sync.schedule.nudged_caps` op at flush over its settled
+  receive stamps, spilled to the senders' per-shard bucket files.
 * the backward amortization is a single reverse pass over each flagged
   rank's forward temp files — :func:`repro.sync.clc.amortize_segment`
   per shard, with three scalar carries (the next shard's first advance,
@@ -71,8 +72,8 @@ forward, backward, finalize, no interpolation) and
 :func:`streaming_apply_correction` (the interpolation alone, written
 out).  Nothing about collectives is decided here: who constrains whom
 comes from :func:`repro.sync.collectives_map.collective_constraints` —
-this module only keys its pairs and blocks for its publish/block state
-machine.
+this module only names its pairs' and blocks' enters by ``(rank, log
+index)`` for the cursors to release.
 
 Boundary-state requirement: match ids must be unique, as
 simulator-written traces guarantee.  A dependency cycle (corrupt
@@ -88,7 +89,7 @@ import tempfile
 from bisect import bisect_left
 from dataclasses import replace
 from pathlib import Path
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -112,7 +113,6 @@ from repro.sync.schedule import (
 from repro.sync.violations import (
     LminSpec,
     ViolationReport,
-    pair_lmin,
     resolve_lmin,
     scan_messages,
 )
@@ -129,13 +129,18 @@ __all__ = [
     "streaming_apply_correction",
 ]
 
-_CENT = int(EventType.COLL_ENTER)
-_CEXIT = int(EventType.COLL_EXIT)
+_SEND = int(EventType.SEND)
 
 #: Caps spill records: rank-local event index + cap value.
 _CAPS_DTYPE = np.dtype([("i", "<i8"), ("v", "<f8")])
-#: In-memory cap records buffered per bucket before hitting disk.
-_CAPS_BUFFER = 4096
+#: Source spill records, one per matched receive: its log index, its
+#: send's rank and log index, and the send's stamp at the CLC's input stage.
+_SOURCE_DTYPE = np.dtype([("i", "<i8"), ("r", "<i8"), ("j", "<i8"), ("v", "<f8")])
+#: Records one spill buffers in memory, over all its buckets, before it
+#: writes every bucket out (at 32 bytes a record, 2 MiB).
+_SPILL_BUDGET = 1 << 16
+#: A send's ``(rank, log index)`` as one int64: ``rank << _RANK_SHIFT | idx``.
+_RANK_SHIFT = 40
 
 
 def _source_is_chunked(source) -> ChunkedTrace:
@@ -167,6 +172,72 @@ class _Resident:
 
 
 # ----------------------------------------------------------------------
+# Spill buckets
+# ----------------------------------------------------------------------
+class _Spill:
+    """Per-(rank, shard) bucket files of ``dtype`` records.
+
+    A record's first field is a rank-local event index; it goes to the
+    bucket of the shard holding that event.  Records are buffered until
+    the spill holds more than ``_SPILL_BUDGET`` of them, whatever their
+    buckets, and then every bucket is appended to its file, so the
+    memory a spill holds is bounded by a constant, not by the number of
+    messages.  Each bucket is read once, after which its buffered
+    records are dropped.
+    """
+
+    def __init__(
+        self, tmpdir: Path, name: str, dtype: np.dtype, shard_starts: dict[int, np.ndarray]
+    ) -> None:
+        self.tmpdir = tmpdir
+        self.name = name
+        self.dtype = dtype
+        self.buffers: dict[tuple[int, int], list[np.ndarray]] = {}
+        self.buffered = 0
+        # Every shard's first event as one sorted int64, ``rank position
+        # << _RANK_SHIFT | log index``, so one search buckets any records.
+        ranks = list(shard_starts)
+        self.pos = np.zeros(max(ranks, default=0) + 1, dtype=np.int64)
+        self.pos[ranks] = np.arange(len(ranks))
+        self.firsts = np.concatenate(
+            [(p << _RANK_SHIFT) + s for p, s in enumerate(shard_starts.values())]
+            or [np.empty(0, dtype=np.int64)]
+        )
+        self.buckets = [(r, o) for r, s in shard_starts.items() for o in range(s.size)]
+
+    def _path(self, rank: int, ordinal: int) -> Path:
+        return self.tmpdir / f"{self.name}_r{rank}_s{ordinal}.bin"
+
+    def add(self, ranks: np.ndarray, *columns: np.ndarray) -> None:
+        """One record per entry of ``columns`` (in ``dtype``'s field order) for rank ``ranks[k]``."""
+        records = np.empty(ranks.size, dtype=self.dtype)
+        for field, column in zip(self.dtype.names, columns):
+            records[field] = column
+        at = (self.pos[ranks] << _RANK_SHIFT) + records[self.dtype.names[0]]
+        bucket = np.searchsorted(self.firsts, at, side="right") - 1
+        order = np.argsort(bucket, kind="stable")
+        bucket = bucket[order]
+        cuts = np.flatnonzero(bucket[1:] != bucket[:-1]) + 1
+        for b, part in zip(bucket[np.r_[0, cuts][: bucket.size]].tolist(),
+                           np.split(records[order], cuts)):
+            self.buffers.setdefault(self.buckets[b], []).append(part)
+        self.buffered += records.size
+        if self.buffered > _SPILL_BUDGET:
+            for key, buf in self.buffers.items():
+                with self._path(*key).open("ab") as fh:
+                    fh.write(np.concatenate(buf).tobytes())
+            self.buffers.clear()
+            self.buffered = 0
+
+    def load(self, rank: int, ordinal: int) -> np.ndarray:
+        path = self._path(rank, ordinal)
+        spilled = path.read_bytes() if path.exists() else b""
+        buf = self.buffers.pop((rank, ordinal), [])
+        self.buffered -= sum(map(len, buf))
+        return np.concatenate([np.frombuffer(spilled, dtype=self.dtype), *buf])
+
+
+# ----------------------------------------------------------------------
 # Message matching
 # ----------------------------------------------------------------------
 def _rows(side: tuple, sel) -> tuple:
@@ -179,15 +250,20 @@ class _MessageJoin:
     A *side* is ``(key, rank, ordinal, log index, stamps)`` with one entry
     per transfer event — ``ordinal`` the receive's position among its
     rank's receives (unused for sends) and ``stamps`` a ``(stages, n)``
-    array of the event's timestamp under each verdict stage (if any).
-    Ends that found no partner yet stay pending, so the state is
-    O(in-flight messages); at the end the pending receives are unmatched.
+    array of the event's timestamp under each verdict stage (if any); a
+    send side carries a sixth column, the send's stamp at the CLC's
+    input stage.  Ends that found no partner yet stay pending, so the
+    state is O(in-flight messages); at the end the pending receives are
+    unmatched.  With ``sources`` every matched pair is written there as
+    its receive's source row.
     """
 
-    def __init__(self, stages: int, lmin: LminSpec) -> None:
-        ints = np.empty(0, dtype=np.int64)
-        self.sends = self.recvs = (ints, ints, ints, ints, np.empty((stages, 0)))
+    def __init__(self, stages: int, lmin: LminSpec, sources: Optional[_Spill] = None) -> None:
+        ints, stamps = np.empty(0, dtype=np.int64), np.empty((stages, 0))
+        self.sends = (ints, ints, ints, ints, stamps, np.empty(0))
+        self.recvs = (ints, ints, ints, ints, stamps)
         self.lmin = lmin
+        self.sources = sources
         self.violators = [[] for _ in range(stages)]  # per stage: (dst rank, ordinal) arrays
         self.worst = [0.0] * stages
 
@@ -197,22 +273,21 @@ class _MessageJoin:
         recvs = tuple(np.concatenate(cols, axis=-1) for cols in zip(self.recvs, recvs))
         sent, found, unsent = join_keys(sends[0], recvs[0])
         self.sends, self.recvs = _rows(sends, unsent), _rows(recvs, ~found)
-        if not self.worst or not sent.size:
+        if not sent.size:
             return
-        (_, src, *_, sent_ts), (_, dst, ordinal, _, received) = (
+        (_, src, _, src_idx, sent_ts, clc_in), (_, dst, ordinal, dst_idx, received) = (
             _rows(sends, sent), _rows(recvs, found)
         )
+        if self.sources is not None:
+            self.sources.add(dst, dst_idx, src, src_idx, clc_in)
+        if not self.worst:
+            return
         floors = resolve_lmin(self.lmin, src, dst)
         for stage, slack in enumerate(received - (sent_ts + floors)):
             bad = slack < 0
             if bad.any():
                 self.violators[stage].append((dst[bad], ordinal[bad]))
                 self.worst[stage] = max(self.worst[stage], float(-slack[bad].min()))
-
-    def unmatched(self, ranks: list[int]) -> dict[int, np.ndarray]:
-        """Per rank, the log indices of the receives no send matched."""
-        _, rank, _, idx, _ = self.recvs
-        return {r: idx[rank == r] for r in ranks}
 
     def reports(self, ranks: list[int], recv_seen: dict[int, int]) -> list[ViolationReport]:
         """Per stage, the report :func:`scan_messages` gives on the matched table.
@@ -244,79 +319,99 @@ class _MessageJoin:
 # Collective dependencies
 # ----------------------------------------------------------------------
 class _CollectiveDeps:
-    """The collective constraints, keyed the way the streaming forward pass reads them.
+    """The collective constraints, named by ``(rank, log index)`` for the cursors.
 
     :func:`repro.sync.collectives_map.collective_constraints` splits them
-    into rooted pairs and blocks, as for the compiled schedule.  A
-    constraining enter is published under ``(instance, rank)``:
+    into rooted pairs and blocks, as for the compiled schedule:
 
-    * ``publish[rank]`` — ``{local enter idx: key}`` for enters some
-      other rank's exit depends on;
-    * ``exits[rank]`` — ``{local exit idx: [key, ...]}`` for a rooted
-      exit (its senders, in :func:`repro.sync.order.dependency_edges`
-      order) or ``{local exit idx: slot}`` for a block exit;
-    * ``consumers[key]`` — number of rooted exits reading that
-      publication (for cleanup).
+    * ``enters[rank]`` — the sorted log indices of ``rank``'s
+      constraining enters (a rooted pair's sender or a block member);
+      the forward sweep records each one's stamp in ``values`` as the
+      rank's cursor passes it;
+    * ``exits[rank]`` — ``{exit idx: [(src rank, enter idx, l_min), ...]}``
+      for a rooted exit (its senders, in
+      :func:`repro.sync.order.dependency_edges` order) or ``{exit idx:
+      slot}`` for a block exit, ``exit_at[rank]`` their sorted indices.
 
-    A block keeps what :class:`~repro.sync.schedule.CompiledSchedule`
-    keeps: the count of its leading slots whose enter is published
+    A rooted exit is ready once every sender lies behind its rank's
+    cursor; a sender's stamp is dropped after its last rooted reader
+    landed.  A block keeps what
+    :class:`~repro.sync.schedule.CompiledSchedule` keeps: the count of its
+    leading slots whose enter lies behind its rank's cursor
     (:func:`repro.sync.schedule.block_entered`, one lookup per check,
     never ``n - 1``), floors from
     :func:`repro.sync.schedule.block_floors`, and — once its last exit
     lands — its enters' send caps from
-    :func:`repro.sync.schedule.block_caps`, after which its publications
-    are dropped.
+    :func:`repro.sync.schedule.block_caps`, after which its members'
+    stamps are dropped.
     """
 
-    def __init__(self, table: CollectiveTable, lmin: LminSpec, published: dict) -> None:
-        self.publish: dict[int, dict[int, tuple[int, int]]] = {}
-        self.exits: dict[int, dict] = {}
-        self.consumers: dict[tuple[int, int], int] = {}
+    def __init__(self, table: CollectiveTable, lmin: LminSpec, cursor: np.ndarray) -> None:
+        self.values: dict[tuple[int, int], float] = {}
+        self.readers: dict[tuple[int, int], int] = {}
+        exits: dict[int, dict] = {}
+        enters: dict[int, set] = {}
         (receivers, senders), blocks = collective_constraints(table)
-        instance = np.repeat(table.instance, np.diff(table.starts))
-        for inst, dst, exit_idx, src, enter_idx in zip(
-            instance[receivers].tolist(),
-            table.ranks[receivers].tolist(), table.exit_idx[receivers].tolist(),
-            table.ranks[senders].tolist(), table.enter_idx[senders].tolist(),
+        src, dst = table.ranks[senders], table.ranks[receivers]
+        for d, exit_idx, s, enter_idx, lm in zip(
+            dst.tolist(), table.exit_idx[receivers].tolist(),
+            src.tolist(), table.enter_idx[senders].tolist(),
+            resolve_lmin(lmin, src, dst).tolist(),
         ):
-            key = (inst, src)
-            self.exits.setdefault(dst, {}).setdefault(exit_idx, []).append(key)
-            self.publish.setdefault(src, {})[enter_idx] = key
-            self.consumers[key] = self.consumers.get(key, 0) + 1
+            exits.setdefault(d, {}).setdefault(exit_idx, []).append((s, enter_idx, lm))
+            enters.setdefault(s, set()).add(enter_idx)
+            self.readers[s, enter_idx] = self.readers.get((s, enter_idx), 0) + 1
 
         members = blocks.members
-        self.ranks = table.ranks[members].tolist()
-        self.enter_idx = table.enter_idx[members].tolist()
-        self.keys = keys = list(zip(instance[members].tolist(), self.ranks))
+        self.ranks = ranks = table.ranks[members].tolist()
+        self.enter_idx = enter_idx = table.enter_idx[members].tolist()
         lo, need = blocks.sources()
         self.lo, self.need = lo.tolist(), need.tolist()
         self.indptr, self.prefix = blocks.indptr, blocks.prefix
         self.lmin = block_lmin(lmin, blocks.indptr, table.ranks[members])
-        self.published = published
+        values = self.values
         self.floor = block_floors(
             self.lo, self.need, self.lmin,
-            lambda lo, hi: [published[key][0] for key in keys[lo:hi]],
+            lambda lo, hi: [values[k] for k in zip(ranks[lo:hi], enter_idx[lo:hi])],
         )
-        _, self.extend = block_entered(self.lo, lambda v: keys[v] in published)
+        _, self.extend = block_entered(self.lo, lambda v: enter_idx[v] < cursor[ranks[v]])
         self.pending: dict[int, int] = {}  # block (first slot) -> exits still to land
         self.recv = [0.0] * len(members)  # per slot: its exit's forward stamp
-        for slot, (rank, enter_idx, exit_idx, key) in enumerate(
-            zip(self.ranks, self.enter_idx, table.exit_idx[members].tolist(), self.keys)
+        for slot, (rank, enter, exit_idx) in enumerate(
+            zip(ranks, enter_idx, table.exit_idx[members].tolist())
         ):
-            self.publish.setdefault(rank, {})[enter_idx] = key
+            enters.setdefault(rank, set()).add(enter)
             if self.need[slot] > self.lo[slot]:  # a prefix block's first exit waits for nobody
-                self.exits.setdefault(rank, {})[exit_idx] = slot
+                exits.setdefault(rank, {})[exit_idx] = slot
                 self.pending[self.lo[slot]] = self.pending.get(self.lo[slot], 0) + 1
+        self.exits = exits
+        self.enters = {r: np.array(sorted(e), dtype=np.int64) for r, e in enters.items()}
+        self.exit_at = {r: np.array(sorted(e), dtype=np.int64) for r, e in exits.items()}
 
-    def ready(self, slot: int) -> bool:
-        """Whether every enter block slot ``slot``'s exit depends on is published."""
-        need = self.need[slot]
-        return self.extend(self.lo[slot], need) >= need
+    def ready(self, deps, cursor: np.ndarray) -> bool:
+        """Whether every enter exit ``deps`` (edges or a block slot) reads lies behind its cursor."""
+        if isinstance(deps, int):
+            need = self.need[deps]
+            return self.extend(self.lo[deps], need) >= need
+        return all(idx < cursor[s] for s, idx, _ in deps)
+
+    def rooted_floor(self, deps: list) -> float:
+        """The largest ``LC'(enter) + l_min`` over a rooted exit's senders, their reads counted."""
+        values, readers = self.values, self.readers
+        floor = -np.inf
+        for s, idx, lm in deps:
+            key = (s, idx)
+            if values[key] + lm > floor:
+                floor = values[key] + lm
+            readers[key] -= 1
+            if not readers[key]:
+                del values[key], readers[key]
+        return floor
 
     def landed(self, slot: int, value: float) -> Optional[tuple[list, list, list]]:
         """Record the exit's forward stamp; when it was its block's last,
         ``(ranks, enter indices, caps)`` of the block's enters (``inf``
-        where no exit waits) and its publications are dropped."""
+        where no exit waits) and its members' stamps are dropped."""
         lo = self.lo[slot]
         self.recv[slot] = value
         self.pending[lo] -= 1
@@ -327,53 +422,39 @@ class _CollectiveDeps:
         hi = int(self.indptr[b + 1])
         lmin = self.lmin[lo][None] if isinstance(self.lmin, list) else self.lmin
         caps = block_caps(np.array([self.recv[lo:hi]]), lmin, bool(self.prefix[b]))[0]
-        for key in self.keys[lo:hi]:
-            del self.published[key]
+        for key in zip(self.ranks[lo:hi], self.enter_idx[lo:hi]):
+            del self.values[key]
         return self.ranks[lo:hi], self.enter_idx[lo:hi], caps.tolist()
-
-
-# ----------------------------------------------------------------------
-# Caps spill
-# ----------------------------------------------------------------------
-class _CapsSpill:
-    """Per-(rank, shard) bucket files of ``(event index, cap)`` records."""
-
-    def __init__(self, tmpdir: Path, shard_starts: dict[int, np.ndarray]) -> None:
-        self.tmpdir = tmpdir
-        self.starts = shard_starts
-        self.buffers: dict[tuple[int, int], list[np.ndarray]] = {}
-
-    def _path(self, rank: int, ordinal: int) -> Path:
-        return self.tmpdir / f"caps_r{rank}_s{ordinal}.bin"
-
-    def add(self, ranks: np.ndarray, idx: np.ndarray, vals: np.ndarray) -> None:
-        """Record ``vals[k]`` as a cap on event ``idx[k]`` of rank ``ranks[k]``."""
-        records = np.empty(idx.size, dtype=_CAPS_DTYPE)
-        records["i"], records["v"] = idx, vals
-        for rank in np.unique(ranks).tolist():
-            mine = records[ranks == rank]
-            ordinal = np.searchsorted(self.starts[rank], mine["i"], side="right") - 1
-            for o in np.unique(ordinal).tolist():
-                key = (rank, o)
-                buf = self.buffers.setdefault(key, [])
-                buf.append(mine[ordinal == o])
-                if sum(map(len, buf)) >= _CAPS_BUFFER:
-                    with self._path(*key).open("ab") as fh:
-                        fh.write(np.concatenate(buf).tobytes())
-                    buf.clear()
-
-    def load(self, rank: int, ordinal: int) -> tuple[np.ndarray, np.ndarray]:
-        path = self._path(rank, ordinal)
-        spilled = path.read_bytes() if path.exists() else b""
-        arr = np.concatenate(
-            [np.frombuffer(spilled, dtype=_CAPS_DTYPE), *self.buffers.get((rank, ordinal), [])]
-        )
-        return arr["i"].astype(np.int64, copy=False), arr["v"].astype(np.float64, copy=False)
 
 
 # ----------------------------------------------------------------------
 # Streaming forward pass
 # ----------------------------------------------------------------------
+class _Sources(NamedTuple):
+    """A resident shard's source rows, ascending by receive.
+
+    ``q`` is the receive's list index (shard event ``q - 1``), ``rank``
+    and ``idx`` name its send, ``wait`` is the log index the send's
+    rank's cursor must pass (``-1`` for an own send earlier in the log,
+    which the cursor passes on the way).  The lists hold what a landing
+    reads: ``key`` the send's ``(rank, idx)`` key, ``stamp`` its input
+    stamp, and ``bound`` the rows that land whatever moved — an own
+    send, or an input-stage floor ``stamp + l_min`` above the receive's
+    input stamp.
+    """
+
+    q: np.ndarray
+    rank: np.ndarray
+    idx: np.ndarray
+    lmin: np.ndarray
+    wait: np.ndarray
+    q_list: list
+    key: list
+    stamp: list
+    lmin_list: list
+    bound: list
+
+
 class _RankForward:
     """One rank's forward pass, advanced shard by shard.
 
@@ -381,17 +462,18 @@ class _RankForward:
     run over one shard at a time with a one-slot prefix holding the
     previous shard's last original value, on which its corrected value
     lands, so the recurrence reads ``corr[q - 1]`` uniformly across
-    shard boundaries (splitting a stretch at a shard or publication
-    boundary changes no bit).  What
-    is kept here is what streaming needs: which shard is resident, where
-    the cursor stands in it, the events to stop at or publish — python
-    lists, taken from the shard's columns once — the send caps its
-    receives imply, and the carries.
+    shard boundaries (splitting a stretch at a shard or visit boundary
+    changes no bit).  What is kept here is what streaming needs: which
+    shard is resident, where the cursor stands in it, the shard's source
+    rows, sends, constraining enters and constrained exits — list
+    indices, taken from the shard's columns once — the rooted edges and
+    completed blocks whose caps it spills, and the carries.
     """
 
     __slots__ = (
-        "rank", "recs", "si", "lo", "n_s", "corr", "stretch", "land", "settle", "sp_ptr",
-        "stops", "stop_ptr", "pubs", "pub_ptr", "cur", "caps",
+        "rank", "recs", "si", "lo", "n_s", "corr", "stretch", "land", "settle",
+        "sp_ptr", "cur", "passed", "rows", "row_ptr", "send_q", "send_ts", "send_ptr",
+        "enter_q", "enter_ptr", "exit_q", "exit_deps", "exit_ptr", "edges", "block_caps",
         "prev_orig", "prev_corr", "writes", "finished", "jumps", "fwd_paths", "fwd_span",
     )
 
@@ -408,55 +490,94 @@ class _RankForward:
         self.fwd_paths: list[Path] = []
         self.fwd_span: list[tuple[float, float]] = []  # per shard: (first, max) forward time
 
-    def load_next(self, cols, gamma, keys: MatchKeys, unmatched, my_pub, my_exits) -> None:
-        """Make the next shard (its columns ``cols``, stamps as float64) resident."""
+    def load_next(self, cols, gamma, rows: np.ndarray, lmin: LminSpec, coll: _CollectiveDeps):
+        """Make the next shard (its columns ``cols``, stamps as the CLC takes
+        them) resident, with ``rows``, its bucket of source rows."""
         self.si += 1
         rec = self.recs[self.si]
-        ts, et, a, b, _, d = cols
-        lo = self.lo = rec.start
-        self.n_s = rec.events
-        (sends, send_keys), (recvs, recv_keys) = keys.ends(self.rank, et, a, b, d)
-        enters = [i for i in np.flatnonzero(et == _CENT).tolist() if lo + i in my_pub]
-        exits = [i for i in np.flatnonzero(et == _CEXIT).tolist() if lo + i in my_exits]
-        # List index ``i + 1`` is the shard's event ``i``; the log's very
-        # first event has no predecessor for the follow rule to read.
-        # What is read back: the carried slot, the last slot (the next
-        # carry), and every event published or stopped at.
+        ts, et = cols[0], cols[1]
+        rank, lo, n = self.rank, rec.start, rec.events
+        self.lo, self.n_s = lo, n
+        # List index ``q`` is the shard's event ``q - 1``.
+        rows = rows[np.argsort(rows["i"], kind="stable")]
+        q = rows["i"] - (lo - 1)
+        src, idx, stamp = rows["r"], rows["j"], rows["v"]
+        lm = resolve_lmin(lmin, src, np.full(src.size, rank))
+        own = src == rank
+        self.rows = _Sources(
+            q, src, idx, lm, np.where(own & (idx < rows["i"]), -1, idx),
+            q.tolist(), (src << _RANK_SHIFT | idx).tolist(), stamp.tolist(), lm.tolist(),
+            np.flatnonzero(own | (stamp + lm > ts[q - 1])).tolist(),
+        )
+        self.row_ptr = 0
+        sends = np.flatnonzero(et == _SEND)
+        self.send_q, self.send_ts, self.send_ptr = (sends + 1).tolist(), ts[sends].tolist(), 0
+
+        def here(at: np.ndarray) -> np.ndarray:
+            return at[np.searchsorted(at, lo):np.searchsorted(at, lo + n)] - (lo - 1)
+
+        enters = here(coll.enters.get(rank, np.empty(0, dtype=np.int64)))
+        exits = here(coll.exit_at.get(rank, np.empty(0, dtype=np.int64)))
+        self.enter_q, self.enter_ptr = enters.tolist(), 0
+        self.exit_q, self.exit_ptr = exits.tolist(), 0
+        self.exit_deps = [coll.exits[rank][lo + p - 1] for p in self.exit_q]
+        edges = [(s, e, m, p) for p, deps in zip(self.exit_q, self.exit_deps)
+                 if not isinstance(deps, int) for s, e, m in deps]
+        self.edges = tuple(np.array(c, dtype=t) for c, t in zip(
+            zip(*edges) if edges else ((),) * 4, (np.int64, np.int64, np.float64, np.int64)
+        ))
+        self.block_caps = ([], [], [])  # ranks, enter indices, caps of blocks completed here
+        # The log's very first event has no predecessor for the follow
+        # rule to read.  What is read back: the carried slot, the last
+        # slot (the next carry), and every send, receive with a source,
+        # constraining enter and constrained exit.
         self.corr, _, self.stretch, self.land, self.settle = forward_recurrence(
             np.append(self.prev_orig, ts), gamma,
-            heads=[1] if lo == 0 and rec.events else [],
-            reads=np.concatenate([
-                [0, rec.events], sends + 1, recvs + 1, np.array(enters + exits, dtype=np.int64) + 1,
-            ]),
+            heads=[1] if lo == 0 and n else [],
+            reads=np.concatenate([[0, n], sends + 1, q, enters, exits]),
         )
         self.land(0, self.prev_corr)
         self.prev_orig = float(ts[-1])
         self.sp_ptr = 0
-        # Where to stop: (list index, match key, 0) of every receive (key -1
-        # if the join left it unmatched: the log indices ``unmatched``),
-        # (list index, None, log index) of every constrained collective
-        # exit, and the shard's end behind them all.
-        if unmatched.size:
-            recv_keys[np.isin(recvs + lo, unmatched)] = -1
-        self.stops = sorted(
-            list(zip((recvs + 1).tolist(), recv_keys.tolist(), [0] * recvs.size))
-            + [(i + 1, None, lo + i) for i in exits]
-        )
-        self.stops.append((rec.events + 1, 0, 0))
-        # What to publish: (list index, key) of every send and every
-        # constraining enter (list indices differ, so keys never compare).
-        self.pubs = sorted(
-            list(zip((sends + 1).tolist(), send_keys.tolist()))
-            + [(i + 1, my_pub[lo + i]) for i in enters]
-        )
-        self.stop_ptr = 0
-        self.pub_ptr = 0
-        self.cur = 1
-        # Per consumed edge: source rank, source idx, l_min, value; then
-        # per block enter whose block completed here: rank, idx, cap.
-        self.caps = ([], [], [], [], [], [], [])
+        self.cur = self.passed = 1
 
-    def flush_shard(self, tmpdir: Path, spill: _CapsSpill) -> None:
+    def moved_sends(self, k0: int, k1: int) -> list[tuple[int, float]]:
+        """``(key, forward stamp)`` of each of the shard's sends ``k0..k1-1`` the pass moved."""
+        corr, base = self.corr, (self.rank << _RANK_SHIFT) + self.lo - 1
+        return [
+            (base + q, corr[q])
+            for q, t in zip(self.send_q[k0:k1], self.send_ts[k0:k1]) if corr[q] > t
+        ]
+
+    def first_waiting(self, cursor: np.ndarray) -> int:
+        """The first source row at or after ``row_ptr`` whose send does not
+        lie behind its rank's cursor, or the row count.
+
+        The next 8 rows are checked one at a time, the rest by one array
+        comparison per window, each window four times the last.  The head
+        is measured, not guessed (same-process A/B against one windowed
+        loop, 20 rounds, 2-vCPU VM): on a streamed 16-rank POP trace
+        every one of its ≈ 13.2k waiting visits stops within 8 rows,
+        where an array comparison costs more than it checks — without
+        the head the forward sweep takes ≈ 14 % longer (0.267 → 0.311 s,
+        head faster in 15 of 20 rounds); on the benchmark's 2×500k store
+        its 16 visits run to the end of the rows and the head changes
+        nothing measurable."""
+        rows, n = self.rows, self.rows.q.size
+        head = min(self.row_ptr + 8, n)
+        for r in range(self.row_ptr, head):
+            if rows.wait[r] >= cursor[rows.rank[r]]:
+                return r
+        r, width = head, 64
+        while r < n:
+            hi = min(r + width, n)
+            waiting = rows.wait[r:hi] >= cursor[rows.rank[r:hi]]
+            if waiting.any():
+                return r + int(waiting.argmax())
+            r, width = hi, width * 4
+        return n
+
+    def flush_shard(self, tmpdir: Path, spill: _Spill) -> None:
         """Save the shard's forward times, spill its send caps, drop it."""
         path = tmpdir / f"fwd_r{self.rank}_s{self.si}.npy"
         fwd, written = self.settle()
@@ -466,16 +587,22 @@ class _RankForward:
         self.fwd_paths.append(path)
         self.fwd_span.append((float(fwd[0]), float(fwd.max())))
         self.prev_corr = self.corr[self.n_s]
-        self.corr = self.stretch = self.land = self.settle = self.stops = self.pubs = None
-        ranks, idx, lmins, values, block_ranks, block_idx, block_caps = self.caps
-        if ranks or block_ranks:
-            vals = nudged_caps(*(np.array(c, dtype=np.float64) for c in (values, lmins)))
-            spill.add(
-                np.array(ranks + block_ranks, dtype=np.int64),
-                np.array(idx + block_idx, dtype=np.int64),
-                np.concatenate([vals, block_caps]),
-            )
-        self.caps = None
+        self.corr = self.stretch = self.land = self.settle = None
+        # Every receive's and rooted exit's cap on its sources, in the
+        # order they came in the log, then the blocks completed here.
+        rows, (e_src, e_idx, e_lmin, e_q) = self.rows, self.edges
+        at = np.concatenate([rows.q, e_q])
+        order = np.argsort(at, kind="stable")
+        ranks = np.concatenate([rows.rank, e_src])[order]
+        idx = np.concatenate([rows.idx, e_idx])[order]
+        vals = nudged_caps(fwd[at[order] - 1], np.concatenate([rows.lmin, e_lmin])[order])
+        b_ranks, b_idx, b_caps = self.block_caps
+        ranks = np.concatenate([ranks, np.array(b_ranks, dtype=np.int64)])
+        idx = np.concatenate([idx, np.array(b_idx, dtype=np.int64)])
+        vals = np.concatenate([vals, b_caps])
+        if ranks.size:
+            spill.add(ranks, idx, vals)
+        self.rows = self.edges = self.block_caps = None
         if self.si + 1 >= len(self.recs):
             self.finished = True
 
@@ -483,7 +610,7 @@ class _RankForward:
 # ----------------------------------------------------------------------
 # Streaming backward amortization
 # ----------------------------------------------------------------------
-def _backward_pass(st: _RankForward, window: float, caps: _CapsSpill, resident, tele) -> None:
+def _backward_pass(st: _RankForward, window: float, caps: _Spill, resident, tele) -> None:
     """Single reverse pass over one rank's forward temp files.
 
     One :func:`repro.sync.clc.amortize_segment` call per shard, the
@@ -509,9 +636,9 @@ def _backward_pass(st: _RankForward, window: float, caps: _CapsSpill, resident, 
         times = np.load(st.fwd_paths[si])
         resident.read(n_s)
         caps_shard = np.full(n_s, np.inf, dtype=np.float64)
-        idx, vals = caps.load(st.rank, si)
-        if idx.size:
-            np.minimum.at(caps_shard, idx - lo, vals)
+        records = caps.load(st.rank, si)
+        if records.size:
+            np.minimum.at(caps_shard, records["i"] - lo, records["v"])
         out, carry = amortize_segment(
             times, (ks - lo, js, vs), window, caps_shard, carry, tele
         )
@@ -550,9 +677,14 @@ class ShardSweeps:
         self.by_id = not any(  # the rule of ``Trace.messages``: no send without an id
             rec.neg_send_ids for r in self.chunked.ranks for rec in self.reader.rank_shards(r)
         )
+        self.starts = {
+            r: np.array([rec.start for rec in self.reader.rank_shards(r)], dtype=np.int64)
+            for r in self.chunked.ranks
+        }
         self.collectives: Optional[CollectiveTable] = None
-        #: Per rank, the log indices of the receives no send matched (set by ``prescan``).
-        self.unmatched: Optional[dict[int, np.ndarray]] = None
+        #: The source rows of every matched receive (set by ``prescan(sources=True)``).
+        self.sources: Optional[_Spill] = None
+        self._tmp: Optional[tempfile.TemporaryDirectory] = None
 
     # -- shard access ------------------------------------------------------
     def _load(self, rec) -> tuple[np.ndarray, ...]:
@@ -562,7 +694,7 @@ class ShardSweeps:
         return cols
 
     def _corrected(self, rank: int, raw: np.ndarray) -> np.ndarray:
-        """A resident shard's timestamps after the interpolation (an elementwise map)."""
+        """Timestamps after the interpolation (an elementwise map)."""
         return raw if self.correction is None else self.correction.apply_rank(rank, raw)
 
     def _stamps(self, rank: int, raw: np.ndarray) -> list[np.ndarray]:
@@ -578,7 +710,9 @@ class ShardSweeps:
                     yield rank, recs[si]
 
     # -- sweep 1 -----------------------------------------------------------
-    def prescan(self, verdicts: bool = True) -> list[dict[str, ViolationReport]]:
+    def prescan(
+        self, verdicts: bool = True, sources: bool = False
+    ) -> list[dict[str, ViolationReport]]:
         """Pair the collectives, join the messages, with ``verdicts`` scan every stage (Eq. 1).
 
         Returns one ``{"p2p": ..., "collective": ...}`` per stage — the
@@ -586,30 +720,41 @@ class ShardSweeps:
         each equal to :func:`repro.sync.violations.scan_trace` on the
         materialized trace of that stage (counts, violation indices in
         message-table order, worst magnitude); none without ``verdicts``.
-        Either way the read leaves what the forward pass needs: the
-        collective table and the receives the join left unmatched.
+        Either way the read leaves the collective table; with
+        ``sources`` it also spills the source row of every matched
+        receive for the forward sweep of :meth:`clc`.
         """
         ranks = self.chunked.ranks
         stages = (1 if self.correction is None else 2) if verdicts else 0
         rows = [{r: [] for r in ranks} for _ in range(max(stages, 1))]
+        if sources:
+            self._tmp = tempfile.TemporaryDirectory(prefix="repro-stream-")
+            self.sources = _Spill(Path(self._tmp.name), "src", _SOURCE_DTYPE, self.starts)
         keys = MatchKeys(self.by_id)
-        join = _MessageJoin(stages, self.lmin)
+        join = _MessageJoin(stages, self.lmin, self.sources if sources else None)
         recv_seen = dict.fromkeys(ranks, 0)
         for rank, rec in self._ordinal_order():
             raw, et, a, b, _, d = self._load(rec)
-            stamps = self._stamps(rank, raw) if verdicts else []
-            if self.include_collectives:
-                for stage, ts in enumerate(stamps or [raw]):
-                    rows[stage][rank].append(collective_rows(rec.start, ts, et, a, b, d))
+            (sends, send_keys), (recvs, recv_keys) = keys.ends(rank, et, a, b, d)
+            coll = collective_rows(rec.start, raw, et, a, b, d) if self.include_collectives else ()
+            # The verdicts read the transfer and collective stamps only, so
+            # the stages are evaluated there: per stage, [sends, recvs, collectives].
+            at = np.concatenate([sends, recvs] + ([coll[1] - rec.start] if coll else []))
+            stamps = [
+                np.split(ts, [sends.size, sends.size + recvs.size])
+                for ts in (self._stamps(rank, raw[at]) if verdicts else [])
+            ]
+            if coll:
+                for stage, (*_, ts) in enumerate(stamps or [[coll[2]]]):
+                    rows[stage][rank].append(coll[:2] + (ts,) + coll[3:])
             sides = [
                 (key, np.full(pos.size, rank, dtype=np.int64), np.arange(pos.size) + recv_seen[rank],
-                 pos + rec.start, np.array([ts[pos] for ts in stamps]).reshape(len(stamps), pos.size))
-                for pos, key in keys.ends(rank, et, a, b, d)
+                 pos + rec.start, np.array([ts[k] for ts in stamps]).reshape(len(stamps), pos.size))
+                for k, (pos, key) in enumerate(((sends, send_keys), (recvs, recv_keys)))
             ]
-            recv_seen[rank] += sides[1][0].size
-            join.feed(*sides)
+            recv_seen[rank] += recvs.size
+            join.feed(sides[0] + (self._corrected(rank, raw[sends]),), sides[1])
             self.resident.release(rec.events)
-        self.unmatched = join.unmatched(ranks)
         tables = [pair_collectives(r) for r in rows] if self.include_collectives else []
         if tables:
             self.collectives = tables[0]
@@ -659,26 +804,28 @@ class ShardSweeps:
         amortization_window: Optional[float] = None,
         shard_events: Optional[int] = None,
     ) -> ClcResult:
-        """Forward sweep, backward amortization, and the output written once."""
-        # Parameter validation shared with the in-memory corrector.
-        ControlledLogicalClock(gamma=gamma, amortization_window=amortization_window)
+        """Forward sweep, backward amortization, and the output written once.
+
+        The source rows and every temp file live for this one call: the
+        temp directory is removed on the way out, raised or not."""
         chunked, reader, tele, resident = self.chunked, self.reader, self.tele, self.resident
-        if self.unmatched is None:
-            with tele.span("sync.stream.prescan"):
-                self.prescan(verdicts=False)
-        events = chunked.total_events()
-        with tempfile.TemporaryDirectory(prefix="repro-stream-") as tmp:
-            tmpdir = Path(tmp)
-            caps = _CapsSpill(tmpdir, {
-                r: np.array([rec.start for rec in reader.rank_shards(r)], dtype=np.int64)
-                for r in chunked.ranks
-            })
+        try:
+            # Parameter validation shared with the in-memory corrector.
+            ControlledLogicalClock(gamma=gamma, amortization_window=amortization_window)
+            if self.sources is None:
+                with tele.span("sync.stream.prescan"):
+                    self.prescan(verdicts=False, sources=True)
+            events = chunked.total_events()
+            tmpdir = Path(self._tmp.name)
+            caps = _Spill(tmpdir, "caps", _CAPS_DTYPE, self.starts)
             with tele.span("sync.stream.forward", events=events):
-                states, njumps, max_jump = self._forward(gamma, tmpdir, caps)
+                states, njumps, max_jump, lands, visits = self._forward(gamma, tmpdir, caps)
             if tele.enabled:
                 tele.count("sync.clc.events", events)
                 tele.count("sync.clc.jumps", njumps)
                 tele.count("sync.clc.forward_writes", sum(st.writes for st in states.values()))
+                tele.count("sync.stream.lands", lands)
+                tele.count("sync.stream.visits", visits)
 
             window = amortization_window
             if window is None:
@@ -712,122 +859,151 @@ class ShardSweeps:
                         resident.release(rec.events)
                 writer.finish(meta=out_meta)
             self._count_written(writer)
+        finally:
+            if self._tmp is not None:
+                self._tmp.cleanup()
+            self.sources = self._tmp = None
 
         corrected = ChunkedTrace(ShardedTraceReader(Path(out_dir)))
         return stats.result(corrected, events, njumps, max_jump)
 
-    def _forward(self, gamma: float, tmpdir: Path, caps: _CapsSpill):
+    def _forward(self, gamma: float, tmpdir: Path, caps: _Spill):
         """Round-robin streaming forward pass over every rank's shards.
 
-        Returns per-rank forward state (temp file paths, jump lists) plus
-        the global jump count and maximum jump.
+        Returns per-rank forward state (temp file paths, jump lists), the
+        global jump count and maximum jump, the receives and exits
+        landed, and the visits that moved a cursor.
+
+        A receive is landed — :func:`~repro.sync.schedule.forward_recurrence`'s
+        ``land`` run on it with its send's forward stamp plus ``l_min`` —
+        only if its send moved (it was published) or its floor on the
+        input stamps binds (``send + l_min > recv``, one
+        :func:`~repro.sync.violations.resolve_lmin` op per shard); an
+        own-rank send is read after the cursor passed it.  Every other
+        receive is a plain event of a ``stretch``, and that is exact:
+        its send did not move, so its floor is the input-stage ``send +
+        l_min``, at most the receive's input stamp ``orig``.  ``land``
+        starts from ``value = orig``, raises it to the follow value
+        exactly when the follow rule can bind (a moved predecessor or a
+        spontaneous position) and the follow value exceeds it, and then
+        finds ``floor > value`` false, since ``floor <= orig <= value``:
+        no jump, and the event is written iff the follow value exceeds
+        ``orig`` — which is what the glide ``tail`` inside ``stretch``
+        computes for the same event, from the same predecessor.  A NaN
+        floor never binds on either path.
         """
         ranks = self.chunked.ranks
-        # Match key (a send) or ``(instance, rank)`` (a constraining
-        # enter) -> (corrected time, rank, log index), from the moment
-        # the cursor passed the event until its last reader landed.
-        published: dict = {}
+        cursor = np.zeros(max(ranks, default=-1) + 1, dtype=np.int64)
+        # Moved sends, by (rank, idx) key -> forward stamp, until their receive lands.
+        published: dict[int, float] = {}
         table = self.collectives
         if table is None:
             table = pair_collectives({})
-        coll = _CollectiveDeps(table, self.lmin, published)
-        publish, exit_deps, consumers = coll.publish, coll.exits, coll.consumers
+        coll = _CollectiveDeps(table, self.lmin, cursor)
+        values = coll.values
         states = {r: _RankForward(r, self.reader.rank_shards(r)) for r in ranks}
-        keys, unmatched = MatchKeys(self.by_id), self.unmatched
-        lmin_fn = pair_lmin(self.lmin)
-        njumps = 0
+        njumps = lands = visits = 0
         max_jump = 0.0
 
-        def publish_upto(st: _RankForward, cur: int) -> None:
-            """Publish the sends / constraining enters before list index ``cur``."""
-            k = st.pub_ptr
-            stop = st.pub_ptr = bisect_left(st.pubs, (cur,), k)
-            corr, rank, before = st.corr, st.rank, st.lo - 1
-            published.update(
-                (key, (corr[q], rank, before + q)) for q, key in st.pubs[k:stop]
-            )
+        def pass_to(st: _RankForward, cur: int) -> None:
+            """Move ``st``'s cursor to list index ``cur``: publish the moved
+            sends and record the constraining enters it passes."""
+            if cur == st.passed:
+                return
+            st.passed = cur
+            k0 = st.send_ptr
+            k1 = st.send_ptr = bisect_left(st.send_q, cur, k0)
+            if k1 > k0:
+                published.update(st.moved_sends(k0, k1))
+            e0 = st.enter_ptr
+            e1 = st.enter_ptr = bisect_left(st.enter_q, cur, e0)
+            rank, corr, before = st.rank, st.corr, st.lo - 1
+            for q in st.enter_q[e0:e1]:
+                values[rank, before + q] = corr[q]
+            cursor[rank] = before + cur
 
         def advance(st: _RankForward) -> bool:
-            """Run ``st`` to its shard's end or its first unpublished dependency."""
-            nonlocal njumps, max_jump
+            """Run ``st`` to its shard's end or its first source not yet behind a cursor."""
+            nonlocal njumps, max_jump, lands, visits
             progress = False
             if st.corr is None:
                 if st.finished:
                     return False
                 st.load_next(
-                    self._interpolated(st.recs[st.si + 1]), gamma, keys, unmatched[st.rank],
-                    publish.get(st.rank, {}), exit_deps.get(st.rank, {}),
+                    self._interpolated(st.recs[st.si + 1]), gamma,
+                    self.sources.load(st.rank, st.si + 1), self.lmin, coll,
                 )
                 progress = True
-            rank, stops, corr, stretch, land = st.rank, st.stops, st.corr, st.stretch, st.land
-            pubs, my_exits = st.pubs, exit_deps.get(rank, {})
-            cap_rank, cap_idx, cap_lmin, cap_value, *block_caps = st.caps
-            cur, sp_ptr, stop_ptr = st.cur, st.sp_ptr, st.stop_ptr
+            rows, corr, stretch, land = st.rows, st.corr, st.stretch, st.land
+            was = st.lo + st.passed
+            r = st.row_ptr
+            nb = st.first_waiting(cursor)
+            stop = rows.q_list[nb] if nb < len(rows.q_list) else st.n_s + 1
+            # The rows this visit lands, in log order: the bound ones and
+            # those whose send was published.
+            at = rows.bound[bisect_left(rows.bound, r):bisect_left(rows.bound, nb)]
+            if published:
+                keys = rows.key
+                moved = [i for i in range(r, nb) if keys[i] in published]
+                if moved:
+                    at = sorted({*at, *moved})
+            qs = [rows.q_list[i] for i in at]
+            qs.append(stop)
+            exit_q, ep = st.exit_q, st.exit_ptr
+            cur, sp_ptr, li = st.cur, st.sp_ptr, 0
             while True:
-                q, key, at = stops[stop_ptr]  # the last one stands behind the shard's end
-                # Stretch up to the stop and publish the sends/enters this
-                # passes over BEFORE resolving the stop's own dependency —
-                # a peer may be blocked waiting for exactly those values.
+                q = qs[li]
+                exit_here = ep < len(exit_q) and exit_q[ep] < q
+                if exit_here:
+                    q = exit_q[ep]
+                elif q == stop:
+                    break
                 if cur < q:
                     sp_ptr = stretch(cur, q, sp_ptr)
                     cur = q
                     progress = True
-                if st.pub_ptr < len(pubs) and pubs[st.pub_ptr][0] < cur:
-                    publish_upto(st, cur)
-                if q > st.n_s:
-                    st.flush_shard(tmpdir, caps)
-                    self.resident.release(st.n_s)
-                    return True
-                # Gather this event's dependency edges (or block).
+                # The own cursor reaches the event first: an own send, or an
+                # N-to-N exit's own enter, is read behind it.
+                pass_to(st, cur)
                 slot = -1
-                if key is None:  # a collective exit, log index ``at``
-                    needed = my_exits[at]
-                    if isinstance(needed, int):  # a block's
-                        if not coll.ready(needed):
-                            break
-                        slot, edges = needed, ()
-                    else:
-                        edges = [published.get(k) for k in needed]
-                        if None in edges:
-                            break
-                        for k in needed:
-                            consumers[k] -= 1
-                            if consumers[k] == 0:
-                                del published[k]
-                else:  # a receive: its send's key, or -1 if the join left it unmatched
-                    edge = published.pop(key, None)
-                    if edge is not None:
-                        edges = (edge,)
-                    elif key < 0:
-                        edges = ()  # nothing to wait for
-                    else:
+                if exit_here:
+                    deps = st.exit_deps[ep]
+                    if not coll.ready(deps, cursor):
                         break
-                # The dependency-event update, under the largest remote floor.
-                remote_floor = -np.inf
-                for s_corr, s_rank, s_idx in edges:
-                    lm = lmin_fn(s_rank, rank)
-                    cap_rank.append(s_rank)
-                    cap_idx.append(s_idx)
-                    cap_lmin.append(lm)
-                    if s_corr + lm > remote_floor:
-                        remote_floor = s_corr + lm
-                if slot >= 0:
-                    remote_floor = coll.floor(slot)
-                jump = land(q, remote_floor)
+                    if isinstance(deps, int):
+                        slot, floor = deps, coll.floor(deps)
+                    else:
+                        floor = coll.rooted_floor(deps)
+                    ep += 1
+                else:
+                    i = at[li]
+                    floor = published.pop(rows.key[i], rows.stamp[i]) + rows.lmin_list[i]
+                    li += 1
+                jump = land(q, floor)
                 value = corr[q]
-                cap_value.extend([value] * len(edges))
+                lands += 1
                 if slot >= 0 and (done := coll.landed(slot, value)) is not None:
-                    for column, values in zip(block_caps, done):
-                        column.extend(values)
+                    for column, new in zip(st.block_caps, done):
+                        column.extend(new)
                 if jump:
                     st.jumps.append((st.lo + q - 1, jump, value))
                     njumps += 1
                     if jump > max_jump:
                         max_jump = jump
                 cur = q + 1
-                stop_ptr += 1
                 progress = True
-            st.cur, st.sp_ptr, st.stop_ptr = cur, sp_ptr, stop_ptr
+            if not exit_here and cur < stop:
+                sp_ptr = stretch(cur, stop, sp_ptr)
+                cur = stop
+                progress = True
+            st.cur, st.sp_ptr, st.exit_ptr = cur, sp_ptr, ep
+            st.row_ptr = bisect_left(rows.q_list, cur, r)
+            pass_to(st, cur)
+            if st.lo + st.passed > was:
+                visits += 1
+            if cur > st.n_s:
+                st.flush_shard(tmpdir, caps)
+                self.resident.release(st.n_s)
             return progress
 
         unfinished = [r for r in ranks if not states[r].finished]
@@ -839,10 +1015,11 @@ class ShardSweeps:
             unfinished = [r for r in unfinished if not states[r].finished]
             if unfinished and not any_progress:
                 raise SynchronizationError(
-                    "streaming CLC stalled: every rank is blocked on an unpublished "
-                    "dependency (a dependency cycle, or match ids that are not unique)"
+                    "streaming CLC stalled: every rank is blocked on a source "
+                    "its rank's cursor has not passed (a dependency cycle, or "
+                    "match ids that are not unique)"
                 )
-        return states, njumps, max_jump
+        return states, njumps, max_jump, lands, visits
 
 
 # ----------------------------------------------------------------------

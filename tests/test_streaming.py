@@ -17,7 +17,7 @@ import pytest
 
 from repro.cli import main
 from repro.cluster import inter_node, xeon_cluster
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SynchronizationError
 from repro.mpi.runtime import MpiWorld
 from repro.options import RunOptions
 from repro.sync.clc import ControlledLogicalClock
@@ -307,6 +307,16 @@ class TestFusedCorrection:
         assert got.clc.jumps == ref.clc.jumps == 3
         assert sorted(got.timings) == sorted(ref.timings) == ["clc", "interpolate"]
 
+    def test_lands_and_visits(self, tally):
+        """``sync.stream.lands`` counts the receives the forward sweep landed:
+        the 3 reversed ones (rank 0 only sends, so no send moves and no
+        other receive can bind) of rank 1's 256.  ``sync.stream.visits``:
+        one visit a shard, rank 0 running ahead and rank 1 finding every
+        send behind rank 0's cursor."""
+        counters = tally["recorder"].counters
+        assert counters["sync.stream.lands"] == len(_REVERSED) == 3
+        assert counters["sync.stream.visits"] == 16
+
     def test_forward_writes_match_inmemory(self, tally):
         """``sync.clc.forward_writes`` counts the events the forward pass moved,
         the same number on both paths (a carried shard-edge slot is not an event)."""
@@ -469,3 +479,148 @@ class TestWindowedPingPong:
         }, strip_ids)
         assert len(trace.messages(strict=False)) == 1
         assert_streamed_matches_inmemory(trace, shard_events)
+
+
+def _assert_binds_only_after_the_move(trace: Trace) -> None:
+    """One receive violates the clock condition, yet the CLC jumps twice."""
+    assert len(trace.messages(strict=False)) == 2
+    assert scan_trace(trace, lmin=1e-6)["p2p"].violated == 1
+    assert ControlledLogicalClock().correct(trace, lmin=1e-6).jumps == 2
+
+
+class TestCursorWaits:
+    """Receives wait on their send's rank cursor; only those that can bind are landed."""
+
+    @pytest.mark.parametrize("strip_ids", [False, True], ids=["by-id", "fifo"])
+    @pytest.mark.parametrize("shard_events", [1, 2, 3, 100])
+    def test_self_message(self, strip_ids, shard_events):
+        """Rank 0 jumps at its first receive; the glide moves its later send
+        to itself, whose receive binds only on the moved stamp.  The own
+        cursor must pass (and publish) the send before the receive lands,
+        also when both sit in the shard the visit holds."""
+        E = EventType
+        pad = lambda t: (t, E.ENTER, 1, 0, 0, 0)  # noqa: E731
+        trace = _from_rows({
+            0: [pad(0.40), (0.50, E.RECV, 1, 0, 8, 0), pad(0.5005),
+                (0.501, E.SEND, 0, 0, 9, 1), pad(0.5010005),
+                (0.501 + 1.01e-6, E.RECV, 0, 0, 9, 1), pad(0.51)],
+            1: [pad(0.90), (1.00, E.SEND, 0, 0, 8, 0), pad(1.10)],
+        }, strip_ids)
+        _assert_binds_only_after_the_move(trace)
+        assert_streamed_matches_inmemory(trace, shard_events, lmin=1e-6)
+
+    @pytest.mark.parametrize("strip_ids", [False, True], ids=["by-id", "fifo"])
+    @pytest.mark.parametrize("shard_events", [1, 2, 3, 100])
+    def test_relay(self, strip_ids, shard_events):
+        """Rank 1 jumps at a reversed receive and its glide moves the send
+        that follows; rank 2's receive of it violates nothing on the input
+        stamps, so only the published move makes it bind."""
+        E = EventType
+        pad = lambda t: (t, E.ENTER, 1, 0, 0, 0)  # noqa: E731
+        trace = _from_rows({
+            0: [pad(0.90), (1.00, E.SEND, 1, 0, 8, 0), pad(1.05)],
+            1: [pad(0.45), (0.50, E.RECV, 0, 0, 8, 0), pad(0.55),
+                (0.60, E.SEND, 2, 0, 8, 1), pad(0.65)],
+            2: [pad(0.62), pad(0.65), (0.70, E.RECV, 1, 0, 8, 1), pad(0.75)],
+        }, strip_ids)
+        _assert_binds_only_after_the_move(trace)
+        assert_streamed_matches_inmemory(trace, shard_events, lmin=1e-6)
+
+
+class TestSpillBudget:
+    """Source rows and send caps stay in memory up to a budget over all buckets, then go to disk."""
+
+    @pytest.fixture
+    def on_disk(self, monkeypatch):
+        """A 3-record budget, and per ``(spill name, rank)`` the bytes each
+        bucket read back from its file."""
+        import repro.sync.streaming as streaming
+
+        monkeypatch.setattr(streaming, "_SPILL_BUDGET", 3)
+        read: dict[tuple[str, int], list[int]] = {}
+        real = streaming._Spill.load
+
+        def load(self, rank, ordinal):
+            path = self._path(rank, ordinal)
+            size = path.stat().st_size if path.exists() else 0
+            read.setdefault((self.name, rank), []).append(size)
+            return real(self, rank, ordinal)
+
+        monkeypatch.setattr(streaming._Spill, "load", load)
+        return read
+
+    def test_rows_reach_disk(self, on_disk, tmp_path):
+        """Every 256-event shard of rank 1 holds 16 matched receives, so
+        every one of its source buckets is on disk when the forward sweep
+        loads it; the result is still the in-memory one."""
+        trace = _reversed_pair_trace()
+        shards = write_sharded_trace(trace, tmp_path / "s", shard_events=256)
+        result = streaming_clc_correct(shards, tmp_path / "out")
+        assert on_disk["src", 1] == [16 * 32] * (_N // 256)
+        ref = ControlledLogicalClock().correct(trace)
+        got = result.trace.materialize()
+        for rank in trace.ranks:
+            assert got.logs[rank].timestamps.tobytes() == ref.trace.logs[rank].timestamps.tobytes()
+
+    @pytest.mark.parametrize("shard_events", [2, 7])
+    def test_matches_inmemory(self, on_disk, sim_trace, shard_events):
+        assert_streamed_matches_inmemory(sim_trace, shard_events, lmin=1e-6)
+        for name in ("src", "caps"):
+            assert any(size for (spill, _), sizes in on_disk.items() if spill == name
+                       for size in sizes)
+
+
+class TestTempLifetime:
+    """A streamed CLC removes its temp directory however it ends."""
+
+    def _scanned(self, tmp_path):
+        from repro.sync.streaming import ShardSweeps
+
+        sweeps = ShardSweeps(write_sharded_trace(_reversed_pair_trace(), tmp_path / "s", 512))
+        sweeps.prescan(sources=True)
+        return sweeps, Path(sweeps._tmp.name)
+
+    def test_rejected_gamma(self, tmp_path):
+        """Validation after a scanned pre-scan raises, and the source rows go with it."""
+        sweeps, tmp = self._scanned(tmp_path)
+        assert tmp.is_dir()
+        with pytest.raises(SynchronizationError, match="gamma"):
+            sweeps.clc(tmp_path / "out", gamma=1.5)
+        assert not tmp.exists() and sweeps.sources is None and sweeps._tmp is None
+
+    def test_stall(self, tmp_path, monkeypatch):
+        """A forward sweep that raises leaves no rows behind, and the next
+        call runs its own pre-scan and matches the in-memory result."""
+        sweeps, tmp = self._scanned(tmp_path)
+        monkeypatch.setattr(sweeps, "_forward", lambda *a: (_ for _ in ()).throw(
+            SynchronizationError("streaming CLC stalled")))
+        with pytest.raises(SynchronizationError, match="stalled"):
+            sweeps.clc(tmp_path / "out")
+        assert not tmp.exists() and sweeps.sources is None and sweeps._tmp is None
+        monkeypatch.undo()
+        result = sweeps.clc(tmp_path / "out2")
+        assert result.jumps == ControlledLogicalClock().correct(_reversed_pair_trace()).jumps
+
+
+_OBSERVABILITY = Path(__file__).resolve().parents[1] / "docs" / "observability.md"
+
+
+@pytest.mark.parametrize("scan", [True, False], ids=["scanned", "unscanned"])
+@pytest.mark.parametrize("sharded", [False, True], ids=["in-memory", "streamed"])
+def test_recorded_names_are_documented(tmp_path, sharded, scan):
+    """Every span, counter and gauge name a recorded ``correct_trace`` emits
+    is listed, without its ``sync.`` prefix, in the ``sync.*`` row of
+    docs/observability.md."""
+    from repro import TelemetryRecorder, correct_trace
+
+    source, kwargs = _reversed_pair_trace(), {}
+    if sharded:
+        source = write_sharded_trace(source, tmp_path / "s", shard_events=512)
+        kwargs["output"] = tmp_path / "out"
+    recorder = TelemetryRecorder()
+    correct_trace(source, interpolation="linear", clc=True, scan=scan, telemetry=recorder, **kwargs)
+    names = {s.name for s in recorder.spans} | set(recorder.counters) | set(recorder.gauges)
+    row = next(line for line in _OBSERVABILITY.read_text().splitlines()
+               if line.startswith("| sync kernels (`sync.*`)"))
+    assert all(name.startswith("sync.") for name in names)
+    assert sorted(n for n in names if f"`{n[len('sync.'):]}`" not in row) == []
