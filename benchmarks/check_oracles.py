@@ -3,7 +3,8 @@
 Injects a handful of hand-written mutants — each a realistic way the
 synchronization stack could silently break — and asserts the
 fuzz campaign named beside it (``mutation``, ``streaming`` for the
-out-of-core sweeps, ``smoke`` for message matching) catches every one,
+out-of-core sweeps, ``smoke`` for message matching, ``batch`` for the
+batch engine's recorder) catches every one,
 shrinks the failure, and
 serializes it to a corpus entry.  A mutant that survives means an
 oracle has gone blind; exit code 1.
@@ -228,6 +229,24 @@ def mutant_unpublished_move():
         yield
 
 
+@contextmanager
+def mutant_stageless_recorder():
+    """M13: the batch recorder drops the per-stage protocol cost of every
+    collective — the ``sleep`` each algorithm step charges is lost while
+    the plan is recorded, so batch timelines run ahead of the engine's
+    and ``batch_matches_engine`` notices."""
+    from repro.mpi.collectives import STAGE_COST
+    from repro.sim.batch import _RankPlan
+
+    real = _RankPlan.sleep
+
+    def stageless(self, duration):
+        return real(self, 0.0 if duration == STAGE_COST else duration)
+
+    with mock.patch.object(_RankPlan, "sleep", stageless):
+        yield
+
+
 #: (name, mutant, oracle each campaign must catch it with)
 MUTANTS = [
     ("zero-lmin", mutant_zero_lmin, {"mutation": None}),
@@ -245,6 +264,7 @@ MUTANTS = [
     }),
     ("fifo-off-by-one", mutant_fifo_off_by_one, {"smoke": "message_matching_semantics"}),
     ("unpublished-move", mutant_unpublished_move, {"streaming": "streamed_matches_inmemory"}),
+    ("stageless-recorder", mutant_stageless_recorder, {"batch": "batch_matches_engine"}),
 ]
 
 

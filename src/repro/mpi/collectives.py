@@ -177,12 +177,13 @@ def gather(ctx, instance: int, root: int = 0, nbytes: int = 0, value: Any = None
     tag = _tag(instance)
     rel = (ctx.rank - root) % n
     collected = {ctx.rank: value}
+    count = 1  # ranks in this subtree so far
     mask = 1
     while mask < n:
         if rel & mask:
             parent = ((rel & ~mask) + root) % n
             yield from ctx.send_raw(
-                parent, tag=tag, nbytes=nbytes * len(collected), payload=collected
+                parent, tag=tag, nbytes=nbytes * count, payload=collected
             )
             return None
         child_rel = rel | mask
@@ -191,6 +192,7 @@ def gather(ctx, instance: int, root: int = 0, nbytes: int = 0, value: Any = None
             msg = yield from ctx.recv_raw(src=child, tag=tag)
             yield from _stage(ctx)
             collected.update(msg.payload)
+            count += min(mask, n - child_rel)  # the child's binomial subtree
         mask <<= 1
     return collected
 
@@ -239,13 +241,13 @@ def allgather(ctx, instance: int, nbytes: int = 0, value: Any = None) -> Generat
     right = (ctx.rank + 1) % n
     left = (ctx.rank - 1) % n
     collected = {ctx.rank: value}
-    carry_rank, carry_value = ctx.rank, value
+    carry = {ctx.rank: value}
     for _ in range(n - 1):
-        yield from ctx.send_raw(right, tag=tag, nbytes=nbytes, payload=(carry_rank, carry_value))
+        yield from ctx.send_raw(right, tag=tag, nbytes=nbytes, payload=carry)
         msg = yield from ctx.recv_raw(src=left, tag=tag)
         yield from _stage(ctx)
-        carry_rank, carry_value = msg.payload
-        collected[carry_rank] = carry_value
+        carry = msg.payload
+        collected.update(carry)
     return collected
 
 

@@ -1,18 +1,18 @@
-"""Batched trace generation: an array-native fast path for built-in workloads.
+"""Batched trace generation: an array-native fast path for static workloads.
 
 The discrete-event engine executes one Python generator resume per
-event.  For the built-in workloads that is pure overhead: their
-communication structure is *statically known* — every send, receive,
-clock read and compute interval can be enumerated without running any
-generator.  This module compiles that structure once into per-rank
-timeline kernels and then *solves* for the event times:
+event.  For a worker that publishes a ``batch_key`` that is pure
+overhead: its communication structure is *statically known* — every
+send, receive, clock read and compute interval is fixed by rank, size
+and the key (see :func:`run_batch`).  This module records that
+structure once into per-rank timeline kernels and then *solves* for
+the event times:
 
-1. **Plan compilation** (cached): each workload module contributes a
-   ``batch_plan`` function that replays its worker's control flow
-   against a :class:`_RankPlan` recorder instead of an ``MpiContext``.
-   The recorder applies exactly the traced lowering of
+1. **Plan compilation** (cached): each rank runs the worker's own
+   generator against a :class:`_RankPlan` recorder instead of an
+   ``MpiContext``.  The recorder applies exactly the traced lowering of
    :mod:`repro.mpi.comm` (regions, record costs, flush accounting),
-   expands collectives with the algorithms of
+   runs collectives through the algorithms of
    :mod:`repro.mpi.collectives`, and expands the init/finalize offset
    measurement of :mod:`repro.sync.offset`.  The result per rank is a
    list of *segments* — straight-line runs of time deltas between
@@ -55,30 +55,25 @@ oracle in :mod:`repro.verify.oracles` fuzzes this contract.
 
 from __future__ import annotations
 
+import copy
 import math
 from collections import OrderedDict, deque
 from heapq import heappop, heappush
-from typing import Any, Callable, Optional
+from types import MappingProxyType
+from typing import Any, Optional
 
 import numpy as np
 
 from repro.cluster.network import HierarchicalLatency, TorusLatency
 from repro.cluster.topology import distance_class
-from repro.errors import ConfigurationError
+from repro.mpi.comm import MPI_RECV_REGION, MPI_SEND_REGION, MpiContext, periodic_sync_due
 from repro.sim.engine import congested_delay
+from repro.sim.primitives import ANY_SOURCE, ANY_TAG, Message
 from repro.sync.offset import SYNC_TAG, OffsetMeasurement, cristian_offset
-from repro.tracing.events import CollectiveOp, EventLog, EventType
+from repro.tracing.events import EventLog, EventType
 from repro.tracing.trace import Trace
 
 __all__ = ["BatchFallback", "run_batch"]
-
-#: Region ids mirrored from repro.mpi.comm (imported lazily to keep the
-#: sim package import-light); values are stable API constants.
-_MPI_SEND_REGION = 1
-_MPI_RECV_REGION = 2
-
-#: Mirrors repro.mpi.collectives.STAGE_COST (stable API constant).
-_STAGE_COST = 1.0e-6
 
 #: Segments at most this long advance with a plain Python running sum;
 #: longer ones use np.cumsum (bit-identical: both are sequential adds).
@@ -118,8 +113,9 @@ class _Segment:
         self.read_slot0 = read_slot0
         self.send_pos = tuple(send_pos)
         self.send_serials = tuple(send_serials)
-        self.deltas_arr = np.array(deltas, dtype=np.float64)
-        self.read_pos_arr = np.array(read_pos, dtype=np.int64)
+        if len(deltas) > _SMALL_SEGMENT:  # summed with np.cumsum by the solver
+            self.deltas_arr = np.array(deltas, dtype=np.float64)
+            self.read_pos_arr = np.array(read_pos, dtype=np.int64)
 
 
 class _RankEvents:
@@ -129,37 +125,49 @@ class _RankEvents:
                  "send_rows", "send_serials", "recv_rows", "recv_match_serials")
 
 
-class _RankPlan:
-    """Records one rank's operations, mirroring ``MpiContext`` lowering.
+#: What every recorded receive returns.  The batch engine moves no data,
+#: so the payload is an empty (read-only) mapping; the other fields are
+#: placeholders.
+_RECORDED = Message(ANY_SOURCE, ANY_SOURCE, ANY_TAG, 0, MappingProxyType({}), -1, math.nan)
 
-    Workload ``batch_plan`` functions call the same surface a worker
-    generator uses on its context (``compute``, ``send``, ``recv``,
-    collectives, …), but as plain methods — no generators run.
+
+class _RankPlan(MpiContext):
+    """Records one rank's operations through the ``MpiContext`` surface.
+
+    :func:`_record_rank` drives the worker's own generator against this
+    recorder.  Each operation records its part of the rank's timeline
+    and returns at once, applying exactly the traced lowering of
+    :class:`MpiContext` (regions, record costs, flush accounting).  The
+    collectives, ``sendrecv`` and the nonblocking calls are inherited;
+    they reach the recorder through :meth:`_collective`, :meth:`send`
+    and :meth:`recv`, so collectives run the algorithms of
+    :mod:`repro.mpi.collectives` themselves.  ``wtime`` returns 0.0
+    unless the rank's solved clock ``readings`` are given.
     """
 
-    def __init__(self, rank, size, *, tracing, tracing_initially, mpi_regions,
-                 jitter_model, jitter_rng, record_cost, flush_cost, capacity,
-                 read_overhead, send_overhead,
-                 periodic_sync_every=0, periodic_sync_repeats=3):
-        self.rank = rank
-        self.size = size
+    def __init__(self, world, rank, *, tracing, tracing_initially, readings=None):
+        super().__init__(
+            rank, world.pinning.nranks, None, world.jitter,
+            world.fabric.generator("jitter", rank), mpi_regions=world.mpi_regions,
+        )
         self.tracing = tracing
         self.active = tracing_initially
-        self.mpi_regions = mpi_regions
-        self.jitter_model = jitter_model
-        self.jitter_rng = jitter_rng
-        self.record_cost = record_cost
-        self.flush_cost = flush_cost
-        self.capacity = capacity
-        self.read_overhead = read_overhead
-        self.send_overhead = send_overhead
-        self.periodic_sync_every = periodic_sync_every
-        self.periodic_sync_repeats = periodic_sync_repeats
+        self.record_cost = world.record_cost
+        self.flush_cost = world.flush_cost
+        self.capacity = world.trace_buffer_capacity
+        self.read_overhead = world.spec.read_overhead
+        self.send_overhead = world.send_overhead
+        self.periodic_sync_every = world.periodic_sync_every
+        self.periodic_sync_repeats = world.periodic_sync_repeats
+        self.readings = readings
+        #: Did the worker read the clock (its result depends on readings)?
+        self.reads_clock = False
+        #: Filled by :func:`_record_rank`.
+        self.init_spec = self.final_spec = self.result = None
         #: Slot bookkeeping of each fired periodic measurement, in
         #: firing order (same protocol spec shape as init/final).
         self.periodic_specs: list = []
         self._since_flush = 0
-        self._coll_instance = 0
         self.n_reads = 0
         # Current segment under construction.
         self._deltas: list[float] = []
@@ -211,10 +219,23 @@ class _RankPlan:
             self._deltas.append(cost)
         return row
 
-    def _simple_event(self, etype, a=0, b=0, c=0, d=0) -> None:
+    def _event(self, etype, a=0, b=0, c=0, d=0) -> None:
         if self.traced:
-            slot = self._read()
-            self._record(slot, etype, a, b, c, d)
+            self._record(self._read(), etype, a, b, c, d)
+
+    def _send(self, dst: int, tag: int, nbytes: int) -> None:
+        self._send_pos.append(len(self._deltas))
+        self._send_local.append(len(self.sends))
+        self.sends.append((dst, tag, nbytes))
+        self._deltas.append(self.send_overhead)
+
+    def _recv(self, src: int, tag: int) -> None:
+        if src < 0 or tag == ANY_TAG:
+            # ANY_SOURCE / ANY_TAG need dynamic mailbox scans (tags < -1
+            # are collective/sync tags and remain fully static).
+            raise BatchFallback("wildcard_recv", "wildcard receive needs the engine's matching")
+        self.recvs.append((src, tag))
+        self._close_segment((src, self.rank, tag))
 
     def _close_segment(self, boundary) -> None:
         self.segments.append(_Segment(
@@ -231,302 +252,121 @@ class _RankPlan:
     def finish(self) -> None:
         self._close_segment(None)
 
-    # -- MpiContext surface -------------------------------------------
-    def compute(self, duration: float) -> None:
+    # -- MpiContext surface: generators that record and return at once -
+    def compute(self, duration: float):
         if self.jitter_model is not None and self.jitter_rng is not None:
             duration = self.jitter_model.perturb(duration, self.jitter_rng)
+        yield from self.sleep(duration)
+
+    def sleep(self, duration: float):
         if duration > 0:
             self._deltas.append(duration)
+        yield from ()
 
-    def sleep(self, duration: float) -> None:
-        if duration > 0:
-            self._deltas.append(duration)
-
-    def wtime(self) -> int:
-        """Read the clock; returns the read's *slot index* for later lookup."""
-        return self._read()
+    def wtime(self):
+        slot = self._read()
+        self.reads_clock = True
+        yield from ()
+        return 0.0 if self.readings is None else float(self.readings[slot])
 
     def set_tracing(self, enabled: bool) -> None:
         if self.tracing:
             self.active = enabled
 
-    def send_raw(self, dst: int, tag: int = 0, nbytes: int = 0, payload=None) -> None:
-        self._send_pos.append(len(self._deltas))
-        self._send_local.append(len(self.sends))
-        self.sends.append((dst, tag, nbytes))
-        self._deltas.append(self.send_overhead)
+    def send_raw(self, dst: int, tag: int = 0, nbytes: int = 0, payload=None):
+        self._send(dst, tag, nbytes)
+        yield from ()
 
-    def recv_raw(self, src: int, tag: int) -> None:
-        if src < 0 or tag == -1:
-            # ANY_SOURCE / ANY_TAG need dynamic mailbox scans (tags < -1
-            # are collective/sync tags and remain fully static).
-            raise BatchFallback("wildcard_recv", "wildcard receive needs the engine's matching")
-        self.recvs.append((src, tag))
-        self._close_segment((src, self.rank, tag))
+    def recv_raw(self, src: int = ANY_SOURCE, tag: int = ANY_TAG):
+        self._recv(src, tag)
+        yield from ()
+        return _RECORDED
 
-    def send(self, dst: int, tag: int = 0, nbytes: int = 0, payload=None) -> None:
+    def send(self, dst: int, tag: int = 0, nbytes: int = 0, payload=None):
         if not self.traced:
-            self.send_raw(dst, tag, nbytes)
-            return
-        if self.mpi_regions:
-            self._simple_event(EventType.ENTER, _MPI_SEND_REGION)
-        slot = self._read()
-        local = len(self.sends)
-        self.send_raw(dst, tag, nbytes)
-        row = self._record(slot, EventType.SEND, dst, tag, nbytes, 0)
-        self.send_rows.append((row, local))
-        if self.mpi_regions:
-            self._simple_event(EventType.EXIT, _MPI_SEND_REGION)
+            self._send(dst, tag, nbytes)
+        else:
+            if self.mpi_regions:
+                self._event(EventType.ENTER, MPI_SEND_REGION)
+            slot = self._read()
+            local = len(self.sends)
+            self._send(dst, tag, nbytes)
+            row = self._record(slot, EventType.SEND, dst, tag, nbytes, 0)
+            self.send_rows.append((row, local))
+            if self.mpi_regions:
+                self._event(EventType.EXIT, MPI_SEND_REGION)
+        yield from ()
 
-    def recv(self, src: int = -1, tag: int = -1) -> None:
+    def recv(self, src: int = ANY_SOURCE, tag: int = ANY_TAG):
         if not self.traced:
-            self.recv_raw(src, tag)
-            return
-        if self.mpi_regions:
-            self._simple_event(EventType.ENTER, _MPI_RECV_REGION)
-        local = len(self.recvs)
-        self.recv_raw(src, tag)
-        slot = self._read()
-        # a=src and b=tag are static (explicit receive); c (nbytes) and
-        # d (match id) are patched from the paired send.
-        row = self._record(slot, EventType.RECV, src, tag, 0, 0)
-        self.recv_rows.append((row, local))
-        if self.mpi_regions:
-            self._simple_event(EventType.EXIT, _MPI_RECV_REGION)
+            self._recv(src, tag)
+        else:
+            if self.mpi_regions:
+                self._event(EventType.ENTER, MPI_RECV_REGION)
+            local = len(self.recvs)
+            self._recv(src, tag)
+            slot = self._read()
+            # a=src and b=tag are static (explicit receive); c (nbytes)
+            # and d (match id) are patched from the paired send.
+            row = self._record(slot, EventType.RECV, src, tag, 0, 0)
+            self.recv_rows.append((row, local))
+            if self.mpi_regions:
+                self._event(EventType.EXIT, MPI_RECV_REGION)
+        yield from ()
+        return _RECORDED
 
-    def enter_region(self, region_id: int) -> None:
-        self._simple_event(EventType.ENTER, region_id)
+    def enter_region(self, region_id: int):
+        self._event(EventType.ENTER, region_id)
+        yield from ()
 
-    def exit_region(self, region_id: int) -> None:
-        self._simple_event(EventType.EXIT, region_id)
-
-    def sendrecv(self, dst, src, sendtag=0, recvtag=-1, nbytes=0, payload=None) -> None:
-        self.send(dst, sendtag, nbytes)
-        self.recv(src, recvtag)
+    def exit_region(self, region_id: int):
+        self._event(EventType.EXIT, region_id)
+        yield from ()
 
     def split(self, color, key=None):
         raise BatchFallback("comm_split", "communicator splits need the engine")
 
-    # -- collectives ---------------------------------------------------
-    def _collective(self, op, root, algo, **kwargs) -> None:
-        from repro.mpi.comm import periodic_sync_due
-
-        instance = self._coll_instance
-        self._coll_instance += 1
+    def _collective(self, coll_op, coll_root, coll_nbytes, algo, **kwargs):
+        instance = self._alloc_instance()
         traced = self.traced
         if traced:
-            slot = self._read()
-            self._record(slot, EventType.COLL_ENTER, int(op), root, self.size, instance)
-        algo(self, instance, **kwargs)
+            self._record(self._read(), EventType.COLL_ENTER,
+                         int(coll_op), coll_root, self.size, instance)
+        result = yield from algo(self, instance, **kwargs)
         if periodic_sync_due(self.periodic_sync_every, instance):
-            # Mirrors MpiContext._collective_impl: the piggybacked
-            # Cristian protocol runs between the algorithm and the
-            # COLL_EXIT record, as raw (untraced) tool traffic.
+            # As in MpiContext._collective_impl: the piggybacked Cristian
+            # protocol runs between the algorithm and the COLL_EXIT
+            # record, as raw (untraced) tool traffic.
             self.periodic_specs.append(
                 _plan_measurement(self, self.periodic_sync_repeats)
             )
         if traced:
-            slot = self._read()
-            self._record(slot, EventType.COLL_EXIT, int(op), root, self.size, instance)
-
-    def barrier(self) -> None:
-        self._collective(CollectiveOp.BARRIER, 0, _plan_barrier)
-
-    def bcast(self, root=0, nbytes=0, payload=None) -> None:
-        self._collective(CollectiveOp.BCAST, root, _plan_bcast,
-                         root=root, nbytes=nbytes)
-
-    def reduce(self, root=0, nbytes=0, value=None, op=None) -> None:
-        self._collective(CollectiveOp.REDUCE, root, _plan_reduce,
-                         root=root, nbytes=nbytes)
-
-    def allreduce(self, nbytes=0, value=None, op=None) -> None:
-        self._collective(CollectiveOp.ALLREDUCE, 0, _plan_allreduce,
-                         nbytes=nbytes)
-
-    def gather(self, root=0, nbytes=0, value=None) -> None:
-        self._collective(CollectiveOp.GATHER, root, _plan_gather,
-                         root=root, nbytes=nbytes)
-
-    def scatter(self, root=0, nbytes=0, values=None) -> None:
-        self._collective(CollectiveOp.SCATTER, root, _plan_scatter,
-                         root=root, nbytes=nbytes)
-
-    def allgather(self, nbytes=0, value=None) -> None:
-        self._collective(CollectiveOp.ALLGATHER, 0, _plan_allgather,
-                         nbytes=nbytes)
-
-    def alltoall(self, nbytes=0, values=None) -> None:
-        self._collective(CollectiveOp.ALLTOALL, 0, _plan_alltoall,
-                         nbytes=nbytes)
-
-    def scan(self, nbytes=0, value=None, op=None) -> None:
-        self._collective(CollectiveOp.SCAN, 0, _plan_scan, nbytes=nbytes)
-
-    def reduce_scatter(self, nbytes=0, values=None, op=None) -> None:
-        self._collective(CollectiveOp.REDUCE_SCATTER, 0,
-                         _plan_reduce_scatter, nbytes=nbytes)
+            self._record(self._read(), EventType.COLL_EXIT,
+                         int(coll_op), coll_root, self.size, instance)
+        return result
 
 
-# ----------------------------------------------------------------------
-# Collective algorithms (structural ports of repro.mpi.collectives)
-# ----------------------------------------------------------------------
-def _check_root(root: int, n: int) -> None:
-    if not 0 <= root < n:
-        raise ConfigurationError(f"root {root} outside communicator of size {n}")
+def _record_rank(world, worker, rank, *, measure, sync_repeats, readings=None,
+                 **trace_modes) -> _RankPlan:
+    """Record one rank by running ``worker``'s own generator.
 
-
-def _tag(instance: int) -> int:
-    return -(instance + 2)
-
-
-def _stage(plan: _RankPlan) -> None:
-    plan.sleep(_STAGE_COST)
-
-
-def _plan_barrier(plan, instance):
-    n = plan.size
-    tag = _tag(instance)
-    dist = 1
-    while dist < n:
-        plan.send_raw((plan.rank + dist) % n, tag, 0)
-        plan.recv_raw((plan.rank - dist) % n, tag)
-        _stage(plan)
-        dist <<= 1
-
-
-def _plan_bcast(plan, instance, root=0, nbytes=0):
-    n = plan.size
-    _check_root(root, n)
-    tag = _tag(instance)
-    rel = (plan.rank - root) % n
-    if rel != 0:
-        plan.recv_raw(((rel & (rel - 1)) + root) % n, tag)
-        _stage(plan)
-    mask = 1
-    while mask < n:
-        if rel & mask:
-            break
-        child_rel = rel | mask
-        if child_rel < n:
-            plan.send_raw((child_rel + root) % n, tag, nbytes)
-        mask <<= 1
-
-
-def _plan_reduce(plan, instance, root=0, nbytes=0):
-    n = plan.size
-    _check_root(root, n)
-    tag = _tag(instance)
-    rel = (plan.rank - root) % n
-    mask = 1
-    while mask < n:
-        if rel & mask:
-            plan.send_raw(((rel & ~mask) + root) % n, tag, nbytes)
-            return
-        child_rel = rel | mask
-        if child_rel < n:
-            plan.recv_raw(((child_rel + root) % n), tag)
-            _stage(plan)
-        mask <<= 1
-
-
-def _plan_allreduce(plan, instance, nbytes=0):
-    n = plan.size
-    tag = _tag(instance)
-    p = 1
-    while p * 2 <= n:
-        p *= 2
-    extras = n - p
-    rank = plan.rank
-    if rank >= p:
-        plan.send_raw(rank - p, tag, nbytes)
-        plan.recv_raw(rank - p, tag)
-        return
-    if rank < extras:
-        plan.recv_raw(rank + p, tag)
-        _stage(plan)
-    mask = 1
-    while mask < p:
-        partner = rank ^ mask
-        plan.send_raw(partner, tag, nbytes)
-        plan.recv_raw(partner, tag)
-        _stage(plan)
-        mask <<= 1
-    if rank < extras:
-        plan.send_raw(rank + p, tag, nbytes)
-
-
-def _plan_gather(plan, instance, root=0, nbytes=0):
-    n = plan.size
-    _check_root(root, n)
-    tag = _tag(instance)
-    rel = (plan.rank - root) % n
-    count = 1  # len(collected): own entry plus received subtrees
-    mask = 1
-    while mask < n:
-        if rel & mask:
-            plan.send_raw(((rel & ~mask) + root) % n, tag, nbytes * count)
-            return
-        child_rel = rel | mask
-        if child_rel < n:
-            plan.recv_raw((child_rel + root) % n, tag)
-            _stage(plan)
-            count += min(mask, n - child_rel)  # child's binomial subtree size
-        mask <<= 1
-
-
-def _plan_scatter(plan, instance, root=0, nbytes=0):
-    n = plan.size
-    _check_root(root, n)
-    tag = _tag(instance)
-    rel = (plan.rank - root) % n
-    if rel != 0:
-        plan.recv_raw(((rel & (rel - 1)) + root) % n, tag)
-        _stage(plan)
-    mask = 1
-    while mask < n:
-        if rel & mask:
-            break
-        child_rel = rel | mask
-        if child_rel < n:
-            subtree = min(child_rel + mask, n) - child_rel
-            plan.send_raw((child_rel + root) % n, tag, nbytes * max(subtree, 1))
-        mask <<= 1
-
-
-def _plan_allgather(plan, instance, nbytes=0):
-    n = plan.size
-    tag = _tag(instance)
-    right = (plan.rank + 1) % n
-    left = (plan.rank - 1) % n
-    for _ in range(n - 1):
-        plan.send_raw(right, tag, nbytes)
-        plan.recv_raw(left, tag)
-        _stage(plan)
-
-
-def _plan_alltoall(plan, instance, nbytes=0):
-    n = plan.size
-    tag = _tag(instance)
-    for shift in range(1, n):
-        plan.send_raw((plan.rank + shift) % n, tag, nbytes)
-        plan.recv_raw((plan.rank - shift) % n, tag)
-        _stage(plan)
-
-
-def _plan_scan(plan, instance, nbytes=0):
-    n = plan.size
-    tag = _tag(instance)
-    if plan.rank > 0:
-        plan.recv_raw(plan.rank - 1, tag)
-        _stage(plan)
-    if plan.rank + 1 < n:
-        plan.send_raw(plan.rank + 1, tag, nbytes)
-
-
-def _plan_reduce_scatter(plan, instance, nbytes=0):
-    _plan_gather(plan, instance, root=0, nbytes=nbytes)
-    _plan_scatter(plan, instance, root=0, nbytes=nbytes)
+    Init measurement, worker, finalize measurement — the order of
+    ``MpiWorld._main``.  The worker's return value lands in
+    ``plan.result``.  No operation of the recorder yields, so a yield
+    reaching this driver is a raw engine request the plan cannot hold.
+    """
+    plan = _RankPlan(world, rank, readings=readings, **trace_modes)
+    plan.init_spec = _plan_measurement(plan, sync_repeats) if measure else None
+    run = worker(plan)
+    try:
+        run.send(None)
+    except StopIteration as done:
+        plan.result = done.value
+    else:
+        raise BatchFallback("raw_yield", "the worker yields engine requests itself")
+    plan.final_spec = _plan_measurement(plan, sync_repeats) if measure else None
+    plan.finish()
+    return plan
 
 
 # ----------------------------------------------------------------------
@@ -545,18 +385,18 @@ def _plan_measurement(plan: _RankPlan, repeats: int, master: int = 0):
                 continue
             pairs = []
             for _ in range(repeats):
-                t1 = plan.wtime()
-                plan.send_raw(worker, SYNC_TAG, 8)
-                plan.recv_raw(worker, SYNC_TAG)
-                t2 = plan.wtime()
+                t1 = plan._read()
+                plan._send(worker, SYNC_TAG, 8)
+                plan._recv(worker, SYNC_TAG)
+                t2 = plan._read()
                 pairs.append((t1, t2))
             spec[worker] = pairs
         return spec
     slots = []
     for _ in range(repeats):
-        plan.recv_raw(master, SYNC_TAG)
-        slots.append(plan.wtime())
-        plan.send_raw(master, SYNC_TAG, 8)
+        plan._recv(master, SYNC_TAG)
+        slots.append(plan._read())
+        plan._send(master, SYNC_TAG, 8)
     return slots
 
 
@@ -568,7 +408,7 @@ class _CompiledPlan:
         "nranks", "rank_segments", "rank_boundaries", "rank_nreads",
         "channels", "n_sends", "send_src", "send_dst", "send_nbytes",
         "send_chan", "send_pair", "events_processed", "rank_events",
-        "result_specs", "init_specs", "final_specs", "periodic_specs",
+        "results", "reads_clock", "init_specs", "final_specs", "periodic_specs",
         "latency_cache",
     )
 
@@ -577,44 +417,22 @@ _PLAN_CACHE: "OrderedDict[tuple, _CompiledPlan]" = OrderedDict()
 _PLAN_CACHE_MAX = 32
 
 
-def _compile(world, plan_fn: Callable, key: tuple, *, tracing, tracing_initially,
-             measure, sync_repeats) -> _CompiledPlan:
+def _compile(world, worker, key: tuple, modes: dict) -> _CompiledPlan:
     cached = _PLAN_CACHE.get(key)
     if cached is not None:
         _PLAN_CACHE.move_to_end(key)
         return cached
 
     nranks = world.pinning.nranks
-    rank_plans: list[_RankPlan] = []
-    init_specs = []
-    final_specs = []
-    result_specs = []
-    for rank in range(nranks):
-        rp = _RankPlan(
-            rank, nranks,
-            tracing=tracing, tracing_initially=tracing_initially,
-            mpi_regions=world.mpi_regions,
-            jitter_model=world.jitter,
-            jitter_rng=world.fabric.generator("jitter", rank),
-            record_cost=world.record_cost, flush_cost=world.flush_cost,
-            capacity=world.trace_buffer_capacity,
-            read_overhead=world.spec.read_overhead,
-            send_overhead=world.send_overhead,
-            periodic_sync_every=world.periodic_sync_every,
-            periodic_sync_repeats=world.periodic_sync_repeats,
-        )
-        init_specs.append(_plan_measurement(rp, sync_repeats) if measure else None)
-        result_specs.append(plan_fn(rp))
-        final_specs.append(_plan_measurement(rp, sync_repeats) if measure else None)
-        rp.finish()
-        rank_plans.append(rp)
+    rank_plans = [_record_rank(world, worker, rank, **modes) for rank in range(nranks)]
 
     plan = _CompiledPlan()
     plan.nranks = nranks
     plan.rank_nreads = [rp.n_reads for rp in rank_plans]
-    plan.result_specs = result_specs
-    plan.init_specs = init_specs
-    plan.final_specs = final_specs
+    plan.results = [rp.result for rp in rank_plans]
+    plan.reads_clock = [rp.reads_clock for rp in rank_plans]
+    plan.init_specs = [rp.init_spec for rp in rank_plans]
+    plan.final_specs = [rp.final_spec for rp in rank_plans]
     # Group the piggybacked measurements per firing: collectives issue
     # in the same order on every rank (an MPI requirement the instance
     # counter relies on), so the k-th fired protocol on one rank pairs
@@ -1057,20 +875,8 @@ def _evaluate_clocks(read_times, clocks):
 
 
 # ----------------------------------------------------------------------
-# Result reconstruction
+# Offset reconstruction
 # ----------------------------------------------------------------------
-def _build_result(spec, values: np.ndarray):
-    kind = spec[0]
-    if kind == "static":
-        return spec[1]
-    if kind == "timed":
-        _, t1_slots, t2_slots, halve = spec
-        v1 = values[np.asarray(t1_slots, dtype=np.int64)]
-        v2 = values[np.asarray(t2_slots, dtype=np.int64)]
-        return (v2 - v1) / 2.0 if halve else v2 - v1
-    raise BatchFallback("result_spec", f"unknown result spec {kind!r}")
-
-
 def _build_offsets(master_spec, worker_specs, read_values, repeats, master=0):
     if master_spec is None:
         return None
@@ -1105,29 +911,37 @@ def run_batch(world, worker, *, tracing=True, measure_offsets=True,
     Returns the same :class:`repro.mpi.runtime.RunResult` the reference
     engine would produce, bit for bit, or raises :class:`BatchFallback`
     when identity cannot be guaranteed.
+
+    A worker opts in with a hashable ``batch_key`` attribute, which also
+    keys the plan cache.  Its contract: control flow, sends and receives
+    depend only on rank, size and the key; clock readings may shape only
+    the return value.  The plan is recorded by running ``worker`` itself
+    against :class:`_RankPlan`, where every received payload is an
+    empty mapping and ``wtime`` reads 0.0.  A rank's result is what its
+    worker returned while recording; a rank that read its clock runs
+    once more, with ``wtime`` returning its solved readings.  A worker
+    without a ``batch_key`` falls back (``no_plan``).
     """
     from repro.mpi.runtime import RunResult
 
     if until is not None:
         raise BatchFallback("until", "run horizons need the event loop")
-    plan_fn = getattr(worker, "batch_plan", None)
     batch_key = getattr(worker, "batch_key", None)
-    if plan_fn is None or batch_key is None:
-        raise BatchFallback("no_plan", "worker does not publish a batch plan")
+    if batch_key is None:
+        raise BatchFallback("no_plan", "worker has no batch_key")
 
+    modes = dict(
+        tracing=bool(tracing), tracing_initially=bool(tracing_initially),
+        measure=bool(measure_offsets), sync_repeats=int(sync_repeats),
+    )
     key = (
-        batch_key, world.pinning.nranks, bool(tracing), bool(tracing_initially),
-        bool(measure_offsets), int(sync_repeats), world.mpi_regions,
+        batch_key, world.pinning.nranks, *modes.values(), world.mpi_regions,
         world.record_cost, world.flush_cost, world.trace_buffer_capacity,
         world.send_overhead, world.recv_overhead, world.spec.read_overhead,
         world.jitter, world.fabric.seed,
         world.periodic_sync_every, world.periodic_sync_repeats,
     )
-    plan = _compile(
-        world, plan_fn, key,
-        tracing=tracing, tracing_initially=tracing_initially,
-        measure=measure_offsets, sync_repeats=sync_repeats,
-    )
+    plan = _compile(world, worker, key, modes)
 
     nranks = plan.nranks
     locations = [world.pinning[r] for r in range(nranks)]
@@ -1139,7 +953,10 @@ def run_batch(world, worker, *, tracing=True, measure_offsets=True,
     match_arr = np.array(match_ids, dtype=np.int64)
 
     results = {
-        r: _build_result(plan.result_specs[r], read_values[r])
+        r: (
+            _record_rank(world, worker, r, readings=read_values[r], **modes).result
+            if plan.reads_clock[r] else copy.deepcopy(plan.results[r])
+        )
         for r in range(nranks)
     }
     init_offsets = final_offsets = None

@@ -342,8 +342,8 @@ def _build_stats_bootstrap(spec: CaseSpec) -> TraceCase:
     return TraceCase(spec=spec, tags=frozenset({"stats", "bootstrap", "unit"}))
 
 
-#: Workloads the batch fast path knows how to plan (kept in sync with
-#: the ``batch_plan`` attachments in :mod:`repro.workloads`).
+#: Built-in workloads whose workers carry a ``batch_key``, so the batch
+#: fast path records their plans (see :func:`repro.sim.batch.run_batch`).
 BATCH_WORKLOADS = (
     "sparse", "pingpong", "collective_timing", "pop", "smg2000", "sweep3d",
 )

@@ -16,7 +16,14 @@ study depends on — the *communication pattern* and run length:
   happened-before chains, dense Late Sender chains).
 
 All builders return a ``worker(ctx)`` generator suitable for
-:meth:`repro.mpi.runtime.MpiWorld.run`.
+:meth:`repro.mpi.runtime.MpiWorld.run`.  Each worker also carries a
+``batch_key``: it opts the worker into the batch engine
+(:func:`repro.sim.batch.run_batch`) and keys that engine's plan cache.
+The key promises that control flow, sends and receives depend only on
+rank, size and the key, and that clock readings shape only the return
+value.  The batch engine records its plan by running the worker itself,
+with every received payload an empty mapping, so nothing else is
+needed to run a workload batched.
 
 The :data:`WORKLOADS` registry maps each workload name to a builder
 with the uniform signature ``(nprocs, scale, seed) -> BuiltWorkload``;

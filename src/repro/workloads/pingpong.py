@@ -43,25 +43,6 @@ def pingpong_worker(repeats: int = 1000, nbytes: int = 0, warmup: int = 10):
                 yield from ctx.send_raw(0, tag=PING_TAG, nbytes=nbytes)
         return None
 
-    def batch_plan(plan):
-        if plan.rank == 0:
-            t1_slots, t2_slots = [], []
-            for i in range(warmup + repeats):
-                t1 = plan.wtime()
-                plan.send_raw(1, tag=PING_TAG, nbytes=nbytes)
-                plan.recv_raw(src=1, tag=PING_TAG)
-                t2 = plan.wtime()
-                if i >= warmup:
-                    t1_slots.append(t1)
-                    t2_slots.append(t2)
-            return ("timed", t1_slots, t2_slots, True)
-        if plan.rank == 1:
-            for _ in range(warmup + repeats):
-                plan.recv_raw(src=0, tag=PING_TAG)
-                plan.send_raw(0, tag=PING_TAG, nbytes=nbytes)
-        return ("static", None)
-
-    worker.batch_plan = batch_plan
     worker.batch_key = ("pingpong", repeats, nbytes, warmup)
     return worker
 
@@ -86,21 +67,5 @@ def collective_timing_worker(repeats: int = 200, nbytes: int = 8, warmup: int = 
                     samples[i - warmup] = t2 - t1
         return samples
 
-    def batch_plan(plan):
-        t1_slots, t2_slots = [], []
-        for i in range(warmup + repeats):
-            if plan.rank == 0:
-                t1 = plan.wtime()
-            plan.allreduce(nbytes=nbytes, value=1)
-            if plan.rank == 0:
-                t2 = plan.wtime()
-                if i >= warmup:
-                    t1_slots.append(t1)
-                    t2_slots.append(t2)
-        if plan.rank == 0:
-            return ("timed", t1_slots, t2_slots, False)
-        return ("static", None)
-
-    worker.batch_plan = batch_plan
     worker.batch_key = ("collective_timing", repeats, nbytes, warmup)
     return worker

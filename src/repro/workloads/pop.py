@@ -166,64 +166,5 @@ def pop_worker(config: PopConfig, seed: int = 0):
         ctx.set_tracing(False)
         return config.steps
 
-    def batch_plan(plan):
-        # Mirror of `worker` against the repro.sim.batch plan recorder.
-        px, py = config.grid
-        if px * py != plan.size:
-            raise ConfigurationError(
-                f"grid {config.grid} needs {px * py} ranks, job has {plan.size}"
-            )
-        x, y = plan.rank % px, plan.rank // px
-        east = y * px + (x + 1) % px
-        west = y * px + (x - 1) % px
-        north = (y + 1) * px + x if y + 1 < py else None
-        south = (y - 1) * px + x if y - 1 >= 0 else None
-        rng = np.random.default_rng((seed << 8) ^ plan.rank)
-
-        if config.row_reductions:
-            plan.split(color=y, key=x)  # raises BatchFallback
-
-        lo, hi = config.trace_window if config.trace_window else (0, config.steps)
-        plan.set_tracing(False)
-        for step in range(config.steps):
-            in_window = lo <= step < hi
-            if step == lo:
-                plan.set_tracing(True)
-            elif step == hi:
-                plan.set_tracing(False)
-            if config.fast_forward and not in_window:
-                plan.compute(config.step_time)
-                continue
-
-            plan.enter_region(STEP_REGION)
-            plan.enter_region(BAROCLINIC_REGION)
-            work = config.step_time * float(rng.normal(1.0, config.imbalance))
-            plan.compute(max(work, 0.0))
-            plan.exit_region(BAROCLINIC_REGION)
-
-            plan.enter_region(HALO_REGION)
-            plan.send(east, tag=HALO_TAG_X, nbytes=config.halo_bytes)
-            plan.send(west, tag=HALO_TAG_X, nbytes=config.halo_bytes)
-            if north is not None:
-                plan.send(north, tag=HALO_TAG_Y, nbytes=config.halo_bytes)
-            if south is not None:
-                plan.send(south, tag=HALO_TAG_Y, nbytes=config.halo_bytes)
-            plan.recv(src=west, tag=HALO_TAG_X)
-            plan.recv(src=east, tag=HALO_TAG_X)
-            if south is not None:
-                plan.recv(src=south, tag=HALO_TAG_Y)
-            if north is not None:
-                plan.recv(src=north, tag=HALO_TAG_Y)
-            plan.exit_region(HALO_REGION)
-
-            plan.enter_region(BAROTROPIC_REGION)
-            for _ in range(config.reductions_per_step):
-                plan.allreduce(nbytes=8, value=1.0)
-            plan.exit_region(BAROTROPIC_REGION)
-            plan.exit_region(STEP_REGION)
-        plan.set_tracing(False)
-        return ("static", config.steps)
-
-    worker.batch_plan = batch_plan
     worker.batch_key = ("pop", config, seed)
     return worker

@@ -100,32 +100,6 @@ def smg2000_worker(config: Smg2000Config, seed: int = 0):
         yield from ctx.sleep(config.post_sleep)
         return config.cycles
 
-    def batch_plan(plan):
-        # Mirror of `worker` against the repro.sim.batch plan recorder.
-        n = plan.size
-        levels = config.levels
-        if levels is None:
-            levels = max(1, int(np.floor(np.log2(max(n, 2)))))
-        rng = np.random.default_rng((seed << 8) ^ (plan.rank + 1))
-
-        plan.set_tracing(False)
-        plan.sleep(config.pre_sleep)
-        plan.set_tracing(True)
-
-        for _ in range(config.cycles):
-            plan.enter_region(CYCLE_REGION)
-            for level in range(levels):
-                _plan_level_exchange(plan, config, rng, level, n)
-            for level in range(levels - 1, -1, -1):
-                _plan_level_exchange(plan, config, rng, level, n)
-            plan.allreduce(nbytes=8, value=1.0)
-            plan.exit_region(CYCLE_REGION)
-
-        plan.set_tracing(False)
-        plan.sleep(config.post_sleep)
-        return ("static", config.cycles)
-
-    worker.batch_plan = batch_plan
     worker.batch_key = ("smg2000", config, seed)
     return worker
 
@@ -151,19 +125,3 @@ def _level_exchange(ctx, config: Smg2000Config, rng, level: int, n: int):
         yield from ctx.recv(src=up, tag=tag)
     yield from ctx.exit_region(LEVEL_REGION_BASE + level)
 
-
-def _plan_level_exchange(plan, config: Smg2000Config, rng, level: int, n: int):
-    """Plan-recorder mirror of :func:`_level_exchange`."""
-    stride = 1 << level
-    up = (plan.rank + stride) % n
-    down = (plan.rank - stride) % n
-    plan.enter_region(LEVEL_REGION_BASE + level)
-    work = config.smooth_time * float(rng.normal(1.0, config.imbalance))
-    plan.compute(max(work, 0.0))
-    tag = LEVEL_TAG_BASE + level
-    if up != plan.rank:
-        plan.send(up, tag=tag, nbytes=config.msg_bytes)
-        plan.send(down, tag=tag, nbytes=config.msg_bytes)
-        plan.recv(src=down, tag=tag)
-        plan.recv(src=up, tag=tag)
-    plan.exit_region(LEVEL_REGION_BASE + level)

@@ -71,26 +71,5 @@ def sparse_worker(config: SparseConfig, seed: int = 0):
                 yield from ctx.allreduce(nbytes=8, value=1)
         return config.rounds
 
-    def batch_plan(plan):
-        # Mirror of `worker` against the repro.sim.batch plan recorder:
-        # identical control flow and identical RNG consumption order.
-        n = plan.size
-        plan_rng = np.random.default_rng(seed)
-        my_rng = np.random.default_rng((seed << 8) ^ (plan.rank + 17))
-        for rnd in range(config.rounds):
-            pairs = plan_rng.random((n, n)) < config.density
-            np.fill_diagonal(pairs, False)
-            plan.compute(float(my_rng.exponential(config.compute_scale)))
-            for dst in range(n):
-                if pairs[plan.rank, dst]:
-                    plan.send(dst, tag=SPARSE_TAG, nbytes=64)
-            for src in range(n):
-                if pairs[src, plan.rank]:
-                    plan.recv(src=src, tag=SPARSE_TAG)
-            if config.collective_every and (rnd + 1) % config.collective_every == 0:
-                plan.allreduce(nbytes=8, value=1)
-        return ("static", config.rounds)
-
-    worker.batch_plan = batch_plan
     worker.batch_key = ("sparse", config, seed)
     return worker

@@ -103,36 +103,5 @@ def sweep3d_worker(config: Sweep3dConfig, seed: int = 0):
             yield from ctx.exit_region(SWEEP_REGION)
         return config.iterations
 
-    def batch_plan(plan):
-        # Mirror of `worker` against the repro.sim.batch plan recorder.
-        px, py = config.grid
-        if px * py != plan.size:
-            raise ConfigurationError(
-                f"grid {config.grid} needs {px * py} ranks, job has {plan.size}"
-            )
-        x, y = plan.rank % px, plan.rank // px
-        rng = np.random.default_rng((seed << 8) ^ (plan.rank + 3))
-
-        for _ in range(config.iterations):
-            plan.enter_region(SWEEP_REGION)
-            for dx, dy in DIRECTIONS:
-                up_x = x - dx
-                up_y = y - dy
-                down_x = x + dx
-                down_y = y + dy
-                if 0 <= up_x < px:
-                    plan.recv(src=y * px + up_x, tag=SWEEP_TAG)
-                if 0 <= up_y < py:
-                    plan.recv(src=up_y * px + x, tag=SWEEP_TAG)
-                work = config.cell_time * float(rng.normal(1.0, config.imbalance))
-                plan.compute(max(work, 0.0))
-                if 0 <= down_x < px:
-                    plan.send(y * px + down_x, tag=SWEEP_TAG, nbytes=config.msg_bytes)
-                if 0 <= down_y < py:
-                    plan.send(down_y * px + x, tag=SWEEP_TAG, nbytes=config.msg_bytes)
-            plan.exit_region(SWEEP_REGION)
-        return ("static", config.iterations)
-
-    worker.batch_plan = batch_plan
     worker.batch_key = ("sweep3d", config, seed)
     return worker

@@ -111,6 +111,55 @@ def test_periodic_and_congestion_together():
     assert taken == "batch"
 
 
+def _every_collective_worker(root: int, nbytes: int = 24):
+    """A worker calling all ten collectives, rooted ones at ``root``.
+
+    It publishes a ``batch_key``, so the batch engine records it by
+    running this generator; its results depend on rank only.
+    """
+
+    def worker(ctx):
+        r = root % ctx.size
+        everyone = {i: i for i in range(ctx.size)}
+        yield from ctx.compute(1e-4 * (ctx.rank + 1))
+        yield from ctx.barrier()
+        yield from ctx.bcast(root=r, nbytes=nbytes, payload="x")
+        yield from ctx.reduce(root=r, nbytes=nbytes, value=1.0)
+        yield from ctx.allreduce(nbytes=nbytes, value=1.0)
+        yield from ctx.gather(root=r, nbytes=nbytes, value=ctx.rank)
+        yield from ctx.scatter(root=r, nbytes=nbytes, values=everyone)
+        yield from ctx.allgather(nbytes=nbytes, value=ctx.rank)
+        yield from ctx.alltoall(nbytes=nbytes, values=everyone)
+        yield from ctx.scan(nbytes=nbytes, value=1)
+        yield from ctx.reduce_scatter(nbytes=nbytes, values=everyone)
+        return ctx.rank
+
+    worker.batch_key = ("every_collective", root, nbytes)
+    return worker
+
+
+@pytest.mark.parametrize("nranks,root", [(2, 1), (3, 2), (5, 3), (8, 5)])
+@pytest.mark.parametrize("tracing", [True, False])
+@pytest.mark.parametrize("periodic_sync_every", [0, 2])
+def test_every_collective_engages_and_matches(nranks, root, tracing,
+                                              periodic_sync_every):
+    """All ten collective algorithms run batched, bit-identical to the
+    engine, at power-of-two and other sizes with non-zero roots."""
+    from repro.verify.oracles import _batch_world, _require_runs_identical
+
+    params = _params("sparse", "tsc", nranks=nranks,
+                     periodic_sync_every=periodic_sync_every)
+    runs = {
+        engine: _batch_world(params).run(
+            _every_collective_worker(root), tracing=tracing, sync_repeats=3,
+            options=RunOptions(engine=engine),
+        )
+        for engine in ("reference", "batch")
+    }
+    assert runs["batch"].engine == "batch", runs["batch"].fallback_reason
+    _require_runs_identical(runs["reference"], runs["batch"], context="collectives")
+
+
 # ----------------------------------------------------------------------
 # Fallback-coverage matrix: one explicit expectation per workload x
 # feature, so vectorizing a fallback reason (or regressing one) flips a
@@ -328,6 +377,21 @@ class TestFallbackReasons:
         result = _world().run(adhoc, options=RunOptions(engine="batch"))
         assert result.engine == "reference"
         assert result.fallback_reason == "no_plan"
+
+    def test_raw_yield_reason(self):
+        """A keyed worker that yields engine requests itself cannot be
+        recorded; it runs on the reference engine."""
+        from repro.options import RunOptions
+        from repro.sim.primitives import Compute
+
+        def raw(ctx):
+            yield Compute(1e-4)
+            return None
+
+        raw.batch_key = ("raw",)
+        result = _world().run(raw, options=RunOptions(engine="batch"))
+        assert result.engine == "reference"
+        assert result.fallback_reason == "raw_yield"
 
     def test_engaged_and_reference_paths_have_no_reason(self):
         from repro.options import RunOptions

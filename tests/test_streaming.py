@@ -602,6 +602,37 @@ class TestTempLifetime:
         assert result.jumps == ControlledLogicalClock().correct(_reversed_pair_trace()).jumps
 
 
+class TestInterruptedFinalize:
+    def test_partial_output_is_refused(self, tmp_path, monkeypatch):
+        """A finalize sweep that raises after its first shard leaves a
+        manifest without a footer, and a reader refuses the directory."""
+        import json
+
+        from repro import correct_trace
+        from repro.errors import TraceFormatError
+        from repro.tracing.store import ShardedTraceReader, ShardedTraceWriter
+
+        source = write_sharded_trace(_reversed_pair_trace(), tmp_path / "s", 512)
+        real = ShardedTraceWriter.append_batch
+        appended = []
+
+        def fail_after_first(self, rank, *columns):
+            if appended:
+                raise OSError("disk full")
+            appended.append(rank)
+            return real(self, rank, *columns)
+
+        monkeypatch.setattr(ShardedTraceWriter, "append_batch", fail_after_first)
+        out = tmp_path / "out"
+        with pytest.raises(OSError, match="disk full"):
+            correct_trace(source, output=out, interpolation="linear", clc=True)
+        lines = (out / "manifest.jsonl").read_text().splitlines()
+        kinds = [json.loads(line)["kind"] for line in lines]
+        assert kinds == ["header", "shard"]
+        with pytest.raises(TraceFormatError, match="no footer"):
+            ShardedTraceReader(out)
+
+
 _OBSERVABILITY = Path(__file__).resolve().parents[1] / "docs" / "observability.md"
 
 
