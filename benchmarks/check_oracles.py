@@ -247,6 +247,24 @@ def mutant_stageless_recorder():
         yield
 
 
+@contextmanager
+def mutant_unbound_floor():
+    """M14: the in-memory forward pass drops the input-floor test — a
+    dependent is landed whatever moved only as a block exit or for an
+    own-rank source, so a reversed receive whose send did not move is a
+    plain event and keeps its stamp.  The scalar reference lands every
+    dependent, so kernel-vs-reference notices."""
+    import repro.sync.schedule as schedule_mod
+
+    real = schedule_mod._bound_dependents
+
+    def unbound(schedule, orig, elmin):
+        return real(schedule, orig, np.full_like(elmin, -np.inf))
+
+    with mock.patch.object(schedule_mod, "_bound_dependents", unbound):
+        yield
+
+
 #: (name, mutant, oracle each campaign must catch it with)
 MUTANTS = [
     ("zero-lmin", mutant_zero_lmin, {"mutation": None}),
@@ -265,6 +283,7 @@ MUTANTS = [
     ("fifo-off-by-one", mutant_fifo_off_by_one, {"smoke": "message_matching_semantics"}),
     ("unpublished-move", mutant_unpublished_move, {"streaming": "streamed_matches_inmemory"}),
     ("stageless-recorder", mutant_stageless_recorder, {"batch": "batch_matches_engine"}),
+    ("unbound-floor", mutant_unbound_floor, {"mutation": "kernel_reference_identity"}),
 ]
 
 

@@ -119,6 +119,9 @@ class ClcStats:
     Feed every rank's log in order — whole (in memory) or shard by
     shard (streaming, ``continues=True`` from a rank's second segment
     on, so the interval across the boundary is counted too).
+    Only moved events and the intervals touching them are read: over a finite
+    range of stamps any other interval changes by exactly ``0.0``, which the
+    maxima absorb; a non-finite range or a mostly moved segment reads all.
     """
 
     def __init__(self) -> None:
@@ -133,20 +136,26 @@ class ClcStats:
             self._last = None
         if not original.size:
             return
-        shift = corrected - original
-        self.corrected_events += int(np.count_nonzero(shift > _MOVED_THRESHOLD))
-        self.max_shift = max(self.max_shift, float(shift.max()))
         if self._last is not None:  # the interval across the segment boundary
             self._intervals(
-                np.append(self._last[0], original[0]), np.append(self._last[1], corrected[0])
+                np.diff([self._last[0], original[0]]), np.diff([self._last[1], corrected[0]])
             )
         self._last = (original[-1], corrected[-1])
-        self._intervals(original, corrected)
+        changed = corrected != original  # == (shift != 0) when the stamps are finite
+        if np.isfinite(original.max() - original.min()) and 2 * np.count_nonzero(changed) <= changed.size:
+            at = np.flatnonzero(changed[:-1] | changed[1:])
+            shift = corrected[changed] - original[changed]
+            self._intervals(original[at + 1] - original[at], corrected[at + 1] - corrected[at])
+        else:
+            shift = corrected - original
+            self._intervals(np.diff(original), np.diff(corrected))
+        if shift.size:
+            self.corrected_events += int(np.count_nonzero(shift > _MOVED_THRESHOLD))
+            self.max_shift = max(self.max_shift, float(shift.max()))
 
-    def _intervals(self, original: np.ndarray, corrected: np.ndarray) -> None:
-        if original.size > 1:
-            d_orig = np.diff(original)
-            change = np.abs(np.diff(corrected) - d_orig)
+    def _intervals(self, d_orig: np.ndarray, d_corr: np.ndarray) -> None:
+        if d_orig.size:
+            change = np.abs(d_corr - d_orig)
             self.max_interval_growth = max(self.max_interval_growth, float(change.max()))
             rel = change / np.maximum(d_orig, _DISTORTION_FLOOR)
             self.interval_distortion = max(self.interval_distortion, float(rel.max()))
@@ -253,7 +262,7 @@ class ControlledLogicalClock:
         orig_flat = schedule.flatten(original)
 
         with tele.span("sync.clc.forward", events=orig_flat.size):
-            corr_flat, jumps, njumps, max_jump, writes = clc_forward(
+            corr_flat, jumps, njumps, max_jump, writes, lands = clc_forward(
                 schedule, orig_flat, edge_lmin, self.gamma
             )
         corrected = schedule.split(corr_flat)
@@ -261,6 +270,7 @@ class ControlledLogicalClock:
             tele.count("sync.clc.events", orig_flat.size)
             tele.count("sync.clc.jumps", njumps)
             tele.count("sync.clc.forward_writes", writes)
+            tele.count("sync.clc.lands", lands)
             # What the schedule compiled to: edge rows (messages, rooted
             # collective pairs) and N-to-N / prefix instance blocks.
             tele.count("sync.schedule.edges", schedule.n_edges)
@@ -407,7 +417,7 @@ def naive_shift_correct(trace: Trace, lmin: LminSpec = 0.0) -> ClcResult:
     edge_lmin = schedule.edge_lmin(lmin)
     original = {rank: trace.logs[rank].timestamps for rank in trace.ranks}
     orig_flat = schedule.flatten(original)
-    corr_flat, _jumps, njumps, max_jump, _writes = clc_forward(
+    corr_flat, _jumps, njumps, max_jump, _writes, _lands = clc_forward(
         schedule, orig_flat, edge_lmin, gamma=None
     )
     return compute_clc_stats(

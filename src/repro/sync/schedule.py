@@ -73,11 +73,13 @@ remain in :mod:`repro.sync.clc`, :mod:`repro.sync.lamport`, and
   ``LC[i-1] + γ·δ[i] > LC[i]`` holds spontaneously through rounding
   (detected by one vectorized pass).  Everywhere else the corrected
   timestamp provably equals the original bit pattern, so skipping the
-  event is exact, not approximate.  The original stamps therefore stay
-  a numpy array: corrections live in an overlay that holds Python
-  floats only for the events the pass reads or moves, and the result
-  is the original array with the moved events scattered in — the pass
-  costs what the dependencies and the moved events cost, not the log.
+  event is exact, not approximate.  So is landing only the dependents
+  that can bind, as the streaming CLC does (50 of 31,250 receives on
+  the 2 × 500k benchmark trace, 12,268 of 26,400 dependents on POP).
+  The original stamps therefore stay a numpy array: corrections live
+  in an overlay that holds Python floats only for the events the pass
+  reads or moves, and the result is the original array with the moved
+  events scattered in — the pass costs what binds and moves, not the log.
 
 Schedules are structure-only (no timestamps), so a compiled schedule is
 valid for every timestamp correction of the same trace; ``Trace``
@@ -584,6 +586,7 @@ def forward_recurrence(
     orig: np.ndarray, gamma: float | None, heads: Sequence[int], reads: Sequence[int]
 ) -> tuple[
     list,
+    bytearray,
     list[int],
     Callable[[int, int, int], int],
     Callable[[int, float], float],
@@ -597,21 +600,21 @@ def forward_recurrence(
     CLC's control factor, ``None`` for the naive shift, whose followers
     are only clamped for monotonicity: that is ``γ·δ = -0.0``, the one
     addend that changes no float, the sign of a zero included.  ``reads``
-    are the positions the caller reads from ``corr`` or lands on.
+    are the positions the caller reads from ``corr`` directly.
 
-    Returns ``(corr, spont, stretch, land, settle)``.  ``corr`` is an
-    overlay: a list that holds ``None`` except at ``reads`` (filled from
-    ``orig``) and at the events the pass moved, so what the pass costs in
-    Python follows the dependencies and the moved events, not the log
-    length.  A caller whose window continues a log keeps the carried
-    predecessor in the slot before it (``orig[0]`` its original stamp)
-    and lands that slot on its corrected stamp: ``land(0, carried)``.
-    ``spont`` lists, ascending, the positions where the follow rule
-    binds although the predecessor did not move — ``LC[i-1] + γ·δ[i] >
-    LC[i]`` through rounding (CLC) or a locally unsorted log (naive
-    shift) — found in one vectorized pass.  Off those positions the rule
-    binds only behind a moved event, which is what licenses skipping
-    every event whose predecessor kept its stamp.
+    Returns ``(corr, moved, spont, stretch, land, settle)``.  ``corr`` is an
+    overlay: ``None`` except at ``reads`` (filled from ``orig``) and at the
+    moved events, set in the bytemap ``moved`` (any other keeps ``orig``),
+    so what the pass costs in Python follows the dependencies and the moved
+    events, not the log length.  A caller whose window continues a log keeps
+    the carried predecessor in the slot before it (``orig[0]`` its original
+    stamp) and lands that slot on its corrected stamp: ``land(0, carried)``.
+    ``spont`` lists, ascending, the positions where the follow rule binds
+    although the predecessor did not move — ``LC[i-1] + γ·δ[i] > LC[i]``
+    through rounding (CLC) or a locally unsorted log (naive shift) — found
+    in one vectorized pass.  Off those positions the rule binds only behind
+    a moved event, which is what licenses skipping every event whose
+    predecessor kept its stamp.
 
     ``stretch(cur, stop, k)`` corrects the dependency-free events
     ``[cur, stop)``: the glide tail continuing from ``cur - 1`` if that
@@ -624,6 +627,15 @@ def forward_recurrence(
     the remote constraint did not bind.  ``settle()`` returns ``(the
     corrected stamps as an array, the moved positions)``: ``orig`` with
     the overlay's moved events scattered in.
+
+    Both drivers (:func:`clc_forward`, streaming's ``ShardSweeps._forward``)
+    land only a collective exit or a dependent with an own-rank source, a
+    binding input floor (largest ``orig[source] + l_min`` above ``orig[p]``)
+    or a moved source; any other is a plain event of a ``stretch``, exactly:
+    its floor is the input floor, at most ``orig[p]`` or NaN, so ``land`` —
+    which starts from ``orig[p]`` and takes the follow value where the rule
+    can bind and it is larger — finds no jump and moves ``p`` iff the follow
+    value exceeds ``orig[p]``, as the glide ``tail`` does.
     """
     n = orig.size
     gd = np.full(n, -0.0)
@@ -671,7 +683,7 @@ def forward_recurrence(
         return k
 
     def land(p: int, floor: float) -> float:
-        value = before = corr[p]
+        value = before = orig_at[p]
         if moved[p - 1] or p in spont_set:
             follow = corr[p - 1] + gd_at[p]
             if follow > value:
@@ -691,24 +703,40 @@ def forward_recurrence(
         out[written] = np.fromiter(map(corr.__getitem__, written.tolist()), np.float64, written.size)
         return out, written
 
-    return corr, spont, stretch, land, settle
+    return corr, moved, spont, stretch, land, settle
 
 
 # ----------------------------------------------------------------------
 # Kernels
 # ----------------------------------------------------------------------
+def _bound_dependents(schedule: CompiledSchedule, orig: np.ndarray, elmin: np.ndarray) -> np.ndarray:
+    """Per dependent, whether it lands whatever moved: a block exit, an own-rank
+    source, or a binding input floor (``fmax``: a NaN floor never binds)."""
+    bound = schedule.dep_slot >= 0
+    starts = schedule.dep_indptr[:-1]
+    has = np.flatnonzero(schedule.dep_indptr[1:] > starts)
+    if has.size:
+        at, eids = starts[has], schedule.dep_edge_ids
+        floors = np.fmax.reduceat(orig[schedule.dep_src] + elmin, at)
+        own = schedule.edge_src_rank[eids] == schedule.edge_dst_rank[eids]
+        bound[has] |= (floors > orig[schedule.dep_gids[has]]) | np.logical_or.reduceat(own, at)
+    return bound
+
+
 def clc_forward(
     schedule: CompiledSchedule,
     orig_flat: np.ndarray,
     edge_lmin: EdgeLmin,
     gamma: float | None,
-) -> tuple[np.ndarray, dict[int, list[tuple[int, float]]], int, float, int]:
+) -> tuple[np.ndarray, dict[int, list[tuple[int, float]]], int, float, int, int]:
     """Forward pass of the CLC (``gamma`` set) or naive shift (``None``).
 
-    Returns ``(corrected_flat, jumps, njumps, max_jump, writes)`` with
-    ``jumps`` mapping each rank to its ``(local index, jump size)`` list
-    — bit-identical to the scalar reference loop — and ``writes`` the
-    number of events the pass moved.
+    Returns ``(corrected_flat, jumps, njumps, max_jump, writes, lands)``
+    with ``jumps`` mapping each rank to its ``(local index, jump size)``
+    list — bit-identical to the scalar reference loop — ``writes`` the
+    number of events the pass moved and ``lands`` the number of
+    dependents it landed: those that can bind (:func:`forward_recurrence`).
+    A step starts with every other rank's source final (:func:`cursor_walk`).
     """
     ranks = schedule.ranks
     jumps: dict[int, list[tuple[int, float]]] = {rank: [] for rank in ranks}
@@ -719,34 +747,43 @@ def clc_forward(
     src = hot["src"]
     dep_slot = hot["dep_slot"]
     b_enter = hot["b_enter"]
-    elmin = edge_lmin.rows[schedule.dep_edge_ids].tolist()
+    elmin = edge_lmin.rows[schedule.dep_edge_ids]
+    bound = _bound_dependents(schedule, orig_flat, elmin)
+    bound_at, bound = np.flatnonzero(bound).tolist(), bound.tolist()
 
-    corr, spont, stretch, land, settle = forward_recurrence(
-        orig_flat,
-        gamma,
-        schedule.offsets[:-1][schedule.lengths > 0],
-        np.concatenate([schedule.dep_src, schedule.dep_gids, schedule.b_enter]),
+    corr, moved, spont, stretch, land, settle = forward_recurrence(
+        orig_flat, gamma, schedule.offsets[:-1][schedule.lengths > 0], schedule.b_enter
     )
+    orig_at, elmin = memoryview(orig_flat), memoryview(elmin)
     block_floor = block_floors(
         hot["b_lo"], hot["b_need"], edge_lmin.blocks,
         lambda lo, hi: list(map(corr.__getitem__, b_enter[lo:hi])),
     )
+    is_moved = moved.__getitem__
     spont_ptr = [bisect_left(spont, start) for start in offsets]
-    njumps = 0
+    njumps = lands = 0
     max_jump = 0.0
     for rp, a, b, dep_lo, dep_hi in schedule.steps:
         rk_start = offsets[rp]
         jlist = jumps[ranks[rp]]
         k = spont_ptr[rp]
-        e = dep_indptr[dep_lo]
-        for di in range(dep_lo, dep_hi):
+        # No source moved: land just the bound.  Long steps only (measured:
+        # 2×500k, one step, 30 → 27 ms; POP, ≈ 2 a step, 75 → 96 ms if all).
+        todo = range(dep_lo, dep_hi)
+        if dep_hi - dep_lo > 8 and not any(map(is_moved, src[dep_indptr[dep_lo]:dep_indptr[dep_hi]])):
+            todo = bound_at[bisect_left(bound_at, dep_lo):bisect_left(bound_at, dep_hi)]
+        for di in todo:
+            e, estop = dep_indptr[di], dep_indptr[di + 1]
+            if not (bound[di] or moved[src[e]] or estop - e > 1 and any(map(is_moved, src[e + 1:estop]))):
+                continue
+            lands += 1
             p = dep_gids[di]
             if a < p:
                 k = stretch(a, p, k)
             remote_floor = _NEG_INF
-            estop = dep_indptr[di + 1]
             while e < estop:
-                floor = corr[src[e]] + elmin[e]
+                s = src[e]
+                floor = (corr[s] if moved[s] else orig_at[s]) + elmin[e]
                 if floor > remote_floor:
                     remote_floor = floor
                 e += 1
@@ -764,7 +801,7 @@ def clc_forward(
         spont_ptr[rp] = stretch(a, b, k) if a < b else k
 
     corrected, written = settle()
-    return corrected, jumps, njumps, max_jump, len(written)
+    return corrected, jumps, njumps, max_jump, len(written), lands
 
 
 def nudged_caps(recv: np.ndarray, lmin) -> np.ndarray:

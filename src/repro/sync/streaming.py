@@ -531,7 +531,7 @@ class _RankForward:
         # rule to read.  What is read back: the carried slot, the last
         # slot (the next carry), and every send, receive with a source,
         # constraining enter and constrained exit.
-        self.corr, _, self.stretch, self.land, self.settle = forward_recurrence(
+        self.corr, _, _, self.stretch, self.land, self.settle = forward_recurrence(
             np.append(self.prev_orig, ts), gamma,
             heads=[1] if lo == 0 and n else [],
             reads=np.concatenate([[0, n], sends + 1, q, enters, exits]),
@@ -876,21 +876,14 @@ class ShardSweeps:
 
         A receive is landed — :func:`~repro.sync.schedule.forward_recurrence`'s
         ``land`` run on it with its send's forward stamp plus ``l_min`` —
-        only if its send moved (it was published) or its floor on the
+        only if its send moved (it was published), its send is on its
+        own rank (read after the cursor passed it), or its floor on the
         input stamps binds (``send + l_min > recv``, one
-        :func:`~repro.sync.violations.resolve_lmin` op per shard); an
-        own-rank send is read after the cursor passed it.  Every other
-        receive is a plain event of a ``stretch``, and that is exact:
-        its send did not move, so its floor is the input-stage ``send +
-        l_min``, at most the receive's input stamp ``orig``.  ``land``
-        starts from ``value = orig``, raises it to the follow value
-        exactly when the follow rule can bind (a moved predecessor or a
-        spontaneous position) and the follow value exceeds it, and then
-        finds ``floor > value`` false, since ``floor <= orig <= value``:
-        no jump, and the event is written iff the follow value exceeds
-        ``orig`` — which is what the glide ``tail`` inside ``stretch``
-        computes for the same event, from the same predecessor.  A NaN
-        floor never binds on either path.
+        :func:`~repro.sync.violations.resolve_lmin` op per shard); every
+        collective exit is landed.  Every other receive is a plain event
+        of a ``stretch``: the rule the in-memory
+        :func:`~repro.sync.schedule.clc_forward` follows too, exact by
+        the argument in ``forward_recurrence``'s docstring.
         """
         ranks = self.chunked.ranks
         cursor = np.zeros(max(ranks, default=-1) + 1, dtype=np.int64)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 from conftest import examples
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.errors import SynchronizationError
@@ -364,6 +364,63 @@ class TestClcStats:
         for field in ("corrected_events", "max_shift", "interval_distortion",
                       "max_interval_growth"):
             assert getattr(pieces, field) == getattr(whole, field), field
+
+    @staticmethod
+    def full_pass(segments) -> tuple:
+        """The four statistics by the formula that reads every event and
+        interval: ``(original, corrected, continues)`` segments in order."""
+        count, fields, last = 0, [0.0, 0.0, 0.0], None
+
+        def intervals(o, c):
+            if o.size > 1:
+                change = np.abs(np.diff(c) - np.diff(o))
+                fields[2] = max(fields[2], float(change.max()))
+                rel = change / np.maximum(np.diff(o), 1e-6)
+                fields[1] = max(fields[1], float(rel.max()))
+
+        for o, c, continues in segments:
+            last = last if continues else None
+            if not o.size:
+                continue
+            shift = c - o
+            count += int(np.count_nonzero(shift > 1e-15))
+            fields[0] = max(fields[0], float(shift.max()))
+            if last is not None:
+                intervals(np.append(last[0], o[0]), np.append(last[1], c[0]))
+            last = (o[-1], c[-1])
+            intervals(o, c)
+        return (count, *fields)
+
+    @given(
+        st.lists(st.sampled_from([0.0, -0.0, 1.0, 2.5, 1e-7, 1e308, -1e308, 1.7e308,
+                                  float("inf"), -float("inf"), float("nan")]),
+                 min_size=1, max_size=12),
+        st.lists(st.sampled_from([0.0, 0.0, 0.0, 1e-9, 2.0, -1.0, 1e308, float("inf"),
+                                  float("nan")]), min_size=12, max_size=12),
+        st.lists(st.integers(0, 12), max_size=3),
+    )
+    @example([1e308, 1e308, 1.5e308], [0.0, 1e-9, 0.0] + [0.0] * 9, [])
+    @example([-1e308, 0.0, 1e308], [0.0, 0.0, 0.0] + [0.0] * 9, [1])
+    @example([1.0, float("nan"), 2.0], [0.0, 0.0, 1.0] + [0.0] * 9, [2])
+    @example([1.0, float("inf"), float("inf")], [1.0, 0.0, 0.0] + [0.0] * 9, [])
+    def test_reads_only_moved_events_with_the_full_pass_result(self, stamps, shifts, cuts):
+        """Extreme, NaN and infinite stamps, whole and split with
+        ``continues=True``: the moved-events formula reports what
+        reading every event and interval reports, bit for bit."""
+        original = np.array(stamps)
+        corrected = original + np.asarray(shifts[: original.size])
+        bounds = [0, *sorted(min(c, original.size) for c in cuts), original.size]
+        split = [(original[lo:hi], corrected[lo:hi], k > 0)
+                 for k, (lo, hi) in enumerate(zip(bounds, bounds[1:]))]
+        with np.errstate(all="ignore"):
+            for segments in ([(original, corrected, False)], split):
+                stats = ClcStats()
+                for o, c, continues in segments:
+                    stats.add(o, c, continues=continues)
+                got = (stats.corrected_events, stats.max_shift, stats.interval_distortion,
+                       stats.max_interval_growth)
+                want = self.full_pass(segments)
+                assert [repr(x) for x in got] == [repr(x) for x in want]
 
 
 class TestClcProperty:

@@ -56,7 +56,7 @@ def windowed(orig, floors, gamma, cuts, pauses):
     for lo, hi in zip(cuts[:-1], cuts[1:]):
         window = np.append(prev_orig, orig[lo:hi])  # list index i + 1 is event lo + i
         landed = [p - lo + 1 for p in sorted(floors) if lo <= p < hi]
-        corr, _, stretch, land, settle = forward_recurrence(
+        corr, _, _, stretch, land, settle = forward_recurrence(
             window, gamma, heads=[1] if lo == 0 else [], reads=[0, hi - lo, *landed]
         )
         land(0, prev_corr)
@@ -156,7 +156,7 @@ class TestAnySplit:
     def test_naive_shift_keeps_the_sign_of_zero(self):
         # The clamp copies the predecessor; it must not turn -0.0 into 0.0.
         orig = np.array([-0.0, -1.0, -2.0])
-        _, spont, stretch, _, settle = forward_recurrence(orig, None, heads=[0], reads=[])
+        _, _, spont, stretch, _, settle = forward_recurrence(orig, None, heads=[0], reads=[])
         assert spont == [1, 2]  # a locally unsorted log follows spontaneously
         stretch(0, 3, 0)
         out, written = settle()
@@ -165,7 +165,7 @@ class TestAnySplit:
     def test_heads_start_a_new_log(self):
         # Two logs side by side: the second never follows the first's tail.
         orig = np.array([5.0, 5.1, 1.0, 1.1])
-        corr, spont, stretch, land, settle = forward_recurrence(orig, 1.0, heads=[0, 2], reads=[1])
+        corr, _, spont, stretch, land, settle = forward_recurrence(orig, 1.0, heads=[0, 2], reads=[1])
         assert spont == []
         assert corr == [None, 5.1, None, None]  # the overlay holds what is read, no more
         assert land(1, 7.0) == pytest.approx(1.9)
@@ -177,7 +177,7 @@ class TestAnySplit:
         # The previous window's last event moved from 1.0 to 1.5: the
         # carried slot takes it through ``land`` and the glide goes on.
         window = np.array([1.0, 2.0, 3.0])
-        corr, _, stretch, land, settle = forward_recurrence(window, 1.0, heads=[], reads=[0, 2])
+        corr, _, _, stretch, land, settle = forward_recurrence(window, 1.0, heads=[], reads=[0, 2])
         assert land(0, 1.5) == 0.5
         stretch(1, 3, 0)
         out, written = settle()
@@ -221,7 +221,7 @@ class TestMemory:
         lmin = schedule.edge_lmin(0.0)
         tracemalloc.start()
         try:
-            _, _, njumps, _, writes = clc_forward(schedule, orig, lmin, 0.99)
+            _, _, njumps, _, writes, _ = clc_forward(schedule, orig, lmin, 0.99)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

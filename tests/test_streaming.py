@@ -327,6 +327,16 @@ class TestFusedCorrection:
         writes = recorder.counters["sync.clc.forward_writes"]
         assert tally["recorder"].counters["sync.clc.forward_writes"] == writes > 0
 
+    def test_lands_match_inmemory(self, tally):
+        """The in-memory forward pass lands what the streamed sweep lands:
+        the 3 reversed receives, not all 256 of rank 1's."""
+        from repro import TelemetryRecorder, correct_trace
+
+        recorder = TelemetryRecorder()
+        correct_trace(tally["trace"], interpolation="linear", clc=True, telemetry=recorder)
+        lands = recorder.counters["sync.clc.lands"]
+        assert lands == tally["recorder"].counters["sync.stream.lands"] == len(_REVERSED) == 3
+
 
 @pytest.mark.parametrize("shard_events", [1, 7])
 def test_forward_writes_count_moved_events(sim_trace, tmp_path, shard_events):
