@@ -280,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--port", type=int, default=8631,
         help="listen port (0 picks a free one; the bound port is printed)",
     )
-    srv.add_argument("--workers", type=int, default=2, help="worker threads")
+    srv.add_argument("--workers", type=int, default=2, help="worker processes")
     srv.add_argument(
         "--max-attempts", type=int, default=3,
         help="crash retries per job before the dead letter (default 3)",

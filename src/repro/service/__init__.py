@@ -12,7 +12,8 @@ dependency-downward only:
   dead-letter, per-job audit manifests;
 * :mod:`repro.service.domain` — requests, job states, and the stable
   machine-readable error codes;
-* :mod:`repro.service.infrastructure` — queue, worker threads, atomic
+* :mod:`repro.service.infrastructure` — queue, dispatcher threads,
+  forked worker processes that run each correction attempt, atomic
   manifest store, thread-safe telemetry facade;
 * :mod:`repro.service.client` — urllib :class:`ServiceClient`.
 

@@ -20,7 +20,7 @@ noted):
                                   ``DELETE /v1/jobs/<id>``)
 ``GET /metrics``                  Prometheus text exposition of the
                                   service counters and timings
-``GET /healthz``                  liveness + worker count
+``GET /healthz``                  liveness + live worker processes
 ================================  =====================================
 
 Every error body is ``{"error": {"code", "message", "http"}}`` with a
@@ -121,7 +121,7 @@ class _Handler(BaseHTTPRequestHandler):
                     200,
                     {
                         "ok": True,
-                        "workers": self.manager.pool.alive,
+                        "workers": self.manager.workers_alive,
                         "queued": len(self.manager.queue),
                     },
                 )
@@ -216,8 +216,10 @@ def make_server(
 
     With no explicit ``manager`` one is created from ``work_dir`` (a
     temp-style directory the caller owns), ``cache``, and the worker
-    knobs; its pool is started.  Call ``serve_forever()`` to serve and
-    ``shutdown()`` to stop both the listener and the workers.
+    knobs.  The manager is started (its worker processes forked) before
+    the listening socket is bound, so those workers do not hold the
+    port.  Call ``serve_forever()`` to serve and ``shutdown()`` to stop
+    both the listener and the workers.
     """
     if manager is None:
         if work_dir is None:
@@ -225,6 +227,9 @@ def make_server(
         manager = JobManager(
             work_dir, cache=cache, workers=workers, max_attempts=max_attempts
         )
-    server = ServiceServer((host, port), manager, verbose=verbose)
     manager.start()
-    return server
+    try:
+        return ServiceServer((host, port), manager, verbose=verbose)
+    except BaseException:
+        manager.stop()
+        raise

@@ -14,13 +14,14 @@
   worker crash: the job is requeued (``service.jobs.retried``) until
   ``max_attempts``, then parked as ``dead`` (``service.jobs.dead``) with
   the last error preserved.  Dead jobs keep their manifest, so the dead
-  letter is inspectable on disk.
+  letter is inspectable on disk.  A killed worker process is such a
+  crash; every job in flight on its pool loses that attempt.
 * **Manifests.**  Every terminal transition writes the job's
   ``manifest.json`` (request digest, elided request, timings, result
   digests) through :class:`repro.service.infrastructure.ManifestStore`.
 
-:func:`execute_correction` is the one function a worker runs per
-attempt.  It is deliberately just a thin adapter from a
+:func:`execute_correction` is the one function a worker process runs
+per attempt.  It is deliberately just a thin adapter from a
 :class:`~repro.service.domain.CorrectionRequest` onto
 :func:`repro.core.correct.correct_trace` (and
 :func:`repro.workloads.simulate_workload` for workload sources) — the
@@ -48,6 +49,7 @@ from repro.service.infrastructure import (
     JobQueue,
     LockedTelemetry,
     ManifestStore,
+    ProcessExecutor,
     WorkerPool,
 )
 
@@ -144,13 +146,15 @@ class JobManager:
         A :class:`ResultCache` for completed outcomes, or ``None`` to
         disable cross-restart dedup (live-job dedup still applies).
     workers:
-        Worker-thread count.
+        Worker-process count, and as many dispatcher threads, each of
+        which claims one job at a time and waits on its attempt.
     max_attempts:
         Crash budget per job before it goes to the dead letter.
     executor:
         The per-attempt work function ``(request, job_dir) -> JobOutcome``;
-        defaults to :func:`execute_correction`.  Tests inject crashing or
-        recording executors here.
+        defaults to :func:`execute_correction` run in forked worker
+        processes.  An injected executor runs in the dispatcher thread
+        itself; tests inject crashing or recording executors here.
     telemetry:
         A :class:`LockedTelemetry` (created if omitted); scraped by
         ``/metrics``.
@@ -172,7 +176,11 @@ class JobManager:
         if cache is not None:
             cache.telemetry = self.telemetry
         self.max_attempts = max_attempts
-        self.executor = executor if executor is not None else execute_correction
+        self.processes = (
+            ProcessExecutor(execute_correction, workers, self.telemetry)
+            if executor is None else None
+        )
+        self.executor = executor if executor is not None else self.processes
         self.clock = clock
         self.queue = JobQueue()
         self.pool = WorkerPool(
@@ -187,10 +195,33 @@ class JobManager:
 
     # ------------------------------------------------------------------
     def start(self) -> None:
+        """Fork the worker processes, then start the dispatcher threads.
+
+        No dispatcher or HTTP thread runs yet, so no child inherits a lock
+        one of them holds; the modules an attempt needs are imported
+        first, so no child imports them.
+        """
+        if self.processes is not None:
+            import numpy.ma  # noqa: F401 - np.unique loads it on first use
+            import repro.core.correct  # noqa: F401
+            import repro.tracing.reader  # noqa: F401
+            import repro.tracing.writer  # noqa: F401
+            import repro.workloads  # noqa: F401
+
+            self.processes.start()
         self.pool.start()
 
     def stop(self, timeout: float = 10.0) -> None:
         self.pool.stop(timeout=timeout)
+        if self.processes is not None:
+            self.processes.stop()
+
+    @property
+    def workers_alive(self) -> int:
+        """Live worker processes; dispatcher threads for an injected executor."""
+        if self.processes is not None:
+            return len(self.processes.pids())
+        return self.pool.alive
 
     # ------------------------------------------------------------------
     def submit(self, request: CorrectionRequest) -> JobRecord:

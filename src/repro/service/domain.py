@@ -101,6 +101,11 @@ class ServiceError(ReproError):
         self.code = code
         self.http_status = ERROR_HTTP_STATUS[code]
 
+    def __reduce__(self):
+        # BaseException pickles as cls(*self.args), and args is only the
+        # message; a worker process sends the error back by pickle.
+        return (ServiceError, (self.code, str(self)))
+
     def to_json(self) -> dict:
         return {
             "error": {
@@ -116,7 +121,8 @@ def classify_error(exc: BaseException) -> str:
 
     The mapping is intentionally coarse: clients branch on the code,
     humans read the message.  Anything that is not a deliberate
-    :class:`ReproError` counts as a worker crash (retryable).
+    :class:`ReproError` counts as a worker crash (retryable), including
+    the ``BrokenProcessPool`` of a killed worker process.
     """
     if isinstance(exc, ServiceError):
         return exc.code

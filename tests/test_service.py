@@ -9,10 +9,13 @@ retry, dead letter — is deterministic.
 from __future__ import annotations
 
 import json
+import pickle
 import time
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
+import repro.errors
 from repro.cache import ResultCache
 from repro.errors import (
     ConfigurationError,
@@ -66,6 +69,23 @@ class TestServiceError:
         for code, status in ERROR_HTTP_STATUS.items():
             assert status in (400, 404, 409, 422, 500), (code, status)
 
+    @pytest.mark.parametrize(
+        "exc",
+        [getattr(repro.errors, name)("lost in transit") for name in repro.errors.__all__]
+        + [ServiceError("bad_trace", "lost in transit")],
+        ids=lambda exc: type(exc).__name__,
+    )
+    def test_survives_pickle(self, exc):
+        """A worker process sends its exception back by pickle; the server
+        must get the same class, message and code back, or a
+        ServiceError breaks the whole process pool."""
+        back = pickle.loads(pickle.dumps(exc))
+        assert type(back) is type(exc)
+        assert str(back) == "lost in transit"
+        assert classify_error(back) == classify_error(exc)
+        for attr in ("code", "http_status"):
+            assert getattr(back, attr, None) == getattr(exc, attr, None)
+
 
 class TestClassifyError:
     @pytest.mark.parametrize(
@@ -81,6 +101,7 @@ class TestClassifyError:
             (ReproError("m"), "bad_request"),
             (RuntimeError("m"), "worker_crashed"),
             (ZeroDivisionError(), "worker_crashed"),
+            (BrokenProcessPool("a worker died"), "worker_crashed"),
         ],
     )
     def test_mapping(self, exc, code):
