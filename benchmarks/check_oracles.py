@@ -92,7 +92,7 @@ def mutant_forced_gamma():
 def mutant_dropped_sender():
     """M5: the pair expansion loses one sender of every N-to-N instance —
     the scalar oracles (``build_dependencies``) read those pairs, while
-    the kernels and the streaming CLC read N-to-N instances as blocks:
+    the kernels and the streaming CLC read every instance as blocks:
     the independent flavor rule and the kernel-vs-reference oracle
     notice."""
     import repro.sync.collectives_map as cmap
@@ -177,22 +177,28 @@ def mutant_unmoved_predecessor():
 
 @contextmanager
 def mutant_dropped_member():
-    """M10: the compiled schedule loses the last member of every N-to-N
-    and prefix block — its enter binds no exit and its exit waits for
-    nothing.  The streaming CLC and the scalar oracles keep their own
-    reading of the flavor rule, so kernel-vs-reference (CLC, Lamport,
-    vector) and streamed == in-memory all notice."""
+    """M10: the compiled schedule loses the last member of every block —
+    its enter binds no exit, its exit waits for nothing, and every other
+    range is cut at the shortened block's end.  The streaming CLC and the
+    scalar oracles keep their own reading of the flavor rule, so
+    kernel-vs-reference (CLC, Lamport, vector) and streamed == in-memory
+    all notice."""
     import repro.sync.schedule as schedule_mod
     from repro.sync.collectives_map import CollectiveBlocks
 
     real = schedule_mod.collective_constraints
 
     def dropped(table):
-        pairs, blocks = real(table)
+        blocks = real(table)
         keep = np.ones(blocks.members.size, dtype=bool)
         keep[blocks.indptr[1:] - 1] = False
         indptr = blocks.indptr - np.arange(blocks.indptr.size)
-        return pairs, CollectiveBlocks(blocks.members[keep], indptr, blocks.prefix)
+        sizes = np.diff(indptr)
+        lo = np.repeat(indptr[:-1], sizes)
+        need = lo + blocks.need[keep] - blocks.lo[keep]
+        return CollectiveBlocks(
+            blocks.members[keep], indptr, lo, np.minimum(need, np.repeat(indptr[1:], sizes))
+        )
 
     with mock.patch.object(schedule_mod, "collective_constraints", dropped):
         yield

@@ -271,8 +271,8 @@ class ControlledLogicalClock:
             tele.count("sync.clc.jumps", njumps)
             tele.count("sync.clc.forward_writes", writes)
             tele.count("sync.clc.lands", lands)
-            # What the schedule compiled to: edge rows (messages, rooted
-            # collective pairs) and N-to-N / prefix instance blocks.
+            # What the schedule compiled to: edge rows (messages, or an
+            # explicit constraint set) and collective instance blocks.
             tele.count("sync.schedule.edges", schedule.n_edges)
             tele.count("sync.schedule.blocks", schedule.n_blocks)
             # The forward pass and the send caps hold every event at

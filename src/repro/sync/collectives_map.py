@@ -31,22 +31,23 @@ This module is the only place that knows the flavor rule.
 scalar oracles iterate (:func:`repro.sync.order.dependency_edges`,
 hence ``build_dependencies`` and every ``*_reference``).  The compiled
 kernels and the streaming CLC read :func:`collective_constraints`
-instead: the rooted instances as pairs, the N-to-N and prefix ones as
-**blocks** — an instance's members, nothing per pair.  A block's exit
-``i`` depends on the enters of members ``[0, n)`` (N-to-N; its own
-enter precedes it in its log, so counting it changes no order and no
-max) or ``[0, i)`` (prefix), and its floor
+instead: every instance of two or more members as one **block** — its
+members, nothing per pair — whose slot ``s``'s exit depends on the
+enters of slots ``[lo[s], need[s])``: the whole block for N-to-N (the
+own enter precedes the exit in its log, so it changes no order and no
+max), the lower members for prefix; a 1-to-N or N-to-1 block puts the
+root's slot first, and every other exit reads ``[root, root + 1)``
+(1-to-N) or the root's exit the whole block (N-to-1).  A floor
 ``max_{j != i}(LC'(enter_j) + l_min(j, i))`` is one reduction over the
 members (:func:`repro.sync.schedule.block_floors`) instead of ``n - 1``
-edges.  The tie rule is the dense loop's: the first sender, in member
+edges, with the dense loop's tie rule: the first sender, in member
 order, among equal floors binds, and a NaN floor never does.  An
-instance one of whose members exits before it enters in its own log
-stays pairs: as an N-to-N block it would order that member's exit
-behind its own enter, and as a prefix block it would leave the last
-member's enter, which no exit reads, unpassed when the streaming CLC
-drops the block's state.  :func:`logical_messages` below reduces the same
-way for prefix and N-to-N receivers, finding each one's binding sender
-over the instance's ``n`` members instead of its ``n**2`` pairs.
+instance where a member would wait on its own enter — it exits before
+it enters, in an N-to-N instance or as an N-to-1 root — becomes one
+block per receiver: its senders in member order, then itself.
+:func:`logical_messages` below reduces the same way for prefix and
+N-to-N receivers, finding each one's binding sender over the instance's
+``n`` members instead of its ``n**2`` pairs.
 """
 
 from __future__ import annotations
@@ -99,6 +100,32 @@ def _flavors(collectives: CollectiveTable) -> list[CollectiveFlavor]:
     return [flavor[op] for op in ops]
 
 
+def _instances(
+    collectives: CollectiveTable,
+) -> tuple[list[CollectiveFlavor], np.ndarray, np.ndarray]:
+    """Per instance: ``(flavor, size, root position)``, the position ``-1``
+    where the root is not a member.  A rooted collective (every flavor but
+    N-to-N) of two or more members whose root is not among them raises
+    :class:`TraceError`."""
+    table = collectives
+    flavors = _flavors(table)
+    sizes = np.diff(table.starts)
+    of_member = np.repeat(np.arange(len(table)), sizes)
+    at_root = np.flatnonzero(table.ranks == table.root[of_member])
+    rooted = of_member[at_root]
+    root_pos = np.full(len(table), -1, dtype=np.int64)
+    root_pos[rooted] = at_root - table.starts[rooted]
+    n_to_n = np.array([f is CollectiveFlavor.N_TO_N for f in flavors], dtype=bool)
+    bad = np.flatnonzero((root_pos < 0) & (sizes > 1) & ~n_to_n)
+    if bad.size:
+        k = int(bad[0])
+        raise TraceError(
+            f"collective instance {table.instance[k]} ({CollectiveOp(table.op[k]).name}): "
+            f"root {table.root[k]} is not among its members"
+        )
+    return flavors, sizes, root_pos
+
+
 def collective_pairs(
     collectives: CollectiveTable, keep: Optional[np.ndarray] = None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -107,25 +134,15 @@ def collective_pairs(
     Returns ``(receivers, senders)`` with one entry per pair, instance by
     instance in table order (only the instances ``keep`` marks, when
     given); single-member instances constrain nothing.  A rooted
-    collective (every flavor but N-to-N) whose root is not among its
-    members raises :class:`TraceError`, kept or not.
+    collective whose root is not among its members raises
+    :class:`TraceError`, kept or not.
     """
     table = collectives
-    sizes = np.diff(table.starts)
-    of_member = np.repeat(np.arange(len(table)), sizes)
-    at_root = np.flatnonzero(table.ranks == table.root[of_member])
-    rooted = of_member[at_root]
-    root_pos = np.full(len(table), -1, dtype=np.int64)
-    root_pos[rooted] = at_root - table.starts[rooted]
+    flavors, sizes, root_pos = _instances(table)
     keep = np.ones(len(table), dtype=bool) if keep is None else keep
     parts = [_NO_PAIRS]
     columns = (sizes.tolist(), root_pos.tolist(), table.starts.tolist(), keep.tolist())
-    for k, (flavor, n, pos, start, kept) in enumerate(zip(_flavors(table), *columns)):
-        if pos < 0 and n > 1 and flavor is not CollectiveFlavor.N_TO_N:
-            raise TraceError(
-                f"collective instance {table.instance[k]} ({CollectiveOp(table.op[k]).name}): "
-                f"root {table.root[k]} is not among its members"
-            )
+    for flavor, n, pos, start, kept in zip(flavors, *columns):
         if kept:
             receivers, senders = member_pairs(flavor, n, pos)
             parts.append((receivers + start, senders + start))
@@ -133,53 +150,66 @@ def collective_pairs(
 
 
 class CollectiveBlocks(NamedTuple):
-    """The N-to-N and prefix instances of a table, member by member.
+    """Every instance of two or more members, as blocks of member slots.
 
-    Block ``b``'s members are ``members[indptr[b]:indptr[b + 1]]``
-    (indices into the table's member columns, rank ascending) and
-    ``prefix[b]`` says whether each exit depends on the lower members'
-    enters only (MPI_Scan) or on every other member's (N-to-N).
+    Block ``b`` owns slots ``indptr[b]:indptr[b + 1]``; slot ``s`` is the
+    member ``members[s]`` (an index into the table's member columns)
+    whose exit depends on the enters of slots ``[lo[s], need[s])``, which
+    starts at the block's first slot and is empty where it waits for nobody.
     """
 
     members: np.ndarray
     indptr: np.ndarray
-    prefix: np.ndarray
-
-    def sources(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per member slot ``s``: ``(lo, need)``, its exit depending on the
-        enters of slots ``[lo, need)`` — the whole block for N-to-N (its own
-        enter, which precedes it, included), the lower members for prefix."""
-        sizes = np.diff(self.indptr)
-        lo = np.repeat(self.indptr[:-1], sizes)
-        whole = np.repeat(self.indptr[1:], sizes)
-        return lo, np.where(np.repeat(self.prefix, sizes), np.arange(lo.size), whole)
+    lo: np.ndarray
+    need: np.ndarray
 
 
-def collective_constraints(
-    collectives: CollectiveTable,
-) -> tuple[tuple[np.ndarray, np.ndarray], CollectiveBlocks]:
-    """The flavor rule as the kernels read it: ``((receivers, senders), blocks)``.
+@lru_cache(maxsize=256)
+def _layout(
+    flavor: CollectiveFlavor, n: int, root_pos: int, per_receiver: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One ``n``-member instance as blocks: ``(order, need, sizes)`` — member
+    positions slot by slot, each slot's range end counted from its block's
+    first slot, and the blocks' sizes (the rule: see the module docstring)."""
+    members = slot = np.arange(n)
+    if per_receiver:  # its senders in member order, then itself
+        receivers = members if flavor is CollectiveFlavor.N_TO_N else [root_pos]
+        order = np.concatenate([np.append(np.delete(members, r), r) for r in receivers])
+        need = np.tile(np.append(np.zeros(n - 1, dtype=np.int64), n - 1), len(receivers))
+        return order, need, np.full(len(receivers), n)
+    if flavor in (CollectiveFlavor.ONE_TO_N, CollectiveFlavor.N_TO_ONE):
+        members = np.append(root_pos, np.delete(members, root_pos))  # the root first
+    need = {
+        CollectiveFlavor.N_TO_N: np.full(n, n),
+        CollectiveFlavor.PREFIX: slot,
+        CollectiveFlavor.ONE_TO_N: np.minimum(slot, 1),  # every other exit reads the root
+        CollectiveFlavor.N_TO_ONE: np.where(slot == 0, n, 0),  # the root's exit reads all
+    }[flavor]
+    return members, need, np.array([n])
 
-    1-to-N and N-to-1 instances come as the pairs of
-    :func:`collective_pairs`; N-to-N and prefix instances of two or more
-    members as :class:`CollectiveBlocks` — except an instance one of
-    whose members exits before it enters, which stays pairs (see the
-    module docstring).
-    """
+
+def collective_constraints(collectives: CollectiveTable) -> CollectiveBlocks:
+    """The flavor rule as the kernels read it: every instance of two or more
+    members as blocks, in table order (see the module docstring)."""
     table = collectives
-    flavors = _flavors(table)
-    sizes = np.diff(table.starts)
-    prefix = np.array([f is CollectiveFlavor.PREFIX for f in flavors], dtype=bool)
-    n_to_n = np.array([f is CollectiveFlavor.N_TO_N for f in flavors], dtype=bool)
-    of_member = np.repeat(np.arange(len(table)), sizes)
-    backwards = np.zeros(len(table), dtype=bool)
-    backwards[of_member[table.exit_idx < table.enter_idx]] = True
-    is_block = (sizes > 1) & (prefix | n_to_n) & ~backwards
-    pairs = collective_pairs(table, keep=~is_block)
-    members = np.flatnonzero(is_block[of_member])
-    indptr = np.zeros(np.count_nonzero(is_block) + 1, dtype=np.int64)
-    np.cumsum(sizes[is_block], out=indptr[1:])
-    return pairs, CollectiveBlocks(members, indptr, prefix[is_block])
+    flavors, sizes, root_pos = _instances(table)
+    backwards = table.exit_idx < table.enter_idx  # members that exit before they enter
+    any_back = np.logical_or.reduceat(backwards, table.starts[:-1])
+    layouts, firsts = [(np.empty(0, dtype=np.int64),) * 3], [0]
+    columns = (sizes.tolist(), root_pos.tolist(), table.starts.tolist(), any_back.tolist())
+    for flavor, n, pos, start, back in zip(flavors, *columns):
+        if n > 1:
+            layout = order, need, _ = _layout(flavor, n, pos, False)
+            if back and backwards[start + order[np.arange(n) < need]].any():  # waits on itself
+                layout = _layout(flavor, n, pos, True)
+            layouts.append(layout)
+            firsts.append(start)
+    order, need, block_sizes = (np.concatenate(column) for column in zip(*layouts))
+    members = order + np.repeat(firsts, [layout[0].size for layout in layouts])
+    indptr = np.zeros(block_sizes.size + 1, dtype=np.int64)
+    np.cumsum(block_sizes, out=indptr[1:])
+    lo = np.repeat(indptr[:-1], block_sizes)
+    return CollectiveBlocks(members, indptr, lo, lo + need)
 
 
 def _binding_senders(

@@ -21,7 +21,7 @@ the starting point of explicit constraint sets (POMP,
 instance of ``n`` members is ``n·(n-1)`` edges here.  The compiled
 kernels and the streaming CLC do not read it: they take the same
 relation from :func:`repro.sync.collectives_map.collective_constraints`,
-with N-to-N and prefix instances as blocks of ``n`` members, so this
+with every instance as blocks of its ``n`` members, so this
 spelling stays an independent second one for the oracles.
 """
 

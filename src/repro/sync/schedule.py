@@ -15,17 +15,16 @@ numpy arrays:
 * **the edge table** — ``e_dst``/``e_src`` (gids) and
   ``edge_dst_rank``/``edge_src_rank`` (rank ids, for vectorized ``l_min``
   resolution via :func:`repro.sync.violations.resolve_lmin`), one entry
-  per edge in the order given: messages and the pairs of rooted (1-to-N,
-  N-to-1) collectives;
-* **the blocks** — every N-to-N and prefix collective instance of two or
-  more members (:func:`repro.sync.collectives_map.collective_constraints`)
-  as its members' enter and exit gids, ``b_enter``/``b_exit`` (rank ids
-  in ``b_rank``), block ``b`` owning member slots
+  per edge in the order given: the messages, or an explicit constraint
+  set (:meth:`~CompiledSchedule.from_dependencies`);
+* **the blocks** — every collective instance of two or more members
+  (:func:`repro.sync.collectives_map.collective_constraints`) as its
+  members' enter and exit gids, ``b_enter``/``b_exit`` (rank ids in
+  ``b_rank``), block ``b`` owning member slots
   ``b_indptr[b]:b_indptr[b + 1]``.  Slot ``s``'s exit depends on the
-  enters of slots ``[b_lo[s], b_need[s])`` — the whole block for N-to-N
-  (the own enter precedes the exit in its log, so it changes nothing),
-  the lower members for prefix.  An instance of ``n`` members costs
-  ``n`` slots, not the ``n·(n-1)`` edges of the pair expansion;
+  enters of slots ``[b_lo[s], b_need[s])``, the flavor's rule.  An
+  instance of ``n`` members costs ``n`` slots, not the ``n·(n-1)``
+  edges of an N-to-N pair expansion;
 * **a compact forward CSR** — ``dep_gids`` lists the dependency-bearing
   events (receives, collective exits, custom constraints such as POMP)
   ascending by gid, ``dep_indptr`` delimits their edge-table sources in
@@ -55,15 +54,16 @@ remain in :mod:`repro.sync.clc`, :mod:`repro.sync.lamport`, and
 * integer kernels (Lamport, vector) use closed forms that are exact in
   int64 arithmetic;
 * a block's floors are reductions over its members
-  (:func:`block_floors`): one top-2 scan gives every N-to-N exit the
-  largest ``LC'(enter_j) + l_min`` over the *other* members (one
-  members × members array op when ``l_min`` differs per pair), and a
-  prefix exit takes one column op over the lower members.  Each addition is the pair edge's own, and
-  the tie rule is the dense loop's ``if floor > remote_floor``: among
-  equal floors (``-0.0`` and ``+0.0`` included) the first sender in
-  member order binds, and a NaN floor never binds.  Send caps take the
-  mirrored ``min`` with ``np.minimum.at``'s rule (the last receiver
-  among equal caps wins, a NaN propagates);
+  (:func:`block_floors`): one top-2 scan gives every exit whose range
+  holds its own slot the largest ``LC'(enter_j) + l_min`` over the
+  *other* members (one members × members array op when ``l_min``
+  differs per pair), any other exit one column op over its range.
+  Each addition is the pair edge's own, and the tie rule is the dense
+  loop's ``if floor > remote_floor``: among equal floors (``-0.0`` and
+  ``+0.0`` included) the first sender in member order binds, and a NaN
+  floor never binds.  Send caps take the mirrored ``min`` with
+  ``np.minimum.at``'s rule (the last receiver among equal caps wins, a
+  NaN propagates);
 * the float CLC recurrence ``LC'[i] = max(LC[i], LC'[i-1] + γ·δ[i])``
   lives in :func:`forward_recurrence`, shared with the streaming CLC,
   and is only evaluated — with exactly the reference's operation order
@@ -315,11 +315,12 @@ def block_floors(
     (or the streaming CLC's, laid out alike), ``lmin`` is
     :func:`block_lmin`'s, and ``enters(lo, hi)`` lists the corrected
     stamps of slots ``lo..hi-1``'s enters — asked only behind
-    ``b_need[s]``, where the walk guarantees they are final.  A prefix
-    exit takes one column op over the lower members.  An N-to-N block is
-    reduced once, the first time one of its exits asks: by one members ×
-    members array op, or with one ``l_min`` by a top-2 scan (the exit of
-    the largest sender gets the runner-up).  The scan is kept because it
+    ``b_need[s]``, where the walk guarantees they are final.  An exit
+    whose range ends at or below its own slot takes one column op over
+    it.  A block whose exits' ranges hold their own slots (N-to-N, an
+    N-to-1 root) is reduced once, the first time one asks: by one
+    members × members array op, or with one ``l_min`` by a top-2 scan
+    (the exit of the largest sender gets the runner-up).  The scan is kept because it
     pays: with the array op alone (``l_min`` broadcast into ``sums``) the
     ``inmem_jumpdense`` benchmark (600 sixteen-member blocks) ran at
     0.74 M against 0.86 M events/s, median of 8 alternating launches.
@@ -334,11 +335,11 @@ def block_floors(
         if value is not None:
             return value
         lo, need = b_lo[s], b_need[s]
-        if need <= s:  # prefix: the lower members
+        if need <= s:  # a range below its own slot
             column = lmin[s][: need - lo, s - lo] if per_pair else lmin
             sums = np.array(enters(lo, need), dtype=np.float64) + column
             out[s] = float(_first_max(sums[:, None])[0])
-        elif per_pair:  # N-to-N: every exit of the block at once
+        elif per_pair:  # every exit of the block at once
             sums = np.array(enters(lo, need), dtype=np.float64)[:, None] + lmin[s]
             np.fill_diagonal(sums, _NEG_INF)
             out[lo:need] = _first_max(sums).tolist()
@@ -381,7 +382,8 @@ class CompiledSchedule:
         "edge_dst_rank",
         "n_blocks",
         "b_indptr",
-        "b_prefix",
+        "b_lo",
+        "b_need",
         "b_rank",
         "b_enter",
         "b_exit",
@@ -403,22 +405,16 @@ class CompiledSchedule:
     def from_trace(cls, trace: "Trace", include_collectives: bool = True) -> "CompiledSchedule":
         """Compile the standard message/collective happened-before relation.
 
-        Messages and rooted collective pairs become edges, N-to-N and
-        prefix instances blocks (:func:`collective_constraints`).
+        Messages become edges, collective instances blocks
+        (:func:`collective_constraints`).
         """
-        edges = [dependency_edges(trace, include_collectives=False)]
         blocks = None
         if include_collectives:
             table = trace.collectives()
-            (receivers, senders), found = collective_constraints(table)
-            edges.append((
-                table.ranks[receivers], table.exit_idx[receivers],
-                table.ranks[senders], table.enter_idx[senders],
-            ))
-            members = found.members
+            found = collective_constraints(table)
             columns = (table.ranks, table.enter_idx, table.exit_idx)
-            blocks = (found, *(column[members] for column in columns))
-        return cls(trace, tuple(np.concatenate(column) for column in zip(*edges)), blocks)
+            blocks = (found, *(column[found.members] for column in columns))
+        return cls(trace, dependency_edges(trace, include_collectives=False), blocks)
 
     @classmethod
     def from_dependencies(
@@ -481,16 +477,15 @@ class CompiledSchedule:
         # ---- blocks ----------------------------------------------------
         if blocks is None:
             none = np.zeros(0, dtype=np.int64)
-            blocks = (CollectiveBlocks(none, np.zeros(1, dtype=np.int64), none.astype(bool)),
+            blocks = (CollectiveBlocks(none, np.zeros(1, dtype=np.int64), none, none),
                       none, none, none)
         found, self.b_rank, enter_idx, exit_idx = blocks
-        self.b_indptr, self.b_prefix = found.indptr, found.prefix
-        self.n_blocks = self.b_prefix.size
+        self.b_indptr, self.b_lo, self.b_need = found.indptr, found.lo, found.need
+        self.n_blocks = self.b_indptr.size - 1
         b_pos = np.searchsorted(rank_ids, self.b_rank)
         self.b_enter = offsets[b_pos] + enter_idx
         self.b_exit = offsets[b_pos] + exit_idx
-        b_lo, b_need = found.sources()
-        bound = np.flatnonzero(b_need > b_lo)  # a prefix block's first exit waits for nobody
+        bound = np.flatnonzero(self.b_need > self.b_lo)  # the exits that wait for somebody
 
         # ---- compact forward CSR (dependent -> sources) ----------------
         self.dep_edge_ids = by_dst = np.argsort(e_dst, kind="stable")
@@ -514,8 +509,8 @@ class CompiledSchedule:
             "src": self.dep_src.tolist(),
             "src_pos": src_pos[by_dst].tolist(),
             "dep_slot": self.dep_slot.tolist(),
-            "b_lo": b_lo.tolist(),
-            "b_need": b_need.tolist(),
+            "b_lo": self.b_lo.tolist(),
+            "b_need": self.b_need.tolist(),
             "b_enter": self.b_enter.tolist(),
             "b_pos": b_pos.tolist(),
         }
@@ -629,7 +624,7 @@ def forward_recurrence(
     the overlay's moved events scattered in.
 
     Both drivers (:func:`clc_forward`, streaming's ``ShardSweeps._forward``)
-    land only a collective exit or a dependent with an own-rank source, a
+    land only a block exit or a dependent with an own-rank source, a
     binding input floor (largest ``orig[source] + l_min`` above ``orig[p]``)
     or a moved source; any other is a plain event of a ``stretch``, exactly:
     its floor is the input floor, at most ``orig[p]`` or NaN, so ``land`` —
@@ -826,20 +821,22 @@ def _last_min(vals: np.ndarray, axis: int) -> np.ndarray:
     return vals.shape[axis] - 1 - np.flip(vals, axis).argmin(axis=axis)
 
 
-def block_caps(recv: np.ndarray, lmin, prefix: bool) -> np.ndarray:
-    """Send caps of the enters of same-shaped blocks, ``(B, n)`` like ``recv``.
+def block_caps(recv: np.ndarray, lmin, need: np.ndarray) -> np.ndarray:
+    """Send caps of the enters of same-sized blocks, ``(B, n)`` like ``recv``.
 
-    ``recv`` holds the exits' corrected stamps, ``lmin`` one number or
-    :func:`block_lmin`'s matrices stacked ``(B, n, n)``.  One
-    ``(B, receiver, sender)`` array op: enter ``j``'s cap is the ``min``
-    over its receivers' :func:`nudged_caps` in receiver order under
+    ``recv`` holds the exits' corrected stamps, ``need`` their range ends
+    counted from the block's first slot (where every range starts),
+    ``lmin`` one number or :func:`block_lmin`'s matrices stacked
+    ``(B, n, n)``.  One ``(B, receiver, sender)`` array op: enter ``j``'s
+    cap is the ``min`` over the receivers whose range holds it (its own
+    exit aside) of their :func:`nudged_caps`, in receiver order under
     ``np.minimum.at``'s rule, so it has the bits of the dense scatter
     over the pair edges; ``inf`` where no exit waits.
     """
-    receiver, sender = np.indices((recv.shape[1],) * 2)
-    unbound = receiver <= sender if prefix else receiver == sender
+    sender = np.arange(recv.shape[1])
+    reads = (sender < need[:, :, None]) & (sender != sender[:, None])
     vals = nudged_caps(recv[:, :, None], np.swapaxes(lmin, 1, 2) if np.ndim(lmin) else lmin)
-    vals = np.where(unbound, np.inf, vals)  # [block, receiver, sender]
+    vals = np.where(reads, vals, np.inf)  # [block, receiver, sender]
     return np.take_along_axis(vals, _last_min(vals, 1)[:, None, :], axis=1)[:, 0, :]
 
 
@@ -849,8 +846,10 @@ def send_caps_kernel(
     """Per-event upper bound ``min(partner receive - l_min)`` (flat).
 
     One scatter-min over the edge table and one :func:`block_caps` per
-    block shape replace the scalar reference's per-edge dict loop;
-    ``min`` is exact, so the caps are bit-identical.
+    block size replace the scalar reference's per-edge dict loop; the
+    blocks' caps are scattered in block order, as an enter of a
+    per-receiver block sits in several.  ``min`` is exact, so the caps
+    are bit-identical.
     """
     caps = np.full(schedule.n_events, np.inf, dtype=np.float64)
     np.minimum.at(
@@ -858,16 +857,15 @@ def send_caps_kernel(
     )
     indptr = schedule.b_indptr
     sizes = np.diff(indptr)
-    for n, prefix in set(zip(sizes.tolist(), schedule.b_prefix.tolist())):
-        los = indptr[:-1][(sizes == n) & (schedule.b_prefix == prefix)]
+    for n in np.unique(sizes).tolist():
+        los = indptr[:-1][sizes == n]
         slots = los[:, None] + np.arange(n)
         lmin = edge_lmin.blocks
         if isinstance(lmin, list):
             lmin = np.stack([lmin[lo] for lo in los.tolist()])
-        enters = schedule.b_enter[slots]
-        caps[enters] = np.minimum(
-            caps[enters], block_caps(corrected_flat[schedule.b_exit[slots]], lmin, prefix)
-        )
+        need = schedule.b_need[slots] - los[:, None]
+        got = block_caps(corrected_flat[schedule.b_exit[slots]], lmin, need)
+        np.minimum.at(caps, schedule.b_enter[slots].ravel(), got.ravel())
     return caps
 
 
@@ -987,8 +985,7 @@ def bsp_rounds(schedule: CompiledSchedule) -> tuple[int, int]:
     event-by-event reference loop exactly because dependency-free
     events never block.  A block is examined once per round: its first
     two members whose enter the last round had not produced decide every
-    exit (an N-to-N exit waits if one is not its own member, a prefix
-    exit if one lies below it).
+    exit (it waits if one lies in its range and is not its own slot).
     """
     hot = schedule.hot
     offsets = hot["offsets"]

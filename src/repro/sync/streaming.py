@@ -47,14 +47,14 @@ drives for a sharded source), each reading every input shard once:
   the input stamps binds, and those whose send moved — a send is
   *published* (held until its receive lands) only if the forward pass
   moved it.  Every other receive is a plain event (see
-  :meth:`ShardSweeps._forward` for why that is exact).  An N-to-N or
-  prefix collective is one block here as in the compiled schedule: its
-  exits wait on member cursors through
-  :func:`repro.sync.schedule.block_entered`, take their floors from
+  :meth:`ShardSweeps._forward` for why that is exact).  Every
+  collective instance is blocks here as in the compiled schedule: an
+  exit waits on the cursors of the members its range names through
+  :func:`repro.sync.schedule.block_entered`, takes its floor from
   :func:`repro.sync.schedule.block_floors` over the enter stamps
-  recorded as the cursors passed them, and its enters' send caps come
-  from :func:`repro.sync.schedule.block_caps` once its last exit has
-  landed.  A shard's send caps are one
+  recorded as the cursors passed them, and a block's enters get their
+  send caps from :func:`repro.sync.schedule.block_caps` once its last
+  exit has landed.  A shard's send caps are one
   :func:`repro.sync.schedule.nudged_caps` op at flush over its settled
   receive stamps, spilled to the senders' per-shard bucket files.
 * the backward amortization is a single reverse pass over each flagged
@@ -72,8 +72,8 @@ forward, backward, finalize, no interpolation) and
 :func:`streaming_apply_correction` (the interpolation alone, written
 out).  Nothing about collectives is decided here: who constrains whom
 comes from :func:`repro.sync.collectives_map.collective_constraints` —
-this module only names its pairs' and blocks' enters by ``(rank, log
-index)`` for the cursors to release.
+this module only names its blocks' enters by ``(rank, log index)`` for
+the cursors to release.
 
 Boundary-state requirement: match ids must be unique, as
 simulator-written traces guarantee.  A dependency cycle (corrupt
@@ -87,6 +87,7 @@ from __future__ import annotations
 
 import tempfile
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 from typing import NamedTuple, Optional, Union
@@ -319,111 +320,88 @@ class _MessageJoin:
 # Collective dependencies
 # ----------------------------------------------------------------------
 class _CollectiveDeps:
-    """The collective constraints, named by ``(rank, log index)`` for the cursors.
+    """The collective blocks, named by ``(rank, log index)`` for the cursors.
 
-    :func:`repro.sync.collectives_map.collective_constraints` splits them
-    into rooted pairs and blocks, as for the compiled schedule:
+    :func:`repro.sync.collectives_map.collective_constraints` lays every
+    instance out as blocks, as for the compiled schedule:
 
-    * ``enters[rank]`` — the sorted log indices of ``rank``'s
-      constraining enters (a rooted pair's sender or a block member);
-      the forward sweep records each one's stamp in ``values`` as the
-      rank's cursor passes it;
-    * ``exits[rank]`` — ``{exit idx: [(src rank, enter idx, l_min), ...]}``
-      for a rooted exit (its senders, in
-      :func:`repro.sync.order.dependency_edges` order) or ``{exit idx:
-      slot}`` for a block exit, ``exit_at[rank]`` their sorted indices.
+    * ``enters[rank]`` — the sorted log indices of ``rank``'s enters some
+      exit reads; the forward sweep records each one's stamp in
+      ``values`` as the rank's cursor passes it;
+    * ``exits[rank]`` — ``{exit idx: slot}`` for every exit that reads
+      an enter, ``exit_at[rank]`` their sorted indices.
 
-    A rooted exit is ready once every sender lies behind its rank's
-    cursor; a sender's stamp is dropped after its last rooted reader
-    landed.  A block keeps what
-    :class:`~repro.sync.schedule.CompiledSchedule` keeps: the count of its
-    leading slots whose enter lies behind its rank's cursor
-    (:func:`repro.sync.schedule.block_entered`, one lookup per check,
-    never ``n - 1``), floors from
+    A block keeps what :class:`~repro.sync.schedule.CompiledSchedule`
+    keeps: the count of its leading slots whose enter lies behind its
+    rank's cursor (:func:`repro.sync.schedule.block_entered`, one lookup
+    per check, never ``n - 1``), floors from
     :func:`repro.sync.schedule.block_floors`, and — once its last exit
     lands — its enters' send caps from
-    :func:`repro.sync.schedule.block_caps`, after which its members'
-    stamps are dropped.
+    :func:`repro.sync.schedule.block_caps`.  Then it drops the enter
+    stamps its exits read, each once no other block still reads it
+    (per-receiver blocks share their senders).
     """
 
     def __init__(self, table: CollectiveTable, lmin: LminSpec, cursor: np.ndarray) -> None:
-        self.values: dict[tuple[int, int], float] = {}
-        self.readers: dict[tuple[int, int], int] = {}
-        exits: dict[int, dict] = {}
-        enters: dict[int, set] = {}
-        (receivers, senders), blocks = collective_constraints(table)
-        src, dst = table.ranks[senders], table.ranks[receivers]
-        for d, exit_idx, s, enter_idx, lm in zip(
-            dst.tolist(), table.exit_idx[receivers].tolist(),
-            src.tolist(), table.enter_idx[senders].tolist(),
-            resolve_lmin(lmin, src, dst).tolist(),
-        ):
-            exits.setdefault(d, {}).setdefault(exit_idx, []).append((s, enter_idx, lm))
-            enters.setdefault(s, set()).add(enter_idx)
-            self.readers[s, enter_idx] = self.readers.get((s, enter_idx), 0) + 1
-
+        blocks = collective_constraints(table)
         members = blocks.members
         self.ranks = ranks = table.ranks[members].tolist()
         self.enter_idx = enter_idx = table.enter_idx[members].tolist()
-        lo, need = blocks.sources()
-        self.lo, self.need = lo.tolist(), need.tolist()
-        self.indptr, self.prefix = blocks.indptr, blocks.prefix
+        self.indptr = blocks.indptr
+        self.lo, self.need = blocks.lo.tolist(), blocks.need.tolist()
         self.lmin = block_lmin(lmin, blocks.indptr, table.ranks[members])
+        self.values: dict[tuple[int, int], float] = {}
         values = self.values
         self.floor = block_floors(
             self.lo, self.need, self.lmin,
             lambda lo, hi: [values[k] for k in zip(ranks[lo:hi], enter_idx[lo:hi])],
         )
         _, self.extend = block_entered(self.lo, lambda v: enter_idx[v] < cursor[ranks[v]])
+        # Per block (its first slot): the end of the slots its exits read.
+        starts, sizes = blocks.indptr[:-1], np.diff(blocks.indptr)
+        reach = np.maximum.reduceat(blocks.need, starts)
+        self.reach = dict(zip(starts.tolist(), reach.tolist()))
+        read = np.arange(members.size) < np.repeat(reach, sizes)
+        r_read, e_read = table.ranks[members][read], table.enter_idx[members][read]
+        #: Per read enter ``(rank, idx)``: the blocks still to read it.
+        self.readers = Counter(zip(r_read.tolist(), e_read.tolist()))
         self.pending: dict[int, int] = {}  # block (first slot) -> exits still to land
         self.recv = [0.0] * len(members)  # per slot: its exit's forward stamp
-        for slot, (rank, enter, exit_idx) in enumerate(
-            zip(ranks, enter_idx, table.exit_idx[members].tolist())
+        exits: dict[int, dict[int, int]] = {}
+        for slot, (rank, exit_idx, lo, need) in enumerate(
+            zip(ranks, table.exit_idx[members].tolist(), self.lo, self.need)
         ):
-            enters.setdefault(rank, set()).add(enter)
-            if self.need[slot] > self.lo[slot]:  # a prefix block's first exit waits for nobody
+            if need > lo:
                 exits.setdefault(rank, {})[exit_idx] = slot
-                self.pending[self.lo[slot]] = self.pending.get(self.lo[slot], 0) + 1
+                self.pending[lo] = self.pending.get(lo, 0) + 1
         self.exits = exits
-        self.enters = {r: np.array(sorted(e), dtype=np.int64) for r, e in enters.items()}
+        self.enters = {r: np.unique(e_read[r_read == r]) for r in np.unique(r_read).tolist()}
         self.exit_at = {r: np.array(sorted(e), dtype=np.int64) for r, e in exits.items()}
 
-    def ready(self, deps, cursor: np.ndarray) -> bool:
-        """Whether every enter exit ``deps`` (edges or a block slot) reads lies behind its cursor."""
-        if isinstance(deps, int):
-            need = self.need[deps]
-            return self.extend(self.lo[deps], need) >= need
-        return all(idx < cursor[s] for s, idx, _ in deps)
-
-    def rooted_floor(self, deps: list) -> float:
-        """The largest ``LC'(enter) + l_min`` over a rooted exit's senders, their reads counted."""
-        values, readers = self.values, self.readers
-        floor = -np.inf
-        for s, idx, lm in deps:
-            key = (s, idx)
-            if values[key] + lm > floor:
-                floor = values[key] + lm
-            readers[key] -= 1
-            if not readers[key]:
-                del values[key], readers[key]
-        return floor
+    def ready(self, slot: int) -> bool:
+        """Whether every enter exit ``slot`` reads lies behind its rank's cursor."""
+        need = self.need[slot]
+        return self.extend(self.lo[slot], need) >= need
 
     def landed(self, slot: int, value: float) -> Optional[tuple[list, list, list]]:
         """Record the exit's forward stamp; when it was its block's last,
         ``(ranks, enter indices, caps)`` of the block's enters (``inf``
-        where no exit waits) and its members' stamps are dropped."""
+        where no exit waits), and the stamps no block reads any more are dropped."""
         lo = self.lo[slot]
         self.recv[slot] = value
         self.pending[lo] -= 1
         if self.pending[lo]:
             return None
         del self.pending[lo]
-        b = int(np.searchsorted(self.indptr, lo))
-        hi = int(self.indptr[b + 1])
+        hi = int(self.indptr[np.searchsorted(self.indptr, lo) + 1])
         lmin = self.lmin[lo][None] if isinstance(self.lmin, list) else self.lmin
-        caps = block_caps(np.array([self.recv[lo:hi]]), lmin, bool(self.prefix[b]))[0]
-        for key in zip(self.ranks[lo:hi], self.enter_idx[lo:hi]):
-            del self.values[key]
+        need = np.array([self.need[lo:hi]]) - lo
+        caps = block_caps(np.array([self.recv[lo:hi]]), lmin, need)[0]
+        readers = self.readers
+        for key in zip(self.ranks[lo:self.reach[lo]], self.enter_idx[lo:self.reach[lo]]):
+            readers[key] -= 1
+            if not readers[key]:
+                del readers[key], self.values[key]
         return self.ranks[lo:hi], self.enter_idx[lo:hi], caps.tolist()
 
 
@@ -466,14 +444,14 @@ class _RankForward:
     changes no bit).  What is kept here is what streaming needs: which
     shard is resident, where the cursor stands in it, the shard's source
     rows, sends, constraining enters and constrained exits — list
-    indices, taken from the shard's columns once — the rooted edges and
-    completed blocks whose caps it spills, and the carries.
+    indices, taken from the shard's columns once — the completed blocks
+    whose caps it spills, and the carries.
     """
 
     __slots__ = (
         "rank", "recs", "si", "lo", "n_s", "corr", "stretch", "land", "settle",
         "sp_ptr", "cur", "passed", "rows", "row_ptr", "send_q", "send_ts", "send_ptr",
-        "enter_q", "enter_ptr", "exit_q", "exit_deps", "exit_ptr", "edges", "block_caps",
+        "enter_q", "enter_ptr", "exit_q", "exit_slot", "exit_ptr", "block_caps",
         "prev_orig", "prev_corr", "writes", "finished", "jumps", "fwd_paths", "fwd_span",
     )
 
@@ -520,12 +498,7 @@ class _RankForward:
         exits = here(coll.exit_at.get(rank, np.empty(0, dtype=np.int64)))
         self.enter_q, self.enter_ptr = enters.tolist(), 0
         self.exit_q, self.exit_ptr = exits.tolist(), 0
-        self.exit_deps = [coll.exits[rank][lo + p - 1] for p in self.exit_q]
-        edges = [(s, e, m, p) for p, deps in zip(self.exit_q, self.exit_deps)
-                 if not isinstance(deps, int) for s, e, m in deps]
-        self.edges = tuple(np.array(c, dtype=t) for c, t in zip(
-            zip(*edges) if edges else ((),) * 4, (np.int64, np.int64, np.float64, np.int64)
-        ))
+        self.exit_slot = [coll.exits[rank][lo + p - 1] for p in self.exit_q]
         self.block_caps = ([], [], [])  # ranks, enter indices, caps of blocks completed here
         # The log's very first event has no predecessor for the follow
         # rule to read.  What is read back: the carried slot, the last
@@ -588,21 +561,15 @@ class _RankForward:
         self.fwd_span.append((float(fwd[0]), float(fwd.max())))
         self.prev_corr = self.corr[self.n_s]
         self.corr = self.stretch = self.land = self.settle = None
-        # Every receive's and rooted exit's cap on its sources, in the
-        # order they came in the log, then the blocks completed here.
-        rows, (e_src, e_idx, e_lmin, e_q) = self.rows, self.edges
-        at = np.concatenate([rows.q, e_q])
-        order = np.argsort(at, kind="stable")
-        ranks = np.concatenate([rows.rank, e_src])[order]
-        idx = np.concatenate([rows.idx, e_idx])[order]
-        vals = nudged_caps(fwd[at[order] - 1], np.concatenate([rows.lmin, e_lmin])[order])
-        b_ranks, b_idx, b_caps = self.block_caps
-        ranks = np.concatenate([ranks, np.array(b_ranks, dtype=np.int64)])
-        idx = np.concatenate([idx, np.array(b_idx, dtype=np.int64)])
-        vals = np.concatenate([vals, b_caps])
+        # Every receive's cap on its send, in log order, then the blocks
+        # completed here.
+        rows, (b_ranks, b_idx, b_caps) = self.rows, self.block_caps
+        ranks = np.concatenate([rows.rank, np.array(b_ranks, dtype=np.int64)])
+        idx = np.concatenate([rows.idx, np.array(b_idx, dtype=np.int64)])
+        vals = np.concatenate([nudged_caps(fwd[rows.q - 1], rows.lmin), b_caps])
         if ranks.size:
             spill.add(ranks, idx, vals)
-        self.rows = self.edges = self.block_caps = None
+        self.rows = self.block_caps = None
         if self.si + 1 >= len(self.recs):
             self.finished = True
 
@@ -664,14 +631,12 @@ class ShardSweeps:
         source: Union[ChunkedTrace, ShardedTraceReader, str, Path],
         correction=None,
         lmin: LminSpec = 0.0,
-        include_collectives: bool = True,
         telemetry=None,
     ) -> None:
         self.chunked = _source_is_chunked(source)
         self.reader = self.chunked.reader
         self.correction = correction
         self.lmin = lmin
-        self.include_collectives = include_collectives
         self.tele = ensure_telemetry(telemetry)
         self.resident = _Resident(self.tele)
         self.by_id = not any(  # the rule of ``Trace.messages``: no send without an id
@@ -736,17 +701,16 @@ class ShardSweeps:
         for rank, rec in self._ordinal_order():
             raw, et, a, b, _, d = self._load(rec)
             (sends, send_keys), (recvs, recv_keys) = keys.ends(rank, et, a, b, d)
-            coll = collective_rows(rec.start, raw, et, a, b, d) if self.include_collectives else ()
+            coll = collective_rows(rec.start, raw, et, a, b, d)
             # The verdicts read the transfer and collective stamps only, so
             # the stages are evaluated there: per stage, [sends, recvs, collectives].
-            at = np.concatenate([sends, recvs] + ([coll[1] - rec.start] if coll else []))
+            at = np.concatenate([sends, recvs, coll[1] - rec.start])
             stamps = [
                 np.split(ts, [sends.size, sends.size + recvs.size])
                 for ts in (self._stamps(rank, raw[at]) if verdicts else [])
             ]
-            if coll:
-                for stage, (*_, ts) in enumerate(stamps or [[coll[2]]]):
-                    rows[stage][rank].append(coll[:2] + (ts,) + coll[3:])
+            for stage, (*_, ts) in enumerate(stamps or [[coll[2]]]):
+                rows[stage][rank].append(coll[:2] + (ts,) + coll[3:])
             sides = [
                 (key, np.full(pos.size, rank, dtype=np.int64), np.arange(pos.size) + recv_seen[rank],
                  pos + rec.start, np.array([ts[k] for ts in stamps]).reshape(len(stamps), pos.size))
@@ -755,9 +719,8 @@ class ShardSweeps:
             recv_seen[rank] += recvs.size
             join.feed(sides[0] + (self._corrected(rank, raw[sends]),), sides[1])
             self.resident.release(rec.events)
-        tables = [pair_collectives(r) for r in rows] if self.include_collectives else []
-        if tables:
-            self.collectives = tables[0]
+        tables = [pair_collectives(r) for r in rows]
+        self.collectives = tables[0]
         if not verdicts:
             return []
         out = [{"p2p": p2p} for p2p in join.reports(ranks, recv_seen)]
@@ -880,8 +843,8 @@ class ShardSweeps:
         own rank (read after the cursor passed it), or its floor on the
         input stamps binds (``send + l_min > recv``, one
         :func:`~repro.sync.violations.resolve_lmin` op per shard); every
-        collective exit is landed.  Every other receive is a plain event
-        of a ``stretch``: the rule the in-memory
+        block exit that reads an enter is landed.  Every other receive is
+        a plain event of a ``stretch``: the rule the in-memory
         :func:`~repro.sync.schedule.clc_forward` follows too, exact by
         the argument in ``forward_recurrence``'s docstring.
         """
@@ -889,10 +852,7 @@ class ShardSweeps:
         cursor = np.zeros(max(ranks, default=-1) + 1, dtype=np.int64)
         # Moved sends, by (rank, idx) key -> forward stamp, until their receive lands.
         published: dict[int, float] = {}
-        table = self.collectives
-        if table is None:
-            table = pair_collectives({})
-        coll = _CollectiveDeps(table, self.lmin, cursor)
+        coll = _CollectiveDeps(self.collectives, self.lmin, cursor)
         values = coll.values
         states = {r: _RankForward(r, self.reader.rank_shards(r)) for r in ranks}
         njumps = lands = visits = 0
@@ -960,13 +920,10 @@ class ShardSweeps:
                 pass_to(st, cur)
                 slot = -1
                 if exit_here:
-                    deps = st.exit_deps[ep]
-                    if not coll.ready(deps, cursor):
+                    slot = st.exit_slot[ep]
+                    if not coll.ready(slot):
                         break
-                    if isinstance(deps, int):
-                        slot, floor = deps, coll.floor(deps)
-                    else:
-                        floor = coll.rooted_floor(deps)
+                    floor = coll.floor(slot)
                     ep += 1
                 else:
                     i = at[li]
@@ -1023,7 +980,6 @@ def streaming_clc_correct(
     out_dir: Union[str, Path],
     gamma: float = 0.99,
     amortization_window: Optional[float] = None,
-    include_collectives: bool = True,
     lmin: LminSpec = 0.0,
     telemetry=None,
     shard_events: Optional[int] = None,
@@ -1038,14 +994,13 @@ def streaming_clc_correct(
     carries a :class:`~repro.tracing.store.ChunkedTrace` over
     ``out_dir``.
     """
-    sweeps = ShardSweeps(source, None, lmin, include_collectives, telemetry)
+    sweeps = ShardSweeps(source, None, lmin, telemetry)
     return sweeps.clc(out_dir, gamma, amortization_window, shard_events)
 
 
 def streaming_scan_trace(
     source: Union[ChunkedTrace, ShardedTraceReader, str, Path],
     lmin: LminSpec = 0.0,
-    include_collectives: bool = True,
     telemetry=None,
 ) -> dict[str, ViolationReport]:
     """Eq. 1 scan over a sharded trace, one shard resident at a time.
@@ -1055,7 +1010,7 @@ def streaming_scan_trace(
     table order, worst magnitude); unmatched transfer ends are dropped
     as with ``strict=False`` matching.
     """
-    sweeps = ShardSweeps(source, None, lmin, include_collectives, telemetry)
+    sweeps = ShardSweeps(source, None, lmin, telemetry)
     with sweeps.tele.span("sync.stream.scan", events=sweeps.chunked.total_events()):
         return sweeps.prescan()[0]
 

@@ -287,7 +287,7 @@ def _happened_before_preserved(case: TraceCase) -> None:
     result = ControlledLogicalClock().correct(trace, lmin=lmin)
     corr = {r: result.trace.logs[r].timestamps for r in trace.ranks}
     flat = schedule.flatten(corr)
-    # Every pair edge, N-to-N and prefix ones included: not the schedule's blocks.
+    # Every pair edge of every flavor: not the schedule's blocks.
     dst_rank, dst_idx, src_rank, src_idx = dependency_edges(trace)
     if dst_rank.size:
         ranks = np.array(trace.ranks)

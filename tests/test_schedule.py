@@ -385,7 +385,7 @@ _STAMPS = st.sampled_from([-0.0, 0.0, 1.0, -1.0, 2.0, 1e-300, float("nan")])
 
 
 class TestBlocks:
-    """N-to-N and prefix instances as blocks: the dense expansion's bits."""
+    """Collective instances as blocks, every flavor: the dense expansion's bits."""
 
     def test_pop_sized_trace_compiles_to_blocks(self):
         trace = _collective_trace(CollectiveOp.ALLREDUCE, [0.0] * 16, [1.0] * 16, rounds=3)
@@ -437,23 +437,40 @@ class TestBlocks:
     def test_prefix_waits_for_lower_members_only(self):
         trace = _collective_trace(CollectiveOp.SCAN, [4.0, 1.0, 3.0, 2.0], [5.0, 1.5, 3.5, 2.5])
         schedule = assert_blocks_match_dense(trace)
-        assert schedule.n_blocks == 1 and schedule.b_prefix.all()
+        assert schedule.n_blocks == 1 and (schedule.b_need - schedule.b_lo).tolist() == [0, 1, 2, 3]
         assert schedule.dep_gids.size == 3  # member 0's exit waits for nobody
         got = ControlledLogicalClock(amortization_window=0.0).correct(trace).trace
         assert [got.logs[r].timestamps[1] for r in trace.ranks] == [5.0, 4.0, 4.0, 4.0]
 
-    @pytest.mark.parametrize("op, pairs", [(CollectiveOp.BARRIER, 6), (CollectiveOp.SCAN, 3)])
-    @pytest.mark.parametrize("rank", [1, 2])
+    @pytest.mark.parametrize("op, pairs", [
+        (CollectiveOp.BARRIER, 6), (CollectiveOp.SCAN, 3),
+        (CollectiveOp.REDUCE, 2), (CollectiveOp.BCAST, 2),
+    ])
+    @pytest.mark.parametrize("rank", [0, 1, 2])
     def test_backward_member_stays_pairs(self, op, pairs, rank):
-        # ``rank`` exits before it enters: a barrier would order its exit
-        # behind its own enter, so the instance stays pair edges; so does
-        # a scan, whose last enter no exit reads.
+        # ``rank`` exits before it enters.  A barrier member, or the root
+        # of a reduce (rank 0), would wait on its own enter in one block,
+        # so the instance becomes one block per receiver: its senders in
+        # member order, then itself, reading the slots before it.  A scan
+        # or bcast exit never reads its own enter, nor does a reduce
+        # member other than the root: one plain block.  Either way the
+        # blocks hold the instance's ``pairs`` pair constraints, no edge.
         trace = _collective_trace(op, [0.0] * 3, [1.0] * 3)
         log = trace.logs[rank]
         swapped = EventLog.from_arrays(log.timestamps, log.etypes[::-1], log.a, log.b, log.c, log.d)
         trace = Trace({**trace.logs, rank: swapped})
         schedule = assert_blocks_match_dense(trace)
-        assert (schedule.n_blocks, schedule.n_edges) == (0, pairs)
+        lo, need = schedule.b_lo, schedule.b_need
+        slot = np.arange(lo.size)
+        assert schedule.n_edges == 0
+        assert int((need - lo).sum() - ((lo <= slot) & (slot < need)).sum()) == pairs
+        if op is CollectiveOp.BARRIER or (op is CollectiveOp.REDUCE and rank == 0):
+            receivers = [0, 1, 2] if op is CollectiveOp.BARRIER else [0]
+            order = [r for x in receivers for r in [*(m for m in (0, 1, 2) if m != x), x]]
+            assert schedule.b_rank.tolist() == order
+            assert (need - lo).tolist() == [0, 0, 2] * len(receivers)
+        else:
+            assert schedule.n_blocks == 1 and schedule.b_rank.tolist() == [0, 1, 2]
 
     @pytest.mark.parametrize("seed", SEEDS[:4])
     def test_pair_lmin_takes_the_matrix_path(self, seed):
@@ -465,7 +482,9 @@ class TestBlocks:
         assert_blocks_match_dense(trace, lmin=lambda s, d: 1e-4 * (s + 2 * d) - 2e-4)
 
     @given(
-        st.sampled_from([CollectiveOp.BARRIER, CollectiveOp.ALLREDUCE, CollectiveOp.SCAN]),
+        st.sampled_from([CollectiveOp.BARRIER, CollectiveOp.ALLREDUCE, CollectiveOp.SCAN,
+                         CollectiveOp.BCAST, CollectiveOp.SCATTER, CollectiveOp.REDUCE,
+                         CollectiveOp.GATHER]),
         st.lists(st.tuples(_STAMPS, _STAMPS), min_size=1, max_size=5),
         st.sampled_from([0.0, -0.0, 1.0, "matrix"]),
     )
@@ -485,11 +504,16 @@ class TestBlocks:
         real = schedule_module.collective_constraints
 
         def dropped(table):
-            pairs, blocks = real(table)
+            blocks = real(table)
             keep = np.ones(blocks.members.size, dtype=bool)
             keep[blocks.indptr[1:] - 1] = False
             indptr = blocks.indptr - np.arange(blocks.indptr.size)
-            return pairs, CollectiveBlocks(blocks.members[keep], indptr, blocks.prefix)
+            sizes = np.diff(indptr)
+            lo = np.repeat(indptr[:-1], sizes)
+            need = lo + blocks.need[keep] - blocks.lo[keep]
+            return CollectiveBlocks(
+                blocks.members[keep], indptr, lo, np.minimum(need, np.repeat(indptr[1:], sizes))
+            )
 
         events = {0: [], 1: [], 2: []}
         events[2] += [(EventType.ENTER, 1, 0, 0, 0)] * 3
@@ -622,6 +646,23 @@ class TestClcEquivalence:
         schedule = CompiledSchedule.from_dependencies(trace, deps)
         orig = schedule.flatten({r: trace.logs[r].timestamps for r in trace.ranks})
         assert clc_forward(schedule, orig, schedule.edge_lmin(1e-6), 0.99)[5] == 4
+
+    @pytest.mark.parametrize("seed", SEEDS[:6])
+    def test_streamed_lands_what_inmemory_lands(self, seed, tmp_path):
+        # Both forward drivers read every collective instance as blocks:
+        # they land the same dependents, and the compiled edge table
+        # holds the messages only.
+        from repro import TelemetryRecorder
+        from repro.sync.streaming import streaming_clc_correct
+        from repro.tracing.store import write_sharded_trace
+
+        trace = random_trace(seed)
+        inmem, streamed = TelemetryRecorder(), TelemetryRecorder()
+        ControlledLogicalClock(telemetry=inmem).correct(trace, lmin=1e-6)
+        shards = write_sharded_trace(trace, tmp_path / "s", shard_events=7)
+        streaming_clc_correct(shards, tmp_path / "out", lmin=1e-6, telemetry=streamed)
+        assert inmem.counters["sync.clc.lands"] == streamed.counters["sync.stream.lands"]
+        assert inmem.counters["sync.schedule.edges"] == len(trace.messages(strict=False))
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_naive_shift_bit_identical(self, seed):

@@ -443,9 +443,9 @@ class TestPinnedJoinCases:
         assert got["p2p"].checked == 3 and got["collective"].checked == 3
 
 
-def _backward_collective_trace(op: int) -> Trace:
-    """Two instances of ``op`` over three ranks, padded so shards split them;
-    the last rank exits the first instance before it enters it."""
+def _backward_collective_trace(op: int, root: int = 0) -> Trace:
+    """Two instances of ``op`` (rooted at ``root``) over three ranks, padded so
+    shards split them; the last rank exits the first instance before it enters it."""
     E = EventType
     rows = {}
     for rank in range(3):
@@ -455,21 +455,31 @@ def _backward_collective_trace(op: int) -> Trace:
             pair = [(t, E.COLL_ENTER), (t + 0.05, E.COLL_EXIT)]
             if rank == 2 and inst == 0:
                 pair = [(t, E.COLL_EXIT), (t + 0.05, E.COLL_ENTER)]
-            events += [(ts, etype, op, 0, 3, inst) for ts, etype in pair]
+            events += [(ts, etype, op, root, 3, inst) for ts, etype in pair]
             events.append((t + 0.5, E.ENTER, 1, 0, 0, 0))
         rows[rank] = events
     return _from_rows(rows)
 
 
-class TestBackwardCollective:
-    """A member exiting before it enters keeps its instance as pairs, streamed too."""
+#: ``(op, root)``: root 2 is the member that exits before it enters.
+_BACKWARD_CASES = [
+    ("SCAN", 0), ("BARRIER", 0), ("BCAST", 0), ("BCAST", 2),
+    ("SCATTER", 2), ("REDUCE", 0), ("REDUCE", 2), ("GATHER", 2),
+]
 
-    @pytest.mark.parametrize("op", ["SCAN", "BARRIER"])
+
+class TestBackwardCollective:
+    """A member exiting before it enters — a barrier member or a reduce root
+    makes per-receiver blocks, any other a plain block — streamed too."""
+
+    @pytest.mark.parametrize("op, root", _BACKWARD_CASES, ids=[
+        op if not root else f"{op}-root{root}" for op, root in _BACKWARD_CASES
+    ])
     @pytest.mark.parametrize("shard_events", [1, 2, 3, 100])
-    def test_matches_inmemory(self, op, shard_events):
+    def test_matches_inmemory(self, op, root, shard_events):
         from repro.tracing.events import CollectiveOp
 
-        trace = _backward_collective_trace(int(CollectiveOp[op]))
+        trace = _backward_collective_trace(int(CollectiveOp[op]), root)
         assert_streamed_matches_inmemory(trace, shard_events, lmin=1e-6)
 
 
