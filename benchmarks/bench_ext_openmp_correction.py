@@ -10,8 +10,9 @@ The conclusion leaves two questions open:
 This bench evaluates both within the model via
 :func:`repro.analysis.experiments.ext_openmp_correction`: per-thread
 offset measurement through shared memory followed by alignment / linear
-interpolation, and a POMP-constraint CLC that needs no measurements at
-all.  Violation percentages per thread count, mean of 3 runs.
+interpolation, and the CLC (fork, join and barrier of every region as
+collective instances) that needs no measurements at all.  Violation
+percentages per thread count, mean of 3 runs.
 """
 
 from conftest import emit

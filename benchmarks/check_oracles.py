@@ -4,7 +4,8 @@ Injects a handful of hand-written mutants — each a realistic way the
 synchronization stack could silently break — and asserts the
 fuzz campaign named beside it (``mutation``, ``streaming`` for the
 out-of-core sweeps, ``smoke`` for message matching, ``batch`` for the
-batch engine's recorder) catches every one,
+batch engine's recorder; ``mutation`` ends with a POMP probe) catches
+every one,
 shrinks the failure, and
 serializes it to a corpus entry.  A mutant that survives means an
 oracle has gone blind; exit code 1.
@@ -271,6 +272,26 @@ def mutant_unbound_floor():
         yield
 
 
+@contextmanager
+def mutant_dropped_join():
+    """M15: the OpenMP joins leave the collective mapping — every
+    ``OMP_PAR_EXIT``/``OMP_JOIN`` row is dropped, so no path enforces
+    join-last.  The kernels and the scalar references read the same
+    table, so only ``pomp_post_clc``'s independent region scan notices."""
+    import repro.tracing.trace as trace_mod
+    from repro.tracing.events import CollectiveOp
+
+    real = trace_mod.collective_rows
+
+    def joinless(start, ts, etypes, a, b, d):
+        rows = real(start, ts, etypes, a, b, d)
+        keep = rows[4] != int(CollectiveOp.OMP_JOIN)
+        return tuple(column[keep] for column in rows)
+
+    with mock.patch.object(trace_mod, "collective_rows", joinless):
+        yield
+
+
 #: (name, mutant, oracle each campaign must catch it with)
 MUTANTS = [
     ("zero-lmin", mutant_zero_lmin, {"mutation": None}),
@@ -290,6 +311,7 @@ MUTANTS = [
     ("unpublished-move", mutant_unpublished_move, {"streaming": "streamed_matches_inmemory"}),
     ("stageless-recorder", mutant_stageless_recorder, {"batch": "batch_matches_engine"}),
     ("unbound-floor", mutant_unbound_floor, {"mutation": "kernel_reference_identity"}),
+    ("dropped-join", mutant_dropped_join, {"mutation": "pomp_post_clc"}),
 ]
 
 

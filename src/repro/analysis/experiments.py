@@ -687,8 +687,6 @@ def ext_openmp_correction(
     interpolated / POMP-CLC-corrected violation percentages (means over
     ``runs`` seeds).
     """
-    from repro.openmp.correction import pomp_clc, thread_corrections
-
     result = OmpCorrectionResult(
         threads=list(threads), raw={}, aligned={}, linear={}, clc={}
     )
@@ -701,13 +699,13 @@ def ext_openmp_correction(
                 measure_offsets=True,
             )
             raw.append(scan_pomp(trace).pct("any"))
-            aligned.append(
-                scan_pomp(thread_corrections(trace, "align").apply(trace)).pct("any")
-            )
-            linear.append(
-                scan_pomp(thread_corrections(trace, "linear").apply(trace)).pct("any")
-            )
-            clc.append(scan_pomp(pomp_clc(trace).trace).pct("any"))
+            for out, interpolation, with_clc in (
+                (aligned, "align", False), (linear, "linear", False), (clc, "none", True)
+            ):
+                corrected = correct_trace(
+                    trace, interpolation=interpolation, clc=with_clc, scan=False
+                )
+                out.append(scan_pomp(corrected.trace).pct("any"))
         result.raw[n] = float(np.mean(raw))
         result.aligned[n] = float(np.mean(aligned))
         result.linear[n] = float(np.mean(linear))

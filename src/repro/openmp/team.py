@@ -158,8 +158,9 @@ def run_parallel_for_benchmark(
     ``trace.meta["init_offsets"]`` / ``["final_offsets"]`` as
     ``{thread: (thread_time, offset)}`` — the inputs the paper's open
     question ("whether offset alignment or interpolation can alleviate
-    the errors remains to be evaluated") needs.  See
-    :func:`repro.openmp.correction.thread_corrections`.
+    the errors remains to be evaluated") needs, and what
+    ``correct_trace(trace, interpolation="align")`` (or ``"linear"``)
+    reads, per thread instead of per rank.
     """
     preset = preset or itanium_node()
     jitter = jitter if jitter is not None else OsJitterModel(rate=20.0, mean_delay=2e-6)

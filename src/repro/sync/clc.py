@@ -204,9 +204,6 @@ class ControlledLogicalClock:
         Backward-amortization span in seconds; ``0`` disables the
         backward pass.  ``None`` picks ``50 x`` the largest jump, a
         span wide enough that local intervals change only slightly.
-    include_collectives:
-        Also enforce the logical clock conditions of collective
-        operations (the [30] extension).
     telemetry:
         A :class:`repro.telemetry.TelemetryRecorder` recording per-pass
         spans (``sync.clc.compile``, ``sync.clc.forward``,
@@ -217,7 +214,6 @@ class ControlledLogicalClock:
         self,
         gamma: float = 0.99,
         amortization_window: Optional[float] = None,
-        include_collectives: bool = True,
         telemetry=None,
     ) -> None:
         if not 0.0 < gamma <= 1.0:
@@ -226,14 +222,13 @@ class ControlledLogicalClock:
             raise SynchronizationError("amortization_window must be non-negative")
         self.gamma = gamma
         self.amortization_window = amortization_window
-        self.include_collectives = include_collectives
         self.telemetry = ensure_telemetry(telemetry)
 
     # ------------------------------------------------------------------
     def correct(self, trace: Trace, lmin: LminSpec = 0.0) -> ClcResult:
         """Apply the CLC to ``trace``; returns the corrected trace + stats."""
         with self.telemetry.span("sync.clc.compile"):
-            schedule = trace.compiled_schedule(self.include_collectives)
+            schedule = trace.compiled_schedule()
         return self.correct_with_schedule(trace, schedule, lmin)
 
     def correct_with_dependencies(
@@ -245,9 +240,11 @@ class ControlledLogicalClock:
         """Apply the CLC under an explicit happened-before constraint set.
 
         ``deps`` maps an event reference ``(rank, index)`` to the remote
-        events that must precede it by ``lmin``.  This is the extension
-        point for non-message semantics — e.g. the POMP constraints of
-        :func:`repro.openmp.correction.pomp_clc`.
+        events that must precede it by ``lmin``, compiled as edges only.
+        :meth:`correct` already enforces messages, MPI collectives and
+        POMP regions (the latter two as blocks); this is their dense
+        second spelling, e.g. ``build_dependencies(trace)``, which the
+        ``custom_dependency_identity`` oracle compares against.
         """
         schedule = CompiledSchedule.from_dependencies(trace, deps)
         return self.correct_with_schedule(trace, schedule, lmin)
@@ -307,7 +304,7 @@ class ControlledLogicalClock:
     # ------------------------------------------------------------------
     def correct_reference(self, trace: Trace, lmin: LminSpec = 0.0) -> ClcResult:
         """Event-by-event scalar CLC; bit-identical oracle for :meth:`correct`."""
-        deps = build_dependencies(trace, include_collectives=self.include_collectives)
+        deps = build_dependencies(trace)
         return self.correct_with_dependencies_reference(trace, deps, lmin)
 
     def correct_with_dependencies_reference(

@@ -10,15 +10,24 @@ A collective instance with per-rank enter/exit timestamps yields logical
 messages whose send side is a member's ``COLL_ENTER`` and whose receive
 side is a member's ``COLL_EXIT``:
 
-* **1-to-N** (bcast, scatter): root's enter -> every non-root exit;
-* **N-to-1** (reduce, gather): every non-root enter -> root's exit;
-* **N-to-N** (barrier, allreduce, allgather, alltoall): every member's
-  exit depends on every *other* member's enter.  Because
-  ``exit_i >= enter_j + l_min`` for all ``j != i`` is equivalent to
-  ``exit_i >= max_{j != i}(enter_j) + l_min``, we emit exactly one
-  logical message per member — from the latest-entering *other* member —
-  which is both the binding constraint for correction and the exact
-  violation test.
+* **1-to-N** (bcast, scatter, OpenMP fork): root's enter -> every
+  non-root exit;
+* **N-to-1** (reduce, gather, OpenMP join): every non-root enter ->
+  root's exit;
+* **N-to-N** (barrier, allreduce, allgather, alltoall, OpenMP implicit
+  barrier): every member's exit depends on every *other* member's
+  enter.  Because ``exit_i >= enter_j + l_min`` for all ``j != i`` is
+  equivalent to ``exit_i >= max_{j != i}(enter_j) + l_min``, we emit
+  exactly one logical message per member — from the latest-entering
+  *other* member — which is both the binding constraint for correction
+  and the exact violation test.
+
+An OpenMP parallel region is three instances of the table
+(:func:`repro.tracing.trace.collective_rows`): the fork, rooted at the
+master — the root enters at its ``OMP_FORK``, every member exits at its
+``OMP_PAR_ENTER``, where a worker also enters; the join, its mirror
+image over ``OMP_PAR_EXIT`` and the master's ``OMP_JOIN``; and the
+implicit barrier.  No member exits before it enters, so each is one block.
 
 The resulting table mirrors :class:`repro.tracing.trace.MessageTable`
 with the event-log indices pointing at the collective enter/exit events,

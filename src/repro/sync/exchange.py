@@ -31,7 +31,9 @@ import numpy as np
 from repro.errors import SynchronizationError
 from repro.sync.interpolation import ClockCorrection, piecewise_interpolation
 from repro.sync.offset import OffsetMeasurement
-from repro.tracing.events import COLLECTIVE_FLAVORS, CollectiveFlavor, CollectiveOp
+from repro.tracing.events import (
+    COLLECTIVE_FLAVORS, MPI_COLLECTIVES, CollectiveFlavor, CollectiveOp,
+)
 from repro.tracing.trace import Trace
 
 __all__ = ["offsets_from_exchanges", "exchange_correction"]
@@ -52,7 +54,8 @@ def offsets_from_exchanges(
     master:
         Rank whose clock defines the timeline.
     ops:
-        Restrict to these operations (default: every N-to-N flavor).
+        Restrict to these operations (default: every N-to-N MPI
+        collective; an OpenMP barrier is no message exchange).
     max_duration:
         Skip instances whose *master-side* duration exceeds this —
         long operations mean long waits, i.e. bad estimates ("in
@@ -66,8 +69,7 @@ def offsets_from_exchanges(
     weight by quality.
     """
     allowed = set(ops) if ops is not None else {
-        op for op, flavor in COLLECTIVE_FLAVORS.items()
-        if flavor is CollectiveFlavor.N_TO_N
+        op for op in MPI_COLLECTIVES if COLLECTIVE_FLAVORS[op] is CollectiveFlavor.N_TO_N
     }
     sets: list[dict[int, OffsetMeasurement]] = []
     for rec in trace.collectives():

@@ -8,16 +8,18 @@ have remote predecessors — as one edge table:
 
 * ``RECV`` event -> its matching ``SEND`` event (the columns of
   :meth:`Trace.messages <repro.tracing.trace.Trace.messages>`);
-* ``COLL_EXIT`` event -> the ``COLL_ENTER`` of every member whose
+* a collective instance's exit -> the enter of every member whose
   flavor constrains it (:func:`repro.sync.collectives_map.collective_pairs`,
-  which owns that rule).
+  which owns that rule): ``COLL_EXIT`` -> ``COLL_ENTER`` for MPI, and the
+  fork, join and barrier of every POMP region
+  (:func:`repro.tracing.trace.collective_rows`).
 
 :func:`dependency_edges` is the builder of this **pair expansion**, and
 :func:`build_dependencies` its dict view, iterated by the scalar oracles
 (:func:`replay_schedule`, the ``*_reference`` clocks and correctors) and
-the starting point of explicit constraint sets (POMP,
-:meth:`CompiledSchedule.from_dependencies
-<repro.sync.schedule.CompiledSchedule.from_dependencies>`).  An N-to-N
+compiled as edges by :meth:`CompiledSchedule.from_dependencies
+<repro.sync.schedule.CompiledSchedule.from_dependencies>`, the dense
+spelling the block kernels are checked against.  An N-to-N
 instance of ``n`` members is ``n·(n-1)`` edges here.  The compiled
 kernels and the streaming CLC do not read it: they take the same
 relation from :func:`repro.sync.collectives_map.collective_constraints`,

@@ -54,10 +54,7 @@ def replay_correct(
     """Forward-pass CLC organized as a parallel replay; see module docs."""
     tele = ensure_telemetry(telemetry)
     corrector = ControlledLogicalClock(
-        gamma=gamma,
-        amortization_window=amortization_window,
-        include_collectives=include_collectives,
-        telemetry=tele,
+        gamma=gamma, amortization_window=amortization_window, telemetry=tele
     )
     with tele.span("sync.replay.schedule"):
         schedule = trace.compiled_schedule(include_collectives)

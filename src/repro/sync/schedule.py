@@ -26,7 +26,7 @@ numpy arrays:
   instance of ``n`` members costs ``n`` slots, not the ``n·(n-1)``
   edges of an N-to-N pair expansion;
 * **a compact forward CSR** — ``dep_gids`` lists the dependency-bearing
-  events (receives, collective exits, custom constraints such as POMP)
+  events (receives, collective exits, explicit constraints)
   ascending by gid, ``dep_indptr`` delimits their edge-table sources in
   ``dep_src`` (gids; ``dep_edge_ids`` names the edge-table row behind
   each slot, sources in the order given), ``dep_slot`` names a block
@@ -364,8 +364,8 @@ class CompiledSchedule:
     """One-shot array compilation of a trace's happened-before structure.
 
     Build via :meth:`from_trace` (message + collective constraints, the
-    standard relation) or :meth:`from_dependencies` (any explicit
-    constraint dict, e.g. POMP semantics, compiled as edges only).
+    standard relation, POMP regions included) or :meth:`from_dependencies`
+    (any explicit constraint dict, compiled as edges only).
     Instances are immutable and timestamp-independent; see the module
     docstring for the layout.
     """
@@ -420,7 +420,12 @@ class CompiledSchedule:
     def from_dependencies(
         cls, trace: "Trace", deps: dict[EventRef, list[EventRef]]
     ) -> "CompiledSchedule":
-        """Compile an explicit constraint set (the POMP extension point).
+        """Compile an explicit constraint set, as edges only.
+
+        The dense second spelling of :meth:`from_trace`'s relation when fed
+        ``build_dependencies(trace)`` (every collective pair an edge), which
+        the tests and the ``custom_dependency_identity`` oracle compare the
+        blocks against.
 
         Every target and source must be an event of the trace; the first
         that is not, reading each target and then its sources in dict

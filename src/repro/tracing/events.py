@@ -42,6 +42,7 @@ __all__ = [
     "CollectiveOp",
     "CollectiveFlavor",
     "COLLECTIVE_FLAVORS",
+    "MPI_COLLECTIVES",
     "Event",
     "EventLog",
 ]
@@ -65,11 +66,14 @@ class EventType(enum.IntEnum):
 
 
 class CollectiveOp(enum.IntEnum):
-    """MPI collective operations distinguished by the mapping of Section V.
+    """Collective operations distinguished by the mapping of Section V.
 
     The CLC extension maps each collective onto logical point-to-point
     messages according to its flavor (1-to-N, N-to-1, N-to-N); see
-    :data:`COLLECTIVE_FLAVORS`.
+    :data:`COLLECTIVE_FLAVORS`.  The MPI operations are recorded as
+    ``COLL_ENTER``/``COLL_EXIT`` pairs; the three ``OMP_*`` members are
+    the team synchronizations of the POMP model, read from the ``OMP_*``
+    events of a parallel region (:func:`repro.tracing.trace.collective_rows`).
     """
 
     BARRIER = 0
@@ -82,6 +86,13 @@ class CollectiveOp(enum.IntEnum):
     ALLTOALL = 7
     SCAN = 8
     REDUCE_SCATTER = 9
+    OMP_FORK = 10  # the master's OMP_FORK -> every thread's OMP_PAR_ENTER
+    OMP_JOIN = 11  # every thread's OMP_PAR_EXIT -> the master's OMP_JOIN
+    OMP_BARRIER = 12  # the implicit barrier's OMP_BARRIER_ENTER -> _EXIT
+
+
+#: The operations an MPI ``COLL_ENTER``/``COLL_EXIT`` pair records.
+MPI_COLLECTIVES: tuple[CollectiveOp, ...] = tuple(CollectiveOp)[: CollectiveOp.OMP_FORK]
 
 
 class CollectiveFlavor(enum.Enum):
@@ -112,6 +123,9 @@ COLLECTIVE_FLAVORS: dict[CollectiveOp, CollectiveFlavor] = {
     CollectiveOp.ALLTOALL: CollectiveFlavor.N_TO_N,
     CollectiveOp.SCAN: CollectiveFlavor.PREFIX,
     CollectiveOp.REDUCE_SCATTER: CollectiveFlavor.N_TO_N,
+    CollectiveOp.OMP_FORK: CollectiveFlavor.ONE_TO_N,
+    CollectiveOp.OMP_JOIN: CollectiveFlavor.N_TO_ONE,
+    CollectiveOp.OMP_BARRIER: CollectiveFlavor.N_TO_N,
 }
 
 

@@ -287,8 +287,14 @@ class CollectiveTable:
         )
 
 
-_COLL_ENTER = int(EventType.COLL_ENTER)
-_COLL_EXIT = int(EventType.COLL_EXIT)
+_COLL_ENTER, _OMP_FORK = int(EventType.COLL_ENTER), int(EventType.OMP_FORK)
+_FORK, _JOIN = int(CollectiveOp.OMP_FORK), int(CollectiveOp.OMP_JOIN)
+#: Per event type: whether its collective row is an exit, and the POMP
+#: construct it belongs to (0 fork, 1 join, 2 barrier).
+_ROW_EXIT = np.zeros(len(EventType), dtype=bool)
+_ROW_EXIT[[EventType.COLL_EXIT, EventType.OMP_PAR_ENTER, EventType.OMP_JOIN,
+           EventType.OMP_BARRIER_EXIT]] = True
+_CONSTRUCT = np.array([-1] * _OMP_FORK + [0, 1, 0, 1, 2, 2])
 
 
 def collective_rows(start: int, ts, etypes, a, b, d) -> tuple[np.ndarray, ...]:
@@ -298,10 +304,25 @@ def collective_rows(start: int, ts, etypes, a, b, d) -> tuple[np.ndarray, ...]:
     ``(is_exit, log index, timestamp, instance, op, root)`` — what
     :func:`pair_collectives` needs of a log, small enough to keep while
     the shards of an out-of-core trace stream by.
+
+    The ``OMP_*`` events of region instance ``d`` are rows of three
+    instances: the fork (``OMP_FORK`` enters, ``OMP_PAR_ENTER`` exits),
+    the join (``OMP_PAR_EXIT`` enters, ``OMP_JOIN`` exits) and the
+    barrier (``OMP_BARRIER_ENTER``/``_EXIT``), keyed ``~(3 * d +
+    construct)`` — apart from each other and below every (non-negative)
+    MPI instance id.  Their root is left ``-1``: worker events do not
+    name the master, :func:`pair_collectives` finds it.
     """
     ts, etypes, a, b, d = map(np.asarray, (ts, etypes, a, b, d))
-    sel = np.flatnonzero((etypes == _COLL_ENTER) | (etypes == _COLL_EXIT))
-    return etypes[sel] == _COLL_EXIT, sel + start, ts[sel], d[sel], a[sel], b[sel]
+    sel = np.flatnonzero((etypes >= _COLL_ENTER) & (etypes <= int(EventType.OMP_BARRIER_EXIT)))
+    kind, inst, op, root = etypes[sel], d[sel], a[sel], b[sel]
+    pomp = np.flatnonzero(kind >= _OMP_FORK)
+    if pomp.size:
+        construct = _CONSTRUCT[kind[pomp]]
+        inst[pomp] = ~(3 * inst[pomp] + construct)
+        op[pomp] = _FORK + construct
+        root[pomp] = -1
+    return _ROW_EXIT[kind], sel + start, ts[sel], inst, op, root
 
 
 def pair_collectives(rows: dict[int, list[tuple[np.ndarray, ...]]]) -> CollectiveTable:
@@ -313,6 +334,14 @@ def pair_collectives(rows: dict[int, list[tuple[np.ndarray, ...]]]) -> Collectiv
     any exit and a repeated instance id keeps its *last* enter; exits
     then claim their instance's enter in log order.  An instance's op
     and root are those recorded by its lowest member rank.
+
+    A POMP fork or join member with one event — a worker's
+    ``OMP_PAR_ENTER`` or ``OMP_PAR_EXIT`` — enters and exits at it; the
+    member with two (``OMP_FORK`` then ``OMP_PAR_ENTER``, ``OMP_PAR_EXIT``
+    then ``OMP_JOIN``) is the instance's root.  Any other exit without
+    an enter, or enter without an exit, is a partial instance and raises
+    :class:`TraceError`, as does a fork or join without a root (through
+    :mod:`repro.sync.collectives_map`).
     """
     # Per rank: (instance, rank, enter_ts, exit_ts, enter_idx, exit_idx, op, root).
     members = [(np.empty(0, dtype=np.int64),) * 8]
@@ -325,13 +354,20 @@ def pair_collectives(rows: dict[int, list[tuple[np.ndarray, ...]]]) -> Collectiv
         open_by_instance = dict(zip(inst[enters].tolist(), enters.tolist()))
         claimed = []
         for i in inst[exits].tolist():
-            if i not in open_by_instance:
+            if i in open_by_instance:
+                claimed.append(open_by_instance.pop(i))
+            elif op[exits[len(claimed)]] == _FORK:  # a worker's OMP_PAR_ENTER
+                claimed.append(exits[len(claimed)])
+            else:
                 raise TraceError(f"rank {rank}: COLL_EXIT for instance {i} without COLL_ENTER")
-            claimed.append(open_by_instance.pop(i))
         if open_by_instance:
-            raise TraceError(
-                f"rank {rank}: unclosed collective instances {sorted(open_by_instance)}"
-            )
+            joined = [k for k in open_by_instance.values() if op[k] == _JOIN]  # OMP_PAR_EXIT
+            if len(joined) < len(open_by_instance):
+                raise TraceError(
+                    f"rank {rank}: unclosed collective instances {sorted(open_by_instance)}"
+                )
+            exits = np.append(exits, joined)
+            claimed += joined
         claimed = np.array(claimed, dtype=np.int64)
         members.append((
             inst[exits], np.full(exits.size, rank), ts[claimed], ts[exits],
@@ -345,8 +381,14 @@ def pair_collectives(rows: dict[int, list[tuple[np.ndarray, ...]]]) -> Collectiv
     order = np.argsort(inst, kind="stable")
     instance, starts = np.unique(inst[order], return_index=True)
     first = order[starts]
+    op = op[first]
+    root = root[first]
+    rooted = np.flatnonzero((op == _FORK) | (op == _JOIN))
+    if rooted.size:  # the one member with two events, or -1
+        two = np.where(enter_idx != exit_idx, ranks, -1)[order]
+        root[rooted] = np.maximum.reduceat(two, starts)[rooted]
     return CollectiveTable(
-        instance, op[first], root[first], np.append(starts, inst.size),
+        instance, op, root, np.append(starts, inst.size),
         ranks[order], enter_ts[order], exit_ts[order], enter_idx[order], exit_idx[order],
     )
 
@@ -515,9 +557,9 @@ class Trace:
         postmortem.  Messages with one endpoint outside the window
         become half-matched — use ``messages(strict=False)`` on the
         result, exactly as with window-traced runs.  Collective
-        instances that lose their enter or exit are dropped from
-        ``collectives()`` extraction with an error, so slice on region
-        boundaries when collectives matter.
+        instances that lose their enter or exit — OpenMP regions
+        included — are dropped from ``collectives()`` extraction with an
+        error, so slice on region boundaries when collectives matter.
         """
         if t1 <= t0:
             raise TraceError(f"empty slice window [{t0}, {t1})")

@@ -90,7 +90,7 @@ _campaign(
 )
 _campaign(
     "pomp",
-    "POMP regions: post-correction semantics and the extension point",
+    "POMP regions: post-correction semantics and the dense-edge twin",
     _cross("pomp", ("pomp_post_clc", "custom_dependency_identity",
                     "clock_condition_post_clc", "kernel_reference_identity")),
 )
@@ -153,7 +153,8 @@ _campaign(
     _cross("p2p", ("clock_condition_post_clc", "kernel_reference_identity"))
     + _cross("mixed", ("kernel_reference_identity",))
     + (("quantization", "clock_quantization"),)
-    + (("collectives", "collective_edges_match_reference"),),
+    + (("collectives", "collective_edges_match_reference"),)
+    + (("pomp", "pomp_post_clc"),),
 )
 _campaign(
     "full",

@@ -35,7 +35,7 @@ from typing import Any, Callable, Optional
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.tracing.events import CollectiveOp, EventLog, EventType
+from repro.tracing.events import MPI_COLLECTIVES, EventLog, EventType
 from repro.tracing.trace import Trace
 
 __all__ = [
@@ -50,8 +50,8 @@ __all__ = [
 ]
 
 #: Instance ids of POMP regions start here so they never collide with
-#: collective instance ids inside one builder (cosmetic; the event
-#: types already disambiguate them).
+#: collective instance ids inside one builder (cosmetic; the collective
+#: table keys POMP constructs apart, see ``tracing.trace.collective_rows``).
 _POMP_INSTANCE_BASE = 10_000
 
 
@@ -164,7 +164,7 @@ class _Stream:
 
     def collectives(self, collectives: list) -> None:
         for instance, coll in enumerate(collectives):
-            op = int(coll["op"]) % len(CollectiveOp)
+            op = int(coll["op"]) % len(MPI_COLLECTIVES)
             members = sorted({int(m) % self.nranks for m in coll["members"]})
             if not members:
                 continue

@@ -31,7 +31,6 @@ import numpy as np
 
 from repro.clocks.base import Clock
 from repro.clocks.drift import ConstantDrift
-from repro.openmp.correction import pomp_clc, pomp_dependencies
 from repro.options import RunOptions
 from repro.sync.clc import (
     ClcResult,
@@ -155,11 +154,9 @@ def assert_traces_identical(a: ClcResult, b: ClcResult, context: str = "",
 
 
 def assert_clc_matches_reference(trace: Trace, lmin=0.0, gamma: float = 0.99,
-                                 window=None, include_collectives: bool = True) -> None:
+                                 window=None) -> None:
     """CLC array kernel must be bit-identical to the scalar reference."""
-    clc = ControlledLogicalClock(
-        gamma=gamma, amortization_window=window, include_collectives=include_collectives
-    )
+    clc = ControlledLogicalClock(gamma=gamma, amortization_window=window)
     a = clc.correct(trace, lmin=lmin)
     b = clc.correct_reference(trace, lmin=lmin)
     assert_traces_identical(a, b, context=f"clc(gamma={gamma}, window={window})")
@@ -174,7 +171,7 @@ def assert_naive_matches_reference(trace: Trace, lmin=0.0) -> None:
 
 
 def assert_dependency_clc_matches_reference(trace: Trace, deps, lmin=0.0) -> None:
-    """Explicit-dependency CLC (the POMP extension point) kernel == scalar."""
+    """Explicit-dependency CLC (constraints as edges only) kernel == scalar."""
     clc = ControlledLogicalClock()
     a = clc.correct_with_dependencies(trace, deps, lmin=lmin)
     b = clc.correct_with_dependencies_reference(trace, deps, lmin=lmin)
@@ -464,25 +461,23 @@ def _message_matching_semantics(case: TraceCase) -> None:
 
 @oracle(
     "custom_dependency_identity",
-    "The explicit-dependency CLC entry point (POMP extension) matches "
-    "its scalar reference on merged MPI+POMP constraint sets.",
+    "The explicit-dependency CLC entry point matches its scalar reference "
+    "on the dense pair expansion of MPI+POMP traces (build_dependencies).",
     {"trace", "pomp"},
 )
 def _custom_dependency_identity(case: TraceCase) -> None:
-    deps = build_dependencies(case.trace, include_collectives=True)
-    for ref, sources in pomp_dependencies(case.trace).items():
-        deps.setdefault(ref, []).extend(sources)
+    deps = build_dependencies(case.trace)
     assert_dependency_clc_matches_reference(case.trace, deps, lmin=case.lmin)
 
 
 @oracle(
     "pomp_post_clc",
-    "After pomp_clc, every POMP region satisfies fork-first, join-last "
-    "and barrier-overlap semantics.",
+    "After the CLC, every POMP region satisfies fork-first, join-last "
+    "and barrier-overlap semantics, by scan_pomp's independent reading.",
     {"trace", "pomp", "monotone"},
 )
 def _pomp_post_clc(case: TraceCase) -> None:
-    result = pomp_clc(case.trace, sync_lmin=case.lmin)
+    result = ControlledLogicalClock().correct(case.trace, lmin=case.lmin)
     report = scan_pomp(result.trace, case.lmin)
     _require(
         report.any_violations == 0,

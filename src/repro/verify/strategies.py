@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from hypothesis import strategies as st
 
-from repro.tracing.events import CollectiveOp
+from repro.tracing.events import MPI_COLLECTIVES
 from repro.verify.cases import CaseSpec
 
 __all__ = [
@@ -112,7 +112,7 @@ def p2p_specs(draw, max_ranks: int = 4, max_messages: int = 10):
 def _collective_entries(draw, nranks: int, max_collectives: int):
     @st.composite
     def one(idraw):
-        op = idraw(st.sampled_from(sorted(int(o) for o in CollectiveOp)))
+        op = idraw(st.sampled_from(sorted(int(o) for o in MPI_COLLECTIVES)))
         # min_size=1 keeps degenerate single-member instances in play.
         members = idraw(st.lists(st.integers(0, nranks - 1),
                                  min_size=1, max_size=nranks, unique=True))
@@ -298,8 +298,8 @@ def streaming_specs(draw, max_ranks: int = 4):
     """Sharded-trace equivalence probes for the out-of-core kernels.
 
     Draws mixed MPI traffic (messages + collectives + local events)
-    under adversarial clocks, a shard size covering the degenerate
-    grain (1), the smallest even/odd grains (2, 7) and the
+    and POMP regions under adversarial clocks, a shard size covering
+    the degenerate grain (1), the smallest even/odd grains (2, 7) and the
     single-shard case (100000 > any drawn trace), and whether to strip
     match ids (forcing the FIFO matching path).  The oracle streams the
     CLC and the violation scan over the sharded store and demands
@@ -311,6 +311,7 @@ def streaming_specs(draw, max_ranks: int = 4):
         "profiles": _profile_list(draw, nranks, affine_bias=False),
         "messages": _messages(draw, nranks, 8),
         "collectives": _collective_entries(draw, nranks, 3),
+        "pomp": _pomp_entries(draw, nranks, 2),
         "locals": _locals(draw, nranks),
         "lmin": draw(_LMINS),
         "shard_events": draw(st.sampled_from([1, 2, 7, 100_000])),

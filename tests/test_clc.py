@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from repro.errors import SynchronizationError
 from repro.sync.clc import ClcStats, ControlledLogicalClock, amortize_segment
 from repro.sync.collectives_map import logical_messages
+from repro.sync.order import build_dependencies
 from repro.sync.violations import scan_collectives, scan_messages
 from repro.telemetry import TelemetryRecorder
 from repro.tracing.events import CollectiveOp, EventLog, EventType
@@ -137,8 +138,9 @@ class TestCollectiveCorrection:
             log.append(x, EventType.COLL_EXIT, int(CollectiveOp.BARRIER), 0, 2, 0)
             logs[rank] = log
         trace = Trace(logs)
-        result = ControlledLogicalClock(include_collectives=False).correct(
-            trace, lmin=1e-7
+        # An explicit constraint set without the collective pairs.
+        result = ControlledLogicalClock().correct_with_dependencies(
+            trace, build_dependencies(trace, include_collectives=False), lmin=1e-7
         )
         after, _ = scan_collectives(result.trace, lmin=1e-7)
         assert after.violated > 0  # untouched by design

@@ -99,3 +99,43 @@ class TestExchangeCorrection:
         corr = exchange_correction(run.trace, master=2)
         ts = run.trace.logs[2].timestamps
         np.testing.assert_array_equal(corr.apply_rank(2, ts), ts)
+
+
+class TestMixedTrace:
+    def test_openmp_barriers_are_no_exchanges(self):
+        # Three MPI barriers and two OpenMP regions, each with an implicit
+        # barrier: the correction is built from the MPI barriers alone,
+        # exactly as when the OpenMP events are not there.
+        from repro.tracing.events import EventLog, EventType
+        from repro.tracing.trace import Trace
+        from repro.verify.cases import CaseSpec, build_case
+
+        spec = CaseSpec("mixed", {
+            "nranks": 3,
+            "profiles": [{}, {"offset": 2e-4, "rate": 1e-5}, {"offset": -3e-4, "rate": -2e-5}],
+            "collectives": [
+                {"op": int(CollectiveOp.BARRIER), "members": [0, 1, 2],
+                 "enters": [t, t + 1e-5, t + 2e-5], "exits": [t + 3e-5] * 3}
+                for t in (1.0, 5.0, 9.0)
+            ],
+            "pomp": [
+                {"master": 0, "threads": [0, 1, 2], "t0": t, "t1": t + 1e-3,
+                 "skews": [0.1, 0.5, 0.9]}
+                for t in (3.0, 7.0)
+            ],
+        })
+        trace = build_case(spec).trace
+        ops = trace.collectives().op.tolist()
+        assert ops.count(int(CollectiveOp.OMP_BARRIER)) == 2
+        mpi_only = Trace({
+            rank: EventLog.from_arrays(*(
+                column[log.etypes < int(EventType.OMP_FORK)]
+                for column in (log.timestamps, log.etypes, log.a, log.b, log.c, log.d)
+            ))
+            for rank, log in trace.logs.items()
+        })
+        assert len(offsets_from_exchanges(trace)) == 3
+        got = exchange_correction(trace).apply(trace)
+        want = exchange_correction(mpi_only).apply(trace)
+        for rank in trace.ranks:
+            assert np.array_equal(got.logs[rank].timestamps, want.logs[rank].timestamps)

@@ -602,13 +602,13 @@ class TestClcEquivalence:
 
     @pytest.mark.parametrize("seed", SEEDS[:4])
     def test_bit_identical_without_collectives(self, seed):
-        assert_clc_matches_reference(
-            random_trace(seed), lmin=1e-6, include_collectives=False
-        )
+        trace = random_trace(seed)
+        deps = build_dependencies(trace, include_collectives=False)
+        assert_dependency_clc_matches_reference(trace, deps, lmin=1e-6)
 
     def test_bit_identical_custom_dependency_dict(self):
-        # The POMP-style extension point: an explicit constraint set
-        # that build_dependencies would never produce.
+        # An explicit constraint set that build_dependencies would never
+        # produce.
         trace = random_trace(3)
         deps = build_dependencies(trace, include_collectives=False)
         lens = {r: len(trace.logs[r]) for r in trace.ranks}
