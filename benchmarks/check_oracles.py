@@ -4,7 +4,8 @@ Injects a handful of hand-written mutants — each a realistic way the
 synchronization stack could silently break — and asserts the
 fuzz campaign named beside it (``mutation``, ``streaming`` for the
 out-of-core sweeps, ``smoke`` for message matching, ``batch`` for the
-batch engine's recorder; ``mutation`` ends with a POMP probe) catches
+batch engine's recorder; ``mutation`` ends with a POMP probe and a
+probe that wakes the compiled walk early only inside an array window) catches
 every one,
 shrinks the failure, and
 serializes it to a corpus entry.  A mutant that survives means an
@@ -115,14 +116,17 @@ def mutant_dropped_sender():
 def mutant_early_wake():
     """M6: the cursor walk takes every source as done one event early —
     a dependent may run before the event it waits for, so the compiled
-    order is no valid replay order and kernels read uncorrected sources."""
+    order is no valid replay order and kernels read uncorrected sources.
+    The shift reaches the one-at-a-time checks (``src``, ``b_enter``) and
+    the column the windows compare (``wait``); the ``mutation``
+    campaign's last probe wakes early only inside a window."""
     import repro.sync.schedule as schedule_mod
 
     real = schedule_mod.cursor_walk
 
     def early(**hot):
         shifted = {key: [g - 1 for g in hot[key]] for key in ("src", "b_enter")}
-        return real(**{**hot, **shifted})
+        return real(**{**hot, **shifted, "wait": hot["wait"] - 1})
 
     with mock.patch.object(schedule_mod, "cursor_walk", early):
         yield
@@ -292,14 +296,15 @@ def mutant_dropped_join():
         yield
 
 
-#: (name, mutant, oracle each campaign must catch it with)
+#: (name, mutant, what each campaign must catch it with: any oracle (None),
+#: an oracle by name, or one probe as (strategy, oracle))
 MUTANTS = [
     ("zero-lmin", mutant_zero_lmin, {"mutation": None}),
     ("uncapped-sends", mutant_uncapped_sends, {"mutation": None}),
     ("naive-floor", mutant_naive_floor, {"mutation": None}),
     ("forced-gamma", mutant_forced_gamma, {"mutation": None}),
     ("dropped-sender", mutant_dropped_sender, {"mutation": None}),
-    ("early-wake", mutant_early_wake, {"mutation": None}),
+    ("early-wake", mutant_early_wake, {"mutation": ("walk_window", "kernel_reference_identity")}),
     ("stale-pending", mutant_stale_pending, {"streaming": None}),
     ("raw-verdict", mutant_raw_verdict, {"streaming": None}),
     ("unmoved-predecessor", mutant_unmoved_predecessor, {"mutation": None}),
@@ -337,8 +342,9 @@ def main(argv: list[str] | None = None) -> int:
                         seed=args.seed,
                     )
                 oracles = sorted({f.oracle for f in result.failures})
+                probes = {(f.strategy, f.oracle) for f in result.failures}
                 entries = sorted(p.name for p in Path(tmp).glob("*.json"))
-                if result.passed or wanted not in {None, *oracles}:
+                if result.passed or wanted not in {None, *oracles, *probes}:
                     print(f"  SURVIVED {label}: {result.summary()}")
                 elif not entries:
                     print(f"  SURVIVED {label}: caught but nothing serialized")

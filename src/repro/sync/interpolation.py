@@ -65,6 +65,7 @@ class ClockCorrection:
     ) -> None:
         self.master = master
         self.knots: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._slopes: dict[int, np.ndarray] = {}  # per rank, per knot segment
         for rank, (w, o) in knots.items():
             w = np.asarray(w, dtype=np.float64)
             o = np.asarray(o, dtype=np.float64)
@@ -75,30 +76,41 @@ class ClockCorrection:
                     f"rank {rank}: knot times must be strictly increasing"
                 )
             self.knots[rank] = (w, o)
+            self._slopes[rank] = (o[1:] - o[:-1]) / (w[1:] - w[:-1])
 
     # ------------------------------------------------------------------
     def offset_model(self, rank: int, t: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
-        """Predicted master-minus-worker offset at worker time ``t``."""
+        """Predicted master-minus-worker offset at worker time ``t`` (an
+        array input gets a new array).
+
+        On knot segment ``j`` (the end segments extended) it is
+        ``o_j + s_j·(t − w_j)`` with the slope ``s_j`` computed once; an
+        event's segment is one ``searchsorted`` over the interior knots,
+        none for two.  The operations and their order are the per-event
+        formula's, so are the bits, NaN and ±inf included.
+        """
         arr = np.asarray(t, dtype=np.float64)
-        scalar = arr.ndim == 0
+        flat = np.atleast_1d(arr)
         if rank == self.master or rank not in self.knots:
-            out = np.zeros_like(arr)
-            return float(out) if scalar else out
-        w, o = self.knots[rank]
-        if w.size == 1:
-            out = np.full_like(arr, o[0])
-            return float(out) if scalar else out
-        # Segment index with end-slope extrapolation.
-        idx = np.searchsorted(w, arr, side="right") - 1
-        idx = np.clip(idx, 0, w.size - 2)
-        slope = (o[idx + 1] - o[idx]) / (w[idx + 1] - w[idx])
-        out = o[idx] + slope * (arr - w[idx])
-        return float(out) if scalar else out
+            out = np.zeros_like(flat)
+        else:
+            (w, o), slopes = self.knots[rank], self._slopes[rank]
+            if w.size == 1:
+                out = np.full_like(flat, o[0])
+            elif w.size == 2:
+                out = np.subtract(flat, w[0])
+                np.multiply(slopes[0], out, out=out)
+                np.add(o[0], out, out=out)
+            else:
+                j = np.searchsorted(w[1:-1], flat, side="right")
+                out = o[j] + slopes[j] * (flat - w[j])
+        return float(out[0]) if arr.ndim == 0 else out
 
     def apply_rank(self, rank: int, timestamps: np.ndarray) -> np.ndarray:
         """Map a rank's local timestamps onto the master timeline."""
         ts = np.asarray(timestamps, dtype=np.float64)
-        return ts + self.offset_model(rank, ts)
+        out = self.offset_model(rank, ts)
+        return ts + out if ts.ndim == 0 else np.add(ts, out, out=out)
 
     def apply(self, trace: Trace) -> Trace:
         """Corrected copy of ``trace`` (every rank mapped to master time)."""

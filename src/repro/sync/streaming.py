@@ -104,10 +104,12 @@ from repro.sync.clc import (
 )
 from repro.sync.collectives_map import collective_constraints, logical_messages
 from repro.sync.schedule import (
+    HEAD,
     block_caps,
     block_entered,
     block_floors,
     block_lmin,
+    first_waiting,
     forward_recurrence,
     nudged_caps,
 )
@@ -526,29 +528,17 @@ class _RankForward:
         """The first source row at or after ``row_ptr`` whose send does not
         lie behind its rank's cursor, or the row count.
 
-        The next 8 rows are checked one at a time, the rest by one array
-        comparison per window, each window four times the last.  The head
-        is measured, not guessed (same-process A/B against one windowed
-        loop, 20 rounds, 2-vCPU VM): on a streamed 16-rank POP trace
-        every one of its ≈ 13.2k waiting visits stops within 8 rows,
-        where an array comparison costs more than it checks — without
-        the head the forward sweep takes ≈ 14 % longer (0.267 → 0.311 s,
-        head faster in 15 of 20 rounds); on the benchmark's 2×500k store
-        its 16 visits run to the end of the rows and the head changes
-        nothing measurable."""
+        The next :data:`~repro.sync.schedule.HEAD` rows are checked one at
+        a time, the rest by :func:`repro.sync.schedule.first_waiting`'s
+        windows, the rule the compiled walk follows too.  On the
+        benchmark's 2×500k store its 16 visits run to the end of the rows
+        and the head changes nothing measurable."""
         rows, n = self.rows, self.rows.q.size
-        head = min(self.row_ptr + 8, n)
+        head = min(self.row_ptr + HEAD, n)
         for r in range(self.row_ptr, head):
             if rows.wait[r] >= cursor[rows.rank[r]]:
                 return r
-        r, width = head, 64
-        while r < n:
-            hi = min(r + width, n)
-            waiting = rows.wait[r:hi] >= cursor[rows.rank[r:hi]]
-            if waiting.any():
-                return r + int(waiting.argmax())
-            r, width = hi, width * 4
-        return n
+        return first_waiting(rows.wait, rows.rank, cursor, head, n)
 
     def flush_shard(self, tmpdir: Path, spill: _Spill) -> None:
         """Save the shard's forward times, spill its send caps, drop it."""

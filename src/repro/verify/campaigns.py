@@ -154,7 +154,8 @@ _campaign(
     + _cross("mixed", ("kernel_reference_identity",))
     + (("quantization", "clock_quantization"),)
     + (("collectives", "collective_edges_match_reference"),)
-    + (("pomp", "pomp_post_clc"),),
+    + (("pomp", "pomp_post_clc"),)
+    + (("walk_window", "kernel_reference_identity"),),
 )
 _campaign(
     "full",

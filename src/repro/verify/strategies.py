@@ -10,8 +10,11 @@ Adversarial ingredients, per the verification charter:
 
 * ``clock_profiles`` — drift-jump clocks and NTP step storms (steps may
   be negative, producing non-monotone recorded timestamps);
-* ``p2p_specs`` — zero-latency edges and latency below the claimed
-  ``l_min`` floor;
+* ``p2p_specs`` — zero-latency edges, latency below the claimed
+  ``l_min`` floor, and an optional burst between one pair of ranks
+  (``streaming_specs`` draws one too);
+* ``walk_window_specs`` — a burst shaped so the compiled walk meets a
+  waiting source only inside its array windows;
 * ``collective_specs`` — degenerate collectives: single members,
   zero-skew identical timestamps, barrier storms, every flavor;
 * ``pomp_specs`` / ``mixed_specs`` — POMP parallel regions alone and
@@ -28,6 +31,7 @@ from repro.verify.cases import CaseSpec
 __all__ = [
     "clock_profiles",
     "p2p_specs",
+    "walk_window_specs",
     "collective_specs",
     "pomp_specs",
     "mixed_specs",
@@ -91,6 +95,21 @@ def _messages(draw, nranks: int, max_messages: int):
     return [[s, (s + k) % nranks, t, lat] for s, k, t, lat in entries]
 
 
+def _burst(draw, nranks: int):
+    """Maybe 9 to 200 messages from one rank to another, back
+    to back: a receive run long enough to pass the forward walks' head
+    (:data:`repro.sync.schedule.HEAD`) into their array windows."""
+    if not draw(st.booleans()):
+        return []
+    src = draw(st.integers(0, nranks - 1))
+    dst = (src + draw(st.integers(1, max(nranks - 1, 1)))) % nranks
+    t0 = draw(_TIMES)
+    gap = draw(st.sampled_from([0.0, 1e-6, 1e-3]))
+    latency = draw(st.one_of(st.just(0.0), _finite(0.0, 1e-3)))
+    return [[src, dst, t0 + gap * i, latency]
+            for i in range(draw(st.integers(9, 200)))]
+
+
 def _locals(draw, nranks: int):
     return [[r, t] for r, t in draw(st.lists(
         st.tuples(st.integers(0, nranks - 1), _TIMES), max_size=4))]
@@ -103,8 +122,35 @@ def p2p_specs(draw, max_ranks: int = 4, max_messages: int = 10):
     return CaseSpec("p2p", {
         "nranks": nranks,
         "profiles": _profile_list(draw, nranks, affine_bias=True),
-        "messages": _messages(draw, nranks, max_messages),
+        "messages": _messages(draw, nranks, max_messages) + _burst(draw, nranks),
         "locals": _locals(draw, nranks),
+        "lmin": draw(_LMINS),
+    })
+
+
+@st.composite
+def walk_window_specs(draw):
+    """A walk visit that wakes early only inside an array window.
+
+    Rank 0 sends a burst of 9 to 100 messages to rank 1; rank 2's first
+    event is a send to rank 1 whose receive sits at dependent index
+    ``HEAD`` or later of rank 1's log.  The walk visits rank 0 (all
+    sends), then rank 1, whose visit passes :data:`HEAD` ready receives
+    one at a time and meets rank 2's, not yet sent, in
+    :func:`~repro.sync.schedule.first_waiting`'s windows — the only
+    place a walk that took sources as done early could go wrong.
+    """
+    from repro.sync.schedule import HEAD
+
+    n = draw(st.integers(HEAD + 1, 100))
+    late = draw(st.integers(HEAD, n))
+    gap = 1.0 / (n + 2)
+    burst = [[0, 1, gap * (i + 1), 0.0] for i in range(n)]
+    return CaseSpec("p2p", {
+        "nranks": 3,
+        "profiles": _profile_list(draw, 3, affine_bias=True),
+        "messages": burst + [[2, 1, gap * (late + 0.5), 0.0]],
+        "locals": [],
         "lmin": draw(_LMINS),
     })
 
@@ -297,24 +343,29 @@ def batch_specs(draw):
 def streaming_specs(draw, max_ranks: int = 4):
     """Sharded-trace equivalence probes for the out-of-core kernels.
 
-    Draws mixed MPI traffic (messages + collectives + local events)
-    and POMP regions under adversarial clocks, a shard size covering
-    the degenerate grain (1), the smallest even/odd grains (2, 7) and the
-    single-shard case (100000 > any drawn trace), and whether to strip
-    match ids (forcing the FIFO matching path).  The oracle streams the
-    CLC and the violation scan over the sharded store and demands
-    bit-identity with the in-memory kernels.
+    Draws mixed MPI traffic (messages + collectives + local events,
+    maybe a burst) and POMP regions under adversarial clocks, a shard
+    size covering the degenerate grain (1), the smallest even/odd grains
+    (2, 7) and the single-shard case (100000 > any drawn trace), and
+    whether to strip match ids (forcing the FIFO matching path).  A
+    burst gets shards of 64 events or one shard: only a shard holding
+    more than :data:`~repro.sync.schedule.HEAD` of its receives reaches
+    the sweep's windows, and a burst over shards of a few events costs
+    minutes a campaign.  The oracle streams the CLC and the violation
+    scan over the sharded store and demands bit-identity with the
+    in-memory kernels.
     """
     nranks = draw(st.integers(2, max_ranks))
+    burst = _burst(draw, nranks)
     return CaseSpec("streaming", {
         "nranks": nranks,
         "profiles": _profile_list(draw, nranks, affine_bias=False),
-        "messages": _messages(draw, nranks, 8),
+        "messages": _messages(draw, nranks, 8) + burst,
         "collectives": _collective_entries(draw, nranks, 3),
         "pomp": _pomp_entries(draw, nranks, 2),
         "locals": _locals(draw, nranks),
         "lmin": draw(_LMINS),
-        "shard_events": draw(st.sampled_from([1, 2, 7, 100_000])),
+        "shard_events": draw(st.sampled_from([64, 100_000] if burst else [1, 2, 7, 100_000])),
         "strip_ids": draw(st.booleans()),
     })
 
@@ -402,6 +453,7 @@ STRATEGIES: dict[str, object] = {
     "quantization": quantization_specs,
     "batch": batch_specs,
     "streaming": streaming_specs,
+    "walk_window": walk_window_specs,
     "unit": unit_specs,
     "stats": stats_specs,
     "grid_ws": grid_ws_specs,

@@ -1,0 +1,173 @@
+"""The cases behind ``tests/data/identity.json`` and the script that writes it.
+
+Every pin is the sha256 of a correction's stamps (:func:`stamps_sha256`);
+``tests/test_identity.py`` checks them.  A change that moves a pinned
+result has to rewrite the file in the open::
+
+    PYTHONPATH=src python tests/identity_pins.py           # rewrite every section
+    PYTHONPATH=src python tests/identity_pins.py --check   # exit 1 on any difference
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from repro import correct_trace
+from repro.tracing.events import EventLog
+from repro.tracing.trace import Trace
+
+PATH = Path(__file__).parent / "data" / "identity.json"
+
+POMP_ABOUT = (
+    "sha256 over every rank's corrected stamps (little-endian float64, rank order) of "
+    "correct_trace(run_parallel_for_benchmark(OmpTeamConfig(threads=T, regions=30, "
+    "imbalance=I), seed=1), interpolation='none', clc=True, lmin=L); recorded from the "
+    "POMP-constraint CLC this path replaced"
+)
+STAMPS_ABOUT = (
+    "sha256 over every rank's corrected stamps (little-endian float64, rank order) of "
+    "correct_trace(source, interpolation=..., clc=..., scan=False): 'pop' is "
+    "simulate_workload('pop', nprocs=8, scale=0.02, seed=3, platform='opteron', "
+    "placement='spread', engine='batch'); 'periodic' a 4-rank sparse run on the Xeon "
+    "preset with a measurement at every second collective (5 measurement sets), "
+    "lmin=1e-5 (23 violations left after piecewise); "
+    "'synthetic' synthetic_trace(20000), two ranks shaped like the end-to-end "
+    "benchmark's jump-sparse input; recorded before interpolation evaluated one line "
+    "per knot segment"
+)
+
+
+def stamps_sha256(trace: Trace) -> str:
+    digest = hashlib.sha256()
+    for rank in trace.ranks:
+        digest.update(np.ascontiguousarray(trace.logs[rank].timestamps, "<f8").tobytes())
+    return digest.hexdigest()
+
+
+def pomp_cases():
+    """``{key: (source, correct_trace keywords)}`` of the ``pomp_clc`` section."""
+    from repro.openmp.team import OmpTeamConfig, run_parallel_for_benchmark
+
+    cases = {}
+    for threads in (2, 4, 8):
+        for imbalance in (0.05, 0.3):
+            trace = run_parallel_for_benchmark(
+                OmpTeamConfig(threads=threads, regions=30, imbalance=imbalance), seed=1
+            )
+            for lmin in (0.0, 1e-6):
+                key = f"threads={threads} imbalance={imbalance} lmin={lmin:g}"
+                cases[key] = (trace, {"interpolation": "none", "clc": True, "lmin": lmin})
+    return cases
+
+
+def pop_run():
+    from repro.options import RunOptions
+    from repro.workloads import simulate_workload
+
+    return simulate_workload(
+        "pop", nprocs=8, scale=0.02, seed=3, platform="opteron",
+        placement="spread", options=RunOptions(engine="batch"),
+    )
+
+
+def periodic_run():
+    """Five measurement sets: init, three periodic ones, final."""
+    from repro.cluster import inter_node, xeon_cluster
+    from repro.mpi import MpiWorld
+    from repro.workloads import SparseConfig, sparse_worker
+
+    preset = xeon_cluster()
+    world = MpiWorld(preset, inter_node(preset.machine, 4), timer="tsc", seed=2,
+                     duration_hint=60.0, periodic_sync_every=2)
+    return world.run(sparse_worker(SparseConfig(rounds=20, collective_every=4), seed=2))
+
+
+def synthetic_trace(n_per_rank: int, seed: int = 3) -> Trace:
+    """Two ranks, every 16th event a message, 50 receives pulled back before
+    their sends; rank 1's offset drifts from +0.2 µs to -0.3 µs."""
+    msg_every, violations = 16, 50
+    nmsg = n_per_rank // msg_every
+    idx = np.arange(nmsg) * msg_every + msg_every // 2
+    bad = idx[np.sort(np.random.default_rng(seed).choice(nmsg, size=violations, replace=False))]
+    logs = {}
+    for rank in (0, 1):
+        ts = np.arange(n_per_rank, dtype=np.float64) * 1e-6
+        et = np.tile(np.array([0, 1], dtype=np.int32), n_per_rank // 2)  # ENTER, EXIT
+        a, d = np.zeros(n_per_rank, dtype=np.int64), np.full(n_per_rank, -1, dtype=np.int64)
+        if rank == 0:
+            et[idx], a[idx] = 2, 1  # SEND to rank 1
+        else:
+            ts += 5e-7
+            et[idx] = 3  # RECV
+            ts[bad] -= 0.9e-6
+        d[idx] = np.arange(nmsg)
+        zeros = np.zeros(n_per_rank, dtype=np.int64)
+        logs[rank] = EventLog.from_arrays(ts, et, a, zeros, zeros, d)
+    end = n_per_rank * 1e-6 + 1.0
+    meta = {
+        "init_offsets": {0: (0.0, 0.0), 1: (0.0, 2e-7)},
+        "final_offsets": {0: (end, 0.0), 1: (end, -3e-7)},
+    }
+    return Trace(logs, meta=meta)
+
+
+def stamps_cases():
+    """``{key: (source, correct_trace keywords)}`` of the ``stamps`` section."""
+    cases = {}
+    pop = pop_run()
+    for interpolation in ("align", "linear"):
+        for clc in (False, True):
+            cases[f"pop {interpolation} clc={clc}"] = (pop, {"interpolation": interpolation, "clc": clc})
+    periodic = periodic_run()
+    for clc in (False, True):
+        cases[f"periodic piecewise clc={clc}"] = (
+            periodic, {"interpolation": "piecewise", "clc": clc, "lmin": 1e-5}
+        )
+    cases["synthetic linear clc=True"] = (synthetic_trace(20_000), {"interpolation": "linear", "clc": True})
+    return cases
+
+
+SECTIONS = {"pomp_clc": (POMP_ABOUT, pomp_cases), "stamps": (STAMPS_ABOUT, stamps_cases)}
+
+
+def digest(source, keywords: dict) -> str:
+    return stamps_sha256(correct_trace(source, scan=False, **keywords).trace)
+
+
+def generate() -> dict:
+    return {
+        name: {"about": about, "digests": {key: digest(*case) for key, case in cases().items()}}
+        for name, (about, cases) in SECTIONS.items()
+    }
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--check", action="store_true",
+                        help=f"compare with {PATH.name} instead of rewriting it")
+    args = parser.parse_args(argv)
+    fresh = generate()
+    if not args.check:
+        PATH.write_text(json.dumps(fresh, indent=2) + "\n")
+        return 0
+    pinned = json.loads(PATH.read_text())
+    differ = [
+        f"{name}: {key}"
+        for name, section in fresh.items()
+        for key, value in section["digests"].items()
+        if pinned.get(name, {}).get("digests", {}).get(key) != value
+    ]
+    for line in differ:
+        print(f"differs: {line}")
+    print(f"{len(differ)} of {sum(len(s['digests']) for s in fresh.values())} pins differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -162,3 +162,76 @@ class TestExactnessProperty:
         )
         out = corr.apply_rank(1, ts)
         assert np.all(np.diff(out) >= 0)
+
+
+def _per_event(w: np.ndarray, o: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The per-event formula: every event finds its segment among all the
+    knots (end segments extended) and computes that segment's slope."""
+    idx = np.clip(np.searchsorted(w, t, side="right") - 1, 0, w.size - 2)
+    return o[idx] + (o[idx + 1] - o[idx]) / (w[idx + 1] - w[idx]) * (t - w[idx])
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+class TestBitwise:
+    """The segment-slope evaluation against the per-event formula, bit for bit."""
+
+    KNOTS = {
+        1: (np.array([2.5]), np.array([1e-3])),
+        2: (np.array([-1.0, 7.0]), np.array([3e-4, -2e-4])),
+        3: (np.array([0.0, 1.0, 2.5, 4.0]), np.array([1e-3, -5e-4, 2e-4, 2e-4])),
+        4: (np.array([-3.0, 0.5, 1e3]), np.array([0.0, 1e-6, -1.0])),
+    }
+    EDGES = np.array([-0.0, 0.0, np.nan, -np.nan, np.inf, -np.inf, -1e300, 1e300, 5e-324])
+
+    def times(self, w: np.ndarray) -> np.ndarray:
+        """Before the first knot, on every knot and just beside it, between
+        knots, past the last, and the IEEE edge values."""
+        between = (w[:-1] + w[1:]) / 2 if w.size > 1 else w[:0]
+        return np.concatenate([
+            [w[0] - 10.0, w[0] - 1e-12], w, np.nextafter(w, -np.inf), np.nextafter(w, np.inf),
+            between, [w[-1] + 1e-12, w[-1] + 10.0], self.EDGES,
+        ])
+
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    def test_matches_per_event_formula(self, rank):
+        corr = ClockCorrection(self.KNOTS)
+        w, o = self.KNOTS[rank]
+        t = self.times(w)
+        with np.errstate(invalid="ignore"):
+            want = np.full_like(t, o[0]) if w.size == 1 else _per_event(w, o, t)
+            assert _bits(corr.offset_model(rank, t)) == _bits(want)
+            assert _bits(corr.apply_rank(rank, t)) == _bits(t + want)
+            for x, y in zip(t, want):  # scalar input
+                got = corr.offset_model(rank, float(x))
+                assert isinstance(got, float) and _bits(got) == _bits(y)
+                assert _bits(corr.apply_rank(rank, x)) == _bits(x + y)
+
+    @pytest.mark.parametrize("rank", [0, 9])
+    def test_master_and_rank_without_knots(self, rank):
+        corr = ClockCorrection(self.KNOTS, master=0)
+        t = self.times(np.array([0.0, 1.0]))
+        assert _bits(corr.offset_model(rank, t)) == _bits(np.zeros_like(t))
+        assert _bits(corr.apply_rank(rank, t)) == _bits(t + 0.0)  # -0.0 maps to +0.0
+        assert corr.offset_model(rank, -0.0) == 0.0
+        assert _bits(corr.apply_rank(rank, -0.0)) == _bits(0.0)
+
+    @examples(50)
+    @given(
+        knots=st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=6, unique=True),
+        offsets=st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6),
+        t=st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=20),
+    )
+    def test_random_knots(self, knots, offsets, t):
+        w = np.sort(np.array(knots))
+        if w.size > 1 and not np.all(np.diff(w) > 0):
+            return
+        o = np.array(offsets[: w.size])
+        t = np.array(t, dtype=np.float64)
+        corr = ClockCorrection({1: (w, o)})
+        with np.errstate(all="ignore"):
+            want = np.full_like(t, o[0]) if w.size == 1 else _per_event(w, o, t)
+            assert _bits(corr.offset_model(1, t)) == _bits(want)
+            assert _bits(corr.apply_rank(1, t)) == _bits(t + want)

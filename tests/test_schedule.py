@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import re
 import typing
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -202,9 +203,10 @@ class TestCompilation:
 
 
 def _early_wake(**hot):
-    """The walk with every source taken as done one event early."""
+    """The walk with every source taken as done one event early, in its
+    one-at-a-time checks and in the column its windows compare."""
     shifted = {key: [g - 1 for g in hot[key]] for key in ("src", "b_enter")}
-    return cursor_walk(**{**hot, **shifted})
+    return cursor_walk(**{**hot, **shifted, "wait": hot["wait"] - 1})
 
 
 def _trace_of(events: dict[int, list[tuple]]) -> Trace:
@@ -221,7 +223,9 @@ def _trace_of(events: dict[int, list[tuple]]) -> Trace:
 def walk_cases(draw):
     """A trace and a dependency dict for the walk to order.
 
-    Messages and all four collective flavors over sub-communicators,
+    Messages, bursts of 9 to 300 of them between two ranks (a receive run
+    long enough for the walk's windows), and all four collective flavors
+    over sub-communicators,
     ranks that recorded nothing in between, and — through the dict —
     constraints whose source lies earlier on the dependent's own rank.
     Events are drawn in one global order, sources first, so the
@@ -238,14 +242,17 @@ def walk_cases(draw):
         st.tuples(st.just("local"), st.integers(0, active - 1)),
         st.tuples(st.just("message"), pair),
         st.tuples(st.just("collective"), st.sampled_from(_COLLECTIVE_MIX), members, st.integers(0, 9)),
+        st.tuples(st.just("burst"), pair, st.integers(9, 300)),
     )
     for k, op in enumerate(draw(st.lists(ops, max_size=20))):
         if op[0] == "local":
             events[2 * op[1]].append((EventType.ENTER, 1, 0, 0, 0))
-        elif op[0] == "message":
+        elif op[0] in ("message", "burst"):
             src, dst = op[1]
-            events[src].append((EventType.SEND, dst, 0, 64, k))
-            events[dst].append((EventType.RECV, src, 0, 64, k))
+            for i in range(op[2] if op[0] == "burst" else 1):
+                # One match id per message: i < 1000 for every op k.
+                events[src].append((EventType.SEND, dst, 0, 64, k * 1000 + i))
+                events[dst].append((EventType.RECV, src, 0, 64, k * 1000 + i))
         else:
             _, coll, ranks, pick = op
             root = ranks[pick % len(ranks)]
@@ -270,8 +277,10 @@ class TestCursorWalk:
         assert_topo_matches_replay(trace)  # the standard relation
         assert_topo_matches_replay(trace, deps)  # ... plus same-rank sources
         schedule = CompiledSchedule.from_dependencies(trace, deps)
-        _, _, checks = cursor_walk(**schedule.hot)
-        assert checks == schedule.n_edges
+        walk = cursor_walk(**schedule.hot)
+        assert walk[2] == schedule.n_edges
+        with mock.patch.object(schedule_module, "HEAD", 1 << 40):  # no windows
+            assert cursor_walk(**schedule.hot) == walk
 
     @given(walk_cases(), st.integers(0, 10_000))
     def test_cycle_raises_incomplete(self, case, pick):
@@ -334,6 +343,130 @@ class TestCursorWalk:
         steps, _, checks = cursor_walk(**schedule.hot)
         assert checks <= schedule.n_edges + len(steps)
         assert len(steps) <= 2 * rounds + n
+
+
+#: Ready receives a visit passes before it meets the case under test: the
+#: head, then a 64- and a 256-edge window; the meet lies in the third.
+_RUN = schedule_module.HEAD + 64 + 256
+
+
+def _window_trace(rank1: list[tuple], rank2: list[tuple], barrier: bool = False) -> Trace:
+    """Rank 0 sends ``_RUN + 5`` messages to rank 1, then 20 more; rank 1
+    receives them with ``rank1`` in between, rank 2 records ``rank2``.
+    ``barrier`` puts one barrier over all three ranks there instead:
+    rank 1's exit is then its dependent at the meet.  The walk visits
+    rank 0 (sends only) to its end first, so rank 1's first visit passes
+    every receive before the meet."""
+    head, tail = _RUN + 5, 20
+    events: dict[int, list[tuple]] = {0: [], 1: [], 2: list(rank2)}
+    for k in range(head + tail):
+        events[0].append((EventType.SEND, 1, 0, 64, k))
+        events[1].append((EventType.RECV, 0, 0, 64, k))
+    events[1][head:head] = rank1
+    if barrier:
+        rows = [(etype, int(CollectiveOp.BARRIER), 0, 3, 0)
+                for etype in (EventType.COLL_ENTER, EventType.COLL_EXIT)]
+        events[0] += rows
+        events[1][head:head] = rows
+        events[2][:0] = rows
+    return _trace_of(events)
+
+
+#: Rank 1's receive from rank 2 sits behind ``_RUN + 5`` ready receives,
+#: and rank 2 has not run when rank 1's first visit meets it.
+_REMOTE_LATE = ([(EventType.RECV, 2, 0, 64, 999)], [(EventType.SEND, 1, 0, 64, 999)])
+
+
+class TestWalkWindows:
+    """Visits long enough for :func:`first_waiting`'s windows.
+
+    No POP visit passes 5 dependents, so these hand-built traces are
+    what reaches the windows: each passes ``_RUN`` ready receives and
+    then meets the case named.  The walk must be the one-at-a-time walk
+    (every window start moved past the end gives the same steps,
+    cursors and checks) and a valid replay order.
+    """
+
+    @staticmethod
+    def walk(schedule, monkeypatch, stops=None):
+        """The walk, checked against the one-at-a-time walk; ``stops``
+        collects where each window search stopped, relative to its start."""
+        real = schedule_module.first_waiting
+
+        def spy(wait, rank, cursor, lo, hi):
+            at = real(wait, rank, cursor, lo, hi)
+            if stops is not None:
+                stops.append(at - lo if at < hi else None)
+            return at
+
+        with monkeypatch.context() as patch:
+            patch.setattr(schedule_module, "first_waiting", spy)
+            got = cursor_walk(**schedule.hot)
+        with monkeypatch.context() as patch:
+            patch.setattr(schedule_module, "HEAD", 1 << 40)
+            assert cursor_walk(**schedule.hot) == got
+        return got
+
+    def test_remote_source_not_yet_done(self, monkeypatch):
+        trace = _window_trace(*_REMOTE_LATE)
+        assert_topo_matches_replay(trace)
+        schedule = trace.compiled_schedule(True)
+        stops = []
+        _, cursors, checks = self.walk(schedule, monkeypatch, stops)
+        assert checks == schedule.n_edges
+        # rank 1's first visit: windows of 64 and 256 pass, the third stops
+        assert stops[0] == _RUN + 5 - schedule_module.HEAD
+        assert cursors == schedule.offsets[1:].tolist()
+
+    def test_block_exit(self, monkeypatch):
+        trace = _window_trace([], [], barrier=True)
+        assert_topo_matches_replay(trace)
+        schedule = trace.compiled_schedule(True)
+        assert schedule.n_blocks == 1
+        stops = []
+        steps, _, checks = self.walk(schedule, monkeypatch, stops)
+        # The windows run to the exit, not past it: rank 1's first visit ends there.
+        assert stops[0] is None
+        rank, start, _, first, stop = steps[1]
+        assert (rank, start, stop - first) == (1, schedule.offsets[1], _RUN + 5)
+        # The dense twin has no blocks: every check is an edge's, once.
+        dense = CompiledSchedule.from_dependencies(trace, build_dependencies(trace))
+        assert self.walk(dense, monkeypatch)[2] == dense.n_edges
+
+    def test_same_rank_source_earlier(self, monkeypatch):
+        trace = _window_trace([(EventType.ENTER, 1, 0, 0, 0)], [])
+        deps = build_dependencies(trace)
+        # Both sources lie past the head, ahead of where the visit's own
+        # cursor stood when the windows began.
+        deps[(1, _RUN + 5)] = [(1, _RUN + 2)]  # a local event after its own earlier receive
+        deps[(1, _RUN - 1)].append((1, _RUN - 3))  # a receive with a second, own source
+        assert_topo_matches_replay(trace, deps)
+        schedule = CompiledSchedule.from_dependencies(trace, deps)
+        stops = []
+        _, cursors, checks = self.walk(schedule, monkeypatch, stops)
+        assert checks == schedule.n_edges
+        assert stops and set(stops) == {None}  # no window stops: both are ready
+        assert cursors == schedule.offsets[1:].tolist()
+
+    def test_same_rank_source_later_is_incomplete(self, monkeypatch):
+        trace = _window_trace([(EventType.ENTER, 1, 0, 0, 0)], [])
+        deps = build_dependencies(trace)
+        deps[(1, _RUN + 5)] = [(1, _RUN + 10)]  # waits for its own future
+        with pytest.raises(SynchronizationError, match="incomplete"):
+            CompiledSchedule.from_dependencies(trace, deps)
+        with monkeypatch.context() as patch:
+            patch.setattr(schedule_module, "HEAD", 1 << 40)
+            with pytest.raises(SynchronizationError, match="incomplete"):
+                CompiledSchedule.from_dependencies(trace, deps)
+
+    def test_early_wake_in_a_window_is_caught(self, monkeypatch):
+        # The sixth mutant where only a window can go wrong: every source
+        # of the head lies far behind rank 0's cursor, and the one awaited
+        # source, rank 2's first event, is "done" one event early.
+        trace = _window_trace(*_REMOTE_LATE)
+        monkeypatch.setattr(schedule_module, "cursor_walk", _early_wake)
+        with pytest.raises(OracleViolation, match=rf"runs \(1, {_RUN + 5}\) before its source \(2, 0\)"):
+            assert_topo_matches_replay(trace)
 
 
 def _bits(values) -> bytes:
