@@ -767,26 +767,22 @@ def _cmd_submit(args) -> int:
     client = _client_for(args)
     knobs = _picked(args, _CORRECTION_KNOBS)
     if args.workload is not None:
-        body = {
+        job = client.submit({
             "workload": {
                 "name": args.workload,
                 **_picked(args, _WORKLOAD_KNOBS),
                 "engine": args.engine,
             },
             **knobs,
-        }
+        })
     else:
         from pathlib import Path
 
-        from repro.tracing.writer import trace_to_jsonl
-
         path = Path(args.trace)
         if path.suffix == ".jsonl":
-            payload = path.read_text(encoding="utf-8")
+            job = client.submit_trace(path.read_text(encoding="utf-8"), **knobs)
         else:
-            payload = trace_to_jsonl(read_trace(path))
-        body = {"trace_inline": payload, **knobs}
-    job = client.submit(body)
+            job = client.submit_trace(read_trace(path), **knobs)
     _print_job(job)
     if args.wait and job["state"] in ("queued", "running"):
         job = client.wait(job["id"])

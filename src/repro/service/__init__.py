@@ -6,7 +6,9 @@ shape the ROADMAP's "correction as a service" item asks for.  Layers,
 dependency-downward only:
 
 * :mod:`repro.service.api` — stdlib ``ThreadingHTTPServer`` HTTP/JSON
-  front end (submit / status / fetch / cancel / ``/metrics``);
+  front end (submit / status / fetch / cancel / ``/metrics``) over
+  kept-alive HTTP/1.1 connections; an inline trace may be submitted as
+  its own ``application/x-ndjson`` body;
 * :mod:`repro.service.application` — :class:`JobManager`: dedup via
   content digests + :class:`repro.cache.ResultCache`, bounded retries,
   dead-letter, per-job audit manifests;
@@ -15,7 +17,8 @@ dependency-downward only:
 * :mod:`repro.service.infrastructure` — queue, dispatcher threads,
   forked worker processes that run each correction attempt, atomic
   manifest store, thread-safe telemetry facade;
-* :mod:`repro.service.client` — urllib :class:`ServiceClient`.
+* :mod:`repro.service.client` — ``http.client`` :class:`ServiceClient`,
+  one kept-alive connection per thread.
 
 Quick start (in-process)::
 

@@ -6,9 +6,12 @@ noted):
 
 ================================  =====================================
 ``POST /v1/jobs``                 submit a correction job (body: a
-                                  :class:`CorrectionRequest`); 202 with
-                                  the job record, 200 when dedup/cache
-                                  made it instantly ``done``
+                                  :class:`CorrectionRequest`, or an
+                                  inline ``.jsonl`` trace as
+                                  ``application/x-ndjson`` with the
+                                  other fields in ``Repro-Request``);
+                                  202 with the job record, 200 when
+                                  dedup/cache made it instantly ``done``
 ``GET /v1/jobs``                  list job records
 ``GET /v1/jobs/<id>``             poll one job's status
 ``GET /v1/jobs/<id>/report``      the finished outcome summary
@@ -27,6 +30,12 @@ Every error body is ``{"error": {"code", "message", "http"}}`` with a
 stable machine-readable ``code`` from
 :data:`repro.service.domain.ERROR_HTTP_STATUS` — clients branch on the
 code, never on message text.
+
+Connections are HTTP/1.1 and kept alive, one handler thread each.  A
+request whose body is not read in full (chunked, no or a malformed
+``Content-Length``, oversize, or sent to a route that takes none) gets
+its error reply with ``Connection: close``, since the next request
+would otherwise be parsed out of the unread bytes.
 """
 
 from __future__ import annotations
@@ -50,6 +59,9 @@ class _Handler(BaseHTTPRequestHandler):
 
     server_version = "repro-service"
     protocol_version = "HTTP/1.1"
+    # Headers and body go out as two writes; on a kept-alive connection
+    # Nagle would hold the body back until the peer's delayed ACK (~40 ms).
+    disable_nagle_algorithm = True
 
     # ------------------------------------------------------------------
     # Plumbing
@@ -62,10 +74,21 @@ class _Handler(BaseHTTPRequestHandler):
         if self.server.verbose:  # type: ignore[attr-defined]
             super().log_message(format, *args)
 
+    def parse_request(self) -> bool:
+        if not super().parse_request():
+            return False
+        # Whether this request announced a body nothing has read yet.
+        self._unread = "Transfer-Encoding" in self.headers or (
+            (self.headers.get("Content-Length") or "0").strip() != "0"
+        )
+        return True
+
     def _send(self, status: int, payload: bytes, content_type: str) -> None:
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(payload)))
+        if self._unread:
+            self.send_header("Connection", "close")  # sets close_connection
         self.end_headers()
         self.wfile.write(payload)
 
@@ -77,14 +100,35 @@ class _Handler(BaseHTTPRequestHandler):
         self._send_json(exc.http_status, exc.to_json())
 
     def _read_body(self) -> bytes:
-        length = int(self.headers.get("Content-Length") or 0)
+        """The whole request body; one it cannot read in full is refused
+        (``bad_request``) and its connection closed after the reply."""
+        self._unread = True
+        if "Transfer-Encoding" in self.headers:
+            raise ServiceError(
+                "bad_request", "chunked request bodies are not accepted; "
+                "send a Content-Length",
+            )
+        values = self.headers.get_all("Content-Length") or []
+        text = values[0].strip() if len(set(values)) == 1 else ""
+        if not (text.isascii() and text.isdigit()):
+            raise ServiceError(
+                "bad_request", "a request body needs one Content-Length of "
+                f"decimal digits, got {values!r}",
+            )
+        length = int(text)
         if length > MAX_BODY_BYTES:
             raise ServiceError(
                 "bad_request",
                 f"request body of {length} bytes exceeds the "
                 f"{MAX_BODY_BYTES}-byte limit",
             )
-        return self.rfile.read(length) if length else b""
+        body = self.rfile.read(length)
+        if len(body) < length:
+            raise ServiceError(
+                "bad_request", f"request body ended after {len(body)} of {length} bytes"
+            )
+        self._unread = False
+        return body
 
     def _json_body(self) -> dict:
         raw = self._read_body()
@@ -94,6 +138,38 @@ class _Handler(BaseHTTPRequestHandler):
             return json.loads(raw.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ServiceError("bad_request", f"invalid JSON body: {exc}") from exc
+
+    def _ndjson_body(self) -> dict:
+        """An ``application/x-ndjson`` submit as the JSON form's object.
+
+        The body is the ``.jsonl`` trace itself and ``Repro-Request``
+        (default ``{}``) holds the other fields, so the request, its
+        digest and its result are those of the JSON form.
+        """
+        raw = self._read_body()
+        try:
+            fields = json.loads(self.headers.get("Repro-Request", "{}"))
+        except json.JSONDecodeError as exc:
+            raise ServiceError(
+                "bad_request", f"invalid Repro-Request header: {exc}"
+            ) from exc
+        if not isinstance(fields, dict):
+            raise ServiceError(
+                "bad_request", "the Repro-Request header must be a JSON object"
+            )
+        if "trace_inline" in fields:
+            raise ServiceError(
+                "bad_request",
+                "an x-ndjson submit carries its trace as the body, "
+                "not in the Repro-Request header",
+            )
+        if not raw:
+            raise ServiceError("bad_request", "an x-ndjson submit needs a trace body")
+        try:
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ServiceError("bad_request", f"trace body is not UTF-8: {exc}") from exc
+        return {**fields, "trace_inline": text}
 
     def _route(self) -> tuple[str, Optional[str], Optional[str]]:
         """Split ``/v1/jobs/<id>/<verb>`` into (head, job_id, verb)."""
@@ -156,7 +232,11 @@ class _Handler(BaseHTTPRequestHandler):
         try:
             head, job_id, verb = self._route()
             if head == "jobs" and job_id is None:
-                request = CorrectionRequest.from_json(self._json_body())
+                if self.headers.get_content_type() == "application/x-ndjson":
+                    body = self._ndjson_body()
+                else:
+                    body = self._json_body()
+                request = CorrectionRequest.from_json(body)
                 job = self.manager.submit(request)
                 status = 200 if job.state is JobState.DONE else 202
                 self._send_json(status, job.to_json())
@@ -183,6 +263,8 @@ class _Handler(BaseHTTPRequestHandler):
 class ServiceServer(ThreadingHTTPServer):
     """The service's HTTP server; owns a :class:`JobManager`."""
 
+    # Daemon handler threads: server_close() must not wait on a client's
+    # idle kept-alive connection.
     daemon_threads = True
 
     def __init__(

@@ -1,4 +1,4 @@
-"""Python client for the correction service (urllib, no dependencies).
+"""Python client for the correction service (``http.client``, no dependencies).
 
 :class:`ServiceClient` wraps the HTTP API of :mod:`repro.service.api`
 in blocking calls that speak domain objects::
@@ -9,35 +9,134 @@ in blocking calls that speak domain objects::
     job = client.wait(job["id"])
     text = client.fetch_trace(job["id"])      # canonical .jsonl
 
+Each thread that uses a client keeps one HTTP/1.1 connection open and
+sends every call over it, so a submit, its status polls and the fetch
+cost one TCP connection, and a client shared by several threads still
+gives each thread its own replies.  :meth:`ServiceClient.submit_trace`
+posts the ``.jsonl`` text itself as an ``application/x-ndjson`` body,
+with the other request fields as a JSON object in the ``Repro-Request``
+header, so the trace is neither escaped here nor unescaped by the
+server.
+
 Server-side :class:`~repro.service.domain.ServiceError` bodies are
 re-raised as :class:`ServiceError` with the same stable ``code``, so
 callers branch identically whether the failure happened in-process or
-across the wire.
+across the wire; a server that cannot be reached is ``internal``.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
+import threading
 import time
-import urllib.error
-import urllib.request
+import urllib.parse
+import weakref
 from typing import Optional
 
 from repro.service.domain import ServiceError
 
 __all__ = ["ServiceClient"]
 
+#: Errors that mean a kept-alive connection was closed by the server
+#: while idle (``http.client.RemoteDisconnected`` is a
+#: ``ConnectionResetError``).  Raised before the response began, they
+#: are the one failure worth one retry on a fresh connection.
+_STALE = (ConnectionResetError, BrokenPipeError)
+
+
+class _Slot:
+    """One thread's connection to the service, and the URL's path prefix."""
+
+    __slots__ = ("conn", "prefix", "__weakref__")
+
+    def __init__(self, conn: http.client.HTTPConnection, prefix: str) -> None:
+        self.conn, self.prefix = conn, prefix
+
 
 class ServiceClient:
-    """Blocking HTTP client; one instance per service base URL."""
+    """Blocking HTTP client; one instance per service base URL.
+
+    Safe to share between threads: each thread has its own connection.
+    """
 
     def __init__(self, base_url: str, timeout: float = 30.0) -> None:
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
+        self._local = threading.local()
+        self._lock = threading.Lock()
+        self._open: "weakref.WeakSet[_Slot]" = weakref.WeakSet()
 
     # ------------------------------------------------------------------
     # Transport
     # ------------------------------------------------------------------
+    def _slot(self) -> _Slot:
+        """This thread's connection (it connects on its first request)."""
+        slot = getattr(self._local, "slot", None)
+        if slot is None:
+            parts = urllib.parse.urlsplit(self.base_url)
+            kind = {"http": http.client.HTTPConnection,
+                    "https": http.client.HTTPSConnection}.get(parts.scheme)
+            try:
+                if kind is None or not parts.hostname:
+                    raise ValueError("not an http(s) URL")
+                conn = kind(parts.hostname, parts.port, timeout=self.timeout)
+            except (ValueError, http.client.InvalidURL) as exc:  # e.g. a bad port
+                raise self._unreachable(exc) from None
+            slot = self._local.slot = _Slot(conn, parts.path)
+            # Closed when its thread ends or the client is dropped.
+            weakref.finalize(slot, conn.close)
+            with self._lock:
+                self._open.add(slot)
+        return slot
+
+    def close(self) -> None:
+        """Close every connection this client holds.
+
+        Call it when no request is in flight; a later call opens a new
+        connection.
+        """
+        with self._lock:
+            slots = list(self._open)
+        for slot in slots:
+            slot.conn.close()
+
+    def _unreachable(self, exc: BaseException) -> ServiceError:
+        return ServiceError("internal", f"cannot reach {self.base_url}: {exc}")
+
+    def _exchange(
+        self, method: str, path: str, data: Optional[bytes], headers: dict
+    ) -> tuple[int, bytes, str]:
+        """One request and its whole response over this thread's connection.
+
+        A request that fails because a reused connection went stale is
+        sent once more on a new connection; any other transport failure
+        closes the connection and raises ``internal``.
+        """
+        slot = self._slot()
+        conn, url = slot.conn, slot.prefix + path
+        try:
+            while True:  # a fresh connection is not reused: one retry at most
+                reused = conn.sock is not None
+                try:
+                    conn.request(method, url, body=data, headers=headers)
+                    resp = conn.getresponse()
+                    break
+                except _STALE as exc:
+                    conn.close()
+                    if not reused:
+                        raise self._unreachable(exc) from exc
+            payload = resp.read()
+        except (OSError, http.client.HTTPException) as exc:
+            conn.close()
+            raise self._unreachable(exc) from exc
+        except BaseException:
+            conn.close()  # a half-read response would poison the next request
+            raise
+        if not 200 <= resp.status < 300:
+            raise self._error_from(resp.status, payload)
+        return resp.status, payload, resp.getheader("Content-Type", "")
+
     def _request(
         self, method: str, path: str, body: Optional[dict] = None
     ) -> tuple[int, bytes, str]:
@@ -46,23 +145,7 @@ class ServiceClient:
         if body is not None:
             data = json.dumps(body).encode("utf-8")
             headers["Content-Type"] = "application/json"
-        req = urllib.request.Request(
-            f"{self.base_url}{path}", data=data, method=method, headers=headers
-        )
-        try:
-            with urllib.request.urlopen(req, timeout=self.timeout) as resp:
-                return (
-                    resp.status,
-                    resp.read(),
-                    resp.headers.get("Content-Type", ""),
-                )
-        except urllib.error.HTTPError as exc:
-            payload = exc.read()
-            raise self._error_from(exc.code, payload) from None
-        except urllib.error.URLError as exc:
-            raise ServiceError(
-                "internal", f"cannot reach {self.base_url}: {exc.reason}"
-            ) from exc
+        return self._exchange(method, path, data, headers)
 
     @staticmethod
     def _error_from(status: int, payload: bytes) -> ServiceError:
@@ -86,14 +169,29 @@ class ServiceClient:
 
     def submit_trace(self, trace, **knobs) -> dict:
         """Submit an in-memory :class:`~repro.tracing.trace.Trace` (or
-        pre-rendered ``.jsonl`` text) inline."""
+        pre-rendered ``.jsonl`` text) inline.
+
+        The text travels as the request body, unescaped; ``knobs`` (the
+        other :class:`CorrectionRequest` fields) travel in the
+        ``Repro-Request`` header.  The job is the one ``submit`` with
+        ``{"trace_inline": text, **knobs}`` names: same digest, same
+        dedup, same result.
+        """
         if isinstance(trace, str):
             payload = trace
         else:
             from repro.tracing.writer import trace_to_jsonl
 
             payload = trace_to_jsonl(trace)
-        return self.submit({"trace_inline": payload, **knobs})
+        headers = {
+            "Accept": "application/json",
+            "Content-Type": "application/x-ndjson",
+            "Repro-Request": json.dumps(knobs),  # ASCII: a valid header value
+        }
+        _, body, _ = self._exchange(
+            "POST", "/v1/jobs", payload.encode("utf-8"), headers
+        )
+        return json.loads(body.decode("utf-8"))
 
     def submit_workload(self, name: str, **spec_and_knobs) -> dict:
         """Submit a built-in workload job.
