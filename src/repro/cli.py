@@ -785,7 +785,7 @@ def _cmd_submit(args) -> int:
             job = client.submit_trace(read_trace(path), **knobs)
     _print_job(job)
     if args.wait and job["state"] in ("queued", "running"):
-        job = client.wait(job["id"])
+        job = client.wait(job["id"], timeout=None)
         _print_job(job)
     if args.wait and job["state"] != "done":
         return 1

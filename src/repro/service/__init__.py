@@ -8,17 +8,19 @@ dependency-downward only:
 * :mod:`repro.service.api` — stdlib ``ThreadingHTTPServer`` HTTP/JSON
   front end (submit / status / fetch / cancel / ``/metrics``) over
   kept-alive HTTP/1.1 connections; an inline trace may be submitted as
-  its own ``application/x-ndjson`` body;
+  its own ``application/x-ndjson`` body, and a status request with
+  ``?wait=S`` is held until its job is terminal;
 * :mod:`repro.service.application` — :class:`JobManager`: dedup via
   content digests + :class:`repro.cache.ResultCache`, bounded retries,
-  dead-letter, per-job audit manifests;
+  dead-letter, per-job audit manifests, waits woken by each terminal
+  transition;
 * :mod:`repro.service.domain` — requests, job states, and the stable
   machine-readable error codes;
 * :mod:`repro.service.infrastructure` — queue, dispatcher threads,
   forked worker processes that run each correction attempt, atomic
   manifest store, thread-safe telemetry facade;
 * :mod:`repro.service.client` — ``http.client`` :class:`ServiceClient`,
-  one kept-alive connection per thread.
+  one kept-alive connection per thread; its ``wait`` holds, never polls.
 
 Quick start (in-process)::
 

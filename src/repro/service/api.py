@@ -13,7 +13,10 @@ noted):
                                   202 with the job record, 200 when
                                   dedup/cache made it instantly ``done``
 ``GET /v1/jobs``                  list job records
-``GET /v1/jobs/<id>``             poll one job's status
+``GET /v1/jobs/<id>``             one job's status; with ``?wait=S``
+                                  the reply is held until the job is
+                                  terminal, for at most ``S`` seconds
+                                  (capped at :data:`MAX_WAIT_S`)
 ``GET /v1/jobs/<id>/report``      the finished outcome summary
                                   (violation report, digests, timings)
 ``GET /v1/jobs/<id>/trace``       the corrected trace as canonical
@@ -41,6 +44,8 @@ would otherwise be parsed out of the unread bytes.
 from __future__ import annotations
 
 import json
+import math
+import urllib.parse
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional
 
@@ -52,6 +57,10 @@ __all__ = ["ServiceServer", "make_server"]
 #: Refuse request bodies beyond this (inline traces are big; abuse is
 #: bigger).  64 MiB comfortably fits every built-in workload's trace.
 MAX_BODY_BYTES = 64 * 1024 * 1024
+
+#: The longest a ``GET /v1/jobs/<id>?wait=S`` holds its reply, whatever
+#: ``S`` asks; a held request costs one idle handler thread.
+MAX_WAIT_S = 60.0
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -171,6 +180,25 @@ class _Handler(BaseHTTPRequestHandler):
             raise ServiceError("bad_request", f"trace body is not UTF-8: {exc}") from exc
         return {**fields, "trace_inline": text}
 
+    def _hold(self) -> float:
+        """Seconds a status request may hold its reply: its ``?wait=S``
+        capped at :data:`MAX_WAIT_S`, or 0 without one."""
+        query = urllib.parse.parse_qs(
+            self.path.partition("?")[2], keep_blank_values=True
+        )
+        if "wait" not in query:
+            return 0.0
+        try:
+            (seconds,) = map(float, query["wait"])
+        except ValueError:
+            seconds = math.nan
+        if not (math.isfinite(seconds) and seconds >= 0):
+            raise ServiceError(
+                "bad_request",
+                f"wait must be one finite number of seconds >= 0, got {query['wait']!r}",
+            )
+        return min(seconds, MAX_WAIT_S)
+
     def _route(self) -> tuple[str, Optional[str], Optional[str]]:
         """Split ``/v1/jobs/<id>/<verb>`` into (head, job_id, verb)."""
         parts = [p for p in self.path.split("?", 1)[0].split("/") if p]
@@ -206,7 +234,8 @@ class _Handler(BaseHTTPRequestHandler):
                     200, {"jobs": [j.to_json() for j in self.manager.jobs()]}
                 )
             elif head == "jobs" and verb is None:
-                self._send_json(200, self.manager.get(job_id).to_json())
+                job = self.manager.wait(job_id, self._hold())
+                self._send_json(200, job.to_json())
             elif head == "jobs" and verb == "report":
                 outcome = self.manager.fetch(job_id)
                 self._send_json(200, outcome.to_json())

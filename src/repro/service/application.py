@@ -19,6 +19,10 @@
 * **Manifests.**  Every terminal transition writes the job's
   ``manifest.json`` (request digest, elided request, timings, result
   digests) through :class:`repro.service.infrastructure.ManifestStore`.
+* **Held waits.**  Every terminal transition also wakes the
+  :meth:`JobManager.wait` calls held on the manager's one condition, so
+  a status request answers as its job ends; :meth:`JobManager.stop`
+  answers the held ones with their jobs as they stand.
 
 :func:`execute_correction` is the one function a worker process runs
 per attempt.  It is deliberately just a thin adapter from a
@@ -189,6 +193,9 @@ class JobManager:
         import threading
 
         self._lock = threading.Lock()
+        # Notified under _lock at every terminal transition and at stop().
+        self._ended = threading.Condition(self._lock)
+        self._stopped = False
         self._jobs: dict[str, JobRecord] = {}
         self._by_digest: dict[str, str] = {}  # digest -> newest job id
         self._ids = itertools.count(1)
@@ -212,6 +219,10 @@ class JobManager:
         self.pool.start()
 
     def stop(self, timeout: float = 10.0) -> None:
+        """Answer every held :meth:`wait`, then stop the workers."""
+        with self._lock:
+            self._stopped = True
+            self._ended.notify_all()
         self.pool.stop(timeout=timeout)
         if self.processes is not None:
             self.processes.stop()
@@ -256,7 +267,7 @@ class JobManager:
                     job.from_cache = True
                     job.finished = job.created
                     self.telemetry.count("service.jobs.completed")
-                    self._write_manifest(job)
+                    self._settle(job)
                     return job
 
             job.state = JobState.QUEUED
@@ -269,6 +280,15 @@ class JobManager:
             job = self._jobs.get(job_id)
         if job is None:
             raise ServiceError("unknown_job", f"no job {job_id!r}")
+        return job
+
+    def wait(self, job_id: str, timeout: float) -> JobRecord:
+        """The job once it is terminal, or as it stands after ``timeout``
+        seconds or once the manager stops; ``timeout=0`` is :meth:`get`."""
+        job = self.get(job_id)
+        if timeout > 0:
+            with self._lock:
+                self._ended.wait_for(lambda: job.terminal or self._stopped, timeout)
         return job
 
     def jobs(self) -> list[JobRecord]:
@@ -296,7 +316,7 @@ class JobManager:
                 f"{message}",
             )
         raise ServiceError(
-            "not_ready", f"job {job_id} is {state.value}; poll status until done"
+            "not_ready", f"job {job_id} is {state.value}; wait until it is done"
         )
 
     def cancel(self, job_id: str) -> JobRecord:
@@ -315,7 +335,7 @@ class JobManager:
             job.state = JobState.CANCELLED
             job.finished = self.clock()
             self.telemetry.count("service.jobs.cancelled")
-            self._write_manifest(job)
+            self._settle(job)
         return job
 
     # ------------------------------------------------------------------
@@ -356,7 +376,7 @@ class JobManager:
                 self.telemetry.observe(
                     "service.job.duration", job.finished - job.started
                 )
-            self._write_manifest(job)
+            self._settle(job)
 
     def _finish_error(self, job: JobRecord, code: str, message: str) -> None:
         with self._lock:
@@ -365,7 +385,7 @@ class JobManager:
             job.error_message = message
             job.finished = self.clock()
             self.telemetry.count("service.jobs.failed")
-            self._write_manifest(job)
+            self._settle(job)
 
     def _crash(self, job: JobRecord, exc: BaseException) -> None:
         with self._lock:
@@ -379,7 +399,7 @@ class JobManager:
                 job.state = JobState.DEAD
                 job.finished = self.clock()
                 self.telemetry.count("service.jobs.dead")
-                self._write_manifest(job)
+                self._settle(job)
                 requeue = False
         if requeue:
             self.queue.push(job.id)
@@ -395,13 +415,16 @@ class JobManager:
             job.error_message = f"{type(exc).__name__}: {exc}"
             job.finished = self.clock()
             self.telemetry.count("service.jobs.dead")
-            self._write_manifest(job)
+            self._settle(job)
 
     # ------------------------------------------------------------------
-    def _write_manifest(self, job: JobRecord) -> None:
-        """Persist the audit manifest; never lets disk trouble kill a job."""
+    def _settle(self, job: JobRecord) -> None:
+        """A terminal transition, under the lock: persist the audit
+        manifest, never letting disk trouble kill the job, and wake every
+        held :meth:`wait`."""
         try:
             path = self.store.write_manifest(job.id, job.manifest())
             job.manifest_path = str(path)
         except OSError:
             pass
+        self._ended.notify_all()

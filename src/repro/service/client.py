@@ -9,9 +9,13 @@ in blocking calls that speak domain objects::
     job = client.wait(job["id"])
     text = client.fetch_trace(job["id"])      # canonical .jsonl
 
+:meth:`ServiceClient.wait` does not poll: each of its requests asks
+the server to hold the reply until the job ends, so a finished job is
+answered at once and a running one costs one request per hold.
+
 Each thread that uses a client keeps one HTTP/1.1 connection open and
-sends every call over it, so a submit, its status polls and the fetch
-cost one TCP connection, and a client shared by several threads still
+sends every call over it, so a submit, its wait and the fetch cost one
+TCP connection, and a client shared by several threads still
 gives each thread its own replies.  :meth:`ServiceClient.submit_trace`
 posts the ``.jsonl`` text itself as an ``application/x-ndjson`` body,
 with the other request fields as a JSON object in the ``Repro-Request``
@@ -236,21 +240,31 @@ class ServiceClient:
 
     # ------------------------------------------------------------------
     def wait(
-        self, job_id: str, timeout: float = 120.0, poll: float = 0.1
+        self, job_id: str, timeout: Optional[float] = 120.0, poll: float = 0.1
     ) -> dict:
-        """Poll until the job is terminal; returns the final record.
+        """Block until the job is terminal; returns the final record.
+
+        Each request asks the server to hold its reply until the job
+        ends (``GET /v1/jobs/<id>?wait=S``), for at most the time left
+        and at most half the socket timeout, so the reply always comes
+        before the socket gives up; a job that ends mid-hold answers at
+        once.  ``timeout=None`` waits with no deadline.  ``poll`` is
+        unused: nothing sleeps between requests.
 
         Raises :class:`ServiceError` (``not_ready``) on timeout — the
         job keeps running server-side.
         """
-        deadline = time.monotonic() + timeout
+        deadline = None if timeout is None else time.monotonic() + timeout
+        # With no socket timeout any hold is safe; the server caps it.
+        hold = self.timeout / 2 if self.timeout else 60.0
         while True:
-            job = self.status(job_id)
+            if deadline is not None:
+                hold = min(hold, max(0.0, deadline - time.monotonic()))
+            job = self._json("GET", f"/v1/jobs/{job_id}?wait={hold:.3f}")
             if job["state"] not in ("queued", "running"):
                 return job
-            if time.monotonic() >= deadline:
+            if deadline is not None and time.monotonic() >= deadline:
                 raise ServiceError(
                     "not_ready",
                     f"job {job_id} still {job['state']} after {timeout:.0f}s",
                 )
-            time.sleep(poll)

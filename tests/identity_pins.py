@@ -1,8 +1,10 @@
 """The cases behind ``tests/data/identity.json`` and the script that writes it.
 
-Every pin is the sha256 of a correction's stamps (:func:`stamps_sha256`);
-``tests/test_identity.py`` checks them.  A change that moves a pinned
-result has to rewrite the file in the open::
+A pin is the sha256 of a correction's stamps (:func:`stamps_sha256`), or
+in the ``service`` section that of the corrected ``.jsonl`` an in-process
+server serves (:func:`served_sha256`); ``tests/test_identity.py`` checks
+them.  A change that moves a pinned result has to rewrite the file in
+the open::
 
     PYTHONPATH=src python tests/identity_pins.py           # rewrite every section
     PYTHONPATH=src python tests/identity_pins.py --check   # exit 1 on any difference
@@ -21,6 +23,7 @@ import numpy as np
 from repro import correct_trace
 from repro.tracing.events import EventLog
 from repro.tracing.trace import Trace
+from repro.tracing.writer import trace_to_jsonl
 
 PATH = Path(__file__).parent / "data" / "identity.json"
 
@@ -40,6 +43,19 @@ STAMPS_ABOUT = (
     "'synthetic' synthetic_trace(20000), two ranks shaped like the end-to-end "
     "benchmark's jump-sparse input; recorded before interpolation evaluated one line "
     "per knot segment"
+)
+
+SERVICE_ABOUT = (
+    "sha256 of the corrected .jsonl that an in-process server (make_server, forked "
+    "workers) serves for a submitted workload job: 'pop' is the stamps section's "
+    "POP run (POP_SPEC) under interpolation=..., clc=...; recorded before a status "
+    "request could hold its reply. The test checks it against "
+    "trace_to_jsonl(correct_trace(...)) run locally: service bytes == CLI bytes"
+)
+
+#: The ``pop`` source of the ``stamps`` and ``service`` sections.
+POP_SPEC = dict(
+    nprocs=8, scale=0.02, seed=3, platform="opteron", placement="spread", engine="batch"
 )
 
 
@@ -70,10 +86,9 @@ def pop_run():
     from repro.options import RunOptions
     from repro.workloads import simulate_workload
 
-    return simulate_workload(
-        "pop", nprocs=8, scale=0.02, seed=3, platform="opteron",
-        placement="spread", options=RunOptions(engine="batch"),
-    )
+    spec = dict(POP_SPEC)
+    engine = spec.pop("engine")
+    return simulate_workload("pop", **spec, options=RunOptions(engine=engine))
 
 
 def periodic_run():
@@ -133,17 +148,54 @@ def stamps_cases():
     return cases
 
 
-SECTIONS = {"pomp_clc": (POMP_ABOUT, pomp_cases), "stamps": (STAMPS_ABOUT, stamps_cases)}
+def service_cases():
+    """``{key: (workload spec, correction fields)}`` of the ``service`` section;
+    each key names the ``stamps`` case that corrects the same run locally."""
+    return {"pop linear clc=True": ({"name": "pop", **POP_SPEC}, {"interpolation": "linear", "clc": True})}
 
 
 def digest(source, keywords: dict) -> str:
     return stamps_sha256(correct_trace(source, scan=False, **keywords).trace)
 
 
+def jsonl_sha256(trace: Trace) -> str:
+    return hashlib.sha256(trace_to_jsonl(trace).encode("utf-8")).hexdigest()
+
+
+def served_sha256(spec: dict, fields: dict) -> str:
+    """Submit the workload job to a fresh in-process server and hash what it serves."""
+    import tempfile
+    import threading
+
+    from repro.service import ServiceClient, make_server
+
+    with tempfile.TemporaryDirectory() as work_dir:
+        server = make_server(port=0, work_dir=work_dir, workers=1)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        client = ServiceClient(f"http://127.0.0.1:{server.port}")
+        try:
+            job = client.wait(client.submit({"workload": spec, **fields})["id"])
+            text = client.fetch_trace(job["id"])
+        finally:
+            client.close()
+            server.shutdown()
+            server.server_close()
+            thread.join()
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+SECTIONS = {
+    "pomp_clc": (POMP_ABOUT, pomp_cases, digest),
+    "stamps": (STAMPS_ABOUT, stamps_cases, digest),
+    "service": (SERVICE_ABOUT, service_cases, served_sha256),
+}
+
+
 def generate() -> dict:
     return {
-        name: {"about": about, "digests": {key: digest(*case) for key, case in cases().items()}}
-        for name, (about, cases) in SECTIONS.items()
+        name: {"about": about, "digests": {key: pin(*case) for key, case in cases().items()}}
+        for name, (about, cases, pin) in SECTIONS.items()
     }
 
 

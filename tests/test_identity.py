@@ -9,7 +9,9 @@ from __future__ import annotations
 import json
 
 import pytest
-from identity_pins import PATH, digest, pomp_cases, stamps_cases
+from identity_pins import PATH, digest, jsonl_sha256, pomp_cases, service_cases, stamps_cases
+
+from repro import correct_trace
 
 IDENTITY = json.loads(PATH.read_text())
 
@@ -39,6 +41,17 @@ def test_stamps(stamps, key):
     assert digest(*stamps[key]) == IDENTITY["stamps"]["digests"][key], key
 
 
+@pytest.mark.parametrize("key", sorted(IDENTITY["service"]["digests"]))
+def test_service_bytes(stamps, key):
+    """The corrected .jsonl a server served for POP is what correcting the
+    same run locally (``repro sync``'s path) writes."""
+    source, keywords = stamps[key]
+    assert service_cases()[key][1] == keywords, key
+    got = jsonl_sha256(correct_trace(source, **keywords).trace)
+    assert got == IDENTITY["service"]["digests"][key], key
+
+
 def test_every_case_is_pinned(pomp, stamps):
     assert sorted(pomp) == sorted(IDENTITY["pomp_clc"]["digests"])
     assert sorted(stamps) == sorted(IDENTITY["stamps"]["digests"])
+    assert sorted(service_cases()) == sorted(IDENTITY["service"]["digests"])

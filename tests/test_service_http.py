@@ -366,12 +366,24 @@ class TestRequestBody:
         assert json.loads(body)["error"]["code"] == "unknown_job"
 
 
+class _LoggingHandler(api._Handler):
+    """The service's handler, logging each GET it answers and how long it took."""
+
+    def do_GET(self) -> None:  # noqa: N802 - stdlib casing
+        start = time.monotonic()
+        super().do_GET()
+        self.server.answered.append((self.path, start, time.monotonic()))
+
+
 class _CountingServer(ServiceServer):
-    """A service server that keeps every connection it accepts."""
+    """A service server that keeps every connection it accepts and logs
+    every GET it answers as ``(path, start, end)``."""
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
+        self.RequestHandlerClass = _LoggingHandler
         self.accepted: list = []
+        self.answered: list = []
 
     def get_request(self):
         sock, address = super().get_request()
@@ -539,3 +551,189 @@ class TestTransport:
         # a reply held back for the peer's delayed ACK costs ~40 ms each
         assert time.perf_counter() - start < 0.25
         assert len(srv.accepted) == 1
+
+
+@pytest.fixture
+def gated(tmp_path):
+    """A counting server with one dispatcher and no retries whose jobs wait
+    on ``gate``, then end by their workload seed: 2 fails (``bad_trace``),
+    3 crashes (``dead``), any other is ``done``."""
+    from repro.errors import TraceError
+    from repro.service import JobOutcome
+
+    gate = threading.Event()
+
+    def executor(request, job_dir):
+        gate.wait(timeout=30)
+        if request.workload.seed == 2:
+            raise TraceError("<inline trace>:3: no ts")
+        if request.workload.seed == 3:
+            raise RuntimeError("the worker died")
+        return JobOutcome(trace_sha256="t", report={}, events=0, trace_jsonl="{}\n")
+
+    manager = JobManager(tmp_path / "work", workers=1, max_attempts=1, executor=executor)
+    manager.start()
+    srv = _CountingServer(("127.0.0.1", 0), manager)
+    thread = threading.Thread(target=srv.serve_forever, daemon=True)
+    thread.start()
+    client = ServiceClient(f"http://127.0.0.1:{srv.port}")
+    yield srv, client, gate
+    gate.set()
+    client.close()
+    srv.shutdown()
+    srv.server_close()
+    thread.join(timeout=10)
+
+
+def _hold(client: ServiceClient, job_id: str, wait) -> tuple[threading.Thread, list]:
+    """A status request held for ``wait`` seconds, sent from its own thread;
+    the list gets the reply and the ``time.monotonic()`` it came at."""
+    reply: list = []
+
+    def send() -> None:
+        reply.append(client._json("GET", f"/v1/jobs/{job_id}?wait={wait}"))
+        reply.append(time.monotonic())
+
+    thread = threading.Thread(target=send, daemon=True)
+    thread.start()
+    return thread, reply
+
+
+def _answered_after(thread: threading.Thread, reply: list, end) -> tuple[dict, float]:
+    """Hold ``thread``'s request for a while, end its job with ``end()``,
+    and return the reply and how long after the transition it came."""
+    time.sleep(0.2)
+    assert reply == []  # still held
+    ended = time.monotonic()
+    end()
+    thread.join(timeout=10)
+    record, answered = reply
+    return record, answered - ended
+
+
+class TestHeldWait:
+    """``GET /v1/jobs/<id>?wait=S`` answers as the job ends, not at the next poll."""
+
+    @pytest.mark.parametrize(
+        "seed, state", [(1, "done"), (2, "failed"), (3, "dead")], ids=["done", "failed", "dead"]
+    )
+    def test_held_get_answers_as_the_job_ends(self, gated, seed, state):
+        srv, client, gate = gated
+        job = client.submit_workload("sparse", nprocs=2, seed=seed)
+        record, late = _answered_after(*_hold(client, job["id"], 10), gate.set)
+        assert record["state"] == state
+        if state == "failed":
+            assert record["error"]["code"] == "bad_trace"
+        assert 0 <= late < 0.05
+
+    def test_held_get_answers_as_its_queued_job_is_cancelled(self, gated):
+        srv, client, gate = gated
+        client.submit_workload("sparse", nprocs=2, seed=1)  # wedges the one dispatcher
+        queued = client.submit_workload("sparse", nprocs=2, seed=4)
+        record, late = _answered_after(
+            *_hold(client, queued["id"], 10), lambda: client.cancel(queued["id"])
+        )
+        assert record["state"] == "cancelled"
+        assert 0 <= late < 0.05
+
+    def test_many_holds_on_many_jobs_all_answer(self, gated):
+        """Eight holds on four jobs share one condition; every transition
+        wakes all of them and each goes back to waiting on its own job."""
+        srv, client, gate = gated
+        ids = [client.submit_workload("sparse", nprocs=2, seed=s)["id"] for s in (1, 4, 5, 6)]
+        holds = [_hold(client, job_id, 10) for job_id in ids * 2]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            time.sleep(0.2)
+            start = time.monotonic()
+            gate.set()
+            for thread, _ in holds:
+                thread.join(timeout=10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread, _ in holds)
+        assert [reply[0]["id"] for _, reply in holds] == ids * 2
+        assert all(reply[0]["state"] == "done" for _, reply in holds)
+        assert max(reply[1] for _, reply in holds) - start < 2.0
+
+    def test_expired_hold_returns_the_job_as_it_stands(self, gated):
+        srv, client, gate = gated
+        job = client.submit_workload("sparse", nprocs=2, seed=1)
+        start = time.monotonic()
+        record = client._json("GET", f"/v1/jobs/{job['id']}?wait=0.3")
+        assert time.monotonic() - start >= 0.3
+        assert record["state"] in ("queued", "running")
+
+    @pytest.mark.parametrize("wait", ["-1", "nan", "inf", "abc", ""])
+    def test_bad_wait_is_400_and_keeps_the_connection(self, gated, wait):
+        srv, client, gate = gated
+        job = client.submit_workload("sparse", nprocs=2, seed=1)
+        with pytest.raises(ServiceError) as err:
+            client._json("GET", f"/v1/jobs/{job['id']}?wait={wait}")
+        assert err.value.code == "bad_request" and err.value.http_status == 400
+        assert client.status(job["id"])["id"] == job["id"]
+        assert len(srv.accepted) == 1
+
+    def test_client_wait_sends_one_request_per_hold(self, gated):
+        srv, client, gate = gated
+        short = ServiceClient(client.base_url, timeout=0.4)  # holds of 0.2 s
+        job = short.submit_workload("sparse", nprocs=2, seed=1)
+        opener = threading.Timer(0.7, gate.set)
+        opener.start()
+        try:
+            start = time.monotonic()
+            assert short.wait(job["id"])["state"] == "done"
+            elapsed = time.monotonic() - start
+        finally:
+            opener.cancel()
+            short.close()
+        holds = [(path, end - begin) for path, begin, end in srv.answered
+                 if path.startswith(f"/v1/jobs/{job['id']}?")]
+        assert [path for path, _ in holds] == [f"/v1/jobs/{job['id']}?wait=0.200"] * len(holds)
+        # every request but the last was held to its end; the last, to the job's
+        assert all(took >= 0.19 for _, took in holds[:-1])
+        assert 3 <= len(holds) <= elapsed / 0.19 + 1
+
+    def test_shutdown_with_a_held_wait_is_prompt(self, tmp_path):
+        # The manager never starts, so its one job stays queued.
+        manager = JobManager(tmp_path / "work", workers=1, executor=execute_correction)
+        srv = ServiceServer(("127.0.0.1", 0), manager)
+        thread = threading.Thread(target=srv.serve_forever, daemon=True)
+        thread.start()
+        client = ServiceClient(f"http://127.0.0.1:{srv.port}")
+        try:
+            job = client.submit_workload("sparse", nprocs=2, seed=1)
+
+            def stop() -> None:
+                srv.shutdown()
+                srv.server_close()
+
+            start = time.monotonic()
+            record, late = _answered_after(*_hold(client, job["id"], 60), stop)
+            assert time.monotonic() - start < 2.0
+            assert record["state"] == "queued" and late < 1.0
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+        finally:
+            client.close()
+
+    def test_submit_wait_has_no_deadline(self, gated, monkeypatch, capsys):
+        """``repro submit --wait`` blocks until the job ends, across many
+        holds, however short a deadline ``ServiceClient.wait`` defaults to."""
+        import repro.cli
+
+        srv, client, gate = gated
+        monkeypatch.setattr(repro.cli, "_client_for", lambda args: ServiceClient(args.url, timeout=0.2))
+        monkeypatch.setattr(ServiceClient.wait, "__defaults__", (0.3, 0.1))
+        opener = threading.Timer(1.0, gate.set)
+        opener.start()
+        try:
+            code = cli_main(["submit", "--workload", "sparse", "--nprocs", "2", "--seed", "1",
+                             "--wait", "--url", client.base_url])
+        finally:
+            opener.cancel()
+        assert code == 0
+        assert "job job-000001: done" in capsys.readouterr().out
+        holds = [path for path, _, _ in srv.answered if path.startswith("/v1/jobs/job-000001?")]
+        assert len(holds) >= 5
