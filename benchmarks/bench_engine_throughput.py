@@ -57,7 +57,7 @@ def test_engine_event_rate(benchmark):
 # Trace generation: reference engine vs the vectorized batch fast path.
 # Same workload, same seed, bit-identical traces (the `batch` verify
 # campaign enforces that); these benches track the throughput of each
-# path so check_regression.py catches the fast path losing its edge.
+# path, so a fast path losing its edge shows in results/latest.json.
 # ----------------------------------------------------------------------
 TRACE_GENERATION_CASES = {
     "sparse": lambda seed: sparse_worker(

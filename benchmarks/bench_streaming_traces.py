@@ -6,9 +6,9 @@ in-memory corrector (asserted here on every run, and fuzzed by the
 ``streaming`` verify campaign) while holding at most ~one shard per
 rank resident.  Both paths are timed warm (one untimed pass first) on
 the same synthetic 2-rank trace and recorded as two separate
-``*_events_per_second`` rates, so ``check_regression.py`` catches
-either kernel losing its throughput.  Their ratio is deliberately not
-gated: it falls whenever the in-memory side alone gets faster.
+``*_events_per_second`` rates, so either kernel losing its throughput
+shows in ``results/latest.json``.  Their ratio says little on its own:
+it falls whenever the in-memory side alone gets faster.
 """
 
 import tempfile

@@ -123,12 +123,11 @@ def _add_workload_args(sub, order, *, workload, helps) -> None:
 
 
 def _add_correction_args(sub, *, helps) -> None:
-    """The :func:`correct_trace` knobs a trace file can carry
-    (``piecewise`` needs a live run's periodic measurement sets)."""
+    """The :func:`correct_trace` knobs; every interpolation reads its
+    offset measurements from the trace's metadata."""
     sub.add_argument(
-        "--interpolation",
-        choices=[m for m in INTERPOLATIONS if m != "piecewise"],
-        default="linear", help=helps.get("interpolation"),
+        "--interpolation", choices=INTERPOLATIONS, default="linear",
+        help=helps.get("interpolation"),
     )
     sub.add_argument("--clc", action="store_true", help=helps.get("clc"))
     sub.add_argument("--gamma", type=float, default=0.99)
@@ -178,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="corrected trace path (a directory for shard-directory input)",
     )
     _add_correction_args(sync, helps={
-        "interpolation": "measurement-based (align/linear) or trace-only "
+        "interpolation": "measurement-based (align/linear/piecewise) or trace-only "
         "(hull/regression/minmax = error estimation; exchange = "
         "collective midpoints) correction",
         "clc": "apply the controlled logical clock",

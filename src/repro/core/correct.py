@@ -2,9 +2,10 @@
 
 Chains the paper's correction stages over one trace: linear offset
 interpolation (Eq. 3) from the init/finalize offset measurements (or
-alignment only, a trace-only estimate, or nothing), then the controlled
-logical clock for the violations interpolation cannot remove (Section
-V), with a clock-condition scan between stages — after the CLC the trace
+piecewise over the periodic ones between them, Section III.b; alignment
+only, a trace-only estimate, or nothing), then the controlled logical
+clock for the violations interpolation cannot remove (Section V), with
+a clock-condition scan between stages — after the CLC the trace
 is violation-free by construction, and the stage reports quantify what
 each stage achieved.
 
@@ -23,19 +24,22 @@ is not a sweep — interpolation is an elementwise map)::
     print(result.summary())
     result.trace          # the corrected Trace
 
-Sources it accepts:
+Offset measurements travel in the trace: every source's
+``init_offsets``, ``final_offsets`` and, from a run with periodic sync,
+``periodic_offsets`` are read from its metadata
+(:func:`repro.sync.offset.measurements_from_meta`), so every source kind
+supports every measurement-based mode, ``piecewise`` included.  Sources
+it accepts:
 
-* a :class:`~repro.tracing.trace.Trace` (offset measurements read from
-  ``trace.meta`` like the CLI does);
-* a :class:`~repro.mpi.runtime.RunResult` (measurements taken from the
-  run itself, enabling ``piecewise`` interpolation);
+* a :class:`~repro.tracing.trace.Trace`;
+* a :class:`~repro.mpi.runtime.RunResult` (its trace is corrected);
 * a path to a ``.npz`` / ``.jsonl`` trace file;
 * a sharded trace directory (or
   :class:`~repro.tracing.store.ChunkedTrace`), corrected out-of-core by
   the bounded-memory sweeps of :mod:`repro.sync.streaming` — this path
   requires ``output`` (never the source directory itself) and supports
-  the streaming-safe interpolation modes (``none`` / ``align`` /
-  ``linear``).
+  the per-rank interpolation modes (:data:`STREAMING_INTERPOLATIONS`:
+  ``none`` / ``align`` / ``linear`` / ``piecewise``).
 """
 
 from __future__ import annotations
@@ -56,7 +60,7 @@ from repro.sync.interpolation import (
     linear_interpolation,
     piecewise_interpolation,
 )
-from repro.sync.offset import OffsetMeasurement
+from repro.sync.offset import measurements_from_meta
 from repro.sync.violations import (
     LminSpec,
     ViolationReport,
@@ -82,12 +86,13 @@ __all__ = [
 #: spanning tree, and Babaoglu/Drummond exchange midpoints.
 TRACE_ONLY_MODES = ("hull", "regression", "minmax", "exchange")
 
-#: Every interpolation mode :func:`correct_trace` accepts.
-INTERPOLATIONS = ("none", "align", "linear", "piecewise") + TRACE_ONLY_MODES
+#: Modes the bounded-memory streaming path supports: each is a per-rank
+#: map built from the offset measurements in ``trace.meta`` (a sharded
+#: trace is never materialized, so the trace-only modes are refused).
+STREAMING_INTERPOLATIONS = ("none", "align", "linear", "piecewise")
 
-#: Modes the bounded-memory streaming path supports (a sharded trace is
-#: never materialized, so whole-trace modes are refused with guidance).
-STREAMING_INTERPOLATIONS = ("none", "align", "linear")
+#: Every interpolation mode :func:`correct_trace` accepts.
+INTERPOLATIONS = STREAMING_INTERPOLATIONS + TRACE_ONLY_MODES
 
 
 @dataclass
@@ -180,26 +185,6 @@ class CorrectionResult:
 # ----------------------------------------------------------------------
 # Source normalization
 # ----------------------------------------------------------------------
-def measurements_from_meta(
-    meta: dict, key: str
-) -> Optional[dict[int, OffsetMeasurement]]:
-    """Rebuild offset measurements embedded in trace metadata.
-
-    Serialized traces carry ``init_offsets`` / ``final_offsets`` as
-    ``{rank: (worker_time, offset)}``; RTT and repeat counts are not
-    persisted (interpolation needs neither).
-    """
-    raw = meta.get(key)
-    if raw is None:
-        return None
-    return {
-        int(r): OffsetMeasurement(
-            worker=int(r), worker_time=float(w), offset=float(o), rtt=0.0, repeats=0
-        )
-        for r, (w, o) in raw.items()
-    }
-
-
 def _is_chunked(source) -> bool:
     from repro.tracing.store import ChunkedTrace
 
@@ -207,7 +192,7 @@ def _is_chunked(source) -> bool:
 
 
 def _normalize_source(source):
-    """Resolve ``source`` to ``(trace_or_chunked, run_result_or_None)``."""
+    """Resolve ``source`` to the trace (or :class:`ChunkedTrace`) it names."""
     from repro.tracing.store import ChunkedTrace, is_sharded_trace_dir
 
     if isinstance(source, RunResult):
@@ -215,16 +200,16 @@ def _normalize_source(source):
             raise SynchronizationError(
                 "run result has no trace (tracing disabled?)"
             )
-        return source.trace, source
+        return source.trace
     if isinstance(source, (Trace, ChunkedTrace)):
-        return source, None
+        return source
     if isinstance(source, (str, Path)):
         path = Path(source)
         if is_sharded_trace_dir(path):
-            return ChunkedTrace(path), None
+            return ChunkedTrace(path)
         from repro.tracing.reader import read_trace
 
-        return read_trace(path), None
+        return read_trace(path)
     raise TraceFormatError(
         f"cannot correct a {type(source).__name__!r}: pass a Trace, a "
         "RunResult, a ChunkedTrace, or a path to a trace file / sharded "
@@ -239,7 +224,7 @@ def scan_source(source, lmin: LminSpec = 0.0) -> dict[str, ViolationReport]:
     one shard at a time through
     :func:`repro.sync.streaming.streaming_scan_trace`.
     """
-    trace, _ = _normalize_source(source)
+    trace = _normalize_source(source)
     if _is_chunked(trace):
         from repro.sync.streaming import streaming_scan_trace
 
@@ -279,8 +264,9 @@ def correct_trace(
     source:
         What to correct — see the module docstring for accepted kinds.
     interpolation:
-        One of :data:`INTERPOLATIONS`.  ``piecewise`` needs a
-        :class:`RunResult` source with >= 2 measurement sets; the
+        One of :data:`INTERPOLATIONS`.  ``align`` needs init offsets in
+        the trace's metadata, ``linear`` init and final ones,
+        ``piecewise`` >= 2 measurement sets (init, periodic, final); the
         trace-only modes need no measurements at all; sharded sources
         support :data:`STREAMING_INTERPOLATIONS` only.
     clc:
@@ -311,7 +297,7 @@ def correct_trace(
         telemetry = options.telemetry
     tele = ensure_telemetry(telemetry)
 
-    trace, run = _normalize_source(source)
+    trace = _normalize_source(source)
     if _is_chunked(trace):
         _check_streamable(trace, interpolation, clc, lmin, output)
         return _correct_sharded(
@@ -325,7 +311,7 @@ def correct_trace(
 
         start = time.perf_counter()
         with tele.span("sync.interpolate", mode=interpolation):
-            correction = _build_correction(trace, run, interpolation, lmin)
+            correction = _build_correction(trace, interpolation, lmin)
             trace = correction.apply(trace)
         timings["interpolate"] = time.perf_counter() - start
         if scan:
@@ -384,7 +370,7 @@ def _correct_sharded(
         if interpolation != "none":
             start = time.perf_counter()
             with tele.span("sync.interpolate", mode=interpolation):
-                correction = _build_correction(chunked, None, interpolation, lmin)
+                correction = _build_correction(chunked, interpolation, lmin)
             timings["interpolate"] = time.perf_counter() - start
         sweeps = ShardSweeps(chunked, correction, lmin, telemetry=tele)
         if scan:
@@ -454,13 +440,12 @@ def _check_streamable(chunked, interpolation: str, clc: bool, lmin, output) -> N
         )
 
 
-def _build_correction(
-    trace: Trace, run: Optional[RunResult], interpolation: str, lmin: LminSpec
-) -> ClockCorrection:
-    """The interpolation stage's correction, from run or trace metadata.
+def _build_correction(trace, interpolation: str, lmin: LminSpec) -> ClockCorrection:
+    """The interpolation stage's correction.
 
-    The measurement-based modes read only ``trace.meta``, so the
-    streaming path passes its :class:`ChunkedTrace` here too.
+    The measurement-based modes read only ``trace.meta`` (see
+    :func:`repro.sync.offset.measurements_to_meta`), so the streaming
+    path passes its :class:`ChunkedTrace` here too.
     """
     if interpolation == "none":
         return identity_correction()
@@ -472,32 +457,16 @@ def _build_correction(
         from repro.sync.exchange import exchange_correction
 
         return exchange_correction(trace)
-    if interpolation == "piecewise":
-        if run is None:
-            raise SynchronizationError(
-                "piecewise interpolation needs a RunResult source (its "
-                "periodic measurement sets are not persisted in traces)"
-            )
-        sets = run.all_measurement_sets()
-        if len(sets) < 2:
-            raise SynchronizationError(
-                "piecewise interpolation needs >= 2 measurement sets "
-                "(enable periodic_sync_every on the world)"
-            )
-        return piecewise_interpolation(sets)
-
-    # Measurement-based modes: from the run when available, else from
-    # the measurements serialized into the trace metadata.
-    if run is not None:
-        init, final = run.init_offsets, run.final_offsets
-    else:
-        init = measurements_from_meta(trace.meta, "init_offsets")
-        final = measurements_from_meta(trace.meta, "final_offsets")
+    init = measurements_from_meta(trace.meta, "init_offsets")
+    final = measurements_from_meta(trace.meta, "final_offsets")
+    if interpolation == "piecewise":  # init, periodic and final sets, in run order
+        periodic = measurements_from_meta(trace.meta, "periodic_offsets") or []
+        return piecewise_interpolation([ms for ms in (init, *periodic, final) if ms])
     if init is None:
         raise SynchronizationError(
             "alignment requested but no init offsets measured"
             if interpolation == "align"
-            else "trace has no offset measurements (metadata or run result)"
+            else "trace has no offset measurements in its metadata"
         )
     if interpolation == "align":
         return align_offsets(init)

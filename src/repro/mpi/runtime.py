@@ -28,7 +28,7 @@ from repro.mpi.comm import MpiContext
 from repro.options import RunOptions
 from repro.rng import RngFabric
 from repro.sim.engine import Engine, Transport
-from repro.sync.offset import OffsetMeasurement, measurement_protocol
+from repro.sync.offset import OffsetMeasurement, measurement_protocol, measurements_to_meta
 from repro.tracing.buffer import TraceBuffer
 from repro.tracing.instrument import Tracer
 from repro.tracing.trace import Trace
@@ -72,13 +72,7 @@ class RunResult:
 
     def all_measurement_sets(self) -> list[dict[int, OffsetMeasurement]]:
         """init + periodic + final, in run order (piecewise-ready)."""
-        sets: list[dict[int, OffsetMeasurement]] = []
-        if self.init_offsets:
-            sets.append(self.init_offsets)
-        sets.extend(self.periodic_offsets)
-        if self.final_offsets:
-            sets.append(self.final_offsets)
-        return sets
+        return [ms for ms in (self.init_offsets, *self.periodic_offsets, self.final_offsets) if ms]
 
 
 class MpiWorld:
@@ -324,15 +318,8 @@ class MpiWorld:
                     (loc.node, loc.chip, loc.core) for loc in self.pinning.locations
                 ],
                 "duration": final_time,
+                **measurements_to_meta(init_offsets, final_offsets, master_ctx.periodic_series),
             }
-            if init_offsets is not None:
-                meta["init_offsets"] = {
-                    str(r): (m.worker_time, m.offset) for r, m in init_offsets.items()
-                }
-            if final_offsets is not None:
-                meta["final_offsets"] = {
-                    str(r): (m.worker_time, m.offset) for r, m in final_offsets.items()
-                }
             if trace_sink is not None:
                 from repro.tracing.store import ChunkedTrace, ShardedTraceReader
 

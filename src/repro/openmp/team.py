@@ -42,6 +42,7 @@ from repro.errors import ConfigurationError
 from repro.rng import RngFabric
 from repro.sim.engine import Engine, Transport
 from repro.sim.primitives import Compute, ReadClock, Recv, Send
+from repro.sync.offset import OffsetMeasurement, cristian_offset, measurements_to_meta
 from repro.tracing.buffer import TraceBuffer
 from repro.tracing.events import EventType
 from repro.tracing.instrument import Tracer
@@ -182,7 +183,7 @@ def run_parallel_for_benchmark(
     )
     tracers = {tid: Tracer(TraceBuffer(record_cost=2.0e-8)) for tid in range(n)}
 
-    measurements: dict[str, dict[int, tuple[float, float]]] = {"init": {}, "final": {}}
+    measurements: dict[str, dict[int, OffsetMeasurement]] = {"init": {}, "final": {}}
     for tid in range(n):
         engine.add_process(
             tid,
@@ -204,8 +205,7 @@ def run_parallel_for_benchmark(
         "model": "pomp",
     }
     if measure_offsets:
-        meta["init_offsets"] = {str(t): m for t, m in measurements["init"].items()}
-        meta["final_offsets"] = {str(t): m for t, m in measurements["final"].items()}
+        meta.update(measurements_to_meta(measurements["init"], measurements["final"]))
     return Trace({tid: t.log for tid, t in tracers.items()}, meta=meta)
 
 
@@ -242,16 +242,16 @@ def _measure_offsets(tid: int, n: int, store: dict, repeats: int):
     """
     if tid == 0:
         for worker in range(1, n):
-            best_rtt = float("inf")
-            best = (0.0, 0.0)
+            best = None
             for _ in range(repeats):
                 t1 = yield ReadClock()
                 yield Send(worker, tag=SYNC_TAG)
                 msg = yield Recv(src=worker, tag=SYNC_TAG)
                 t2 = yield ReadClock()
-                if t2 - t1 < best_rtt:
-                    best_rtt = t2 - t1
-                    best = (msg.payload, t1 + (t2 - t1) / 2.0 - msg.payload)
+                if best is None or t2 - t1 < best.rtt:
+                    best = OffsetMeasurement(
+                        worker, msg.payload, cristian_offset(t1, msg.payload, t2), t2 - t1, repeats
+                    )
             store[worker] = best
     else:
         for _ in range(repeats):

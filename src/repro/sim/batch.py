@@ -69,7 +69,7 @@ from repro.cluster.topology import distance_class
 from repro.mpi.comm import MPI_RECV_REGION, MPI_SEND_REGION, MpiContext, periodic_sync_due
 from repro.sim.engine import congested_delay
 from repro.sim.primitives import ANY_SOURCE, ANY_TAG, Message
-from repro.sync.offset import SYNC_TAG, OffsetMeasurement, cristian_offset
+from repro.sync.offset import SYNC_TAG, OffsetMeasurement, cristian_offset, measurements_to_meta
 from repro.tracing.events import EventLog, EventType
 from repro.tracing.trace import Trace
 
@@ -989,15 +989,8 @@ def run_batch(world, worker, *, tracing=True, measure_offsets=True,
             "timer": world.spec.name,
             "locations": [(loc.node, loc.chip, loc.core) for loc in locations],
             "duration": duration,
+            **measurements_to_meta(init_offsets, final_offsets, periodic_offsets),
         }
-        if init_offsets is not None:
-            meta["init_offsets"] = {
-                str(r): (m.worker_time, m.offset) for r, m in init_offsets.items()
-            }
-        if final_offsets is not None:
-            meta["final_offsets"] = {
-                str(r): (m.worker_time, m.offset) for r, m in final_offsets.items()
-            }
         trace = Trace(logs, meta=meta)
 
     rng_states = {

@@ -29,7 +29,7 @@ from typing import Mapping, Optional, Sequence, Union
 import numpy as np
 
 from repro.errors import SynchronizationError
-from repro.sync.offset import OffsetMeasurement
+from repro.sync.offset import Measurements
 from repro.tracing.trace import Trace
 
 __all__ = [
@@ -39,8 +39,6 @@ __all__ = [
     "piecewise_interpolation",
     "identity_correction",
 ]
-
-Measurements = Mapping[int, OffsetMeasurement]
 
 
 class ClockCorrection:
@@ -149,11 +147,7 @@ def align_offsets(measurements: Measurements, master: int = 0) -> ClockCorrectio
     """
     if not measurements:
         raise SynchronizationError("alignment needs at least one measurement per worker")
-    knots = {
-        rank: (np.array([m.worker_time]), np.array([m.offset]))
-        for rank, m in measurements.items()
-    }
-    return ClockCorrection(knots, master=master)
+    return _from_sets([measurements], master)
 
 
 def linear_interpolation(
@@ -164,23 +158,7 @@ def linear_interpolation(
     ``init`` and ``final`` must cover the same worker ranks; each worker
     gets the line through its two (worker_time, offset) measurements.
     """
-    if set(init) != set(final):
-        raise SynchronizationError(
-            f"init/final measurement ranks differ: {sorted(init)} vs {sorted(final)}"
-        )
-    knots = {}
-    for rank, m1 in init.items():
-        m2 = final[rank]
-        if m2.worker_time <= m1.worker_time:
-            raise SynchronizationError(
-                f"rank {rank}: final measurement does not follow init "
-                f"({m2.worker_time} <= {m1.worker_time})"
-            )
-        knots[rank] = (
-            np.array([m1.worker_time, m2.worker_time]),
-            np.array([m1.offset, m2.offset]),
-        )
-    return ClockCorrection(knots, master=master)
+    return _from_sets([init, final], master)
 
 
 def piecewise_interpolation(
@@ -195,17 +173,20 @@ def piecewise_interpolation(
     """
     if len(measurement_series) < 2:
         raise SynchronizationError("piecewise interpolation needs >= 2 measurement sets")
-    ranks = set(measurement_series[0])
-    for ms in measurement_series[1:]:
+    return _from_sets(measurement_series, master)
+
+
+def _from_sets(series: Sequence[Measurements], master: int) -> ClockCorrection:
+    """One knot per set for each worker; the sets in run order, so each
+    worker's measurement times must strictly increase."""
+    ranks = set(series[0])
+    for ms in series[1:]:
         if set(ms) != ranks:
-            raise SynchronizationError("all measurement sets must cover the same ranks")
-    knots = {}
-    for rank in ranks:
-        w = np.array([ms[rank].worker_time for ms in measurement_series])
-        o = np.array([ms[rank].offset for ms in measurement_series])
-        order = np.argsort(w)
-        w, o = w[order], o[order]
-        if np.any(np.diff(w) <= 0):
-            raise SynchronizationError(f"rank {rank}: duplicate measurement times")
-        knots[rank] = (w, o)
+            raise SynchronizationError(
+                f"measurement sets cover different ranks: {sorted(ranks)} vs {sorted(ms)}"
+            )
+    knots = {
+        rank: ([ms[rank].worker_time for ms in series], [ms[rank].offset for ms in series])
+        for rank in series[0]
+    }
     return ClockCorrection(knots, master=master)

@@ -14,15 +14,18 @@ tighter the bound ``|error| <= (t2 - t1)/2 - l_min`` on the estimate.
 :func:`measurement_protocol` is the in-simulation master/worker pair of
 generator subroutines used at ``MPI_Init``/``MPI_Finalize`` by
 :class:`repro.mpi.runtime.MpiWorld` (the Scalasca scheme) and by the
-repeated-probe deviation experiments of Figs. 4-6.
+repeated-probe deviation experiments of Figs. 4-6.  A run's
+measurements travel in its trace's metadata, written by
+:func:`measurements_to_meta` and read by :func:`measurements_from_meta`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Generator
+from typing import Generator, Mapping, Optional, Sequence
 
-__all__ = ["OffsetMeasurement", "cristian_offset", "measurement_protocol", "SYNC_TAG"]
+__all__ = ["OffsetMeasurement", "cristian_offset", "measurement_protocol", "SYNC_TAG",
+           "measurements_to_meta", "measurements_from_meta"]
 
 #: Reserved tag for measurement traffic.  Negative (like collective
 #: tags) so no application or sub-communicator tag can collide; distinct
@@ -55,6 +58,48 @@ class OffsetMeasurement:
     offset: float
     rtt: float
     repeats: int
+
+
+Measurements = Mapping[int, OffsetMeasurement]
+
+
+def measurements_to_meta(
+    init: Optional[Measurements] = None,
+    final: Optional[Measurements] = None,
+    periodic: Sequence[Measurements] = (),
+) -> dict:
+    """The trace-metadata entries that carry a run's offset measurements.
+
+    Each set is stored as ``{str(worker): (worker_time, offset)}`` (no
+    interpolation needs RTT or repeats): ``init_offsets`` /
+    ``final_offsets`` when taken, and ``periodic_offsets``, a list of
+    sets in run order, only when the run took periodic ones, so a run
+    without periodic sync writes the metadata it always did.
+    """
+    sets = {"init_offsets": init, "final_offsets": final}
+    meta = {key: _encode(ms) for key, ms in sets.items() if ms is not None}
+    if periodic:
+        meta["periodic_offsets"] = [_encode(ms) for ms in periodic]
+    return meta
+
+
+def measurements_from_meta(meta: Mapping, key: str):
+    """Read back what :func:`measurements_to_meta` stored under ``key``:
+    one ``{worker: OffsetMeasurement}`` set, a list of them for
+    ``periodic_offsets``, or ``None`` when the trace has no such entry."""
+    raw = meta.get(key)
+    if raw is None:
+        return None
+    return [_decode(ms) for ms in raw] if key == "periodic_offsets" else _decode(raw)
+
+
+def _encode(measurements: Measurements) -> dict:
+    return {str(r): (m.worker_time, m.offset) for r, m in measurements.items()}
+
+
+def _decode(raw: Mapping) -> dict[int, OffsetMeasurement]:
+    return {int(r): OffsetMeasurement(int(r), float(w), float(o), 0.0, 0)
+            for r, (w, o) in raw.items()}
 
 
 def cristian_offset(t1: float, t0: float, t2: float) -> float:

@@ -9,12 +9,15 @@ Two formats, both self-describing and round-trip safe:
   greppable, for debugging and interchange.
 
 The format is chosen by file extension in :func:`write_trace` /
-:func:`repro.tracing.reader.read_trace`.
+:func:`repro.tracing.reader.read_trace`.  A file is written whole or
+not at all: :func:`write_trace` encodes into a temporary file beside the
+target and renames it into place.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 from typing import Union
 
@@ -31,22 +34,31 @@ FORMAT_VERSION = 1
 
 
 def write_trace(trace: Trace, path: Union[str, Path]) -> Path:
-    """Serialize ``trace`` to ``path`` (.npz or .jsonl by extension)."""
+    """Serialize ``trace`` to ``path`` (.npz or .jsonl by extension); an
+    encoding failure leaves an existing file as it was, and no temp file."""
     path = Path(path)
     if path.suffix == ".npz":
-        _write_npz(trace, path)
+        encode = _write_npz
     elif path.suffix == ".jsonl":
-        _write_jsonl(trace, path)
+        encode = _write_jsonl
     else:
         raise TraceFormatError(
             f"unknown trace extension {path.suffix!r} (use .npz or .jsonl; "
             "for an out-of-core shard directory use "
             "repro.tracing.store.write_sharded_trace)"
         )
+    tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
+    try:
+        with tmp.open("xb") as fh:
+            encode(trace, fh)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return path
 
 
-def _write_npz(trace: Trace, path: Path) -> None:
+def _write_npz(trace: Trace, fh) -> None:
     payload: dict[str, np.ndarray] = {}
     header = {
         "version": FORMAT_VERSION,
@@ -64,7 +76,7 @@ def _write_npz(trace: Trace, path: Path) -> None:
         payload[f"r{rank}_b"] = log.b
         payload[f"r{rank}_c"] = log.c
         payload[f"r{rank}_d"] = log.d
-    np.savez_compressed(path, **payload)
+    np.savez_compressed(fh, **payload)
 
 
 def trace_to_jsonl(trace: Trace) -> str:
@@ -103,8 +115,8 @@ def trace_to_jsonl(trace: Trace) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write_jsonl(trace: Trace, path: Path) -> None:
-    path.write_text(trace_to_jsonl(trace), encoding="utf-8")
+def _write_jsonl(trace: Trace, fh) -> None:
+    fh.write(trace_to_jsonl(trace).encode("utf-8"))
 
 
 def write_trace_dir(trace: Trace, directory: Union[str, Path]) -> Path:

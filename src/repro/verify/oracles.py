@@ -648,23 +648,25 @@ def _require_same_clc(ref: ClcResult, got: ClcResult, materialized: Trace, conte
 
 
 def _with_offset_measurements(trace: Trace) -> Trace:
-    """``trace`` with init/finalize offset measurements in its metadata.
+    """``trace`` with offset measurements in its metadata.
 
     Measurements a run recorded are kept; a generated case gets
-    rank-dependent ones (both signs, drifting between init and finalize)
-    so that ``align`` and ``linear`` move stamps and change verdicts.
+    rank-dependent ones (both signs, drifting between init and finalize,
+    bent by a periodic set half way) so that ``align``, ``linear`` and
+    ``piecewise`` move stamps differently and change verdicts.
     """
+    if "init_offsets" in trace.meta:
+        return trace
     stamps = [log.timestamps for log in trace.logs.values() if len(log)]
     t0 = min((float(ts.min()) for ts in stamps), default=0.0)
     t1 = max((float(ts.max()) for ts in stamps), default=0.0) + 1.0
-    meta = dict(trace.meta)
-    meta.setdefault(
-        "init_offsets", {r: (t0, ((7 * r) % 5 - 2) * 1e-4) for r in trace.ranks}
-    )
-    meta.setdefault(
-        "final_offsets", {r: (t1, ((7 * r) % 5 - 2) * 1e-4 - r * 3e-5) for r in trace.ranks}
-    )
-    return Trace(dict(trace.logs), meta=meta)
+    base = {r: ((7 * r) % 5 - 2) * 1e-4 for r in trace.ranks}
+    return Trace(dict(trace.logs), meta=dict(
+        trace.meta,
+        init_offsets={r: (t0, o) for r, o in base.items()},
+        periodic_offsets=[{r: ((t0 + t1) / 2, o + r * 2e-5) for r, o in base.items()}],
+        final_offsets={r: (t1, o - r * 3e-5) for r, o in base.items()},
+    ))
 
 
 def _assert_streamed_correction_matches(
@@ -678,15 +680,15 @@ def _assert_streamed_correction_matches(
     interpolation without the CLC) — timestamps bit for bit, every
     stage report, the CLC statistics and the ``clc`` meta record.
     """
-    from repro.core.correct import correct_trace
+    from repro.core.correct import STREAMING_INTERPOLATIONS, correct_trace
 
     grid = [
         (mode, True, scan, window, lmin)
-        for mode in ("none", "align", "linear")
+        for mode in STREAMING_INTERPOLATIONS
         for scan in (True, False)
         for window in (None, 0.0, 0.5)
         for lmin in (0.0, 1e-6)
-    ] + [(mode, False, True, None, 0.0) for mode in ("align", "linear")]
+    ] + [(mode, False, True, None, 0.0) for mode in STREAMING_INTERPOLATIONS[1:]]
     for n, (mode, clc, scan, window, lmin) in enumerate(grid):
         knobs = dict(interpolation=mode, clc=clc, scan=scan, gamma=gamma,
                      amortization_window=window, lmin=lmin)

@@ -1,10 +1,11 @@
 """The cases behind ``tests/data/identity.json`` and the script that writes it.
 
-A pin is the sha256 of a correction's stamps (:func:`stamps_sha256`), or
-in the ``service`` section that of the corrected ``.jsonl`` an in-process
-server serves (:func:`served_sha256`); ``tests/test_identity.py`` checks
-them.  A change that moves a pinned result has to rewrite the file in
-the open::
+A pin is the sha256 of a correction's stamps (:func:`stamps_sha256`), in
+the ``service`` section that of the corrected ``.jsonl`` an in-process
+server serves (:func:`served_sha256`), and in the ``bytes`` section that
+of a raw trace as written to disk (:func:`written_sha256`);
+``tests/test_identity.py`` checks them.  A change that moves a pinned
+result has to rewrite the file in the open::
 
     PYTHONPATH=src python tests/identity_pins.py           # rewrite every section
     PYTHONPATH=src python tests/identity_pins.py --check   # exit 1 on any difference
@@ -13,6 +14,7 @@ the open::
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import sys
@@ -53,6 +55,15 @@ SERVICE_ABOUT = (
     "trace_to_jsonl(correct_trace(...)) run locally: service bytes == CLI bytes"
 )
 
+BYTES_ABOUT = (
+    "sha256 of a raw trace as written: 'jsonl' and 'npz' hash the file write_trace "
+    "writes, 'store' the files of write_sharded_trace(trace, dir, shard_events=1000) "
+    "(each file's name, then its bytes, in name order); 'pop <engine>' is the stamps "
+    "section's POP run (POP_SPEC) on that engine, 'openmp' is "
+    "run_parallel_for_benchmark(OmpTeamConfig(threads=4, regions=30), seed=1, "
+    "measure_offsets=True); recorded before offset measurements had one metadata codec"
+)
+
 #: The ``pop`` source of the ``stamps`` and ``service`` sections.
 POP_SPEC = dict(
     nprocs=8, scale=0.02, seed=3, platform="opteron", placement="spread", engine="batch"
@@ -82,12 +93,12 @@ def pomp_cases():
     return cases
 
 
-def pop_run():
+def pop_run(engine: str = POP_SPEC["engine"]):
     from repro.options import RunOptions
     from repro.workloads import simulate_workload
 
     spec = dict(POP_SPEC)
-    engine = spec.pop("engine")
+    del spec["engine"]
     return simulate_workload("pop", **spec, options=RunOptions(engine=engine))
 
 
@@ -154,6 +165,39 @@ def service_cases():
     return {"pop linear clc=True": ({"name": "pop", **POP_SPEC}, {"interpolation": "linear", "clc": True})}
 
 
+def bytes_cases():
+    """``{key: (trace, format)}`` of the ``bytes`` section."""
+    from repro.openmp.team import OmpTeamConfig, run_parallel_for_benchmark
+
+    traces = {f"pop {engine}": pop_run(engine).trace for engine in ("reference", "batch")}
+    traces["openmp"] = run_parallel_for_benchmark(
+        OmpTeamConfig(threads=4, regions=30), seed=1, measure_offsets=True
+    )
+    return {
+        f"{name} {fmt}": (trace, fmt)
+        for name, trace in traces.items()
+        for fmt in ("jsonl", "npz", "store")
+    }
+
+
+def written_sha256(trace: Trace, fmt: str) -> str:
+    import tempfile
+
+    from repro.tracing.store import write_sharded_trace
+    from repro.tracing.writer import write_trace
+
+    digest = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as tmp:
+        if fmt == "store":
+            write_sharded_trace(trace, tmp, shard_events=1000)
+        else:
+            write_trace(trace, Path(tmp) / f"trace.{fmt}")
+        for path in sorted(Path(tmp).iterdir()):
+            digest.update(path.name.encode("utf-8"))
+            digest.update(path.read_bytes())
+    return digest.hexdigest()
+
+
 def digest(source, keywords: dict) -> str:
     return stamps_sha256(correct_trace(source, scan=False, **keywords).trace)
 
@@ -162,8 +206,9 @@ def jsonl_sha256(trace: Trace) -> str:
     return hashlib.sha256(trace_to_jsonl(trace).encode("utf-8")).hexdigest()
 
 
-def served_sha256(spec: dict, fields: dict) -> str:
-    """Submit the workload job to a fresh in-process server and hash what it serves."""
+@contextlib.contextmanager
+def serving():
+    """A fresh in-process server (one forked worker); yields its client."""
     import tempfile
     import threading
 
@@ -175,13 +220,19 @@ def served_sha256(spec: dict, fields: dict) -> str:
         thread.start()
         client = ServiceClient(f"http://127.0.0.1:{server.port}")
         try:
-            job = client.wait(client.submit({"workload": spec, **fields})["id"])
-            text = client.fetch_trace(job["id"])
+            yield client
         finally:
             client.close()
             server.shutdown()
             server.server_close()
             thread.join()
+
+
+def served_sha256(spec: dict, fields: dict) -> str:
+    """Submit the workload job to a fresh in-process server and hash what it serves."""
+    with serving() as client:
+        job = client.wait(client.submit({"workload": spec, **fields})["id"])
+        text = client.fetch_trace(job["id"])
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
@@ -189,6 +240,7 @@ SECTIONS = {
     "pomp_clc": (POMP_ABOUT, pomp_cases, digest),
     "stamps": (STAMPS_ABOUT, stamps_cases, digest),
     "service": (SERVICE_ABOUT, service_cases, served_sha256),
+    "bytes": (BYTES_ABOUT, bytes_cases, written_sha256),
 }
 
 

@@ -100,9 +100,13 @@ class TestKnobs:
             result = correct_trace(run, interpolation=mode, scan=False)
             assert result.interpolation == mode
 
-    def test_piecewise_needs_run_source(self, run):
-        with pytest.raises(SynchronizationError, match="piecewise"):
-            correct_trace(run.trace, interpolation="piecewise")
+    def test_piecewise_reads_trace_meta(self, run, tmp_path):
+        """Init and final offsets are two measurement sets: piecewise over a
+        trace file is the RunResult's, with no periodic sync at all."""
+        assert "periodic_offsets" not in run.trace.meta
+        reference = trace_to_jsonl(correct_trace(run, interpolation="piecewise").trace)
+        path = write_trace(run.trace, tmp_path / "trace.jsonl")
+        assert trace_to_jsonl(correct_trace(path, interpolation="piecewise").trace) == reference
 
 
 class TestStreamingGuards:

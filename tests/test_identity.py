@@ -1,4 +1,4 @@
-"""Corrected bytes pinned by sha256 (``tests/data/identity.json``).
+"""Corrected and written bytes pinned by sha256 (``tests/data/identity.json``).
 
 A change that moves a pinned result has to edit the file in the open;
 ``tests/identity_pins.py`` holds the cases and rewrites the file.
@@ -9,9 +9,25 @@ from __future__ import annotations
 import json
 
 import pytest
-from identity_pins import PATH, digest, jsonl_sha256, pomp_cases, service_cases, stamps_cases
+from identity_pins import (
+    PATH,
+    bytes_cases,
+    digest,
+    jsonl_sha256,
+    pomp_cases,
+    service_cases,
+    serving,
+    stamps_cases,
+    stamps_sha256,
+    written_sha256,
+)
 
 from repro import correct_trace
+from repro.cli import main as cli_main
+from repro.errors import SynchronizationError
+from repro.tracing.reader import read_trace, trace_from_jsonl
+from repro.tracing.store import ChunkedTrace, write_sharded_trace
+from repro.tracing.writer import write_trace
 
 IDENTITY = json.loads(PATH.read_text())
 
@@ -51,7 +67,97 @@ def test_service_bytes(stamps, key):
     assert got == IDENTITY["service"]["digests"][key], key
 
 
-def test_every_case_is_pinned(pomp, stamps):
+PIECEWISE = ["periodic piecewise clc=False", "periodic piecewise clc=True"]
+
+
+@pytest.fixture(scope="module")
+def periodic_files(stamps, tmp_path_factory):
+    """The periodic-sync run as every file kind a correction can read."""
+    trace = stamps[PIECEWISE[0]][0].trace
+    root = tmp_path_factory.mktemp("periodic")
+    return {
+        "jsonl": write_trace(trace, root / "run.jsonl"),
+        "npz": write_trace(trace, root / "run.npz"),
+        "store": write_sharded_trace(trace, root / "store", shard_events=64),
+    }
+
+
+def _materialized(trace):
+    return trace.materialize() if isinstance(trace, ChunkedTrace) else trace
+
+
+@pytest.mark.parametrize("key", PIECEWISE)
+@pytest.mark.parametrize("kind", ["jsonl", "npz", "store"])
+def test_piecewise_from_files(periodic_files, stamps, kind, key, tmp_path):
+    """The measurement sets travel in the trace: piecewise from a .jsonl,
+    an .npz and a streamed store is the RunResult's, bit for bit."""
+    output = tmp_path / "out" if kind == "store" else None
+    result = correct_trace(periodic_files[kind], scan=False, output=output, **stamps[key][1])
+    assert result.streamed == (kind == "store")
+    assert stamps_sha256(_materialized(result.trace)) == IDENTITY["stamps"]["digests"][key]
+
+
+def _sync_args(keywords: dict) -> list[str]:
+    flags = ["--interpolation", keywords["interpolation"], "--lmin", repr(keywords["lmin"])]
+    return flags + (["--clc"] if keywords["clc"] else [])
+
+
+@pytest.mark.parametrize("key", PIECEWISE)
+@pytest.mark.parametrize("kind", ["jsonl", "store"])
+def test_piecewise_from_cli(periodic_files, stamps, kind, key, tmp_path):
+    output = tmp_path / ("out.jsonl" if kind == "jsonl" else "out")
+    argv = ["sync", str(periodic_files[kind]), *_sync_args(stamps[key][1]), "-o", str(output)]
+    assert cli_main(argv) == 0
+    corrected = read_trace(output) if kind == "jsonl" else ChunkedTrace(output).materialize()
+    assert stamps_sha256(corrected) == IDENTITY["stamps"]["digests"][key]
+
+
+@pytest.mark.parametrize("key", PIECEWISE)
+def test_piecewise_from_service(periodic_files, stamps, key, tmp_path):
+    """An inline (x-ndjson) and a trace_dir job: the pinned stamps, and the
+    inline job serves the bytes ``repro sync`` writes."""
+    knobs = stamps[key][1]
+    cli_out = tmp_path / "cli.jsonl"
+    assert cli_main(["sync", str(periodic_files["jsonl"]), *_sync_args(knobs), "-o", str(cli_out)]) == 0
+    with serving() as client:
+        inline = client.wait(client.submit_trace(periodic_files["jsonl"].read_text(), **knobs)["id"])
+        text = client.fetch_trace(inline["id"])
+        sharded = client.wait(client.submit({"trace_dir": str(periodic_files["store"]), **knobs})["id"])
+        result_dir = client.report(sharded["id"])["result_dir"]
+        from_dir = ChunkedTrace(result_dir).materialize()
+    assert inline["state"] == sharded["state"] == "done"
+    assert text == cli_out.read_text()
+    pinned = IDENTITY["stamps"]["digests"][key]
+    assert stamps_sha256(trace_from_jsonl(text)) == pinned
+    assert stamps_sha256(from_dir) == pinned
+
+
+def test_piecewise_needs_two_sets(periodic_files, tmp_path):
+    """A trace with fewer than two measurement sets still refuses piecewise."""
+    trace = read_trace(periodic_files["jsonl"])
+    for key in ("final_offsets", "periodic_offsets"):
+        del trace.meta[key]
+    with pytest.raises(SynchronizationError, match=">= 2 measurement sets"):
+        correct_trace(trace, interpolation="piecewise")
+    store = write_sharded_trace(trace, tmp_path / "store")
+    with pytest.raises(SynchronizationError, match=">= 2 measurement sets"):
+        correct_trace(store, interpolation="piecewise", output=tmp_path / "out")
+
+
+@pytest.fixture(scope="module")
+def written():
+    return bytes_cases()
+
+
+@pytest.mark.parametrize("key", sorted(IDENTITY["bytes"]["digests"]))
+def test_written_bytes(written, key):
+    """A raw POP trace (both engines) and an OpenMP trace with offset
+    measurements, as .jsonl, .npz and a sharded store."""
+    assert written_sha256(*written[key]) == IDENTITY["bytes"]["digests"][key], key
+
+
+def test_every_case_is_pinned(pomp, stamps, written):
     assert sorted(pomp) == sorted(IDENTITY["pomp_clc"]["digests"])
+    assert sorted(written) == sorted(IDENTITY["bytes"]["digests"])
     assert sorted(stamps) == sorted(IDENTITY["stamps"]["digests"])
     assert sorted(service_cases()) == sorted(IDENTITY["service"]["digests"])

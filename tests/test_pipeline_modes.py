@@ -62,9 +62,12 @@ class TestModeValidation:
     def test_trace_only_modes_need_no_measurements(self, drifting_run):
         """Strip the measurements: trace-only modes still work."""
         from repro.mpi.runtime import RunResult
+        from repro.tracing.trace import Trace
 
+        trace = drifting_run.trace
+        meta = {k: v for k, v in trace.meta.items() if not k.endswith("_offsets")}
         bare = RunResult(
-            trace=drifting_run.trace, init_offsets=None, final_offsets=None
+            trace=Trace(dict(trace.logs), meta=meta), init_offsets=None, final_offsets=None
         )
         report = correct_trace(bare, interpolation="exchange", clc=False)
         assert report.stage("exchange") is not None

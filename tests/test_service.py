@@ -147,10 +147,14 @@ class TestCorrectionRequest:
             _request(gamma=1.5),
             _request(lmin=-1.0),
             CorrectionRequest(trace_inline="{}", interpolation="none", clc=False),
-            CorrectionRequest(trace_dir="/tmp/x", interpolation="piecewise"),
+            CorrectionRequest(trace_dir="/tmp/x", interpolation="regression"),
         ):
             with pytest.raises(ServiceError):
                 bad.validate()
+
+    def test_trace_dir_takes_piecewise(self):
+        """Piecewise is a per-rank map over the store's measurement sets."""
+        assert CorrectionRequest(trace_dir="/tmp/x", interpolation="piecewise").validate() is None
 
     def test_digest_is_stable_and_knob_sensitive(self):
         assert _request().digest() == _request().digest()

@@ -30,11 +30,11 @@ from repro.verify.oracles import assert_streamed_matches_inmemory
 from repro.workloads import build_workload
 
 
-def _run(options=None, nprocs: int = 4, seed: int = 5):
+def _run(options=None, nprocs: int = 4, seed: int = 5, periodic_sync_every: int = 0):
     preset = xeon_cluster()
     world = MpiWorld(
         preset, inter_node(preset.machine, nprocs), timer="tsc", seed=seed,
-        duration_hint=10.0,
+        duration_hint=10.0, periodic_sync_every=periodic_sync_every,
     )
     built = build_workload("sparse", nprocs, 0.2, seed)
     return world.run(
@@ -53,6 +53,13 @@ class TestBitIdentity:
     @pytest.mark.parametrize("shard_events", [1, 2, 7, 10**6])
     def test_matches_inmemory(self, sim_trace, shard_events):
         assert_streamed_matches_inmemory(sim_trace, shard_events)
+
+    @pytest.mark.parametrize("shard_events", [2, 7])
+    def test_periodic_sets_match_inmemory(self, shard_events):
+        """The grid's piecewise over a run's own periodic measurement sets."""
+        trace = _run(periodic_sync_every=1).trace
+        assert len(trace.meta["periodic_offsets"]) >= 2
+        assert_streamed_matches_inmemory(trace, shard_events)
 
     def test_matches_with_window_and_lmin(self, sim_trace):
         assert_streamed_matches_inmemory(

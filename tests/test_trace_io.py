@@ -121,6 +121,53 @@ class TestErrors:
             read_trace(p)
 
 
+class TestAtomicWrite:
+    """An encoder failure part-way through leaves the old file as it was."""
+
+    @pytest.fixture
+    def existing(self, sample_trace, tmp_path, request):
+        path = write_trace(sample_trace, tmp_path / f"trace{request.param}")
+        return path, path.read_bytes()
+
+    @pytest.mark.parametrize("existing", [".npz"], indirect=True)
+    def test_npz_failure_keeps_old_file(self, existing, sample_trace, monkeypatch):
+        path, before = existing
+        real, calls = np.lib.format.write_array, []
+
+        def fail_third(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 3:
+                raise OSError("disk full")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.lib.format, "write_array", fail_third)
+        with pytest.raises(OSError, match="disk full"):
+            write_trace(sample_trace, path)
+        assert len(calls) == 3  # two arrays were written before the failure
+        assert path.read_bytes() == before
+        assert sorted(path.parent.iterdir()) == [path]
+
+    @pytest.mark.parametrize("existing", [".jsonl"], indirect=True)
+    def test_jsonl_failure_keeps_old_file(self, existing, sample_trace):
+        path, before = existing
+        bad = EventLog.from_arrays(
+            np.array([1.0, 2.0]), np.array([0, 99], dtype=np.int32),  # 99: no event type
+            *(np.zeros(2, dtype=np.int64) for _ in range(4)),
+        )
+        with pytest.raises(ValueError):
+            write_trace(Trace({0: bad}), path)
+        assert path.read_bytes() == before
+        assert sorted(path.parent.iterdir()) == [path]
+
+    @pytest.mark.parametrize("ext", [".npz", ".jsonl"])
+    def test_replaces_whole(self, sample_trace, tmp_path, ext):
+        path = tmp_path / f"trace{ext}"
+        path.write_bytes(b"stale")
+        write_trace(sample_trace, path)
+        assert_traces_equal(read_trace(path), sample_trace)
+        assert sorted(tmp_path.iterdir()) == [path]
+
+
 class TestEndToEnd:
     def test_simulated_trace_roundtrip(self, tmp_path):
         """A trace produced by the full runtime must round-trip."""
