@@ -21,7 +21,9 @@ noted):
                                   (violation report, digests, timings)
 ``GET /v1/jobs/<id>/trace``       the corrected trace as canonical
                                   ``.jsonl`` text
-                                  (``application/x-ndjson``)
+                                  (``application/x-ndjson``), sent
+                                  from the job's result file by
+                                  ``sendfile``
 ``POST /v1/jobs/<id>/cancel``     cancel a still-queued job (also
                                   ``DELETE /v1/jobs/<id>``)
 ``GET /metrics``                  Prometheus text exposition of the
@@ -45,6 +47,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import urllib.parse
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional
@@ -92,14 +95,28 @@ class _Handler(BaseHTTPRequestHandler):
         )
         return True
 
-    def _send(self, status: int, payload: bytes, content_type: str) -> None:
+    def _send_head(self, status: int, length: int, content_type: str) -> None:
         self.send_response(status)
         self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(payload)))
+        self.send_header("Content-Length", str(length))
         if self._unread:
             self.send_header("Connection", "close")  # sets close_connection
         self.end_headers()
+
+    def _send(self, status: int, payload: bytes, content_type: str) -> None:
+        self._send_head(status, len(payload), content_type)
         self.wfile.write(payload)
+
+    def _send_file(self, path, content_type: str) -> None:
+        """The file at ``path`` as a 200 body, page cache to socket by
+        ``sendfile``: no copy of it passes through this process."""
+        try:
+            fh = open(path, "rb")
+        except OSError as exc:
+            raise ServiceError("internal", f"cannot read {path}: {exc}") from exc
+        with fh:
+            self._send_head(200, os.fstat(fh.fileno()).st_size, content_type)
+            self.connection.sendfile(fh)
 
     def _send_json(self, status: int, obj: dict) -> None:
         body = (json.dumps(obj, sort_keys=True) + "\n").encode("utf-8")
@@ -218,7 +235,7 @@ class _Handler(BaseHTTPRequestHandler):
             if head == "metrics":
                 from repro.telemetry.export import to_prometheus
 
-                text = to_prometheus(self.manager.telemetry.snapshot())
+                text = to_prometheus(self.manager.metrics())
                 self._send(200, text.encode("utf-8"), "text/plain; version=0.0.4")
             elif head == "healthz":
                 self._send_json(
@@ -240,17 +257,8 @@ class _Handler(BaseHTTPRequestHandler):
                 outcome = self.manager.fetch(job_id)
                 self._send_json(200, outcome.to_json())
             elif head == "jobs" and verb == "trace":
-                outcome = self.manager.fetch(job_id)
-                if outcome.trace_jsonl is None:
-                    raise ServiceError(
-                        "not_materializable",
-                        f"job {job_id} corrected a sharded trace; its result "
-                        f"stays on the server at {outcome.result_dir}",
-                    )
-                self._send(
-                    200,
-                    outcome.trace_jsonl.encode("utf-8"),
-                    "application/x-ndjson",
+                self._send_file(
+                    self.manager.result_file(job_id), "application/x-ndjson"
                 )
             else:
                 raise ServiceError("unknown_job", f"no such resource: {self.path}")

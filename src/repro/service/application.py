@@ -19,6 +19,11 @@
 * **Manifests.**  Every terminal transition writes the job's
   ``manifest.json`` (request digest, elided request, timings, result
   digests) through :class:`repro.service.infrastructure.ManifestStore`.
+* **Results on disk.**  A materialized job's corrected ``.jsonl`` is
+  written atomically to ``<work>/jobs/<id>/result.jsonl`` before the job
+  is ``done`` (a cache hit writes the cached text there), and the table
+  keeps no trace text: a job holds its request payload only until it is
+  terminal, and its outcome without the corrected trace.
 * **Held waits.**  Every terminal transition also wakes the
   :meth:`JobManager.wait` calls held on the manager's one condition, so
   a status request answers as its job ends; :meth:`JobManager.stop`
@@ -34,8 +39,11 @@ service adds queueing and bookkeeping, never correction semantics.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import itertools
+import os
+import shutil
 import time
 from pathlib import Path
 from typing import Callable, Optional, Union
@@ -57,7 +65,10 @@ from repro.service.infrastructure import (
     WorkerPool,
 )
 
-__all__ = ["JobManager", "execute_correction"]
+__all__ = ["JobManager", "RESULT_FILE", "execute_correction"]
+
+#: A materialized job's corrected ``.jsonl``, in its job directory.
+RESULT_FILE = "result.jsonl"
 
 
 def execute_correction(
@@ -198,6 +209,8 @@ class JobManager:
         self._stopped = False
         self._jobs: dict[str, JobRecord] = {}
         self._by_digest: dict[str, str] = {}  # digest -> newest job id
+        # job id -> its request (inline payload included), until it is terminal
+        self._requests: dict[str, CorrectionRequest] = {}
         self._ids = itertools.count(1)
 
     # ------------------------------------------------------------------
@@ -236,43 +249,81 @@ class JobManager:
 
     # ------------------------------------------------------------------
     def submit(self, request: CorrectionRequest) -> JobRecord:
-        """Register a job; dedups against live/done jobs and the cache."""
+        """Register a job; dedups against live/done jobs and the cache.
+
+        The cache is read, and a hit's trace written to the new job's
+        directory, outside the lock; the digest is looked up again after
+        that, so two identical submits still join one job.
+        """
         request.validate()
         digest = request.digest()
         with self._lock:
             self.telemetry.count("service.jobs.submitted")
-            existing_id = self._by_digest.get(digest)
-            if existing_id is not None:
-                existing = self._jobs[existing_id]
-                # Join any job that can still produce (or has produced)
-                # the answer; failed/cancelled/dead digests resubmit.
-                if not existing.terminal or existing.state is JobState.DONE:
-                    self.telemetry.count("service.jobs.deduplicated")
-                    return existing
-
-            job = JobRecord(
-                id=f"job-{next(self._ids):06d}",
-                request=request,
-                digest=digest,
-                created=self.clock(),
-            )
-            self._jobs[job.id] = job
-            self._by_digest[digest] = job.id
-
-            if self.cache is not None:
-                hit, outcome = self.cache.load(digest)
-                if hit and isinstance(outcome, JobOutcome):
+            joined = self._join(digest)
+            if joined is not None:
+                return joined
+            job_id = f"job-{next(self._ids):06d}"
+        cached = self.cache.load(digest)[1] if self.cache is not None else None
+        if isinstance(cached, JobOutcome):
+            try:
+                cached = self._keep(job_id, cached)
+            except OSError:
+                cached = None  # computed again
+        with self._lock:
+            joined = self._join(digest)
+            if joined is None:
+                job = JobRecord(
+                    id=job_id,
+                    request=request.describe(),
+                    digest=digest,
+                    created=self.clock(),
+                )
+                self._jobs[job_id] = job
+                self._by_digest[digest] = job_id
+                if isinstance(cached, JobOutcome):
                     job.state = JobState.DONE
-                    job.outcome = outcome
+                    job.outcome = cached
                     job.from_cache = True
                     job.finished = job.created
                     self.telemetry.count("service.jobs.completed")
                     self._settle(job)
                     return job
-
-            job.state = JobState.QUEUED
-        self.queue.push(job.id)
+                self._requests[job_id] = request
+        if joined is not None:
+            # Another submit of the digest registered first; this id stays unused.
+            shutil.rmtree(self.store.root / "jobs" / job_id, ignore_errors=True)
+            return joined
+        self.queue.push(job_id)
         return job
+
+    def _join(self, digest: str) -> Optional[JobRecord]:
+        """Under the lock: the job a submit of ``digest`` joins, counted as
+        deduplicated, or ``None``.  Any job that can still produce (or has
+        produced) the answer is joined; failed/cancelled/dead digests
+        resubmit."""
+        existing_id = self._by_digest.get(digest)
+        if existing_id is None:
+            return None
+        existing = self._jobs[existing_id]
+        if existing.terminal and existing.state is not JobState.DONE:
+            return None
+        self.telemetry.count("service.jobs.deduplicated")
+        return existing
+
+    def _keep(self, job_id: str, outcome: JobOutcome) -> JobOutcome:
+        """``outcome`` as the table keeps it: its corrected trace written to
+        the job's result file (temp file + ``os.replace``) and dropped."""
+        if outcome.trace_jsonl is None:
+            return outcome
+        target = self.store.job_dir(job_id) / RESULT_FILE
+        tmp = target.with_name(f".{RESULT_FILE}.{os.urandom(4).hex()}.tmp")
+        try:
+            tmp.write_bytes(outcome.trace_jsonl.encode("utf-8"))
+            os.replace(tmp, target)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
+        return dataclasses.replace(outcome, trace_jsonl=None)
 
     # ------------------------------------------------------------------
     def get(self, job_id: str) -> JobRecord:
@@ -294,6 +345,16 @@ class JobManager:
     def jobs(self) -> list[JobRecord]:
         with self._lock:
             return sorted(self._jobs.values(), key=lambda j: j.id)
+
+    def metrics(self) -> dict:
+        """The telemetry snapshot, with the server's own peak RSS
+        (``ru_maxrss``, KiB on Linux) and the job table's size read now."""
+        import resource
+
+        peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        self.telemetry.gauge("service.server.peak_rss_mb", peak_kib / 1024)
+        self.telemetry.gauge("service.jobs.resident", len(self._jobs))
+        return self.telemetry.snapshot()
 
     def fetch(self, job_id: str) -> JobOutcome:
         """The finished outcome; errors carry the job's state as a code."""
@@ -318,6 +379,18 @@ class JobManager:
         raise ServiceError(
             "not_ready", f"job {job_id} is {state.value}; wait until it is done"
         )
+
+    def result_file(self, job_id: str) -> Path:
+        """The finished job's corrected ``.jsonl`` on disk; errors as
+        :meth:`fetch`, and ``not_materializable`` for a sharded result."""
+        outcome = self.fetch(job_id)
+        if outcome.result_dir is not None:
+            raise ServiceError(
+                "not_materializable",
+                f"job {job_id} corrected a sharded trace; its result "
+                f"stays on the server at {outcome.result_dir}",
+            )
+        return self.store.root / "jobs" / job_id / RESULT_FILE
 
     def cancel(self, job_id: str) -> JobRecord:
         """Cancel a still-queued job; running/terminal jobs refuse."""
@@ -346,13 +419,14 @@ class JobManager:
             job = self._jobs.get(job_id)
             if job is None or job.state is not JobState.QUEUED:
                 return  # cancelled (or gone) between pop and claim
+            request = self._requests[job_id]
             job.state = JobState.RUNNING
             job.attempts += 1
             if job.started is None:
                 job.started = self.clock()
 
         try:
-            outcome = self.executor(job.request, self.store.job_dir(job_id))
+            outcome = self.executor(request, self.store.job_dir(job_id))
         except ServiceError as exc:
             self._finish_error(job, exc.code, str(exc))
         except Exception as exc:  # noqa: BLE001 - classified below
@@ -365,11 +439,16 @@ class JobManager:
             self._finish_done(job, outcome)
 
     def _finish_done(self, job: JobRecord, outcome: JobOutcome) -> None:
+        try:
+            kept = self._keep(job.id, outcome)
+        except OSError as exc:
+            self._finish_error(job, "internal", f"cannot write the result: {exc}")
+            return
         if self.cache is not None:
             self.cache.store(job.digest, outcome)
         with self._lock:
             job.state = JobState.DONE
-            job.outcome = outcome
+            job.outcome = kept
             job.finished = self.clock()
             self.telemetry.count("service.jobs.completed")
             if job.started is not None:
@@ -419,9 +498,10 @@ class JobManager:
 
     # ------------------------------------------------------------------
     def _settle(self, job: JobRecord) -> None:
-        """A terminal transition, under the lock: persist the audit
-        manifest, never letting disk trouble kill the job, and wake every
-        held :meth:`wait`."""
+        """A terminal transition, under the lock: drop the job's request,
+        persist the audit manifest, never letting disk trouble kill the
+        job, and wake every held :meth:`wait`."""
+        self._requests.pop(job.id, None)
         try:
             path = self.store.write_manifest(job.id, job.manifest())
             job.manifest_path = str(path)

@@ -19,7 +19,9 @@ The central objects:
 * :class:`JobRecord` — one submitted job's lifecycle:
   ``queued -> running -> done`` with the failure exits ``failed``
   (deterministic error), ``cancelled`` (client cancelled mid-queue) and
-  ``dead`` (crashed ``max_attempts`` times, the dead-letter state).
+  ``dead`` (crashed ``max_attempts`` times, the dead-letter state).  A
+  record holds no trace text: the request only as its description,
+  the outcome without its corrected trace.
 * :class:`ServiceError` and :func:`classify_error` — the stable
   machine-readable error codes every HTTP error body carries.
 """
@@ -363,9 +365,11 @@ def _hash_file(path) -> str:
 class JobOutcome:
     """What a finished correction produced (picklable: cache payload).
 
-    ``trace_jsonl`` is the corrected trace in canonical ``.jsonl`` form
-    for materialized sources; sharded sources leave the result on the
-    server and set ``result_dir`` instead.
+    An attempt returns ``trace_jsonl``, the corrected trace in canonical
+    ``.jsonl`` form, for materialized sources, and the result cache
+    stores it with it; the job table keeps the outcome without it, once
+    the text is in the job's result file.  Sharded sources leave the
+    result on the server and set ``result_dir`` instead.
     """
 
     trace_sha256: str
@@ -387,16 +391,20 @@ class JobOutcome:
             "engine": self.engine,
             "fallback_reason": self.fallback_reason,
             "timings": dict(self.timings),
-            "materializable": self.trace_jsonl is not None,
+            "materializable": self.result_dir is None,
         }
 
 
 @dataclass
 class JobRecord:
-    """One submitted job's full lifecycle state."""
+    """One submitted job's full lifecycle state.
+
+    ``request`` is :meth:`CorrectionRequest.describe` of what was
+    submitted: knobs and source identity, never an inline payload.
+    """
 
     id: str
-    request: CorrectionRequest
+    request: dict
     digest: str
     state: JobState = JobState.QUEUED
     created: float = 0.0
@@ -418,7 +426,7 @@ class JobRecord:
             "id": self.id,
             "state": self.state.value,
             "request_digest": self.digest,
-            "request": self.request.describe(),
+            "request": self.request,
             "created": self.created,
             "started": self.started,
             "finished": self.finished,
@@ -440,7 +448,7 @@ class JobRecord:
             "version": __version__,
             "job_id": self.id,
             "request_digest": self.digest,
-            "request": self.request.describe(),
+            "request": self.request,
             "state": self.state.value,
             "attempts": self.attempts,
             "created": self.created,

@@ -18,8 +18,8 @@ from repro.tracing.events import (
 )
 from repro.tracing.trace import MessageRecord, CollectiveRecord, Trace
 from repro.tracing.buffer import TraceBuffer
-from repro.tracing.writer import write_trace, write_trace_dir
-from repro.tracing.reader import read_trace, read_trace_dir
+from repro.tracing.writer import write_trace
+from repro.tracing.reader import read_trace
 from repro.tracing.store import (
     ChunkedTrace,
     ShardedTraceReader,
@@ -41,9 +41,7 @@ __all__ = [
     "CollectiveRecord",
     "TraceBuffer",
     "write_trace",
-    "write_trace_dir",
     "read_trace",
-    "read_trace_dir",
     "ChunkedTrace",
     "ShardedTraceReader",
     "ShardedTraceWriter",

@@ -16,43 +16,7 @@ from repro.tracing.events import EventLog, EventType
 from repro.tracing.trace import Trace
 from repro.tracing.writer import FORMAT_VERSION
 
-__all__ = ["read_trace", "read_trace_dir", "trace_from_jsonl"]
-
-
-def read_trace_dir(directory: Union[str, Path], ranks=None) -> Trace:
-    """Load a per-rank trace directory written by ``write_trace_dir``.
-
-    ``ranks`` selects a subset (e.g. one node's ranks) — the point of
-    the per-rank layout: postmortem analyses need not touch every file.
-    """
-    directory = Path(directory)
-    anchor_path = directory / "anchor.json"
-    if not anchor_path.exists():
-        if (directory / "manifest.jsonl").exists():
-            raise TraceFormatError(
-                f"{directory} has no anchor.json but has a manifest.jsonl — "
-                "it is a sharded trace directory; open it with "
-                "repro.tracing.store.ShardedTraceReader"
-            )
-        raise TraceFormatError(f"{directory} has no anchor.json (not a trace directory)")
-    anchor = json.loads(anchor_path.read_text(encoding="utf-8"))
-    _check_version(anchor, anchor_path)
-    available = [int(r) for r in anchor["ranks"]]
-    selected = available if ranks is None else [int(r) for r in ranks]
-    unknown = set(selected) - set(available)
-    if unknown:
-        raise TraceFormatError(f"{directory}: ranks {sorted(unknown)} not in anchor")
-    logs = {}
-    for rank in selected:
-        path = directory / f"rank_{rank}.npz"
-        if not path.exists():
-            raise TraceFormatError(f"{directory}: missing {path.name}")
-        with np.load(path) as archive:
-            logs[rank] = EventLog.from_arrays(
-                archive["ts"], archive["et"], archive["a"],
-                archive["b"], archive["c"], archive["d"],
-            )
-    return Trace(logs, meta=anchor.get("meta", {}))
+__all__ = ["read_trace", "trace_from_jsonl"]
 
 
 def read_trace(path: Union[str, Path]) -> Trace:

@@ -27,7 +27,7 @@ from repro.errors import TraceFormatError
 from repro.tracing.events import EventType
 from repro.tracing.trace import Trace
 
-__all__ = ["write_trace", "write_trace_dir", "trace_to_jsonl", "FORMAT_VERSION"]
+__all__ = ["write_trace", "trace_to_jsonl", "FORMAT_VERSION"]
 
 #: Bumped on any incompatible layout change; checked by the reader.
 FORMAT_VERSION = 1
@@ -117,37 +117,6 @@ def trace_to_jsonl(trace: Trace) -> str:
 
 def _write_jsonl(trace: Trace, fh) -> None:
     fh.write(trace_to_jsonl(trace).encode("utf-8"))
-
-
-def write_trace_dir(trace: Trace, directory: Union[str, Path]) -> Path:
-    """Serialize one file per rank plus an anchor, OTF-style.
-
-    Real tracing back-ends write each rank's stream to its own file so
-    ranks can flush independently and analyses can read subsets; this
-    mirrors that layout::
-
-        <dir>/anchor.json          # version, ranks, metadata
-        <dir>/rank_<r>.npz         # that rank's six columns
-
-    Counterpart: :func:`repro.tracing.reader.read_trace_dir`, which can
-    also load a *subset* of ranks.
-    """
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    anchor = {
-        "version": FORMAT_VERSION,
-        "ranks": trace.ranks,
-        "meta": _jsonable_meta(trace.meta),
-    }
-    (directory / "anchor.json").write_text(json.dumps(anchor, indent=1), encoding="utf-8")
-    for rank in trace.ranks:
-        log = trace.logs[rank]
-        np.savez_compressed(
-            directory / f"rank_{rank}.npz",
-            ts=log.timestamps, et=log.etypes,
-            a=log.a, b=log.b, c=log.c, d=log.d,
-        )
-    return directory
 
 
 def _jsonable_meta(meta: dict) -> dict:

@@ -53,9 +53,9 @@ from repro.sync.violations import (
     scan_trace,
 )
 from repro.tracing.events import COLLECTIVE_FLAVORS, CollectiveFlavor, EventType
-from repro.tracing.reader import read_trace, read_trace_dir
+from repro.tracing.reader import read_trace
 from repro.tracing.trace import Trace
-from repro.tracing.writer import write_trace, write_trace_dir
+from repro.tracing.writer import write_trace
 from repro.verify.cases import TraceCase, erase_match_ids, grid_probe_job
 
 __all__ = [
@@ -607,8 +607,8 @@ def _assert_traces_equal_bitwise(a: Trace, b: Trace, context: str) -> None:
 
 @oracle(
     "trace_roundtrip",
-    "write_trace/read_trace (.npz and .jsonl) and the per-rank "
-    "directory format reproduce every event column bit for bit.",
+    "write_trace/read_trace (.npz and .jsonl) reproduce every event "
+    "column bit for bit.",
     {"trace"},
 )
 def _trace_roundtrip(case: TraceCase) -> None:
@@ -618,10 +618,6 @@ def _trace_roundtrip(case: TraceCase) -> None:
         for name in ("roundtrip.npz", "roundtrip.jsonl"):
             path = write_trace(trace, root / name)
             _assert_traces_equal_bitwise(trace, read_trace(path), context=name)
-        directory = write_trace_dir(trace, root / "trace_dir")
-        _assert_traces_equal_bitwise(
-            trace, read_trace_dir(directory), context="trace_dir"
-        )
 
 
 def _require_same_report(got, ref, context: str) -> None:

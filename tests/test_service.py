@@ -9,7 +9,10 @@ retry, dead letter — is deterministic.
 from __future__ import annotations
 
 import json
+import os
 import pickle
+import shutil
+import threading
 import time
 from concurrent.futures.process import BrokenProcessPool
 
@@ -34,6 +37,7 @@ from repro.service import (
     WorkloadSpec,
     classify_error,
 )
+from repro.service.application import RESULT_FILE
 from repro.service.domain import ERROR_HTTP_STATUS
 from repro.service.infrastructure import JobQueue, LockedTelemetry
 
@@ -256,6 +260,8 @@ class TestLifecycle:
         recording.step()
         assert job.state is JobState.DONE
         assert job.outcome.trace_sha256 == "x"
+        assert job.outcome.trace_jsonl is None  # the text lives on disk
+        assert recording.result_file(job.id).read_text() == "{}\n"
         assert job.attempts == 1 and not job.from_cache
         assert recording.telemetry.counter("service.jobs.completed") == 1
 
@@ -436,6 +442,26 @@ class TestFailures:
         manager.step()
         assert job.state is JobState.DONE and job.attempts == 2
 
+    def test_result_write_error_fails_internal(self, tmp_path):
+        """A job whose result file cannot be written is never ``done``."""
+        def executor(request, job_dir):
+            (job_dir / RESULT_FILE).mkdir()  # os.replace onto it raises OSError
+            return _outcome()
+
+        manager = _Manager(tmp_path / "work", executor=executor)
+        job = manager.submit(_request())
+        manager.step()
+        assert job.state is JobState.FAILED and job.attempts == 1
+        assert job.error_code == "internal" and job.outcome is None
+        assert manager.telemetry.counter("service.jobs.completed") == 0
+        with pytest.raises(ServiceError) as err:
+            manager.fetch(job.id)
+        assert err.value.code == "internal" and err.value.http_status == 500
+        assert manager.store.read_manifest(job.id)["error"]["code"] == "internal"
+        assert sorted(os.listdir(manager.store.job_dir(job.id))) == [
+            "manifest.json", RESULT_FILE
+        ]  # the temp file is gone
+
     def test_dead_digest_resubmits_fresh(self, tmp_path):
         def executor(request, job_dir):
             raise RuntimeError("boom")
@@ -464,7 +490,9 @@ class TestResultCache:
         first.step()
         assert job.state is JobState.DONE and calls == [1]
 
-        # A fresh manager (fresh process, same cache): born done.
+        # A fresh manager (fresh process, same cache, the first work dir
+        # gone): born done, its trace written to its own job directory.
+        shutil.rmtree(tmp_path / "w1")
         second = _Manager(
             tmp_path / "w2", cache=ResultCache(cache_dir), executor=executor
         )
@@ -472,7 +500,84 @@ class TestResultCache:
         assert replay.state is JobState.DONE
         assert replay.from_cache
         assert replay.outcome.trace_sha256 == "x"
+        assert replay.outcome.trace_jsonl is None
+        served = second.result_file(replay.id)
+        assert served == tmp_path / "w2" / "jobs" / replay.id / RESULT_FILE
+        assert served.read_text() == "{}\n"
         assert calls == [1]
         assert len(second.queue) == 0
         assert second.telemetry.counter("cache.hit") == 1
         assert second.store.read_manifest(replay.id)["from_cache"] is True
+
+
+class _GatedCache(ResultCache):
+    """A result cache whose ``load`` first calls ``gate()``."""
+
+    def __init__(self, root, gate) -> None:
+        super().__init__(root)
+        self.gate = gate
+
+    def load(self, digest):
+        self.gate()
+        return super().load(digest)
+
+
+class TestCacheOutsideTheLock:
+    """``submit`` reads the cache (and writes a hit's result) unlocked."""
+
+    def test_blocked_load_does_not_block_status(self, tmp_path):
+        entered, release = threading.Event(), threading.Event()
+        release.set()
+
+        def gate():
+            entered.set()
+            assert release.wait(timeout=30)
+
+        manager = _Manager(
+            tmp_path / "work", cache=_GatedCache(tmp_path / "cache", gate),
+            executor=lambda r, d: _outcome(),
+        )
+        other = manager.submit(_request())
+        entered.clear()
+        release.clear()
+        blocked = threading.Thread(
+            target=manager.submit, args=(_request(clc=False),), daemon=True
+        )
+        blocked.start()
+        assert entered.wait(timeout=10)  # the second submit sits in load
+
+        answered = []
+        status = threading.Thread(
+            target=lambda: answered.append(manager.get(other.id)), daemon=True
+        )
+        status.start()
+        status.join(timeout=5)
+        answered_while_blocked = list(answered)
+        release.set()
+        blocked.join(timeout=10)
+        assert answered_while_blocked == [other]
+        assert len(manager.jobs()) == 2
+
+    @pytest.mark.parametrize("cached", [False, True], ids=["miss", "hit"])
+    def test_concurrent_identical_submits_make_one_job(self, tmp_path, cached):
+        both_loading = threading.Barrier(2, timeout=10)
+        cache = _GatedCache(tmp_path / "cache", both_loading.wait)
+        if cached:
+            ResultCache(cache.root).store(_request().digest(), _outcome())
+        manager = _Manager(tmp_path / "work", cache=cache, executor=lambda r, d: _outcome())
+
+        jobs = []
+        threads = [
+            threading.Thread(target=lambda: jobs.append(manager.submit(_request())))
+            for _ in range(2)
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        assert len(jobs) == 2 and jobs[0] is jobs[1]
+        assert len(manager.jobs()) == 1
+        assert manager.telemetry.counter("service.jobs.deduplicated") == 1
+        assert len(manager.queue) == (0 if cached else 1)
+        if cached:  # the loser's job directory does not outlive the race
+            assert os.listdir(manager.store.root / "jobs") == [jobs[0].id]

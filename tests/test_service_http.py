@@ -9,12 +9,14 @@ byte-identical to correcting the same workload locally through
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import socket
 import sys
 import threading
 import time
+import types
 import urllib.error
 import urllib.request
 from pathlib import Path
@@ -32,6 +34,7 @@ from repro.service import (
     make_server,
 )
 from repro.service import api
+from repro.tracing.reader import trace_from_jsonl
 from repro.tracing.store import write_sharded_trace
 from repro.tracing.writer import trace_to_jsonl
 from repro.workloads import simulate_workload
@@ -175,6 +178,59 @@ class TestEndToEnd:
         text = client.metrics()
         assert "repro_service_jobs_submitted" in text
         assert "repro_service_jobs_completed" in text
+
+
+    def test_memory_gauges(self, client):
+        resident = len(client.jobs())
+        assert _metric(client, "repro_service_server_peak_rss_mb") > 0
+        assert _metric(client, "repro_service_jobs_resident") == resident
+
+
+def _strings(root) -> list:
+    """Every ``str`` reachable from ``root`` through containers and
+    instance attributes (classes, modules and functions are not followed)."""
+    seen, stack, found = set(), [root], []
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(
+            obj, (type, types.ModuleType, types.FunctionType)
+        ):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, str):
+            found.append(obj)
+        else:
+            stack.extend(gc.get_referents(obj))
+    return found
+
+
+class TestResultsOnDisk:
+    """A settled job's trace text lives in its job directory, not in memory."""
+
+    def test_settled_jobs_hold_no_trace_text(self, server, client, local_run):
+        payloads = [
+            trace_to_jsonl(local_run.trace).replace(
+                '"meta": {', f'"meta": {{"on_disk": {i}, ', 1
+            )
+            for i in range(3)
+        ]
+        jobs = [client.submit_trace(payload) for payload in payloads]
+        texts = list(payloads)
+        for job, payload in zip(jobs, payloads):
+            assert client.wait(job["id"])["state"] == "done"
+            local = trace_to_jsonl(
+                correct_trace(
+                    trace_from_jsonl(payload), interpolation="linear", clc=True
+                ).trace
+            )
+            result = server.manager.result_file(job["id"])
+            assert result.parent.name == job["id"]
+            assert client.fetch_trace(job["id"]) == result.read_text("utf-8") == local
+            texts.append(local)
+
+        held = _strings(server.manager.jobs())
+        assert not set(texts) & set(held)
+        assert max(map(len, held)) < 4096
 
 
 class TestErrorCodes:

@@ -76,7 +76,7 @@ def test_worker_killed_mid_job_costs_one_attempt(manager, local_jsonl, tmp_path,
     assert job.state is JobState.DONE and job.attempts == 2
     assert manager.telemetry.counter("service.jobs.retried") == 1
     assert manager.telemetry.counter("service.jobs.dead") == 0
-    assert manager.fetch(job.id).trace_jsonl == local_jsonl
+    assert manager.result_file(job.id).read_bytes() == local_jsonl.encode("utf-8")
     assert manager.store.read_manifest(job.id)["attempts"] == 2
 
     # The replacement pool serves the next job.
@@ -118,7 +118,7 @@ def test_idle_worker_killed_costs_the_next_job_nothing(manager, local_jsonl):
     job = _finish(manager.submit(_request()))
     assert job.state is JobState.DONE and job.attempts == 1
     assert manager.telemetry.counter("service.jobs.retried") == 0
-    assert manager.fetch(job.id).trace_jsonl == local_jsonl
+    assert manager.result_file(job.id).read_bytes() == local_jsonl.encode("utf-8")
     assert manager.workers_alive == 2
     assert not set(pids) & set(manager.processes.pids())
     assert manager.telemetry.snapshot()["gauges"]["service.worker.peak_rss_mb"] > 0

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from repro.errors import TraceFormatError
 from repro.tracing.events import EventLog, EventType
-from repro.tracing.reader import read_trace, read_trace_dir
+from repro.tracing.reader import read_trace
 from repro.tracing.store import (
     ChunkedTrace,
     ShardedTraceReader,
@@ -162,11 +162,6 @@ class TestFormatSteering:
         d = write_sharded_trace(sample_trace, tmp_path / "s", shard_events=2)
         with pytest.raises(TraceFormatError, match="ShardedTraceReader"):
             read_trace(d)
-
-    def test_read_trace_dir_steers_to_sharded_reader(self, sample_trace, tmp_path):
-        d = write_sharded_trace(sample_trace, tmp_path / "s", shard_events=2)
-        with pytest.raises(TraceFormatError, match="ShardedTraceReader"):
-            read_trace_dir(d)
 
 
 class TestSpillingBuffer:
