@@ -5,7 +5,7 @@ synchronization stack could silently break — and asserts the
 fuzz campaign named beside it (``mutation``, ``streaming`` for the
 out-of-core sweeps, ``smoke`` for message matching, ``batch`` for the
 batch engine's recorder; ``mutation`` ends with a POMP probe and a
-probe that wakes the compiled walk early only inside an array window) catches
+probe that wakes the forward driver early only inside an array window) catches
 every one,
 shrinks the failure, and
 serializes it to a corpus entry.  A mutant that survives means an
@@ -28,6 +28,18 @@ from pathlib import Path
 from unittest import mock
 
 import numpy as np
+
+
+@contextmanager
+def _driver_patched(name, replacement):
+    """``repro.sync.schedule.<name>`` replaced wherever the forward driver
+    reads it: in memory, and in the streamed sweep, which imports it."""
+    import repro.sync.schedule as schedule_mod
+    import repro.sync.streaming as streaming_mod
+
+    with mock.patch.object(schedule_mod, name, replacement), \
+            mock.patch.object(streaming_mod, name, replacement):
+        yield
 
 
 @contextmanager
@@ -76,17 +88,14 @@ def mutant_naive_floor():
 
 @contextmanager
 def mutant_forced_gamma():
-    """M4: the forward kernel silently ignores the requested gamma —
-    amortized corrections differ from the scalar reference."""
-    import repro.sync.clc as clc_mod
-    from repro.sync.schedule import clc_forward as real_forward
+    """M4: the forward driver's recurrence silently ignores the requested
+    gamma — amortized corrections differ from the scalar reference."""
+    from repro.sync.schedule import forward_recurrence as real
 
-    def forced(schedule, orig_flat, edge_lmin, gamma):
-        return real_forward(
-            schedule, orig_flat, edge_lmin, 1.0 if gamma is not None else None
-        )
+    def forced(orig, gamma, heads, reads):
+        return real(orig, 1.0 if gamma is not None else None, heads, reads)
 
-    with mock.patch.object(clc_mod, "clc_forward", forced):
+    with _driver_patched("forward_recurrence", forced):
         yield
 
 
@@ -114,21 +123,25 @@ def mutant_dropped_sender():
 
 @contextmanager
 def mutant_early_wake():
-    """M6: the cursor walk takes every source as done one event early —
+    """M6: the forward driver takes every source as done one event early —
     a dependent may run before the event it waits for, so the compiled
-    order is no valid replay order and kernels read uncorrected sources.
-    The shift reaches the one-at-a-time checks (``src``, ``b_enter``) and
-    the column the windows compare (``wait``); the ``mutation``
-    campaign's last probe wakes early only inside a window."""
-    import repro.sync.schedule as schedule_mod
+    order is no valid replay order and both forward passes read sources
+    that are not final.  The shift reaches the one-at-a-time checks and
+    the column the windows compare (every window's ``wait``) and the
+    blocks' enters; the ``mutation`` campaign's last probe wakes early
+    only inside a window."""
+    from repro.sync.schedule import walk as real
 
-    real = schedule_mod.cursor_walk
+    def early(cursors, ends, open_window, blocks, land=None):
+        def shifted(rp):
+            window = open_window(rp)
+            return window and window._replace(
+                wait=[g - 1 for g in window.wait], wait_arr=window.wait_arr - 1)
 
-    def early(**hot):
-        shifted = {key: [g - 1 for g in hot[key]] for key in ("src", "b_enter")}
-        return real(**{**hot, **shifted, "wait": hot["wait"] - 1})
+        b_lo, b_need, b_enter, b_pos = blocks
+        return real(cursors, ends, shifted, (b_lo, b_need, [g - 1 for g in b_enter], b_pos), land)
 
-    with mock.patch.object(schedule_mod, "cursor_walk", early):
+    with _driver_patched("walk", early):
         yield
 
 
@@ -229,14 +242,19 @@ def mutant_fifo_off_by_one():
 
 @contextmanager
 def mutant_unpublished_move():
-    """M12: the streamed forward sweep never publishes a send it moved —
-    every receiver reads its send's input stamp, and a receive that
-    binds only behind a moved send (a relay after a jump) keeps its
-    stamp.  The in-memory path is untouched, so streamed == in-memory
-    notices."""
-    from repro.sync.streaming import _RankForward
+    """M12: the forward driver never sees a move it made — the recurrence
+    hides its moved bytemap from the caller, so no send is published and
+    every dependent reads its sources' input stamps: a receive that binds
+    only behind a moved send (a relay after a jump) keeps its stamp.
+    Both paths run the driver, so streamed == in-memory cannot notice;
+    kernel-vs-reference does."""
+    from repro.sync.schedule import forward_recurrence as real
 
-    with mock.patch.object(_RankForward, "moved_sends", lambda self, k0, k1: []):
+    def blind(orig, gamma, heads, reads):
+        corr, moved, *rest = real(orig, gamma, heads, reads)
+        return (corr, bytearray(len(moved)), *rest)
+
+    with _driver_patched("forward_recurrence", blind):
         yield
 
 
@@ -260,19 +278,17 @@ def mutant_stageless_recorder():
 
 @contextmanager
 def mutant_unbound_floor():
-    """M14: the in-memory forward pass drops the input-floor test — a
-    dependent is landed whatever moved only as a block exit or for an
-    own-rank source, so a reversed receive whose send did not move is a
-    plain event and keeps its stamp.  The scalar reference lands every
-    dependent, so kernel-vs-reference notices."""
-    import repro.sync.schedule as schedule_mod
+    """M14: the forward driver drops the input-floor test — a dependent is
+    landed whatever moved only as a block exit or for an own-rank source,
+    so a reversed receive whose send did not move is a plain event and
+    keeps its stamp.  Both paths share the rule; the scalar reference
+    lands every dependent, so kernel-vs-reference notices."""
+    from repro.sync.schedule import bound_dependents as real
 
-    real = schedule_mod._bound_dependents
+    def unbound(slot, indptr, floors, own, stamps):
+        return real(slot, indptr, np.full_like(floors, -np.inf), own, stamps)
 
-    def unbound(schedule, orig, elmin):
-        return real(schedule, orig, np.full_like(elmin, -np.inf))
-
-    with mock.patch.object(schedule_mod, "_bound_dependents", unbound):
+    with _driver_patched("bound_dependents", unbound):
         yield
 
 
@@ -304,7 +320,10 @@ MUTANTS = [
     ("naive-floor", mutant_naive_floor, {"mutation": None}),
     ("forced-gamma", mutant_forced_gamma, {"mutation": None}),
     ("dropped-sender", mutant_dropped_sender, {"mutation": None}),
-    ("early-wake", mutant_early_wake, {"mutation": ("walk_window", "kernel_reference_identity")}),
+    ("early-wake", mutant_early_wake, {
+        "mutation": ("walk_window", "kernel_reference_identity"),
+        "streaming": None,
+    }),
     ("stale-pending", mutant_stale_pending, {"streaming": None}),
     ("raw-verdict", mutant_raw_verdict, {"streaming": None}),
     ("unmoved-predecessor", mutant_unmoved_predecessor, {"mutation": None}),
@@ -313,7 +332,7 @@ MUTANTS = [
         "streaming": "streamed_matches_inmemory",
     }),
     ("fifo-off-by-one", mutant_fifo_off_by_one, {"smoke": "message_matching_semantics"}),
-    ("unpublished-move", mutant_unpublished_move, {"streaming": "streamed_matches_inmemory"}),
+    ("unpublished-move", mutant_unpublished_move, {"mutation": "kernel_reference_identity"}),
     ("stageless-recorder", mutant_stageless_recorder, {"batch": "batch_matches_engine"}),
     ("unbound-floor", mutant_unbound_floor, {"mutation": "kernel_reference_identity"}),
     ("dropped-join", mutant_dropped_join, {"mutation": "pomp_post_clc"}),

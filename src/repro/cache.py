@@ -32,13 +32,13 @@ import dataclasses
 import hashlib
 import os
 import pickle
-import tempfile
 from pathlib import Path
 from time import perf_counter
 from typing import Any, Callable, Optional, Union
 
 import numpy as np
 
+from repro.atomic import atomic_write
 from repro.errors import ConfigurationError
 from repro.telemetry import ensure_telemetry
 
@@ -230,18 +230,8 @@ class ResultCache:
             return False
         try:
             self.root.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
+            atomic_write(self.path_for(digest), lambda fh: fh.write(payload))
         except OSError:
-            return False
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(payload)
-            os.replace(tmp, self.path_for(digest))
-        except OSError:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
             return False
         self.stores += 1
         if tele.enabled:

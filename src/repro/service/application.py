@@ -42,12 +42,12 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import itertools
-import os
 import shutil
 import time
 from pathlib import Path
 from typing import Callable, Optional, Union
 
+from repro.atomic import atomic_write
 from repro.cache import ResultCache
 from repro.service.domain import (
     CorrectionRequest,
@@ -312,17 +312,11 @@ class JobManager:
 
     def _keep(self, job_id: str, outcome: JobOutcome) -> JobOutcome:
         """``outcome`` as the table keeps it: its corrected trace written to
-        the job's result file (temp file + ``os.replace``) and dropped."""
+        the job's result file (:func:`repro.atomic.atomic_write`) and dropped."""
         if outcome.trace_jsonl is None:
             return outcome
-        target = self.store.job_dir(job_id) / RESULT_FILE
-        tmp = target.with_name(f".{RESULT_FILE}.{os.urandom(4).hex()}.tmp")
-        try:
-            tmp.write_bytes(outcome.trace_jsonl.encode("utf-8"))
-            os.replace(tmp, target)
-        except BaseException:
-            tmp.unlink(missing_ok=True)
-            raise
+        payload = outcome.trace_jsonl.encode("utf-8")
+        atomic_write(self.store.job_dir(job_id) / RESULT_FILE, lambda fh: fh.write(payload))
         return dataclasses.replace(outcome, trace_jsonl=None)
 
     # ------------------------------------------------------------------

@@ -30,12 +30,12 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 import threading
 from collections import deque
 from pathlib import Path
 from typing import Callable, Optional, Union
 
+from repro.atomic import atomic_write
 from repro.telemetry import TelemetryRecorder
 
 __all__ = [
@@ -313,7 +313,7 @@ class ManifestStore:
 
     Layout: ``<root>/jobs/<job_id>/manifest.json`` plus whatever result
     artifacts the job leaves next to it.  Manifest writes are atomic
-    (temp file + ``os.replace``), matching the cache's crash discipline.
+    (:func:`repro.atomic.atomic_write`), as the cache's are.
     """
 
     def __init__(self, root: Union[str, Path]) -> None:
@@ -330,19 +330,8 @@ class ManifestStore:
     def write_manifest(self, job_id: str, manifest: dict) -> Path:
         directory = self.job_dir(job_id)
         target = directory / "manifest.json"
-        payload = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(payload)
-            os.replace(tmp, target)
-        except OSError:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-        return target
+        payload = (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode("utf-8")
+        return atomic_write(target, lambda fh: fh.write(payload))
 
     def read_manifest(self, job_id: str) -> dict:
         return json.loads(self.manifest_path(job_id).read_text(encoding="utf-8"))

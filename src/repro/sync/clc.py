@@ -70,7 +70,7 @@ import numpy as np
 from repro.errors import SynchronizationError
 from repro.sync.order import build_dependencies, replay_schedule
 from repro.telemetry import ensure_telemetry
-from repro.sync.schedule import CompiledSchedule, clc_forward, send_caps_kernel
+from repro.sync.schedule import CompiledSchedule, forward_pass, send_caps_kernel
 from repro.sync.violations import LminSpec, pair_lmin
 from repro.tracing.trace import Trace
 
@@ -259,7 +259,7 @@ class ControlledLogicalClock:
         orig_flat = schedule.flatten(original)
 
         with tele.span("sync.clc.forward", events=orig_flat.size):
-            corr_flat, jumps, njumps, max_jump, writes, lands = clc_forward(
+            corr_flat, jumps, njumps, max_jump, writes, lands = forward_pass(
                 schedule, orig_flat, edge_lmin, self.gamma
             )
         corrected = schedule.split(corr_flat)
@@ -414,7 +414,7 @@ def naive_shift_correct(trace: Trace, lmin: LminSpec = 0.0) -> ClcResult:
     edge_lmin = schedule.edge_lmin(lmin)
     original = {rank: trace.logs[rank].timestamps for rank in trace.ranks}
     orig_flat = schedule.flatten(original)
-    corr_flat, _jumps, njumps, max_jump, _writes, _lands = clc_forward(
+    corr_flat, _jumps, njumps, max_jump, _writes, _lands = forward_pass(
         schedule, orig_flat, edge_lmin, gamma=None
     )
     return compute_clc_stats(

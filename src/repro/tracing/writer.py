@@ -17,12 +17,12 @@ target and renames it into place.
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 from typing import Union
 
 import numpy as np
 
+from repro.atomic import atomic_write
 from repro.errors import TraceFormatError
 from repro.tracing.events import EventType
 from repro.tracing.trace import Trace
@@ -47,15 +47,7 @@ def write_trace(trace: Trace, path: Union[str, Path]) -> Path:
             "for an out-of-core shard directory use "
             "repro.tracing.store.write_sharded_trace)"
         )
-    tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
-    try:
-        with tmp.open("xb") as fh:
-            encode(trace, fh)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-    return path
+    return atomic_write(path, lambda fh: encode(trace, fh))
 
 
 def _write_npz(trace: Trace, fh) -> None:

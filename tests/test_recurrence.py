@@ -18,7 +18,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.sync.clc import ControlledLogicalClock
-from repro.sync.schedule import clc_forward, forward_recurrence
+from repro.sync.schedule import forward_pass, forward_recurrence
 from repro.tracing.events import EventLog, EventType
 from repro.tracing.trace import Trace
 from repro.verify.cases import CaseSpec, build_case
@@ -221,12 +221,12 @@ class TestMemory:
         lmin = schedule.edge_lmin(0.0)
         tracemalloc.start()
         try:
-            _, _, njumps, _, writes, _ = clc_forward(schedule, orig, lmin, 0.99)
+            _, _, njumps, _, writes, _ = forward_pass(schedule, orig, lmin, 0.99)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert njumps > 0 and 0 < writes < orig.size // 100
-        assert peak <= 40 * 2**20, f"clc_forward peaked at {peak / 2**20:.1f} MiB"
+        assert peak <= 40 * 2**20, f"forward_pass peaked at {peak / 2**20:.1f} MiB"
 
 
 class TestRecorrection:

@@ -32,8 +32,7 @@ from repro.sync.order import build_dependencies
 from repro.sync.schedule import (
     CompiledSchedule,
     bsp_rounds,
-    clc_forward,
-    cursor_walk,
+    forward_pass,
     lamport_kernel,
     send_caps_kernel,
     vector_kernel,
@@ -202,11 +201,20 @@ class TestCompilation:
         assert schedule.topo_refs() == [(0, 0)]
 
 
-def _early_wake(**hot):
-    """The walk with every source taken as done one event early, in its
-    one-at-a-time checks and in the column its windows compare."""
-    shifted = {key: [g - 1 for g in hot[key]] for key in ("src", "b_enter")}
-    return cursor_walk(**{**hot, **shifted, "wait": hot["wait"] - 1})
+_walk = schedule_module.walk
+
+
+def _early_wake(cursors, ends, open_window, blocks, land=None):
+    """The driver with every source taken as done one event early, in its
+    one-at-a-time checks, in the column its windows compare and in the
+    blocks' enters."""
+    def shifted(rp):
+        window = open_window(rp)
+        return window and window._replace(
+            wait=[g - 1 for g in window.wait], wait_arr=window.wait_arr - 1)
+
+    b_lo, b_need, b_enter, b_pos = blocks
+    return _walk(cursors, ends, shifted, (b_lo, b_need, [g - 1 for g in b_enter], b_pos), land)
 
 
 def _trace_of(events: dict[int, list[tuple]]) -> Trace:
@@ -277,10 +285,10 @@ class TestCursorWalk:
         assert_topo_matches_replay(trace)  # the standard relation
         assert_topo_matches_replay(trace, deps)  # ... plus same-rank sources
         schedule = CompiledSchedule.from_dependencies(trace, deps)
-        walk = cursor_walk(**schedule.hot)
+        walk = schedule.walk()
         assert walk[2] == schedule.n_edges
         with mock.patch.object(schedule_module, "HEAD", 1 << 40):  # no windows
-            assert cursor_walk(**schedule.hot) == walk
+            assert schedule.walk() == walk
 
     @given(walk_cases(), st.integers(0, 10_000))
     def test_cycle_raises_incomplete(self, case, pick):
@@ -303,7 +311,7 @@ class TestCursorWalk:
             2: [(EventType.SEND, 1, 0, 64, 1)],
         })
         assert_topo_matches_replay(trace)
-        monkeypatch.setattr(schedule_module, "cursor_walk", _early_wake)
+        monkeypatch.setattr(schedule_module, "walk", _early_wake)
         with pytest.raises(OracleViolation, match="before its source"):
             assert_topo_matches_replay(fresh := Trace(dict(trace.logs)))
         assert fresh.compiled_schedule(True).topo_refs()[0] == (1, 0)
@@ -318,7 +326,7 @@ class TestCursorWalk:
                 for k in range(3) for etype in (EventType.COLL_ENTER, EventType.COLL_EXIT)]
         schedule = _trace_of({rank: rows for rank in range(n)}).compiled_schedule(True)
         assert (schedule.n_edges, schedule.n_blocks) == (0, 3)
-        steps, _, checks = cursor_walk(**schedule.hot)
+        steps, _, checks = schedule.walk()
         assert checks <= 3 * (3 * n)
         assert len(steps) <= 4 * n  # a rank is visited once per barrier, and once to finish
 
@@ -340,7 +348,7 @@ class TestCursorWalk:
         assert_topo_matches_replay(trace)
         schedule = trace.compiled_schedule(True)
         assert schedule.n_edges == 2 * rounds + n - 2
-        steps, _, checks = cursor_walk(**schedule.hot)
+        steps, _, checks = schedule.walk()
         assert checks <= schedule.n_edges + len(steps)
         assert len(steps) <= 2 * rounds + n
 
@@ -401,10 +409,10 @@ class TestWalkWindows:
 
         with monkeypatch.context() as patch:
             patch.setattr(schedule_module, "first_waiting", spy)
-            got = cursor_walk(**schedule.hot)
+            got = schedule.walk()
         with monkeypatch.context() as patch:
             patch.setattr(schedule_module, "HEAD", 1 << 40)
-            assert cursor_walk(**schedule.hot) == got
+            assert schedule.walk() == got
         return got
 
     def test_remote_source_not_yet_done(self, monkeypatch):
@@ -464,7 +472,7 @@ class TestWalkWindows:
         # of the head lies far behind rank 0's cursor, and the one awaited
         # source, rank 2's first event, is "done" one event early.
         trace = _window_trace(*_REMOTE_LATE)
-        monkeypatch.setattr(schedule_module, "cursor_walk", _early_wake)
+        monkeypatch.setattr(schedule_module, "walk", _early_wake)
         with pytest.raises(OracleViolation, match=rf"runs \(1, {_RUN + 5}\) before its source \(2, 0\)"):
             assert_topo_matches_replay(trace)
 
@@ -485,8 +493,8 @@ def assert_blocks_match_dense(trace: Trace, lmin=0.0) -> CompiledSchedule:
     assert dense.n_blocks == 0
     orig = blocks.flatten({r: trace.logs[r].timestamps for r in trace.ranks})
     for gamma in (0.99, 1.0, None):
-        got = clc_forward(blocks, orig, blocks.edge_lmin(lmin), gamma)
-        want = clc_forward(dense, orig, dense.edge_lmin(lmin), gamma)
+        got = forward_pass(blocks, orig, blocks.edge_lmin(lmin), gamma)
+        want = forward_pass(dense, orig, dense.edge_lmin(lmin), gamma)
         assert _bits(got[0]) == _bits(want[0]), gamma
         # Every block exit lands; its dense twin only where it can bind.
         assert got[1:5] == want[1:5] and got[5] >= want[5], gamma
@@ -766,7 +774,7 @@ class TestClcEquivalence:
         trace = _stamped_trace(rows)
         schedule = trace.compiled_schedule(True)
         orig = schedule.flatten({r: trace.logs[r].timestamps for r in trace.ranks})
-        assert clc_forward(schedule, orig, schedule.edge_lmin(lmin), 0.99)[5] == lands
+        assert forward_pass(schedule, orig, schedule.edge_lmin(lmin), 0.99)[5] == lands
 
     def test_dependency_target_with_one_moved_source(self):
         # Rank 2's last event waits for rank 0's unmoved send and rank 1's
@@ -778,7 +786,7 @@ class TestClcEquivalence:
         assert_dependency_clc_matches_reference(trace, deps, lmin=1e-6)
         schedule = CompiledSchedule.from_dependencies(trace, deps)
         orig = schedule.flatten({r: trace.logs[r].timestamps for r in trace.ranks})
-        assert clc_forward(schedule, orig, schedule.edge_lmin(1e-6), 0.99)[5] == 4
+        assert forward_pass(schedule, orig, schedule.edge_lmin(1e-6), 0.99)[5] == 4
 
     @pytest.mark.parametrize("seed", SEEDS[:6])
     def test_streamed_lands_what_inmemory_lands(self, seed, tmp_path):

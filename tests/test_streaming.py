@@ -628,6 +628,35 @@ class TestTempLifetime:
         result = sweeps.clc(tmp_path / "out2")
         assert result.jumps == ControlledLogicalClock().correct(_reversed_pair_trace()).jumps
 
+    @pytest.mark.parametrize("shard_events", [1, 7])
+    def test_dependency_cycle(self, tmp_path, monkeypatch, shard_events):
+        """Each rank receives before it sends what the other receives: no
+        replay order exists, in memory or streamed, and the streamed call
+        removes its temp directory on the way out."""
+        import tempfile
+
+        E = EventType
+        pad = lambda t: (t, E.ENTER, 1, 0, 0, 0)  # noqa: E731
+        trace = _from_rows({
+            0: [pad(0.1), pad(0.2), (0.3, E.RECV, 1, 0, 8, 1), pad(0.4), (0.5, E.SEND, 1, 0, 8, 0)],
+            1: [pad(0.1), (0.2, E.RECV, 0, 0, 8, 0), pad(0.3), (0.4, E.SEND, 0, 0, 8, 1), pad(0.5)],
+        })
+        assert len(trace.messages(strict=False)) == 2
+        with pytest.raises(SynchronizationError, match="incomplete"):
+            ControlledLogicalClock().correct(trace)
+        made: list[str] = []
+        real = tempfile.mkdtemp
+
+        def mkdtemp(*args, **kwargs):
+            made.append(real(*args, **kwargs))
+            return made[-1]
+
+        monkeypatch.setattr(tempfile, "mkdtemp", mkdtemp)
+        shards = write_sharded_trace(trace, tmp_path / "s", shard_events=shard_events)
+        with pytest.raises(SynchronizationError, match="incomplete"):
+            streaming_clc_correct(shards, tmp_path / "out")
+        assert made and not any(Path(d).exists() for d in made)
+
 
 class TestInterruptedFinalize:
     def test_partial_output_is_refused(self, tmp_path, monkeypatch):
