@@ -3,8 +3,9 @@
 A pin is the sha256 of a correction's stamps (:func:`stamps_sha256`), in
 the ``service`` section that of the corrected ``.jsonl`` an in-process
 server serves (:func:`served_sha256`), and in the ``bytes`` section that
-of a raw trace as written to disk (:func:`written_sha256`);
-``tests/test_identity.py`` checks them.  A change that moves a pinned
+of a raw trace as written to disk (:func:`written_sha256`), and in the
+``figures`` section that of what ``repro figures`` prints
+(:func:`figures_sha256`); ``tests/test_identity.py`` checks them.  A change that moves a pinned
 result has to rewrite the file in the open::
 
     PYTHONPATH=src python tests/identity_pins.py           # rewrite every section
@@ -62,6 +63,12 @@ BYTES_ABOUT = (
     "section's POP run (POP_SPEC) on that engine, 'openmp' is "
     "run_parallel_for_benchmark(OmpTeamConfig(threads=4, regions=30), seed=1, "
     "measure_offsets=True); recorded before offset measurements had one metadata codec"
+)
+
+FIGURES_ABOUT = (
+    "sha256 of the stdout of `repro figures <key>` (30 lines for 'all'; --jobs 1 prints "
+    "the same bytes); recorded before run_grid gave its batches to the process pool "
+    "in grid order"
 )
 
 #: The ``pop`` source of the ``stamps`` and ``service`` sections.
@@ -236,11 +243,29 @@ def served_sha256(spec: dict, fields: dict) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def figures_cases():
+    """``{key: (argv,)}`` of the ``figures`` section; the key is the argv after ``figures``."""
+    key = "all --scale 0.02 --runs 2 --no-cache --jobs 2"
+    return {key: (["figures", *key.split()],)}
+
+
+def figures_sha256(argv: list[str]) -> str:
+    import io
+
+    from repro.cli import main as cli_main
+
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli_main(argv) == 0
+    return hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
+
+
 SECTIONS = {
     "pomp_clc": (POMP_ABOUT, pomp_cases, digest),
     "stamps": (STAMPS_ABOUT, stamps_cases, digest),
     "service": (SERVICE_ABOUT, service_cases, served_sha256),
     "bytes": (BYTES_ABOUT, bytes_cases, written_sha256),
+    "figures": (FIGURES_ABOUT, figures_cases, figures_sha256),
 }
 
 

@@ -13,6 +13,8 @@ from identity_pins import (
     PATH,
     bytes_cases,
     digest,
+    figures_cases,
+    figures_sha256,
     jsonl_sha256,
     pomp_cases,
     service_cases,
@@ -156,8 +158,16 @@ def test_written_bytes(written, key):
     assert written_sha256(*written[key]) == IDENTITY["bytes"]["digests"][key], key
 
 
+@pytest.mark.parametrize("key", sorted(IDENTITY["figures"]["digests"]))
+def test_figures_text(key):
+    """Every paper table and figure, as ``repro figures`` prints them from a
+    process pool: a runner change must not move a byte."""
+    assert figures_sha256(*figures_cases()[key]) == IDENTITY["figures"]["digests"][key], key
+
+
 def test_every_case_is_pinned(pomp, stamps, written):
     assert sorted(pomp) == sorted(IDENTITY["pomp_clc"]["digests"])
     assert sorted(written) == sorted(IDENTITY["bytes"]["digests"])
     assert sorted(stamps) == sorted(IDENTITY["stamps"]["digests"])
     assert sorted(service_cases()) == sorted(IDENTITY["service"]["digests"])
+    assert sorted(figures_cases()) == sorted(IDENTITY["figures"]["digests"])
