@@ -4,7 +4,7 @@ Injects a handful of hand-written mutants — each a realistic way the
 synchronization stack could silently break — and asserts the
 fuzz campaign named beside it (``mutation``, ``streaming`` for the
 out-of-core sweeps, ``smoke`` for message matching, ``batch`` for the
-batch engine's recorder; ``mutation`` ends with a POMP probe and a
+batch engine's recorder, ``stats`` for the grid runner; ``mutation`` ends with a POMP probe and a
 probe that wakes the forward driver early only inside an array window) catches
 every one,
 shrinks the failure, and
@@ -312,6 +312,27 @@ def mutant_dropped_join():
         yield
 
 
+@contextmanager
+def mutant_misplaced_batch():
+    """M16: the grid runner lands a finished batch's values on the wrong
+    grid indices (reversed within the batch).  A grid of a few configs
+    runs in batches of one, so only grids big enough for multi-config
+    batches — ``grid_identity_batched`` under ``stats`` — notice."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    import repro.analysis.runner as runner_mod
+
+    class Misplacing(ProcessPoolExecutor):
+        def submit(self, fn, /, *args, **kwargs):
+            fut = super().submit(fn, *args, **kwargs)
+            real = fut.result
+            fut.result = lambda timeout=None: real(timeout)[::-1]
+            return fut
+
+    with mock.patch.object(runner_mod, "ProcessPoolExecutor", Misplacing):
+        yield
+
+
 #: (name, mutant, what each campaign must catch it with: any oracle (None),
 #: an oracle by name, or one probe as (strategy, oracle))
 MUTANTS = [
@@ -336,6 +357,7 @@ MUTANTS = [
     ("stageless-recorder", mutant_stageless_recorder, {"batch": "batch_matches_engine"}),
     ("unbound-floor", mutant_unbound_floor, {"mutation": "kernel_reference_identity"}),
     ("dropped-join", mutant_dropped_join, {"mutation": "pomp_post_clc"}),
+    ("misplaced-batch", mutant_misplaced_batch, {"stats": "grid_identity_batched"}),
 ]
 
 

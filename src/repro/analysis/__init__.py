@@ -6,8 +6,8 @@
   series under a correction scheme (Figs. 4-6 and the intra-node study);
 * :mod:`repro.analysis.experiments` — one driver per paper table/figure,
   returning structured results;
-* :mod:`repro.analysis.runner` — parallel grid execution with
-  deterministic work stealing and result caching;
+* :mod:`repro.analysis.runner` — deterministic parallel grid execution
+  (batches handed to a process pool in grid order) with result caching;
 * :mod:`repro.analysis.reports` — ASCII rendering shared by benches,
   examples, and EXPERIMENTS.md.
 

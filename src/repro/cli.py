@@ -67,6 +67,7 @@ Examples
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from repro.analysis.timeline import render_message_arrows, render_timeline
@@ -412,18 +413,14 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    reports = scan_source(args.trace, lmin=args.lmin)
-    p2p, coll = reports["p2p"], reports["collective"]
     if is_sharded_trace_dir(args.trace):
-        chunked = ChunkedTrace(args.trace)
-        print(
-            f"{args.trace}: {chunked.nranks} ranks, "
-            f"{chunked.total_events()} events "
-            f"({chunked.reader.shard_count()} shards, streamed)"
-        )
+        trace = ChunkedTrace(args.trace)
+        streamed = f" ({trace.reader.shard_count()} shards, streamed)"
     else:
-        trace = read_trace(args.trace)
-        print(f"{args.trace}: {trace.nranks} ranks, {trace.total_events()} events")
+        trace, streamed = read_trace(args.trace), ""
+    reports = scan_source(trace, lmin=args.lmin)
+    p2p, coll = reports["p2p"], reports["collective"]
+    print(f"{args.trace}: {trace.nranks} ranks, {trace.total_events()} events{streamed}")
     print(f"  p2p:        {p2p.violated}/{p2p.checked} ({100 * p2p.rate:.3f} %) violations")
     print(
         f"  collective: {coll.violated}/{coll.checked} "
@@ -628,11 +625,7 @@ def _cmd_figures(args) -> int:
     recorder = _telemetry_for(args)
     # The flag documents 0 as "all cores"; RunOptions only carries
     # positive counts, so resolve it here.
-    jobs = args.jobs
-    if jobs == 0:
-        import os
-
-        jobs = os.cpu_count() or 1
+    jobs = (os.cpu_count() or 1) if args.jobs == 0 else args.jobs
     options = RunOptions(
         engine=args.engine, jobs=jobs, cache=cache,
         seed=args.seed, telemetry=recorder, stopping=stopping,

@@ -275,7 +275,8 @@ def correct_trace(
         CLC knobs (see :class:`ControlledLogicalClock`).
     lmin:
         Clock-condition floor — used for the violation scans and as the
-        CLC's message-latency bound.
+        CLC's message-latency bound; a scalar, an ``nranks x nranks``
+        matrix or a pure ``(src, dst)`` callable, for sharded sources too.
     scan:
         Scan for violations before/after each stage.  Disable to skip
         the scans (the corrected trace is identical either way).
@@ -299,7 +300,7 @@ def correct_trace(
 
     trace = _normalize_source(source)
     if _is_chunked(trace):
-        _check_streamable(trace, interpolation, clc, lmin, output)
+        _check_streamable(trace, interpolation, clc, output)
         return _correct_sharded(
             trace, interpolation, clc, gamma, lmin, amortization_window, scan, Path(output), tele
         )
@@ -409,7 +410,7 @@ def _correct_sharded(
     )
 
 
-def _check_streamable(chunked, interpolation: str, clc: bool, lmin, output) -> None:
+def _check_streamable(chunked, interpolation: str, clc: bool, output) -> None:
     """What a sharded source asks of the other arguments (it is never materialized)."""
     if interpolation not in STREAMING_INTERPOLATIONS:
         raise SynchronizationError(
@@ -427,10 +428,6 @@ def _check_streamable(chunked, interpolation: str, clc: bool, lmin, output) -> N
         raise SynchronizationError(
             "correcting a sharded trace requires output= (the streamed "
             "result is written shard by shard, never materialized)"
-        )
-    if not isinstance(lmin, (int, float)):
-        raise SynchronizationError(
-            "streaming correction takes a scalar lmin floor"
         )
     if Path(output).resolve() == chunked.reader.directory.resolve():
         raise SynchronizationError(

@@ -24,10 +24,11 @@
   is ``done`` (a cache hit writes the cached text there), and the table
   keeps no trace text: a job holds its request payload only until it is
   terminal, and its outcome without the corrected trace.
-* **Held waits.**  Every terminal transition also wakes the
-  :meth:`JobManager.wait` calls held on the manager's one condition, so
-  a status request answers as its job ends; :meth:`JobManager.stop`
-  answers the held ones with their jobs as they stand.
+* **Held waits.**  A terminal transition sets the state under the
+  manager's lock, writes the manifest after releasing it (no request
+  queues behind the disk), then wakes the :meth:`JobManager.wait` calls
+  held on the manager's one condition; :meth:`JobManager.stop` answers
+  the held ones with their jobs as they stand.
 
 :func:`execute_correction` is the one function a worker process runs
 per attempt.  It is deliberately just a thin adapter from a
@@ -204,7 +205,7 @@ class JobManager:
         import threading
 
         self._lock = threading.Lock()
-        # Notified under _lock at every terminal transition and at stop().
+        # Notified under _lock as each job settles and at stop().
         self._ended = threading.Condition(self._lock)
         self._stopped = False
         self._jobs: dict[str, JobRecord] = {}
@@ -286,14 +287,16 @@ class JobManager:
                     job.from_cache = True
                     job.finished = job.created
                     self.telemetry.count("service.jobs.completed")
-                    self._settle(job)
-                    return job
-                self._requests[job_id] = request
+                else:
+                    self._requests[job_id] = request
         if joined is not None:
             # Another submit of the digest registered first; this id stays unused.
             shutil.rmtree(self.store.root / "jobs" / job_id, ignore_errors=True)
             return joined
-        self.queue.push(job_id)
+        if job.terminal:
+            self._settle(job)
+        else:
+            self.queue.push(job_id)
         return job
 
     def _join(self, digest: str) -> Optional[JobRecord]:
@@ -328,12 +331,13 @@ class JobManager:
         return job
 
     def wait(self, job_id: str, timeout: float) -> JobRecord:
-        """The job once it is terminal, or as it stands after ``timeout``
-        seconds or once the manager stops; ``timeout=0`` is :meth:`get`."""
+        """The job once it has settled (terminal, manifest written), or as
+        it stands after ``timeout`` seconds or once the manager stops;
+        ``timeout=0`` is :meth:`get`."""
         job = self.get(job_id)
         if timeout > 0:
             with self._lock:
-                self._ended.wait_for(lambda: job.terminal or self._stopped, timeout)
+                self._ended.wait_for(lambda: job.settled or self._stopped, timeout)
         return job
 
     def jobs(self) -> list[JobRecord]:
@@ -402,7 +406,7 @@ class JobManager:
             job.state = JobState.CANCELLED
             job.finished = self.clock()
             self.telemetry.count("service.jobs.cancelled")
-            self._settle(job)
+        self._settle(job)
         return job
 
     # ------------------------------------------------------------------
@@ -449,7 +453,7 @@ class JobManager:
                 self.telemetry.observe(
                     "service.job.duration", job.finished - job.started
                 )
-            self._settle(job)
+        self._settle(job)
 
     def _finish_error(self, job: JobRecord, code: str, message: str) -> None:
         with self._lock:
@@ -458,7 +462,7 @@ class JobManager:
             job.error_message = message
             job.finished = self.clock()
             self.telemetry.count("service.jobs.failed")
-            self._settle(job)
+        self._settle(job)
 
     def _crash(self, job: JobRecord, exc: BaseException) -> None:
         with self._lock:
@@ -472,10 +476,11 @@ class JobManager:
                 job.state = JobState.DEAD
                 job.finished = self.clock()
                 self.telemetry.count("service.jobs.dead")
-                self._settle(job)
                 requeue = False
         if requeue:
             self.queue.push(job.id)
+        else:
+            self._settle(job)
 
     def _note_crash(self, job_id: str, exc: BaseException) -> None:
         """Pool-level backstop: _run_job itself raised (a manager bug)."""
@@ -488,17 +493,22 @@ class JobManager:
             job.error_message = f"{type(exc).__name__}: {exc}"
             job.finished = self.clock()
             self.telemetry.count("service.jobs.dead")
-            self._settle(job)
+        self._settle(job)
 
     # ------------------------------------------------------------------
     def _settle(self, job: JobRecord) -> None:
-        """A terminal transition, under the lock: drop the job's request,
-        persist the audit manifest, never letting disk trouble kill the
-        job, and wake every held :meth:`wait`."""
-        self._requests.pop(job.id, None)
+        """After a terminal transition, outside the lock (a terminal record
+        no longer changes): persist the audit manifest, never letting disk
+        trouble kill the job, then under the lock drop the job's request,
+        mark it settled and wake every held :meth:`wait`."""
+        path = None
         try:
-            path = self.store.write_manifest(job.id, job.manifest())
-            job.manifest_path = str(path)
+            path = str(self.store.write_manifest(job.id, job.manifest()))
         except OSError:
             pass
-        self._ended.notify_all()
+        finally:
+            with self._lock:
+                self._requests.pop(job.id, None)
+                job.manifest_path = path
+                job.settled = True
+                self._ended.notify_all()

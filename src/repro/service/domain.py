@@ -416,6 +416,8 @@ class JobRecord:
     outcome: Optional[JobOutcome] = None
     from_cache: bool = False
     manifest_path: Optional[str] = None
+    #: Terminal, and its manifest written (or its write failed).
+    settled: bool = False
 
     @property
     def terminal(self) -> bool:

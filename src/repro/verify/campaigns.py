@@ -139,10 +139,10 @@ _campaign(
 _campaign(
     "stats",
     "repro.stats guarantees: t-CI coverage at the nominal rate, seeded "
-    "bootstrap determinism, and work-stealing run_grid identity",
+    "bootstrap determinism, and batched run_grid identity",
     (("stats", "ci_contains_truth_at_nominal_rate"),
      ("stats", "bootstrap_deterministic_under_seed"),
-     ("grid_ws", "grid_identity_under_work_stealing")),
+     ("grid_batched", "grid_identity_batched")),
     # Coverage probes run a few hundred Monte-Carlo trials each and the
     # grid probes spawn worker processes; keep the default modest.
     example_cap=10,

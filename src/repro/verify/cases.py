@@ -310,16 +310,10 @@ def _build_module_hints(spec: CaseSpec) -> TraceCase:
 
 
 def _build_grid(spec: CaseSpec) -> TraceCase:
-    return TraceCase(spec=spec, tags=frozenset({"grid", "unit"}))
-
-
-def _build_grid_ws(spec: CaseSpec) -> TraceCase:
-    p = spec.params
-    if not p.get("seeds"):
-        raise ConfigurationError("grid_ws cases need at least one seed")
-    if int(p.get("batch_size", 1)) < 1:
-        raise ConfigurationError("grid_ws batch_size must be >= 1")
-    return TraceCase(spec=spec, tags=frozenset({"grid_ws", "unit"}))
+    """``grid`` and ``grid_batched`` cases, tagged by their kind."""
+    if not spec.params.get("seeds"):
+        raise ConfigurationError(f"{spec.kind} cases need at least one seed")
+    return TraceCase(spec=spec, tags=frozenset({spec.kind, "unit"}))
 
 
 def _build_stats_coverage(spec: CaseSpec) -> TraceCase:
@@ -380,7 +374,7 @@ BUILDERS: dict[str, Callable[[CaseSpec], TraceCase]] = {
     "clock_quantization": _build_clock_quantization,
     "module_hints": _build_module_hints,
     "grid": _build_grid,
-    "grid_ws": _build_grid_ws,
+    "grid_batched": _build_grid,
     "stats_coverage": _build_stats_coverage,
     "stats_bootstrap": _build_stats_bootstrap,
     "batch": _build_batch,

@@ -672,22 +672,28 @@ def _assert_streamed_correction_matches(
 
     The path users call, not its parts: every interpolation a sharded
     source supports, scans on and off, the automatic, the zero and a
-    fixed amortization window, with and without a latency floor (and
-    interpolation without the CLC) — timestamps bit for bit, every
-    stage report, the CLC statistics and the ``clc`` meta record.
+    fixed amortization window, with and without a scalar latency floor,
+    under a per-pair floor given as a matrix and as a callable (and
+    interpolation without the CLC) — timestamps bit for bit, every stage
+    report, the CLC statistics and the ``clc`` meta record.
     """
     from repro.core.correct import STREAMING_INTERPOLATIONS, correct_trace
 
+    ranks = np.arange(max(trace.ranks, default=0) + 1)
+    per_pair = {"matrix": (np.add.outer(ranks, 2 * ranks) % 3 + 1) * 4e-7,
+                "callable": lambda src, dst: 6e-7 if src < dst else 1e-7}
     grid = [
         (mode, True, scan, window, lmin)
         for mode in STREAMING_INTERPOLATIONS
         for scan in (True, False)
         for window in (None, 0.0, 0.5)
         for lmin in (0.0, 1e-6)
-    ] + [(mode, False, True, None, 0.0) for mode in STREAMING_INTERPOLATIONS[1:]]
+    ] + [(mode, False, True, None, 0.0) for mode in STREAMING_INTERPOLATIONS[1:]] + [
+        (mode, True, True, None, form) for mode in STREAMING_INTERPOLATIONS for form in per_pair
+    ]
     for n, (mode, clc, scan, window, lmin) in enumerate(grid):
         knobs = dict(interpolation=mode, clc=clc, scan=scan, gamma=gamma,
-                     amortization_window=window, lmin=lmin)
+                     amortization_window=window, lmin=per_pair.get(lmin, lmin))
         context = f"correct_trace({mode}, clc={clc}, scan={scan}, window={window}, lmin={lmin})"
         ref = correct_trace(trace, **knobs)
         got = correct_trace(shard_dir, output=scratch / f"corrected-{n}", **knobs)
@@ -893,13 +899,13 @@ def _run_grid_identity(case: TraceCase) -> None:
 
 
 @oracle(
-    "grid_identity_under_work_stealing",
-    "run_grid under the work-stealing scheduler (multiple workers, "
-    "explicit batching) returns bit-identical results, in grid order, "
-    "to the serial path, and the telemetry job accounting adds up.",
-    {"grid_ws"},
+    "grid_identity_batched",
+    "run_grid over a process pool, on grids large enough for multi-config "
+    "batches, returns bit-identical results, in grid order, to the serial "
+    "path, and the telemetry job accounting adds up.",
+    {"grid_batched"},
 )
-def _grid_identity_under_work_stealing(case: TraceCase) -> None:
+def _grid_identity_batched(case: TraceCase) -> None:
     from repro.analysis.runner import run_grid
     from repro.telemetry import TelemetryRecorder
 
@@ -907,12 +913,12 @@ def _grid_identity_under_work_stealing(case: TraceCase) -> None:
     grid = [{"seed": int(s), "n": int(p["n"])} for s in p["seeds"]]
     serial = run_grid(grid_probe_job, grid)
     recorder = TelemetryRecorder()
-    stolen = run_grid(
+    pooled = run_grid(
         grid_probe_job, grid, options=RunOptions(jobs=int(p.get("jobs", 2))),
-        batch_size=int(p.get("batch_size", 1)), telemetry=recorder,
+        telemetry=recorder,
     )
-    _require(serial == stolen,
-             "work-stealing run_grid results differ from the serial run")
+    _require(serial == pooled,
+             "batched run_grid results differ from the serial run")
     executed = recorder.counters.get("runner.jobs_executed", 0)
     cached = recorder.counters.get("runner.jobs_from_cache", 0)
     _require(executed + cached == len(grid),

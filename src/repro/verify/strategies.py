@@ -40,7 +40,7 @@ __all__ = [
     "streaming_specs",
     "unit_specs",
     "stats_specs",
-    "grid_ws_specs",
+    "grid_batched_specs",
     "adversarial_specs",
     "STRATEGIES",
 ]
@@ -418,21 +418,21 @@ def stats_specs(draw):
 
 
 @st.composite
-def grid_ws_specs(draw):
-    """Work-stealing ``run_grid`` identity probes.
+def grid_batched_specs(draw):
+    """Batched ``run_grid`` identity probes.
 
-    Unlike the plain ``grid`` kind, these pin the batched parallel path:
-    enough jobs to fill several batches, an explicit ``batch_size`` that
-    forces multi-job futures, and 2-3 workers so the stealing deques are
-    actually contended.
+    Unlike the plain ``grid`` kind, these pin the batched pool path: 2-3
+    workers and at least 16 configs a worker, so every batch holds two or
+    more jobs, with distinct seeds so a value landing on a neighbour's
+    index shows.
     """
-    njobs = draw(st.integers(1, 24))
-    return CaseSpec("grid_ws", {
-        "seeds": draw(st.lists(st.integers(0, 2**16),
+    jobs = draw(st.sampled_from([2, 3]))
+    njobs = draw(st.integers(16 * jobs, 40 * jobs))
+    return CaseSpec("grid_batched", {
+        "seeds": draw(st.lists(st.integers(0, 2**16), unique=True,
                                min_size=njobs, max_size=njobs)),
         "n": draw(st.integers(1, 8)),
-        "jobs": draw(st.sampled_from([2, 3])),
-        "batch_size": draw(st.sampled_from([1, 2, 4])),
+        "jobs": jobs,
     })
 
 
@@ -456,6 +456,6 @@ STRATEGIES: dict[str, object] = {
     "walk_window": walk_window_specs,
     "unit": unit_specs,
     "stats": stats_specs,
-    "grid_ws": grid_ws_specs,
+    "grid_batched": grid_batched_specs,
     "adversarial": adversarial_specs,
 }

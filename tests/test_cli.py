@@ -48,6 +48,25 @@ class TestScan:
         assert "violations" in out
         assert rc in (0, 1)
 
+    def test_jsonl_is_read_once(self, sparse_trace_file, tmp_path, monkeypatch, capsys):
+        import repro.cli
+        import repro.tracing.reader
+        from repro.tracing.writer import write_trace
+
+        jsonl = write_trace(read_trace(sparse_trace_file), tmp_path / "trace.jsonl")
+        reads = []
+
+        def counted(path, *args, **kwargs):
+            reads.append(path)
+            return read_trace(path, *args, **kwargs)
+
+        monkeypatch.setattr(repro.tracing.reader, "read_trace", counted)
+        monkeypatch.setattr(repro.cli, "read_trace", counted)
+        rc = main(["scan", str(jsonl)])
+        assert rc in (0, 1)
+        assert len(reads) == 1
+        assert capsys.readouterr().out.startswith(f"{jsonl}: 4 ranks, ")
+
 
 class TestSync:
     def test_linear_plus_clc_round_trip(self, sparse_trace_file, tmp_path, capsys):

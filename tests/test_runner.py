@@ -5,17 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis import experiments as E
-from repro.analysis.runner import (
-    _StealingDeques,
-    _call,
-    _call_batch,
-    derive_seed,
-    resolve_jobs,
-    run_grid,
-    seed_grid,
-)
+from repro.analysis.runner import _call_batch, derive_seed, run_grid, seed_grid
 from repro.cache import ResultCache
-from repro.errors import ConfigurationError
 from repro.options import RunOptions
 from repro.telemetry import TelemetryRecorder
 
@@ -27,6 +18,12 @@ def square(x, offset=0):
 
 def failing(x):
     raise ValueError(f"boom {x}")
+
+
+def failing_first(x):
+    if x == 0:
+        raise ValueError(f"boom {x}")
+    return x
 
 
 GRID = [dict(x=i) for i in range(7)]
@@ -50,22 +47,6 @@ class TestRunGrid:
             run_grid(failing, [dict(x=1), dict(x=2)], options=RunOptions(jobs=2))
         with pytest.raises(ValueError, match="boom"):
             run_grid(failing, [dict(x=1), dict(x=2)])
-
-    def test_on_result_callback_sees_every_job(self):
-        seen = {}
-        run_grid(
-            square, GRID, options=RunOptions(jobs=2),
-            on_result=lambda i, v: seen.__setitem__(i, v),
-        )
-        assert seen == {i: i * i for i in range(7)}
-
-    def test_resolve_jobs(self):
-        assert resolve_jobs(None) == 1
-        assert resolve_jobs(1) == 1
-        assert resolve_jobs(5) == 5
-        assert resolve_jobs(0) >= 1  # all cores
-        with pytest.raises(ConfigurationError):
-            resolve_jobs(-1)
 
     def test_derive_seed_stable_and_distinct(self):
         assert derive_seed(7, "fig7", 2) == derive_seed(7, "fig7", 2)
@@ -142,11 +123,11 @@ class TestRunGridCaching:
 
 
 class TestCallWriteThrough:
-    """_call/_call_batch must persist results the moment they exist."""
+    """_call_batch must persist results the moment they exist."""
 
     def test_call_stores_through_to_disk(self, tmp_path):
         cache = ResultCache(tmp_path)
-        value, elapsed = _call(square, dict(x=5), tmp_path, cache.version)
+        [(value, elapsed)] = _call_batch(square, [dict(x=5)], cache)
         assert value == 25
         assert elapsed >= 0.0
         hit, stored = ResultCache(tmp_path).load(cache.key(square, dict(x=5)))
@@ -155,7 +136,7 @@ class TestCallWriteThrough:
 
     def test_call_batch_preserves_order_and_stores_every_job(self, tmp_path):
         cache = ResultCache(tmp_path)
-        out = _call_batch(square, GRID, tmp_path, cache.version)
+        out = _call_batch(square, GRID, cache)
         assert [v for v, _ in out] == [i * i for i in range(7)]
         assert all(elapsed >= 0.0 for _, elapsed in out)
         fresh = ResultCache(tmp_path)
@@ -165,13 +146,13 @@ class TestCallWriteThrough:
             assert value == cfg["x"] ** 2
 
     def test_call_without_cache_root_skips_write_through(self):
-        value, elapsed = _call(square, dict(x=3), None, None)
+        [(value, elapsed)] = _call_batch(square, [dict(x=3)], None)
         assert value == 9
         assert elapsed >= 0.0
 
     def test_write_through_uses_cache_version(self, tmp_path):
         versioned = ResultCache(tmp_path, version="other")
-        _call(square, dict(x=2), tmp_path, versioned.version)
+        _call_batch(square, [dict(x=2)], versioned)
         assert ResultCache(tmp_path, version="other").load(
             versioned.key(square, dict(x=2))
         ) == (True, 4)
@@ -180,85 +161,35 @@ class TestCallWriteThrough:
         assert not hit  # different version namespace
 
 
-class TestOnResult:
-    """on_result fires exactly once per index, hits included."""
-
-    def test_serial_on_result_in_grid_order(self):
-        order = []
-        run_grid(square, GRID, on_result=lambda i, v: order.append((i, v)))
-        assert order == [(i, i * i) for i in range(7)]
-
-    def test_parallel_on_result_exactly_once_per_index(self):
-        calls = []
-        run_grid(square, GRID, options=RunOptions(jobs=3),
-                 on_result=lambda i, v: calls.append((i, v)))
-        assert len(calls) == len(GRID)
-        assert sorted(calls) == [(i, i * i) for i in range(7)]
-
-    def test_cache_hits_also_reach_on_result(self, tmp_path):
-        run_grid(square, GRID, options=RunOptions(cache=ResultCache(tmp_path)))
-        seen = {}
-        run_grid(square, GRID,
-                 options=RunOptions(jobs=2, cache=ResultCache(tmp_path)),
-                 on_result=lambda i, v: seen.__setitem__(i, v))
-        assert seen == {i: i * i for i in range(7)}
-
-    def test_mixed_hits_and_misses_each_reported_once(self, tmp_path):
-        run_grid(square, GRID[:3], options=RunOptions(cache=ResultCache(tmp_path)))
-        calls = []
-        run_grid(square, GRID,
-                 options=RunOptions(jobs=2, cache=ResultCache(tmp_path)),
-                 on_result=lambda i, v: calls.append(i))
-        assert sorted(calls) == list(range(7))
-
-
 class TestWorkStealing:
-    def test_batched_parallel_identical_to_serial(self):
-        grid = [dict(x=i) for i in range(40)]
-        serial = run_grid(square, grid)
-        for batch in (1, 3, 8):
-            assert run_grid(
-                square, grid, options=RunOptions(jobs=3), batch_size=batch
-            ) == serial
+    """Pool runs: contiguous batches handed to the pool in grid order.  No
+    lanes or stealing remain; the class keeps its name so test ids hold."""
 
-    def test_batch_size_validated(self):
-        with pytest.raises(ConfigurationError):
-            run_grid(square, GRID, options=RunOptions(jobs=2), batch_size=0)
+    def test_batched_parallel_identical_to_serial(self):
+        # 200 configs over 3 workers make batches of 8.
+        grid = [dict(x=i) for i in range(200)]
+        recorder = TelemetryRecorder()
+        assert run_grid(
+            square, grid, options=RunOptions(jobs=3), telemetry=recorder
+        ) == run_grid(square, grid)
+        assert recorder.counters["runner.batches"] == 25
 
     def test_pool_telemetry_counters(self):
         recorder = TelemetryRecorder()
         grid = [dict(x=i) for i in range(30)]
-        run_grid(
-            square, grid, options=RunOptions(jobs=2), batch_size=2,
-            telemetry=recorder,
-        )
+        run_grid(square, grid, options=RunOptions(jobs=2), telemetry=recorder)
         assert recorder.counters["runner.jobs_executed"] == 30
-        assert recorder.counters["runner.batches"] >= 2
-        assert "runner.steals" in recorder.counters
-        assert recorder.gauges["runner.queue_depth.peak"] <= 30
+        assert recorder.counters["runner.batches"] == 30  # 30 // 16 -> batches of 1
+        assert 0.0 <= recorder.gauges["runner.worker_utilization"] <= 1.0
 
-    def test_stealing_deques_hand_out_each_index_exactly_once(self):
-        dq = _StealingDeques(list(range(23)), nlanes=3, batch=4)
-        seen = []
-        # Drain through lane 0 alone: once its own slice is empty it
-        # must steal everything the other lanes still hold.
-        while True:
-            got = dq.next_batch(0)
-            if not got:
-                break
-            seen.extend(got)
-        assert sorted(seen) == list(range(23))
-        assert dq.steals > 0
-        assert dq.depth() == 0
-
-    def test_stolen_batches_keep_ascending_order(self):
-        dq = _StealingDeques(list(range(12)), nlanes=2, batch=3)
-        batches = []
-        while True:
-            got = dq.next_batch(1)  # lane 1 eventually steals from lane 0
-            if not got:
-                break
-            batches.append(got)
-        assert dq.steals > 0
-        for batch in batches:
-            assert batch == sorted(batch)
+    def test_raising_job_stops_the_grid(self, tmp_path):
+        """The first config raises: the error propagates, and the batches
+        behind the ones in flight (at most 4 of 18 configs here) never reach
+        a worker, so their write-through entries are missing."""
+        grid = [dict(x=i) for i in range(300)]
+        with pytest.raises(ValueError, match="boom 0"):
+            run_grid(failing_first, grid,
+                     options=RunOptions(jobs=2, cache=ResultCache(tmp_path)))
+        cache = ResultCache(tmp_path)
+        stored = sum(cache.load(cache.key(failing_first, cfg))[0] for cfg in grid)
+        assert stored <= len(grid) // 2

@@ -13,7 +13,6 @@ import os
 import pickle
 import shutil
 import threading
-import time
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
@@ -385,10 +384,7 @@ class TestFailures:
         manager = JobManager(tmp_path / "work", workers=2, max_attempts=3)
         manager.start()
         try:
-            job = manager.submit(CorrectionRequest(trace_inline=payload))
-            deadline = time.monotonic() + 30
-            while not job.terminal and time.monotonic() < deadline:
-                time.sleep(0.01)
+            job = manager.wait(manager.submit(CorrectionRequest(trace_inline=payload)).id, 30)
         finally:
             manager.stop()
         assert job.state is JobState.FAILED
@@ -581,3 +577,55 @@ class TestCacheOutsideTheLock:
         assert len(manager.queue) == (0 if cached else 1)
         if cached:  # the loser's job directory does not outlive the race
             assert os.listdir(manager.store.root / "jobs") == [jobs[0].id]
+
+
+class TestManifestOutsideTheLock:
+    """A terminal transition writes its manifest after releasing the lock."""
+
+    def test_blocked_manifest_write_does_not_block_the_table(self, recording, monkeypatch):
+        entered, release = threading.Event(), threading.Event()
+        write = recording.store.write_manifest
+
+        def gated(job_id, manifest):
+            entered.set()
+            assert release.wait(timeout=30)
+            return write(job_id, manifest)
+
+        monkeypatch.setattr(recording.store, "write_manifest", gated)
+        job = recording.submit(_request())
+        finishing = threading.Thread(target=recording.step, daemon=True)
+        finishing.start()
+        assert entered.wait(timeout=10)  # the job is done, its manifest unwritten
+
+        answered = {}
+
+        def ask():
+            answered["get"] = recording.get(job.id).state
+            answered["jobs"] = [j.id for j in recording.jobs()]
+            answered["metrics"] = "service.jobs.completed" in recording.metrics()["counters"]
+            answered["wait"] = recording.wait(job.id, 0.05).settled
+
+        asking = threading.Thread(target=ask, daemon=True)
+        asking.start()
+        asking.join(timeout=5)
+        answered_while_blocked = dict(answered)
+        release.set()
+        finishing.join(timeout=10)
+        assert answered_while_blocked == {
+            "get": JobState.DONE, "jobs": [job.id], "metrics": True, "wait": False,
+        }
+        # A held wait answers once the manifest is on disk.
+        assert recording.wait(job.id, 10).settled
+        assert recording.store.read_manifest(job.id)["state"] == "done"
+        assert job.manifest_path == str(recording.store.manifest_path(job.id))
+
+    def test_failed_manifest_write_still_settles_the_job(self, recording, monkeypatch):
+        def broken(job_id, manifest):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(recording.store, "write_manifest", broken)
+        job = recording.submit(_request())
+        recording.step()
+        assert job.state is JobState.DONE and job.settled
+        assert job.manifest_path is None
+        assert recording.wait(job.id, 10) is job

@@ -50,9 +50,9 @@ def _until(predicate, what: str, timeout: float = 60.0) -> None:
 
 
 def _finish(job):
-    # The state turns terminal under the manager's lock just before the
-    # manifest is written; manifest_path is set once it is on disk.
-    _until(lambda: job.terminal and job.manifest_path, f"{job.id} to end")
+    # The state turns terminal under the manager's lock; the job is
+    # settled once its manifest is on disk.
+    _until(lambda: job.settled, f"{job.id} to end")
     return job
 
 
