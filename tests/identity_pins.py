@@ -3,9 +3,10 @@
 A pin is the sha256 of a correction's stamps (:func:`stamps_sha256`), in
 the ``service`` section that of the corrected ``.jsonl`` an in-process
 server serves (:func:`served_sha256`), and in the ``bytes`` section that
-of a raw trace as written to disk (:func:`written_sha256`), and in the
+of a raw trace as written to disk (:func:`written_sha256`), in the
 ``figures`` section that of what ``repro figures`` prints
-(:func:`figures_sha256`); ``tests/test_identity.py`` checks them.  A change that moves a pinned
+(:func:`figures_sha256`), and in the ``sim`` section that of a batch-engine
+run itself (:func:`sim_sha256`); ``tests/test_identity.py`` checks them.  A change that moves a pinned
 result has to rewrite the file in the open::
 
     PYTHONPATH=src python tests/identity_pins.py           # rewrite every section
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import hashlib
 import json
 import sys
@@ -71,6 +73,16 @@ FIGURES_ABOUT = (
     "in grid order"
 )
 
+SIM_ABOUT = (
+    "sha256 of a batch-engine RunResult: every rank's six trace columns (little-endian, "
+    "rank order), then the JSON of duration, events_processed, engine, rng_states and "
+    "the init, final and periodic offset measurements; 'pop seed=S' is the end-to-end "
+    "benchmark's jump-dense input (POP, 16 ranks, scale 0.15, opteron, spread; seeds "
+    "1000 and 1001), 'congested' POP on a 4x2 grid of 8 Xeon nodes (20 steps, "
+    "seed 2) at congestion_alpha=0.5, capacity 4, 'periodic' the stamps section's periodic-sync run; recorded before "
+    "the batch solver delivered each message by its send serial"
+)
+
 #: The ``pop`` source of the ``stamps`` and ``service`` sections.
 POP_SPEC = dict(
     nprocs=8, scale=0.02, seed=3, platform="opteron", placement="spread", engine="batch"
@@ -109,16 +121,32 @@ def pop_run(engine: str = POP_SPEC["engine"]):
     return simulate_workload("pop", **spec, options=RunOptions(engine=engine))
 
 
-def periodic_run():
-    """Five measurement sets: init, three periodic ones, final."""
+def xeon_run(worker, nranks: int, engine: str = "reference", **world):
+    """``worker`` on ``nranks`` Xeon nodes; ``world`` adds MpiWorld keywords."""
     from repro.cluster import inter_node, xeon_cluster
     from repro.mpi import MpiWorld
-    from repro.workloads import SparseConfig, sparse_worker
+    from repro.options import RunOptions
 
     preset = xeon_cluster()
-    world = MpiWorld(preset, inter_node(preset.machine, 4), timer="tsc", seed=2,
-                     duration_hint=60.0, periodic_sync_every=2)
-    return world.run(sparse_worker(SparseConfig(rounds=20, collective_every=4), seed=2))
+    built = MpiWorld(preset, inter_node(preset.machine, nranks), timer="tsc", seed=2,
+                     duration_hint=60.0, **world)
+    return built.run(worker, options=RunOptions(engine=engine))
+
+
+def periodic_run(engine: str = "reference"):
+    """Five measurement sets: init, three periodic ones, final."""
+    from repro.workloads import SparseConfig, sparse_worker
+
+    worker = sparse_worker(SparseConfig(rounds=20, collective_every=4), seed=2)
+    return xeon_run(worker, 4, engine, periodic_sync_every=2)
+
+
+def congested_run():
+    """POP on a 4x2 grid of Xeon nodes, every latency stretched by the load."""
+    from repro.workloads import PopConfig, pop_worker
+
+    worker = pop_worker(PopConfig(steps=20, step_time=1e-3, grid=(4, 2), trace_window=None), seed=2)
+    return xeon_run(worker, 8, "batch", congestion_alpha=0.5, congestion_capacity=4)
 
 
 def synthetic_trace(n_per_rank: int, seed: int = 3) -> Trace:
@@ -260,12 +288,45 @@ def figures_sha256(argv: list[str]) -> str:
     return hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
 
 
+def sim_cases():
+    """``{key: (RunResult,)}`` of the ``sim`` section, every run on the batch engine."""
+    from repro.options import RunOptions
+    from repro.workloads import simulate_workload
+
+    cases = {
+        f"pop seed={seed}": (simulate_workload(
+            "pop", nprocs=16, scale=0.15, seed=seed, platform="opteron",
+            placement="spread", options=RunOptions(engine="batch"),
+        ),)
+        for seed in (1000, 1001)
+    }
+    cases["congested"] = (congested_run(),)
+    cases["periodic"] = (periodic_run("batch"),)
+    return cases
+
+
+def sim_sha256(run) -> str:
+    digest = hashlib.sha256()
+    for rank in run.trace.ranks:
+        log = run.trace.logs[rank]
+        for column in (log.timestamps, log.etypes, log.a, log.b, log.c, log.d):
+            digest.update(np.ascontiguousarray(column, column.dtype.newbyteorder("<")).tobytes())
+    offsets = [
+        None if taken is None else [dataclasses.astuple(taken[w]) for w in sorted(taken)]
+        for taken in (run.init_offsets, run.final_offsets, *run.periodic_offsets)
+    ]
+    rest = [run.duration, run.events_processed, run.engine, run.rng_states, offsets]
+    digest.update(json.dumps(rest, sort_keys=True).encode("utf-8"))
+    return digest.hexdigest()
+
+
 SECTIONS = {
     "pomp_clc": (POMP_ABOUT, pomp_cases, digest),
     "stamps": (STAMPS_ABOUT, stamps_cases, digest),
     "service": (SERVICE_ABOUT, service_cases, served_sha256),
     "bytes": (BYTES_ABOUT, bytes_cases, written_sha256),
     "figures": (FIGURES_ABOUT, figures_cases, figures_sha256),
+    "sim": (SIM_ABOUT, sim_cases, sim_sha256),
 }
 
 

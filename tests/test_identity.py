@@ -1,4 +1,5 @@
-"""Corrected and written bytes pinned by sha256 (``tests/data/identity.json``).
+"""Corrected and written bytes and batch-engine runs pinned by sha256
+(``tests/data/identity.json``).
 
 A change that moves a pinned result has to edit the file in the open;
 ``tests/identity_pins.py`` holds the cases and rewrites the file.
@@ -19,6 +20,8 @@ from identity_pins import (
     pomp_cases,
     service_cases,
     serving,
+    sim_cases,
+    sim_sha256,
     stamps_cases,
     stamps_sha256,
     written_sha256,
@@ -165,9 +168,25 @@ def test_figures_text(key):
     assert figures_sha256(*figures_cases()[key]) == IDENTITY["figures"]["digests"][key], key
 
 
-def test_every_case_is_pinned(pomp, stamps, written):
+@pytest.fixture(scope="module")
+def sim():
+    return sim_cases()
+
+
+@pytest.mark.parametrize("key", sorted(IDENTITY["sim"]["digests"]))
+def test_sim_runs(sim, key):
+    """The batch engine's runs themselves: the end-to-end benchmark's POP
+    input, a congested run and a periodic-sync run, trace columns, RNG
+    positions and offset measurements included."""
+    (run,) = sim[key]
+    assert run.engine == "batch", key
+    assert sim_sha256(run) == IDENTITY["sim"]["digests"][key], key
+
+
+def test_every_case_is_pinned(pomp, stamps, written, sim):
     assert sorted(pomp) == sorted(IDENTITY["pomp_clc"]["digests"])
     assert sorted(written) == sorted(IDENTITY["bytes"]["digests"])
     assert sorted(stamps) == sorted(IDENTITY["stamps"]["digests"])
     assert sorted(service_cases()) == sorted(IDENTITY["service"]["digests"])
     assert sorted(figures_cases()) == sorted(IDENTITY["figures"]["digests"])
+    assert sorted(sim) == sorted(IDENTITY["sim"]["digests"])
