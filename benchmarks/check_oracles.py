@@ -4,7 +4,7 @@ Injects a handful of hand-written mutants — each a realistic way the
 synchronization stack could silently break — and asserts the
 fuzz campaign named beside it (``mutation``, ``streaming`` for the
 out-of-core sweeps, ``smoke`` for message matching, ``batch`` for the
-batch engine's recorder, ``stats`` for the grid runner; ``mutation`` ends with a POMP probe and a
+batch engine's recorder and its message pairing, ``stats`` for the grid runner; ``mutation`` ends with a POMP probe and a
 probe that wakes the forward driver early only inside an array window) catches
 every one,
 shrinks the failure, and
@@ -259,6 +259,19 @@ def mutant_unpublished_move():
 
 
 @contextmanager
+def _fresh_plans():
+    """Batch plans compiled under a mutant neither come from the plan cache
+    nor stay in it."""
+    from repro.sim.batch import _PLAN_CACHE
+
+    _PLAN_CACHE.clear()
+    try:
+        yield
+    finally:
+        _PLAN_CACHE.clear()
+
+
+@contextmanager
 def mutant_stageless_recorder():
     """M13: the batch recorder drops the per-stage protocol cost of every
     collective — the ``sleep`` each algorithm step charges is lost while
@@ -272,7 +285,7 @@ def mutant_stageless_recorder():
     def stageless(self, duration):
         return real(self, 0.0 if duration == STAGE_COST else duration)
 
-    with mock.patch.object(_RankPlan, "sleep", stageless):
+    with _fresh_plans(), mock.patch.object(_RankPlan, "sleep", stageless):
         yield
 
 
@@ -333,6 +346,28 @@ def mutant_misplaced_batch():
         yield
 
 
+@contextmanager
+def mutant_misrouted_arrival():
+    """M17: the batch engine pairs each receive with the next send of its
+    channel instead of its own — a receive waits for a later message and
+    takes its match id and size, so ``batch_matches_engine`` sees the
+    timeline (or a fast path that deadlocks and falls back) differ."""
+    import repro.sim.batch as batch_mod
+
+    real = batch_mod._pair_receives
+
+    def misrouted(rank, boundaries, channel_sends):
+        following = {
+            serial: later
+            for sends in channel_sends.values()
+            for serial, later in zip(sends, sends[1:])
+        }
+        return [following.get(s, s) for s in real(rank, boundaries, channel_sends)]
+
+    with _fresh_plans(), mock.patch.object(batch_mod, "_pair_receives", misrouted):
+        yield
+
+
 #: (name, mutant, what each campaign must catch it with: any oracle (None),
 #: an oracle by name, or one probe as (strategy, oracle))
 MUTANTS = [
@@ -358,6 +393,7 @@ MUTANTS = [
     ("unbound-floor", mutant_unbound_floor, {"mutation": "kernel_reference_identity"}),
     ("dropped-join", mutant_dropped_join, {"mutation": "pomp_post_clc"}),
     ("misplaced-batch", mutant_misplaced_batch, {"stats": "grid_identity_batched"}),
+    ("misrouted-arrival", mutant_misrouted_arrival, {"batch": "batch_matches_engine"}),
 ]
 
 

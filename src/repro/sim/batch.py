@@ -21,10 +21,11 @@ the event times:
 2. **Timeline solve**: true-time advancement inside a segment is a
    sequential running sum of the segment's deltas (bit-identical to the
    engine's one-add-per-event arithmetic); receives synchronize
-   segments through per-channel FIFO queues and a global send heap that
-   processes sends in true-time order — the exact order in which the
-   engine consumes the transport RNG.  Latency noise is drawn as one
-   vectorized ``standard_gamma`` block and consumed in that same order.
+   segments through a global send heap that processes sends in true-time
+   order — the exact order in which the engine consumes the transport
+   RNG — and deliver each arrival by its send serial, the receive's
+   static pair.  Latency noise is drawn as one vectorized
+   ``standard_gamma`` block and consumed in that same order.
 
 3. **Deferred clock evaluation**: clock reads are collected per physical
    clock, merged in true-time order across the ranks sharing the clock,
@@ -57,7 +58,7 @@ from __future__ import annotations
 
 import copy
 import math
-from collections import OrderedDict, deque
+from collections import OrderedDict
 from heapq import heappop, heappush
 from types import MappingProxyType
 from typing import Any, Optional
@@ -100,22 +101,24 @@ class BatchFallback(Exception):
 # Plan recorder
 # ----------------------------------------------------------------------
 class _Segment:
-    """A straight-line run of time deltas between blocking receives."""
+    """A straight-line run of time deltas between blocking receives.
 
-    __slots__ = (
-        "deltas", "read_pos", "read_slot0", "send_pos", "send_serials",
-        "deltas_arr", "read_pos_arr",
-    )
+    ``deltas`` and ``read_pos`` are tuples, or arrays in a segment longer
+    than ``_SMALL_SEGMENT`` (summed with np.cumsum by the solver).
+    """
+
+    __slots__ = ("deltas", "read_pos", "read_slot0", "send_pos", "send_serials")
 
     def __init__(self, deltas, read_pos, read_slot0, send_pos, send_serials):
-        self.deltas = tuple(deltas)
-        self.read_pos = tuple(read_pos)
+        if len(deltas) > _SMALL_SEGMENT:
+            self.deltas = np.array(deltas, dtype=np.float64)
+            self.read_pos = np.array(read_pos, dtype=np.int64)
+        else:
+            self.deltas = tuple(deltas)
+            self.read_pos = tuple(read_pos)
         self.read_slot0 = read_slot0
         self.send_pos = tuple(send_pos)
         self.send_serials = tuple(send_serials)
-        if len(deltas) > _SMALL_SEGMENT:  # summed with np.cumsum by the solver
-            self.deltas_arr = np.array(deltas, dtype=np.float64)
-            self.read_pos_arr = np.array(read_pos, dtype=np.int64)
 
 
 class _RankEvents:
@@ -404,17 +407,23 @@ def _plan_measurement(plan: _RankPlan, repeats: int, master: int = 0):
 # Compiled plan
 # ----------------------------------------------------------------------
 class _CompiledPlan:
+    """``rank_boundaries[r][i]``: the serial of the send paired with the
+    receive that ends rank ``r``'s segment ``i`` (-1: the rank's end).
+    ``weight``: trace events plus sends, held against the cache budget."""
+
     __slots__ = (
         "nranks", "rank_segments", "rank_boundaries", "rank_nreads",
-        "channels", "n_sends", "send_src", "send_dst", "send_nbytes",
-        "send_chan", "send_pair", "events_processed", "rank_events",
+        "n_sends", "send_src", "send_dst", "send_nbytes",
+        "events_processed", "rank_events", "weight",
         "results", "reads_clock", "init_specs", "final_specs", "periodic_specs",
         "latency_cache",
     )
 
 
+#: Plans by key, least recently used first, at most this much weight in
+#: all (one POP 16/0.15 plan weighs 147,000).
 _PLAN_CACHE: "OrderedDict[tuple, _CompiledPlan]" = OrderedDict()
-_PLAN_CACHE_MAX = 32
+_PLAN_CACHE_EVENTS = 2**19
 
 
 def _compile(world, worker, key: tuple, modes: dict) -> _CompiledPlan:
@@ -449,7 +458,7 @@ def _compile(world, worker, key: tuple, modes: dict) -> _CompiledPlan:
     ]
     plan.latency_cache = {}
 
-    # Global send serials and channel table.
+    # Global send serials.
     send_base = [0] * nranks
     total = 0
     for r, rp in enumerate(rank_plans):
@@ -467,61 +476,26 @@ def _compile(world, worker, key: tuple, modes: dict) -> _CompiledPlan:
     send_src = np.empty(total, dtype=np.int64)
     send_dst = np.empty(total, dtype=np.int64)
     send_nbytes = np.empty(total, dtype=np.int64)
-    send_chan = np.empty(total, dtype=np.int64)
-    send_pair = np.empty(total, dtype=np.int64)
-    channel_index: dict[tuple[int, int, int], int] = {}
-    channel_sends: list[deque] = []
+    channel_sends: dict[tuple[int, int, int], list[int]] = {}
     for r, rp in enumerate(rank_plans):
         base = send_base[r]
         for i, (dst, tag, nbytes) in enumerate(rp.sends):
-            serial = base + i
-            send_src[serial] = r
-            send_dst[serial] = dst
-            send_nbytes[serial] = nbytes
-            send_pair[serial] = r * nranks + dst
-            chan_key = (r, dst, tag)
-            ci = channel_index.get(chan_key)
-            if ci is None:
-                ci = len(channel_sends)
-                channel_index[chan_key] = ci
-                channel_sends.append(deque())
-            channel_sends[ci].append(serial)
-            send_chan[serial] = ci
+            send_src[base + i] = r
+            send_dst[base + i] = dst
+            send_nbytes[base + i] = nbytes
+            channel_sends.setdefault((r, dst, tag), []).append(base + i)
     plan.send_src = send_src
     plan.send_dst = send_dst
     plan.send_nbytes = send_nbytes
-    plan.send_chan = send_chan
-    plan.send_pair = send_pair
-    plan.channels = list(channel_index)
+    plan.rank_boundaries = [
+        _pair_receives(r, rp.boundaries, channel_sends) for r, rp in enumerate(rank_plans)
+    ]
 
-    # Rewrite the boundary segments of every rank to channel indices and
-    # statically pair each receive with its FIFO send.
-    fifo = [deque(q) for q in channel_sends]
-    plan.rank_boundaries = []
     plan.rank_events = []
     events_processed = nranks  # one initial resume per rank
     for r, rp in enumerate(rank_plans):
-        bounds = []
-        matches = []  # matched global send serial per local recv index
-        for boundary in rp.boundaries:
-            if boundary is None:
-                bounds.append(-1)
-                continue
-            ci = channel_index.get(boundary)
-            if ci is None:
-                raise BatchFallback(
-                    "unmatched_recv",
-                    f"rank {r} receives on channel {boundary} with no sender",
-                )
-            bounds.append(ci)
-            q = fifo[ci]
-            if not q:
-                raise BatchFallback(
-                    "missing_send",
-                    f"rank {r} posts more receives than sends on {boundary}",
-                )
-            matches.append(q.popleft())
-        plan.rank_boundaries.append(bounds)
+        # A receive's local index is the index of the segment it ends.
+        paired = plan.rank_boundaries[r]
         events_processed += len(rp.recvs) + sum(
             len(seg.deltas) for seg in rp.segments
         )
@@ -539,7 +513,7 @@ def _compile(world, worker, key: tuple, modes: dict) -> _CompiledPlan:
         )
         ev.recv_rows = np.array([row for row, _ in rp.recv_rows], dtype=np.int64)
         ev.recv_match_serials = np.array(
-            [matches[local] for _, local in rp.recv_rows], dtype=np.int64
+            [paired[local] for _, local in rp.recv_rows], dtype=np.int64
         )
         # Patch the static part of recv events from the matched send.
         if ev.recv_rows.size:
@@ -550,11 +524,38 @@ def _compile(world, worker, key: tuple, modes: dict) -> _CompiledPlan:
     # receive, and one delivery pop per send.
     events_processed += total
     plan.events_processed = events_processed
+    plan.weight = total + sum(ev.slot.size for ev in plan.rank_events)
 
     _PLAN_CACHE[key] = plan
-    if len(_PLAN_CACHE) > _PLAN_CACHE_MAX:
-        _PLAN_CACHE.popitem(last=False)
+    held = sum(cached.weight for cached in _PLAN_CACHE.values())
+    while held > _PLAN_CACHE_EVENTS:
+        held -= _PLAN_CACHE.popitem(last=False)[1].weight
     return plan
+
+
+def _pair_receives(rank: int, boundaries: list, channel_sends: dict) -> list[int]:
+    """The serial of the send each receive of ``rank`` is paired with, then -1.
+
+    The k-th receive on a (src, dst, tag) channel takes the channel's
+    k-th send: sends on one channel leave one rank in program order at
+    strictly increasing true times (a tie is ``simultaneous_sends``), so
+    they also arrive in that order.
+    """
+    posted: dict[tuple[int, int, int], int] = {}  # receives so far per channel
+    paired = []
+    for boundary in boundaries[:-1]:
+        sends = channel_sends.get(boundary)
+        if sends is None:
+            raise BatchFallback(
+                "unmatched_recv", f"rank {rank} receives on channel {boundary} with no sender"
+            )
+        k = posted[boundary] = posted.get(boundary, -1) + 1
+        if k == len(sends):
+            raise BatchFallback(
+                "missing_send", f"rank {rank} posts more receives than sends on {boundary}"
+            )
+        paired.append(sends[k])
+    return paired + [-1]
 
 
 # ----------------------------------------------------------------------
@@ -644,13 +645,13 @@ def _solve(plan: _CompiledPlan, world, locations, rng):
     seg_idx = [0] * nranks
     parked_t = [0.0] * nranks
     done_t = [None] * nranks
-    n_channels = len(plan.channels)
-    queues: list[deque] = [deque() for _ in range(n_channels)]
-    waiter = [-1] * n_channels
+    # Per send serial: its arrival once delivered (None before), and the
+    # rank parked on its receive until then (-1 while none is).
+    arrived: list[Optional[float]] = [None] * plan.n_sends
+    waiter = [-1] * plan.n_sends
     heap: list[tuple[float, int]] = []
     match_ids = [0] * plan.n_sends
-    send_chan = plan.send_chan.tolist()
-    send_pair = plan.send_pair.tolist()
+    send_pair = (plan.send_src * nranks + plan.send_dst).tolist()
     last_delivery = [-math.inf] * (nranks * nranks)
     max_arrival = -math.inf
 
@@ -682,28 +683,27 @@ def _solve(plan: _CompiledPlan, world, locations, rng):
                 else:
                     buf = np.empty(m + 1, dtype=np.float64)
                     buf[0] = t
-                    buf[1:] = seg.deltas_arr
+                    buf[1:] = deltas
                     cum = np.cumsum(buf)
-                    if seg.read_pos_arr.size:
+                    if seg.read_pos.size:
                         slot = seg.read_slot0
-                        rt[slot:slot + seg.read_pos_arr.size] = cum[seg.read_pos_arr]
+                        rt[slot:slot + seg.read_pos.size] = cum[seg.read_pos]
                     for p, s in zip(seg.send_pos, seg.send_serials):
                         heappush(heap, (float(cum[p]), s))
                     t = float(cum[m])
-            ci = bounds[i]
-            if ci < 0:
+            serial = bounds[i]
+            if serial < 0:
                 done_t[r] = t
                 seg_idx[r] = i
                 return
-            q = queues[ci]
-            if q:
-                arrival = q.popleft()
+            arrival = arrived[serial]
+            if arrival is not None:
                 if arrival > t:
                     t = arrival
                 t += recv_ovh
                 i += 1
                 continue
-            waiter[ci] = r
+            waiter[serial] = r
             parked_t[r] = t
             seg_idx[r] = i
             return
@@ -737,9 +737,6 @@ def _solve(plan: _CompiledPlan, world, locations, rng):
                     "congestion_tie",
                     "send coincides with a delivery; load is tie-order-defined",
                 )
-        # Local send serial -> global: segments store per-rank local
-        # indices; translate lazily via the rank base is avoided by
-        # storing globals at compile time — `serial` is already global.
         if static is not None:
             scale = scales[serial]
             if scale > 0.0:
@@ -781,15 +778,14 @@ def _solve(plan: _CompiledPlan, world, locations, rng):
         next_mid += 1
         if arrival > max_arrival:
             max_arrival = arrival
-        ci = send_chan[serial]
-        w = waiter[ci]
+        w = waiter[serial]
         if w >= 0:
-            waiter[ci] = -1
+            waiter[serial] = -1
             pt = parked_t[w]
             resume = arrival if arrival > pt else pt
             advance(w, resume + recv_ovh, seg_idx[w] + 1)
         else:
-            queues[ci].append(arrival)
+            arrived[serial] = arrival
 
     blocked = [r for r in range(nranks) if done_t[r] is None]
     if blocked:

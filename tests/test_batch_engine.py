@@ -267,6 +267,69 @@ class TestFallbacks:
         assert after.events_processed == pristine.events_processed
         assert after.rng_states == pristine.rng_states
 
+    def test_receive_nobody_sends_on(self):
+        with pytest.raises(BatchFallback) as caught:
+            run_batch(_world(), _messages("lonely", sends=0, receives=1))
+        assert caught.value.code == "unmatched_recv"
+
+    def test_one_receive_more_than_sends(self):
+        with pytest.raises(BatchFallback) as caught:
+            run_batch(_world(), _messages("short", sends=2, receives=3))
+        assert caught.value.code == "missing_send"
+
+
+def _messages(key, *, sends: int, receives: int):
+    """Rank 0 sends ``sends`` messages on tag 5, rank 1 posts ``receives``
+    receives on it; ``key`` only names the plan."""
+
+    def worker(ctx):
+        if ctx.rank == 0:
+            for _ in range(sends):
+                yield from ctx.send(1, tag=5, nbytes=8)
+        elif ctx.rank == 1:
+            for _ in range(receives):
+                yield from ctx.recv(0, tag=5)
+        return None
+
+    worker.batch_key = ("messages", key, sends, receives)
+    return worker
+
+
+class TestPlanCache:
+    """Compiled plans stay cached up to a budget of trace events and sends,
+    least recently used first out."""
+
+    def test_insert_over_budget_evicts_the_oldest(self, monkeypatch):
+        from collections import OrderedDict
+
+        import repro.sim.batch as batch
+
+        monkeypatch.setattr(batch, "_PLAN_CACHE", OrderedDict())
+        run_batch(_world(), _messages("a", sends=3, receives=3))
+        (weight,) = [plan.weight for plan in batch._PLAN_CACHE.values()]
+        assert weight > 0
+        monkeypatch.setattr(batch, "_PLAN_CACHE_EVENTS", 2 * weight)
+
+        def cached():
+            return [key[0][1] for key in batch._PLAN_CACHE]
+
+        run_batch(_world(), _messages("b", sends=3, receives=3))
+        assert cached() == ["a", "b"]
+        run_batch(_world(), _messages("a", sends=3, receives=3))  # a hit refreshes "a"
+        assert cached() == ["b", "a"]
+        run_batch(_world(), _messages("c", sends=3, receives=3))
+        assert cached() == ["a", "c"]
+
+    def test_plan_over_budget_is_not_kept(self, monkeypatch):
+        from collections import OrderedDict
+
+        import repro.sim.batch as batch
+
+        monkeypatch.setattr(batch, "_PLAN_CACHE", OrderedDict())
+        monkeypatch.setattr(batch, "_PLAN_CACHE_EVENTS", 1)
+        assert run_batch(_world(), _messages("big", sends=3, receives=3)).engine == "batch"
+        assert not batch._PLAN_CACHE
+
 
 class TestSharedClockTies:
     """``_evaluate_clocks`` tie handling: only *cross-rank* ties on a
