@@ -4,7 +4,8 @@ Injects a handful of hand-written mutants — each a realistic way the
 synchronization stack could silently break — and asserts the
 fuzz campaign named beside it (``mutation``, ``streaming`` for the
 out-of-core sweeps, ``smoke`` for message matching, ``batch`` for the
-batch engine's recorder and its message pairing, ``stats`` for the grid runner; ``mutation`` ends with a POMP probe and a
+batch engine's recorder, its message pairing and its segment starts,
+``stats`` for the grid runner; ``mutation`` ends with a POMP probe and a
 probe that wakes the forward driver early only inside an array window) catches
 every one,
 shrinks the failure, and
@@ -356,15 +357,38 @@ def mutant_misrouted_arrival():
 
     real = batch_mod._pair_receives
 
-    def misrouted(rank, boundaries, channel_sends):
-        following = {
-            serial: later
-            for sends in channel_sends.values()
-            for serial, later in zip(sends, sends[1:])
-        }
-        return [following.get(s, s) for s in real(rank, boundaries, channel_sends)]
+    def misrouted(rank, recvs, send_channels):
+        following, last = {}, {}
+        for serial, channel in enumerate(zip(*(column.tolist() for column in send_channels))):
+            if channel in last:
+                following[last[channel]] = serial
+            last[channel] = serial
+        paired = real(rank, recvs, send_channels).tolist()
+        return np.array([following.get(s, s) for s in paired], dtype=np.int64)
 
     with _fresh_plans(), mock.patch.object(batch_mod, "_pair_receives", misrouted):
+        yield
+
+
+@contextmanager
+def mutant_segment_offset():
+    """M18: the batch recorder starts one segment a delta early — the
+    first segment start that follows a clock read moves back by one, so
+    the read lands one step late, behind the receive that ends its
+    segment, and ``batch_matches_engine`` sees the readings differ."""
+    from repro.sim.batch import _READ, _RankPlan
+
+    real = _RankPlan.finish
+
+    def early(self):
+        real(self)
+        starts, kinds = self.timeline.starts, self.timeline.kinds
+        for i in range(1, len(starts) - 1):
+            if starts[i] > starts[i - 1] and kinds[starts[i] - 1] == _READ:
+                starts[i] -= 1
+                return
+
+    with _fresh_plans(), mock.patch.object(_RankPlan, "finish", early):
         yield
 
 
@@ -394,6 +418,7 @@ MUTANTS = [
     ("dropped-join", mutant_dropped_join, {"mutation": "pomp_post_clc"}),
     ("misplaced-batch", mutant_misplaced_batch, {"stats": "grid_identity_batched"}),
     ("misrouted-arrival", mutant_misrouted_arrival, {"batch": "batch_matches_engine"}),
+    ("segment-offset", mutant_segment_offset, {"batch": "batch_matches_engine"}),
 ]
 
 

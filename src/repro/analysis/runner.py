@@ -36,6 +36,7 @@ simulation, not one event — so process startup cost stays negligible.
 
 from __future__ import annotations
 
+import multiprocessing
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from time import perf_counter
 from typing import Any, Callable, Iterable, Optional, Sequence
@@ -49,6 +50,15 @@ __all__ = ["run_grid", "derive_seed", "seed_grid"]
 #: Ceiling on configs per submitted batch (keeps per-future latency low
 #: even on huge grids).
 _MAX_BATCH = 32
+
+#: In a pool worker: the event its parent sets once the grid has failed.
+_grid_failed = None
+
+
+def _join_grid(failed) -> None:
+    """Pool initializer: keep the parent's failure event."""
+    global _grid_failed
+    _grid_failed = failed
 
 
 def derive_seed(base_seed: int, *names) -> int:
@@ -81,6 +91,8 @@ def _call_batch(func: Callable[..., Any], kwargs_list: list[dict[str, Any]],
     """
     out = []
     for kwargs in kwargs_list:
+        if _grid_failed is not None and _grid_failed.is_set():
+            raise RuntimeError("the grid failed; its remaining jobs are dropped")
         start = perf_counter()
         value = func(**kwargs)
         elapsed = perf_counter() - start
@@ -137,8 +149,9 @@ def run_grid(
     -------
     list
         ``[func(**grid[0]), func(**grid[1]), ...]`` — identical for any
-        ``jobs`` value.  A job that raises propagates its exception, and
-        no further batch is handed to the pool.
+        ``jobs`` value.  A job that raises propagates its exception; no
+        further batch is handed to the pool, and the workers run no job
+        they have not started.
     """
     options = options or RunOptions()
     tele = telemetry if telemetry is not None else options.telemetry_or_null
@@ -185,7 +198,9 @@ def run_grid(
         batches = iter(cut)
         busy = 0.0
         pool_start = perf_counter() if tele.enabled else 0.0
-        with ProcessPoolExecutor(max_workers=nworkers) as pool:
+        failed = multiprocessing.Event()
+        with ProcessPoolExecutor(max_workers=nworkers, initializer=_join_grid,
+                                 initargs=(failed,)) as pool:
             outstanding: dict[Any, list[int]] = {}
 
             def submit() -> None:
@@ -198,12 +213,20 @@ def run_grid(
 
             for _ in range(2 * nworkers):
                 submit()
-            while outstanding:
-                done, _ = wait(outstanding, return_when=FIRST_COMPLETED)
-                for fut in done:
-                    # fut.result() re-raises a worker's exception here.
-                    busy += land(outstanding.pop(fut), fut.result())
-                    submit()
+            try:
+                while outstanding:
+                    done, _ = wait(outstanding, return_when=FIRST_COMPLETED)
+                    for fut in done:
+                        # fut.result() re-raises a worker's exception here.
+                        busy += land(outstanding.pop(fut), fut.result())
+                        submit()
+            except BaseException:
+                # The executor has already handed queued batches to its
+                # workers' call queue, where they cannot be cancelled; so
+                # every worker also skips each job it has not started.
+                failed.set()
+                pool.shutdown(cancel_futures=True)
+                raise
         if tele.enabled:
             # Fraction of worker-seconds actually spent inside jobs; the
             # rest is pool startup, pickling, and scheduling slack.

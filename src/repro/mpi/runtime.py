@@ -228,6 +228,7 @@ class MpiWorld:
                         sync_repeats=sync_repeats,
                         tracing_initially=tracing_initially,
                         until=until,
+                        telemetry=tele,
                     )
                 if tele.enabled:
                     tele.count("sim.batch.engaged")

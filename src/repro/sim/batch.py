@@ -14,9 +14,12 @@ the event times:
    :mod:`repro.mpi.comm` (regions, record costs, flush accounting),
    runs collectives through the algorithms of
    :mod:`repro.mpi.collectives`, and expands the init/finalize offset
-   measurement of :mod:`repro.sync.offset`.  The result per rank is a
-   list of *segments* — straight-line runs of time deltas between
-   blocking receives — plus statically paired event columns.
+   measurement of :mod:`repro.sync.offset`.  As soon as a rank is
+   recorded it is frozen into a :class:`_Timeline` of flat numpy
+   arrays: every time delta of the rank, what each delta starts with (a
+   clock read, a send, or neither), where each *segment* — a
+   straight-line run between blocking receives — starts, and the
+   statically paired event columns.
 
 2. **Timeline solve**: true-time advancement inside a segment is a
    sequential running sum of the segment's deltas (bit-identical to the
@@ -71,14 +74,11 @@ from repro.mpi.comm import MPI_RECV_REGION, MPI_SEND_REGION, MpiContext, periodi
 from repro.sim.engine import congested_delay
 from repro.sim.primitives import ANY_SOURCE, ANY_TAG, Message
 from repro.sync.offset import SYNC_TAG, OffsetMeasurement, cristian_offset, measurements_to_meta
+from repro.telemetry.recorder import ensure_telemetry
 from repro.tracing.events import EventLog, EventType
 from repro.tracing.trace import Trace
 
 __all__ = ["BatchFallback", "run_batch"]
-
-#: Segments at most this long advance with a plain Python running sum;
-#: longer ones use np.cumsum (bit-identical: both are sequential adds).
-_SMALL_SEGMENT = 24
 
 
 class BatchFallback(Exception):
@@ -100,31 +100,25 @@ class BatchFallback(Exception):
 # ----------------------------------------------------------------------
 # Plan recorder
 # ----------------------------------------------------------------------
-class _Segment:
-    """A straight-line run of time deltas between blocking receives.
+#: What a timeline delta starts with (``_Timeline.kinds``; 0: neither).
+_READ, _SEND = 1, 2
 
-    ``deltas`` and ``read_pos`` are tuples, or arrays in a segment longer
-    than ``_SMALL_SEGMENT`` (summed with np.cumsum by the solver).
+
+class _Timeline:
+    """One rank's compiled plan: numpy arrays only.
+
+    ``deltas`` holds every time delta of the rank in program order and
+    ``kinds`` what each one starts with: a clock read (``_READ``; its
+    slot counts the reads before it), a send (``_SEND``; its serial is
+    the rank's send base plus the sends before it) or neither.
+    Segment ``i`` runs over ``deltas[starts[i]:starts[i + 1]]`` and ends
+    in the receive paired with send ``paired[i]`` (-1: the rank's end).
+    The event columns hold timestamps as read slots, and the serials of
+    the traced sends and of the sends paired with the traced receives.
     """
 
-    __slots__ = ("deltas", "read_pos", "read_slot0", "send_pos", "send_serials")
-
-    def __init__(self, deltas, read_pos, read_slot0, send_pos, send_serials):
-        if len(deltas) > _SMALL_SEGMENT:
-            self.deltas = np.array(deltas, dtype=np.float64)
-            self.read_pos = np.array(read_pos, dtype=np.int64)
-        else:
-            self.deltas = tuple(deltas)
-            self.read_pos = tuple(read_pos)
-        self.read_slot0 = read_slot0
-        self.send_pos = tuple(send_pos)
-        self.send_serials = tuple(send_serials)
-
-
-class _RankEvents:
-    """Precompiled event columns of one rank (timestamps as read slots)."""
-
-    __slots__ = ("slot", "et", "a", "b", "c", "d_static",
+    __slots__ = ("deltas", "kinds", "starts", "paired",
+                 "slot", "et", "a", "b", "c", "d_static",
                  "send_rows", "send_serials", "recv_rows", "recv_match_serials")
 
 
@@ -172,26 +166,20 @@ class _RankPlan(MpiContext):
         self.periodic_specs: list = []
         self._since_flush = 0
         self.n_reads = 0
-        # Current segment under construction.
-        self._deltas: list[float] = []
-        self._read_pos: list[int] = []
-        self._read_slot0 = 0
-        self._send_pos: list[int] = []
-        self._send_local: list[int] = []
-        self.segments: list[_Segment] = []
-        self.boundaries: list[tuple[int, int, int] | None] = []  # recv channel or None=end
+        # The timeline, recorded flat for the whole rank: every delta,
+        # the positions of the reads and sends among them, and where each
+        # segment starts.  finish() freezes all lists into a _Timeline.
+        self.deltas: list[float] = []
+        self.read_pos: list[int] = []
+        self.send_pos: list[int] = []
+        self.starts: list[int] = [0]
         # Communication metadata (program order).
         self.sends: list[tuple[int, int, int]] = []  # (dst, tag, nbytes)
         self.recvs: list[tuple[int, int]] = []  # (src, tag)
-        # Event columns (lists; frozen to arrays at finalize).
-        self.ev_slot: list[int] = []
-        self.ev_et: list[int] = []
-        self.ev_a: list[int] = []
-        self.ev_b: list[int] = []
-        self.ev_c: list[int] = []
-        self.ev_d: list[int] = []
+        self.rows: list[tuple] = []  # (slot, etype, a, b, c, d) per event
         self.send_rows: list[tuple[int, int]] = []  # (event row, local send idx)
         self.recv_rows: list[tuple[int, int]] = []  # (event row, local recv idx)
+        self.timeline: Optional[_Timeline] = None
 
     # -- low-level emission -------------------------------------------
     @property
@@ -201,25 +189,20 @@ class _RankPlan(MpiContext):
     def _read(self) -> int:
         slot = self.n_reads
         self.n_reads += 1
-        self._read_pos.append(len(self._deltas))
-        self._deltas.append(self.read_overhead)
+        self.read_pos.append(len(self.deltas))
+        self.deltas.append(self.read_overhead)
         return slot
 
     def _record(self, slot, etype, a=0, b=0, c=0, d=0) -> int:
-        row = len(self.ev_slot)
-        self.ev_slot.append(slot)
-        self.ev_et.append(int(etype))
-        self.ev_a.append(a)
-        self.ev_b.append(b)
-        self.ev_c.append(c)
-        self.ev_d.append(d)
+        row = len(self.rows)
+        self.rows.append((slot, int(etype), a, b, c, d))
         cost = self.record_cost
         self._since_flush += 1
         if self.capacity and self._since_flush >= self.capacity:
             self._since_flush = 0
             cost += self.flush_cost
         if cost > 0:
-            self._deltas.append(cost)
+            self.deltas.append(cost)
         return row
 
     def _event(self, etype, a=0, b=0, c=0, d=0) -> None:
@@ -227,10 +210,9 @@ class _RankPlan(MpiContext):
             self._record(self._read(), etype, a, b, c, d)
 
     def _send(self, dst: int, tag: int, nbytes: int) -> None:
-        self._send_pos.append(len(self._deltas))
-        self._send_local.append(len(self.sends))
+        self.send_pos.append(len(self.deltas))
         self.sends.append((dst, tag, nbytes))
-        self._deltas.append(self.send_overhead)
+        self.deltas.append(self.send_overhead)
 
     def _recv(self, src: int, tag: int) -> None:
         if src < 0 or tag == ANY_TAG:
@@ -238,22 +220,33 @@ class _RankPlan(MpiContext):
             # are collective/sync tags and remain fully static).
             raise BatchFallback("wildcard_recv", "wildcard receive needs the engine's matching")
         self.recvs.append((src, tag))
-        self._close_segment((src, self.rank, tag))
-
-    def _close_segment(self, boundary) -> None:
-        self.segments.append(_Segment(
-            self._deltas, self._read_pos, self._read_slot0,
-            self._send_pos, self._send_local,
-        ))
-        self.boundaries.append(boundary)
-        self._deltas = []
-        self._read_pos = []
-        self._read_slot0 = self.n_reads
-        self._send_pos = []
-        self._send_local = []
+        self.starts.append(len(self.deltas))
 
     def finish(self) -> None:
-        self._close_segment(None)
+        """Freeze the recorded rank into :attr:`timeline` and drop its lists.
+
+        ``sends`` and ``recvs`` become ``(n, 3)`` and ``(n, 2)`` arrays
+        for :func:`_compile`, which also makes the send serials global
+        and fills in ``paired``.
+        """
+        self.starts.append(len(self.deltas))
+        tl = self.timeline = _Timeline()
+        tl.deltas = np.array(self.deltas, dtype=np.float64)
+        tl.kinds = np.zeros(tl.deltas.size, dtype=np.int8)
+        tl.kinds[self.read_pos] = _READ
+        tl.kinds[self.send_pos] = _SEND
+        tl.starts = np.array(self.starts, dtype=np.int64)
+        cols = np.array(self.rows, dtype=np.int64).reshape(-1, 6).T
+        tl.slot, tl.a, tl.b, tl.c, tl.d_static = (cols[k].copy() for k in (0, 2, 3, 4, 5))
+        tl.et = cols[1].astype(np.int8)
+        tl.send_rows, tl.send_serials = np.array(
+            self.send_rows, dtype=np.int64).reshape(-1, 2).T.copy()
+        tl.recv_rows, tl.recv_match_serials = np.array(
+            self.recv_rows, dtype=np.int64).reshape(-1, 2).T.copy()
+        self.sends = np.array(self.sends, dtype=np.int64).reshape(-1, 3)
+        self.recvs = np.array(self.recvs, dtype=np.int64).reshape(-1, 2)
+        self.deltas = self.read_pos = self.send_pos = self.starts = None
+        self.rows = self.send_rows = self.recv_rows = None
 
     # -- MpiContext surface: generators that record and return at once -
     def compute(self, duration: float):
@@ -263,7 +256,7 @@ class _RankPlan(MpiContext):
 
     def sleep(self, duration: float):
         if duration > 0:
-            self._deltas.append(duration)
+            self.deltas.append(duration)
         yield from ()
 
     def wtime(self):
@@ -407,14 +400,14 @@ def _plan_measurement(plan: _RankPlan, repeats: int, master: int = 0):
 # Compiled plan
 # ----------------------------------------------------------------------
 class _CompiledPlan:
-    """``rank_boundaries[r][i]``: the serial of the send paired with the
-    receive that ends rank ``r``'s segment ``i`` (-1: the rank's end).
-    ``weight``: trace events plus sends, held against the cache budget."""
+    """``timelines[r]``: rank ``r``'s :class:`_Timeline`; its sends have
+    the serials from ``send_base[r]`` on.  ``weight``: trace events plus
+    sends, held against the cache budget."""
 
     __slots__ = (
-        "nranks", "rank_segments", "rank_boundaries", "rank_nreads",
+        "nranks", "timelines", "send_base", "rank_nreads",
         "n_sends", "send_src", "send_dst", "send_nbytes",
-        "events_processed", "rank_events", "weight",
+        "events_processed", "weight",
         "results", "reads_clock", "init_specs", "final_specs", "periodic_specs",
         "latency_cache",
     )
@@ -458,73 +451,30 @@ def _compile(world, worker, key: tuple, modes: dict) -> _CompiledPlan:
     ]
     plan.latency_cache = {}
 
-    # Global send serials.
-    send_base = [0] * nranks
-    total = 0
-    for r, rp in enumerate(rank_plans):
-        send_base[r] = total
-        total += len(rp.sends)
-    plan.n_sends = total
-    # Segments carry rank-local send indices; globalize them so the
-    # solver can push heap entries without per-rank translation.
-    for r, rp in enumerate(rank_plans):
-        base = send_base[r]
-        if base:
-            for seg in rp.segments:
-                seg.send_serials = tuple(base + s for s in seg.send_serials)
-    plan.rank_segments = [rp.segments for rp in rank_plans]
-    send_src = np.empty(total, dtype=np.int64)
-    send_dst = np.empty(total, dtype=np.int64)
-    send_nbytes = np.empty(total, dtype=np.int64)
-    channel_sends: dict[tuple[int, int, int], list[int]] = {}
-    for r, rp in enumerate(rank_plans):
-        base = send_base[r]
-        for i, (dst, tag, nbytes) in enumerate(rp.sends):
-            send_src[base + i] = r
-            send_dst[base + i] = dst
-            send_nbytes[base + i] = nbytes
-            channel_sends.setdefault((r, dst, tag), []).append(base + i)
-    plan.send_src = send_src
-    plan.send_dst = send_dst
-    plan.send_nbytes = send_nbytes
-    plan.rank_boundaries = [
-        _pair_receives(r, rp.boundaries, channel_sends) for r, rp in enumerate(rank_plans)
-    ]
-
-    plan.rank_events = []
-    events_processed = nranks  # one initial resume per rank
-    for r, rp in enumerate(rank_plans):
+    # Global send serials: each rank's sends follow the previous rank's.
+    n_sends = [len(rp.sends) for rp in rank_plans]
+    plan.send_base = np.cumsum([0] + n_sends[:-1]).tolist()
+    plan.send_dst, send_tag, plan.send_nbytes = (
+        np.concatenate(column) for column in zip(*(rp.sends.T for rp in rank_plans))
+    )
+    plan.n_sends = len(send_tag)
+    plan.send_src = np.repeat(np.arange(nranks), n_sends)
+    send_channels = (plan.send_src, plan.send_dst, send_tag)
+    plan.timelines = [rp.timeline for rp in rank_plans]
+    for rank, (rp, tl) in enumerate(zip(rank_plans, plan.timelines)):
+        tl.paired = np.append(_pair_receives(rank, rp.recvs, send_channels), -1)
+        tl.send_serials += plan.send_base[rank]
         # A receive's local index is the index of the segment it ends.
-        paired = plan.rank_boundaries[r]
-        events_processed += len(rp.recvs) + sum(
-            len(seg.deltas) for seg in rp.segments
-        )
-
-        ev = _RankEvents()
-        ev.slot = np.array(rp.ev_slot, dtype=np.int64)
-        ev.et = np.array(rp.ev_et, dtype=np.int8)
-        ev.a = np.array(rp.ev_a, dtype=np.int64)
-        ev.b = np.array(rp.ev_b, dtype=np.int64)
-        ev.c = np.array(rp.ev_c, dtype=np.int64)
-        ev.d_static = np.array(rp.ev_d, dtype=np.int64)
-        ev.send_rows = np.array([row for row, _ in rp.send_rows], dtype=np.int64)
-        ev.send_serials = np.array(
-            [send_base[r] + local for _, local in rp.send_rows], dtype=np.int64
-        )
-        ev.recv_rows = np.array([row for row, _ in rp.recv_rows], dtype=np.int64)
-        ev.recv_match_serials = np.array(
-            [paired[local] for _, local in rp.recv_rows], dtype=np.int64
-        )
+        tl.recv_match_serials = tl.paired[tl.recv_match_serials]
         # Patch the static part of recv events from the matched send.
-        if ev.recv_rows.size:
-            ev.c[ev.recv_rows] = send_nbytes[ev.recv_match_serials]
-        plan.rank_events.append(ev)
+        tl.c[tl.recv_rows] = plan.send_nbytes[tl.recv_match_serials]
     # Per-event pops: one initial resume per rank, one resume per delta
     # (computes, clock reads, sender resumes), one completion resume per
     # receive, and one delivery pop per send.
-    events_processed += total
-    plan.events_processed = events_processed
-    plan.weight = total + sum(ev.slot.size for ev in plan.rank_events)
+    plan.events_processed = nranks + plan.n_sends + sum(
+        rp.timeline.deltas.size + len(rp.recvs) for rp in rank_plans
+    )
+    plan.weight = plan.n_sends + sum(tl.slot.size for tl in plan.timelines)
 
     _PLAN_CACHE[key] = plan
     held = sum(cached.weight for cached in _PLAN_CACHE.values())
@@ -533,29 +483,54 @@ def _compile(world, worker, key: tuple, modes: dict) -> _CompiledPlan:
     return plan
 
 
-def _pair_receives(rank: int, boundaries: list, channel_sends: dict) -> list[int]:
-    """The serial of the send each receive of ``rank`` is paired with, then -1.
+def _plan_bytes(plan: _CompiledPlan) -> int:
+    """Bytes held by the plan's arrays, its latency cache included."""
+    arrays = [plan.send_src, plan.send_dst, plan.send_nbytes]
+    arrays += [getattr(tl, name) for tl in plan.timelines for name in _Timeline.__slots__]
+    arrays += [a for static in plan.latency_cache.values() if static for a in static[:2]]
+    return sum(a.nbytes for a in arrays)
 
-    The k-th receive on a (src, dst, tag) channel takes the channel's
-    k-th send: sends on one channel leave one rank in program order at
-    strictly increasing true times (a tie is ``simultaneous_sends``), so
-    they also arrive in that order.
+
+def _pair_receives(rank: int, recvs: np.ndarray, send_channels: tuple) -> np.ndarray:
+    """The serial of the send each receive of ``rank`` is paired with.
+
+    ``recvs`` holds the rank's receives as ``(src, tag)`` rows in program
+    order, ``send_channels`` the ``(src, dst, tag)`` columns of every
+    send by serial.  The k-th receive on a (src, dst, tag) channel takes
+    the channel's k-th send: sends on one channel leave one rank in
+    program order at strictly increasing true times (a tie is
+    ``simultaneous_sends``), so they also arrive in that order.
     """
-    posted: dict[tuple[int, int, int], int] = {}  # receives so far per channel
-    paired = []
-    for boundary in boundaries[:-1]:
-        sends = channel_sends.get(boundary)
-        if sends is None:
+    send_src, send_dst, send_tag = send_channels
+    serials = np.flatnonzero(send_dst == rank)
+    tag = np.concatenate([send_tag[serials], recvs[:, 1]])
+    tags = np.unique(tag)
+    channel = np.concatenate([send_src[serials], recvs[:, 0]]) * len(tags)
+    send_chan, recv_chan = np.split(channel + np.searchsorted(tags, tag), [serials.size])
+    # The sends channel after channel, each channel's in serial order;
+    # where each receive's channel starts among them and how many sends
+    # it has; and each receive's index among its channel's receives.
+    by_channel = np.argsort(send_chan, kind="stable")
+    sorted_chan = send_chan[by_channel]
+    first = np.searchsorted(sorted_chan, recv_chan, "left")
+    posted = np.searchsorted(sorted_chan, recv_chan, "right") - first
+    order = np.argsort(recv_chan, kind="stable")
+    ranked = recv_chan[order]
+    k = np.empty_like(order)
+    k[order] = np.arange(order.size) - np.searchsorted(ranked, ranked, "left")
+    unpaired = np.flatnonzero(k >= posted)
+    if unpaired.size:
+        j = unpaired[0]
+        src, tag = recvs[j].tolist()
+        if not posted[j]:
             raise BatchFallback(
-                "unmatched_recv", f"rank {rank} receives on channel {boundary} with no sender"
+                "unmatched_recv",
+                f"rank {rank} receives on channel {(src, rank, tag)} with no sender",
             )
-        k = posted[boundary] = posted.get(boundary, -1) + 1
-        if k == len(sends):
-            raise BatchFallback(
-                "missing_send", f"rank {rank} posts more receives than sends on {boundary}"
-            )
-        paired.append(sends[k])
-    return paired + [-1]
+        raise BatchFallback(
+            "missing_send", f"rank {rank} posts more receives than sends on {(src, rank, tag)}"
+        )
+    return serials[by_channel[first + k]]
 
 
 # ----------------------------------------------------------------------
@@ -577,10 +552,11 @@ def _latency_fingerprint(model) -> Optional[tuple]:
 def _static_latency(plan: _CompiledPlan, model, locations) -> Optional[tuple]:
     """Per-send (floor, scale, shape) when the model decomposes statically.
 
-    Returns ``(floor_list, scale_list, shape, n_noisy)`` or ``None`` when
-    the model is unknown or uses mixed gamma shapes (the solver then
-    falls back to per-send scalar ``model.sample`` calls — still
-    bit-identical, just slower).
+    Returns ``(floors, scales, shape, n_noisy)``, two arrays over the send
+    serials, or ``None`` when the model is unknown or uses mixed gamma
+    shapes (the solver then falls back to per-send scalar
+    ``model.sample`` calls — still bit-identical, just slower).  Each
+    distinct (src, dst, nbytes) is evaluated once.
     """
     fp = _latency_fingerprint(model)
     if fp is None:
@@ -589,31 +565,31 @@ def _static_latency(plan: _CompiledPlan, model, locations) -> Optional[tuple]:
     cached = plan.latency_cache.get((loc_key, fp))
     if cached is not None:
         return cached
-    n = plan.n_sends
-    floors = [0.0] * n
-    scales = [0.0] * n
+    sends = np.stack([plan.send_src, plan.send_dst, plan.send_nbytes], axis=1)
+    distinct, of_send = np.unique(sends, axis=0, return_inverse=True)
+    floors = np.empty(len(distinct), dtype=np.float64)
+    scales = np.zeros(len(distinct), dtype=np.float64)
     shapes = set()
-    for serial in range(n):
-        src = locations[plan.send_src[serial]]
-        dst = locations[plan.send_dst[serial]]
-        nbytes = int(plan.send_nbytes[serial])
+    for j, (s, d, nbytes) in enumerate(distinct.tolist()):
+        src, dst = locations[s], locations[d]
         if isinstance(model, TorusLatency) and src.node != dst.node:
-            floors[serial] = model.min_latency(src, dst, nbytes)
+            floors[j] = model.min_latency(src, dst, nbytes)
             jitter, shape = model.jitter, model.jitter_shape
         else:
             table = model.intra_node if isinstance(model, TorusLatency) else model
             sample = table.sample_for_class(distance_class(src, dst))
-            floors[serial] = sample.floor(nbytes)
+            floors[j] = sample.floor(nbytes)
             jitter, shape = sample.jitter, sample.jitter_shape
         if jitter > 0.0:
-            scales[serial] = jitter / shape
+            scales[j] = jitter / shape
             shapes.add(shape)
     if len(shapes) > 1:
         result = None
     else:
+        of_send = of_send.reshape(-1)
+        scales = scales[of_send]
         shape = shapes.pop() if shapes else 0.0
-        n_noisy = sum(1 for s in scales if s > 0.0)
-        result = (floors, scales, shape, n_noisy)
+        result = (floors[of_send], scales, shape, int(np.count_nonzero(scales > 0.0)))
     plan.latency_cache[(loc_key, fp)] = result
     return result
 
@@ -622,14 +598,20 @@ def _static_latency(plan: _CompiledPlan, model, locations) -> Optional[tuple]:
 # Solver
 # ----------------------------------------------------------------------
 def _solve(plan: _CompiledPlan, world, locations, rng):
-    """Walk all rank timelines; returns per-rank read times and solver state."""
+    """Walk all rank timelines; returns per-rank read times and solver state.
+
+    The plan's arrays are read through memoryviews: indexing one yields
+    a Python int or float as fast as indexing a list, with no copy.
+    """
     nranks = plan.nranks
     recv_ovh = world.recv_overhead
     model = world.preset.latency
     static = _static_latency(plan, model, locations)
     if static is not None:
         floors, scales, shape, n_noisy = static
-        noise = rng.standard_gamma(shape, size=n_noisy).tolist() if n_noisy else []
+        floors, scales = memoryview(floors), memoryview(scales)
+        if n_noisy:
+            noise = memoryview(rng.standard_gamma(shape, size=n_noisy))
     ni = 0
     # Congestion state, mirrored from repro.sim.engine.Transport: the
     # send heap already pops in strictly increasing true time — the
@@ -642,59 +624,43 @@ def _solve(plan: _CompiledPlan, world, locations, rng):
     pending: list[float] = []  # scheduled deliveries not yet processed
 
     read_times = [np.empty(n, dtype=np.float64) for n in plan.rank_nreads]
-    seg_idx = [0] * nranks
-    parked_t = [0.0] * nranks
+    views = [
+        (memoryview(tl.deltas), memoryview(tl.kinds), memoryview(tl.starts),
+         memoryview(tl.paired), memoryview(rt))
+        for tl, rt in zip(plan.timelines, read_times)
+    ]
+    send_base = plan.send_base
+    # Where each parked rank stands: true time, segment, next read, next send.
+    parked: list[Optional[tuple]] = [None] * nranks
     done_t = [None] * nranks
     # Per send serial: its arrival once delivered (None before), and the
     # rank parked on its receive until then (-1 while none is).
     arrived: list[Optional[float]] = [None] * plan.n_sends
     waiter = [-1] * plan.n_sends
     heap: list[tuple[float, int]] = []
-    match_ids = [0] * plan.n_sends
-    send_pair = (plan.send_src * nranks + plan.send_dst).tolist()
+    match_ids = np.zeros(plan.n_sends, dtype=np.int64)
+    match_view = memoryview(match_ids)
+    send_pair = memoryview(plan.send_src * nranks + plan.send_dst)
     last_delivery = [-math.inf] * (nranks * nranks)
     max_arrival = -math.inf
 
-    def advance(r: int, t: float, i: int) -> None:
-        segs = plan.rank_segments[r]
-        bounds = plan.rank_boundaries[r]
-        rt = read_times[r]
+    def advance(r: int, t: float, i: int, ri: int, si: int) -> None:
+        deltas, kinds, starts, paired, rt = views[r]
+        base = send_base[r]
         while True:
-            seg = segs[i]
-            deltas = seg.deltas
-            m = len(deltas)
-            if m:
-                if m <= _SMALL_SEGMENT:
-                    rp = seg.read_pos
-                    sp = seg.send_pos
-                    ser = seg.send_serials
-                    ri = si = 0
-                    nr = len(rp)
-                    ns = len(sp)
-                    slot = seg.read_slot0
-                    for j in range(m):
-                        if ri < nr and rp[ri] == j:
-                            rt[slot + ri] = t
-                            ri += 1
-                        elif si < ns and sp[si] == j:
-                            heappush(heap, (t, ser[si]))
-                            si += 1
-                        t += deltas[j]
-                else:
-                    buf = np.empty(m + 1, dtype=np.float64)
-                    buf[0] = t
-                    buf[1:] = deltas
-                    cum = np.cumsum(buf)
-                    if seg.read_pos.size:
-                        slot = seg.read_slot0
-                        rt[slot:slot + seg.read_pos.size] = cum[seg.read_pos]
-                    for p, s in zip(seg.send_pos, seg.send_serials):
-                        heappush(heap, (float(cum[p]), s))
-                    t = float(cum[m])
-            serial = bounds[i]
+            for j in range(starts[i], starts[i + 1]):
+                kind = kinds[j]
+                if kind:
+                    if kind == _READ:
+                        rt[ri] = t
+                        ri += 1
+                    else:
+                        heappush(heap, (t, base + si))
+                        si += 1
+                t += deltas[j]
+            serial = paired[i]
             if serial < 0:
                 done_t[r] = t
-                seg_idx[r] = i
                 return
             arrival = arrived[serial]
             if arrival is not None:
@@ -704,12 +670,11 @@ def _solve(plan: _CompiledPlan, world, locations, rng):
                 i += 1
                 continue
             waiter[serial] = r
-            parked_t[r] = t
-            seg_idx[r] = i
+            parked[r] = (t, i, ri, si)
             return
 
     for r in range(nranks):
-        advance(r, 0.0, 0)
+        advance(r, 0.0, 0, 0, 0)
 
     next_mid = 0
     prev = -math.inf
@@ -774,16 +739,14 @@ def _solve(plan: _CompiledPlan, world, locations, rng):
         last_delivery[pi] = arrival
         if congested:
             heappush(pending, arrival)
-        match_ids[serial] = next_mid
+        match_view[serial] = next_mid
         next_mid += 1
         if arrival > max_arrival:
             max_arrival = arrival
         w = waiter[serial]
         if w >= 0:
-            waiter[serial] = -1
-            pt = parked_t[w]
-            resume = arrival if arrival > pt else pt
-            advance(w, resume + recv_ovh, seg_idx[w] + 1)
+            pt, i, ri, si = parked[w]
+            advance(w, (arrival if arrival > pt else pt) + recv_ovh, i + 1, ri, si)
         else:
             arrived[serial] = arrival
 
@@ -901,7 +864,7 @@ def _build_offsets(master_spec, worker_specs, read_values, repeats, master=0):
 # Entry point
 # ----------------------------------------------------------------------
 def run_batch(world, worker, *, tracing=True, measure_offsets=True,
-              sync_repeats=10, tracing_initially=True, until=None):
+              sync_repeats=10, tracing_initially=True, until=None, telemetry=None):
     """Execute ``worker`` through the batched fast path.
 
     Returns the same :class:`repro.mpi.runtime.RunResult` the reference
@@ -916,7 +879,10 @@ def run_batch(world, worker, *, tracing=True, measure_offsets=True,
     empty mapping and ``wtime`` reads 0.0.  A rank's result is what its
     worker returned while recording; a rank that read its clock runs
     once more, with ``wtime`` returning its solved readings.  A worker
-    without a ``batch_key`` falls back (``no_plan``).
+    without a ``batch_key`` falls back (``no_plan``).  ``telemetry``
+    counts each plan-cache lookup as ``sim.batch.plan_cache.hits`` or
+    ``.misses`` and gauges the bytes the cached plans hold as
+    ``sim.batch.plan_cache.bytes``.
     """
     from repro.mpi.runtime import RunResult
 
@@ -937,6 +903,8 @@ def run_batch(world, worker, *, tracing=True, measure_offsets=True,
         world.jitter, world.fabric.seed,
         world.periodic_sync_every, world.periodic_sync_repeats,
     )
+    tele = ensure_telemetry(telemetry)
+    tele.count(f"sim.batch.plan_cache.{'hits' if key in _PLAN_CACHE else 'misses'}")
     plan = _compile(world, worker, key, modes)
 
     nranks = plan.nranks
@@ -945,8 +913,9 @@ def run_batch(world, worker, *, tracing=True, measure_offsets=True,
     rng = world.fabric.generator("network")
 
     read_times, match_ids, duration = _solve(plan, world, locations, rng)
+    if tele.enabled:
+        tele.gauge("sim.batch.plan_cache.bytes", sum(map(_plan_bytes, _PLAN_CACHE.values())))
     read_values = _evaluate_clocks(read_times, clocks)
-    match_arr = np.array(match_ids, dtype=np.int64)
 
     results = {
         r: (
@@ -972,14 +941,11 @@ def run_batch(world, worker, *, tracing=True, measure_offsets=True,
     if tracing:
         logs = {}
         for r in range(nranks):
-            ev = plan.rank_events[r]
-            ts = read_values[r][ev.slot]
-            d = ev.d_static.copy()
-            if ev.send_rows.size:
-                d[ev.send_rows] = match_arr[ev.send_serials]
-            if ev.recv_rows.size:
-                d[ev.recv_rows] = match_arr[ev.recv_match_serials]
-            logs[r] = EventLog.from_arrays(ts, ev.et, ev.a, ev.b, ev.c, d)
+            tl = plan.timelines[r]
+            d = tl.d_static.copy()
+            d[tl.send_rows] = match_ids[tl.send_serials]
+            d[tl.recv_rows] = match_ids[tl.recv_match_serials]
+            logs[r] = EventLog.from_arrays(read_values[r][tl.slot], tl.et, tl.a, tl.b, tl.c, d)
         meta = {
             "machine": world.preset.machine.name,
             "timer": world.spec.name,

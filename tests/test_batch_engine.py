@@ -331,6 +331,35 @@ class TestPlanCache:
         assert not batch._PLAN_CACHE
 
 
+class TestPlanLayout:
+    """A compiled plan is flat numpy arrays per rank, not Python objects
+    per segment, event or send."""
+
+    def test_pop_plan_is_arrays(self, monkeypatch):
+        from collections import OrderedDict
+
+        import numpy as np
+
+        import repro.sim.batch as batch
+        from repro.workloads import simulate_workload
+
+        monkeypatch.setattr(batch, "_PLAN_CACHE", OrderedDict())
+        run = simulate_workload(
+            "pop", nprocs=16, scale=0.15, seed=1, platform="opteron",
+            placement="spread", options=RunOptions(engine="batch"),
+        )
+        assert run.engine == "batch"
+        (plan,) = batch._PLAN_CACHE.values()
+        for timeline in plan.timelines:
+            for name in batch._Timeline.__slots__:
+                assert isinstance(getattr(timeline, name), np.ndarray), name
+        for name in ("send_src", "send_dst", "send_nbytes"):
+            assert isinstance(getattr(plan, name), np.ndarray), name
+        for static in plan.latency_cache.values():
+            assert all(isinstance(a, np.ndarray) for a in static[:2])
+        assert batch._plan_bytes(plan) <= 160 * run.trace.total_events()
+
+
 class TestSharedClockTies:
     """``_evaluate_clocks`` tie handling: only *cross-rank* ties on a
     shared jittered clock are ambiguous (the engine breaks them on

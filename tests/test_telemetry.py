@@ -218,6 +218,26 @@ class TestCliTelemetry:
         out = capsys.readouterr().out
         assert "sim.engine.run" in out and "counters" in out
 
+    def test_report_renders_the_plan_cache(self, tmp_path, capsys, monkeypatch):
+        from collections import OrderedDict
+
+        import repro.sim.batch as batch
+
+        monkeypatch.setattr(batch, "_PLAN_CACHE", OrderedDict())
+        args = ["simulate", "--workload", "pop", "--nprocs", "4", "--scale", "0.02",
+                "--seed", "3", "--engine", "batch"]
+        for lookup in ("misses", "hits"):  # the second run reuses the first's plan
+            tele = tmp_path / f"{lookup}.tele.jsonl"
+            assert main(args + ["--telemetry", str(tele), "-o", str(tmp_path / "t.npz")]) == 0
+            snap = load_jsonl(tele)
+            assert snap["counters"][f"sim.batch.plan_cache.{lookup}"] == 1
+            (plan,) = batch._PLAN_CACHE.values()
+            assert snap["gauges"]["sim.batch.plan_cache.bytes"] == batch._plan_bytes(plan) > 0
+        capsys.readouterr()
+        assert main(["report", "--telemetry", str(tele)]) == 0
+        out = capsys.readouterr().out
+        assert "sim.batch.plan_cache.hits" in out and "sim.batch.plan_cache.bytes" in out
+
     def test_report_without_any_input_errors(self, capsys):
         assert main(["report"]) == 2
 
