@@ -33,8 +33,10 @@ import numpy as np
 
 @contextmanager
 def _driver_patched(name, replacement):
-    """``repro.sync.schedule.<name>`` replaced wherever the forward driver
-    reads it: in memory, and in the streamed sweep, which imports it."""
+    """``repro.sync.schedule.<name>`` replaced wherever the forward pass
+    reads it: in memory (``forward_pass``, whose one landing loop both
+    paths run), and in the streamed sweep, which imports it to walk its
+    windows and build each shard's overlay."""
     import repro.sync.schedule as schedule_mod
     import repro.sync.streaming as streaming_mod
 
@@ -392,6 +394,23 @@ def mutant_segment_offset():
         yield
 
 
+@contextmanager
+def mutant_lost_publication():
+    """M19: the streamed channel drops every moved send's stamp — the
+    receive's window keeps the send's input stamp in the slot it reads,
+    so a receive that binds only behind the moved send (a relay after a
+    jump) keeps its stamp.  Only the streamed sweep carries stamps
+    between windows, so ``streamed_matches_inmemory`` notices; M12 blinds
+    both paths alike."""
+    from repro.sync.streaming import _Channel
+
+    def lost(self, key, value):
+        return None
+
+    with mock.patch.object(_Channel, "publish", lost):
+        yield
+
+
 #: (name, mutant, what each campaign must catch it with: any oracle (None),
 #: an oracle by name, or one probe as (strategy, oracle))
 MUTANTS = [
@@ -419,6 +438,7 @@ MUTANTS = [
     ("misplaced-batch", mutant_misplaced_batch, {"stats": "grid_identity_batched"}),
     ("misrouted-arrival", mutant_misrouted_arrival, {"batch": "batch_matches_engine"}),
     ("segment-offset", mutant_segment_offset, {"batch": "batch_matches_engine"}),
+    ("lost-publication", mutant_lost_publication, {"streaming": "streamed_matches_inmemory"}),
 ]
 
 

@@ -255,10 +255,6 @@ class ClockEnsemble:
             self._clocks[key] = clock
         return clock
 
-    def drift_for(self, loc: Location) -> DriftModel:
-        """Underlying drift model at ``loc`` (builds the clock if needed)."""
-        return self.clock_for(loc).drift
-
     # ------------------------------------------------------------------
     def _global_clock(self) -> Clock:
         if self._global is None:

@@ -44,10 +44,12 @@ numpy arrays:
 compact CSR, a log index carried as its gid; in the streamed CLC
 (:mod:`repro.sync.streaming`) one resident shard at a time.  Walked
 bare it gives the plan ``steps`` (Lamport, vector, BSP rounds,
-``topo_gids``); the forward pass (:func:`forward_pass`, streaming's
-``ShardSweeps._forward``) lands each visit's ready run as the walk
-makes it.  The pass is dataflow, so *any* valid order yields the same
-bits; this one is not ``replay_schedule``'s.  A cycle raises
+``topo_gids``); the forward pass gives it one landing loop,
+:func:`lander`, which lands each visit's ready run as the walk makes it
+— in memory (:func:`forward_pass`) and streamed (``ShardSweeps._forward``)
+alike, a source read from the overlay either way.  The pass is dataflow,
+so *any* valid order yields the same bits; this one is not
+``replay_schedule``'s.  A cycle raises
 :class:`~repro.errors.SynchronizationError` wherever the walk runs: at
 once for :meth:`CompiledSchedule.from_dependencies`, which checks its
 dict, on first use for a trace's own relation.
@@ -72,7 +74,8 @@ remain in :mod:`repro.sync.clc`, :mod:`repro.sync.lamport`, and
   ``np.minimum.at``'s rule (the last receiver among equal caps wins, a
   NaN propagates);
 * the float CLC recurrence ``LC'[i] = max(LC[i], LC'[i-1] + γ·δ[i])``
-  lives in :func:`forward_recurrence`, shared with the streaming CLC,
+  lives in :func:`forward_recurrence` and is landed by :func:`lander`,
+  both shared with the streaming CLC,
   and is only evaluated — with exactly the reference's operation order
   — where it can deviate from the identity ``LC'[i] = LC[i]``: after a
   remote-constrained jump (until the γ-glide decays back onto the
@@ -121,6 +124,7 @@ __all__ = [
     "block_floors",
     "forward_recurrence",
     "bound_dependents",
+    "lander",
     "forward_pass",
     "sized_block_caps",
     "send_caps_kernel",
@@ -732,12 +736,11 @@ def forward_recurrence(
     corrected stamps as an array, the moved positions)``: ``orig`` with
     the overlay's moved events scattered in.
 
-    Both forward passes (:func:`forward_pass`, streaming's
-    ``ShardSweeps._forward``) land only what :func:`bound_dependents`
-    accepts — a block exit or a dependent with an own-rank source or a
-    binding input floor (largest ``orig[source] + l_min`` above
-    ``orig[p]``) — or a dependent with a moved source; any other is a
-    plain event of a ``stretch``, exactly:
+    The one landing loop (:func:`lander`, in memory and streamed) lands
+    only what :func:`bound_dependents` accepts — a block exit or a
+    dependent with an own-rank source or a binding input floor (largest
+    ``orig[source] + l_min`` above ``orig[p]``) — or a dependent with a
+    moved source; any other is a plain event of a ``stretch``, exactly:
     its floor is the input floor, at most ``orig[p]`` or NaN, so ``land`` —
     which starts from ``orig[p]`` and takes the follow value where the rule
     can bind and it is larger — finds no jump and moves ``p`` iff the follow
@@ -835,6 +838,80 @@ def bound_dependents(
     return bound
 
 
+def lander(
+    lanes: list, block_floor: Callable[[int], float]
+) -> tuple[Callable[[int, int, int, int, int], None], Callable[[], tuple[int, int, float]]]:
+    """The forward pass's one landing loop: ``land_run`` for :func:`walk`.
+
+    ``land_run(rp, start, stop, first, last)`` lands a visit over rank
+    position ``rp``'s ``lanes[rp]``: of dependents ``first:last`` it skips
+    those that cannot bind (neither bound nor behind a moved source,
+    :func:`forward_recurrence`), stretches up to each other one, lands it
+    on its largest source and block floor (``block_floor(slot)``) and
+    counts the jump; then it stretches to ``stop``.  ``totals()`` gives
+    ``(lands, jumps, largest jump)``.  A lane is a plain tuple (unpacked
+    every visit, which a tuple subclass slows) ``(corr, moved, shift,
+    orig, spont, stretch, land, dep, indptr, src, elmin, slot, bound,
+    bound_at, origin, jumps)``: a :func:`forward_recurrence` overlay
+    (``orig`` a memoryview) holding cursor value ``c`` at ``c + shift``
+    and every source, read as ``corr[s] if moved[s] else orig[s]``; per
+    dependent ``d`` its position ``dep[d]``, source rows ``indptr[d]:
+    indptr[d + 1]`` (positions ``src``, ``l_min`` in ``elmin``), block slot
+    ``slot[d]`` or ``-1`` and :func:`bound_dependents`'s ``bound[d]``
+    (``bound_at`` lists the bound); a jump at ``p`` goes to ``jumps`` as
+    ``(p - origin, size)``.
+    """
+    njumps = lands = 0
+    max_jump = 0.0
+
+    def land_run(rp: int, a: int, b: int, first: int, last: int) -> None:
+        nonlocal njumps, lands, max_jump
+        (corr, moved, shift, orig, spont, stretch, land, dep, indptr, src, elmin, slot, bound,
+         bound_at, origin, jumps) = lanes[rp]
+        a += shift
+        b += shift
+        nsp = len(spont)
+        k = bisect_left(spont, a) if nsp else 0
+        # No source moved: land just the bound.  Long runs only (measured:
+        # 2×500k, one run, 30 → 27 ms; POP, ≈ 2 a run, 75 → 96 ms if all).
+        todo = range(first, last)
+        if last - first > 8 and not any(map(moved.__getitem__, src[indptr[first]:indptr[last]])):
+            todo = bound_at[bisect_left(bound_at, first):bisect_left(bound_at, last)]
+        for di in todo:
+            e, estop = indptr[di], indptr[di + 1]
+            if not (bound[di] or moved[src[e]]
+                    or estop - e > 1 and any(map(moved.__getitem__, src[e + 1:estop]))):
+                continue
+            lands += 1
+            p = dep[di]
+            # A stretch moves nothing unless the event before it moved or a
+            # spontaneous position lies inside it: skip the call then.
+            if a < p and (moved[a - 1] or k < nsp and spont[k] < p):
+                k = stretch(a, p, k)
+            remote_floor = _NEG_INF
+            while e < estop:
+                s = src[e]
+                floor = (corr[s] if moved[s] else orig[s]) + elmin[e]
+                if floor > remote_floor:
+                    remote_floor = floor
+                e += 1
+            if slot[di] >= 0:
+                floor = block_floor(slot[di])
+                if floor > remote_floor:
+                    remote_floor = floor
+            jump = land(p, remote_floor)
+            if jump:
+                jumps.append((p - origin, jump))
+                njumps += 1
+                if jump > max_jump:
+                    max_jump = jump
+            a = p + 1
+        if a < b and (moved[a - 1] or k < nsp and spont[k] < b):
+            stretch(a, b, k)
+
+    return land_run, lambda: (lands, njumps, max_jump)
+
+
 def forward_pass(
     schedule: CompiledSchedule,
     orig_flat: np.ndarray,
@@ -848,84 +925,36 @@ def forward_pass(
     list — bit-identical to the scalar reference loop — ``writes`` the
     number of events the pass moved and ``lands`` the number of
     dependents it landed: those that can bind (:func:`forward_recurrence`,
-    :func:`bound_dependents`).  The schedule's
-    :meth:`~CompiledSchedule.walk` drives it and each visit's ready run
-    is landed as the walk makes it, every other rank's source final.
+    :func:`bound_dependents`).  The schedule's :meth:`~CompiledSchedule.walk`
+    drives :func:`lander` over one overlay of every rank's log.
     """
-    ranks = schedule.ranks
-    jumps: dict[int, list[tuple[int, float]]] = {rank: [] for rank in ranks}
+    jumps: dict[int, list[tuple[int, float]]] = {rank: [] for rank in schedule.ranks}
     hot = schedule.hot
-    offsets = hot["offsets"]
-    dep_gids = hot["dep_gids"]
-    dep_indptr = hot["dep_indptr"]
-    src = hot["src"]
-    dep_slot = hot["dep_slot"]
-    b_enter = hot["b_enter"]
     eids = schedule.dep_edge_ids
     elmin = edge_lmin.rows[eids]
     bound = bound_dependents(
         schedule.dep_slot, schedule.dep_indptr, orig_flat[schedule.dep_src] + elmin,
         schedule.edge_src_rank[eids] == schedule.edge_dst_rank[eids], orig_flat[schedule.dep_gids],
     )
-    bound_at, bound = np.flatnonzero(bound).tolist(), bound.tolist()
-
     corr, moved, spont, stretch, land, settle = forward_recurrence(
         orig_flat, gamma, schedule.offsets[:-1][schedule.lengths > 0], schedule.b_enter
     )
-    orig_at, elmin = memoryview(orig_flat), memoryview(elmin)
+    window = (
+        corr, moved, 0, memoryview(orig_flat), spont, stretch, land, hot["dep_gids"],
+        hot["dep_indptr"], hot["src"], memoryview(elmin), hot["dep_slot"], bound.tolist(),
+        np.flatnonzero(bound).tolist(),
+    )
     block_floor = block_floors(
         hot["b_lo"], hot["b_need"], edge_lmin.blocks,
-        lambda lo, hi: list(map(corr.__getitem__, b_enter[lo:hi])),
+        lambda lo, hi: list(map(corr.__getitem__, hot["b_enter"][lo:hi])),
     )
-    is_moved = moved.__getitem__
-    spont_ptr = [bisect_left(spont, start) for start in offsets]
-    nsp = len(spont)
-    jlists = [jumps[rank] for rank in ranks]
-    njumps = lands = 0
-    max_jump = 0.0
-
-    def land_run(rp: int, a: int, b: int, first: int, last: int) -> None:
-        nonlocal njumps, lands, max_jump
-        k = spont_ptr[rp]
-        # No source moved: land just the bound.  Long runs only (measured:
-        # 2×500k, one run, 30 → 27 ms; POP, ≈ 2 a run, 75 → 96 ms if all).
-        todo = range(first, last)
-        if last - first > 8 and not any(map(is_moved, src[dep_indptr[first]:dep_indptr[last]])):
-            todo = bound_at[bisect_left(bound_at, first):bisect_left(bound_at, last)]
-        for di in todo:
-            e, estop = dep_indptr[di], dep_indptr[di + 1]
-            if not (bound[di] or moved[src[e]] or estop - e > 1 and any(map(is_moved, src[e + 1:estop]))):
-                continue
-            lands += 1
-            p = dep_gids[di]
-            # A stretch moves nothing unless the event before it moved or a
-            # spontaneous position lies inside it: skip the call then.
-            if a < p and (moved[a - 1] or k < nsp and spont[k] < p):
-                k = stretch(a, p, k)
-            remote_floor = _NEG_INF
-            while e < estop:
-                s = src[e]
-                floor = (corr[s] if moved[s] else orig_at[s]) + elmin[e]
-                if floor > remote_floor:
-                    remote_floor = floor
-                e += 1
-            if dep_slot[di] >= 0:
-                floor = block_floor(dep_slot[di])
-                if floor > remote_floor:
-                    remote_floor = floor
-            jump = land(p, remote_floor)
-            if jump:
-                jlists[rp].append((p - offsets[rp], jump))
-                njumps += 1
-                if jump > max_jump:
-                    max_jump = jump
-            a = p + 1
-        if a < b and (moved[a - 1] or k < nsp and spont[k] < b):
-            k = stretch(a, b, k)
-        spont_ptr[rp] = k
-
+    land_run, totals = lander(
+        [(*window, offset, jumps[rank]) for offset, rank in zip(hot["offsets"], schedule.ranks)],
+        block_floor,
+    )
     schedule.walk(land_run)
     corrected, written = settle()
+    lands, njumps, max_jump = totals()
     return corrected, jumps, njumps, max_jump, len(written), lands
 
 

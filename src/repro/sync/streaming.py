@@ -32,17 +32,17 @@ drives for a sharded source), each reading every input shard once:
   ever written — each later sweep re-evaluates the map on the shard it
   holds (or on the sends it reads), which yields the same bits as
   applying it to the whole log.
-* the **forward** sweep is the in-memory forward pass on the same
-  driver, :func:`repro.sync.schedule.walk`: a rank's *window* is its
-  resident shard with that shard's source rows, and the walk lands each
-  visit's ready run as it walks (see :meth:`ShardSweeps._forward`).  The
-  arithmetic is :func:`repro.sync.schedule.forward_recurrence`, run one
-  shard at a time with the carried predecessor in the slot before it.
-  When the walk reaches a window's end the shard is flushed — forward
-  times saved, send caps spilled to the senders' per-shard bucket files:
-  one :func:`repro.sync.schedule.nudged_caps` op over its settled receive
-  stamps, and :func:`repro.sync.schedule.sized_block_caps` for the
-  blocks whose last exit landed there — and the next one is loaded.
+* the **forward** sweep is the in-memory forward pass — the same
+  driver, :func:`repro.sync.schedule.walk`, and landing loop,
+  :func:`repro.sync.schedule.lander` — over windows that are resident
+  shards, each one :func:`repro.sync.schedule.forward_recurrence`
+  overlay with its outside sources and carried predecessor in slots
+  before it (see :meth:`ShardSweeps._forward`).  When the walk reaches
+  a window's end the shard is flushed — forward times saved, its
+  receives' send caps (one :func:`repro.sync.schedule.nudged_caps` op)
+  spilled to the senders' per-shard bucket files — and the next one is
+  loaded; the blocks' caps follow the sweep
+  (:func:`repro.sync.schedule.sized_block_caps`).
 * the backward amortization is a single reverse pass over each flagged
   rank's forward temp files — :func:`repro.sync.clc.amortize_segment`
   per shard, with three scalar carries (the next shard's first advance,
@@ -72,8 +72,8 @@ from __future__ import annotations
 
 import tempfile
 from bisect import bisect_left
-from collections import Counter
 from dataclasses import replace
+from itertools import repeat
 from pathlib import Path
 from typing import Optional, Union
 
@@ -93,6 +93,7 @@ from repro.sync.schedule import (
     block_lmin,
     bound_dependents,
     forward_recurrence,
+    lander,
     nudged_caps,
     sized_block_caps,
     walk,
@@ -312,35 +313,40 @@ class _Blocks:
     instance out as blocks, as for the compiled schedule: ``walk`` is the
     driver's ``(b_lo, b_need, enter log index, enter rank position)``.
     ``enters`` names the enters some exit reads and ``exits`` the exits
-    that read one (:meth:`_keyed`).  The forward sweep records an
-    enter's stamp in ``values`` (by slot) as its rank's cursor passes it,
-    and an exit's in ``recv`` as it lands; once a block's last exit has
-    landed its enters' send caps are due (:meth:`landed`) and its enter
-    stamps are dropped.
+    that read one (:meth:`_keyed`).  An enter's forward stamp is read
+    from its rank's resident window until that shard is flushed, then
+    from ``stamps`` (by slot); an exit's is kept in ``recv`` as its
+    shard is flushed, and the enters' send caps are taken once every exit
+    has been (:meth:`caps`).
     """
 
-    def __init__(self, table: CollectiveTable, lmin: LminSpec, pos: np.ndarray) -> None:
+    def __init__(self, table: CollectiveTable, lmin: LminSpec, pos: np.ndarray, lanes: list) -> None:
         blocks = collective_constraints(table)
         members = blocks.members
         self.indptr, self.need = blocks.indptr, blocks.need
         self.rank = ranks = table.ranks[members]
         self.enter_idx = table.enter_idx[members]
         self.lmin = block_lmin(lmin, blocks.indptr, ranks)
-        self.walk = (blocks.lo.tolist(), blocks.need.tolist(), self.enter_idx.tolist(),
-                     pos[ranks].tolist())
-        self.values: dict[int, float] = {}
-        self.floor = block_floors(
-            self.walk[0], self.walk[1], self.lmin,
-            lambda lo, hi: list(map(self.values.__getitem__, range(lo, hi))),
+        self.walk = b_lo, b_need, b_enter, b_pos = (
+            blocks.lo.tolist(), blocks.need.tolist(), self.enter_idx.tolist(), pos[ranks].tolist()
         )
-        # Per block (its first slot): the end of the slots its exits read.
+        self.stamps = np.zeros(members.size)  # per slot: its enter's forward stamp, once flushed
+        self.kept = np.zeros(members.size, dtype=bool)
+        self.recv = np.zeros(members.size)  # per slot: its exit's forward stamp
+
+        def enter_stamps(lo: int, hi: int) -> list:
+            out = self.stamps[lo:hi].tolist()
+            for k in np.flatnonzero(~self.kept[lo:hi]).tolist():  # still resident
+                corr, _, shift = lanes[b_pos[lo + k]][:3]
+                out[k] = corr[b_enter[lo + k] + shift]
+            return out
+
+        self.floor = block_floors(b_lo, b_need, self.lmin, enter_stamps)
+        # Per slot: the end of the slots its block's exits read.
         starts, sizes = blocks.indptr[:-1], np.diff(blocks.indptr)
         reach = np.repeat(np.maximum.reduceat(blocks.need, starts), sizes)
-        self.reach = reach.tolist()
-        waits = blocks.need > blocks.lo
-        self.pending = Counter(blocks.lo[waits].tolist())  # block -> exits still to land
-        self.recv = np.zeros(members.size)  # per slot: its exit's forward stamp
         read = np.arange(members.size) < reach
+        waits = blocks.need > blocks.lo
         self.enters = self._keyed(pos[ranks[read]], self.enter_idx[read], np.flatnonzero(read))
         self.exits = self._keyed(pos[ranks[waits]], table.exit_idx[members][waits],
                                  np.flatnonzero(waits))
@@ -352,48 +358,67 @@ class _Blocks:
         order = np.argsort(keys, kind="stable")
         return keys[order], slots[order]
 
-    def landed(self, slot: int, value: float) -> int:
-        """Record exit ``slot``'s forward stamp; its block's first slot when it
-        was the block's last exit to land, else ``-1``."""
-        self.recv[slot] = value
-        lo = self.walk[0][slot]
-        self.pending[lo] -= 1
-        if self.pending[lo]:
-            return -1
-        del self.pending[lo]
-        for t in range(lo, self.reach[lo]):
-            del self.values[t]
-        return lo
+    def caps(self, spill: _Spill) -> None:
+        """Spill every block's enters' send caps, in the in-memory kernel's
+        order (:func:`repro.sync.schedule.sized_block_caps`)."""
+        indptr = self.indptr
+        slots, caps = sized_block_caps(indptr[:-1], np.diff(indptr), self.need, self.recv, self.lmin)
+        spill.add(self.rank[slots], self.enter_idx[slots], caps)
 
-    def caps(self, firsts: list[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(ranks, enter indices, caps)`` of the enters of the completed blocks ``firsts``."""
-        firsts = np.array(firsts, dtype=np.int64)
-        sizes = self.indptr[np.searchsorted(self.indptr, firsts) + 1] - firsts
-        slots, caps = sized_block_caps(firsts, sizes, self.need, self.recv, self.lmin)
-        return self.rank[slots], self.enter_idx[slots], caps
+
+class _Channel:
+    """Moved sends' forward stamps, carried to the windows of their receives.
+
+    A send is keyed ``rank << _RANK_SHIFT | log index``.  An opened window
+    reads every source outside its shard from an overlay slot of its own
+    (:meth:`open`); :meth:`publish` writes a moved send's stamp into that
+    slot if the window is resident (``lanes[rank position]``), else holds
+    it until the window opens.  An unmoved send's slot keeps its input
+    stamp.
+    """
+
+    def __init__(self, lanes: list) -> None:
+        self.lanes = lanes
+        self.sent: dict[int, float] = {}  # key -> stamp, its receive's window not open yet
+        self.waiting: dict[int, int] = {}  # key -> rank position << 32 | slot
+
+    def publish(self, key: int, value: float) -> None:
+        at = self.waiting.pop(key, -1)
+        if at < 0:
+            self.sent[key] = value
+        else:
+            corr, moved, _ = self.lanes[at >> 32][:3]
+            corr[at & 0xFFFFFFFF] = value
+            moved[at & 0xFFFFFFFF] = 1
+
+    def open(self, rp: int, keys: list[int]) -> None:
+        """Rank position ``rp``'s window opened; its overlay slot ``i`` reads send ``keys[i]``."""
+        self.waiting.update(zip(keys, range(rp << 32, (rp << 32) + len(keys))))
+        for key in self.sent.keys() & keys:
+            self.publish(key, self.sent.pop(key))
+
+    def close(self, keys: list[int]) -> None:
+        """The window reading ``keys`` is flushed: what did not move stays unpublished."""
+        list(map(self.waiting.pop, keys, repeat(None)))
 
 
 class _RankForward:
     """One rank's forward pass, one resident shard at a time: the driver's window.
 
-    The arithmetic is :func:`repro.sync.schedule.forward_recurrence`,
-    run over one shard at a time with a one-slot prefix holding the
-    previous shard's last original value, on which its corrected value
-    lands, so the recurrence reads ``corr[q - 1]`` uniformly across
-    shard boundaries (list index ``q`` is the shard's event ``q - 1``;
-    splitting a stretch at a shard or visit boundary changes no bit).
-    What is kept besides is what streaming needs: the shard's dependents
-    (its matched receives, one source row each, and its constrained
-    exits) with what landing them reads, its sends and constraining
-    enters (the cursor publishes and records them as it passes), the
-    blocks whose last exit landed here, and the carries.
+    :meth:`load` lays a shard out for :func:`repro.sync.schedule.lander`
+    as one :func:`repro.sync.schedule.forward_recurrence` overlay: a slot
+    per source outside the shard (its send's input stamp until the
+    channel brings a moved one), a slot for the previous shard's last
+    event (its corrected stamp landed on its original one, so splitting
+    a stretch at the shard boundary changes no bit), then the shard.
+    Kept besides: the sends to publish, the constraining enters and exits
+    to record at the flush, and the carries.
     """
 
     __slots__ = (
-        "rank", "recs", "si", "lo", "n_s", "corr", "moved", "stretch", "land", "settle",
-        "sp_ptr", "cur", "window", "key", "stamp", "lmin", "bound", "bound_at", "rows",
-        "sends", "send_ptr", "key_base", "enters", "enter_slots", "enter_ptr", "completed",
-        "prev_orig", "prev_corr", "writes", "jumps", "fwd_paths", "fwd_span",
+        "rank", "recs", "si", "lo", "n_s", "settle", "lane", "keys", "sends",
+        "enters", "exits", "rows", "prev_orig", "prev_corr", "writes", "jumps",
+        "jump_stamps", "fwd_paths", "fwd_span",
     )
 
     def __init__(self, rank, recs) -> None:
@@ -403,7 +428,8 @@ class _RankForward:
         self.prev_orig = 0.0
         self.prev_corr = 0.0
         self.writes = 0  # events this rank's forward pass moved
-        self.jumps: list[tuple[int, float, float]] = []  # (local idx, jump, value)
+        self.jumps: list[tuple[int, float]] = []  # (local idx, jump)
+        self.jump_stamps: list[float] = []  # each jump's forward stamp
         self.fwd_paths: list[Path] = []
         self.fwd_span: list[tuple[float, float]] = []  # per shard: (first, max) forward time
 
@@ -419,14 +445,22 @@ class _RankForward:
         src, idx, stamp = rows["r"], rows["j"], rows["v"]
         lm = resolve_lmin(lmin, src, np.full(src.size, rank))
         own = src == rank
+        # A source in this shard is read where it is; any other gets a prefix slot.
+        far = np.flatnonzero(~(own & (idx >= lo) & (idx < lo + n)))
+        m = far.size
+        shift = m + 1 - lo
+        at = idx + shift
+        at[far] = np.arange(m)
+        self.keys = (src[far] << _RANK_SHIFT | idx[far]).tolist()
 
         def here(events: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
             """The log indices and slots of this shard's ``events`` (``_Blocks._keyed``)."""
             keys, slots = events
-            at = slice(*np.searchsorted(keys, (pos[rank] << _RANK_SHIFT) + np.array([lo, lo + n])))
-            return keys[at] & ((1 << _RANK_SHIFT) - 1), slots[at]
+            cut = slice(*np.searchsorted(keys, (pos[rank] << _RANK_SHIFT) + np.array([lo, lo + n])))
+            return keys[cut] & ((1 << _RANK_SHIFT) - 1), slots[cut]
 
         exit_idx, exit_slot = here(blocks.exits)
+        self.exits = (exit_idx - lo, exit_slot)
         # The dependents, in log order: the receives (one row each), then
         # the exits (none), merged.
         dep = np.concatenate([rows["i"], exit_idx])
@@ -434,64 +468,53 @@ class _RankForward:
         is_row = order < src.size
         slot = np.concatenate([np.full(src.size, -1), exit_slot])[order]
         indptr = np.concatenate([[0], np.cumsum(is_row)])
-        dep, q = dep[order], dep[order] - (lo - 1)
-        # Per dependent, what landing a receive reads (an exit: -1, 0.0, 0.0):
-        # its send's ``(rank, idx)`` key, input stamp and ``l_min``.
-        key, at_lm = np.full(dep.size, -1), np.zeros((2, dep.size))
-        key[is_row], at_lm[:, is_row] = src << _RANK_SHIFT | idx, (stamp, lm)
-        self.key, (self.stamp, self.lmin) = key.tolist(), at_lm.tolist()
+        dep = dep[order]
         self.rows = (rows["i"] - lo, src, idx, lm)  # what the send caps read at flush
-        bound = bound_dependents(slot, indptr, stamp + lm, own, ts[q - 1])
-        self.bound, self.bound_at = bound.tolist(), np.flatnonzero(bound).tolist()
-        sends = np.flatnonzero(et == _SEND)
-        self.sends, self.send_ptr = (sends + 1).tolist(), 0
-        self.key_base = (rank << _RANK_SHIFT) + lo - 1
+        bound = bound_dependents(slot, indptr, stamp + lm, own, ts[dep - lo])
+        self.sends = (np.flatnonzero(et == _SEND) + lo).tolist()
         enter_idx, enter_slot = here(blocks.enters)
-        enters = enter_idx - (lo - 1)
-        self.enters, self.enter_slots = enters.tolist(), enter_slot.tolist()
-        self.enter_ptr = 0
-        self.completed = []  # blocks whose last exit landed in this shard
-        # The log's very first event has no predecessor for the follow
-        # rule to read.  What is read back: the carried slot, the last
-        # slot (the next carry), and every send and dependent.
-        self.corr, self.moved, _, self.stretch, self.land, self.settle = forward_recurrence(
-            np.append(self.prev_orig, ts), gamma,
-            heads=[1] if lo == 0 and n else [],
-            reads=np.concatenate([[0, n], sends + 1, q, enters]),
+        self.enters = (enter_idx - lo, enter_slot)
+        # The prefix and the carried slot are heads, and so is the log's
+        # very first event.  Read back as they are: the constraining enters.
+        orig = np.concatenate([stamp[far], [self.prev_orig], ts])
+        corr, moved, spont, stretch, land, self.settle = forward_recurrence(
+            orig, gamma, heads=np.arange(m + 2 if lo == 0 and n else m + 1), reads=enter_idx + shift
         )
-        self.land(0, self.prev_corr)
+        land(m, self.prev_corr)
         self.prev_orig = float(ts[-1])
-        self.sp_ptr = 0
-        self.cur = 1
-        wait = np.where(own & (idx < rows["i"]), -1, idx)
-        self.window = Window(
-            lo + n, 0, dep.size, dep.tolist(), indptr.tolist(), wait.tolist(),
-            pos[src].tolist(), slot.tolist(), np.flatnonzero(slot >= 0).tolist(), wait, pos[src],
+        exits, slot, indptr = np.flatnonzero(slot >= 0).tolist(), slot.tolist(), indptr.tolist()
+        self.lane = (
+            corr, moved, shift, memoryview(orig), spont, stretch, land, (dep + shift).tolist(),
+            indptr, at.tolist(), lm.tolist(), slot, bound.tolist(), np.flatnonzero(bound).tolist(),
+            shift, self.jumps,
         )
-        return self.window
+        wait = np.where(own & (idx < rows["i"]), -1, idx)
+        return Window(
+            lo + n, 0, dep.size, dep.tolist(), indptr, wait.tolist(), pos[src].tolist(), slot,
+            exits, wait, pos[src],
+        )
 
-    def flush_shard(self, tmpdir: Path, spill: _Spill, blocks: _Blocks) -> None:
-        """Save the shard's forward times, spill its send caps, drop it."""
+    def flush_shard(self, tmpdir: Path, spill: _Spill, blocks: _Blocks, channel: _Channel) -> None:
+        """Save the shard's forward times, spill its receives' send caps, drop it."""
         path = tmpdir / f"fwd_r{self.rank}_s{self.si}.npy"
         fwd, written = self.settle()
-        fwd = fwd[1:]
-        self.writes += int(np.count_nonzero(written))  # moved positions, the carry's 0 aside
+        top = self.lane[2] + self.lo  # the shard's first event: prefix and carry aside
+        fwd = fwd[top:]
+        self.writes += int(np.count_nonzero(written >= top))
         np.save(path, fwd)
         self.fwd_paths.append(path)
         self.fwd_span.append((float(fwd[0]), float(fwd.max())))
-        self.prev_corr = self.corr[self.n_s]
-        # Every receive's cap on its send, in log order, then the enters
-        # of the blocks completed here.
+        self.prev_corr = float(fwd[-1])
+        channel.close(self.keys)
+        at, slots = self.enters
+        blocks.stamps[slots], blocks.kept[slots] = fwd[at], True
+        at, slots = self.exits
+        blocks.recv[slots] = fwd[at]
+        stamped = len(self.jump_stamps)
+        self.jump_stamps += fwd[[k - self.lo for k, _ in self.jumps[stamped:]]].tolist()
         at, src, idx, lm = self.rows
-        ranks, idx, vals = src, idx, nudged_caps(fwd[at], lm)
-        if self.completed:
-            b_ranks, b_idx, b_caps = blocks.caps(self.completed)
-            ranks, idx = np.concatenate([ranks, b_ranks]), np.concatenate([idx, b_idx])
-            vals = np.concatenate([vals, b_caps])
-        if ranks.size:
-            spill.add(ranks, idx, vals)
-        self.corr = self.moved = self.stretch = self.land = self.settle = self.window = None
-        self.rows = None
+        spill.add(src, idx, nudged_caps(fwd[at], lm))
+        self.lane = self.settle = self.rows = self.keys = self.sends = None
 
 
 # ----------------------------------------------------------------------
@@ -507,9 +530,9 @@ def _backward_pass(st: _RankForward, window: float, caps: _Spill, resident, tele
     every later jump's ramp cut is reached by no window: it stays on
     disk untouched and hands on the carry of an event that did not move.
     """
-    ks = np.array([k for k, _, _ in st.jumps], dtype=np.int64)
-    js = np.array([j for _, j, _ in st.jumps], dtype=np.float64)
-    vs = np.array([v for _, _, v in st.jumps], dtype=np.float64)
+    ks = np.array([k for k, _ in st.jumps], dtype=np.int64)
+    js = np.array([j for _, j in st.jumps], dtype=np.float64)
+    vs = np.array(st.jump_stamps, dtype=np.float64)
     cuts = ramp_cuts(js, vs, window)
     carry = None
     for si in range(len(st.recs) - 1, -1, -1):
@@ -757,102 +780,53 @@ class ShardSweeps:
         global jump count and maximum jump, the receives and exits
         landed, and the visits that moved a cursor.
 
-        A rank's window is its resident shard: the walk opens the next
-        one once the last is flushed (caps spilled, forward times saved).
-        Each visit's ready run is landed as the walk makes it.  A receive
-        is landed — :func:`~repro.sync.schedule.forward_recurrence`'s
-        ``land`` run on it with its send's forward stamp plus ``l_min`` —
-        only if :func:`~repro.sync.schedule.bound_dependents` accepts it
-        (an own send, or a floor on the input stamps that binds) or its
-        send moved: a send is *published* (held until its receive lands)
-        as its rank's cursor passes it, if the pass moved it.  Every block
-        exit that reads an enter is landed, its floor from
-        :func:`~repro.sync.schedule.block_floors` over the enter stamps
-        recorded as the cursors passed them.  Every other receive is a
-        plain event of a ``stretch``: the rule the in-memory
-        :func:`~repro.sync.schedule.forward_pass` follows too, exact by
-        the argument in ``forward_recurrence``'s docstring.
+        A rank's window is its resident shard, landed by the in-memory
+        pass's loop, :func:`repro.sync.schedule.lander`; the walk opens
+        the next once the last is flushed.  What the loop reads from
+        outside a shard is there before a visit reads it: a moved send is
+        published as its rank's cursor passes it (:class:`_Channel`), an
+        enter read from its resident shard or as kept at its flush.
         """
         ranks = self.chunked.ranks
         pos = np.zeros(max(ranks, default=-1) + 1, dtype=np.int64)
         pos[ranks] = np.arange(len(ranks))
-        blocks = _Blocks(self.collectives, self.lmin, pos)
-        values = blocks.values
-        # Moved sends, by (rank, idx) key -> forward stamp, until their receive lands.
-        published: dict[int, float] = {}
+        # Per rank position, its resident shard's lane: (corr, moved, shift, ...).
+        lanes: list[Optional[tuple]] = [None] * len(ranks)
+        blocks = _Blocks(self.collectives, self.lmin, pos, lanes)
+        channel = _Channel(lanes)
         states = [_RankForward(r, self.reader.rank_shards(r)) for r in ranks]
-        njumps = lands = 0
-        max_jump = 0.0
+        land_visit, totals = lander(lanes, blocks.floor)
 
         def open_window(rp: int) -> Optional[Window]:
             st = states[rp]
             if st.si + 1 == len(st.recs):
                 return None
-            return st.load(
+            window = st.load(
                 self._interpolated(st.recs[st.si + 1]), gamma,
                 self.sources.load(st.rank, st.si + 1), self.lmin, blocks, pos,
             )
+            lanes[rp] = st.lane
+            channel.open(rp, st.keys)
+            return window
 
-        def pass_to(st: _RankForward, cur: int) -> None:
-            """Publish the moved sends and record the constraining enters below list index ``cur``."""
-            corr, moved, base = st.corr, st.moved, st.key_base
-            k0 = st.send_ptr
-            k1 = st.send_ptr = bisect_left(st.sends, cur, k0)
-            if k1 > k0:
-                published.update([(base + q, corr[q]) for q in st.sends[k0:k1] if moved[q]])
-            e0 = st.enter_ptr
-            e1 = st.enter_ptr = bisect_left(st.enters, cur, e0)
-            for q, t in zip(st.enters[e0:e1], st.enter_slots[e0:e1]):
-                values[t] = corr[q]
-
-        def land_run(rp: int, start: int, stop: int, first: int, last: int) -> None:
-            nonlocal njumps, lands, max_jump
+        def land(rp: int, start: int, stop: int, first: int, last: int) -> None:
+            land_visit(rp, start, stop, first, last)
             st = states[rp]
-            w, key, bound, corr = st.window, st.key, st.bound, st.corr
-            stretch, land = st.stretch, st.land
-            base = 1 - st.lo
-            # No send is published: land just the bound (long runs only, as in memory).
-            todo = range(first, last)
-            if not published and last - first > 8:
-                todo = st.bound_at[bisect_left(st.bound_at, first):bisect_left(st.bound_at, last)]
-            cur, sp_ptr = st.cur, st.sp_ptr
-            for x in todo:
-                if not (bound[x] or key[x] in published):
-                    continue
-                q = w.dep[x] + base
-                if cur < q:
-                    sp_ptr = stretch(cur, q, sp_ptr)
-                    cur = q
-                # The own cursor reaches the event first: an own send, or an
-                # N-to-N exit's own enter, is read behind it.
-                pass_to(st, cur)
-                slot = w.slot[x]
-                if slot >= 0:
-                    floor = blocks.floor(slot)
-                else:
-                    floor = published.pop(key[x], st.stamp[x]) + st.lmin[x]
-                jump = land(q, floor)
-                lands += 1
-                if slot >= 0 and (done := blocks.landed(slot, corr[q])) >= 0:
-                    st.completed.append(done)
-                if jump:
-                    st.jumps.append((st.lo + q - 1, jump, corr[q]))
-                    njumps += 1
-                    if jump > max_jump:
-                        max_jump = jump
-                cur = q + 1
-            q = stop + base
-            if cur < q:
-                sp_ptr = stretch(cur, q, sp_ptr)
-                cur = q
-            pass_to(st, cur)
-            st.cur, st.sp_ptr = cur, sp_ptr
-            if stop == w.stop:
-                st.flush_shard(tmpdir, caps, blocks)
+            corr, moved, shift = st.lane[:3]
+            if moved.find(1, start + shift, stop + shift) >= 0:  # publish the moved sends passed
+                sends, key = st.sends, st.rank << _RANK_SHIFT
+                for i in sends[bisect_left(sends, start):bisect_left(sends, stop)]:
+                    if moved[i + shift]:
+                        channel.publish(key | i, corr[i + shift])
+            if stop == st.lo + st.n_s:
+                st.flush_shard(tmpdir, caps, blocks, channel)
+                lanes[rp] = None
                 self.resident.release(st.n_s)
 
         lengths = [sum(rec.events for rec in st.recs) for st in states]
-        steps, _, _ = walk([0] * len(states), lengths, open_window, blocks.walk, land_run)
+        steps, _, _ = walk([0] * len(states), lengths, open_window, blocks.walk, land)
+        blocks.caps(caps)
+        lands, njumps, max_jump = totals()
         return {st.rank: st for st in states}, njumps, max_jump, lands, len(steps)
 
 

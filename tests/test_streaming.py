@@ -554,6 +554,81 @@ class TestCursorWaits:
         assert_streamed_matches_inmemory(trace, shard_events, lmin=1e-6)
 
 
+def _two_relay_trace() -> Trace:
+    """Rank 2 jumps at a reversed receive and its glide moves both sends that
+    follow; the receives of them, on ranks 0 and 3, violate nothing on the
+    input stamps and bind only on the moved stamps.  Rank 0 opens its window
+    and waits before rank 2 passes its sends; rank 3 is not visited until
+    after rank 2's first visit."""
+    E = EventType
+    pad = lambda t: (t, E.ENTER, 1, 0, 0, 0)  # noqa: E731
+    return _from_rows({
+        0: [pad(0.62), (0.70, E.RECV, 2, 0, 8, 1), pad(0.75)],
+        1: [pad(0.90), (1.00, E.SEND, 2, 0, 8, 0), pad(1.05)],
+        2: [pad(0.45), (0.50, E.RECV, 1, 0, 8, 0), pad(0.55),
+            (0.60, E.SEND, 0, 0, 8, 1), (0.61, E.SEND, 3, 0, 8, 2), pad(0.65)],
+        3: [pad(0.62), (0.71, E.RECV, 2, 0, 8, 2), pad(0.75)],
+    })
+
+
+class TestCrossWindowChannel:
+    """A moved send's stamp reaches its receive's window in both orders: into
+    the window while it is resident, or held until the window opens."""
+
+    @pytest.fixture
+    def deliveries(self, monkeypatch):
+        """Per send its rank's cursor published, whether its receive's window
+        was resident (a window that opens takes what was held for it)."""
+        from repro.sync.streaming import _Channel
+
+        seen: list[bool] = []
+        opening = []
+        real_publish, real_open = _Channel.publish, _Channel.open
+
+        def publish(self, key, value):
+            if not opening:
+                seen.append(key in self.waiting)
+            real_publish(self, key, value)
+
+        def open_(self, rp, keys):
+            opening.append(rp)
+            try:
+                real_open(self, rp, keys)
+            finally:
+                opening.pop()
+
+        monkeypatch.setattr(_Channel, "publish", publish)
+        monkeypatch.setattr(_Channel, "open", open_)
+        return seen
+
+    @pytest.mark.parametrize("shard_events", [1, 2, 3, 100])
+    def test_matches_inmemory(self, tmp_path, deliveries, shard_events):
+        from repro import TelemetryRecorder
+
+        trace = _two_relay_trace()
+        assert scan_trace(trace, lmin=1e-6)["p2p"].violated == 1
+        memory = TelemetryRecorder()
+        assert ControlledLogicalClock(telemetry=memory).correct(trace, lmin=1e-6).jumps == 3
+        assert_streamed_matches_inmemory(trace, shard_events, lmin=1e-6)
+        streamed = TelemetryRecorder()
+        shards = write_sharded_trace(trace, tmp_path / "s", shard_events=shard_events)
+        streaming_clc_correct(shards, tmp_path / "out", lmin=1e-6, telemetry=streamed)
+        assert streamed.counters["sync.stream.lands"] == memory.counters["sync.clc.lands"]
+        # One shard a rank: rank 0's window is resident when rank 2 passes
+        # its send; rank 3's opens only after rank 2's shard was flushed.
+        if shard_events == 100:
+            assert deliveries[-2:] == [True, False]
+
+    def test_both_orders_occur(self, tmp_path, deliveries):
+        """Across the shard cuts, a publication meets both a resident and a
+        not-yet-opened window."""
+        trace = _two_relay_trace()
+        for shard_events in (1, 2, 3, 100):
+            shards = write_sharded_trace(trace, tmp_path / f"s{shard_events}", shard_events)
+            streaming_clc_correct(shards, tmp_path / f"out{shard_events}", lmin=1e-6)
+        assert set(deliveries) == {True, False}
+
+
 class TestSpillBudget:
     """Source rows and send caps stay in memory up to a budget over all buckets, then go to disk."""
 
