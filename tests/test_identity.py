@@ -18,6 +18,8 @@ from identity_pins import (
     figures_sha256,
     jsonl_sha256,
     pomp_cases,
+    replay_cases,
+    replay_sha256,
     service_cases,
     serving,
     sim_cases,
@@ -57,8 +59,9 @@ def test_pomp_clc(pomp, threads, imbalance):
 
 @pytest.mark.parametrize("key", sorted(IDENTITY["stamps"]["digests"]))
 def test_stamps(stamps, key):
-    """POP under align/linear, a periodic-sync run under piecewise, and a
-    jump-sparse synthetic trace under linear, with and without the CLC."""
+    """POP under align/linear, a periodic-sync run under piecewise, a
+    jump-sparse synthetic trace under linear, and POP and SMG2000 under
+    every trace-only mode, with and without the CLC."""
     assert digest(*stamps[key]) == IDENTITY["stamps"]["digests"][key], key
 
 
@@ -183,6 +186,12 @@ def test_sim_runs(sim, key):
     assert sim_sha256(run) == IDENTITY["sim"]["digests"][key], key
 
 
+@pytest.mark.parametrize("key", sorted(IDENTITY["replay"]["digests"]))
+def test_replay(key):
+    """The parallel replay's corrected stamps and its round count."""
+    assert replay_sha256(*replay_cases()[key]) == IDENTITY["replay"]["digests"][key], key
+
+
 def test_every_case_is_pinned(pomp, stamps, written, sim):
     assert sorted(pomp) == sorted(IDENTITY["pomp_clc"]["digests"])
     assert sorted(written) == sorted(IDENTITY["bytes"]["digests"])
@@ -190,3 +199,4 @@ def test_every_case_is_pinned(pomp, stamps, written, sim):
     assert sorted(service_cases()) == sorted(IDENTITY["service"]["digests"])
     assert sorted(figures_cases()) == sorted(IDENTITY["figures"]["digests"])
     assert sorted(sim) == sorted(IDENTITY["sim"]["digests"])
+    assert sorted(replay_cases()) == sorted(IDENTITY["replay"]["digests"])
