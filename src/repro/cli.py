@@ -73,7 +73,7 @@ import sys
 from repro.analysis.timeline import render_message_arrows, render_timeline
 from repro.cluster.pinning import PLACEMENTS
 from repro.core.api import PLATFORMS
-from repro.core.correct import INTERPOLATIONS, correct_trace, scan_source
+from repro.core.correct import INTERPOLATIONS, TRACE_ONLY_MODES, correct_trace, scan_source
 from repro.errors import ReproError
 from repro.options import ENGINES, RunOptions
 from repro.sync.violations import scan_messages
@@ -439,10 +439,10 @@ def _cmd_sync(args) -> int:
         telemetry=recorder,
     )
     suffix = " (streamed)" if result.streamed else ""
-    if args.interpolation in ("hull", "regression", "minmax"):
-        print(f"applied {args.interpolation} error estimation")
-    elif args.interpolation == "exchange":
+    if args.interpolation == "exchange":
         print("applied exchange-midpoint correction")
+    elif args.interpolation in TRACE_ONLY_MODES:
+        print(f"applied {args.interpolation} error estimation")
     elif args.interpolation != "none":
         print(f"applied {args.interpolation} interpolation{suffix}")
     if result.clc is not None:

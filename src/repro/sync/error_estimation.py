@@ -28,6 +28,11 @@ direction lower-bounds it.  Three estimators of the medial line
 maximum-message-count spanning tree (Jezequel's adaptation to arbitrary
 topologies, built with networkx) to produce a
 :class:`~repro.sync.interpolation.ClockCorrection` onto a master rank.
+The observations are the point-to-point messages alone, and each rank
+gets one line over the whole run: a line cannot follow clocks that bend
+within the run (NTP slews), which the exchange midpoints of
+:mod:`repro.sync.exchange` and the piecewise interpolation of measured
+offsets can.
 """
 
 from __future__ import annotations
@@ -67,10 +72,6 @@ class OffsetLine:
 
     def at(self, t: float | np.ndarray) -> float | np.ndarray:
         return self.a + self.b * np.asarray(t, dtype=np.float64) if np.ndim(t) else self.a + self.b * float(t)
-
-    def negated(self) -> "OffsetLine":
-        """The same estimate seen from the other side (p minus q)."""
-        return OffsetLine(self.q, self.p, -self.a, -self.b, self.method, self.support)
 
 
 def _direction_points(
@@ -219,8 +220,6 @@ def synchronize_by_spanning_tree(
     lmin: LminSpec = 0.0,
     master: int = 0,
     method: Method = "regression",
-    include_collectives: bool = False,
-    windows: int = 1,
 ) -> ClockCorrection:
     """Jezequel-style whole-job synchronization from message estimates.
 
@@ -228,25 +227,10 @@ def synchronize_by_spanning_tree(
     maximum-support spanning tree (networkx minimum tree on ``1/count``),
     composes offset lines along the tree paths to ``master``, and
     returns the equivalent :class:`ClockCorrection` (two knots per rank
-    spanning the trace's time range).
-
-    ``windows > 1`` fits independent lines over that many consecutive
-    time segments and stitches them into a piecewise correction — the
-    estimation-side analogue of piecewise interpolation, useful when the
-    clocks bend (NTP slews) within the run.  Each window needs
-    bidirectional traffic on enough pairs; windows that fail fall back
-    to the whole-run estimate for continuity.
+    spanning the trace's time range).  Only point-to-point messages are
+    observations.
     """
-    if windows > 1:
-        return _windowed_spanning_tree(
-            trace, lmin, master, method, include_collectives, windows
-        )
     messages = trace.messages(strict=False)
-    if include_collectives:
-        from repro.sync.collectives_map import logical_messages
-
-        logical = logical_messages(trace.collectives())
-        messages = _concat_tables(messages, logical)
     if len(messages) == 0:
         raise SynchronizationError("trace has no messages to estimate offsets from")
 
@@ -301,56 +285,3 @@ def synchronize_by_spanning_tree(
             np.array([line.a + line.b * t_lo, line.a + line.b * t_hi]),
         )
     return ClockCorrection(knots, master=master)
-
-
-def _windowed_spanning_tree(
-    trace: Trace,
-    lmin: LminSpec,
-    master: int,
-    method: Method,
-    include_collectives: bool,
-    windows: int,
-) -> ClockCorrection:
-    whole = synchronize_by_spanning_tree(
-        trace, lmin, master, method, include_collectives, windows=1
-    )
-    t_lo = float(min(np.min(trace.logs[r].timestamps) for r in trace.ranks if len(trace.logs[r])))
-    t_hi = float(max(np.max(trace.logs[r].timestamps) for r in trace.ranks if len(trace.logs[r])))
-    edges = np.linspace(t_lo, t_hi, windows + 1)
-    centers = (edges[:-1] + edges[1:]) / 2.0
-
-    knots: dict[int, tuple[list[float], list[float]]] = {
-        rank: ([], []) for rank in trace.ranks if rank != master
-    }
-    for lo, hi, center in zip(edges[:-1], edges[1:], centers):
-        window_trace = trace.slice(float(lo), float(np.nextafter(hi, np.inf)))
-        try:
-            corr = synchronize_by_spanning_tree(
-                window_trace, lmin, master, method, include_collectives, windows=1
-            )
-        except SynchronizationError:
-            corr = whole  # sparse window: keep the global line here
-        for rank in knots:
-            knots[rank][0].append(float(center))
-            knots[rank][1].append(float(corr.offset_model(rank, float(center))))
-    return ClockCorrection(
-        {rank: (np.asarray(w), np.asarray(o)) for rank, (w, o) in knots.items()},
-        master=master,
-    )
-
-
-def _concat_tables(a: MessageTable, b: MessageTable) -> MessageTable:
-    if len(a) == 0:
-        return b
-    if len(b) == 0:
-        return a
-    return MessageTable(
-        np.concatenate([a.src, b.src]),
-        np.concatenate([a.dst, b.dst]),
-        np.concatenate([a.tag, b.tag]),
-        np.concatenate([a.nbytes, b.nbytes]),
-        np.concatenate([a.send_ts, b.send_ts]),
-        np.concatenate([a.recv_ts, b.recv_ts]),
-        np.concatenate([a.send_idx, b.send_idx]),
-        np.concatenate([a.recv_idx, b.recv_idx]),
-    )

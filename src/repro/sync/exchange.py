@@ -19,69 +19,47 @@ piecewise synchronization, the property [22]/[23] exploit.
 
 :func:`offsets_from_exchanges` extracts those estimates as standard
 measurement sets, directly consumable by
-:func:`repro.sync.interpolation.piecewise_interpolation`.
+:func:`repro.sync.interpolation.piecewise_interpolation`.  Every N-to-N
+MPI instance the master takes part in counts, however long it ran: a
+long instance is a long wait and gives a coarse midpoint, but dropping
+it leaves a longer gap between knots instead (an OpenMP barrier is no
+message exchange and never counts).
 """
 
 from __future__ import annotations
-
-from typing import Iterable, Optional
 
 import numpy as np
 
 from repro.errors import SynchronizationError
 from repro.sync.interpolation import ClockCorrection, piecewise_interpolation
 from repro.sync.offset import OffsetMeasurement
-from repro.tracing.events import (
-    COLLECTIVE_FLAVORS, MPI_COLLECTIVES, CollectiveFlavor, CollectiveOp,
-)
+from repro.tracing.events import COLLECTIVE_FLAVORS, MPI_COLLECTIVES, CollectiveFlavor
 from repro.tracing.trace import Trace
 
 __all__ = ["offsets_from_exchanges", "exchange_correction"]
 
 
 def offsets_from_exchanges(
-    trace: Trace,
-    master: int = 0,
-    ops: Optional[Iterable[CollectiveOp]] = None,
-    max_duration: Optional[float] = None,
+    trace: Trace, master: int = 0
 ) -> list[dict[int, OffsetMeasurement]]:
-    """One measurement set per qualifying N-to-N collective instance.
+    """One measurement set per N-to-N MPI collective instance of ``master``.
 
-    Parameters
-    ----------
-    trace:
-        Trace containing collective events.
-    master:
-        Rank whose clock defines the timeline.
-    ops:
-        Restrict to these operations (default: every N-to-N MPI
-        collective; an OpenMP barrier is no message exchange).
-    max_duration:
-        Skip instances whose *master-side* duration exceeds this —
-        long operations mean long waits, i.e. bad estimates ("in
-        sufficiently short intervals").  ``None`` keeps all.
-
-    Returns
-    -------
-    list of ``{worker_rank: OffsetMeasurement}`` in instance order.
-    The recorded ``rtt`` is the estimate's uncertainty width
-    ``(duration_master + duration_worker)``, so callers can filter or
-    weight by quality.
+    Returns ``{worker_rank: OffsetMeasurement}`` per instance, in
+    instance order.  The recorded ``rtt`` is the estimate's uncertainty
+    width ``(duration_master + duration_worker)``.
     """
-    allowed = set(ops) if ops is not None else {
+    exchanges = {
         op for op in MPI_COLLECTIVES if COLLECTIVE_FLAVORS[op] is CollectiveFlavor.N_TO_N
     }
     sets: list[dict[int, OffsetMeasurement]] = []
     for rec in trace.collectives():
-        if rec.op not in allowed or rec.ranks.size < 2:
+        if rec.op not in exchanges or rec.ranks.size < 2:
             continue
         positions = {int(r): i for i, r in enumerate(rec.ranks)}
         if master not in positions:
             continue
         m_pos = positions[master]
         m_dur = float(rec.exit_ts[m_pos] - rec.enter_ts[m_pos])
-        if max_duration is not None and m_dur > max_duration:
-            continue
         m_mid = float(rec.enter_ts[m_pos] + rec.exit_ts[m_pos]) / 2.0
         measurements: dict[int, OffsetMeasurement] = {}
         for rank, pos in positions.items():
@@ -101,18 +79,13 @@ def offsets_from_exchanges(
     return sets
 
 
-def exchange_correction(
-    trace: Trace,
-    master: int = 0,
-    ops: Optional[Iterable[CollectiveOp]] = None,
-    max_duration: Optional[float] = None,
-) -> ClockCorrection:
+def exchange_correction(trace: Trace, master: int = 0) -> ClockCorrection:
     """Piecewise correction built purely from the trace's own exchanges.
 
     Raises :class:`SynchronizationError` when the trace holds fewer than
-    two qualifying exchanges covering every non-master rank.
+    two exchanges covering every non-master rank.
     """
-    sets = offsets_from_exchanges(trace, master=master, ops=ops, max_duration=max_duration)
+    sets = offsets_from_exchanges(trace, master=master)
     workers = {r for r in trace.ranks if r != master}
     usable = [s for s in sets if set(s) == workers]
     if len(usable) < 2:

@@ -48,7 +48,6 @@ def replay_correct(
     lmin: LminSpec = 0.0,
     gamma: float = 0.99,
     amortization_window: float | None = None,
-    include_collectives: bool = True,
     telemetry=None,
 ) -> ReplayResult:
     """Forward-pass CLC organized as a parallel replay; see module docs."""
@@ -57,7 +56,7 @@ def replay_correct(
         gamma=gamma, amortization_window=amortization_window, telemetry=tele
     )
     with tele.span("sync.replay.schedule"):
-        schedule = trace.compiled_schedule(include_collectives)
+        schedule = trace.compiled_schedule()
     with tele.span("sync.replay.rounds"):
         rounds, max_queue = bsp_rounds(schedule)
     if tele.enabled:

@@ -708,9 +708,9 @@ class ShardSweeps:
         out_dir: Union[str, Path],
         gamma: float = 0.99,
         amortization_window: Optional[float] = None,
-        shard_events: Optional[int] = None,
     ) -> ClcResult:
-        """Forward sweep, backward amortization, and the output written once.
+        """Forward sweep, backward amortization, and the output written once,
+        sharded like the input.
 
         The source rows and every temp file live for this one call: the
         temp directory is removed on the way out, raised or not."""
@@ -750,7 +750,7 @@ class ShardSweeps:
             out_meta["clc"] = {"gamma": gamma, "window": window, "jumps": njumps}
             writer = ShardedTraceWriter(
                 out_dir,
-                shard_events=shard_events or reader.shard_events,
+                shard_events=reader.shard_events,
                 run_id=reader.run_id or ("clc" if self.correction is None else "interp"),
             )
             with tele.span("sync.stream.finalize"), writer:
@@ -840,7 +840,6 @@ def streaming_clc_correct(
     amortization_window: Optional[float] = None,
     lmin: LminSpec = 0.0,
     telemetry=None,
-    shard_events: Optional[int] = None,
 ) -> ClcResult:
     """Apply the CLC to a sharded trace, writing a sharded corrected trace.
 
@@ -853,7 +852,7 @@ def streaming_clc_correct(
     ``out_dir``.
     """
     sweeps = ShardSweeps(source, None, lmin, telemetry)
-    return sweeps.clc(out_dir, gamma, amortization_window, shard_events)
+    return sweeps.clc(out_dir, gamma, amortization_window)
 
 
 def streaming_scan_trace(

@@ -54,20 +54,6 @@ class TestOffsetsFromExchanges:
             explicit = run.init_offsets[rank].offset
             assert m.offset == pytest.approx(explicit, abs=max(m.rtt, 5e-5))
 
-    def test_op_filter(self):
-        _, run = run_with_barriers(rounds=4)
-        none = offsets_from_exchanges(run.trace, ops=[CollectiveOp.ALLTOALL])
-        assert none == []
-        barriers = offsets_from_exchanges(run.trace, ops=[CollectiveOp.BARRIER])
-        assert len(barriers) == 4
-
-    def test_max_duration_filter(self):
-        _, run = run_with_barriers(rounds=4)
-        kept = offsets_from_exchanges(run.trace, max_duration=1.0)
-        dropped = offsets_from_exchanges(run.trace, max_duration=1e-9)
-        assert len(kept) == 4
-        assert dropped == []
-
 
 class TestExchangeCorrection:
     def test_reduces_violations_for_free(self):

@@ -1,12 +1,15 @@
-"""The public API surface: exports, RunOptions, and start-up imports.
+"""The public API surface: exports, correction knobs, RunOptions, and
+start-up imports.
 
-The export snapshot below is deliberate friction: adding or removing a
-top-level name is an API decision and must update this list in the same
-change.
+The export and knob snapshots below are deliberate friction: adding or
+removing a top-level name, or a parameter of a correction entry point,
+is an API decision and must update these lists in the same change.
 """
 
 from __future__ import annotations
 
+import importlib
+import inspect
 import subprocess
 import sys
 import warnings
@@ -33,6 +36,26 @@ EXPECTED_EXPORTS = [
     "__version__",
     "correct_trace",
 ]
+
+#: Every parameter of the correction entry points, in signature order.
+#: Update deliberately: a knob no caller sets is code to delete.
+EXPECTED_KNOBS = {
+    "repro.core.correct.correct_trace": [
+        "source", "interpolation", "clc", "gamma", "lmin", "amortization_window",
+        "scan", "output", "options", "telemetry",
+    ],
+    "repro.sync.error_estimation.synchronize_by_spanning_tree": [
+        "trace", "lmin", "master", "method",
+    ],
+    "repro.sync.exchange.exchange_correction": ["trace", "master"],
+    "repro.sync.exchange.offsets_from_exchanges": ["trace", "master"],
+    "repro.sync.replay.replay_correct": [
+        "trace", "lmin", "gamma", "amortization_window", "telemetry",
+    ],
+    "repro.sync.streaming.streaming_clc_correct": [
+        "source", "out_dir", "gamma", "amortization_window", "lmin", "telemetry",
+    ],
+}
 
 
 def _worker(ctx):
@@ -68,6 +91,13 @@ class TestExports:
         assert TelemetryRecorder is inner_recorder
         assert repro.correct_trace is inner_correct
         assert repro.ServiceClient is inner_client
+
+
+@pytest.mark.parametrize("path", sorted(EXPECTED_KNOBS))
+def test_knob_snapshot(path):
+    module, name = path.rsplit(".", 1)
+    function = getattr(importlib.import_module(module), name)
+    assert list(inspect.signature(function).parameters) == EXPECTED_KNOBS[path]
 
 
 class TestRunOptions:
