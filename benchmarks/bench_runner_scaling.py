@@ -168,8 +168,8 @@ def test_skewed_sweep(benchmark):
 
     def pooled_run():
         return run_grid(
-            synthetic_sweep_job, SWEEP_GRID, options=RunOptions(jobs=4),
-            telemetry=recorder,
+            synthetic_sweep_job, SWEEP_GRID,
+            options=RunOptions(jobs=4, telemetry=recorder),
         )
 
     pooled = benchmark.pedantic(pooled_run, rounds=1, iterations=1)

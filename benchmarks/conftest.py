@@ -12,7 +12,12 @@ Alongside the text, every session writes a machine-readable
 ``benchmarks/results/latest.json``: per-benchmark mean/stddev/rounds
 from pytest-benchmark, merged with any derived metrics a bench recorded
 via :func:`record_metric` (e.g. events-per-second, speedup factors).
-Future PRs diff that file to track the perf trajectory.
+Future changes diff that file to track the perf trajectory.
+
+Both ``latest`` files are committed and hold every bench's rows, so only
+a session that collected every ``bench_*.py`` writes them.  A partial
+session (one file, ``-k``, ...) writes ``partial.txt`` / ``partial.json``
+beside them instead, which git ignores.
 """
 
 from __future__ import annotations
@@ -26,6 +31,9 @@ import pytest
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
+#: Stem of this session's results files: ``latest`` or ``partial``.
+_stem = "latest"
+
 #: benchmark-name (or standalone metric name) -> derived metrics dict,
 #: merged into latest.json at session end.
 _METRICS: dict[str, dict] = {}
@@ -36,7 +44,7 @@ def emit(text: str) -> None:
     print(text, file=sys.__stdout__)
     sys.__stdout__.flush()
     RESULTS_DIR.mkdir(exist_ok=True)
-    with (RESULTS_DIR / "latest.txt").open("a", encoding="utf-8") as fh:
+    with (RESULTS_DIR / f"{_stem}.txt").open("a", encoding="utf-8") as fh:
         fh.write(text + "\n")
 
 
@@ -54,16 +62,25 @@ def _stat(stats, field):
     return float(value) if value is not None else None
 
 
+def _results_stem(session) -> str:
+    """``latest`` if ``session`` collected every bench file, else ``partial``."""
+    collected = {item.path.name for item in session.items}
+    every = {path.name for path in Path(__file__).parent.glob("bench_*.py")}
+    return "latest" if every <= collected else "partial"
+
+
 @pytest.fixture(scope="session", autouse=True)
-def _fresh_results_file():
+def _fresh_results_file(request):
+    global _stem
+    _stem = _results_stem(request.session)
     RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / "latest.txt").write_text("", encoding="utf-8")
+    (RESULTS_DIR / f"{_stem}.txt").write_text("", encoding="utf-8")
     _METRICS.clear()
     yield
 
 
 def pytest_sessionfinish(session, exitstatus):
-    """Write benchmarks/results/latest.json (per-bench mean/stddev + extras)."""
+    """Write benchmarks/results/<stem>.json (per-bench mean/stddev + extras)."""
     entries: dict[str, dict] = {}
     bench_session = getattr(session.config, "_benchmarksession", None)
     if bench_session is not None:
@@ -91,6 +108,6 @@ def pytest_sessionfinish(session, exitstatus):
         "benchmarks": entries,
     }
     RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / "latest.json").write_text(
+    (RESULTS_DIR / f"{_stem}.json").write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )

@@ -147,7 +147,6 @@ def table2_latencies(
     runs: int = 1,
     level: float = DEFAULT_LEVEL,
     options: RunOptions | None = None,
-    telemetry=None,
 ) -> Table2Result:
     """Measured message and collective latencies per placement (Table II).
 
@@ -173,7 +172,7 @@ def table2_latencies(
         dict(row, kind="collective", repeats=coll_repeats),
     ]
     return Table2Result(
-        rows=run_grid(_table2_row, grid, options=options, telemetry=telemetry)
+        rows=run_grid(_table2_row, grid, options=options)
     )
 
 
@@ -323,7 +322,6 @@ def fig4_all_panels(
     runs: int = 1,
     level: float = DEFAULT_LEVEL,
     options: RunOptions | None = None,
-    telemetry=None,
 ) -> dict[str, DeviationResult]:
     """All Fig. 4 panels through the parallel runner.
 
@@ -346,7 +344,7 @@ def fig4_all_panels(
         for p in panels
         for r in range(runs)
     ]
-    flat = run_grid(fig4_timer_deviation, grid, options=options, telemetry=telemetry)
+    flat = run_grid(fig4_timer_deviation, grid, options=options)
     out: dict[str, DeviationResult] = {}
     for k, p in enumerate(panels):
         group = flat[k * runs:(k + 1) * runs]
@@ -526,7 +524,6 @@ def fig7_app_violations(
     timer: str = "tsc",
     *,
     options: RunOptions | None = None,
-    telemetry=None,
 ) -> Fig7Result:
     """Fig. 7: percentage of reversed messages in Scalasca-style traces.
 
@@ -554,7 +551,7 @@ def fig7_app_violations(
         )
         for rep in range(runs)
     ]
-    stats = run_grid(_fig7_one_run, grid, options=options, telemetry=telemetry)
+    stats = run_grid(_fig7_one_run, grid, options=options)
     return Fig7Result(app=app, runs=list(stats))
 
 
@@ -604,7 +601,6 @@ def fig8_openmp_violations(
     regions: int = 200,
     *,
     options: RunOptions | None = None,
-    telemetry=None,
 ) -> Fig8Result:
     """Fig. 8: % of parallel regions with POMP violations vs threads.
 
@@ -620,7 +616,7 @@ def fig8_openmp_violations(
         for n in threads
         for rep in range(runs)
     ]
-    flat = run_grid(_fig8_one_run, grid, options=options, telemetry=telemetry)
+    flat = run_grid(_fig8_one_run, grid, options=options)
     reports: dict[int, list[PompRegionReport]] = {
         n: flat[k * runs : (k + 1) * runs] for k, n in enumerate(threads)
     }
@@ -784,7 +780,6 @@ def ext_waitstate_accuracy(
     timer: str = "mpi_wtime",
     *,
     options: RunOptions | None = None,
-    telemetry=None,
 ) -> WaitstateAccuracyResult:
     """Quantify the paper's "false conclusions": Late Sender analysis on
     ground truth vs. raw / interpolated / CLC-corrected timestamps.
@@ -798,7 +793,7 @@ def ext_waitstate_accuracy(
         dict(mode="truth", timer=timer, seed=seed, nprocs=nprocs, steps=steps),
         dict(mode="measured", timer=timer, seed=seed, nprocs=nprocs, steps=steps),
     ]
-    truth, schemes = run_grid(_waitstate_job, grid, options=options, telemetry=telemetry)
+    truth, schemes = run_grid(_waitstate_job, grid, options=options)
 
     return WaitstateAccuracyResult(
         truth_total=truth.total,

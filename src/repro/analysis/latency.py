@@ -57,7 +57,6 @@ def _measure(
     timer: str | None,
     label: str,
     engine: str,
-    telemetry,
     duration_scale: float,
     runs: int,
     level: float,
@@ -87,7 +86,7 @@ def _measure(
             worker_factory(repeats=repeats, nbytes=nbytes),
             tracing=False,
             measure_offsets=False,
-            options=RunOptions(engine=engine, telemetry=telemetry),
+            options=RunOptions(engine=engine),
         )
         return np.asarray(result.results[0], dtype=np.float64)
 
@@ -108,7 +107,6 @@ def measure_latency(
     timer: str | None = None,
     label: str | None = None,
     engine: str = "reference",
-    telemetry=None,
     runs: int = 1,
     level: float = DEFAULT_LEVEL,
     bootstrap: int = 0,
@@ -125,7 +123,7 @@ def measure_latency(
     """
     return _measure(
         pingpong_worker, preset, pinning, repeats, nbytes, seed, timer,
-        label or pinning.label or "latency", engine, telemetry,
+        label or pinning.label or "latency", engine,
         duration_scale=1e-4, runs=runs, level=level, bootstrap=bootstrap,
         stopping=stopping,
     )
@@ -140,7 +138,6 @@ def measure_collective_latency(
     timer: str | None = None,
     label: str | None = None,
     engine: str = "reference",
-    telemetry=None,
     runs: int = 1,
     level: float = DEFAULT_LEVEL,
     bootstrap: int = 0,
@@ -152,7 +149,7 @@ def measure_collective_latency(
     """
     return _measure(
         collective_timing_worker, preset, pinning, repeats, nbytes, seed,
-        timer, label or "collective", engine, telemetry,
+        timer, label or "collective", engine,
         duration_scale=1e-3, runs=runs, level=level, bootstrap=bootstrap,
         stopping=stopping,
     )

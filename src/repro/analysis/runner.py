@@ -44,6 +44,7 @@ from typing import Any, Callable, Iterable, Optional, Sequence
 from repro.cache import ResultCache
 from repro.options import RunOptions
 from repro.rng import stable_hash32
+from repro.telemetry import ensure_telemetry
 
 __all__ = ["run_grid", "derive_seed", "seed_grid"]
 
@@ -117,7 +118,6 @@ def run_grid(
     grid: Sequence[dict[str, Any]],
     *,
     options: Optional[RunOptions] = None,
-    telemetry=None,
 ) -> list[Any]:
     """Run ``func(**cfg)`` for every ``cfg`` in ``grid``.
 
@@ -129,21 +129,18 @@ def run_grid(
         Sequence of keyword-argument dicts, one per job.  Results come
         back as a list aligned with this sequence.
     options:
-        A :class:`repro.options.RunOptions`; ``jobs``, ``cache``, and
-        ``telemetry`` are consulted here.  ``jobs=None``/``1`` runs
-        in-process (serial); ``N > 1`` fans out over a process pool of
-        ``N`` workers.  With a ``cache``
-        (:class:`ResultCache`), hits skip execution entirely; misses are
-        stored as soon as they are computed, by the process that computed
-        them (crash resilience).
-    telemetry:
-        A :class:`repro.telemetry.TelemetryRecorder`; overrides
-        ``options.telemetry`` when both are given.  The recorder is also
-        attached to the cache for load/store latencies, and collects
-        ``runner.job`` wall-time observations, ``runner.jobs_from_cache``
-        and ``runner.jobs_executed`` counters, and for pool runs a
-        ``runner.batches`` counter and a ``runner.worker_utilization``
-        gauge.
+        A :class:`repro.options.RunOptions`, the grid's only
+        configuration; ``jobs``, ``cache``, and ``telemetry`` are
+        consulted here.  ``jobs=None``/``1`` runs in-process (serial);
+        ``N > 1`` fans out over a process pool of ``N`` workers.  With a
+        ``cache`` (:class:`ResultCache`), hits skip execution entirely;
+        misses are stored as soon as they are computed, by the process
+        that computed them (crash resilience).  A ``telemetry`` recorder
+        is also attached to the cache for load/store latencies, and
+        collects ``runner.job`` wall-time observations,
+        ``runner.jobs_from_cache`` and ``runner.jobs_executed``
+        counters, and for pool runs a ``runner.batches`` counter and a
+        ``runner.worker_utilization`` gauge.
 
     Returns
     -------
@@ -154,7 +151,7 @@ def run_grid(
         they have not started.
     """
     options = options or RunOptions()
-    tele = telemetry if telemetry is not None else options.telemetry_or_null
+    tele = ensure_telemetry(options.telemetry)
     cache = options.cache
     if cache is not None and tele.enabled:
         cache.telemetry = tele

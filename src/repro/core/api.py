@@ -70,12 +70,11 @@ class TracingSession:
     jitter:
         OS-noise model; defaults to a modest compute-node profile.
     options:
-        A :class:`repro.options.RunOptions`; ``seed`` (the root seed for
-        all randomness, default 0), ``engine``, and ``telemetry``
-        configure every :meth:`trace` run of the session.
-    telemetry:
-        A :class:`repro.telemetry.TelemetryRecorder`; overrides
-        ``options.telemetry`` when both are given.
+        A :class:`repro.options.RunOptions`, the session's only run
+        configuration; ``seed`` (the root seed for all randomness,
+        default 0), ``engine``, and ``telemetry`` configure every
+        :meth:`trace` run of the session, and :meth:`synchronize` hands
+        ``options.telemetry`` to :func:`correct_trace`.
     """
 
     def __init__(
@@ -88,13 +87,9 @@ class TracingSession:
         jitter: Optional[OsJitterModel] = None,
         *,
         options: Optional[RunOptions] = None,
-        telemetry=None,
     ) -> None:
-        options = options or RunOptions()
-        if telemetry is not None:
-            options = options.replace(telemetry=telemetry)
-        self.options = options
-        seed = options.resolved_seed(0)
+        self.options = options or RunOptions()
+        seed = self.options.resolved_seed(0)
         if isinstance(platform, str):
             if platform not in PLATFORMS:
                 raise ConfigurationError(

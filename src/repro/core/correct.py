@@ -51,7 +51,6 @@ from typing import Optional, Union
 
 from repro.errors import SynchronizationError, TraceFormatError
 from repro.mpi.runtime import RunResult
-from repro.options import RunOptions
 from repro.sync.clc import ClcResult, ControlledLogicalClock
 from repro.sync.interpolation import (
     ClockCorrection,
@@ -254,7 +253,6 @@ def correct_trace(
     amortization_window: Optional[float] = None,
     scan: bool = True,
     output: Union[str, Path, None] = None,
-    options: Optional[RunOptions] = None,
     telemetry=None,
 ) -> CorrectionResult:
     """Correct ``source``'s timestamps; the package's single code path.
@@ -284,9 +282,9 @@ def correct_trace(
         Optional destination: a ``.npz`` / ``.jsonl`` path for
         materialized sources, a directory for sharded ones (where it is
         *required* — the streamed result only exists on disk).
-    options / telemetry:
-        A :class:`RunOptions` (only ``telemetry`` is consulted) or an
-        explicit recorder (takes precedence).
+    telemetry:
+        A :class:`repro.telemetry.TelemetryRecorder`, or ``None`` for the
+        null sink.  It is the only run-side setting a correction takes.
 
     Returns
     -------
@@ -294,8 +292,6 @@ def correct_trace(
     """
     if interpolation not in INTERPOLATIONS:
         raise SynchronizationError(f"unknown interpolation mode {interpolation!r}")
-    if telemetry is None and options is not None:
-        telemetry = options.telemetry
     tele = ensure_telemetry(telemetry)
 
     trace = _normalize_source(source)

@@ -29,6 +29,7 @@ from repro.options import RunOptions
 from repro.rng import RngFabric
 from repro.sim.engine import Engine, Transport
 from repro.sync.offset import OffsetMeasurement, measurement_protocol, measurements_to_meta
+from repro.telemetry import ensure_telemetry
 from repro.tracing.buffer import TraceBuffer
 from repro.tracing.instrument import Tracer
 from repro.tracing.trace import Trace
@@ -155,8 +156,6 @@ class MpiWorld:
         until: Optional[float] = None,
         *,
         options: Optional[RunOptions] = None,
-        telemetry=None,
-        trace_sink=None,
     ) -> RunResult:
         """Execute ``worker`` on every rank.
 
@@ -177,31 +176,27 @@ class MpiWorld:
         until:
             Optional true-time cap for the event loop.
         options:
-            A :class:`repro.options.RunOptions`; only ``engine``,
-            ``telemetry`` and ``trace_dir``/``shard_events`` are
-            consulted here (seeding is fixed at world construction).
-            ``engine="reference"`` runs the discrete-event engine;
-            ``"batch"`` tries the vectorized fast path of
-            :mod:`repro.sim.batch` and falls back to the reference
-            engine whenever bit-identity cannot be guaranteed.  Both
-            produce identical results; check ``RunResult.engine`` for
-            the path actually taken and ``RunResult.fallback_reason``
-            for why a fallback happened.
-        telemetry:
-            A :class:`repro.telemetry.TelemetryRecorder`; overrides
-            ``options.telemetry`` when both are given.
-        trace_sink:
-            A :class:`repro.tracing.store.ShardedTraceWriter` to spill
-            trace events into as they are recorded (out-of-core
-            generation: no rank ever holds more than one shard).  The
-            sink is finalized by this call and ``RunResult.trace``
-            becomes a :class:`repro.tracing.store.ChunkedTrace` over
-            its directory.  ``options.trace_dir`` / ``shard_events``
-            construct one implicitly.
+            A :class:`repro.options.RunOptions`, the run's only
+            configuration; ``engine``, ``telemetry`` and
+            ``trace_dir``/``shard_events`` are consulted here (seeding
+            is fixed at world construction).  ``engine="reference"``
+            runs the discrete-event engine; ``"batch"`` tries the
+            vectorized fast path of :mod:`repro.sim.batch` and falls
+            back to the reference engine whenever bit-identity cannot
+            be guaranteed.  Both produce identical results; check
+            ``RunResult.engine`` for the path actually taken and
+            ``RunResult.fallback_reason`` for why a fallback happened.
+            With ``trace_dir`` set, trace events spill into a
+            :class:`repro.tracing.store.ShardedTraceWriter` as they are
+            recorded (out-of-core generation: no rank ever holds more
+            than one shard), and ``RunResult.trace`` is a
+            :class:`repro.tracing.store.ChunkedTrace` over that
+            directory.
         """
         options = options or RunOptions()
-        tele = telemetry if telemetry is not None else options.telemetry_or_null
-        if trace_sink is None and options.trace_dir is not None:
+        tele = ensure_telemetry(options.telemetry)
+        trace_sink = None
+        if options.trace_dir is not None:
             from repro.tracing.store import DEFAULT_SHARD_EVENTS, ShardedTraceWriter
 
             trace_sink = ShardedTraceWriter(
@@ -251,6 +246,8 @@ class MpiWorld:
         )
         nranks = self.pinning.nranks
         tracers: dict[int, Tracer] = {}
+        costs = dict(capacity=self.trace_buffer_capacity,
+                     record_cost=self.record_cost, flush_cost=self.flush_cost)
         for rank in range(nranks):
             loc = self.pinning[rank]
             tracer = None
@@ -258,19 +255,9 @@ class MpiWorld:
                 if trace_sink is not None:
                     from repro.tracing.store import SpillingTraceBuffer
 
-                    buffer = SpillingTraceBuffer(
-                        trace_sink,
-                        rank,
-                        capacity=self.trace_buffer_capacity,
-                        record_cost=self.record_cost,
-                        flush_cost=self.flush_cost,
-                    )
+                    buffer = SpillingTraceBuffer(trace_sink, rank, **costs)
                 else:
-                    buffer = TraceBuffer(
-                        capacity=self.trace_buffer_capacity,
-                        record_cost=self.record_cost,
-                        flush_cost=self.flush_cost,
-                    )
+                    buffer = TraceBuffer(**costs)
                 tracer = Tracer(buffer, active=tracing_initially)
                 tracers[rank] = tracer
             ctx = MpiContext(
@@ -312,15 +299,9 @@ class MpiWorld:
 
         trace = None
         if tracing:
-            meta = {
-                "machine": self.preset.machine.name,
-                "timer": self.spec.name,
-                "locations": [
-                    (loc.node, loc.chip, loc.core) for loc in self.pinning.locations
-                ],
-                "duration": final_time,
-                **measurements_to_meta(init_offsets, final_offsets, master_ctx.periodic_series),
-            }
+            meta = self._trace_meta(
+                final_time, init_offsets, final_offsets, master_ctx.periodic_series
+            )
             if trace_sink is not None:
                 from repro.tracing.store import ChunkedTrace, ShardedTraceReader
 
@@ -331,17 +312,6 @@ class MpiWorld:
             else:
                 trace = Trace({r: t.log for r, t in tracers.items()}, meta=meta)
 
-        clocks = {rank: self.ensemble.clock_for(self.pinning[rank]) for rank in range(nranks)}
-        rng_states = {
-            "network": engine.transport.rng.bit_generator.state,
-            "clocks": {
-                rank: (
-                    clock.rng.bit_generator.state if clock.rng is not None else None,
-                    clock._last,
-                )
-                for rank, clock in clocks.items()
-            },
-        }
         return RunResult(
             trace=trace,
             init_offsets=init_offsets,
@@ -351,11 +321,36 @@ class MpiWorld:
             events_processed=engine.events_processed,
             periodic_offsets=list(master_ctx.periodic_series),
             engine="reference",
-            rng_states=rng_states,
+            rng_states=self._rng_states(engine.transport.rng),
             fallback_reason=fallback_reason,
         )
 
     # ------------------------------------------------------------------
+    # Shared by both engines (the loop above and repro.sim.batch.run_batch).
+    def _trace_meta(self, duration, init_offsets, final_offsets, periodic) -> dict:
+        """A finished run's trace metadata; its key order is in the trace bytes."""
+        return {
+            "machine": self.preset.machine.name,
+            "timer": self.spec.name,
+            "locations": [(loc.node, loc.chip, loc.core) for loc in self.pinning.locations],
+            "duration": duration,
+            **measurements_to_meta(init_offsets, final_offsets, periodic),
+        }
+
+    def _rng_states(self, network) -> dict:
+        """``RunResult.rng_states``: where ``network`` and each clock stream stopped."""
+        clocks = [self.ensemble.clock_for(loc) for loc in self.pinning.locations]
+        return {
+            "network": network.bit_generator.state,
+            "clocks": {
+                rank: (
+                    clock.rng.bit_generator.state if clock.rng is not None else None,
+                    clock._last,
+                )
+                for rank, clock in enumerate(clocks)
+            },
+        }
+
     def _main(self, ctx: MpiContext, worker: Worker, measure: bool, repeats: int):
         """Init measurement -> application -> finalize measurement."""
         init_off = None

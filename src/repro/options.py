@@ -1,9 +1,10 @@
 """Unified run configuration: the frozen :class:`RunOptions` dataclass.
 
-``RunOptions`` is the one way to configure a run; every entry point
-(``TracingSession``, ``MpiWorld.run``, ``run_grid``, the experiment
-drivers, ``correct_trace``) takes it as ``options=``, so a new concern
-is one new field here rather than a keyword on every signature:
+``RunOptions`` is the one way to configure a run; every simulator and
+grid entry point (``TracingSession``, ``MpiWorld.run``, ``run_grid``,
+the experiment drivers) takes it as ``options=`` and nothing else, so a
+new concern is one new field here rather than a keyword on every
+signature.  Correction entry points take a recorder as ``telemetry=``.
 
 >>> from repro import RunOptions, TracingSession
 >>> opts = RunOptions(engine="batch", seed=7)
@@ -18,7 +19,6 @@ from typing import Any, Optional
 
 from repro.errors import ConfigurationError
 from repro.stats import StoppingRule
-from repro.telemetry import NULL_TELEMETRY
 
 __all__ = ["ENGINES", "RunOptions"]
 
@@ -101,11 +101,6 @@ class RunOptions:
     def replace(self, **changes) -> "RunOptions":
         """Return a copy with ``changes`` applied (frozen-safe)."""
         return dataclasses.replace(self, **changes)
-
-    @property
-    def telemetry_or_null(self):
-        """The telemetry handle, with ``None`` mapped to the null sink."""
-        return NULL_TELEMETRY if self.telemetry is None else self.telemetry
 
     def resolved_seed(self, default: int = 0) -> int:
         """The seed to use, falling back to the caller's historical default."""

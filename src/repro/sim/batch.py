@@ -73,7 +73,7 @@ from repro.cluster.topology import distance_class
 from repro.mpi.comm import MPI_RECV_REGION, MPI_SEND_REGION, MpiContext, periodic_sync_due
 from repro.sim.engine import congested_delay
 from repro.sim.primitives import ANY_SOURCE, ANY_TAG, Message
-from repro.sync.offset import SYNC_TAG, OffsetMeasurement, cristian_offset, measurements_to_meta
+from repro.sync.offset import SYNC_TAG, OffsetMeasurement, cristian_offset
 from repro.telemetry.recorder import ensure_telemetry
 from repro.tracing.events import EventLog, EventType
 from repro.tracing.trace import Trace
@@ -946,26 +946,10 @@ def run_batch(world, worker, *, tracing=True, measure_offsets=True,
             d[tl.send_rows] = match_ids[tl.send_serials]
             d[tl.recv_rows] = match_ids[tl.recv_match_serials]
             logs[r] = EventLog.from_arrays(read_values[r][tl.slot], tl.et, tl.a, tl.b, tl.c, d)
-        meta = {
-            "machine": world.preset.machine.name,
-            "timer": world.spec.name,
-            "locations": [(loc.node, loc.chip, loc.core) for loc in locations],
-            "duration": duration,
-            **measurements_to_meta(init_offsets, final_offsets, periodic_offsets),
-        }
-        trace = Trace(logs, meta=meta)
+        trace = Trace(
+            logs, meta=world._trace_meta(duration, init_offsets, final_offsets, periodic_offsets)
+        )
 
-    rng_states = {
-        "network": rng.bit_generator.state,
-        "clocks": {
-            r: (
-                clocks[r].rng.bit_generator.state
-                if clocks[r].rng is not None else None,
-                clocks[r]._last,
-            )
-            for r in range(nranks)
-        },
-    }
     return RunResult(
         trace=trace,
         init_offsets=init_offsets,
@@ -975,5 +959,5 @@ def run_batch(world, worker, *, tracing=True, measure_offsets=True,
         events_processed=plan.events_processed,
         periodic_offsets=periodic_offsets,
         engine="batch",
-        rng_states=rng_states,
+        rng_states=world._rng_states(rng),
     )

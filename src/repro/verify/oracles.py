@@ -914,8 +914,8 @@ def _grid_identity_batched(case: TraceCase) -> None:
     serial = run_grid(grid_probe_job, grid)
     recorder = TelemetryRecorder()
     pooled = run_grid(
-        grid_probe_job, grid, options=RunOptions(jobs=int(p.get("jobs", 2))),
-        telemetry=recorder,
+        grid_probe_job, grid,
+        options=RunOptions(jobs=int(p.get("jobs", 2)), telemetry=recorder),
     )
     _require(serial == pooled,
              "batched run_grid results differ from the serial run")

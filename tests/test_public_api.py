@@ -1,9 +1,9 @@
-"""The public API surface: exports, correction knobs, RunOptions, and
-start-up imports.
+"""The public API surface: exports, run and correction knobs, RunOptions,
+and start-up imports.
 
 The export and knob snapshots below are deliberate friction: adding or
-removing a top-level name, or a parameter of a correction entry point,
-is an API decision and must update these lists in the same change.
+removing a top-level name, or a parameter of a run or correction entry
+point, is an API decision and must update these lists in the same change.
 """
 
 from __future__ import annotations
@@ -37,12 +37,46 @@ EXPECTED_EXPORTS = [
     "correct_trace",
 ]
 
-#: Every parameter of the correction entry points, in signature order.
-#: Update deliberately: a knob no caller sets is code to delete.
+#: Every parameter (``self`` aside) of the run and correction entry
+#: points, in signature order.  Update deliberately: a knob no caller
+#: sets is code to delete.  Run entry points take ``options=`` and
+#: correction entry points ``telemetry=``, never both.
 EXPECTED_KNOBS = {
+    "repro.mpi.runtime.MpiWorld.run": [
+        "worker", "tracing", "measure_offsets", "sync_repeats",
+        "tracing_initially", "until", "options",
+    ],
+    "repro.core.api.TracingSession": [
+        "platform", "nprocs", "placement", "timer", "duration_hint", "jitter",
+        "options",
+    ],
+    "repro.analysis.runner.run_grid": ["func", "grid", "options"],
+    "repro.analysis.experiments.table2_latencies": [
+        "repeats", "coll_repeats", "runs", "level", "options",
+    ],
+    "repro.analysis.experiments.fig4_all_panels": [
+        "panels", "nprocs", "probe_interval", "runs", "level", "options",
+    ],
+    "repro.analysis.experiments.fig7_app_violations": [
+        "app", "runs", "nprocs", "scale", "timer", "options",
+    ],
+    "repro.analysis.experiments.fig8_openmp_violations": [
+        "threads", "runs", "regions", "options",
+    ],
+    "repro.analysis.experiments.ext_waitstate_accuracy": [
+        "nprocs", "steps", "timer", "options",
+    ],
+    "repro.analysis.latency.measure_latency": [
+        "preset", "pinning", "repeats", "nbytes", "seed", "timer", "label",
+        "engine", "runs", "level", "bootstrap", "stopping",
+    ],
+    "repro.analysis.latency.measure_collective_latency": [
+        "preset", "pinning", "repeats", "nbytes", "seed", "timer", "label",
+        "engine", "runs", "level", "bootstrap", "stopping",
+    ],
     "repro.core.correct.correct_trace": [
         "source", "interpolation", "clc", "gamma", "lmin", "amortization_window",
-        "scan", "output", "options", "telemetry",
+        "scan", "output", "telemetry",
     ],
     "repro.sync.error_estimation.synchronize_by_spanning_tree": [
         "trace", "lmin", "master", "method",
@@ -93,11 +127,29 @@ class TestExports:
         assert repro.ServiceClient is inner_client
 
 
+def _knobs(path: str) -> list[str]:
+    """Parameter names of the function, method or class at ``path``."""
+    parts = path.split(".")
+    for cut in range(len(parts) - 1, 0, -1):
+        try:
+            target = importlib.import_module(".".join(parts[:cut]))
+        except ModuleNotFoundError:
+            continue
+        for name in parts[cut:]:
+            target = getattr(target, name)
+        return [p for p in inspect.signature(target).parameters if p != "self"]
+    raise LookupError(path)
+
+
 @pytest.mark.parametrize("path", sorted(EXPECTED_KNOBS))
 def test_knob_snapshot(path):
-    module, name = path.rsplit(".", 1)
-    function = getattr(importlib.import_module(module), name)
-    assert list(inspect.signature(function).parameters) == EXPECTED_KNOBS[path]
+    assert _knobs(path) == EXPECTED_KNOBS[path]
+
+
+def test_no_entry_point_takes_options_and_telemetry():
+    both = [path for path in EXPECTED_KNOBS
+            if {"options", "telemetry"} <= set(_knobs(path))]
+    assert both == []
 
 
 class TestRunOptions:
@@ -126,11 +178,6 @@ class TestRunOptions:
     def test_resolved_seed(self):
         assert RunOptions().resolved_seed(9) == 9
         assert RunOptions(seed=4).resolved_seed(9) == 4
-
-    def test_telemetry_or_null(self):
-        assert not RunOptions().telemetry_or_null.enabled
-        recorder = TelemetryRecorder()
-        assert RunOptions(telemetry=recorder).telemetry_or_null is recorder
 
     def test_options_path_is_silent(self):
         with warnings.catch_warnings():

@@ -173,14 +173,14 @@ class TestWorkStealing:
         grid = [dict(x=i) for i in range(200)]
         recorder = TelemetryRecorder()
         assert run_grid(
-            square, grid, options=RunOptions(jobs=3), telemetry=recorder
+            square, grid, options=RunOptions(jobs=3, telemetry=recorder)
         ) == run_grid(square, grid)
         assert recorder.counters["runner.batches"] == 25
 
     def test_pool_telemetry_counters(self):
         recorder = TelemetryRecorder()
         grid = [dict(x=i) for i in range(30)]
-        run_grid(square, grid, options=RunOptions(jobs=2), telemetry=recorder)
+        run_grid(square, grid, options=RunOptions(jobs=2, telemetry=recorder))
         assert recorder.counters["runner.jobs_executed"] == 30
         assert recorder.counters["runner.batches"] == 30  # 30 // 16 -> batches of 1
         assert 0.0 <= recorder.gauges["runner.worker_utilization"] <= 1.0
