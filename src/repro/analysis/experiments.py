@@ -315,15 +315,12 @@ def fig4_timer_deviation(
 
 
 def fig4_all_panels(
-    panels: tuple[str, ...] = ("a", "b", "c"),
-    nprocs: int = 4,
-    probe_interval: float = 5.0,
     *,
     runs: int = 1,
     level: float = DEFAULT_LEVEL,
     options: RunOptions | None = None,
 ) -> dict[str, DeviationResult]:
-    """All Fig. 4 panels through the parallel runner.
+    """All three Fig. 4 panels through the parallel runner.
 
     Panel "c" simulates an hour of drift; regenerating the whole figure
     serially is dominated by it, so the panels run as independent
@@ -337,10 +334,11 @@ def fig4_all_panels(
     """
     options = options or RunOptions()
     base = options.resolved_seed(0)
+    panels = tuple(FIG4_PANELS)
     grid = [
         dict(panel=p,
              seed=base if r == 0 else derive_seed(base, "fig4", p, r),
-             nprocs=nprocs, probe_interval=probe_interval)
+             nprocs=4, probe_interval=5.0)
         for p in panels
         for r in range(runs)
     ]
@@ -359,7 +357,6 @@ def fig4_all_panels(
 def fig5_interpolated_deviation(
     panel: str = "a",
     seed: int = 0,
-    nprocs: int = 4,
     duration: float = 3600.0,
     probe_interval: float = 5.0,
 ) -> DeviationResult:
@@ -372,7 +369,7 @@ def fig5_interpolated_deviation(
         raise ConfigurationError(f"unknown Fig. 5 panel {panel!r}")
     factory, timer = FIG5_PANELS[panel]
     preset = factory()
-    pin = inter_node(preset.machine, nprocs)
+    pin = inter_node(preset.machine, 4)
     series = measure_deviation(
         preset, pin, timer=timer, duration=duration,
         probe_interval=probe_interval, seed=seed,
@@ -386,21 +383,18 @@ def fig5_interpolated_deviation(
     )
 
 
-def fig6_short_run(
-    seed: int = 0, duration: float = 300.0, probe_interval: float = 2.0
-) -> DeviationResult:
-    """Fig. 6: short Xeon/TSC run — residuals after interpolation still
-    slightly exceed the message latency."""
+def fig6_short_run(seed: int = 0) -> DeviationResult:
+    """Fig. 6: short (300 s) Xeon/TSC run — residuals after interpolation
+    still slightly exceed the message latency."""
     preset = xeon_cluster()
     pin = inter_node(preset.machine, 4)
     series = measure_deviation(
-        preset, pin, timer="tsc", duration=duration,
-        probe_interval=probe_interval, seed=seed,
+        preset, pin, timer="tsc", duration=300.0, probe_interval=2.0, seed=seed,
     )
     return DeviationResult(
         label="Fig.6 xeon/tsc short",
         timer="tsc",
-        duration=duration,
+        duration=300.0,
         series=series,
         lmin=preset.latency.min_latency(pin[0], pin[1]),
     )
@@ -774,15 +768,10 @@ def _waitstate_job(
     return {"raw": raw, "linear": interp, "clc": clc}
 
 
-def ext_waitstate_accuracy(
-    nprocs: int = 6,
-    steps: int = 60,
-    timer: str = "mpi_wtime",
-    *,
-    options: RunOptions | None = None,
-) -> WaitstateAccuracyResult:
+def ext_waitstate_accuracy(*, options: RunOptions | None = None) -> WaitstateAccuracyResult:
     """Quantify the paper's "false conclusions": Late Sender analysis on
-    ground truth vs. raw / interpolated / CLC-corrected timestamps.
+    ground truth vs. raw / interpolated / CLC-corrected timestamps, for
+    6 ranks, 60 steps and ``MPI_Wtime``.
 
     The ground-truth and measured simulations are independent worlds
     with the same seed, so they run as two :func:`run_grid` jobs.
@@ -790,8 +779,8 @@ def ext_waitstate_accuracy(
     options = options or RunOptions()
     seed = options.resolved_seed(11)
     grid = [
-        dict(mode="truth", timer=timer, seed=seed, nprocs=nprocs, steps=steps),
-        dict(mode="measured", timer=timer, seed=seed, nprocs=nprocs, steps=steps),
+        dict(mode=mode, timer="mpi_wtime", seed=seed, nprocs=6, steps=60)
+        for mode in ("truth", "measured")
     ]
     truth, schemes = run_grid(_waitstate_job, grid, options=options)
 

@@ -102,7 +102,6 @@ def measure_latency(
     preset: ClusterPreset,
     pinning: Pinning,
     repeats: int = 1000,
-    nbytes: int = 0,
     seed: int = 0,
     timer: str | None = None,
     label: str | None = None,
@@ -112,7 +111,8 @@ def measure_latency(
     bootstrap: int = 0,
     stopping: StoppingRule | None = None,
 ) -> LatencyStats:
-    """One-way message latency between ranks 0 and 1 of ``pinning``.
+    """One-way latency of a zero-byte message between ranks 0 and 1 of
+    ``pinning``.
 
     ``runs`` independent simulations (distinct derived seeds) are pooled
     into one :class:`~repro.stats.SampleSummary`; a ``stopping`` rule
@@ -122,7 +122,7 @@ def measure_latency(
     resamples.
     """
     return _measure(
-        pingpong_worker, preset, pinning, repeats, nbytes, seed, timer,
+        pingpong_worker, preset, pinning, repeats, 0, seed, timer,
         label or pinning.label or "latency", engine,
         duration_scale=1e-4, runs=runs, level=level, bootstrap=bootstrap,
         stopping=stopping,
@@ -133,7 +133,6 @@ def measure_collective_latency(
     preset: ClusterPreset,
     pinning: Pinning,
     repeats: int = 200,
-    nbytes: int = 8,
     seed: int = 0,
     timer: str | None = None,
     label: str | None = None,
@@ -143,12 +142,12 @@ def measure_collective_latency(
     bootstrap: int = 0,
     stopping: StoppingRule | None = None,
 ) -> LatencyStats:
-    """Allreduce completion latency over all ranks of ``pinning``.
+    """Completion latency of an 8-byte allreduce over all ranks of ``pinning``.
 
     Repetition semantics match :func:`measure_latency`.
     """
     return _measure(
-        collective_timing_worker, preset, pinning, repeats, nbytes, seed,
+        collective_timing_worker, preset, pinning, repeats, 8, seed,
         timer, label or "collective", engine,
         duration_scale=1e-3, runs=runs, level=level, bootstrap=bootstrap,
         stopping=stopping,

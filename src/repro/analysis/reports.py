@@ -48,12 +48,10 @@ def format_summary(label: str, summary, unit_scale: float = 1e6,
     return f"{label}: {summary.describe(unit_scale=unit_scale, unit=unit)}"
 
 
-def ci_cell(summary, unit_scale: float = 1e6, fmt: str = ".2f") -> str:
-    """Compact ``mean ± halfwidth`` cell for :func:`ascii_table` rows."""
-    return (
-        f"{summary.mean * unit_scale:{fmt}} ± "
-        f"{summary.ci_halfwidth * unit_scale:{fmt}}"
-    )
+def ci_cell(summary) -> str:
+    """Compact ``mean ± halfwidth`` cell (microseconds, two decimals) for
+    :func:`ascii_table` rows."""
+    return f"{summary.mean * 1e6:.2f} ± {summary.ci_halfwidth * 1e6:.2f}"
 
 
 def sparkline(values: np.ndarray, width: int = 60) -> str:
@@ -72,12 +70,11 @@ def sparkline(values: np.ndarray, width: int = 60) -> str:
     return "".join(blocks[s] for s in scaled)
 
 
-def format_series(
-    label: str, times: np.ndarray, values: np.ndarray, unit_scale: float = 1e6, unit: str = "us"
-) -> str:
-    """Summarize a deviation series: extremes, final value, sparkline."""
-    v = np.asarray(values, dtype=np.float64) * unit_scale
+def format_series(label: str, times: np.ndarray, values: np.ndarray) -> str:
+    """Summarize a deviation series in microseconds: extremes, final
+    value, sparkline."""
+    v = np.asarray(values, dtype=np.float64) * 1e6
     return (
-        f"{label}: min {v.min():+.2f} {unit}, max {v.max():+.2f} {unit}, "
-        f"final {v[-1]:+.2f} {unit}\n    [{sparkline(v)}]"
+        f"{label}: min {v.min():+.2f} us, max {v.max():+.2f} us, "
+        f"final {v[-1]:+.2f} us\n    [{sparkline(v)}]"
     )

@@ -107,12 +107,12 @@ def render_message_arrows(
     t0: float | None = None,
     t1: float | None = None,
     limit: int = 20,
-    lmin: float = 0.0,
 ) -> str:
     """List messages in the window, flagging backward (violating) ones.
 
     The text analogue of VAMPIR's "arrows pointing backward in time-line
-    views"; violating messages are marked ``<-- BACKWARD``.
+    views"; a message received before it was sent is marked
+    ``<-- BACKWARD``.
     """
     lo, hi = _window(trace, t0, t1)
     msgs = trace.messages(strict=False)
@@ -126,7 +126,7 @@ def render_message_arrows(
         if shown >= limit:
             lines.append(f"... ({len(msgs)} messages total)")
             break
-        flag = "  <-- BACKWARD" if r < s + lmin else ""
+        flag = "  <-- BACKWARD" if r < s else ""
         lines.append(
             f"  {int(msgs.src[k]):>3} -> {int(msgs.dst[k]):>3}  "
             f"send {s:.9f}  recv {r:.9f}  dt {(r - s) * 1e6:+9.3f} us{flag}"

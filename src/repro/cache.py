@@ -40,7 +40,7 @@ import numpy as np
 
 from repro.atomic import atomic_write
 from repro.errors import ConfigurationError
-from repro.telemetry import ensure_telemetry
+from repro.telemetry import NULL_TELEMETRY
 
 __all__ = [
     "ResultCache",
@@ -146,13 +146,12 @@ class ResultCache:
         :data:`repro.__version__`, so upgrading the package invalidates
         all prior entries.
 
-    telemetry:
-        A :class:`repro.telemetry.TelemetryRecorder` (or ``None``).
-        When recording, every load/store also lands as ``cache.hit`` /
-        ``cache.miss`` / ``cache.store`` counters plus latency timings
-        (``cache.load.hit``, ``cache.load.miss``, ``cache.store``).
-        :func:`repro.analysis.runner.run_grid` attaches its recorder
-        here automatically.
+    The ``telemetry`` attribute starts as the null sink.
+    :func:`repro.analysis.runner.run_grid` and the service's job manager
+    set it to their recorder; every load/store then also lands as
+    ``cache.hit`` / ``cache.miss`` / ``cache.store`` counters plus
+    latency timings (``cache.load.hit``, ``cache.load.miss``,
+    ``cache.store``).
 
     Counters ``hits`` / ``misses`` / ``stores`` track usage for
     reporting (e.g. the CLI prints them after a cached regeneration).
@@ -162,7 +161,6 @@ class ResultCache:
         self,
         root: Union[str, Path, None] = None,
         version: Optional[str] = None,
-        telemetry=None,
     ) -> None:
         self.root = Path(root) if root is not None else default_cache_dir()
         if version is None:
@@ -171,7 +169,7 @@ class ResultCache:
         self.hits = 0
         self.misses = 0
         self.stores = 0
-        self.telemetry = ensure_telemetry(telemetry)
+        self.telemetry = NULL_TELEMETRY
 
     # ------------------------------------------------------------------
     def key(self, func: Union[str, Callable[..., Any]], config: dict[str, Any]) -> str:

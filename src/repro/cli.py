@@ -457,8 +457,6 @@ def _cmd_sync(args) -> int:
 
 def _report_sharded(args) -> int:
     """Summarize a shard directory one shard at a time (bounded memory)."""
-    import numpy as np
-
     from repro.tracing.events import EventType
 
     if args.timeline or args.arrows:
@@ -467,22 +465,13 @@ def _report_sharded(args) -> int:
         return 2
     chunked = ChunkedTrace(args.trace)
     reader = chunked.reader
-    counts = np.zeros(len(EventType), dtype=np.int64)
-    sends = recvs = 0
-    for rank in chunked.ranks:
-        for rec, cols in chunked.iter_shards(rank):
-            counts += np.bincount(
-                np.asarray(cols[1]), minlength=len(EventType)
-            )[: len(EventType)]
-            sends += rec.sends
-            recvs += rec.recvs
+    counts = chunked.event_counts()
     print(f"{args.trace} (sharded)")
     print(f"  ranks: {chunked.nranks}   events: {chunked.total_events()}   "
           f"shards: {reader.shard_count()} ({reader.shard_events} events/shard)")
-    print("  by type: " + ", ".join(
-        f"{EventType(i).name}={int(n)}" for i, n in enumerate(counts) if n
-    ))
-    print(f"  send events: {sends}   recv events: {recvs}")
+    print("  by type: " + ", ".join(f"{t.name}={n}" for t, n in sorted(counts.items())))
+    print(f"  send events: {counts.get(EventType.SEND, 0)}   "
+          f"recv events: {counts.get(EventType.RECV, 0)}")
     for key in ("machine", "timer", "duration"):
         if key in chunked.meta:
             print(f"  {key}: {chunked.meta[key]}")

@@ -122,7 +122,6 @@ def build_oscillator_drift(
     params: OscillatorParams,
     rng: np.random.Generator,
     duration: float,
-    include_wander: bool = True,
 ) -> DriftModel:
     """Draw one concrete oscillator from a parameter family.
 
@@ -138,41 +137,37 @@ def build_oscillator_drift(
         Per-board random stream.
     duration:
         True-time horizon the wander path must cover, seconds.
-    include_wander:
-        Set False for an idealized constant-drift oscillator (used by
-        baselines and tests).
     """
     base_rate = float(rng.normal(0.0, params.rate_spread))
     initial_offset = float(rng.uniform(-params.initial_offset_spread, params.initial_offset_spread))
     components: list[DriftModel] = [ConstantDrift(rate=base_rate, initial_offset=initial_offset)]
-    if include_wander:
-        if params.wander_sigma > 0.0:
-            components.append(
-                RandomWalkDrift(
-                    rng=rng,
-                    sigma=params.wander_sigma,
-                    step=params.wander_step,
-                    duration=max(duration, params.wander_step),
-                )
+    if params.wander_sigma > 0.0:
+        components.append(
+            RandomWalkDrift(
+                rng=rng,
+                sigma=params.wander_sigma,
+                step=params.wander_step,
+                duration=max(duration, params.wander_step),
             )
-        if params.thermal_amplitude > 0.0:
-            components.append(
-                SinusoidalDrift(
-                    amplitude=params.thermal_amplitude,
-                    period=params.thermal_period,
-                    phase_time=float(rng.uniform(0.0, params.thermal_period)),
-                )
+        )
+    if params.thermal_amplitude > 0.0:
+        components.append(
+            SinusoidalDrift(
+                amplitude=params.thermal_amplitude,
+                period=params.thermal_period,
+                phase_time=float(rng.uniform(0.0, params.thermal_period)),
             )
-        if params.fast_sigma > 0.0:
-            components.append(
-                OrnsteinUhlenbeckDrift(
-                    rng=rng,
-                    sigma=params.fast_sigma,
-                    tau=params.fast_tau,
-                    step=min(params.fast_tau / 10.0, 10.0),
-                    duration=max(duration, 10.0),
-                )
+        )
+    if params.fast_sigma > 0.0:
+        components.append(
+            OrnsteinUhlenbeckDrift(
+                rng=rng,
+                sigma=params.fast_sigma,
+                tau=params.fast_tau,
+                step=min(params.fast_tau / 10.0, 10.0),
+                duration=max(duration, 10.0),
             )
+        )
     if len(components) == 1:
         return components[0]
     return CompositeDrift(components)

@@ -74,8 +74,8 @@ class LatencyModel(Protocol):
 class HierarchicalLatency:
     """Latency determined purely by the distance class of the endpoints.
 
-    Parameterized directly from Table II-style measurements.  ``same_core``
-    covers self-messages and oversubscribed cores (rare but legal).
+    Parameterized directly from Table II-style measurements.  Self-messages
+    and oversubscribed cores (rare but legal) take the ``same_chip`` sample.
     """
 
     def __init__(
@@ -83,13 +83,12 @@ class HierarchicalLatency:
         inter_node: LatencySample,
         same_node: LatencySample,
         same_chip: LatencySample,
-        same_core: LatencySample | None = None,
     ) -> None:
         self._table = {
             DistanceClass.INTER_NODE: inter_node,
             DistanceClass.SAME_NODE: same_node,
             DistanceClass.SAME_CHIP: same_chip,
-            DistanceClass.SAME_CORE: same_core or same_chip,
+            DistanceClass.SAME_CORE: same_chip,
         }
 
     def sample_for_class(self, cls: DistanceClass) -> LatencySample:
@@ -122,7 +121,6 @@ class TorusLatency:
         bandwidth: float,
         jitter: float,
         intra_node: HierarchicalLatency,
-        jitter_shape: float = 4.0,
     ) -> None:
         if any(d <= 0 for d in dims):
             raise ConfigurationError(f"invalid torus dims {dims}")
@@ -133,7 +131,7 @@ class TorusLatency:
         self.per_hop = float(per_hop)
         self.bandwidth = float(bandwidth)
         self.jitter = float(jitter)
-        self.jitter_shape = float(jitter_shape)
+        self.jitter_shape = 4.0  # gamma shape, as LatencySample's default
         self.intra_node = intra_node
 
     def coordinates(self, node: int) -> tuple[int, int, int]:

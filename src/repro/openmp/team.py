@@ -35,7 +35,7 @@ import numpy as np
 
 from repro.clocks.factory import ClockEnsemble, timer_spec
 from repro.cluster.jitter import OsJitterModel
-from repro.cluster.machines import ClusterPreset, itanium_node
+from repro.cluster.machines import itanium_node
 from repro.cluster.network import HierarchicalLatency, LatencySample
 from repro.cluster.topology import Location
 from repro.errors import ConfigurationError
@@ -58,13 +58,9 @@ SYNC_TAG = 4
 REGION_ID = 501
 
 
-def shm_latency(
-    inter_chip: float = 0.05 * USEC,
-    intra_chip: float = 0.02 * USEC,
-    jitter_fraction: float = 0.4,
-    contention: float = 1.0,
-) -> HierarchicalLatency:
-    """Cache-line-transfer latencies for shared-memory synchronization.
+def shm_latency(contention: float = 1.0) -> HierarchicalLatency:
+    """Cache-line-transfer latencies for shared-memory synchronization:
+    0.05 µs between chips, 0.02 µs within one, jitter 40 % of each.
 
     An order of magnitude below MPI message latencies (Table II), per
     the paper's emphasis that OpenMP synchronizes much faster than the
@@ -74,16 +70,12 @@ def shm_latency(
     "OpenMP synchronization latencies rising with an increasing number
     of threads" (the paper's explanation for Fig. 8's falloff).
     """
-    inter_chip *= contention
-    intra_chip *= contention
+    inter_chip = 0.05 * USEC * contention
+    intra_chip = 0.02 * USEC * contention
     return HierarchicalLatency(
         inter_node=LatencySample(base=10 * inter_chip, bandwidth=1e9, jitter=0.0),
-        same_node=LatencySample(
-            base=inter_chip, bandwidth=8e9, jitter=jitter_fraction * inter_chip
-        ),
-        same_chip=LatencySample(
-            base=intra_chip, bandwidth=16e9, jitter=jitter_fraction * intra_chip
-        ),
+        same_node=LatencySample(base=inter_chip, bandwidth=8e9, jitter=0.4 * inter_chip),
+        same_chip=LatencySample(base=intra_chip, bandwidth=16e9, jitter=0.4 * intra_chip),
     )
 
 
@@ -146,16 +138,15 @@ def _spread_placement(machine, threads: int) -> list[Location]:
 def run_parallel_for_benchmark(
     config: OmpTeamConfig,
     seed: int = 0,
-    preset: ClusterPreset | None = None,
-    jitter: OsJitterModel | None = None,
     measure_offsets: bool = False,
-    sync_repeats: int = 10,
 ) -> Trace:
-    """Run the benchmark; returns the POMP trace (thread id = trace rank).
+    """Run the benchmark on an Itanium SMP node; returns the POMP trace
+    (thread id = trace rank).
 
     With ``measure_offsets=True``, the master thread additionally runs a
-    Cristian exchange (through shared memory) with every worker before
-    and after the region loop; the measurements land in
+    Cristian exchange (through shared memory, best of 10 round trips)
+    with every worker before and after the region loop; the measurements
+    land in
     ``trace.meta["init_offsets"]`` / ``["final_offsets"]`` as
     ``{thread: (thread_time, offset)}`` — the inputs the paper's open
     question ("whether offset alignment or interpolation can alleviate
@@ -163,8 +154,8 @@ def run_parallel_for_benchmark(
     ``correct_trace(trace, interpolation="align")`` (or ``"linear"``)
     reads, per thread instead of per rank.
     """
-    preset = preset or itanium_node()
-    jitter = jitter if jitter is not None else OsJitterModel(rate=20.0, mean_delay=2e-6)
+    preset = itanium_node()
+    jitter = OsJitterModel(rate=20.0, mean_delay=2e-6)
     fabric = RngFabric(seed)
     n = config.threads
     placement = _spread_placement(preset.machine, n)
@@ -189,7 +180,7 @@ def run_parallel_for_benchmark(
             tid,
             _thread(
                 tid, n, config, tracers[tid], jitter, fabric.generator("omp", tid),
-                measurements if measure_offsets else None, sync_repeats,
+                measurements if measure_offsets else None,
             ),
             placement[tid],
             ensemble.clock_for(placement[tid]),
@@ -233,13 +224,14 @@ def _record(tracer: Tracer, etype: EventType, inst: int, team: int):
         yield Compute(cost)
 
 
-def _measure_offsets(tid: int, n: int, store: dict, repeats: int):
+def _measure_offsets(tid: int, n: int, store: dict):
     """Cristian exchange between master thread and each worker (raw).
 
     Same estimator as the MPI-side protocol, but through shared memory:
-    the best-of-N round trip bounds the offset error by half the
+    the best-of-10 round trip bounds the offset error by half the
     (sub-microsecond) cache-transfer asymmetry.
     """
+    repeats = 10
     if tid == 0:
         for worker in range(1, n):
             best = None
@@ -268,10 +260,9 @@ def _thread(
     jitter,
     rng,
     measurements: dict | None = None,
-    sync_repeats: int = 10,
 ):
     if measurements is not None:
-        yield from _measure_offsets(tid, n, measurements["init"], sync_repeats)
+        yield from _measure_offsets(tid, n, measurements["init"])
     for inst in range(config.regions):
         # ---- fork -----------------------------------------------------
         if tid == 0:
@@ -319,4 +310,4 @@ def _thread(
         else:
             yield from _record(tracer, EventType.OMP_JOIN, inst, n)
     if measurements is not None:
-        yield from _measure_offsets(tid, n, measurements["final"], sync_repeats)
+        yield from _measure_offsets(tid, n, measurements["final"])

@@ -21,9 +21,8 @@ noted):
                                   (violation report, digests, timings)
 ``GET /v1/jobs/<id>/trace``       the corrected trace as canonical
                                   ``.jsonl`` text
-                                  (``application/x-ndjson``), sent
-                                  from the job's result file by
-                                  ``sendfile``
+                                  (``application/x-ndjson``), read
+                                  from the job's result file
 ``POST /v1/jobs/<id>/cancel``     cancel a still-queued job (also
                                   ``DELETE /v1/jobs/<id>``)
 ``GET /metrics``                  Prometheus text exposition of the
@@ -47,7 +46,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import urllib.parse
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional
@@ -95,28 +93,14 @@ class _Handler(BaseHTTPRequestHandler):
         )
         return True
 
-    def _send_head(self, status: int, length: int, content_type: str) -> None:
+    def _send(self, status: int, payload: bytes, content_type: str) -> None:
         self.send_response(status)
         self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(length))
+        self.send_header("Content-Length", str(len(payload)))
         if self._unread:
             self.send_header("Connection", "close")  # sets close_connection
         self.end_headers()
-
-    def _send(self, status: int, payload: bytes, content_type: str) -> None:
-        self._send_head(status, len(payload), content_type)
         self.wfile.write(payload)
-
-    def _send_file(self, path, content_type: str) -> None:
-        """The file at ``path`` as a 200 body, page cache to socket by
-        ``sendfile``: no copy of it passes through this process."""
-        try:
-            fh = open(path, "rb")
-        except OSError as exc:
-            raise ServiceError("internal", f"cannot read {path}: {exc}") from exc
-        with fh:
-            self._send_head(200, os.fstat(fh.fileno()).st_size, content_type)
-            self.connection.sendfile(fh)
 
     def _send_json(self, status: int, obj: dict) -> None:
         body = (json.dumps(obj, sort_keys=True) + "\n").encode("utf-8")
@@ -257,9 +241,12 @@ class _Handler(BaseHTTPRequestHandler):
                 outcome = self.manager.fetch(job_id)
                 self._send_json(200, outcome.to_json())
             elif head == "jobs" and verb == "trace":
-                self._send_file(
-                    self.manager.result_file(job_id), "application/x-ndjson"
-                )
+                path = self.manager.result_file(job_id)
+                try:
+                    payload = path.read_bytes()
+                except OSError as exc:
+                    raise ServiceError("internal", f"cannot read {path}: {exc}") from exc
+                self._send(200, payload, "application/x-ndjson")
             else:
                 raise ServiceError("unknown_job", f"no such resource: {self.path}")
         except ServiceError as exc:

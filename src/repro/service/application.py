@@ -171,9 +171,10 @@ class JobManager:
         defaults to :func:`execute_correction` run in forked worker
         processes.  An injected executor runs in the dispatcher thread
         itself; tests inject crashing or recording executors here.
-    telemetry:
-        A :class:`LockedTelemetry` (created if omitted); scraped by
-        ``/metrics``.
+
+    The manager's counters live on its own :class:`LockedTelemetry`
+    (``telemetry``), which ``/metrics`` scrapes; job times are read
+    from ``time.time``.
     """
 
     def __init__(
@@ -183,10 +184,8 @@ class JobManager:
         workers: int = 2,
         max_attempts: int = 3,
         executor: Optional[Callable[[CorrectionRequest, Path], JobOutcome]] = None,
-        telemetry: Optional[LockedTelemetry] = None,
-        clock: Callable[[], float] = time.time,
     ) -> None:
-        self.telemetry = telemetry if telemetry is not None else LockedTelemetry()
+        self.telemetry = LockedTelemetry()
         self.store = ManifestStore(work_dir)
         self.cache = cache
         if cache is not None:
@@ -197,7 +196,6 @@ class JobManager:
             if executor is None else None
         )
         self.executor = executor if executor is not None else self.processes
-        self.clock = clock
         self.queue = JobQueue()
         self.pool = WorkerPool(
             self.queue, self._run_job, workers=workers, on_crash=self._note_crash
@@ -277,7 +275,7 @@ class JobManager:
                     id=job_id,
                     request=request.describe(),
                     digest=digest,
-                    created=self.clock(),
+                    created=time.time(),
                 )
                 self._jobs[job_id] = job
                 self._by_digest[digest] = job_id
@@ -404,7 +402,7 @@ class JobManager:
             # the id: workers mark RUNNING under this same lock.
             self.queue.remove(job_id)
             job.state = JobState.CANCELLED
-            job.finished = self.clock()
+            job.finished = time.time()
             self.telemetry.count("service.jobs.cancelled")
         self._settle(job)
         return job
@@ -421,7 +419,7 @@ class JobManager:
             job.state = JobState.RUNNING
             job.attempts += 1
             if job.started is None:
-                job.started = self.clock()
+                job.started = time.time()
 
         try:
             outcome = self.executor(request, self.store.job_dir(job_id))
@@ -447,7 +445,7 @@ class JobManager:
         with self._lock:
             job.state = JobState.DONE
             job.outcome = kept
-            job.finished = self.clock()
+            job.finished = time.time()
             self.telemetry.count("service.jobs.completed")
             if job.started is not None:
                 self.telemetry.observe(
@@ -460,7 +458,7 @@ class JobManager:
             job.state = JobState.FAILED
             job.error_code = code
             job.error_message = message
-            job.finished = self.clock()
+            job.finished = time.time()
             self.telemetry.count("service.jobs.failed")
         self._settle(job)
 
@@ -474,7 +472,7 @@ class JobManager:
                 requeue = True
             else:
                 job.state = JobState.DEAD
-                job.finished = self.clock()
+                job.finished = time.time()
                 self.telemetry.count("service.jobs.dead")
                 requeue = False
         if requeue:
@@ -491,7 +489,7 @@ class JobManager:
             job.state = JobState.DEAD
             job.error_code = "worker_crashed"
             job.error_message = f"{type(exc).__name__}: {exc}"
-            job.finished = self.clock()
+            job.finished = time.time()
             self.telemetry.count("service.jobs.dead")
         self._settle(job)
 

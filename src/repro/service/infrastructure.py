@@ -55,8 +55,8 @@ class LockedTelemetry:
 
     enabled = True
 
-    def __init__(self, recorder: Optional[TelemetryRecorder] = None) -> None:
-        self.recorder = recorder if recorder is not None else TelemetryRecorder()
+    def __init__(self) -> None:
+        self.recorder = TelemetryRecorder()
         self._lock = threading.Lock()
 
     def count(self, name: str, value: int = 1) -> None:
@@ -150,7 +150,6 @@ class WorkerPool:
         handler: Callable[[str], None],
         workers: int = 2,
         on_crash: Optional[Callable[[str, BaseException], None]] = None,
-        name: str = "repro-service-worker",
     ) -> None:
         if workers < 1:
             raise ValueError(f"need at least one worker, got {workers}")
@@ -158,7 +157,7 @@ class WorkerPool:
         self.handler = handler
         self.on_crash = on_crash
         self._threads = [
-            threading.Thread(target=self._loop, name=f"{name}-{i}", daemon=True)
+            threading.Thread(target=self._loop, name=f"repro-service-worker-{i}", daemon=True)
             for i in range(workers)
         ]
         self._started = False

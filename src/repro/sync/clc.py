@@ -410,7 +410,7 @@ def naive_shift_correct(trace: Trace, lmin: LminSpec = 0.0) -> ClcResult:
     forward/backward amortization exists to avoid.  Use it as the
     comparison point in ablations.
     """
-    schedule = trace.compiled_schedule(True)
+    schedule = trace.compiled_schedule()
     edge_lmin = schedule.edge_lmin(lmin)
     original = {rank: trace.logs[rank].timestamps for rank in trace.ranks}
     orig_flat = schedule.flatten(original)

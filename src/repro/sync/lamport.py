@@ -31,16 +31,14 @@ from repro.tracing.trace import Trace
 __all__ = ["lamport_clocks", "lamport_clocks_reference"]
 
 
-def lamport_clocks(trace: Trace, include_collectives: bool = True) -> dict[int, np.ndarray]:
+def lamport_clocks(trace: Trace) -> dict[int, np.ndarray]:
     """Per-rank arrays of Lamport times, aligned with each event log."""
-    return lamport_kernel(trace.compiled_schedule(include_collectives))
+    return lamport_kernel(trace.compiled_schedule())
 
 
-def lamport_clocks_reference(
-    trace: Trace, include_collectives: bool = True
-) -> dict[int, np.ndarray]:
+def lamport_clocks_reference(trace: Trace) -> dict[int, np.ndarray]:
     """Scalar formulation of :func:`lamport_clocks` (oracle)."""
-    deps = build_dependencies(trace, include_collectives=include_collectives)
+    deps = build_dependencies(trace)
     clocks = {rank: np.zeros(len(trace.logs[rank]), dtype=np.int64) for rank in trace.ranks}
     for rank, idx in replay_schedule(trace, deps):
         value = clocks[rank][idx - 1] + 1 if idx > 0 else 1

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from repro.sync.clc import ClcResult, ControlledLogicalClock
 from repro.sync.schedule import bsp_rounds
 from repro.sync.violations import LminSpec
-from repro.telemetry import ensure_telemetry
 from repro.tracing.trace import Trace
 
 __all__ = ["ReplayResult", "replay_correct"]
@@ -43,25 +42,11 @@ class ReplayResult:
     max_queue: int  # peak number of values in flight between rounds
 
 
-def replay_correct(
-    trace: Trace,
-    lmin: LminSpec = 0.0,
-    gamma: float = 0.99,
-    amortization_window: float | None = None,
-    telemetry=None,
-) -> ReplayResult:
+def replay_correct(trace: Trace, lmin: LminSpec = 0.0, gamma: float = 0.99) -> ReplayResult:
     """Forward-pass CLC organized as a parallel replay; see module docs."""
-    tele = ensure_telemetry(telemetry)
-    corrector = ControlledLogicalClock(
-        gamma=gamma, amortization_window=amortization_window, telemetry=tele
-    )
-    with tele.span("sync.replay.schedule"):
-        schedule = trace.compiled_schedule()
-    with tele.span("sync.replay.rounds"):
-        rounds, max_queue = bsp_rounds(schedule)
-    if tele.enabled:
-        tele.gauge("sync.replay.rounds", rounds)
-        tele.gauge_max("sync.replay.max_queue", max_queue)
+    corrector = ControlledLogicalClock(gamma=gamma)
+    schedule = trace.compiled_schedule()
+    rounds, max_queue = bsp_rounds(schedule)
     clc_result = corrector.correct_with_schedule(trace, schedule, lmin)
     clc_result.trace.meta["clc"]["replay"] = True
     return ReplayResult(clc=clc_result, rounds=rounds, max_queue=max_queue)

@@ -93,8 +93,7 @@ remain in :mod:`repro.sync.clc`, :mod:`repro.sync.lamport`, and
 
 Schedules are structure-only (no timestamps), so a compiled schedule is
 valid for every timestamp correction of the same trace; ``Trace``
-caches one per ``include_collectives`` flavor
-(:meth:`repro.tracing.trace.Trace.compiled_schedule`).
+caches one (:meth:`repro.tracing.trace.Trace.compiled_schedule`).
 """
 
 from __future__ import annotations
@@ -479,18 +478,16 @@ class CompiledSchedule:
     # Construction
     # ------------------------------------------------------------------
     @classmethod
-    def from_trace(cls, trace: "Trace", include_collectives: bool = True) -> "CompiledSchedule":
+    def from_trace(cls, trace: "Trace") -> "CompiledSchedule":
         """Compile the standard message/collective happened-before relation.
 
         Messages become edges, collective instances blocks
         (:func:`collective_constraints`).
         """
-        blocks = None
-        if include_collectives:
-            table = trace.collectives()
-            found = collective_constraints(table)
-            columns = (table.ranks, table.enter_idx, table.exit_idx)
-            blocks = (found, *(column[found.members] for column in columns))
+        table = trace.collectives()
+        found = collective_constraints(table)
+        columns = (table.ranks, table.enter_idx, table.exit_idx)
+        blocks = (found, *(column[found.members] for column in columns))
         return cls(trace, dependency_edges(trace, include_collectives=False), blocks)
 
     @classmethod

@@ -39,23 +39,21 @@ __all__ = [
 ]
 
 
-def vector_clocks(trace: Trace, include_collectives: bool = True) -> dict[int, np.ndarray]:
+def vector_clocks(trace: Trace) -> dict[int, np.ndarray]:
     """Per-rank ``(n_events, nranks)`` matrices of vector times.
 
     Rank ids are mapped to vector components in sorted order
     (``trace.ranks``), so traces with non-contiguous ranks work.
     """
-    return vector_kernel(trace.compiled_schedule(include_collectives))
+    return vector_kernel(trace.compiled_schedule())
 
 
-def vector_clocks_reference(
-    trace: Trace, include_collectives: bool = True
-) -> dict[int, np.ndarray]:
+def vector_clocks_reference(trace: Trace) -> dict[int, np.ndarray]:
     """Scalar formulation of :func:`vector_clocks` (oracle)."""
     ranks = trace.ranks
     comp = {rank: i for i, rank in enumerate(ranks)}
     n = len(ranks)
-    deps = build_dependencies(trace, include_collectives=include_collectives)
+    deps = build_dependencies(trace)
     vectors = {
         rank: np.zeros((len(trace.logs[rank]), n), dtype=np.int64) for rank in ranks
     }
@@ -79,7 +77,7 @@ def concurrent(a: np.ndarray, b: np.ndarray) -> bool:
     return not vector_leq(a, b) and not vector_leq(b, a)
 
 
-def happened_before_graph(trace: Trace, include_collectives: bool = True) -> "nx.DiGraph":
+def happened_before_graph(trace: Trace) -> "nx.DiGraph":
     """The happened-before DAG over ``(rank, index)`` event nodes.
 
     Edges: local program order plus the remote dependencies of
@@ -97,7 +95,7 @@ def happened_before_graph(trace: Trace, include_collectives: bool = True) -> "nx
             g.add_node((rank, idx))
             if idx > 0:
                 g.add_edge((rank, idx - 1), (rank, idx))
-    for ref, sources in build_dependencies(trace, include_collectives).items():
+    for ref, sources in build_dependencies(trace).items():
         for src in sources:
             g.add_edge(src, ref)
     return g

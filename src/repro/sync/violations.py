@@ -176,14 +176,12 @@ def scan_collectives(trace: Trace, lmin: LminSpec = 0.0) -> tuple[ViolationRepor
     return replace(scan_messages(logical, lmin), kind="collective"), logical
 
 
-def scan_trace(
-    trace: Trace, lmin: LminSpec = 0.0, include_collectives: bool = True
-) -> dict[str, ViolationReport]:
+def scan_trace(trace: Trace, lmin: LminSpec = 0.0) -> dict[str, ViolationReport]:
     """Combined p2p + collective scan of an MPI trace."""
-    out = {"p2p": scan_messages(trace.messages(strict=False), lmin)}
-    if include_collectives:
-        out["collective"], _ = scan_collectives(trace, lmin)
-    return out
+    return {
+        "p2p": scan_messages(trace.messages(strict=False), lmin),
+        "collective": scan_collectives(trace, lmin)[0],
+    }
 
 
 def violations_by_pair(

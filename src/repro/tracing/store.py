@@ -311,10 +311,9 @@ def write_sharded_trace(
     trace: Trace,
     directory: Union[str, Path],
     shard_events: int = DEFAULT_SHARD_EVENTS,
-    run_id: str = "run",
 ) -> Path:
-    """Serialize an in-memory :class:`Trace` as a sharded directory."""
-    writer = ShardedTraceWriter(directory, shard_events=shard_events, run_id=run_id)
+    """Serialize an in-memory :class:`Trace` as a sharded directory (run id ``"run"``)."""
+    writer = ShardedTraceWriter(directory, shard_events=shard_events)
     with writer:
         for rank in trace.ranks:
             writer.add_log(rank, trace.logs[rank])

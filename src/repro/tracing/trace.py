@@ -418,7 +418,8 @@ class Trace:
         #: The same of a trace with this one's event structure (set by
         #: ``with_timestamps``); only their timestamps are stale.
         self._inherited: dict[str, Any] = {}
-        self._schedules: dict[bool, Any] = {}
+        #: The compiled happened-before schedule, made on first use.
+        self._schedule: Any = None
 
     # ------------------------------------------------------------------
     @property
@@ -432,7 +433,7 @@ class Trace:
     def total_events(self) -> int:
         return sum(len(log) for log in self.logs.values())
 
-    def compiled_schedule(self, include_collectives: bool = True):
+    def compiled_schedule(self):
         """The trace's compiled happened-before schedule (cached).
 
         Returns a :class:`repro.sync.schedule.CompiledSchedule` for the
@@ -441,13 +442,11 @@ class Trace:
         schedule serves every timestamp correction of this trace; CLC,
         naive-shift, Lamport, vector, and replay all share it.
         """
-        schedule = self._schedules.get(include_collectives)
-        if schedule is None:
+        if self._schedule is None:
             from repro.sync.schedule import CompiledSchedule  # import cycle: sync -> tracing
 
-            schedule = CompiledSchedule.from_trace(self, include_collectives)
-            self._schedules[include_collectives] = schedule
-        return schedule
+            self._schedule = CompiledSchedule.from_trace(self)
+        return self._schedule
 
     def _derived(self, kind: str, build, refresh: bool):
         """One rule for the tables derived from the events.
@@ -585,10 +584,10 @@ class Trace:
             for rank, log in self.logs.items()
         }
         out = Trace(logs, meta=dict(self.meta))
-        # Timestamp replacement preserves event structure, so compiled
-        # happened-before schedules stay valid for the corrected trace,
+        # Timestamp replacement preserves event structure, so the compiled
+        # happened-before schedule stays valid for the corrected trace,
         # and its derived tables are this one's but for their timestamps.
-        out._schedules = dict(self._schedules)
+        out._schedule = self._schedule
         out._inherited = {**self._inherited, **self._tables}
         return out
 

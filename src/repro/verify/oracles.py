@@ -179,24 +179,20 @@ def assert_dependency_clc_matches_reference(trace: Trace, deps, lmin=0.0) -> Non
 
 
 def assert_logical_clocks_match_reference(trace: Trace) -> None:
-    """Lamport and vector kernels == scalar references, both flavors."""
-    for include_collectives in (True, False):
-        for label, kernel, reference in (
-            ("lamport", lamport_clocks, lamport_clocks_reference),
-            ("vector", vector_clocks, vector_clocks_reference),
-        ):
-            a = kernel(trace, include_collectives)
-            b = reference(trace, include_collectives)
-            _require(a.keys() == b.keys(), f"{label}: rank sets differ")
-            for rank in a:
-                _require(
-                    np.array_equal(a[rank], b[rank]),
-                    f"{label}(collectives={include_collectives}): rank {rank} differs",
-                )
-                _require(
-                    a[rank].dtype == np.int64,
-                    f"{label}: rank {rank} clock dtype is {a[rank].dtype}, not int64",
-                )
+    """Lamport and vector kernels == scalar references."""
+    for label, kernel, reference in (
+        ("lamport", lamport_clocks, lamport_clocks_reference),
+        ("vector", vector_clocks, vector_clocks_reference),
+    ):
+        a = kernel(trace)
+        b = reference(trace)
+        _require(a.keys() == b.keys(), f"{label}: rank sets differ")
+        for rank in a:
+            _require(np.array_equal(a[rank], b[rank]), f"{label}: rank {rank} differs")
+            _require(
+                a[rank].dtype == np.int64,
+                f"{label}: rank {rank} clock dtype is {a[rank].dtype}, not int64",
+            )
 
 
 def assert_topo_matches_replay(trace: Trace, deps=None) -> None:
@@ -206,7 +202,7 @@ def assert_topo_matches_replay(trace: Trace, deps=None) -> None:
     ``build_dependencies``) names."""
     if deps is None:
         deps = build_dependencies(trace)
-        refs = trace.compiled_schedule(True).topo_refs()
+        refs = trace.compiled_schedule().topo_refs()
     else:
         refs = CompiledSchedule.from_dependencies(trace, deps).topo_refs()
     position = {ref: i for i, ref in enumerate(refs)}
@@ -280,7 +276,7 @@ def _clock_condition_post_clc(case: TraceCase) -> None:
 )
 def _happened_before_preserved(case: TraceCase) -> None:
     trace, lmin = case.trace, case.lmin
-    schedule = trace.compiled_schedule(True)
+    schedule = trace.compiled_schedule()
     result = ControlledLogicalClock().correct(trace, lmin=lmin)
     corr = {r: result.trace.logs[r].timestamps for r in trace.ranks}
     flat = schedule.flatten(corr)

@@ -61,6 +61,29 @@ class TestCollectiveLatency:
         assert coll.summary.mean < 8 * msg.summary.mean
 
 
+class TestLatencyBootstrap:
+    """``measure_latency(..., bootstrap=N)`` (docs/methodology.md) adds a
+    percentile bootstrap interval that a seed fixes bit for bit."""
+
+    def _measure(self, bootstrap):
+        preset = xeon_cluster()
+        return measure_latency(
+            preset, inter_node(preset.machine, 2), repeats=100, seed=4, bootstrap=bootstrap
+        ).summary
+
+    def test_interval_present_and_bit_identical(self):
+        first, again = self._measure(200), self._measure(200)
+        assert first.bootstrap_lower is not None and first.bootstrap_upper is not None
+        assert first.bootstrap_lower <= first.mean <= first.bootstrap_upper
+        assert (first.bootstrap_lower, first.bootstrap_upper) == (
+            again.bootstrap_lower, again.bootstrap_upper
+        )
+
+    def test_absent_without_bootstrap(self):
+        summary = self._measure(0)
+        assert summary.bootstrap_lower is None and summary.bootstrap_upper is None
+
+
 class TestMeasureDeviation:
     def test_probe_series_shape(self):
         preset = xeon_cluster()

@@ -109,6 +109,27 @@ class TestReport:
         assert "timeline" in out
         assert "->" in out
 
+    def test_store_counts_match_file(self, sparse_trace_file, tmp_path, capsys):
+        from repro.tracing.events import EventType
+        from repro.tracing.store import write_sharded_trace
+
+        trace = read_trace(sparse_trace_file)
+        store = write_sharded_trace(trace, tmp_path / "store", shard_events=16)
+        assert main(["report", str(sparse_trace_file)]) == 0
+        file_out = capsys.readouterr().out
+        assert main(["report", str(store)]) == 0
+        store_out = capsys.readouterr().out
+
+        def by_type(out):
+            return [line for line in out.splitlines() if "by type:" in line]
+
+        assert len(by_type(file_out)) == 1 and by_type(file_out) == by_type(store_out)
+        counts = trace.event_counts()
+        assert (
+            f"  send events: {counts[EventType.SEND]}   "
+            f"recv events: {counts[EventType.RECV]}"
+        ) in store_out.splitlines()
+
 
 class TestFigures:
     def test_table2_with_cache_and_jobs(self, tmp_path, capsys):

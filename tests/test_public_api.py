@@ -1,18 +1,21 @@
-"""The public API surface: exports, run and correction knobs, RunOptions,
-and start-up imports.
+"""The public API surface: exports, entry-point knobs, RunOptions, and
+start-up imports.
 
 The export and knob snapshots below are deliberate friction: adding or
-removing a top-level name, or a parameter of a run or correction entry
-point, is an API decision and must update these lists in the same change.
+removing a top-level name, or a parameter of a tracked entry point, is
+an API decision and must update these lists in the same change.
 """
 
 from __future__ import annotations
 
+import ast
 import importlib
 import inspect
 import subprocess
 import sys
 import warnings
+from collections import defaultdict
+from pathlib import Path
 
 import pytest
 
@@ -37,10 +40,11 @@ EXPECTED_EXPORTS = [
     "correct_trace",
 ]
 
-#: Every parameter (``self`` aside) of the run and correction entry
-#: points, in signature order.  Update deliberately: a knob no caller
-#: sets is code to delete.  Run entry points take ``options=`` and
-#: correction entry points ``telemetry=``, never both.
+#: Every parameter (``self`` aside) of the tracked entry points, in
+#: signature order.  Update deliberately: a knob no caller sets is code
+#: to delete (``test_every_tracked_knob_has_a_caller``).  Run entry
+#: points take ``options=`` and correction entry points ``telemetry=``,
+#: never both.
 EXPECTED_KNOBS = {
     "repro.mpi.runtime.MpiWorld.run": [
         "worker", "tracing", "measure_offsets", "sync_repeats",
@@ -54,25 +58,50 @@ EXPECTED_KNOBS = {
     "repro.analysis.experiments.table2_latencies": [
         "repeats", "coll_repeats", "runs", "level", "options",
     ],
-    "repro.analysis.experiments.fig4_all_panels": [
-        "panels", "nprocs", "probe_interval", "runs", "level", "options",
+    "repro.analysis.experiments.fig4_all_panels": ["runs", "level", "options"],
+    "repro.analysis.experiments.fig5_interpolated_deviation": [
+        "panel", "seed", "duration", "probe_interval",
     ],
+    "repro.analysis.experiments.fig6_short_run": ["seed"],
     "repro.analysis.experiments.fig7_app_violations": [
         "app", "runs", "nprocs", "scale", "timer", "options",
     ],
     "repro.analysis.experiments.fig8_openmp_violations": [
         "threads", "runs", "regions", "options",
     ],
-    "repro.analysis.experiments.ext_waitstate_accuracy": [
-        "nprocs", "steps", "timer", "options",
-    ],
+    "repro.analysis.experiments.ext_waitstate_accuracy": ["options"],
     "repro.analysis.latency.measure_latency": [
-        "preset", "pinning", "repeats", "nbytes", "seed", "timer", "label",
+        "preset", "pinning", "repeats", "seed", "timer", "label",
         "engine", "runs", "level", "bootstrap", "stopping",
     ],
     "repro.analysis.latency.measure_collective_latency": [
-        "preset", "pinning", "repeats", "nbytes", "seed", "timer", "label",
+        "preset", "pinning", "repeats", "seed", "timer", "label",
         "engine", "runs", "level", "bootstrap", "stopping",
+    ],
+    "repro.analysis.reports.ci_cell": ["summary"],
+    "repro.analysis.reports.format_series": ["label", "times", "values"],
+    "repro.analysis.timeline.render_message_arrows": ["trace", "t0", "t1", "limit"],
+    "repro.openmp.team.run_parallel_for_benchmark": ["config", "seed", "measure_offsets"],
+    "repro.openmp.team.shm_latency": ["contention"],
+    "repro.clocks.hardware.build_oscillator_drift": ["params", "rng", "duration"],
+    "repro.cluster.network.HierarchicalLatency": ["inter_node", "same_node", "same_chip"],
+    "repro.cluster.network.TorusLatency": [
+        "dims", "inter_node_base", "per_hop", "bandwidth", "jitter", "intra_node",
+    ],
+    "repro.tracing.store.write_sharded_trace": ["trace", "directory", "shard_events"],
+    "repro.tracing.trace.Trace.compiled_schedule": [],
+    "repro.sync.schedule.CompiledSchedule.from_trace": ["trace"],
+    "repro.sync.lamport.lamport_clocks": ["trace"],
+    "repro.sync.lamport.lamport_clocks_reference": ["trace"],
+    "repro.sync.vector.vector_clocks": ["trace"],
+    "repro.sync.vector.vector_clocks_reference": ["trace"],
+    "repro.sync.vector.happened_before_graph": ["trace"],
+    "repro.sync.violations.scan_trace": ["trace", "lmin"],
+    "repro.cache.ResultCache": ["root", "version"],
+    "repro.service.infrastructure.LockedTelemetry": [],
+    "repro.service.infrastructure.WorkerPool": ["queue", "handler", "workers", "on_crash"],
+    "repro.service.application.JobManager": [
+        "work_dir", "cache", "workers", "max_attempts", "executor",
     ],
     "repro.core.correct.correct_trace": [
         "source", "interpolation", "clc", "gamma", "lmin", "amortization_window",
@@ -83,9 +112,7 @@ EXPECTED_KNOBS = {
     ],
     "repro.sync.exchange.exchange_correction": ["trace", "master"],
     "repro.sync.exchange.offsets_from_exchanges": ["trace", "master"],
-    "repro.sync.replay.replay_correct": [
-        "trace", "lmin", "gamma", "amortization_window", "telemetry",
-    ],
+    "repro.sync.replay.replay_correct": ["trace", "lmin", "gamma"],
     "repro.sync.streaming.streaming_clc_correct": [
         "source", "out_dir", "gamma", "amortization_window", "lmin", "telemetry",
     ],
@@ -127,8 +154,8 @@ class TestExports:
         assert repro.ServiceClient is inner_client
 
 
-def _knobs(path: str) -> list[str]:
-    """Parameter names of the function, method or class at ``path``."""
+def _parameters(path: str) -> list[inspect.Parameter]:
+    """Parameters (``self`` aside) of the function, method or class at ``path``."""
     parts = path.split(".")
     for cut in range(len(parts) - 1, 0, -1):
         try:
@@ -137,13 +164,62 @@ def _knobs(path: str) -> list[str]:
             continue
         for name in parts[cut:]:
             target = getattr(target, name)
-        return [p for p in inspect.signature(target).parameters if p != "self"]
+        params = inspect.signature(target).parameters.values()
+        return [p for p in params if p.name != "self"]
     raise LookupError(path)
+
+
+def _knobs(path: str) -> list[str]:
+    return [p.name for p in _parameters(path)]
 
 
 @pytest.mark.parametrize("path", sorted(EXPECTED_KNOBS))
 def test_knob_snapshot(path):
     assert _knobs(path) == EXPECTED_KNOBS[path]
+
+
+#: Where the callers of the tracked entry points live.
+CALLER_TREES = ("src", "benchmarks", "examples", "tests")
+
+
+def _calls_by_name() -> dict[str, list[ast.Call]]:
+    """Every call in :data:`CALLER_TREES`, keyed by the called name
+    (``f(...)`` and ``x.f(...)`` both under ``"f"``)."""
+    root = Path(__file__).resolve().parent.parent
+    calls = defaultdict(list)
+    for tree in CALLER_TREES:
+        for path in sorted((root / tree).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                    calls[name].append(node)
+    return calls
+
+
+def _passes(call: ast.Call, name: str, position: int | None) -> bool:
+    """Does ``call`` set parameter ``name`` (at ``position`` if positional)?
+    A ``*`` or ``**`` expansion counts as setting every parameter."""
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    if any(k.arg is None or k.arg == name for k in call.keywords):
+        return True
+    return position is not None and len(call.args) > position
+
+
+def test_every_tracked_knob_has_a_caller():
+    calls = _calls_by_name()
+    positional = (inspect.Parameter.POSITIONAL_ONLY, inspect.Parameter.POSITIONAL_OR_KEYWORD)
+    unset = []
+    for path in sorted(EXPECTED_KNOBS):
+        sites = calls[path.rsplit(".", 1)[1]]
+        for index, param in enumerate(_parameters(path)):
+            position = index if param.kind in positional else None
+            if param.default is not param.empty and not any(
+                _passes(call, param.name, position) for call in sites
+            ):
+                unset.append(f"{path}({param.name})")
+    assert unset == []
 
 
 def test_no_entry_point_takes_options_and_telemetry():

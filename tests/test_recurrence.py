@@ -216,7 +216,7 @@ class TestMemory:
         # log are all that scale with it (the list-based pass peaked at
         # 85.8 MiB holding a Python float per event, three times over).
         trace = two_rank_trace(500_000)
-        schedule = trace.compiled_schedule(True)
+        schedule = trace.compiled_schedule()
         orig = schedule.flatten({r: trace.logs[r].timestamps for r in trace.ranks})
         lmin = schedule.edge_lmin(0.0)
         tracemalloc.start()

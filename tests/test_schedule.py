@@ -181,23 +181,23 @@ class TestCompilation:
 
     def test_trace_caches_schedule(self):
         trace = random_trace(0)
-        s1 = trace.compiled_schedule(True)
-        assert trace.compiled_schedule(True) is s1
-        s2 = trace.compiled_schedule(False)
-        assert s2 is not s1
-        assert s2.n_edges <= s1.n_edges
+        s1 = trace.compiled_schedule()
+        assert trace.compiled_schedule() is s1
+        # One relation: messages are its edges, collectives its blocks.
+        assert s1.n_edges == len(trace.messages(strict=False))
+        assert s1.n_blocks > 0
 
     def test_corrected_trace_inherits_schedule(self):
         trace = random_trace(1)
-        s1 = trace.compiled_schedule(True)
+        s1 = trace.compiled_schedule()
         result = ControlledLogicalClock().correct(trace, lmin=1e-6)
-        assert result.trace.compiled_schedule(True) is s1
+        assert result.trace.compiled_schedule() is s1
 
     def test_empty_rank_ok(self):
         log = EventLog()
         log.append(1.0, EventType.ENTER, 1, 0, 0, 0)
         trace = Trace({0: log, 1: EventLog().freeze()})
-        schedule = trace.compiled_schedule(True)
+        schedule = trace.compiled_schedule()
         assert schedule.topo_refs() == [(0, 0)]
 
 
@@ -314,7 +314,7 @@ class TestCursorWalk:
         monkeypatch.setattr(schedule_module, "walk", _early_wake)
         with pytest.raises(OracleViolation, match="before its source"):
             assert_topo_matches_replay(fresh := Trace(dict(trace.logs)))
-        assert fresh.compiled_schedule(True).topo_refs()[0] == (1, 0)
+        assert fresh.compiled_schedule().topo_refs()[0] == (1, 0)
 
     def test_n_to_n_checks_every_edge_once(self):
         # 256 ranks, three barriers: every exit waits for 255 enters, but
@@ -324,7 +324,7 @@ class TestCursorWalk:
         n = 256
         rows = [(etype, int(CollectiveOp.BARRIER), 0, n, k)
                 for k in range(3) for etype in (EventType.COLL_ENTER, EventType.COLL_EXIT)]
-        schedule = _trace_of({rank: rows for rank in range(n)}).compiled_schedule(True)
+        schedule = _trace_of({rank: rows for rank in range(n)}).compiled_schedule()
         assert (schedule.n_edges, schedule.n_blocks) == (0, 3)
         steps, _, checks = schedule.walk()
         assert checks <= 3 * (3 * n)
@@ -346,7 +346,7 @@ class TestCursorWalk:
             events[rank].append((EventType.RECV, 0, 0, 64, 2 * rounds + rank))
         trace = _trace_of(events)
         assert_topo_matches_replay(trace)
-        schedule = trace.compiled_schedule(True)
+        schedule = trace.compiled_schedule()
         assert schedule.n_edges == 2 * rounds + n - 2
         steps, _, checks = schedule.walk()
         assert checks <= schedule.n_edges + len(steps)
@@ -418,7 +418,7 @@ class TestWalkWindows:
     def test_remote_source_not_yet_done(self, monkeypatch):
         trace = _window_trace(*_REMOTE_LATE)
         assert_topo_matches_replay(trace)
-        schedule = trace.compiled_schedule(True)
+        schedule = trace.compiled_schedule()
         stops = []
         _, cursors, checks = self.walk(schedule, monkeypatch, stops)
         assert checks == schedule.n_edges
@@ -429,7 +429,7 @@ class TestWalkWindows:
     def test_block_exit(self, monkeypatch):
         trace = _window_trace([], [], barrier=True)
         assert_topo_matches_replay(trace)
-        schedule = trace.compiled_schedule(True)
+        schedule = trace.compiled_schedule()
         assert schedule.n_blocks == 1
         stops = []
         steps, _, checks = self.walk(schedule, monkeypatch, stops)
@@ -488,7 +488,7 @@ def assert_blocks_match_dense(trace: Trace, lmin=0.0) -> CompiledSchedule:
     prefix pair an edge) with the same kernels, so a difference is the
     blocks' doing.  Returns the block schedule.
     """
-    blocks = trace.compiled_schedule(True)
+    blocks = trace.compiled_schedule()
     dense = CompiledSchedule.from_dependencies(trace, build_dependencies(trace))
     assert dense.n_blocks == 0
     orig = blocks.flatten({r: trace.logs[r].timestamps for r in trace.ranks})
@@ -618,7 +618,7 @@ class TestBlocks:
         trace = random_trace(seed)
         nr = len(trace.ranks)
         matrix = np.random.default_rng(seed + 7).uniform(0.0, 2e-3, size=(nr, nr))
-        assert trace.compiled_schedule(True).n_blocks > 0
+        assert trace.compiled_schedule().n_blocks > 0
         assert_blocks_match_dense(trace, lmin=matrix)
         assert_blocks_match_dense(trace, lmin=lambda s, d: 1e-4 * (s + 2 * d) - 2e-4)
 
@@ -664,7 +664,7 @@ class TestBlocks:
         assert_logical_clocks_match_reference(_trace_of(events))
         monkeypatch.setattr(schedule_module, "collective_constraints", dropped)
         trace = _trace_of(events)
-        schedule = trace.compiled_schedule(True)
+        schedule = trace.compiled_schedule()
         for kernel, reference in (
             (lamport_kernel, lamport_clocks_reference),
             (vector_kernel, vector_clocks_reference),
@@ -772,7 +772,7 @@ class TestClcEquivalence:
         # self-message: every receive; nan-floor: the reversed one.
         rows, lmin = SKIP_PATH_CASES[case]
         trace = _stamped_trace(rows)
-        schedule = trace.compiled_schedule(True)
+        schedule = trace.compiled_schedule()
         orig = schedule.flatten({r: trace.logs[r].timestamps for r in trace.ranks})
         assert forward_pass(schedule, orig, schedule.edge_lmin(lmin), 0.99)[5] == lands
 
@@ -826,7 +826,7 @@ class TestClcEquivalence:
 class TestLogicalClockEquivalence:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_lamport_and_vector_bit_identical(self, seed):
-        # Both flavors of include_collectives, lamport and vector.
+        # Lamport and vector over the message-plus-collective relation.
         assert_logical_clocks_match_reference(random_trace(seed))
 
 
@@ -846,14 +846,14 @@ class TestReplayOnSchedule:
             log0.append(t, EventType.ENTER, 1, 0, 0, 0)
             log1.append(t, EventType.ENTER, 1, 0, 0, 0)
         trace = Trace({0: log0, 1: log1})
-        rounds, max_queue = bsp_rounds(trace.compiled_schedule(True))
+        rounds, max_queue = bsp_rounds(trace.compiled_schedule())
         assert rounds == 1
         assert max_queue == 4  # everything completes in the first round
 
     @pytest.mark.parametrize("seed", SEEDS[:4])
     def test_round_count_bounded_by_dependency_chains(self, seed):
         trace = random_trace(seed)
-        schedule = trace.compiled_schedule(True)
+        schedule = trace.compiled_schedule()
         rounds, max_queue = bsp_rounds(schedule)
         assert 1 <= rounds <= schedule.n_events
         assert max_queue <= schedule.n_events
