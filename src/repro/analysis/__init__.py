@@ -19,7 +19,7 @@ from repro.analysis.latency import LatencyStats, measure_collective_latency, mea
 from repro.analysis.deviation import DeviationSeries, measure_deviation
 from repro.analysis.runner import derive_seed, run_grid, seed_grid
 from repro.analysis.profile import RegionProfile, region_profile
-from repro.analysis.reports import ascii_table, ci_cell, format_series, format_summary
+from repro.analysis.reports import ascii_table, ci_cell, format_series
 from repro.analysis.timeline import render_message_arrows, render_timeline
 from repro.analysis.waitstates import WaitStateReport, barrier_waits, late_sender
 
@@ -32,7 +32,6 @@ __all__ = [
     "ascii_table",
     "ci_cell",
     "format_series",
-    "format_summary",
     "RegionProfile",
     "region_profile",
     "render_timeline",

@@ -84,12 +84,12 @@ class Table1Result:
         return [(name, pin.describe()) for name, pin in self.pinnings.items()]
 
 
-def table1_pinnings(nprocs: int = 4) -> Table1Result:
-    """The three deliberate Xeon placements of Table I."""
+def table1_pinnings() -> Table1Result:
+    """The three deliberate Xeon placements of Table I (4 ranks each)."""
     machine = xeon_cluster().machine
     return Table1Result(
         pinnings={
-            "inter node": inter_node(machine, nprocs),
+            "inter node": inter_node(machine, 4),
             "inter chip": inter_chip(machine),
             "inter core": inter_core(machine),
         }

@@ -58,15 +58,13 @@ class RegionProfile:
             out[region] = out.get(region, 0.0) + value
         return out
 
-    def total_time(self, rank: int | None = None) -> float:
-        """Sum of inclusive times over (rank, region) pairs.
+    def total_time(self) -> float:
+        """Sum of inclusive times over every (rank, region) pair.
 
         Nested regions contribute to their own entry *and* to their
         parents' inclusive time, like any callpath-less flat profile.
         """
-        return sum(
-            v for (r, _), v in self.inclusive.items() if rank is None or r == rank
-        )
+        return sum(self.inclusive.values())
 
     def rank_region(self, rank: int, region: int) -> tuple[float, float, int]:
         """(inclusive, exclusive, visits) for one rank/region pair."""

@@ -11,7 +11,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-__all__ = ["ascii_table", "ci_cell", "format_series", "format_summary", "sparkline"]
+__all__ = ["ascii_table", "ci_cell", "format_series", "sparkline"]
 
 
 def ascii_table(headers: Sequence[str], rows: Iterable[Sequence], title: str = "") -> str:
@@ -34,18 +34,6 @@ def ascii_table(headers: Sequence[str], rows: Iterable[Sequence], title: str = "
     for row in str_rows:
         lines.append(" | ".join(c.ljust(w) for c, w in zip(row, widths)))
     return "\n".join(lines)
-
-
-def format_summary(label: str, summary, unit_scale: float = 1e6,
-                   unit: str = "us") -> str:
-    """One reported number with its uncertainty, methodology-style.
-
-    Renders a :class:`repro.stats.SampleSummary` as
-    ``label: mean ± halfwidth unit [lo, hi] (level CI, n=…, runs=…)`` —
-    the format every figure/table line of the CLI uses (see
-    ``docs/methodology.md`` for how to read it).
-    """
-    return f"{label}: {summary.describe(unit_scale=unit_scale, unit=unit)}"
 
 
 def ci_cell(summary) -> str:

@@ -73,10 +73,9 @@ def derive_seed(base_seed: int, *names) -> int:
     return stable_hash32(("seed", int(base_seed)), *names)
 
 
-def seed_grid(base_config: dict[str, Any], seeds: Iterable[int],
-              seed_key: str = "seed") -> list[dict[str, Any]]:
-    """Expand one config into a grid varying only its seed."""
-    return [{**base_config, seed_key: int(s)} for s in seeds]
+def seed_grid(base_config: dict[str, Any], seeds: Iterable[int]) -> list[dict[str, Any]]:
+    """Expand one config into a grid varying only its ``seed``."""
+    return [{**base_config, "seed": int(s)} for s in seeds]
 
 
 def _call_batch(func: Callable[..., Any], kwargs_list: list[dict[str, Any]],

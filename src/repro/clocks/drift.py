@@ -297,8 +297,9 @@ class RandomWalkDrift(PiecewiseConstantDrift):
         Sampling interval of the walk, seconds.
     duration:
         Horizon covered by distinct segments, seconds.
-    rate0, initial_offset:
-        Starting rate and offset.
+    rate0:
+        Starting rate.  The walk starts at offset 0 (a clock's initial
+        offset is its :class:`ConstantDrift` component's).
     """
 
     def __init__(
@@ -308,7 +309,6 @@ class RandomWalkDrift(PiecewiseConstantDrift):
         step: float = 10.0,
         duration: float = 4000.0,
         rate0: float = 0.0,
-        initial_offset: float = 0.0,
     ) -> None:
         if step <= 0 or duration <= 0:
             raise ConfigurationError("step and duration must be positive")
@@ -316,7 +316,7 @@ class RandomWalkDrift(PiecewiseConstantDrift):
         increments = rng.normal(0.0, sigma, size=n)
         rates = rate0 + np.concatenate(([0.0], np.cumsum(increments)))[:n]
         breakpoints = np.arange(n, dtype=np.float64) * step
-        super().__init__(breakpoints, rates, initial_offset=initial_offset)
+        super().__init__(breakpoints, rates)
 
 
 class OrnsteinUhlenbeckDrift(PiecewiseConstantDrift):

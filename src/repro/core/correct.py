@@ -60,12 +60,7 @@ from repro.sync.interpolation import (
     piecewise_interpolation,
 )
 from repro.sync.offset import measurements_from_meta
-from repro.sync.violations import (
-    LminSpec,
-    ViolationReport,
-    scan_collectives,
-    scan_messages,
-)
+from repro.sync.violations import LminSpec, ViolationReport, scan_trace
 from repro.telemetry import ensure_telemetry
 from repro.tracing.trace import Trace
 
@@ -229,9 +224,7 @@ def scan_source(source, lmin: LminSpec = 0.0) -> dict[str, ViolationReport]:
 
         reports = streaming_scan_trace(trace, lmin=lmin)
         return {"p2p": reports["p2p"], "collective": reports["collective"]}
-    p2p = scan_messages(trace.messages(strict=False), lmin)
-    coll, _ = scan_collectives(trace, lmin)
-    return {"p2p": p2p, "collective": coll}
+    return scan_trace(trace, lmin)
 
 
 def _scan_stage(stage: str, trace, lmin: LminSpec, telemetry) -> StageReport:

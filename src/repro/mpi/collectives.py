@@ -99,13 +99,11 @@ def bcast(ctx, instance: int, root: int = 0, nbytes: int = 0, payload: Any = Non
     return payload
 
 
-def reduce(
-    ctx, instance: int, root: int = 0, nbytes: int = 0, value: Any = None, op=None
-) -> Generator:
+def reduce(ctx, instance: int, root: int = 0, nbytes: int = 0, value: Any = None) -> Generator:
     """Binomial-tree reduction to ``root``; returns the result at root.
 
-    ``op`` combines two contribution values (default: collect into a
-    list-agnostic sum when numeric, else keep a list).
+    Contributions combine as :func:`_combine` does without an ``op``:
+    summed when they add, else paired into a tuple.
     """
     n = ctx.size
     _check_root(root, n)
@@ -124,7 +122,7 @@ def reduce(
             child = (child_rel + root) % n
             msg = yield from ctx.recv_raw(src=child, tag=tag)
             yield from _stage(ctx)
-            acc = _combine(acc, msg.payload, op)
+            acc = _combine(acc, msg.payload, None)
         mask <<= 1
     return acc
 
@@ -291,7 +289,7 @@ def scan(ctx, instance: int, nbytes: int = 0, value: Any = None, op=None) -> Gen
 
 
 def reduce_scatter(
-    ctx, instance: int, nbytes: int = 0, values: Optional[dict] = None, op=None
+    ctx, instance: int, nbytes: int = 0, values: Optional[dict] = None
 ) -> Generator:
     """Reduce-scatter: chunk i of the elementwise reduction lands on rank i.
 
@@ -315,7 +313,7 @@ def reduce_scatter(
             for contributor in sorted(collected):
                 chunk = collected[contributor].get(dst)
                 if chunk is not None:
-                    acc = _combine(acc, chunk, op)
+                    acc = _combine(acc, chunk, None)
             scattered[dst] = acc
     # Phase 2: scatter the reduced chunks.
     result = yield from scatter(ctx, instance, root=0, nbytes=nbytes, values=scattered)

@@ -15,7 +15,7 @@ generator::
 
 Tracing is layered exactly like PMPI interposition: the *public* methods
 (``send``, ``recv``, the collectives, ``enter_region``/``exit_region``)
-consult the attached :class:`~repro.tracing.instrument.Tracer` and
+consult the attached :class:`~repro.tracing.buffer.TraceBuffer` and
 record events around the *raw* operations (``send_raw``, ``recv_raw``),
 which never record anything.  Collectives run their internal tree
 messages through the raw layer, so a trace contains one
@@ -92,8 +92,9 @@ class MpiContext:
         Hardware placement (determines latency and clock).
     jitter_model / jitter_rng:
         OS-noise inflation applied to :meth:`compute`.
-    tracer:
-        Event recorder, or ``None`` for an untraced run.
+    buffer:
+        The rank's :class:`~repro.tracing.buffer.TraceBuffer`, or
+        ``None`` for an untraced run.
     """
 
     def __init__(
@@ -103,7 +104,7 @@ class MpiContext:
         location: Location,
         jitter_model=None,
         jitter_rng: Optional[np.random.Generator] = None,
-        tracer=None,
+        buffer=None,
         mpi_regions: bool = False,
     ) -> None:
         self.rank = rank
@@ -111,7 +112,7 @@ class MpiContext:
         self.location = location
         self.jitter_model = jitter_model
         self.jitter_rng = jitter_rng
-        self.tracer = tracer
+        self.buffer = buffer
         #: Record ENTER/EXIT events around traced MPI calls (the full
         #: PMPI-wrapper pattern; doubles event volume, required by
         #: wait-state analysis which needs to know when a receive was
@@ -166,12 +167,12 @@ class MpiContext:
     def send(self, dst: int, tag: int = 0, nbytes: int = 0, payload: Any = None) -> Generator:
         """Send, recording a ``SEND`` event (timestamp taken before the
         transfer is initiated, like a wrapper around ``MPI_Send``)."""
-        if self.tracer is not None and self.tracer.active:
+        if self.buffer is not None and self.buffer.active:
             if self.mpi_regions:
                 yield from self._simple_event(EventType.ENTER, MPI_SEND_REGION)
             ts = yield ReadClock()
             mid = yield Send(dst, tag, nbytes, payload)
-            cost = self.tracer.record(ts, EventType.SEND, dst, tag, nbytes, mid)
+            cost = self.buffer.append(ts, EventType.SEND, dst, tag, nbytes, mid)
             if cost > 0:
                 yield Compute(cost)
             if self.mpi_regions:
@@ -186,12 +187,12 @@ class MpiContext:
         With ``mpi_regions``, an ``ENTER(MPI_RECV_REGION)`` is recorded
         when the receive is *posted* — the timestamp wait-state analysis
         measures Late Sender against."""
-        if self.tracer is not None and self.tracer.active:
+        if self.buffer is not None and self.buffer.active:
             if self.mpi_regions:
                 yield from self._simple_event(EventType.ENTER, MPI_RECV_REGION)
             msg = yield Recv(src, tag)
             ts = yield ReadClock()
-            cost = self.tracer.record(
+            cost = self.buffer.append(
                 ts, EventType.RECV, msg.src, msg.tag, msg.nbytes, msg.match_id
             )
             if cost > 0:
@@ -207,11 +208,9 @@ class MpiContext:
         src: int,
         sendtag: int = 0,
         recvtag: int = ANY_TAG,
-        nbytes: int = 0,
-        payload: Any = None,
     ) -> Generator:
         """Combined send+receive (safe under eager sends); returns Message."""
-        yield from self.send(dst, sendtag, nbytes, payload)
+        yield from self.send(dst, sendtag)
         msg = yield from self.recv(src, recvtag)
         return msg
 
@@ -226,17 +225,17 @@ class MpiContext:
         """Record an ``EXIT`` event for a code region."""
         yield from self._simple_event(EventType.EXIT, region_id)
 
-    def _simple_event(self, etype: EventType, a: int = 0, b: int = 0, c: int = 0, d: int = 0):
-        if self.tracer is not None and self.tracer.active:
+    def _simple_event(self, etype: EventType, a: int):
+        if self.buffer is not None and self.buffer.active:
             ts = yield ReadClock()
-            cost = self.tracer.record(ts, etype, a, b, c, d)
+            cost = self.buffer.append(ts, etype, a)
             if cost > 0:
                 yield Compute(cost)
 
     def set_tracing(self, enabled: bool) -> None:
         """Toggle event recording (partial tracing, Fig. 7 style)."""
-        if self.tracer is not None:
-            self.tracer.active = enabled
+        if self.buffer is not None:
+            self.buffer.active = enabled
 
     # ------------------------------------------------------------------
     # Traced collectives
@@ -254,11 +253,11 @@ class MpiContext:
             )
         )
 
-    def reduce(self, root: int = 0, nbytes: int = 0, value: Any = None, op=None) -> Generator:
+    def reduce(self, root: int = 0, nbytes: int = 0, value: Any = None) -> Generator:
         return (
             yield from self._collective(
                 CollectiveOp.REDUCE, root, nbytes, _coll.reduce, root=root, nbytes=nbytes,
-                value=value, op=op,
+                value=value,
             )
         )
 
@@ -307,13 +306,11 @@ class MpiContext:
             )
         )
 
-    def reduce_scatter(
-        self, nbytes: int = 0, values: Optional[dict] = None, op=None
-    ) -> Generator:
+    def reduce_scatter(self, nbytes: int = 0, values: Optional[dict] = None) -> Generator:
         return (
             yield from self._collective(
                 CollectiveOp.REDUCE_SCATTER, 0, nbytes, _coll.reduce_scatter,
-                nbytes=nbytes, values=values, op=op,
+                nbytes=nbytes, values=values,
             )
         )
 
@@ -369,14 +366,14 @@ class MpiContext:
         """Record COLL_ENTER / run algorithm / record COLL_EXIT.
 
         ``self`` may be an :class:`MpiContext` or a
-        :class:`~repro.mpi.subcomm.SubComm`; only rank/size/tracer and
+        :class:`~repro.mpi.subcomm.SubComm`; only rank/size/buffer and
         the raw operations are touched.  ``coll_root`` is recorded in
         *world* ranks so postmortem flavor mapping works uniformly.
         """
-        traced = self.tracer is not None and self.tracer.active
+        traced = self.buffer is not None and self.buffer.active
         if traced:
             ts = yield ReadClock()
-            cost = self.tracer.record(
+            cost = self.buffer.append(
                 ts, EventType.COLL_ENTER, int(coll_op), coll_root, self.size, instance
             )
             if cost > 0:
@@ -394,7 +391,7 @@ class MpiContext:
                 self.periodic_series.append(measurements)
         if traced:
             ts = yield ReadClock()
-            cost = self.tracer.record(
+            cost = self.buffer.append(
                 ts, EventType.COLL_EXIT, int(coll_op), coll_root, self.size, instance
             )
             if cost > 0:

@@ -1,9 +1,9 @@
 """Job orchestration: clocks + network + tracing around an application.
 
 :class:`MpiWorld` assembles everything a run needs (engine, transport,
-clock ensemble, per-rank tracers) from a cluster preset, a pinning, and
-a timer technology, and executes an application generator on every rank
-the way Scalasca executes a traced job:
+clock ensemble, per-rank trace buffers) from a cluster preset, a pinning,
+and a timer technology, and executes an application generator on every
+rank the way Scalasca executes a traced job:
 
 1. offset measurement against rank 0 during ``MPI_Init``;
 2. the application;
@@ -31,7 +31,6 @@ from repro.sim.engine import Engine, Transport
 from repro.sync.offset import OffsetMeasurement, measurement_protocol, measurements_to_meta
 from repro.telemetry import ensure_telemetry
 from repro.tracing.buffer import TraceBuffer
-from repro.tracing.instrument import Tracer
 from repro.tracing.trace import Trace
 
 __all__ = ["MpiWorld", "RunResult"]
@@ -164,7 +163,7 @@ class MpiWorld:
         worker:
             ``worker(ctx)`` generator run by each rank.
         tracing:
-            Attach tracers and build a :class:`Trace`.
+            Attach a trace buffer to every rank and build a :class:`Trace`.
         measure_offsets:
             Run the Cristian protocol at init and finalize (the
             Scalasca scheme).  Without it, interpolation has no inputs.
@@ -245,12 +244,12 @@ class MpiWorld:
             )
         )
         nranks = self.pinning.nranks
-        tracers: dict[int, Tracer] = {}
+        buffers: dict[int, TraceBuffer] = {}
         costs = dict(capacity=self.trace_buffer_capacity,
                      record_cost=self.record_cost, flush_cost=self.flush_cost)
         for rank in range(nranks):
             loc = self.pinning[rank]
-            tracer = None
+            buffer = None
             if tracing:
                 if trace_sink is not None:
                     from repro.tracing.store import SpillingTraceBuffer
@@ -258,15 +257,15 @@ class MpiWorld:
                     buffer = SpillingTraceBuffer(trace_sink, rank, **costs)
                 else:
                     buffer = TraceBuffer(**costs)
-                tracer = Tracer(buffer, active=tracing_initially)
-                tracers[rank] = tracer
+                buffer.active = tracing_initially
+                buffers[rank] = buffer
             ctx = MpiContext(
                 rank=rank,
                 size=nranks,
                 location=loc,
                 jitter_model=self.jitter,
                 jitter_rng=self.fabric.generator("jitter", rank),
-                tracer=tracer,
+                buffer=buffer,
                 mpi_regions=self.mpi_regions,
             )
             ctx.periodic_sync_every = self.periodic_sync_every
@@ -305,12 +304,12 @@ class MpiWorld:
             if trace_sink is not None:
                 from repro.tracing.store import ChunkedTrace, ShardedTraceReader
 
-                for tracer in tracers.values():
-                    tracer.buffer.drain()
+                for buffer in buffers.values():
+                    buffer.drain()
                 trace_sink.finish(meta=meta)
                 trace = ChunkedTrace(ShardedTraceReader(trace_sink.directory))
             else:
-                trace = Trace({r: t.log for r, t in tracers.items()}, meta=meta)
+                trace = Trace({r: b.log for r, b in buffers.items()}, meta=meta)
 
         return RunResult(
             trace=trace,

@@ -71,7 +71,7 @@ class SubComm:
         self._coll_instance = 0
         self._next_split_seq = 0
         # Fields the shared collective wrapper and split logic consult.
-        self.tracer = world.tracer
+        self.buffer = world.buffer
         self.mpi_regions = world.mpi_regions
         self.periodic_sync_every = 0  # periodic sync stays on the world comm
         self.periodic_sync_repeats = world.periodic_sync_repeats
@@ -180,7 +180,7 @@ def _borrow_context_methods() -> None:
     """Bind MpiContext's collective/split machinery onto SubComm.
 
     Those methods only touch attributes and hooks SubComm provides
-    (rank, size, tracer, ``_alloc_instance``, ``_root_to_world``, the
+    (rank, size, buffer, ``_alloc_instance``, ``_root_to_world``, the
     raw operations), so the identical function objects work unchanged
     with comm-local ranks.
     """

@@ -45,7 +45,6 @@ from repro.sim.primitives import Compute, ReadClock, Recv, Send
 from repro.sync.offset import OffsetMeasurement, cristian_offset, measurements_to_meta
 from repro.tracing.buffer import TraceBuffer
 from repro.tracing.events import EventType
-from repro.tracing.instrument import Tracer
 from repro.tracing.trace import Trace
 from repro.units import USEC
 
@@ -172,14 +171,14 @@ def run_parallel_for_benchmark(
             recv_overhead=1.0e-8,
         )
     )
-    tracers = {tid: Tracer(TraceBuffer(record_cost=2.0e-8)) for tid in range(n)}
+    buffers = {tid: TraceBuffer(record_cost=2.0e-8) for tid in range(n)}
 
     measurements: dict[str, dict[int, OffsetMeasurement]] = {"init": {}, "final": {}}
     for tid in range(n):
         engine.add_process(
             tid,
             _thread(
-                tid, n, config, tracers[tid], jitter, fabric.generator("omp", tid),
+                tid, n, config, buffers[tid], jitter, fabric.generator("omp", tid),
                 measurements if measure_offsets else None,
             ),
             placement[tid],
@@ -197,7 +196,7 @@ def run_parallel_for_benchmark(
     }
     if measure_offsets:
         meta.update(measurements_to_meta(measurements["init"], measurements["final"]))
-    return Trace({tid: t.log for tid, t in tracers.items()}, meta=meta)
+    return Trace({tid: b.log for tid, b in buffers.items()}, meta=meta)
 
 
 # ----------------------------------------------------------------------
@@ -216,10 +215,10 @@ def _parent(tid: int) -> int:
     return (tid - 1) // 2
 
 
-def _record(tracer: Tracer, etype: EventType, inst: int, team: int):
-    """Read the clock and append one POMP event (generator)."""
+def _record(buffer: TraceBuffer, etype: EventType, inst: int, team: int):
+    """Read the clock and append one POMP event to ``buffer`` (generator)."""
     ts = yield ReadClock()
-    cost = tracer.record(ts, etype, REGION_ID, team, 0, inst)
+    cost = buffer.append(ts, etype, REGION_ID, team, 0, inst)
     if cost > 0:
         yield Compute(cost)
 
@@ -256,7 +255,7 @@ def _thread(
     tid: int,
     n: int,
     config: OmpTeamConfig,
-    tracer: Tracer,
+    buffer: TraceBuffer,
     jitter,
     rng,
     measurements: dict | None = None,
@@ -266,7 +265,7 @@ def _thread(
     for inst in range(config.regions):
         # ---- fork -----------------------------------------------------
         if tid == 0:
-            yield from _record(tracer, EventType.OMP_FORK, inst, n)
+            yield from _record(buffer, EventType.OMP_FORK, inst, n)
             for child in _children(0, n):
                 yield Send(child, tag=WAKE_TAG)
         else:
@@ -279,7 +278,7 @@ def _thread(
             # exit -> join margin, biasing violations toward the region
             # exit — the asymmetry the paper observed most frequently.
             yield Compute(float(rng.exponential(8.0e-8)))
-        yield from _record(tracer, EventType.OMP_PAR_ENTER, inst, n)
+        yield from _record(buffer, EventType.OMP_PAR_ENTER, inst, n)
 
         # ---- body -----------------------------------------------------
         body = config.body_time * float(rng.normal(1.0, config.imbalance))
@@ -288,7 +287,7 @@ def _thread(
             yield Compute(body)
 
         # ---- implicit barrier (gather to 0, release broadcast) --------
-        yield from _record(tracer, EventType.OMP_BARRIER_ENTER, inst, n)
+        yield from _record(buffer, EventType.OMP_BARRIER_ENTER, inst, n)
         for child in _children(tid, n):
             yield Recv(src=child, tag=BARRIER_TAG)
         if tid != 0:
@@ -296,18 +295,18 @@ def _thread(
             yield Recv(src=_parent(tid), tag=WAKE_TAG + 10)
         for child in _children(tid, n):
             yield Send(child, tag=WAKE_TAG + 10)
-        yield from _record(tracer, EventType.OMP_BARRIER_EXIT, inst, n)
+        yield from _record(buffer, EventType.OMP_BARRIER_EXIT, inst, n)
 
         # ---- region exit / join ---------------------------------------
         # Completion gathers up the tree: a thread reports only after all
         # of its children reported, so the master's JOIN truly follows
         # every thread's PAR_EXIT — any recorded inversion is the clocks'.
-        yield from _record(tracer, EventType.OMP_PAR_EXIT, inst, n)
+        yield from _record(buffer, EventType.OMP_PAR_EXIT, inst, n)
         for child in _children(tid, n):
             yield Recv(src=child, tag=DONE_TAG)
         if tid != 0:
             yield Send(_parent(tid), tag=DONE_TAG)
         else:
-            yield from _record(tracer, EventType.OMP_JOIN, inst, n)
+            yield from _record(buffer, EventType.OMP_JOIN, inst, n)
     if measurements is not None:
         yield from _measure_offsets(tid, n, measurements["final"])

@@ -205,9 +205,9 @@ class _RankPlan(MpiContext):
             self.deltas.append(cost)
         return row
 
-    def _event(self, etype, a=0, b=0, c=0, d=0) -> None:
+    def _event(self, etype, a) -> None:
         if self.traced:
-            self._record(self._read(), etype, a, b, c, d)
+            self._record(self._read(), etype, a)
 
     def _send(self, dst: int, tag: int, nbytes: int) -> None:
         self.send_pos.append(len(self.deltas))

@@ -12,6 +12,14 @@ stalls the process noticeably (which perturbs the application — one of
 the reasons tools avoid mid-run offset measurements).  :class:`TraceBuffer`
 accounts for both and reports the cost of each append so the simulated
 instrumentation can charge it as compute time.
+
+One buffer is attached to each rank's :class:`~repro.mpi.comm.MpiContext`
+(or OpenMP thread), whose traced operations consult it like PMPI
+wrappers consult the tracing library: read the local clock, perform the
+operation, append a record, pay the recording cost.  Setting
+:attr:`TraceBuffer.active` to ``False`` turns recording off without
+disturbing the simulation — the partial-tracing mode the paper uses for
+POP ("we traced iterations 3500 to 5500").
 """
 
 from __future__ import annotations
@@ -34,9 +42,15 @@ class TraceBuffer:
         CPU seconds to format and store one record.
     flush_cost:
         CPU seconds one capacity flush stalls the process.
+
+    A new buffer records (:attr:`active` is ``True``).  Callers check
+    :attr:`active` before each :meth:`append` (the context does), so
+    ``append`` itself stays branch-free and cheap.
     """
 
-    __slots__ = ("log", "capacity", "record_cost", "flush_cost", "_since_flush", "flushes")
+    __slots__ = (
+        "log", "capacity", "record_cost", "flush_cost", "_since_flush", "flushes", "active",
+    )
 
     def __init__(
         self,
@@ -52,6 +66,7 @@ class TraceBuffer:
         self.flush_cost = flush_cost
         self._since_flush = 0
         self.flushes = 0
+        self.active = True
 
     def append(
         self, timestamp: float, etype: EventType, a: int = 0, b: int = 0, c: int = 0, d: int = 0

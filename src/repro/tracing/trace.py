@@ -14,13 +14,14 @@ job is to answer the questions the synchronization layer asks:
 Matching has one key rule and one join.  :class:`MatchKeys` gives every
 transfer event one int64 key that a send shares with its receive: the
 simulator's ground-truth ``match_id`` when every send carries one
-(every record written by :mod:`repro.tracing.instrument` does), else
-the event's position in its FIFO (src, dst, tag) channel — the
-algorithm real tools must use for traces without ids (e.g. read from
-foreign files).  :func:`join_keys` then pairs sends and receives on
-those keys.  :meth:`Trace.messages` runs it once over every rank's log;
-the streamed pre-scan (:mod:`repro.sync.streaming`) runs it shard by
-shard over the ends still pending.
+(every send the simulator appends to a rank's
+:class:`~repro.tracing.buffer.TraceBuffer` does), else the event's
+position in its FIFO (src, dst, tag) channel — the algorithm real
+tools must use for traces without ids (e.g. read from foreign files).
+:func:`join_keys` then pairs sends and receives on those keys.
+:meth:`Trace.messages` runs it once over every rank's log; the streamed
+pre-scan (:mod:`repro.sync.streaming`) runs it shard by shard over the
+ends still pending.
 """
 
 from __future__ import annotations

@@ -82,7 +82,7 @@ def format_seconds(value: float, digits: int = 3) -> str:
     return f"{value / scale:.{digits}f} {suffix}"
 
 
-def format_rate(rate: float, digits: int = 2) -> str:
+def format_rate(rate: float) -> str:
     """Render a drift rate in ppm (or ppb when below 0.01 ppm).
 
     Examples
@@ -93,5 +93,5 @@ def format_rate(rate: float, digits: int = 2) -> str:
     '3.00 ppb'
     """
     if rate != 0.0 and abs(rate) < 0.01 * PPM:
-        return f"{rate / PPB:.{digits}f} ppb"
-    return f"{rate / PPM:.{digits}f} ppm"
+        return f"{rate / PPB:.2f} ppb"
+    return f"{rate / PPM:.2f} ppm"

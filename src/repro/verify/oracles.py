@@ -117,10 +117,10 @@ def oracle(name: str, description: str, requires: set[str]):
     return register
 
 
-def check_case(case: TraceCase, names=None) -> list[str]:
-    """Run every applicable oracle (or the named subset); returns those run."""
+def check_case(case: TraceCase) -> list[str]:
+    """Run every applicable oracle; returns those run."""
     ran = []
-    for name in (names if names is not None else sorted(ORACLES)):
+    for name in sorted(ORACLES):
         if ORACLES[name].run(case):
             ran.append(name)
     return ran
@@ -231,15 +231,14 @@ def assert_replay_matches_direct(trace: Trace, lmin=0.0) -> None:
     assert_traces_identical(result.clc, direct, context="replay", check_stats=False)
 
 
-def assert_scalar_matches_vector(model, t: float, rel: float = 1e-12,
-                                 abs_tol: float = 1e-18) -> None:
+def assert_scalar_matches_vector(model, t: float, abs_tol: float = 1e-18) -> None:
     """A drift model's scalar fast path must agree with its vector path."""
     for attr in ("offset_at", "rate_at"):
         fn = getattr(model, attr)
         scalar = float(fn(t))
         vector = float(np.asarray(fn(np.array([t])))[0])
         _require(
-            math.isclose(scalar, vector, rel_tol=rel, abs_tol=abs_tol),
+            math.isclose(scalar, vector, rel_tol=1e-12, abs_tol=abs_tol),
             f"{type(model).__name__}.{attr}({t}): scalar {scalar!r} != vector {vector!r}",
         )
 
@@ -1173,20 +1172,20 @@ def _batch_matches_engine(case: TraceCase) -> None:
                  "spec expected to engage it")
 
 
-def assert_telemetry_inert(params: dict, engine=None) -> None:
+def assert_telemetry_inert(params: dict) -> None:
     """Run one scenario with telemetry off and on; demand bit-identity.
 
     Telemetry may observe a run but never influence it: traces, worker
     results, offsets, duration, event counts, the execution path taken,
     and the post-run RNG stream positions must all be byte-for-byte what
     the un-instrumented run produced.  Checks both engines unless
-    ``engine`` (or ``params["engine"]``) picks one.  Also demands the
-    recorder actually captured something, so a silently disconnected
-    instrumentation layer cannot pass as "inert".
+    ``params["engine"]`` picks one.  Also demands the recorder actually
+    captured something, so a silently disconnected instrumentation layer
+    cannot pass as "inert".
     """
     from repro.telemetry import TelemetryRecorder
 
-    chosen = engine or params.get("engine")
+    chosen = params.get("engine")
     engines = (chosen,) if chosen else ("reference", "batch")
     kwargs = dict(
         tracing=bool(params.get("tracing", True)),

@@ -1,4 +1,4 @@
-"""Tests for the trace buffer (repro.tracing.buffer) and Tracer."""
+"""Tests for the per-rank trace buffer (repro.tracing.buffer)."""
 
 from __future__ import annotations
 
@@ -8,10 +8,29 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.tracing.buffer import TraceBuffer
 from repro.tracing.events import EventType
-from repro.tracing.instrument import Tracer
 
 
 class TestTraceBuffer:
+    def test_records_into_log(self):
+        buf = TraceBuffer()
+        buf.append(1.0, EventType.SEND, 1, 2, 3, 4)
+        assert len(buf.log) == 1
+        assert buf.log[0].d == 4
+
+    def test_active_flag_default(self):
+        buf = TraceBuffer()
+        assert buf.active is True
+        buf.active = False
+        assert buf.active is False
+
+    def test_cost_passthrough(self):
+        # The flag gates the caller, not the append: an inactive buffer
+        # still charges what it records.
+        buf = TraceBuffer(record_cost=5e-8)
+        assert buf.append(1.0, EventType.ENTER) == pytest.approx(5e-8)
+        buf.active = False
+        assert buf.append(2.0, EventType.ENTER) == pytest.approx(5e-8)
+
     def test_append_returns_record_cost(self):
         buf = TraceBuffer(record_cost=1e-7, flush_cost=1e-3)
         cost = buf.append(1.0, EventType.ENTER)
@@ -82,19 +101,3 @@ class TestTraceBuffer:
             assert np.array_equal(
                 getattr(batched.log, col), getattr(scalar.log, col)
             ), f"column {col} diverged"
-
-
-class TestTracer:
-    def test_records_into_buffer(self):
-        tracer = Tracer()
-        tracer.record(1.0, EventType.SEND, 1, 2, 3, 4)
-        assert len(tracer.log) == 1
-        assert tracer.log[0].d == 4
-
-    def test_active_flag_default(self):
-        assert Tracer().active is True
-        assert Tracer(active=False).active is False
-
-    def test_cost_passthrough(self):
-        tracer = Tracer(TraceBuffer(record_cost=5e-8))
-        assert tracer.record(1.0, EventType.ENTER) == pytest.approx(5e-8)

@@ -116,6 +116,25 @@ EXPECTED_KNOBS = {
     "repro.sync.streaming.streaming_clc_correct": [
         "source", "out_dir", "gamma", "amortization_window", "lmin", "telemetry",
     ],
+    "repro.tracing.buffer.TraceBuffer": ["capacity", "record_cost", "flush_cost"],
+    "repro.mpi.comm.MpiContext": [
+        "rank", "size", "location", "jitter_model", "jitter_rng", "buffer", "mpi_regions",
+    ],
+    "repro.mpi.comm.MpiContext.sendrecv": ["dst", "src", "sendtag", "recvtag"],
+    "repro.mpi.comm.MpiContext.reduce": ["root", "nbytes", "value"],
+    "repro.mpi.comm.MpiContext.reduce_scatter": ["nbytes", "values"],
+    "repro.mpi.comm.MpiContext._simple_event": ["etype", "a"],
+    "repro.mpi.collectives.reduce": ["ctx", "instance", "root", "nbytes", "value"],
+    "repro.mpi.collectives.reduce_scatter": ["ctx", "instance", "nbytes", "values"],
+    "repro.sim.batch._RankPlan._event": ["etype", "a"],
+    "repro.analysis.experiments.table1_pinnings": [],
+    "repro.analysis.runner.seed_grid": ["base_config", "seeds"],
+    "repro.analysis.profile.RegionProfile.total_time": [],
+    "repro.clocks.drift.RandomWalkDrift": ["rng", "sigma", "step", "duration", "rate0"],
+    "repro.units.format_rate": ["rate"],
+    "repro.verify.oracles.check_case": ["case"],
+    "repro.verify.oracles.assert_scalar_matches_vector": ["model", "t", "abs_tol"],
+    "repro.verify.oracles.assert_telemetry_inert": ["params"],
 }
 
 
