@@ -5,7 +5,8 @@ synchronization stack could silently break — and asserts the
 fuzz campaign named beside it (``mutation``, ``streaming`` for the
 out-of-core sweeps, ``smoke`` for message matching, ``batch`` for the
 batch engine's recorder, its message pairing and its segment starts,
-``stats`` for the grid runner; ``mutation`` ends with a POMP probe and a
+``stats`` for the grid runner, ``clc`` for the backward amortization's
+dense twin; ``mutation`` ends with a POMP probe and a
 probe that wakes the forward driver early only inside an array window) catches
 every one,
 shrinks the failure, and
@@ -411,6 +412,24 @@ def mutant_lost_publication():
         yield
 
 
+@contextmanager
+def mutant_one_round():
+    """M20: the backward amortization's reverse scans stop after their
+    first fixed-point round — each advance is limited by its right
+    neighbour's *unlimited* advance, so a binding chain (a send capped
+    just before a jump) stops one link short.  Kernel and scalar
+    reference share the amortization, so only the dense twin of the
+    scans, ``amortization_matches_dense``, notices."""
+    import repro.sync.clc as clc_mod
+
+    def one_round(x, right, link, step, gap=None):
+        x[:-1] = step(np.arange(link.size), np.where(link, x[1:], right))
+        return 1
+
+    with mock.patch.object(clc_mod, "_reverse_fixed_point", one_round):
+        yield
+
+
 #: (name, mutant, what each campaign must catch it with: any oracle (None),
 #: an oracle by name, or one probe as (strategy, oracle))
 MUTANTS = [
@@ -439,6 +458,7 @@ MUTANTS = [
     ("misrouted-arrival", mutant_misrouted_arrival, {"batch": "batch_matches_engine"}),
     ("segment-offset", mutant_segment_offset, {"batch": "batch_matches_engine"}),
     ("lost-publication", mutant_lost_publication, {"streaming": "streamed_matches_inmemory"}),
+    ("one-round", mutant_one_round, {"clc": "amortization_matches_dense"}),
 ]
 
 

@@ -27,8 +27,6 @@ from repro.analysis.latency import (
 from repro.analysis.runner import derive_seed, run_grid
 from repro.cluster.jitter import OsJitterModel
 from repro.cluster.machines import (
-    ClusterPreset,
-    itanium_node,
     opteron_cluster,
     powerpc_cluster,
     xeon_cluster,
@@ -47,7 +45,7 @@ from repro.openmp.team import OmpTeamConfig, run_parallel_for_benchmark
 from repro.options import RunOptions
 from repro.stats import DEFAULT_LEVEL, SampleSummary, StoppingRule, summarize
 from repro.sync.clc import ControlledLogicalClock
-from repro.sync.interpolation import align_offsets, linear_interpolation
+from repro.sync.interpolation import linear_interpolation
 from repro.sync.violations import (
     PompRegionReport,
     lmin_matrix_from_trace,

@@ -19,8 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.errors import TraceError
 from repro.tracing.events import EventType
 from repro.tracing.trace import Trace

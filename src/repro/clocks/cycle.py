@@ -19,7 +19,7 @@ above anything NTP or thermal wander produces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

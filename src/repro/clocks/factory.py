@@ -23,7 +23,7 @@ so an ensemble is fully determined by ``(machine, spec, seed, duration)``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np

@@ -31,7 +31,7 @@ import numpy as np
 
 from repro.cluster.topology import Location
 from repro.mpi import collectives as _coll
-from repro.sim.primitives import ANY_SOURCE, ANY_TAG, Compute, Message, ReadClock, Recv, Send
+from repro.sim.primitives import ANY_SOURCE, ANY_TAG, Compute, ReadClock, Recv, Send
 from repro.sync.offset import measurement_protocol
 from repro.tracing.events import CollectiveOp, EventType
 

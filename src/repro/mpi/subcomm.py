@@ -28,7 +28,7 @@ Design choices, mirroring how tracing tools handle communicators:
 
 from __future__ import annotations
 
-from typing import Any, Generator, Optional
+from typing import Any, Generator
 
 from repro.errors import ConfigurationError
 from repro.sim.primitives import ANY_SOURCE, ANY_TAG

@@ -31,8 +31,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.clocks.factory import ClockEnsemble, timer_spec
 from repro.cluster.jitter import OsJitterModel
 from repro.cluster.machines import itanium_node

@@ -21,14 +21,14 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import Any, Callable, Generator, Iterable, Optional
+from typing import Any, Generator, Iterable, Optional
 
 import numpy as np
 
 from repro.clocks.base import Clock
 from repro.cluster.topology import Location
 from repro.errors import DeadlockError, SimulationError
-from repro.sim.primitives import ANY_SOURCE, ANY_TAG, Compute, Message, ReadClock, Recv, Send
+from repro.sim.primitives import Compute, Message, ReadClock, Recv, Send
 
 __all__ = ["Engine", "Transport", "congested_delay"]
 

@@ -54,15 +54,15 @@ drives too.  :meth:`ControlledLogicalClock.correct_reference` and
 scalar formulation — the only other spelling of the follow rule — and
 serve as the bit-for-bit equivalence oracle in the test suite.
 Backward amortization has one implementation,
-:func:`amortize_segment`: every path above and the streaming CLC of
-:mod:`repro.sync.streaming` (one call per shard, boundary carries)
-run it, and its cost follows the events inside the amortization
-windows rather than ``jumps x events``.
+:func:`amortize_segment`: every path above (one call over every rank's
+log) and the streaming CLC of :mod:`repro.sync.streaming` (one call per
+shard, boundary carries) run it, and its cost follows the events inside
+the amortization windows rather than ``jumps x events``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -259,10 +259,9 @@ class ControlledLogicalClock:
         orig_flat = schedule.flatten(original)
 
         with tele.span("sync.clc.forward", events=orig_flat.size):
-            corr_flat, jumps, njumps, max_jump, writes, lands = forward_pass(
+            corr_flat, (ks, js), njumps, max_jump, writes, lands = forward_pass(
                 schedule, orig_flat, edge_lmin, self.gamma
             )
-        corrected = schedule.split(corr_flat)
         if tele.enabled:
             tele.count("sync.clc.events", orig_flat.size)
             tele.count("sync.clc.jumps", njumps)
@@ -283,17 +282,15 @@ class ControlledLogicalClock:
             window = self._auto_window(max_jump)
         if window > 0:
             with tele.span("sync.clc.amortize", window=window):
-                caps = schedule.split(send_caps_kernel(schedule, corr_flat, edge_lmin))
-                for rank in trace.ranks:
-                    if jumps[rank]:
-                        corrected[rank] = _amortize_backward(
-                            corrected[rank], jumps[rank], window, caps.get(rank), tele
-                        )
+                caps = send_caps_kernel(schedule, corr_flat, edge_lmin)
+                amortize_segment(
+                    corr_flat, (ks, js, corr_flat[ks]), window, caps, None, tele, schedule.offsets
+                )
 
         return compute_clc_stats(
             trace,
             original,
-            corrected,
+            schedule.split(corr_flat),
             jumps_count=njumps,
             max_jump=max_jump,
             meta={"gamma": self.gamma, "window": window, "jumps": njumps},
@@ -314,58 +311,29 @@ class ControlledLogicalClock:
         lmin: LminSpec = 0.0,
     ) -> ClcResult:
         """Scalar formulation of :meth:`correct_with_dependencies` (oracle)."""
-        lmin_fn = pair_lmin(lmin)
-
-        original = {rank: trace.logs[rank].timestamps for rank in trace.ranks}
-        corrected = {rank: original[rank].copy() for rank in trace.ranks}
-        jumps: dict[int, list[tuple[int, float]]] = {rank: [] for rank in trace.ranks}
-        max_jump = 0.0
-        njumps = 0
-
-        # ---- forward pass --------------------------------------------
-        for rank, idx in replay_schedule(trace, deps):
-            orig = original[rank]
-            corr = corrected[rank]
-            value = orig[idx]
-            if idx > 0:
-                delta = orig[idx] - orig[idx - 1]
-                follow = corr[idx - 1] + self.gamma * delta
-                if follow > value:
-                    value = follow
-            remote_floor = -np.inf
-            for dep_rank, dep_idx in deps.get((rank, idx), ()):
-                floor = corrected[dep_rank][dep_idx] + lmin_fn(dep_rank, rank)
-                if floor > remote_floor:
-                    remote_floor = floor
-            if remote_floor > value:
-                jump = remote_floor - value
-                value = remote_floor
-                jumps[rank].append((idx, jump))
-                njumps += 1
-                if jump > max_jump:
-                    max_jump = jump
-            corr[idx] = value
-
-        # ---- backward amortization -----------------------------------
+        original, corrected, offsets, jumps = _forward_reference(trace, deps, lmin, self.gamma)
+        max_jump = max((jump for _, jump in jumps), default=0.0)
         window = self.amortization_window
         if window is None:
             window = self._auto_window(max_jump)
         if window > 0:
-            send_caps = self._send_caps_reference(trace, deps, corrected, lmin_fn)
-            for rank in trace.ranks:
-                if jumps[rank]:
-                    corrected[rank] = _amortize_backward(
-                        corrected[rank], jumps[rank], window, send_caps.get(rank)
-                    )
-
-        # ---- statistics & result --------------------------------------
+            caps = self._send_caps_reference(trace, deps, corrected, pair_lmin(lmin))
+            flat = np.concatenate([corrected[rank] for rank in trace.ranks])
+            jumps.sort()
+            ks = np.array([k for k, _ in jumps], dtype=np.int64)
+            js = np.array([j for _, j in jumps], dtype=np.float64)
+            amortize_segment(
+                flat, (ks, js, flat[ks]), window,
+                np.concatenate([caps[rank] for rank in trace.ranks]), offsets=offsets,
+            )
+            corrected = dict(zip(trace.ranks, np.split(flat, offsets[1:-1])))
         return compute_clc_stats(
             trace,
             original,
             corrected,
-            jumps_count=njumps,
+            jumps_count=len(jumps),
             max_jump=max_jump,
-            meta={"gamma": self.gamma, "window": window, "jumps": njumps},
+            meta={"gamma": self.gamma, "window": window, "jumps": len(jumps)},
         )
 
     # ------------------------------------------------------------------
@@ -430,35 +398,49 @@ def naive_shift_correct(trace: Trace, lmin: LminSpec = 0.0) -> ClcResult:
 def naive_shift_correct_reference(trace: Trace, lmin: LminSpec = 0.0) -> ClcResult:
     """Scalar formulation of :func:`naive_shift_correct` (oracle)."""
     deps = build_dependencies(trace, include_collectives=True)
+    original, corrected, _, jumps = _forward_reference(trace, deps, lmin, None)
+    return compute_clc_stats(
+        trace,
+        original,
+        corrected,
+        jumps_count=len(jumps),
+        max_jump=max((jump for _, jump in jumps), default=0.0),
+        meta={"naive_shift": True, "jumps": len(jumps)},
+    )
+
+
+def _forward_reference(trace: Trace, deps, lmin: LminSpec, gamma: Optional[float]):
+    """The scalar forward pass, event by event in replay order.
+
+    ``gamma=None`` is the naive shift: its followers are only clamped for
+    monotonicity, the follow rule with ``γ·δ = -0.0``.  Returns
+    ``(original, corrected, offsets, jumps)``: per-rank stamps, the
+    ranks' starts in the flat order, and ``(flat index, size)`` per jump.
+    """
     lmin_fn = pair_lmin(lmin)
     original = {rank: trace.logs[rank].timestamps for rank in trace.ranks}
     corrected = {rank: original[rank].copy() for rank in trace.ranks}
-    njumps = 0
-    max_jump = 0.0
+    offsets = np.cumsum([0] + [original[rank].size for rank in trace.ranks])
+    base = dict(zip(trace.ranks, offsets.tolist()))
+    jumps: list[tuple[int, float]] = []
     for rank, idx in replay_schedule(trace, deps):
+        orig = original[rank]
         corr = corrected[rank]
-        value = original[rank][idx]
-        if idx > 0 and corr[idx - 1] > value:
-            value = corr[idx - 1]  # monotonicity clamp only
+        value = orig[idx]
+        if idx > 0:
+            follow = corr[idx - 1] + (-0.0 if gamma is None else gamma * (orig[idx] - orig[idx - 1]))
+            if follow > value:
+                value = follow
         remote_floor = -np.inf
         for dep_rank, dep_idx in deps.get((rank, idx), ()):
             floor = corrected[dep_rank][dep_idx] + lmin_fn(dep_rank, rank)
             if floor > remote_floor:
                 remote_floor = floor
         if remote_floor > value:
-            jump = remote_floor - value
+            jumps.append((base[rank] + idx, remote_floor - value))
             value = remote_floor
-            njumps += 1
-            max_jump = max(max_jump, jump)
         corr[idx] = value
-    return compute_clc_stats(
-        trace,
-        original,
-        corrected,
-        jumps_count=njumps,
-        max_jump=max_jump,
-        meta={"naive_shift": True, "jumps": njumps},
-    )
+    return original, corrected, offsets, jumps
 
 
 def ramp_cuts(js: np.ndarray, ts: np.ndarray, window: float) -> np.ndarray:
@@ -471,6 +453,65 @@ def ramp_cuts(js: np.ndarray, ts: np.ndarray, window: float) -> np.ndarray:
     return np.nextafter((ts - js) - window, -np.inf)
 
 
+#: Elements one round of :func:`_reverse_fixed_point`'s walks may hold.
+_WALK_BUDGET = 1 << 13
+
+
+def _reverse_fixed_point(x, right, link, step, gap=None) -> int:
+    """Solve ``x[i] = step(i, x[i + 1] if link[i] else right[i])`` at every ``i``.
+
+    A vector that satisfies a right-to-left recurrence at every index is
+    its sequential scan's answer, bit for bit, whatever order reaches it.
+    ``x`` holds one value past the last position (read if it is linked);
+    ``right`` is one number or one per position.  A round recomputes,
+    from one snapshot, the positions whose right neighbour changed (at
+    first all of them, as views), then walks left from each changed one,
+    up to its chain's start or the next recomputed position, while each
+    value is the one the step before binds it to: ``x`` plus ``gap`` (one
+    ``np.add.accumulate`` along the walk, the same adds) or ``x`` itself —
+    so a binding chain settles in one round, not one a link.  ``step``
+    takes index and right arrays of one shape.  Returns the rounds.
+    """
+    m = link.size
+    chain_ends = np.append(-1, np.flatnonzero(~link))
+    rounds, dirty = 0, slice(0, m)
+    while True:
+        rounds += 1
+        whole = isinstance(dirty, slice)
+        fixed = right if np.ndim(right) == 0 else right[dirty]
+        new = step(dirty, np.where(link[dirty], x[1:] if whole else x[dirty + 1], fixed))
+        changed = new.view(np.int64) != x[dirty].view(np.int64)
+        x[dirty] = new
+        if whole:
+            tails = np.flatnonzero(changed)  # no walks: each left neighbour read the old value
+        else:
+            moved = dirty[changed]
+            below = np.searchsorted(dirty, moved) - 1
+            start = chain_ends[np.searchsorted(chain_ends, moved) - 1] + 1
+            room = moved - np.maximum(start, np.where(below >= 0, dirty[below] + 1, 0))
+            tails, c, room = moved[room == 0], moved[room > 0], room[room > 0]
+            if c.size:
+                cols = np.arange(min(int(room.max()), max(1, _WALK_BUDGET // c.size)))
+                idx = np.maximum(c[:, None] - 1 - cols, 0)
+                rights = np.repeat(x[c][:, None], cols.size, axis=1)
+                if gap is not None:
+                    rights[:, 1:] = gap[idx[:, :-1]]
+                    np.add.accumulate(rights, axis=1, out=rights)
+                vals = step(idx, rights)
+                bound = np.zeros(idx.shape, dtype=bool)
+                bound[:, :-1] = vals[:, :-1].view(np.int64) == rights[:, 1:].view(np.int64)
+                last = (bound & (cols + 1 < room[:, None])).argmin(axis=1)  # the walk's end
+                ends = c - 1 - last
+                before = x[ends]
+                take = cols <= last[:, None]
+                x[idx[take]] = vals[take]
+                tails = np.append(tails, ends[x[ends].view(np.int64) != before.view(np.int64)])
+        left = tails[tails > 0] - 1  # reads a changed right neighbour next round
+        dirty = np.unique(left[link[left]])
+        if not dirty.size:
+            return rounds
+
+
 def amortize_segment(
     times: np.ndarray,
     jumps: "tuple[np.ndarray, np.ndarray, np.ndarray]",
@@ -478,45 +519,51 @@ def amortize_segment(
     caps: Optional[np.ndarray] = None,
     right_carry: "Optional[tuple[float, float, float]]" = None,
     telemetry=None,
+    offsets: Optional[np.ndarray] = None,
 ) -> "tuple[np.ndarray, Optional[tuple[float, float, float]]]":
-    """Backward amortization of one contiguous segment of a rank's log.
+    """Backward amortization of one contiguous segment of flat stamps.
 
-    ``times`` are the segment's forward-corrected timestamps and
-    ``jumps = (ks, js, ts)`` the rank's jumps: segment-relative event
-    index (``>= times.size`` for a jump in a later segment; ``<= 0``
-    entries cannot reach the segment and are ignored), jump size, and
-    corrected time of the jump event.  For a jump of size ``J`` at
-    event ``k`` (corrected time ``T``), the desired advance of an
-    earlier event at time ``t`` is ``J * (1 - (T - J - t)/window)``
-    clipped to ``[0, J]`` — anchored at the event's *pre-jump* time, so
-    an event just before where the receive originally sat advances by
-    (almost) the full jump and events ``window`` earlier don't move at
-    all; multiple jumps combine by maximum.  Caps (send constraints)
-    and per-rank monotonicity are then enforced right-to-left: the
-    advance of event ``i`` may not exceed ``advance(i+1) + (t(i+1) -
-    t(i))`` nor ``caps[i] - t(i)``, and the summed outputs are
-    re-clamped to stay ordered.
+    The segment holds whole logs back to back, split at ``offsets`` like
+    :attr:`CompiledSchedule.offsets <repro.sync.schedule.CompiledSchedule>`
+    (``None``: one log, or one piece of a log).  ``times`` are the
+    forward-corrected timestamps and ``jumps = (ks, js, ts)`` the jumps,
+    ascending by ``ks``: segment-relative event index (``>= times.size``
+    for a jump in a later segment of the last log; ``<= 0`` entries
+    cannot reach the segment and are ignored), jump size, and corrected
+    time of the jump event.  For a jump of size ``J`` at event ``k``
+    (corrected time ``T``), the desired advance of an earlier event of
+    its log at time ``t`` is ``J * (1 - (T - J - t)/window)`` clipped to
+    ``[0, J]`` — anchored at the event's *pre-jump* time, so an event
+    just before where the receive originally sat advances by (almost)
+    the full jump and events ``window`` earlier don't move at all;
+    multiple jumps combine by maximum.  Caps (send constraints) and
+    per-log monotonicity are then enforced right to left: the advance of
+    event ``i`` may not exceed ``advance(i+1) + (t(i+1) - t(i))`` nor
+    ``caps[i] - t(i)``, and the summed outputs are re-clamped to stay
+    ordered.  A log's last event reads no right neighbour.
 
     The cost follows the windows, not ``jumps x events``:
 
     * a ramp is ``<= 0`` wherever ``t <= anchor - window``, so each jump
       is evaluated only on ``[lo, k)`` with ``lo`` found by bisecting
-      the running maximum of ``times`` (valid on non-monotone,
+      the running maximum of its log's ``times`` (valid on non-monotone,
       NTP-stepped logs) one ulp below ``anchor - window`` — a
       conservative superset, inside which the elementwise operations,
       the clips and the max over jumps are the same IEEE operations a
-      dense ``(jumps, events)`` matrix would perform;
+      dense ``(jumps, events)`` matrix would perform; the ragged
+      ``(jump, event)`` pairs are expanded one log at a time;
     * both reverse scans are the identity at every event whose desired
       advance is zero (a zero stays zero, and ``out[i] > out[i+1] >=
       t[i]`` cannot hold when ``out[i] == t[i]``), so they visit only
       the events some ramp reaches, reading an unvisited right
-      neighbour as "did not move".
+      neighbour as "did not move", and each is solved as a fixed point
+      of its recurrence (:func:`_reverse_fixed_point`).
 
     ``right_carry`` is the ``(advance, time, output)`` of the event just
-    right of the segment (``None``: the segment ends the log).  Returns
-    the amortized times — ``times`` itself when nothing moves — and the
-    same triple for the segment's first event, so a log may be
-    processed in any right-to-left split with identical results.
+    right of the segment (``None``: the segment ends the log).  Amortizes
+    ``times`` in place and returns it with the same triple for the
+    segment's first event, so a log may be processed in any
+    right-to-left split with identical results.
     """
     n = times.size
     if n == 0:
@@ -527,27 +574,39 @@ def amortize_segment(
     reach = ks > 0
     if not reach.all():
         ks, js, ts = ks[reach], js[reach], ts[reach]
-    anchors = ts - js
-    lo = np.searchsorted(
-        np.maximum.accumulate(times), ramp_cuts(js, ts, window), side="right"
-    )
-    counts = np.maximum(np.minimum(ks, n) - lo, 0)
-    pairs = int(counts.sum())
+    offsets = np.array([0, n]) if offsets is None else offsets
+    anchors, cuts = ts - js, ramp_cuts(js, ts, window)
+    pairs, reached, wanted = 0, [], []
+    split = np.searchsorted(ks, offsets[1:-1]).tolist()
+    for s, e, a, b in zip(offsets[:-1].tolist(), offsets[1:].tolist(), [0, *split], [*split, ks.size]):
+        if a == b:
+            continue
+        lo = s + np.searchsorted(np.maximum.accumulate(times[s:e]), cuts[a:b], side="right")
+        counts = np.maximum(np.minimum(ks[a:b], e) - lo, 0)
+        npairs = int(counts.sum())
+        if npairs == 0:
+            continue
+        pairs += npairs
+        # ``row`` names the jump, ``ev`` walks lo..hi-1 of that jump,
+        # counted from ``first``, the log's first reached event.
+        first = int(lo[counts > 0].min())
+        row = np.repeat(np.arange(a, b), counts)
+        ev = np.arange(npairs) - np.repeat(np.cumsum(counts) - counts - (lo - first), counts)
+        jr = js[row]
+        ramp = jr * (1.0 - (anchors[row] - times[ev + first]) / window)
+        np.maximum(ramp, 0.0, out=ramp)
+        np.minimum(ramp, jr, out=ramp)
+        desired = np.zeros(int(ev.max()) + 1)
+        np.maximum.at(desired, ev, ramp)
+        hit = np.flatnonzero(desired)
+        reached.append(hit + first)
+        wanted.append(desired[hit])
     if pairs == 0:
         return times, idle
 
-    # Ragged (jump, event) pairs, jump-major: ``row`` names the jump,
-    # ``ev`` walks lo..hi-1 of that jump.
-    row = np.repeat(np.arange(ks.size), counts)
-    ev = np.arange(pairs) - np.repeat(np.cumsum(counts) - counts - lo, counts)
-    jr = js[row]
-    ramp = jr * (1.0 - (anchors[row] - times[ev]) / window)
-    np.maximum(ramp, 0.0, out=ramp)
-    np.minimum(ramp, jr, out=ramp)
-    desired = np.zeros(n, dtype=np.float64)
-    np.maximum.at(desired, ev, ramp)
-
-    nz = np.flatnonzero(desired)
+    nz = np.concatenate(reached)
+    allowed = np.concatenate(wanted)
+    reached = wanted = None
     tele = ensure_telemetry(telemetry)
     if tele.enabled:
         tele.count("sync.clc.amortize_pairs", pairs)
@@ -556,79 +615,62 @@ def amortize_segment(
         return times, idle
 
     t_nz = times[nz]
-    allowed = desired[nz]
     if caps is not None:
-        caps_nz = caps[nz]
-        np.minimum(allowed, np.maximum(caps_nz - t_nz, 0.0), out=allowed)
+        room = caps[nz] - t_nz
+        np.minimum(allowed, np.maximum(room, 0.0, out=room), out=allowed)
+        room = None
     # Right neighbour of every visited event: the next visited event
-    # when adjacent (``link``), else an event that does not move.  Past
-    # the end of the log sits an unmoved event at +inf, which limits
-    # nothing.
-    carry_al, carry_t, carry_out = (
-        right_carry if right_carry is not None else (0.0, np.inf, np.inf)
-    )
-    m = nz.size
-    last = int(nz[-1])
-    ends_segment = last == n - 1
-    nxt_t = np.append(times[nz[:-1] + 1], carry_t if ends_segment else times[last + 1])
-    link = np.append(np.diff(nz) == 1, ends_segment).tolist()
-    # The scans are inherently sequential; they run on plain lists
-    # because Python float arithmetic is the same IEEE double as numpy
-    # scalars.
-    gap = (nxt_t - t_nz).tolist()
-    al = allowed.tolist()
-    nxt = carry_al
-    for i in range(m - 1, -1, -1):
-        if not link[i]:
-            nxt = 0.0
-        limit = nxt + gap[i]
-        a = al[i]
-        if a > limit:
-            a = limit
-        if a < 0.0:
-            # A negative original gap (non-monotone recorded log, e.g.
-            # an NTP step backwards) makes the limit negative; an
-            # advance must never turn into a retreat — that would move
-            # a receive below send + l_min and re-violate Eq. 1.
-            a = 0.0
-        al[i] = nxt = a
-    out_nz = t_nz + np.asarray(al, dtype=np.float64)
+    # when adjacent in its log (``link``), else an event that does not
+    # move; past a log's end an unmoved event at +inf, which limits
+    # nothing, and past the segment's the carried event, read as the
+    # value one past the last.
+    after = nz + 1
+    ends = np.isin(after, offsets[1:])
+    link = np.append(after[:-1] == nz[1:], False) & ~ends
+    carried = right_carry is not None and after[-1] == n
+    link[-1] = carried
+    gap = times[np.minimum(after, n - 1, out=after)]
+    after = None
+    gap[ends] = np.inf
+    if carried:
+        gap[-1] = right_carry[1]
+    gap -= t_nz
+
+    def advance(i, right):
+        # A negative original gap (non-monotone recorded log, e.g. an
+        # NTP step backwards) makes the limit negative; an advance must
+        # never turn into a retreat — that would move a receive below
+        # send + l_min and re-violate Eq. 1.
+        limit = right + gap[i]
+        a = np.where(allowed[i] > limit, limit, allowed[i])
+        return np.where(a < 0.0, 0.0, a)
+
+    def reclamp(i, right):
+        # ``t[i] + al[i]`` rounds independently per event, so an advance
+        # sitting exactly on the monotonicity limit can land one ulp
+        # above its successor (same for the caps clamp below).  The
+        # ``>= t[i]`` guard leaves a non-monotone recorded log as-is
+        # instead of dragging events backward.
+        return np.where((out_nz[i] > right) & (right >= t_nz[i]), right, out_nz[i])
+
+    al = np.append(allowed, right_carry[0] if carried else 0.0)
+    t_nz = None
+    rounds = _reverse_fixed_point(al, 0.0, link, advance, gap)
+    allowed = gap = None
+    t_nz = times[nz]
+    out_nz = t_nz + al[:-1]
+    al0, al = float(al[0]), None
     if caps is not None:
         # ``t + (cap - t)`` can round one ulp above ``cap``; clamp
         # exactly so verifiers using strict comparison stay happy
         # (never below the original time, though).
-        np.minimum(out_nz, np.maximum(caps_nz, t_nz), out=out_nz)
-    # ``t[i] + al[i]`` rounds independently per event, so an advance
-    # sitting exactly on the monotonicity limit can land one ulp above
-    # its successor (same for the caps clamp above).  Re-clamp on the
-    # summed values; the ``>= t[i]`` guard leaves a non-monotone
-    # recorded log as-is instead of dragging events backward.
-    tl = t_nz.tolist()
-    nl = nxt_t.tolist()
-    ol = out_nz.tolist()
-    nxt = carry_out
-    for i in range(m - 1, -1, -1):
-        if not link[i]:
-            nxt = nl[i]
-        o = ol[i]
-        if o > nxt >= tl[i]:
-            ol[i] = o = nxt
-        nxt = o
-    out = times.copy()
-    out[nz] = ol
-    left = (al[0], tl[0], ol[0]) if int(nz[0]) == 0 else idle
-    return out, left
-
-
-def _amortize_backward(
-    times: np.ndarray,
-    jump_list: list[tuple[int, float]],
-    window: float,
-    caps: Optional[np.ndarray],
-    telemetry=None,
-) -> np.ndarray:
-    """Amortize one rank's whole log: :func:`amortize_segment`, no carries."""
-    ks = np.array([k for k, _ in jump_list], dtype=np.int64)
-    js = np.array([jump for _, jump in jump_list], dtype=np.float64)
-    out, _ = amortize_segment(times, (ks, js, times[ks]), window, caps, None, telemetry)
-    return out
+        np.minimum(out_nz, np.maximum(caps[nz], t_nz), out=out_nz)
+    nxt_t = times[np.minimum(nz + 1, n - 1)]
+    nxt_t[ends] = np.inf
+    ol = np.append(out_nz, right_carry[2] if carried else 0.0)
+    rounds += _reverse_fixed_point(ol, nxt_t, link, reclamp)
+    if tele.enabled:
+        tele.count("sync.clc.amortize_rounds", rounds)
+    left = (al0, float(t_nz[0]), float(ol[0])) if int(nz[0]) == 0 else idle
+    times[nz] = ol[:-1]
+    return times, left

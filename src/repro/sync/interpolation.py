@@ -24,7 +24,7 @@ function over worker time, with 1, 2, or k knots.
 
 from __future__ import annotations
 
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 import numpy as np
 

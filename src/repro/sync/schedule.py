@@ -849,14 +849,14 @@ def lander(
     ``(lands, jumps, largest jump)``.  A lane is a plain tuple (unpacked
     every visit, which a tuple subclass slows) ``(corr, moved, shift,
     orig, spont, stretch, land, dep, indptr, src, elmin, slot, bound,
-    bound_at, origin, jumps)``: a :func:`forward_recurrence` overlay
+    bound_at, origin, jump_at, jump_size)``: a :func:`forward_recurrence` overlay
     (``orig`` a memoryview) holding cursor value ``c`` at ``c + shift``
     and every source, read as ``corr[s] if moved[s] else orig[s]``; per
     dependent ``d`` its position ``dep[d]``, source rows ``indptr[d]:
     indptr[d + 1]`` (positions ``src``, ``l_min`` in ``elmin``), block slot
     ``slot[d]`` or ``-1`` and :func:`bound_dependents`'s ``bound[d]``
-    (``bound_at`` lists the bound); a jump at ``p`` goes to ``jumps`` as
-    ``(p - origin, size)``.
+    (``bound_at`` lists the bound); a jump at ``p`` appends ``p - origin``
+    to ``jump_at`` and its size to ``jump_size``.
     """
     njumps = lands = 0
     max_jump = 0.0
@@ -864,7 +864,7 @@ def lander(
     def land_run(rp: int, a: int, b: int, first: int, last: int) -> None:
         nonlocal njumps, lands, max_jump
         (corr, moved, shift, orig, spont, stretch, land, dep, indptr, src, elmin, slot, bound,
-         bound_at, origin, jumps) = lanes[rp]
+         bound_at, origin, jump_at, jump_size) = lanes[rp]
         a += shift
         b += shift
         nsp = len(spont)
@@ -898,7 +898,8 @@ def lander(
                     remote_floor = floor
             jump = land(p, remote_floor)
             if jump:
-                jumps.append((p - origin, jump))
+                jump_at.append(p - origin)
+                jump_size.append(jump)
                 njumps += 1
                 if jump > max_jump:
                     max_jump = jump
@@ -914,18 +915,19 @@ def forward_pass(
     orig_flat: np.ndarray,
     edge_lmin: EdgeLmin,
     gamma: float | None,
-) -> tuple[np.ndarray, dict[int, list[tuple[int, float]]], int, float, int, int]:
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray], int, float, int, int]:
     """Forward pass of the CLC (``gamma`` set) or naive shift (``None``) in memory.
 
-    Returns ``(corrected_flat, jumps, njumps, max_jump, writes, lands)``
-    with ``jumps`` mapping each rank to its ``(local index, jump size)``
-    list — bit-identical to the scalar reference loop — ``writes`` the
-    number of events the pass moved and ``lands`` the number of
-    dependents it landed: those that can bind (:func:`forward_recurrence`,
+    Returns ``(corrected_flat, (jump_gids, jump_sizes), njumps, max_jump,
+    writes, lands)``: the jumps as flat arrays ascending by gid, so each
+    rank's in log order as the scalar reference finds them, bit for bit;
+    ``writes`` the number of events the pass moved and ``lands`` the number
+    of dependents it landed: those that can bind (:func:`forward_recurrence`,
     :func:`bound_dependents`).  The schedule's :meth:`~CompiledSchedule.walk`
     drives :func:`lander` over one overlay of every rank's log.
     """
-    jumps: dict[int, list[tuple[int, float]]] = {rank: [] for rank in schedule.ranks}
+    jump_at: list[int] = []
+    jump_size: list[float] = []
     hot = schedule.hot
     eids = schedule.dep_edge_ids
     elmin = edge_lmin.rows[eids]
@@ -936,22 +938,22 @@ def forward_pass(
     corr, moved, spont, stretch, land, settle = forward_recurrence(
         orig_flat, gamma, schedule.offsets[:-1][schedule.lengths > 0], schedule.b_enter
     )
-    window = (
+    lane = (
         corr, moved, 0, memoryview(orig_flat), spont, stretch, land, hot["dep_gids"],
         hot["dep_indptr"], hot["src"], memoryview(elmin), hot["dep_slot"], bound.tolist(),
-        np.flatnonzero(bound).tolist(),
+        np.flatnonzero(bound).tolist(), 0, jump_at, jump_size,
     )
     block_floor = block_floors(
         hot["b_lo"], hot["b_need"], edge_lmin.blocks,
         lambda lo, hi: list(map(corr.__getitem__, hot["b_enter"][lo:hi])),
     )
-    land_run, totals = lander(
-        [(*window, offset, jumps[rank]) for offset, rank in zip(hot["offsets"], schedule.ranks)],
-        block_floor,
-    )
+    land_run, totals = lander([lane] * len(schedule.ranks), block_floor)
     schedule.walk(land_run)
     corrected, written = settle()
     lands, njumps, max_jump = totals()
+    gids = np.array(jump_at, dtype=np.int64)
+    order = np.argsort(gids, kind="stable")
+    jumps = (gids[order], np.array(jump_size)[order])
     return corrected, jumps, njumps, max_jump, len(written), lands
 
 

@@ -417,8 +417,8 @@ class _RankForward:
 
     __slots__ = (
         "rank", "recs", "si", "lo", "n_s", "settle", "lane", "keys", "sends",
-        "enters", "exits", "rows", "prev_orig", "prev_corr", "writes", "jumps",
-        "jump_stamps", "fwd_paths", "fwd_span",
+        "enters", "exits", "rows", "prev_orig", "prev_corr", "writes", "jump_at",
+        "jump_size", "jump_stamps", "fwd_paths", "fwd_span",
     )
 
     def __init__(self, rank, recs) -> None:
@@ -428,7 +428,8 @@ class _RankForward:
         self.prev_orig = 0.0
         self.prev_corr = 0.0
         self.writes = 0  # events this rank's forward pass moved
-        self.jumps: list[tuple[int, float]] = []  # (local idx, jump)
+        self.jump_at: list[int] = []  # each jump's local index
+        self.jump_size: list[float] = []
         self.jump_stamps: list[float] = []  # each jump's forward stamp
         self.fwd_paths: list[Path] = []
         self.fwd_span: list[tuple[float, float]] = []  # per shard: (first, max) forward time
@@ -486,7 +487,7 @@ class _RankForward:
         self.lane = (
             corr, moved, shift, memoryview(orig), spont, stretch, land, (dep + shift).tolist(),
             indptr, at.tolist(), lm.tolist(), slot, bound.tolist(), np.flatnonzero(bound).tolist(),
-            shift, self.jumps,
+            shift, self.jump_at, self.jump_size,
         )
         wait = np.where(own & (idx < rows["i"]), -1, idx)
         return Window(
@@ -511,7 +512,7 @@ class _RankForward:
         at, slots = self.exits
         blocks.recv[slots] = fwd[at]
         stamped = len(self.jump_stamps)
-        self.jump_stamps += fwd[[k - self.lo for k, _ in self.jumps[stamped:]]].tolist()
+        self.jump_stamps += fwd[np.array(self.jump_at[stamped:], dtype=np.int64) - self.lo].tolist()
         at, src, idx, lm = self.rows
         spill.add(src, idx, nudged_caps(fwd[at], lm))
         self.lane = self.settle = self.rows = self.keys = self.sends = None
@@ -530,8 +531,8 @@ def _backward_pass(st: _RankForward, window: float, caps: _Spill, resident, tele
     every later jump's ramp cut is reached by no window: it stays on
     disk untouched and hands on the carry of an event that did not move.
     """
-    ks = np.array([k for k, _ in st.jumps], dtype=np.int64)
-    js = np.array([j for _, j in st.jumps], dtype=np.float64)
+    ks = np.array(st.jump_at, dtype=np.int64)
+    js = np.array(st.jump_size, dtype=np.float64)
     vs = np.array(st.jump_stamps, dtype=np.float64)
     cuts = ramp_cuts(js, vs, window)
     carry = None
@@ -549,11 +550,8 @@ def _backward_pass(st: _RankForward, window: float, caps: _Spill, resident, tele
         records = caps.load(st.rank, si)
         if records.size:
             np.minimum.at(caps_shard, records["i"] - lo, records["v"])
-        out, carry = amortize_segment(
-            times, (ks - lo, js, vs), window, caps_shard, carry, tele
-        )
-        if out is not times:
-            np.save(st.fwd_paths[si], out)
+        _, carry = amortize_segment(times, (ks - lo, js, vs), window, caps_shard, carry, tele)
+        np.save(st.fwd_paths[si], times)
         resident.release(n_s)
 
 
@@ -739,7 +737,7 @@ class ShardSweeps:
             if window > 0:
                 with tele.span("sync.stream.amortize", window=window):
                     for rank in chunked.ranks:
-                        if states[rank].jumps:
+                        if states[rank].jump_at:
                             _backward_pass(states[rank], window, caps, resident, tele)
 
             # Finalize: statistics + sharded output.

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from typing import Callable, Optional, Union
+from typing import Callable, Union
 
 import numpy as np
 

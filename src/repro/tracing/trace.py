@@ -26,7 +26,7 @@ ends still pending.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterator, NamedTuple, Optional
 
 import numpy as np

@@ -80,7 +80,8 @@ _campaign(
     "deep CLC invariants: condition, ordering, idempotence, kernels",
     _cross("adversarial", _TRACE_CORE + ("correction_idempotence",))
     + _cross("mixed", ("custom_dependency_identity",))
-    + _EDGES,
+    + _EDGES + (("amortization", "amortization_matches_dense"),
+                ("adversarial", "amortization_matches_dense")),
 )
 _campaign(
     "interpolation",

@@ -43,7 +43,7 @@ from repro.sync.lamport import lamport_clocks, lamport_clocks_reference
 from repro.sync.offset import OffsetMeasurement
 from repro.sync.order import build_dependencies, dependency_edges
 from repro.sync.replay import replay_correct
-from repro.sync.schedule import CompiledSchedule
+from repro.sync.schedule import CompiledSchedule, forward_pass, send_caps_kernel
 from repro.sync.vector import vector_clocks, vector_clocks_reference
 from repro.sync.violations import (
     resolve_lmin,
@@ -75,6 +75,7 @@ __all__ = [
     "assert_streamed_matches_inmemory",
     "collective_pairs_reference",
     "dependency_edges_reference",
+    "dense_amortize",
 ]
 
 
@@ -339,6 +340,68 @@ def _kernel_reference_identity(case: TraceCase) -> None:
     assert_logical_clocks_match_reference(trace)
     assert_topo_matches_replay(trace)
     assert_replay_matches_direct(trace, lmin)
+
+
+def dense_amortize(times, ks, js, window, caps):
+    """Backward amortization of one log as a ``(jumps, events)`` matrix
+    and two scans over every event, one by one: what
+    :func:`repro.sync.clc.amortize_segment` must give, bit for bit.  An
+    event that no ramp reaches keeps its stamp, whatever its cap."""
+    n = times.size
+    anchors = times[ks] - js
+    ramp = js[:, None] * (1.0 - (anchors[:, None] - times[None, :]) / window)
+    np.maximum(ramp, 0.0, out=ramp)
+    np.minimum(ramp, js[:, None], out=ramp)
+    for row, k in enumerate(ks.tolist()):
+        ramp[row, k:] = 0.0
+    allowed = ramp.max(axis=0)
+    if not allowed.any():
+        return times
+    reached = allowed != 0
+    if caps is not None:
+        np.minimum(allowed, np.maximum(caps - times, 0.0), out=allowed, where=reached)
+    tl = times.tolist()
+    al = allowed.tolist()
+    for i in range(n - 2, -1, -1):
+        limit = al[i + 1] + (tl[i + 1] - tl[i])
+        if al[i] > limit:
+            al[i] = limit
+        if al[i] < 0.0:
+            al[i] = 0.0
+    out = times + np.asarray(al, dtype=np.float64)
+    if caps is not None:
+        np.minimum(out, np.maximum(caps, times), out=out, where=reached)
+    ol = out.tolist()
+    for i in range(n - 2, -1, -1):
+        if ol[i] > ol[i + 1] >= tl[i]:
+            ol[i] = ol[i + 1]
+    return np.asarray(ol, dtype=np.float64)
+
+
+@oracle(
+    "amortization_matches_dense",
+    "The CLC's backward amortization (every rank in one call, both "
+    "reverse scans solved as fixed points) is bit-identical to "
+    "dense_amortize on each rank's forward stamps, jumps and caps.",
+    {"trace"},
+)
+def _amortization_matches_dense(case: TraceCase) -> None:
+    trace, schedule = case.trace, case.trace.compiled_schedule()
+    edge_lmin = schedule.edge_lmin(case.lmin)
+    orig = schedule.flatten({r: trace.logs[r].timestamps for r in trace.ranks})
+    for gamma, window in ((0.99, None), (1.0, 0.5)):
+        got = ControlledLogicalClock(gamma, window).correct(trace, lmin=case.lmin).trace
+        span = got.meta["clc"]["window"]
+        fwd, (ks, js), *_ = forward_pass(schedule, orig, edge_lmin, gamma)
+        caps = send_caps_kernel(schedule, fwd, edge_lmin)
+        for rank, lo, hi in zip(trace.ranks, schedule.offsets[:-1], schedule.offsets[1:]):
+            mine = (ks >= lo) & (ks < hi)
+            want = fwd[lo:hi]
+            if span > 0 and mine.any():
+                want = dense_amortize(want, ks[mine] - lo, js[mine], span, caps[lo:hi])
+            _require(got.logs[rank].timestamps.tobytes() == want.tobytes(),
+                     f"rank {rank}: amortized stamps (gamma={gamma}, window={window}) "
+                     f"differ from the dense scans")
 
 
 def collective_pairs_reference(rec) -> list[tuple[int, list[int]]]:

@@ -15,6 +15,8 @@ Adversarial ingredients, per the verification charter:
   (``streaming_specs`` draws one too);
 * ``walk_window_specs`` — a burst shaped so the compiled walk meets a
   waiting source only inside its array windows;
+* ``amortization_specs`` — a burst behind a capped send and a jump, a
+  binding chain for the backward amortization's reverse scans;
 * ``collective_specs`` — degenerate collectives: single members,
   zero-skew identical timestamps, barrier storms, every flavor;
 * ``pomp_specs`` / ``mixed_specs`` — POMP parallel regions alone and
@@ -32,6 +34,7 @@ __all__ = [
     "clock_profiles",
     "p2p_specs",
     "walk_window_specs",
+    "amortization_specs",
     "collective_specs",
     "pomp_specs",
     "mixed_specs",
@@ -152,6 +155,27 @@ def walk_window_specs(draw):
         "messages": burst + [[2, 1, gap * (late + 0.5), 0.0]],
         "locals": [],
         "lmin": draw(_LMINS),
+    })
+
+
+@st.composite
+def amortization_specs(draw):
+    """A binding chain for the backward amortization's reverse scans.
+
+    Rank 2 sends rank 1 a burst ``gap`` apart; rank 1 then sends rank 2
+    with no latency (a cap that lets the send advance by nothing) and
+    receives from rank 0, whose clock leads by far more than ``gap``.
+    The jump's ramp wants every burst receive advanced by about the
+    jump, but each may advance only by its gaps to the capped send.
+    """
+    n, gap, t0 = draw(st.integers(2, 100)), draw(st.sampled_from([1e-6, 1e-5, 1e-4])), draw(_TIMES)
+    quiet = {"offset": 0.0, "rate": 0.0, "jumps": [], "steps": []}
+    lead = {**quiet, "offset": draw(_finite(1e-3, 5e-3))}
+    burst = [[2, 1, t0 + gap * i, draw(st.sampled_from([0.0, 1e-6]))] for i in range(n)]
+    return CaseSpec("p2p", {
+        "nranks": 3, "profiles": [lead, quiet, draw(st.sampled_from([quiet, lead]))],
+        "messages": burst + [[1, 2, t0 + gap * n, 0.0], [0, 1, t0 + gap * (n + 1), 0.0]],
+        "locals": [], "lmin": draw(_LMINS),
     })
 
 
@@ -454,6 +478,7 @@ STRATEGIES: dict[str, object] = {
     "batch": batch_specs,
     "streaming": streaming_specs,
     "walk_window": walk_window_specs,
+    "amortization": amortization_specs,
     "unit": unit_specs,
     "stats": stats_specs,
     "grid_batched": grid_batched_specs,

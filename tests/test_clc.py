@@ -16,6 +16,7 @@ from repro.sync.violations import scan_collectives, scan_messages
 from repro.telemetry import TelemetryRecorder
 from repro.tracing.events import CollectiveOp, EventLog, EventType
 from repro.tracing.trace import Trace
+from repro.verify.oracles import dense_amortize
 
 
 def violated_trace(lmin=1e-6):
@@ -207,43 +208,6 @@ class TestBackwardAmortization:
         assert rep.violated == 0
 
 
-def dense_amortize(times, ks, js, window, caps):
-    """The former ``(jumps, events)`` matrix formulation, kept as oracle.
-
-    Every ramp is evaluated at every event of the log and both reverse
-    scans visit every event; :func:`amortize_segment` must reproduce it
-    bit for bit while touching only the events inside the windows.
-    """
-    n = times.size
-    anchors = times[ks] - js
-    ramp = js[:, None] * (1.0 - (anchors[:, None] - times[None, :]) / window)
-    np.maximum(ramp, 0.0, out=ramp)
-    np.minimum(ramp, js[:, None], out=ramp)
-    for row, k in enumerate(ks.tolist()):
-        ramp[row, k:] = 0.0
-    allowed = ramp.max(axis=0)
-    if not allowed.any():
-        return times
-    if caps is not None:
-        np.minimum(allowed, np.maximum(caps - times, 0.0), out=allowed)
-    tl = times.tolist()
-    al = allowed.tolist()
-    for i in range(n - 2, -1, -1):
-        limit = al[i + 1] + (tl[i + 1] - tl[i])
-        if al[i] > limit:
-            al[i] = limit
-        if al[i] < 0.0:
-            al[i] = 0.0
-    out = times + np.asarray(al, dtype=np.float64)
-    if caps is not None:
-        np.minimum(out, np.maximum(caps, times), out=out)
-    ol = out.tolist()
-    for i in range(n - 2, -1, -1):
-        if ol[i] > ol[i + 1] >= tl[i]:
-            ol[i] = ol[i + 1]
-    return np.asarray(ol, dtype=np.float64)
-
-
 @st.composite
 def amortization_cases(draw):
     """``(times, ks, js, window, caps)`` of one rank after a forward pass.
@@ -252,7 +216,7 @@ def amortization_cases(draw):
     NTP back-steps (non-monotone logs), jumps at index 0/1 and at the
     same event, repeated jump sizes, windows from narrower than one gap
     to wider than the log (overlapping and nested ramps), and send caps
-    below, at and above the event they bound.
+    below, at and above the event they bound, or NaN.
     """
     n = draw(st.integers(1, 40))
     gap = st.sampled_from([0.0, 1e-9, 1e-3, 0.25, 1.0])
@@ -267,7 +231,8 @@ def amortization_cases(draw):
     window = draw(st.sampled_from([1e-9, 0.1, 1.0, 5.0, 1e3]))
     caps = None
     if draw(st.booleans()):
-        slack = st.sampled_from([-0.1, 0.0, 1e-9, 0.05, 1.0, np.inf])
+        # A NaN receive stamp makes its sends' caps NaN (``nudged_caps``).
+        slack = st.sampled_from([-0.1, 0.0, 1e-9, 0.05, 1.0, np.inf, np.nan])
         caps = times + np.array(draw(st.lists(slack, min_size=n, max_size=n)))
     return times, ks, js, window, caps
 
@@ -302,7 +267,7 @@ class TestAmortizeSegment:
         ks = np.array(ks)
         js = np.array(js)
         want = dense_amortize(times, ks, js, window, None)
-        got, _ = amortize_segment(times, (ks, js, times[ks]), window)
+        got, _ = amortize_segment(times.copy(), (ks, js, times[ks]), window)
         assert (want != times).any()
         assert got.tobytes() == want.tobytes()
 
@@ -311,13 +276,13 @@ class TestAmortizeSegment:
     def test_any_split_with_carries_equals_one_segment(self, case, data):
         times, ks, js, window, caps = case
         n = times.size
-        whole, _ = amortize_segment(times, (ks, js, times[ks]), window, caps)
+        whole, _ = amortize_segment(times.copy(), (ks, js, times[ks]), window, caps)
         cuts = data.draw(st.lists(st.integers(0, n), max_size=4))
         bounds = sorted({0, n, *cuts})
         parts, carry = [], None
         for a, b in reversed(list(zip(bounds[:-1], bounds[1:]))):
             out, carry = amortize_segment(
-                times[a:b], (ks - a, js, times[ks]), window,
+                times[a:b].copy(), (ks - a, js, times[ks]), window,
                 None if caps is None else caps[a:b], carry,
             )
             parts.append(out)
@@ -331,16 +296,61 @@ class TestAmortizeSegment:
         ks = np.array([9_999])
         js = np.array([0.5])
         rec = TelemetryRecorder()
-        out, _ = amortize_segment(times, (ks, js, times[ks]), 5.0, telemetry=rec)
+        out, _ = amortize_segment(times.copy(), (ks, js, times[ks]), 5.0, telemetry=rec)
         want = dense_amortize(times, ks, js, 5.0, None)
         assert out.tobytes() == want.tobytes()
         assert np.flatnonzero(out != times).tolist() == [9_994, 9_995, 9_996, 9_997, 9_998]
         assert rec.counters["sync.clc.amortize_pairs"] <= 6
         assert rec.counters["sync.clc.amortize_scanned"] == 5
+        # Nothing binds: one round per reverse scan.
+        assert rec.counters["sync.clc.amortize_rounds"] == 2
         head = times[:100]
         same, carry = amortize_segment(head, (ks, js, times[ks]), 5.0)
         assert same is head
         assert carry == (0.0, 0.0, 0.0)
+
+    @examples(200)
+    @given(cases=st.lists(amortization_cases(), min_size=1, max_size=4), capped=st.booleans())
+    def test_logs_in_one_call_equal_each_alone(self, cases, capped):
+        """Logs amortized back to back in one call (``offsets``, as the
+        in-memory CLC does with every rank) equal each log amortized
+        alone and its dense twin: a log's last event reads no neighbour."""
+        window = cases[0][3]
+        caps = [c[4] if capped and c[4] is not None else np.full(c[0].size, np.inf) for c in cases]
+        offsets = np.cumsum([0] + [c[0].size for c in cases])
+        times = np.concatenate([c[0] for c in cases])
+        ks = np.concatenate([c[1] + o for c, o in zip(cases, offsets)])
+        order = np.argsort(ks, kind="stable")
+        ks, js = ks[order], np.concatenate([c[2] for c in cases])[order]
+        got, _ = amortize_segment(
+            times, (ks, js, times[ks]), window, np.concatenate(caps), offsets=offsets
+        )
+        alone = [
+            amortize_segment(c[0].copy(), (c[1], c[2], c[0][c[1]]), window, cap)[0]
+            for c, cap in zip(cases, caps)
+        ]
+        dense = [dense_amortize(c[0], c[1], c[2], window, cap) for c, cap in zip(cases, caps)]
+        assert got.tobytes() == np.concatenate(alone).tobytes() == np.concatenate(dense).tobytes()
+
+    def test_long_binding_chain_settles_in_few_rounds(self):
+        """10k events 1 us apart, a 1 ms jump at the last one and a send
+        capped at its own stamp just before it: each of the ~900 events
+        left of the cap may advance only by its gaps to the cap, a chain
+        of limits that each read the next one's.  The walk-ahead settles
+        it in one round; the bits are the sequential scan's."""
+        n = 10_000
+        times = np.arange(n) * 1e-6
+        ks, js = np.array([n - 1]), np.array([1e-3])
+        caps = np.full(n, np.inf)
+        caps[n - 2] = times[n - 2]
+        rec = TelemetryRecorder()
+        out, _ = amortize_segment(times.copy(), (ks, js, times[ks]), 1e-2, caps, telemetry=rec)
+        want = dense_amortize(times, ks, js, 1e-2, caps)
+        assert out.tobytes() == want.tobytes()
+        assert out[n - 2] == times[n - 2] and np.count_nonzero(out != times) == n - 2
+        # Scan 1: every event, the chain's walk, the re-read of its end;
+        # scan 2 (re-clamps): none binds.
+        assert rec.counters["sync.clc.amortize_rounds"] == 3
 
 
 class TestClcStats:

@@ -247,6 +247,62 @@ def test_no_entry_point_takes_options_and_telemetry():
     assert both == []
 
 
+def _module_imports(stmts) -> dict[str, int]:
+    """Names bound by the imports of a module body (through ``if``/``try``
+    blocks, not into functions or classes), with their line."""
+    bound = {}
+    for node in stmts:
+        if isinstance(node, ast.Import):
+            bound.update((a.asname or a.name.split(".")[0], node.lineno) for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update((a.asname or a.name, node.lineno) for a in node.names if a.name != "*")
+        elif isinstance(node, (ast.If, ast.Try)):
+            for block in (node.body, node.orelse, getattr(node, "finalbody", []),
+                          *(h.body for h in getattr(node, "handlers", []))):
+                bound.update(_module_imports(block))
+    return bound
+
+
+def _used_names(tree: ast.Module) -> set[str]:
+    """Every name an expression reads, a quoted annotation names or
+    ``__all__`` lists."""
+    used, quoted = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.arg) and node.annotation is not None:
+            quoted.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
+            quoted.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            quoted.append(node.annotation)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant))
+    for annotation in quoted:
+        for c in ast.walk(annotation):
+            if isinstance(c, ast.Constant) and isinstance(c.value, str):
+                used.update(n.id for n in ast.walk(ast.parse(c.value, mode="eval"))
+                            if isinstance(n, ast.Name))
+    return used
+
+
+def test_no_unused_module_imports():
+    """No module of ``src/repro`` imports a name at module level that it
+    never uses; a package ``__init__.py`` re-exports, so it is exempt."""
+    root = Path(repro.__file__).resolve().parent
+    unused = []
+    for path in sorted(root.rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = _used_names(tree)
+        unused += [f"{path.relative_to(root.parent)}:{line}: {name}"
+                   for name, line in _module_imports(tree.body).items() if name not in used]
+    assert unused == []
+
+
 class TestRunOptions:
     def test_defaults(self):
         opts = RunOptions()

@@ -497,7 +497,8 @@ def assert_blocks_match_dense(trace: Trace, lmin=0.0) -> CompiledSchedule:
         want = forward_pass(dense, orig, dense.edge_lmin(lmin), gamma)
         assert _bits(got[0]) == _bits(want[0]), gamma
         # Every block exit lands; its dense twin only where it can bind.
-        assert got[1:5] == want[1:5] and got[5] >= want[5], gamma
+        assert [_bits(j) for j in got[1]] == [_bits(j) for j in want[1]], gamma
+        assert got[2:5] == want[2:5] and got[5] >= want[5], gamma
         caps = send_caps_kernel(blocks, got[0], blocks.edge_lmin(lmin))
         assert _bits(caps) == _bits(send_caps_kernel(dense, want[0], dense.edge_lmin(lmin)))
     for kernel in (lamport_kernel, vector_kernel):
